@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .harmonics import Lattice, TorusFunction
+from .harmonics import Lattice, TorusFunction, xconv
 from .opmatrix import BlockOperator, _hs_block_tensor, block_slice
 from .schrodinger import SpectralData
 
@@ -101,18 +101,13 @@ class LsContext:
         return LsContext(self.n, self.s, self.q, lam, self.C_tilde)
 
 
-def _xconv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    J = (len(a) - 1) // 2
-    return np.convolve(a, b)[J: 3 * J + 1]
-
-
 def apply_Tn(w, ctx: LsContext) -> np.ndarray:
     """(T_n w)(m) = (lam - m^2)^{-1} (q w)(m) for |m| != n, zero at +-n."""
     wc = _xcoeffs(w)
     J = ctx.J
     if abs(wc[J + ctx.n]) > 1e-13 or abs(wc[J - ctx.n]) > 1e-13:
         raise ValueError("input must lie in the complement Q_n (w_hat(+-n) = 0)")
-    qw = _xconv(ctx.q, wc)
+    qw = xconv(ctx.q, wc)
     ms = np.arange(-J, J + 1)
     div = ctx.lam - ms.astype(float) ** 2
     out = np.zeros_like(qw)
@@ -130,7 +125,7 @@ def solve_q_equation(u, ctx: LsContext, tol: float = 1e-13, n_max: int = 200):
     uc = _xcoeffs(u)
     J = ctx.J
     # first term: T_n applied to u, the +-n modes allowed in the input
-    qw = _xconv(ctx.q, uc)
+    qw = xconv(ctx.q, uc)
     ms = np.arange(-J, J + 1)
     div = ctx.lam - ms.astype(float) ** 2
     term = np.zeros_like(qw)
@@ -183,7 +178,7 @@ def assemble_Sn(ctx: LsContext, tol: float = 1e-13):
         return e + v
 
     rp, rm = resolve(+1), resolve(-1)
-    qrp, qrm = _xconv(ctx.q, rp), _xconv(ctx.q, rm)
+    qrp, qrm = xconv(ctx.q, rp), xconv(ctx.q, rm)
     a_n = qrp[J + n]
     a_mn = qrm[J - n]
     c_n = qrm[J + n]
@@ -373,10 +368,6 @@ def eigen_coords(basis: BasisMatrix, xcoeffs: np.ndarray) -> np.ndarray:
     return np.conj(basis.M) @ xcoeffs
 
 
-def exp_coords(basis: BasisMatrix, eigcoeffs: np.ndarray) -> np.ndarray:
-    return basis.M.T @ eigcoeffs
-
-
 def embed_psdo_pair(Ad_sym, Ao_sym, basis: BasisMatrix, s: float,
                     alpha: float, beta: float, structure_tol: float = 1e-6,
                     s0: float | None = None):
@@ -386,7 +377,7 @@ def embed_psdo_pair(Ad_sym, Ao_sym, basis: BasisMatrix, s: float,
     must satisfy [A^d]* = A^d and [A^o]* = conj(A^o) up to structure_tol
     (relative), which is checked on the quantized matrices.
     """
-    from .opmatrix import OperatorPair, pair_norm, s_decay_norm
+    from .opmatrix import OperatorPair, _pair_norm_terms, pair_norm, s_decay_norm
     from .psdo import quantize
 
     Ad = quantize(Ad_sym) if not isinstance(Ad_sym, BlockOperator) else Ad_sym
@@ -403,7 +394,7 @@ def embed_psdo_pair(Ad_sym, Ao_sym, basis: BasisMatrix, s: float,
     bundle = {"s": s, "alpha": alpha, "beta": beta,
               "pair_norm": pair_norm(pair, s, alpha, beta),
               "structure_defect": max(dd, oo)}
-    for i, (left, right, comp) in enumerate(_norm_descriptors(alpha, beta)):
+    for i, (left, right, comp) in enumerate(_pair_norm_terms(alpha, beta)):
         op = pair.Ad if comp == "d" else pair.Ao
         bundle[f"term{i}:{comp}:D^{left:g}.A.D^{right:g}"] = s_decay_norm(
             op.weight(left, right), s)
@@ -411,7 +402,3 @@ def embed_psdo_pair(Ad_sym, Ao_sym, basis: BasisMatrix, s: float,
         bundle["pair_norm_s0"] = pair_norm(pair, s0, alpha, beta)
     return pair, bundle
 
-
-def _norm_descriptors(alpha, beta):
-    from .opmatrix import _pair_norm_terms
-    return _pair_norm_terms(alpha, beta)

@@ -259,13 +259,53 @@ def from_grid(values: np.ndarray, lattice: Lattice, reality: bool = False) -> To
 
 
 def x_to_grid(xcoeffs: np.ndarray, n_points: int) -> np.ndarray:
-    """Values of sum_j c_j e^{ijx} on n_points uniform x samples."""
-    J = (len(xcoeffs) - 1) // 2
-    return _coeffs_to_grid(np.asarray(xcoeffs, dtype=complex), [J], [n_points])
+    """Values of sum_j c_j e^{ijx} on n_points uniform x samples.
+
+    The x coefficients run along the last axis; leading axes are carried along.
+    """
+    c = np.asarray(xcoeffs, dtype=complex)
+    J = (c.shape[-1] - 1) // 2
+    buf = np.zeros(c.shape[:-1] + (n_points,), dtype=complex)
+    buf[..., np.arange(-J, J + 1) % n_points] = c
+    return np.fft.ifft(buf, axis=-1) * n_points
 
 
 def x_from_grid(values: np.ndarray, J: int) -> np.ndarray:
-    return _grid_to_coeffs(np.asarray(values, dtype=complex), [J])
+    """Inverse of x_to_grid: the |j| <= J coefficients along the last axis."""
+    values = np.asarray(values, dtype=complex)
+    n = values.shape[-1]
+    if n < 2 * J + 1:
+        raise ValueError("grid too coarse for lattice cutoffs")
+    return np.fft.fft(values, axis=-1)[..., np.arange(-J, J + 1) % n] / n
+
+
+@lru_cache(maxsize=None)
+def _xconv_index(J: int) -> np.ndarray:
+    # T[k, j] = b_{k-j}: index k - j + J into b, out-of-range -> the zero slot 2J+1
+    k = np.arange(2 * J + 1)
+    idx = k[:, None] - k[None, :] + J
+    return np.where((idx >= 0) & (idx <= 2 * J), idx, 2 * J + 1)
+
+
+def xconv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Centred, truncated x-convolution (a * b)_k = sum_j a_j b_{k-j}, |k| <= J.
+
+    The x coefficients (length 2J+1) run along the last axis; leading axes
+    broadcast.  The sum is direct, not by FFT, so small coefficients keep
+    their relative accuracy instead of sinking into an eps * |a| |b| noise
+    floor.  The operand with fewer entries is expanded to its Toeplitz matrix,
+    which a single x-array applies to all rows of the other in one product.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if b.size > a.size:
+        a, b = b, a
+    D = b.shape[-1]
+    padded = np.concatenate([b, np.zeros_like(b[..., :1])], axis=-1)
+    T = padded[..., _xconv_index((D - 1) // 2)]
+    if b.size == D:
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        return (a.reshape(-1, D) @ T.reshape(D, D).T).reshape(shape)
+    return np.matmul(T, a[..., None])[..., 0]
 
 
 def _coeffs_to_grid(coeffs, cutoffs, sizes):

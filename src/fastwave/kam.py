@@ -372,7 +372,6 @@ def homological_residual(state: KamState, X: OperatorPair,
 def kam_step(state: KamState, lie_tol: float = 1e-15,
              track_norms: bool = True) -> tuple:
     """One reducibility step: returns (new state, X^(p))."""
-    from .opmatrix import lie_sum_xdot
     pr = state.params
     Np = pr.N(state.p)
     X = solve_homological(state, Np)

@@ -112,9 +112,9 @@ def magnus_generator(w: Symbol, omega, M: float, gamma0: float, tau0: float,
 
     def rule(xi, beta):
         v = w.raw(xi, beta)
-        if np.isscalar(v) or getattr(v, "ndim", 1) == 0 or v.ndim == 1:
+        if v.shape[:-1] == (1,) * lat.nu:
             # phi-independent input: only legal if identically zero
-            if np.max(np.abs(np.atleast_1d(v))) > 1e-14:
+            if np.max(np.abs(v)) > 1e-14:
                 raise NonZeroAverageError("generator input must have zero angle average")
             return v * 0.0
         zero_slice = v[(lat.L,) * lat.nu]

@@ -1,10 +1,17 @@
-"""Pseudodifferential symbol calculus and contour-integral functional calculus.
+r"""Pseudodifferential symbol calculus and contour-integral functional calculus.
 
 A symbol a(phi, x, xi) of order m is stored as a rule giving, for each xi and
 each xi-derivative order beta up to `deriv_depth`, the Fourier coefficients of
 a(., ., xi) as a function on the torus.  Quantization acts mode-wise:
 
     [Op(a) u]^(l_out, j_out) = sum a_hat(l, j_out - j_in; xi = j_in) u^(l_in, j_in).
+
+Every raw value has one form: a complex array whose trailing nu+1 axes are
+the lattice axes (phi_1..phi_nu, x).  Each of them has length 1 (only the
+zero mode: the value is constant along that axis) or full length 2L+1 resp.
+2J+1.  Any leading axes are batch axes, the lambda nodes of the contour.
+Products convolve along the axes that are full on both sides and broadcast
+along the rest; sums put a length-1 axis at the zero mode of a full one.
 
 Composition uses the asymptotic expansion a#b = sum_{beta<N} (i^beta beta!)^-1
 d_xi^beta a . d_x^beta b, with the operator-level residual measured and its
@@ -19,10 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .harmonics import Lattice, TorusFunction, x_from_grid, x_to_grid
+from .harmonics import (Lattice, TorusFunction, multiply, sobolev_norm, x_from_grid,
+                        x_to_grid, xconv)
 from .opmatrix import BlockOperator
 
 
@@ -71,7 +80,7 @@ class Cutoff:
 
     def __call__(self, t, k: int = 0):
         """chi^(k)(t); chi is even, rises on (1/3, 2/3)."""
-        scalar_in = np.isscalar(t) or getattr(t, "ndim", 0) == 0
+        scalar_in = getattr(t, "ndim", 0) == 0
         if scalar_in:
             # fast path: outside the transition window the value is 0/1 and
             # every derivative vanishes (the overwhelmingly common case)
@@ -107,72 +116,78 @@ DEFAULT_CUTOFF = Cutoff(1.0)
 # -- symbols -------------------------------------------------------------------
 
 
-def _is_x_array(v) -> bool:
-    return isinstance(v, np.ndarray) and v.ndim == 1
+def _lift(v, nd: int) -> np.ndarray:
+    """A rule's scalar or x-array return value as a raw value with nd lattice axes."""
+    v = np.asarray(v, dtype=complex)
+    return v.reshape((1,) * (nd - v.ndim) + v.shape)
 
 
-def _xconv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    J = (len(a) - 1) // 2
-    return np.convolve(a, b)[J: 3 * J + 1]
+def _phi_dependent(v: np.ndarray, lattice: Lattice) -> bool:
+    return v.shape[-lattice.nu - 1:-1] != (1,) * lattice.nu
 
 
-def _raw_mul(a, b, lattice: Lattice):
-    """Pointwise product of raw values (scalars, x-arrays or full arrays)."""
-    a_sc, b_sc = np.isscalar(a) or getattr(a, "ndim", 1) == 0, np.isscalar(b) or getattr(b, "ndim", 1) == 0
-    if a_sc or b_sc:
-        return a * b
-    if _is_x_array(a) and _is_x_array(b):
-        return _xconv(a, b)
-    ua = a if not _is_x_array(a) else _embed_x(a, lattice)
-    ub = b if not _is_x_array(b) else _embed_x(b, lattice)
-    from .harmonics import multiply
-    return multiply(TorusFunction(lattice, ua), TorusFunction(lattice, ub)).coeffs
+def _widen(v: np.ndarray, dims: tuple) -> np.ndarray:
+    """v with each length-1 lattice axis zero-padded, at the zero mode, to dims."""
+    nd = len(dims)
+    if v.shape[-nd:] == dims:
+        return v
+    out = np.zeros(v.shape[:-nd] + dims, dtype=complex)
+    centre = tuple(slice((n - s) // 2, (n + s) // 2) for s, n in zip(v.shape[-nd:], dims))
+    out[(...,) + centre] = v
+    return out
 
 
-def _embed_x(xarr, lattice: Lattice):
-    c = np.zeros(lattice.shape, dtype=complex)
-    c[(lattice.L,) * lattice.nu] = xarr
-    return c
+def _add(a: np.ndarray, b: np.ndarray, lattice: Lattice) -> np.ndarray:
+    nd = lattice.nu + 1
+    dims = tuple(max(s, t) for s, t in zip(a.shape[-nd:], b.shape[-nd:]))
+    return _widen(a, dims) + _widen(b, dims)
 
 
-def _raw_add(a, b, lattice):
-    a_sc = np.isscalar(a) or getattr(a, "ndim", 1) == 0
-    b_sc = np.isscalar(b) or getattr(b, "ndim", 1) == 0
-    if a_sc and b_sc:
-        return a + b
-    if a_sc:
-        return _raw_add(b, a, lattice)
-    if b_sc:
-        # add a constant into the zero mode
-        out = np.array(a, dtype=complex)
-        if out.ndim == 1:
-            out[(len(out) - 1) // 2] += b
-        else:
-            out[(lattice.L,) * lattice.nu + (lattice.J,)] += b
-        return out
-    if getattr(a, "shape", None) == getattr(b, "shape", None):
-        return a + b
-    ua = a if not _is_x_array(a) else _embed_x(a, lattice)
-    ub = b if not _is_x_array(b) else _embed_x(b, lattice)
-    return ua + ub
+def _mul(a: np.ndarray, b: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """Pointwise product: a coefficient convolution along the axes full on both sides."""
+    if _phi_dependent(a, lattice) and _phi_dependent(b, lattice):
+        return multiply(TorusFunction(lattice, _widen(a, lattice.shape)),
+                        TorusFunction(lattice, _widen(b, lattice.shape))).coeffs
+    if a.shape[-1] > 1 and b.shape[-1] > 1:
+        return xconv(a, b)
+    return a * b
 
 
-def _raw_dx(v, order=1):
-    if np.isscalar(v) or getattr(v, "ndim", 1) == 0:
-        return 0.0 * v if order else v
-    if _is_x_array(v):
-        J = (len(v) - 1) // 2
-        return v * (1j * np.arange(-J, J + 1)) ** order
+def _leibniz(f, g, b: int, lattice: Lattice, lo: int = 0) -> np.ndarray:
+    """sum_{k=lo..b} binom(b, k) f(k) g(b-k): d_xi^b of a product, from k = lo."""
+    acc = None
+    for k in range(lo, b + 1):
+        term = math.comb(b, k) * _mul(f(k), g(b - k), lattice)
+        acc = term if acc is None else _add(acc, term, lattice)
+    return acc
+
+
+def _dx(v: np.ndarray, order: int = 1) -> np.ndarray:
     J = (v.shape[-1] - 1) // 2
     return v * (1j * np.arange(-J, J + 1)) ** order
+
+
+def _x_samples(v: np.ndarray, lattice: Lattice, oversample: int = 8) -> np.ndarray:
+    """Values of a phi-independent raw value on oversample * (2J+1) x points."""
+    if _phi_dependent(v, lattice):
+        raise NotImplementedError("grid functions of phi-dependent symbols are unused")
+    return x_to_grid(v, oversample * v.shape[-1])
+
+
+def _pointwise(v: np.ndarray, f, lattice: Lattice, oversample: int = 8) -> np.ndarray:
+    """f applied pointwise in x, on the oversampled grid."""
+    return x_from_grid(f(_x_samples(v, lattice, oversample)), (v.shape[-1] - 1) // 2)
 
 
 class Symbol:
     """Pseudodifferential symbol with xi-derivative access.
 
-    `rule(xi, beta)` returns the raw value of d_xi^beta a(., ., xi): a scalar
-    (constant in (phi, x)), a 1-d x-coefficient array, or a full lattice
-    coefficient array.
+    `rule(xi, beta)` gives d_xi^beta a(., ., xi) as a scalar (constant in
+    (phi, x)), a (2J+1,) x-coefficient array, or a full lattice coefficient
+    array.  `raw` returns it in the one value form of this module: an array
+    whose nu+1 axes (phi_1..phi_nu, x) each have length 1 (the zero mode
+    only) or full length.  Values inside the parametrix carry leading batch
+    axes (the lambda nodes) in front of these.
     """
 
     def __init__(self, lattice: Lattice, order: float, rule, deriv_depth: int = 4,
@@ -186,28 +201,20 @@ class Symbol:
         self._cache = {}
 
     # raw evaluation with caching
-    def raw(self, xi: float, beta: int = 0):
+    def raw(self, xi: float, beta: int = 0) -> np.ndarray:
         if beta > self.deriv_depth:
             raise ValueError(f"derivative depth {self.deriv_depth} exceeded (beta={beta})")
         key = (float(xi), int(beta))
         if key not in self._cache:
-            self._cache[key] = self._rule(float(xi), int(beta))
+            self._cache[key] = _lift(self._rule(float(xi), int(beta)), self.lattice.nu + 1)
         return self._cache[key]
 
     def eval(self, xi: float, beta: int = 0) -> TorusFunction:
-        v = self.raw(xi, beta)
-        if np.isscalar(v) or getattr(v, "ndim", 1) == 0:
-            c = np.zeros(self.lattice.shape, dtype=complex)
-            c[(self.lattice.L,) * self.lattice.nu + (self.lattice.J,)] = complex(v)
-            return TorusFunction(self.lattice, c)
-        if _is_x_array(v):
-            return TorusFunction(self.lattice, _embed_x(v, self.lattice))
-        return TorusFunction(self.lattice, v)
+        return TorusFunction(self.lattice, _widen(self.raw(xi, beta), self.lattice.shape))
 
     @property
     def phi_independent(self) -> bool:
-        v = self.raw(0, 0)
-        return np.isscalar(v) or getattr(v, "ndim", 1) == 0 or _is_x_array(v)
+        return not _phi_dependent(self.raw(0, 0), self.lattice)
 
     # -- algebra (closures propagate derivative rules) ----------------------
 
@@ -218,12 +225,12 @@ class Symbol:
 
     def dx(self, order: int = 1) -> "Symbol":
         return Symbol(self.lattice, self.order,
-                      lambda xi, b: _raw_dx(self.raw(xi, b), order),
+                      lambda xi, b: _dx(self.raw(xi, b), order),
                       self.deriv_depth, self.xi_max, "composed")
 
     def __add__(self, other: "Symbol") -> "Symbol":
         return Symbol(self.lattice, max(self.order, other.order),
-                      lambda xi, b: _raw_add(self.raw(xi, b), other.raw(xi, b), self.lattice),
+                      lambda xi, b: _add(self.raw(xi, b), other.raw(xi, b), self.lattice),
                       min(self.deriv_depth, other.deriv_depth),
                       min(self.xi_max, other.xi_max), "composed")
 
@@ -240,12 +247,8 @@ class Symbol:
     def mul(self, other: "Symbol", order: float | None = None) -> "Symbol":
         """Pointwise product with Leibniz propagation of xi-derivatives."""
         def rule(xi, b):
-            acc = None
-            for g in range(b + 1):
-                term = math.comb(b, g) * _raw_mul(self.raw(xi, g), other.raw(xi, b - g),
-                                                  self.lattice)
-                acc = term if acc is None else _raw_add(acc, term, self.lattice)
-            return acc
+            return _leibniz(lambda g: self.raw(xi, g), lambda g: other.raw(xi, g), b,
+                            self.lattice)
         return Symbol(self.lattice, self.order + other.order if order is None else order,
                       rule, min(self.deriv_depth, other.deriv_depth),
                       min(self.xi_max, other.xi_max), "composed")
@@ -296,93 +299,61 @@ class Symbol:
 
     def reciprocal(self, order: float | None = None, grid_oversample: int = 8) -> "Symbol":
         """1/a with derivatives from the u r = 1 recursion; pointwise grid inverse."""
-        def invert(v):
-            if np.isscalar(v) or getattr(v, "ndim", 1) == 0:
-                return 1.0 / v
-            if _is_x_array(v):
-                J = (len(v) - 1) // 2
-                g = x_to_grid(v, grid_oversample * (2 * J + 1))
-                if np.min(np.abs(g)) == 0.0:
-                    raise EllipticityError("symbol vanishes on the sampling grid")
-                return x_from_grid(1.0 / g, J)
-            raise NotImplementedError("reciprocal of phi-dependent symbols unused")
+        lat = self.lattice
 
-        rec_cache = {}
+        def invert(g):
+            if np.min(np.abs(g)) == 0.0:
+                raise EllipticityError("symbol vanishes on the sampling grid")
+            return 1.0 / g
+
+        cache = {}
 
         def rule(xi, b):
-            key = (xi, b)
-            if key in rec_cache:
-                return rec_cache[key]
-            if b == 0:
-                out = invert(self.raw(xi, 0))
-            else:
-                acc = None
-                for g in range(1, b + 1):
-                    term = math.comb(b, g) * _raw_mul(self.raw(xi, g), rule(xi, b - g),
-                                                      self.lattice)
-                    acc = term if acc is None else _raw_add(acc, term, self.lattice)
-                out = -1.0 * _raw_mul(rule(xi, 0), acc, self.lattice)
-            rec_cache[key] = out
-            return out
+            if (xi, b) not in cache:
+                if b == 0:
+                    out = _pointwise(self.raw(xi, 0), invert, lat, grid_oversample)
+                else:
+                    acc = _leibniz(lambda g: self.raw(xi, g), lambda g: rule(xi, g), b,
+                                   lat, lo=1)
+                    out = -_mul(rule(xi, 0), acc, lat)
+                cache[(xi, b)] = out
+            return cache[(xi, b)]
         return Symbol(self.lattice, -self.order if order is None else order, rule,
                       self.deriv_depth, self.xi_max, "composed")
 
     def sqrt(self, grid_oversample: int = 8) -> "Symbol":
         """sqrt(a) pointwise, with derivatives from Leibniz on s*s = a."""
-        def root(v):
-            if np.isscalar(v) or getattr(v, "ndim", 1) == 0:
-                return complex(np.sqrt(v))
-            if _is_x_array(v):
-                J = (len(v) - 1) // 2
-                g = x_to_grid(v, grid_oversample * (2 * J + 1))
-                return x_from_grid(np.sqrt(g), J)
-            raise NotImplementedError
-
+        lat = self.lattice
         cache = {}
 
         def rule(xi, b):
-            key = (xi, b)
-            if key in cache:
-                return cache[key]
-            if b == 0:
-                out = root(self.raw(xi, 0))
-            else:
-                acc = None
-                for g in range(1, b):
-                    term = math.comb(b, g) * _raw_mul(rule(xi, g), rule(xi, b - g),
-                                                      self.lattice)
-                    acc = term if acc is None else _raw_add(acc, term, self.lattice)
-                rhs = self.raw(xi, b) if acc is None else _raw_add(
-                    self.raw(xi, b), -1.0 * acc, self.lattice)
-                half_inv = _half_inverse(rule(xi, 0), self.lattice, grid_oversample)
-                out = _raw_mul(half_inv, rhs, self.lattice)
-            cache[key] = out
-            return out
+            if (xi, b) not in cache:
+                if b == 0:
+                    out = _pointwise(self.raw(xi, 0), np.sqrt, lat, grid_oversample)
+                else:
+                    rhs = self.raw(xi, b)
+                    for g in range(1, b):
+                        term = math.comb(b, g) * _mul(rule(xi, g), rule(xi, b - g), lat)
+                        rhs = _add(rhs, -term, lat)
+                    half_inv = _pointwise(rule(xi, 0), lambda s: 1.0 / (2.0 * s), lat,
+                                          grid_oversample)
+                    out = _mul(half_inv, rhs, lat)
+                cache[(xi, b)] = out
+            return cache[(xi, b)]
         return Symbol(self.lattice, self.order / 2.0, rule, self.deriv_depth,
                       self.xi_max, "primitive")
 
     def scaled_by_cutoff(self, cutoff: Cutoff = DEFAULT_CUTOFF) -> "Symbol":
         """chi(xi) a(x, xi): kills the xi = 0 mode, identity for |xi| >= 1."""
         def rule(xi, b):
-            acc = None
+            acc = 0.0 * self.raw(xi, b)
             for g in range(b + 1):
                 c = math.comb(b, g) * cutoff(xi, g)
-                if c == 0.0:
-                    continue
-                term = c * self.raw(xi, b - g)
-                acc = term if acc is None else _raw_add(acc, term, self.lattice)
-            return acc if acc is not None else 0.0 * self.raw(xi, b)
+                if c != 0.0:
+                    acc = _add(acc, c * self.raw(xi, b - g), self.lattice)
+            return acc
         return Symbol(self.lattice, self.order, rule, self.deriv_depth,
                       self.xi_max, self.provenance)
-
-
-def _half_inverse(s0, lattice, oversample):
-    """1/(2 s0) pointwise."""
-    if np.isscalar(s0) or getattr(s0, "ndim", 1) == 0:
-        return 1.0 / (2.0 * s0)
-    J = (len(s0) - 1) // 2
-    g = x_to_grid(s0, oversample * (2 * J + 1))
-    return x_from_grid(1.0 / (2.0 * g), J)
 
 
 # -- quantization and weighted norms ------------------------------------------
@@ -397,22 +368,12 @@ def quantize(a: Symbol, lattice: Lattice | None = None, K=None) -> BlockOperator
     mats = {}
     for j_in in range(-lattice.J, lattice.J + 1):
         v = a.raw(j_in, 0)
-        if np.isscalar(v) or getattr(v, "ndim", 1) == 0:
-            ell0 = (0,) * lattice.nu
-            m = mats.setdefault(ell0, np.zeros((D, D), dtype=complex))
-            m[j_in + lattice.J, j_in + lattice.J] += complex(v)
-            continue
-        if _is_x_array(v):
-            ell0 = (0,) * lattice.nu
-            m = mats.setdefault(ell0, np.zeros((D, D), dtype=complex))
-            _add_column(m, v, j_in, lattice.J)
-            continue
-        # full (phi, x) symbol: one column per angle transfer
+        # one column per angle transfer (only l = 0 for phi-independent values)
         for ell_idx in np.ndindex(*v.shape[:-1]):
             col = v[ell_idx]
             if np.max(np.abs(col)) == 0.0:
                 continue
-            ell = tuple(int(i) - lattice.L for i in ell_idx)
+            ell = tuple(i - (n - 1) // 2 for i, n in zip(ell_idx, v.shape[:-1]))
             m = mats.setdefault(ell, np.zeros((D, D), dtype=complex))
             _add_column(m, col, j_in, lattice.J)
     return BlockOperator(lattice, {k: m for k, m in mats.items()
@@ -432,7 +393,6 @@ def weighted_norm(a: Symbol, m: float, s: float, alpha: int = 0) -> float:
     """max_{beta<=alpha} sup_xi ||d_xi^beta a(.,.,xi)||_s <xi>^{-m+beta}."""
     if alpha > a.deriv_depth:
         raise ValueError("derivative depth exceeded")
-    from .harmonics import sobolev_norm
     worst = 0.0
     for beta in range(alpha + 1):
         for xi in range(-a.xi_max, a.xi_max + 1):
@@ -446,7 +406,6 @@ def weighted_norm_lip(symbols: dict, m: float, s: float, alpha: int, w: float) -
     keys = list(symbols)
     sup = max(weighted_norm(symbols[k], m, s, alpha) for k in keys)
     lip = 0.0
-    from .harmonics import sobolev_norm
     for i in range(len(keys)):
         for k in range(i + 1, len(keys)):
             o1, o2 = np.asarray(keys[i]), np.asarray(keys[k])
@@ -605,133 +564,19 @@ class EllipticSymbol:
     def principal_min_abs(self, lam: complex, xi_vals) -> float:
         """min |a_m(x, xi) - lam| over the sampling grid (ellipticity check)."""
         a0 = self.layers[0]
-        worst = np.inf
-        for xi in xi_vals:
-            v = a0.raw(xi, 0)
-            if np.isscalar(v) or getattr(v, "ndim", 1) == 0:
-                worst = min(worst, abs(v - lam))
-            else:
-                g = x_to_grid(v, 8 * len(v)) if _is_x_array(v) else None
-                worst = min(worst, float(np.min(np.abs(g - lam))))
-        return float(worst)
+        return float(min(np.min(np.abs(_x_samples(a0.raw(xi, 0), self.lattice) - lam))
+                         for xi in xi_vals))
 
 
-def _layer_data(a: EllipticSymbol, xi: float, n_beta: int, n_layers: int, dx_max: int):
+def _layer_data(a: EllipticSymbol, xi: float, n_beta: int, dx_max: int):
     """d_xi^beta d_x^g of each declared layer at fixed xi."""
     out = {}
     for k, sym in a.layers.items():
         for beta in range(n_beta + 1):
             base = sym.raw(xi, beta)
             for g in range(dx_max + 1):
-                out[(k, beta, g)] = _raw_dx(base, g) if g else base
+                out[(k, beta, g)] = _dx(base, g) if g else base
     return out
-
-
-# batched values along a lambda axis: scalar, (D,) x-array (lambda-independent),
-# (B,) lambda-scalar, or (B, D) full
-
-
-def _b_is_lam(v):
-    return isinstance(v, np.ndarray) and v.ndim >= 1 and getattr(v, "_lam_batch", False)
-
-
-class _Batch:
-    """Value batched over contour nodes: arr shape (B,) or (B, D)."""
-
-    __slots__ = ("arr",)
-
-    def __init__(self, arr):
-        self.arr = arr
-
-
-def _bmul(x, y, J):
-    """Product of batched/unbatched raw values; conv along the x axis."""
-    bx, by = isinstance(x, _Batch), isinstance(y, _Batch)
-    if not bx and not by:
-        return _raw_mul_x(x, y, J)
-    from scipy.signal import fftconvolve
-    if bx and by:
-        a, b = x.arr, y.arr
-        if a.ndim == 1 and b.ndim == 1:
-            return _Batch(a * b)
-        if a.ndim == 1:
-            return _Batch(a[:, None] * b)
-        if b.ndim == 1:
-            return _Batch(a * b[:, None])
-        return _Batch(fftconvolve(a, b, mode="full", axes=-1)[:, J:3 * J + 1])
-    if by:
-        x, y = y, x
-    # x is the batch, y plain (scalar or (D,))
-    a = x.arr
-    if np.isscalar(y) or getattr(y, "ndim", 1) == 0:
-        return _Batch(a * y)
-    if a.ndim == 1:
-        return _Batch(a[:, None] * y[None, :])
-    return _Batch(fftconvolve(a, y[None, :], mode="full", axes=-1)[:, J:3 * J + 1])
-
-
-def _raw_mul_x(a, b, J):
-    a_sc = np.isscalar(a) or getattr(a, "ndim", 1) == 0
-    b_sc = np.isscalar(b) or getattr(b, "ndim", 1) == 0
-    if a_sc or b_sc:
-        return a * b
-    return np.convolve(a, b)[J: 3 * J + 1]
-
-
-def _badd(x, y, J):
-    bx, by = isinstance(x, _Batch), isinstance(y, _Batch)
-    if not bx and not by:
-        a_sc = np.isscalar(x) or getattr(x, "ndim", 1) == 0
-        b_sc = np.isscalar(y) or getattr(y, "ndim", 1) == 0
-        if a_sc and b_sc:
-            return x + y
-        if a_sc:
-            x, y = y, x
-            a_sc, b_sc = b_sc, a_sc
-        if b_sc:
-            out = np.array(x, dtype=complex)
-            out[J] += y
-            return out
-        return x + y
-    if not bx:
-        x, y = y, x
-    a = x.arr
-    if not isinstance(y, _Batch):
-        if np.isscalar(y) or getattr(y, "ndim", 1) == 0:
-            if a.ndim == 1:
-                return _Batch(a + y)
-            out = np.array(a)
-            out[:, J] += y
-            return _Batch(out)
-        if a.ndim == 1:
-            out = np.tile(y[None, :], (a.shape[0], 1)).astype(complex)
-            out[:, J] += a
-            return _Batch(out)
-        return _Batch(a + y[None, :])
-    b = y.arr
-    if a.ndim == b.ndim:
-        return _Batch(a + b)
-    if a.ndim == 1:
-        out = np.array(b)
-        out[:, J] += a
-        return _Batch(out)
-    out = np.array(a)
-    out[:, J] += b
-    return _Batch(out)
-
-
-def _bscale(x, c, J):
-    """x * c with c scalar or (B,) lambda-dependent weights."""
-    if isinstance(x, _Batch):
-        if np.isscalar(c) or getattr(c, "ndim", 1) == 0:
-            return _Batch(x.arr * c)
-        return _Batch(x.arr * (c[:, None] if x.arr.ndim == 2 else c))
-    if np.isscalar(c) or getattr(c, "ndim", 1) == 0:
-        return x * c
-    # promote plain value to a batch
-    if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
-        return _Batch(c * x)
-    return _Batch(c[:, None] * x[None, :])
 
 
 def parametrix_layers_batch(a: EllipticSymbol, lam: np.ndarray, xi: float, N: int,
@@ -739,8 +584,8 @@ def parametrix_layers_batch(a: EllipticSymbol, lam: np.ndarray, xi: float, N: in
                             apply_cutoff: bool = True):
     """Parametrix layers b_n(lam; ., xi) for a whole batch of lambda values.
 
-    Returns {(n, beta): _Batch} for 0 <= n < N, 0 <= beta <= n_beta, from the
-    recursion
+    Returns {(n, beta): d_xi^beta b_n} for 0 <= n < N, 0 <= beta <= n_beta,
+    each a raw value whose leading axis runs over lam, from the recursion
 
       b_0 (a_m - lam) = 1,
       b_n (a_m - lam) + sum_{p<n} b_p a_{m-n+p}
@@ -749,99 +594,47 @@ def parametrix_layers_batch(a: EllipticSymbol, lam: np.ndarray, xi: float, N: in
 
     each layer multiplied by chi(|xi|^2 + |lam|^{2/m}).
     """
+    lat = a.lattice
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    m = a.order
-    J = a.lattice.J
-    data = _layer_data(a, xi, n_beta + N, N, N)
-
-    # u = a_m - lam and its xi-derivatives; r = 1/u by the u r = 1 recursion
-    a0 = data[(0, 0, 0)]
-    if np.isscalar(a0) or getattr(a0, "ndim", 1) == 0:
-        u0 = complex(a0) - lam
-        if np.min(np.abs(u0)) == 0.0:
-            raise EllipticityError("principal symbol hits lambda")
-        r = {0: _Batch(1.0 / u0)}
-    else:
-        P = 8 * (2 * J + 1)
-        g0 = x_to_grid(a0, P)
-        vals = g0[None, :] - lam[:, None]
-        if np.min(np.abs(vals)) < 1e-14:
-            raise EllipticityError("principal symbol hits lambda on the grid")
-        inv = 1.0 / vals
-        r = {0: _Batch(_bx_from_grid(inv, J))}
-
+    lam = lam.reshape(lam.shape + (1,) * (lat.nu + 1))
     max_beta = n_beta + N
+    data = _layer_data(a, xi, max_beta, N)
+
+    def inverse(g):
+        u = g - lam
+        if np.min(np.abs(u)) < 1e-14:
+            raise EllipticityError("principal symbol hits lambda on the grid")
+        return 1.0 / u
+
+    # r = 1/(a_m - lam) and its xi-derivatives by the u r = 1 recursion
+    r = {0: _pointwise(data[(0, 0, 0)], inverse, lat)}
     for beta in range(1, max_beta + 1):
-        acc = None
-        for g in range(1, beta + 1):
-            term = _bscale(_bmul(r[beta - g], data[(0, g, 0)], J), math.comb(beta, g), J)
-            acc = term if acc is None else _badd(acc, term, J)
-        r[beta] = _bscale(_bmul(r[0], acc, J), -1.0, J)
+        acc = _leibniz(lambda g: data[(0, g, 0)], lambda g: r[g], beta, lat, lo=1)
+        r[beta] = -_mul(r[0], acc, lat)
 
-    def dmul(xv, yv, beta):
-        # Leibniz product of derivative families {beta: value}
-        acc = None
-        for g in range(beta + 1):
-            term = _bscale(_bmul(xv[g], yv[beta - g], J), math.comb(beta, g), J)
-            acc = term if acc is None else _badd(acc, term, J)
-        return acc
-
-    b = {0: dict(r)}
+    b = {0: r}
+    zero = np.zeros((1,) * (lat.nu + 1), dtype=complex)
     for n in range(1, N):
-        need = max_beta - n
-        rhs = {bb: None for bb in range(need + 1)}
-
-        def rhs_add(vals):
-            for bb in range(need + 1):
-                rhs[bb] = vals[bb] if rhs[bb] is None else _badd(rhs[bb], vals[bb], J)
-
-        for p in range(n):
-            k = n - p
-            if k in a.layers:
-                av = {bb: data[(k, bb, 0)] for bb in range(need + 1)}
-                rhs_add({bb: dmul(b[p], av, bb) for bb in range(need + 1)})
-        for beta in range(1, n + 1):
-            coeff = 1.0 / ((1j) ** beta * math.factorial(beta))
-            for p in range(n - beta + 1):
-                k = n - beta - p
+        # (coefficient, p, k, beta) of each d_xi^beta b_p . d_x^beta a_{m-k} above
+        terms = [(1.0, p, n - p, 0) for p in range(n)]
+        terms += [(1.0 / ((1j) ** beta * math.factorial(beta)), p, n - beta - p, beta)
+                  for beta in range(1, n + 1) for p in range(n - beta + 1)]
+        rhs = {}
+        for bb in range(max_beta - n + 1):
+            rhs[bb] = zero
+            for c, p, k, beta in terms:
                 if k in a.layers:
-                    bp = {bb: b[p][bb + beta] for bb in range(need + 1)}
-                    av = {bb: data[(k, bb, beta)] for bb in range(need + 1)}
-                    rhs_add({bb: _bscale(dmul(bp, av, bb), coeff, J)
-                             for bb in range(need + 1)})
-        if all(v is None for v in rhs.values()):
-            b[n] = {bb: _bscale(r[bb], 0.0, J) for bb in range(need + 1)}
-        else:
-            zero = _bscale(r[0], 0.0, J)
-            rv = {bb: (zero if rhs[bb] is None else rhs[bb]) for bb in range(need + 1)}
-            b[n] = {bb: _bscale(dmul({g: r[g] for g in range(bb + 1)}, rv, bb), -1.0, J)
-                    for bb in range(need + 1)}
+                    term = _leibniz(lambda g: b[p][g + beta], lambda g: data[(k, g, beta)],
+                                    bb, lat)
+                    rhs[bb] = _add(rhs[bb], c * term, lat)
+        b[n] = {bb: -_leibniz(lambda g: r[g], lambda g: rhs[g], bb, lat) for bb in rhs}
 
-    out = {}
-    if apply_cutoff:
-        t = abs(xi) ** 2 + np.abs(lam) ** (2.0 / m)
-        chi_d = _chain_quadratic_batch(cutoff, t, 2.0 * xi, 2.0, n_beta)
-    for n in range(N):
-        for beta in range(n_beta + 1):
-            val = b[n][beta]
-            if apply_cutoff:
-                acc = None
-                for g in range(beta + 1):
-                    if not np.any(chi_d[g]):
-                        continue
-                    term = _bscale(b[n][beta - g], math.comb(beta, g) * chi_d[g], J)
-                    acc = term if acc is None else _badd(acc, term, J)
-                val = acc if acc is not None else _bscale(val, 0.0, J)
-            out[(n, beta)] = val
-    return out
-
-
-def _bx_from_grid(grid_rows: np.ndarray, J: int) -> np.ndarray:
-    """Row-wise x_from_grid: (B, P) grid samples -> (B, 2J+1) coefficients."""
-    P = grid_rows.shape[-1]
-    spec = np.fft.fft(grid_rows, axis=-1) / P
-    idx = np.arange(-J, J + 1) % P
-    return spec[:, idx]
+    if not apply_cutoff:
+        return {(n, beta): b[n][beta] for n in range(N) for beta in range(n_beta + 1)}
+    t = abs(xi) ** 2 + np.abs(lam) ** (2.0 / a.order)
+    chi = _chain_quadratic_batch(cutoff, t, 2.0 * xi, 2.0, n_beta)
+    return {(n, beta): _leibniz(lambda g: chi[g], lambda g: b[n][g], beta, lat)
+            for n in range(N) for beta in range(n_beta + 1)}
 
 
 def _chain_quadratic_batch(cutoff: Cutoff, t: np.ndarray, t1: float, t2: float,
@@ -861,39 +654,12 @@ def _chain_quadratic_batch(cutoff: Cutoff, t: np.ndarray, t1: float, t2: float,
     return d
 
 
-def resolvent_parametrix_at(a: EllipticSymbol, lam: complex, xi: float, N: int,
-                            n_beta: int = 0, cutoff: Cutoff = DEFAULT_CUTOFF,
-                            apply_cutoff: bool = True):
-    """Single-lambda parametrix layers {(n, beta): raw value}."""
-    batch = parametrix_layers_batch(a, np.array([lam]), xi, N, n_beta, cutoff,
-                                    apply_cutoff)
-    out = {}
-    for key, val in batch.items():
-        arr = val.arr
-        out[key] = arr[0] if arr.ndim == 1 else np.array(arr[0])
-    return out
-
-
-def _chain_quadratic(cutoff: Cutoff, inner, beta_max: int):
-    """d^k/dxi^k chi(t(xi)) for quadratic t: exact Faa di Bruno.
-
-    d_k = sum_{m1 + 2 m2 = k} k!/(m1! m2! 2^{m2}) chi^(m1+m2)(t) t'^{m1} t''^{m2}.
-    Outside the transition window all derivatives vanish and chi is 0 or 1.
-    """
-    t, t1, t2 = inner[0], inner[1], inner[2]
-    if t <= 1.0 / 3.0 or t >= 2.0 / 3.0:
-        d = [0.0] * (beta_max + 1)
-        d[0] = 0.0 if t <= 1.0 / 3.0 else 1.0
-        return d
-    d = [cutoff(t, 0)]
-    for k in range(1, beta_max + 1):
-        acc = 0.0
-        for m2 in range(k // 2 + 1):
-            m1 = k - 2 * m2
-            coeff = math.factorial(k) / (math.factorial(m1) * math.factorial(m2) * 2 ** m2)
-            acc += coeff * cutoff(t, m1 + m2) * t1 ** m1 * t2 ** m2
-        d.append(acc)
-    return d
+def _summed_layers(a: EllipticSymbol, lam, xi: float, N: int, deriv_depth: int,
+                   cutoff: Cutoff) -> list:
+    """[sum_{n<N} d_xi^beta b_n(lam; ., xi) for beta <= deriv_depth], batched over lam."""
+    layers = parametrix_layers_batch(a, lam, xi, N, n_beta=deriv_depth, cutoff=cutoff)
+    return [reduce(lambda x, y: _add(x, y, a.lattice), [layers[(n, beta)] for n in range(N)])
+            for beta in range(deriv_depth + 1)]
 
 
 def resolvent_parametrix(a: EllipticSymbol, lam: complex, N: int,
@@ -907,14 +673,8 @@ def resolvent_parametrix(a: EllipticSymbol, lam: complex, N: int,
 
     def rule(xi, beta):
         if xi not in cache:
-            cache[xi] = resolvent_parametrix_at(a, lam, xi, N, n_beta=deriv_depth,
-                                                cutoff=cutoff)
-        vals = cache[xi]
-        acc = None
-        for n in range(N):
-            acc = vals[(n, beta)] if acc is None else _raw_add(acc, vals[(n, beta)],
-                                                               a.lattice)
-        return acc
+            cache[xi] = _summed_layers(a, [lam], xi, N, deriv_depth, cutoff)
+        return cache[xi][beta][0]
     return Symbol(a.lattice, -a.order, rule, deriv_depth, a.lattice.J, "parametrix")
 
 
@@ -934,7 +694,7 @@ class ContourSpec:
             raise ValueError("contour needs 0 < rho < R")
 
     def nodes(self, z: float):
-        """(lambda_i, w_i) with sum_i w_i f(lambda_i) ~ -(2 pi i)^-1 \oint lambda^z f."""
+        r"""(lambda_i, w_i) with sum_i w_i f(lambda_i) ~ -(2 pi i)^-1 \oint lambda^z f."""
         # legs: -(sin(pi z)/pi) int_rho^R r^z f(-r) dr, r = rho e^u
         U = math.log(self.R / self.rho)
         x, w = np.polynomial.legendre.leggauss(self.n_quad)
@@ -997,21 +757,10 @@ def complex_power(a: EllipticSymbol, z: float, N: int = 4,
     cache = {}
 
     def rule(xi, beta):
-        key = xi
-        if key not in cache:
-            vals = parametrix_layers_batch(a, lam_nodes, xi, N, n_beta=deriv_depth,
-                                           cutoff=cutoff)
-            acc = {}
-            for b in range(deriv_depth + 1):
-                tot = None
-                for n in range(N):
-                    contrib = np.tensordot(w_nodes, vals[(n, b)].arr, axes=(0, 0))
-                    if np.ndim(contrib) == 0:
-                        contrib = complex(contrib)
-                    tot = contrib if tot is None else _raw_add(tot, contrib, a.lattice)
-                acc[b] = tot
-            cache[key] = acc
-        return cache[key][beta]
+        if xi not in cache:
+            cache[xi] = [np.tensordot(w_nodes, v, axes=(0, 0)) for v in
+                         _summed_layers(a, lam_nodes, xi, N, deriv_depth, cutoff)]
+        return cache[xi][beta]
 
     sym = Symbol(a.lattice, a.order * z, rule, deriv_depth, a.lattice.J, "power")
     return sym.scaled_by_cutoff(cutoff) if apply_xi_cutoff else sym

@@ -93,8 +93,9 @@ def test_determinism(tmp_path):
     assert c1 == c2
     j1 = json.load(open(os.path.join(tmp_path, "a", "manifest.json")))
     j2 = json.load(open(os.path.join(tmp_path, "b", "manifest.json")))
-    j1["stages"]["magnus"].pop("seconds")
-    j2["stages"]["magnus"].pop("seconds")
+    for j in (j1, j2):              # wall times differ between runs
+        for stage in j["stages"].values():
+            stage.pop("seconds")
     assert j1["stages"] == j2["stages"]
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from fastwave.harmonics import (
     Lattice, TorusFunction, sobolev_norm, multiply, phi_average,
-    to_grid, from_grid, x_to_grid, x_from_grid,
+    to_grid, from_grid, x_to_grid, x_from_grid, xconv,
 )
 
 
@@ -96,6 +96,24 @@ def test_multiply_preserves_reality():
     v = TorusFunction.random(lat, rng, reality=True)
     w = multiply(u, v)
     assert w.reality and w.check_reality(1e-12)
+
+
+def test_xconv_matches_truncated_convolve():
+    # the centred |k| <= J part of the full convolution, broadcast over leading axes
+    rng = np.random.default_rng(10)
+    J = 6
+    D = 2 * J + 1
+
+    def conv(x, y):
+        return np.convolve(x, y)[J:3 * J + 1]
+    a = rng.standard_normal((4, 1, D)) + 1j * rng.standard_normal((4, 1, D))
+    b = rng.standard_normal((4, 3, D)) + 1j * rng.standard_normal((4, 3, D))
+    c = rng.standard_normal(D) + 1j * rng.standard_normal(D)
+    both = np.array([[conv(a[i, 0], b[i, k]) for k in range(3)] for i in range(4)])
+    assert np.max(np.abs(xconv(a, b) - both)) < 1e-13        # batched on both sides
+    one = np.array([conv(c, a[i, 0]) for i in range(4)])[:, None]
+    assert np.max(np.abs(xconv(c, a) - one)) < 1e-13         # one x-array against a batch
+    assert np.max(np.abs(xconv(c, c) - conv(c, c))) < 1e-13
 
 
 def test_multiply_lattice_mismatch():

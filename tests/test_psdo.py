@@ -7,8 +7,8 @@ from fastwave.harmonics import Lattice, TorusFunction, multiply, sobolev_norm
 from fastwave.opmatrix import BlockOperator
 from fastwave.psdo import (
     ContourSpec, Cutoff, EllipticityError, EllipticSymbol, Symbol,
-    commutator_symbol, complex_power, compose, entry_decay_exponent, quantize,
-    resolvent_parametrix, weighted_norm,
+    commutator_symbol, complex_power, compose, entry_decay_exponent,
+    parametrix_layers_batch, quantize, resolvent_parametrix, weighted_norm,
 )
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks, spectral_power
 
@@ -221,9 +221,38 @@ def test_parametrix_constant_coefficient():
     bN = resolvent_parametrix(ell, -1.0, N=3, deriv_depth=0)
     for xi in range(-J, J + 1):
         v = bN.raw(xi, 0)
-        v0 = complex(v) if np.isscalar(v) or getattr(v, "ndim", 1) == 0 else v[J]
+        v0 = v[..., v.shape[-1] // 2].item()
         chi_factor = 1.0  # |xi|^2 + |lam| >= 1 >= 2/3 everywhere here
         assert abs(v0 - chi_factor / (xi ** 2 + 1.0)) < 1e-12
+
+
+def test_parametrix_layers_closed_form():
+    # a = xi^2 + q: with u = xi^2 - lambda the recursion has the closed form
+    # b0 = 1/u, b1 = 0, b2 = -q/u^2, b3 = -2i xi q'/u^3,
+    # b4 = q*q/u^3 + (-1/u^3 + 4 xi^2/u^4) q'', and d_xi b2 = 4 xi q/u^3
+    ell = EllipticSymbol.xi2_plus_q(LAT, QC)
+    lam = np.array([-1.0, -7.5, 2.0 + 3.0j])
+    ks = 1j * np.arange(-J, J + 1)
+    dq, ddq = ks * QC, ks ** 2 * QC
+    qq = np.convolve(QC, QC)[J:3 * J + 1]
+    delta = np.zeros(2 * J + 1)
+    delta[J] = 1.0
+
+    def xcoeffs(v):
+        # (lambda, 2J+1) x coefficients of a batched phi-independent value
+        v = v.reshape(len(lam), v.shape[-1])
+        return np.pad(v, ((0, 0), ((2 * J + 1 - v.shape[1]) // 2,) * 2))
+
+    for xi in (3, 7):
+        u = (xi ** 2 - lam)[:, None]
+        layers = parametrix_layers_batch(ell, lam, xi, N=5, n_beta=1, apply_cutoff=False)
+        want = {(0, 0): delta / u, (1, 0): 0.0 * delta / u, (2, 0): -QC / u ** 2,
+                (3, 0): -2j * xi * dq / u ** 3,
+                (4, 0): qq / u ** 3 + (-1.0 / u ** 3 + 4.0 * xi ** 2 / u ** 4) * ddq,
+                (2, 1): 4.0 * xi * QC / u ** 3}
+        for key, w in want.items():
+            scale = np.max(np.abs(w)) if key != (1, 0) else np.max(np.abs(want[(0, 0)]))
+            assert np.max(np.abs(xcoeffs(layers[key]) - w)) <= 1e-13 * scale, key
 
 
 def test_parametrix_residual_decay_and_refinement():
@@ -258,7 +287,7 @@ def test_power_constant_coefficient_exact():
     B = complex_power(ell, 0.5, N=3, contour=ContourSpec(0.4, 0.4 * math.exp(170), 280))
     for xi in range(-J, J + 1):
         v = B.raw(xi, 0)
-        v0 = complex(v) if np.isscalar(v) or getattr(v, "ndim", 1) == 0 else v[J]
+        v0 = v[..., v.shape[-1] // 2].item()
         want = math.sqrt(xi ** 2 + 1.0) if abs(xi) >= 1 else 0.0
         assert abs(v0 - want) < 1e-8
 
