@@ -337,7 +337,7 @@ def stage_measure(ctx: dict) -> dict:
     v = build_v({**cfg, "v": {"family": "cosine-product", "amplitude": 1.0}}, lat)
     M = float(cfg["M"])
     rows = [("gamma", "m_r", "ci_lo", "ci_hi", "rejected", "indeterminate")]
-    mrs = []
+    mrs, indeterminate = [], {}
     for gamma in cfg["sweep_gamma"]:
         params = KamParameters(tau=cfg["tau"], gamma=gamma, alpha=cfg["alpha"],
                                N0=cfg["N0"], tau0=cfg["tau0"],
@@ -356,6 +356,7 @@ def stage_measure(ctx: dict) -> dict:
         rows.append((gamma, rep.m_r, lo, hi, rep.rejected_infty,
                      rep.indeterminate))
         mrs.append(rep.m_r)
+        indeterminate[str(gamma)] = dict(rep.indeterminate_by_type)
     expo = fitted_gamma_exponent(cfg["sweep_gamma"], mrs)
     monotone = all(a >= b for a, b in zip(mrs, mrs[1:]))
     # Lemma-window exact check on linear test functions (nu = 1)
@@ -368,6 +369,7 @@ def stage_measure(ctx: dict) -> dict:
     csv.writer(buf).writerows(rows)
     ok = monotone and exact_ok and (math.isnan(expo) or expo >= 0.4)
     return {"pass": bool(ok), "m_r_by_gamma": dict(zip(map(str, cfg["sweep_gamma"]), mrs)),
+            "indeterminate_by_type": indeterminate,
             "fitted_exponent": expo, "single_set_exact_ok": bool(exact_ok),
             "csv": {"measure_sweep.csv": buf.getvalue()}}
 

@@ -236,92 +236,64 @@ def melnikov_step_test(state: KamState, Nval: float | None = None):
     return worst["margin"] >= 1.0, worst
 
 
-def solve_homological(state: KamState, Nval: float | None = None,
-                      raw: bool = False) -> OperatorPair:
+def solve_homological(state: KamState, Nval: float | None = None) -> OperatorPair:
     """The generator X^(p) from the blockwise homological equations.
 
     X^d on the minus index set (zero at the excluded (0, n, n) diagonal),
     X^o everywhere, both restricted to |l| <= N_p and multiplied by the
-    cutoff chi(mingap/rho) that extends the solution to all omega (raw=True
-    skips the cutoff; it then errors on a singular block).
+    cutoff chi(mingap/rho) that extends the solution to all omega.  All kept
+    modes and blocks are solved in one pass: with U the block-diagonal
+    eigenframe of H0 (eigenvalues mu), each mode's V(l) becomes U^H V U, whose
+    (i, j) entry is divided by omega.l + mu_i +- mu_j; mingap is the smallest
+    |divisor| of each (n, n') block, folded from the four sign quadrants as
+    in the block HS tensor, and chi(mingap/rho) scales the whole block.
     """
     pr = state.params
     Nval = pr.N(state.p) if Nval is None else Nval
-    mu, U = state.block_eigs()
-    J = state.lattice.J
+    modes = list(_v_components(state, Nval))
     lat = state.lattice
-    # stacked eigenframes for the 2x2 blocks n >= 1
-    U2 = np.stack([U[n] for n in range(1, J + 1)])          # (J, 2, 2)
-    mu2 = np.stack([mu[n] for n in range(1, J + 1)])        # (J, 2)
-    idm = J - np.arange(1, J + 1)
-    idp = J + np.arange(1, J + 1)
-    ns = np.arange(1, J + 1, dtype=float)
-    combo_grid = {
-        +1: np.maximum(1.0, np.add.outer(ns, ns)),
-        -1: np.maximum(1.0, np.abs(np.subtract.outer(ns, ns))),
-    }
+    K = state.V.Ad.K
+    if not modes:
+        return OperatorPair(BlockOperator.zero(lat, K), BlockOperator.zero(lat, K),
+                            pr.alpha, pr.alpha)
+    J = lat.J
+    mu, U = state.block_eigs()
+    Uf = np.zeros((2 * J + 1, 2 * J + 1), dtype=complex)
+    muf = np.zeros(2 * J + 1)
+    for n in range(J + 1):
+        idx = block_slice(J, n)
+        Uf[np.ix_(idx, idx)] = U[n]
+        muf[idx] = mu[n]
+    nb = np.abs(np.arange(-J, J + 1))          # block of each space index
+
+    ells = np.array([ell for ell, _, _ in modes], dtype=float)
+    comp_d = np.array([comp == "d" for _, comp, _ in modes])
+    sign = np.where(comp_d, -1.0, 1.0)[:, None, None]
+    dot = (ells @ state.omega)[:, None, None]
+    ln = np.linalg.norm(ells, axis=1)
+    div = dot + muf[None, :, None] + sign * muf[None, None, :]
+    gap = np.abs(div)
+    mingap = np.minimum(np.minimum(gap[:, J:, J:], gap[:, J:, J::-1]),
+                        np.minimum(gap[:, J::-1, J:], gap[:, J::-1, J::-1]))
+    ns = np.arange(J + 1)
+    combo = np.maximum(1, np.where(sign > 0, np.add.outer(ns, ns),
+                                   np.abs(np.subtract.outer(ns, ns))))
+    rho = (0.5 * pr.gamma / state.M ** pr.alpha * combo ** pr.alpha
+           / np.maximum(1.0, ln)[:, None, None] ** pr.tau)
+    factor = pr.cutoff(np.minimum(mingap / rho, 1.0))
+    # excluded (0, n, n) indices of X^d: absorbed into Z
+    excluded = (comp_d & (ln == 0.0))[:, None]
+    factor[:, ns, ns] = np.where(excluded, 0.0, factor[:, ns, ns])
+    div[div == 0.0] = 1.0             # zeros only where factor = 0
+    T = Uf.conj().T @ np.stack([m for _, _, m in modes]) @ Uf
+    T /= div
+    T *= -1j * factor[:, nb][:, :, nb]
+    X = Uf @ T @ Uf.conj().T
 
     Xd_mats, Xo_mats = {}, {}
-    for ell, comp, V_ell in _v_components(state, Nval):
-        dot = float(np.dot(ell, state.omega))
-        ln = float(np.linalg.norm(ell))
-        sign = +1 if comp == "o" else -1
-        out = np.zeros_like(V_ell)
-
-        # bulk blocks (n, n_in >= 1) as a (J, J, 2, 2) tensor
-        rows = np.stack([V_ell[idm], V_ell[idp]], axis=1)   # (J, 2, 2J+1)
-        T = np.stack([rows[:, :, idm], rows[:, :, idp]], axis=-1)  # (J,2,J,2)
-        T = T.transpose(0, 2, 1, 3)                          # (J, J, 2, 2)
-        TB = np.einsum("nji,nmjk,mkl->nmil", np.conj(U2), T, U2)
-        div = dot + mu2[:, None, :, None] + sign * mu2[None, :, None, :]
-        if raw and np.min(np.abs(div)) == 0.0:
-            raise SmallnessError(f"singular homological block at l={ell}")
-        mingap = np.min(np.abs(div), axis=(2, 3))
-        rho_grid = (0.5 * pr.gamma / state.M ** pr.alpha
-                    * combo_grid[sign] ** pr.alpha / max(1.0, ln) ** pr.tau)
-        factor = np.ones_like(mingap) if raw else pr.cutoff(
-            np.minimum(mingap / rho_grid, 1.0))
-        if comp == "d" and ln == 0.0:
-            np.fill_diagonal(factor, 0.0)  # excluded indices: absorbed into Z
-        div_safe = np.where(div == 0.0, 1.0, div)   # zeros only where factor = 0
-        sol = -1j * factor[:, :, None, None] * (TB / div_safe)
-        X4 = np.einsum("nij,nmjk,mlk->nmil", U2, sol, np.conj(U2))
-        X4 = X4.transpose(0, 2, 1, 3)                        # (J, 2, J, 2)
-        buf = np.zeros((J, 2, 2 * J + 1), dtype=complex)
-        buf[:, :, idm] = X4[:, :, :, 0]
-        buf[:, :, idp] = X4[:, :, :, 1]
-        out[idm] = buf[:, 0]
-        out[idp] = buf[:, 1]
-
-        # edge blocks involving [0]
-        for n in range(J + 1):
-            for n_in in (0,) if n > 0 else range(J + 1):
-                if comp == "d" and ln == 0.0 and n == n_in:
-                    continue
-                r, cgrp = block_slice(J, n), block_slice(J, n_in)
-                blk = V_ell[np.ix_(r, cgrp)]
-                if not np.any(blk):
-                    continue
-                tb = U[n].conj().T @ blk @ U[n_in]
-                dv = dot + np.add.outer(mu[n], sign * mu[n_in])
-                mg = float(np.min(np.abs(dv)))
-                combo = max(1, abs(n + n_in) if sign > 0 else abs(n - n_in))
-                rho_blk = 0.5 * pr.gamma / state.M ** pr.alpha \
-                    * combo ** pr.alpha / max(1.0, ln) ** pr.tau
-                if raw:
-                    fac = 1.0
-                    if mg == 0.0:
-                        raise SmallnessError(
-                            f"singular homological block at l={ell}, ({n},{n_in})")
-                else:
-                    fac = pr.cutoff(min(mg / rho_blk, 1.0))
-                    if fac == 0.0:
-                        continue
-                sol0 = -1j * fac * (tb / dv)
-                out[np.ix_(r, cgrp)] = U[n] @ sol0 @ U[n_in].conj().T
-        if np.any(out):
-            (Xd_mats if comp == "d" else Xo_mats)[ell] = out
-    K = state.V.Ad.K
+    for (ell, comp, _), x in zip(modes, X):
+        if np.any(x):
+            (Xd_mats if comp == "d" else Xo_mats)[ell] = x
     return OperatorPair(BlockOperator(lat, Xd_mats, K),
                         BlockOperator(lat, Xo_mats, K), pr.alpha, pr.alpha)
 

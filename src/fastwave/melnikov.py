@@ -18,7 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import CONSTANTS
+from .kam import SmallnessError
 from .magnus import diophantine_test, sample_annulus
+from .opmatrix import LieSeriesDiverged
+
+# pipeline errors that make a sample indeterminate; any other error propagates
+INDETERMINATE_ERRORS = (SmallnessError, LieSeriesDiverged, np.linalg.LinAlgError)
 
 
 @dataclass
@@ -33,6 +38,8 @@ class MeasureReport:
     rejected_omega0: int = 0
     rejected_infty: int = 0
     indeterminate: int = 0
+    indeterminate_by_type: dict = field(default_factory=lambda: dict.fromkeys(
+        (e.__name__ for e in INDETERMINATE_ERRORS), 0))
     pruning: dict = field(default_factory=dict)
 
     @property
@@ -58,6 +65,7 @@ class MeasureReport:
                 "rejected_omega0": self.rejected_omega0,
                 "rejected_infty": self.rejected_infty,
                 "indeterminate": self.indeterminate,
+                "indeterminate_by_type": dict(self.indeterminate_by_type),
                 "m_r": self.m_r, "ci95": [lo, hi], "pruning": dict(self.pruning)}
 
 
@@ -74,17 +82,31 @@ class EigenTable:
     q_bar: float
     mu_blocks: dict
 
+    def __post_init__(self):
+        # (J+1, 2) eigenvalue pairs of the explicit blocks, [0]'s value twice
+        self._inner = np.array([np.resize(np.asarray(self.mu_blocks[n], dtype=float), 2)
+                                for n in range(self.J + 1)])
+
     def values(self, n: int) -> np.ndarray:
         if n <= self.J:
             return self.mu_blocks[n]
         lam = math.sqrt(n * n + self.q_bar)
         return np.array([lam, lam])
 
+    def pairs(self, ns) -> np.ndarray:
+        """(len(ns), 2) eigenvalues of the blocks ns (nonnegative ints)."""
+        ns = np.asarray(ns, dtype=int)
+        out = np.empty((len(ns), 2))
+        inner = ns <= self.J
+        out[inner] = self._inner[ns[inner]]
+        far = ns[~inner]
+        out[~inner] = np.sqrt(far * far + self.q_bar)[:, None]
+        return out
+
     def max_correction(self, n_max: int) -> float:
         """sup over n of |mu_n - n| (enters the reachable-window slack)."""
-        worst = abs(float(self.values(0)[0]))
-        for n in range(1, min(self.J, n_max) + 1):
-            worst = max(worst, float(np.max(np.abs(self.values(n) - n))))
+        m = min(self.J, n_max)
+        worst = float(np.max(np.abs(self._inner[:m + 1] - np.arange(m + 1)[:, None])))
         if n_max > self.J:
             lam = math.sqrt((self.J + 1.0) ** 2 + abs(self.q_bar))
             worst = max(worst, abs(lam - (self.J + 1.0)))
@@ -126,10 +148,10 @@ def omega_infty_test(omega, table: EigenTable, params, M: float, L_check: int,
     from .magnus import nonzero_ell_box
     ells = [np.zeros(nu, dtype=int)] + list(nonzero_ell_box(nu, L_check))
     ok = True
+    slack = 2.0 * table.max_correction(10 * table.J) + 2.0
     for row in ells:
         ln = float(np.linalg.norm(row))
         dot = float(row @ omega)
-        slack = 2.0 * table.max_correction(10 * table.J) + 2.0
         for sign in (+1, -1):
             # reachable combos k = n (+-) n': |dot + k +- corrections| small
             t = -dot
@@ -153,10 +175,15 @@ def omega_infty_test(omega, table: EigenTable, params, M: float, L_check: int,
 
 def _scan_k_line(table, dot, sign, k, n_cap, gamma, tau, alpha, M, ln, ell,
                  census):
-    """Check all (n, n') with n - n' = k (minus) or n + n' = k (plus)."""
+    """Check all (n, n') with n - n' = k (minus) or n + n' = k (plus).
+
+    Returns (passes, checked).  In the truncation window `checked` counts
+    the triples up to and including the first offender, in ascending n; the
+    asymptotic region counts all of its triples.  The first offender goes to
+    the census.
+    """
     thr = balanced_threshold(gamma, tau, alpha, M, ln, abs(k))
     J = table.J
-    checked = 0
     if sign > 0 and k < 0:
         return True, 0
     # n range along the k-line
@@ -165,30 +192,35 @@ def _scan_k_line(table, dot, sign, k, n_cap, gamma, tau, alpha, M, ln, ell,
     else:
         n_lo, n_hi = 0, min(k, n_cap)
 
-    def n_in_of(n):
-        return n - k if sign < 0 else k - n
+    def first_offender(ns, ms, gaps):
+        """Index of the first triple (ns, ms) with gap < thr, recorded; or None."""
+        bad = gaps < thr
+        if not np.any(bad):
+            return None
+        i = int(np.argmax(bad))
+        census["offenders"].append(
+            {"ell": tuple(int(c) for c in np.atleast_1d(ell)),
+             "sign": sign, "n": int(ns[i]), "n_in": int(ms[i]),
+             "gap": float(gaps[i]), "threshold": thr})
+        return i
 
     # blocks touching the truncation: explicit 2x2 eigenvalues.  Two small
     # windows: n <= J, or n_in <= J.
-    block_ns = set(range(n_lo, min(n_hi, J) + 1))
     if sign < 0:
-        block_ns.update(range(max(n_lo, k), min(n_hi, J + k) + 1))
+        other = np.arange(max(n_lo, k), min(n_hi, J + k) + 1)
     else:
-        block_ns.update(range(max(n_lo, k - J), n_hi + 1))
-    for n in sorted(block_ns):
-        n_in = n_in_of(n)
-        if not (0 <= n_in <= n_cap):
-            continue
-        if ln == 0.0 and sign < 0 and n == n_in:
-            continue              # excluded diagonal triples
-        vals = dot + np.add.outer(table.values(n), sign * table.values(n_in)).ravel()
-        checked += 1
-        if np.min(np.abs(vals)) < thr:
-            census["offenders"].append(
-                {"ell": tuple(int(c) for c in np.atleast_1d(ell)),
-                 "sign": sign, "n": int(n), "n_in": int(n_in),
-                 "gap": float(np.min(np.abs(vals))), "threshold": thr})
-            return False, checked
+        other = np.arange(max(n_lo, k - J), n_hi + 1)
+    ns = np.union1d(np.arange(n_lo, min(n_hi, J) + 1), other)
+    ms = ns - k if sign < 0 else k - ns
+    keep = (ms >= 0) & (ms <= n_cap)
+    if ln == 0.0 and sign < 0:
+        keep &= ns != ms          # excluded diagonal triples
+    ns, ms = ns[keep], ms[keep]
+    vals = dot + (table.pairs(ns)[:, :, None] + sign * table.pairs(ms)[:, None, :])
+    i = first_offender(ns, ms, np.min(np.abs(vals), axis=(1, 2)))
+    if i is not None:
+        return False, i + 1
+    checked = len(ns)
     # asymptotic region: both indices beyond the truncation, vectorized
     if sign < 0 and k == 0 and ln == 0.0:
         return True, checked      # the whole (0, n, n) diagonal is excluded
@@ -206,13 +238,7 @@ def _scan_k_line(table, dot, sign, k, n_cap, gamma, tau, alpha, M, ln, ell,
             vals = dot + np.sqrt(ns ** 2 + table.q_bar) \
                 + sign * np.sqrt(ms ** 2 + table.q_bar)
             checked += len(ns)
-            bad = np.abs(vals) < thr
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                census["offenders"].append(
-                    {"ell": tuple(int(c) for c in np.atleast_1d(ell)),
-                     "sign": sign, "n": int(ns[i]), "n_in": int(ms[i]),
-                     "gap": float(np.abs(vals[i])), "threshold": thr})
+            if first_offender(ns, ms, np.abs(vals)) is not None:
                 return False, checked
     return True, checked
 
@@ -305,8 +331,10 @@ def estimate_measure(pipeline, params, M: float, n_samples: int,
     """Monte-Carlo m_r(Omega_0 \\ Omega_infty) at one gamma.
 
     `pipeline(omega) -> EigenTable` produces the final blocks for a sample
-    (a reduced-depth KAM run); exceptions count as indeterminate.  The tau
-    constraint tau > nu - 1 + alpha + tau0/alpha is enforced.
+    (a reduced-depth KAM run).  A SmallnessError, LieSeriesDiverged or
+    LinAlgError makes the sample indeterminate and is counted by type; any
+    other error propagates.  The tau constraint
+    tau > nu - 1 + alpha + tau0/alpha is enforced.
     """
     if n_samples < 100:
         raise ValueError("need at least 100 samples for a meaningful estimate")
@@ -325,8 +353,10 @@ def estimate_measure(pipeline, params, M: float, n_samples: int,
             continue
         try:
             table = pipeline(omega)
-        except Exception:
+        except INDETERMINATE_ERRORS as exc:
             report.indeterminate += 1
+            kind = next(e for e in INDETERMINATE_ERRORS if isinstance(exc, e))
+            report.indeterminate_by_type[kind.__name__] += 1
             continue
         ok, census = omega_infty_test(omega, table, params, M, L_check)
         for key in ("explicit", "pruned_unreachable"):

@@ -297,30 +297,6 @@ class Symbol:
                    lambda xi, b: u.coeffs if b == 0 else np.zeros_like(u.coeffs),
                    deriv_depth=64)
 
-    def reciprocal(self, order: float | None = None, grid_oversample: int = 8) -> "Symbol":
-        """1/a with derivatives from the u r = 1 recursion; pointwise grid inverse."""
-        lat = self.lattice
-
-        def invert(g):
-            if np.min(np.abs(g)) == 0.0:
-                raise EllipticityError("symbol vanishes on the sampling grid")
-            return 1.0 / g
-
-        cache = {}
-
-        def rule(xi, b):
-            if (xi, b) not in cache:
-                if b == 0:
-                    out = _pointwise(self.raw(xi, 0), invert, lat, grid_oversample)
-                else:
-                    acc = _leibniz(lambda g: self.raw(xi, g), lambda g: rule(xi, g), b,
-                                   lat, lo=1)
-                    out = -_mul(rule(xi, 0), acc, lat)
-                cache[(xi, b)] = out
-            return cache[(xi, b)]
-        return Symbol(self.lattice, -self.order if order is None else order, rule,
-                      self.deriv_depth, self.xi_max, "composed")
-
     def sqrt(self, grid_oversample: int = 8) -> "Symbol":
         """sqrt(a) pointwise, with derivatives from Leibniz on s*s = a."""
         lat = self.lattice

@@ -185,6 +185,60 @@ def Xblk_reshape(blk):
     return blk.reshape(-1)
 
 
+def test_solve_homological_edge_blocks():
+    # every block, [0] edges and the cutoff included, against a direct solve
+    # of G x = -i chi(mingap/rho) vec(V) with build_G
+    state, *_ = toy_setup()
+    pr = state.params
+    lat = state.lattice
+    J = lat.J
+    D = 2 * J + 1
+    mu, _ = state.block_eigs()
+    # omega.1 + mu_0 - mu_1[0] = rho/2 puts the (1, 0, 1) minus block of V^d
+    # halfway into the cutoff's transition window
+    rho_01 = 0.5 * pr.gamma / state.M ** pr.alpha
+    state.omega = np.array([mu[1][0] - mu[0][0] + 0.5 * rho_01])
+    rng = np.random.default_rng(4)
+
+    def rand():
+        return rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    K = state.V.Ad.K
+    Vd = BlockOperator(lat, {(0,): rand(), (1,): rand()}, K)
+    Vo = BlockOperator(lat, {(0,): rand(), (1,): rand()}, K)
+    state.V = OperatorPair(Vd, Vo, pr.alpha, 0.0)
+    X = solve_homological(state, Nval=1.5)
+
+    def direct(ell, comp, n, n_in):
+        sign = -1 if comp == "d" else +1
+        G = build_G(state, np.array([ell]), n, n_in, sign)
+        combo = max(1, abs(n + n_in) if sign > 0 else abs(n - n_in))
+        rho = 0.5 * pr.gamma / state.M ** pr.alpha * combo ** pr.alpha
+        chi = pr.cutoff(min(np.min(np.abs(np.linalg.eigvalsh(G))) / rho, 1.0))
+        V = (Vd if comp == "d" else Vo).block((ell,), n, n_in)
+        x = -1j * chi * np.linalg.solve(G, V.reshape(-1))
+        return x.reshape(V.shape), chi
+
+    def got(ell, comp, n, n_in):
+        return (X.Ad if comp == "d" else X.Ao).block((ell,), n, n_in)
+
+    for ell in (0, 1):
+        for comp in ("d", "o"):
+            for n, n_in in ((4, 0), (0, 7), (0, 1), (2, 9)) + (
+                    ((0, 0),) if comp == "o" else ()):
+                want, _ = direct(ell, comp, n, n_in)
+                scale = max(1.0, np.max(np.abs(want)))
+                assert np.max(np.abs(got(ell, comp, n, n_in) - want)) < 1e-12 * scale
+    # the engineered block carries a cutoff factor strictly inside (0, 1)
+    _, chi = direct(1, "d", 0, 1)
+    assert 0.0 < chi < 1.0
+    assert np.any(np.abs(got(1, "d", 0, 1)) > 0)
+    # excluded (0, n, n) blocks of V^d are absorbed into Z: zero, n = 0 too
+    for n in (0, 1, 6, J):
+        assert not np.any(got(0, "d", n, n))
+    # and on the other side of the l = 0 diagonal they are solved as usual
+    assert np.any(got(0, "o", 3, 3))
+
+
 def test_solve_homological_zero():
     state, *_ = toy_setup(v_modes={})
     X = solve_homological(state)

@@ -5,7 +5,8 @@ import pytest
 
 from fastwave.harmonics import Lattice, TorusFunction
 from fastwave.craig_wayne import build_basis_matrix
-from fastwave.kam import KamParameters, init_state, kam_iterate, melnikov_step_test
+from fastwave.kam import (KamParameters, SmallnessError, init_state, kam_iterate,
+                          melnikov_step_test)
 from fastwave.magnus import magnus_transform, sample_annulus
 from fastwave.melnikov import (
     EigenTable, MeasureReport, audit_pruned_triples, balanced_threshold,
@@ -73,6 +74,87 @@ def test_omega_infty_matches_brute_force_unperturbed():
         assert got == want
         agree += 1
     assert agree == 40
+
+
+def census_reference(omega, table, params, M, L_check, collect_census):
+    """Plain per-triple loop in the scan's order and with its counting rules.
+
+    On each k-line the window triples (n or n' <= J) count up to and
+    including the first offender; if none offends, the asymptotic triples
+    (both > J) all count.  Returns (passes, explicit, offenders).
+    """
+    from fastwave.magnus import nonzero_ell_box
+    J = table.J
+    slack = 2.0 * table.max_correction(10 * J) + 2.0
+    explicit, offenders, ok = 0, [], True
+    for row in [np.zeros(1, dtype=int)] + list(nonzero_ell_box(1, L_check)):
+        ln = float(np.linalg.norm(row))
+        dot = float(row @ omega)
+        n_cap = int(2.2 * M * max(1.0, ln) + 4 * J)
+        for sign in (+1, -1):
+            if sign > 0 and -dot < -slack:
+                continue
+            k_lo = max(0 if sign > 0 else -10 * J, math.floor(-dot - slack))
+            for k in range(k_lo, math.ceil(-dot + slack) + 1):
+                thr = balanced_threshold(params.gamma, params.tau, params.alpha,
+                                         M, ln, abs(k))
+                line = [(n, n - k if sign < 0 else k - n) for n in range(n_cap + 1)]
+                line = [(n, m) for n, m in line if 0 <= m <= n_cap
+                        and not (sign < 0 and ln == 0.0 and n == m)]
+                window = [(n, m) for n, m in line if min(n, m) <= J]
+                far = [(n, m) for n, m in line if min(n, m) > J]
+                bad = None
+                for n, m in window:
+                    explicit += 1
+                    gap = min(abs(dot + (a + sign * b)) for a in table.values(n)
+                              for b in table.values(m))
+                    if gap < thr:
+                        bad = (n, m, gap)
+                        break
+                if bad is None:
+                    explicit += len(far)
+                    for n, m in far:
+                        gap = abs(dot + table.values(n)[0] + sign * table.values(m)[0])
+                        if gap < thr:
+                            bad = (n, m, gap)
+                            break
+                if bad is not None:
+                    ok = False
+                    offenders.append({"ell": tuple(int(c) for c in row), "sign": sign,
+                                      "n": bad[0], "n_in": bad[1], "gap": float(bad[2]),
+                                      "threshold": thr})
+                    if not collect_census:
+                        return ok, explicit, offenders
+    return ok, explicit, offenders
+
+
+def test_omega_infty_census_matches_triple_loop():
+    # split 2x2 blocks inside the truncation, so the window is not symmetric
+    J, c, M = 4, 2.0, 50.0
+    mu = {0: np.array([math.sqrt(c)])}
+    for n in range(1, J + 1):
+        lam = math.sqrt(n * n + c)
+        mu[n] = np.array([lam - 0.1 / n, lam + 0.1 / n])
+    table = EigenTable(J=J, q_bar=c, mu_blocks=mu)
+    params = make_params(gamma=1e-2)
+    lam = lambda n: math.sqrt(n * n + c)
+    # exact resonances at l = -1: n = 77 against the block [2], and two
+    # indices beyond the truncation (a neighbour on that line offends)
+    in_window = np.array([lam(77) - mu[2][0]])
+    far_only = np.array([lam(90) - lam(15)])
+    for omega, window_offender in ((in_window, True), (far_only, False)):
+        for collect in (False, True):
+            ok, census = omega_infty_test(omega, table, params, M, L_check=2,
+                                          collect_census=collect)
+            want_ok, want_explicit, want_offenders = census_reference(
+                omega, table, params, M, 2, collect)
+            assert not ok and not want_ok
+            assert census["explicit"] == want_explicit
+            assert census["offenders"] == want_offenders
+            lows = [min(o["n"], o["n_in"]) <= J for o in census["offenders"]]
+            assert lows[0] == window_offender
+            if not window_offender:
+                assert not any(lows)
 
 
 def test_omega_infty_engineered_resonance():
@@ -196,6 +278,25 @@ def test_estimate_measure_runs_and_reports():
     assert lo <= rep.m_r <= hi
     d = rep.to_json_dict()
     assert d["gamma"] == 1e-2 and "ci95" in d
+
+
+def test_estimate_measure_classifies_errors():
+    params = make_params(gamma=1e-2)
+
+    def smallness(omega):
+        raise SmallnessError("remainder grew")
+
+    rep = estimate_measure(smallness, params, 1000.0, 100, rng_seed=7)
+    assert rep.indeterminate == rep.n_samples - rep.rejected_omega0 > 0
+    assert rep.indeterminate_by_type == {"SmallnessError": rep.indeterminate,
+                                         "LieSeriesDiverged": 0, "LinAlgError": 0}
+    assert rep.to_json_dict()["indeterminate_by_type"] == rep.indeterminate_by_type
+
+    def broken(omega):
+        raise KeyError("a programming error, not an indeterminate sample")
+
+    with pytest.raises(KeyError):
+        estimate_measure(broken, params, 1000.0, 100, rng_seed=7)
 
 
 def test_gamma_sweep_monotone_and_exponent():
