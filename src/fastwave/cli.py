@@ -296,9 +296,10 @@ def stage_kam(ctx: dict) -> dict:
     state = init_state(ctx["magnus_out"], ctx["sd"], ctx["basis"], params,
                        ctx["lattice"])
     ok_small, margin = smallness_check(state)
-    final, _ = kam_iterate(state, p_max=int(cfg["p_max"]))
-    ctx["kam_final"] = final
-    ctx["kam_params"] = params
+    # the evolve stage's Floquet frame takes the generators of the first steps
+    p_max = int(cfg["p_max"])
+    ctx["kam_frame"] = kam_iterate(state, p_max=min(3, p_max), collect_generators=True)
+    final, _ = kam_iterate(ctx["kam_frame"][0], p_max=p_max)
     rows = [("p", "N_p", "delta_s0", "delta_s0_beta", "X_norm", "H0_defect")]
     for r in final.history:
         rows.append((r["p"], r["N_p"], r["delta_s0"], r["delta_s0_beta"],
@@ -378,20 +379,13 @@ def stage_evolve(ctx: dict) -> dict:
     from .craig_wayne import change_basis
     from .evolution import (FloquetFrame, band_width, floquet_residual,
                             integrate, pair_state, sobolev_trace)
-    from .kam import kam_iterate
     cfg = ctx["config"]
     sd = ctx["sd"]
     lat = ctx["lattice"]
     M = float(cfg["M"])
     omega = golden_omega(M, lat.nu)
-    out = ctx["magnus_out"]
-    final = ctx["kam_final"]
-    # re-run collecting generators for the frame
-    from .kam import init_state
-    state0 = init_state(out, sd, ctx["basis"], ctx["kam_params"], lat)
-    final, gens = kam_iterate(state0, p_max=min(3, int(cfg["p_max"])),
-                              collect_generators=True)
-    frame = FloquetFrame(change_basis(out.Y_mat, ctx["basis"]), gens, final)
+    final, gens = ctx["kam_frame"]
+    frame = FloquetFrame(change_basis(ctx["magnus_out"].Y_mat, ctx["basis"]), gens, final)
     rng = np.random.default_rng(int(cfg["seed"]))
     pe = rng.standard_normal(2 * sd.J + 1) + 1j * rng.standard_normal(2 * sd.J + 1)
     state = pair_state(pe, sd)

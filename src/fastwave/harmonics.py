@@ -280,11 +280,22 @@ def x_from_grid(values: np.ndarray, J: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _xconv_index(J: int) -> np.ndarray:
+def _toeplitz_index(J: int) -> np.ndarray:
     # T[k, j] = b_{k-j}: index k - j + J into b, out-of-range -> the zero slot 2J+1
     k = np.arange(2 * J + 1)
     idx = k[:, None] - k[None, :] + J
     return np.where((idx >= 0) & (idx <= 2 * J), idx, 2 * J + 1)
+
+
+def toeplitz(b: np.ndarray) -> np.ndarray:
+    """T[..., k, j] = b_{k-j} for |k|, |j| <= J, from x coefficients b along the last axis.
+
+    T is the matrix of u -> b * u truncated to |k| <= J; entries with
+    |k - j| > J are zero.  Leading axes of b are kept.
+    """
+    D = b.shape[-1]
+    padded = np.concatenate([b, np.zeros_like(b[..., :1])], axis=-1)
+    return padded[..., _toeplitz_index((D - 1) // 2)]
 
 
 def xconv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -300,8 +311,7 @@ def xconv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b.size > a.size:
         a, b = b, a
     D = b.shape[-1]
-    padded = np.concatenate([b, np.zeros_like(b[..., :1])], axis=-1)
-    T = padded[..., _xconv_index((D - 1) // 2)]
+    T = toeplitz(b)
     if b.size == D:
         shape = np.broadcast_shapes(a.shape, b.shape)
         return (a.reshape(-1, D) @ T.reshape(D, D).T).reshape(shape)

@@ -12,6 +12,12 @@ a quadratically smaller remainder.  Divisors are protected by the balanced
 conditions |omega.l + mu_n +- mu_n'| >= (gamma/<l>^tau) <n +- n'>^alpha / M^alpha,
 and the solution is extended to every omega by the smooth cutoff
 chi(mingap/rho), which is identically 1 on the non-resonant set.
+
+The new remainder is written with three Lie series, summed by
+`opmatrix.lie_series` under one stopping rule and divergence guard:
+
+    V_{p+1} = Pi_N^perp V + sum_{k>=2} ad_X^k(H0)/k! + sum_{k>=1} ad_X^k(V)/k!
+              - sum_{k>=1} ad_X^k(Xdot)/(k+1)!,    Xdot = omega.d_phi X.
 """
 
 from __future__ import annotations
@@ -23,9 +29,14 @@ import numpy as np
 
 from .harmonics import Lattice
 from .opmatrix import (BlockOperator, OperatorPair, ad, block_slice,
-                       left_right_ops, pair_norm, project_modes, s_decay_norm)
+                       left_right_ops, lie_series, pair_norm)
 from .psdo import Cutoff, DEFAULT_CUTOFF
 from .calibration import CONSTANTS
+
+# each Lie series of a step stops after its first term below LIE_TOL times
+# max(|ad_X H0|, |V|) and holds at most the terms of index k <= LIE_N_MAX
+LIE_TOL = 1e-15
+LIE_N_MAX = 39
 
 
 class SmallnessError(RuntimeError):
@@ -92,16 +103,8 @@ class KamState:
     history: list = field(default_factory=list)
     lam_ref: np.ndarray | None = None     # unperturbed lambda_j for drift reports
 
-    def H0_block(self, n: int) -> np.ndarray:
-        return self.H0[n]
-
     def H0_matrix(self) -> np.ndarray:
-        D = 2 * self.lattice.J + 1
-        out = np.zeros((D, D), dtype=complex)
-        for n, blk in self.H0.items():
-            rows = block_slice(self.lattice.J, n)
-            out[np.ix_(rows, rows)] = blk
-        return out
+        return _block_diagonal(self.lattice.J, self.H0)
 
     def selfadjoint_defect(self) -> float:
         return max(float(np.max(np.abs(b - b.conj().T))) for b in self.H0.values())
@@ -139,26 +142,34 @@ def init_state(magnus_out, sd, basis, params: KamParameters, lattice: Lattice,
     state = KamState(p=0, H0=H0, V=V, omega=magnus_out.omega, M=magnus_out.M,
                      params=params, lattice=lattice, s0=s0,
                      lam_ref=sd.lam.copy())
-    if track_norms:
-        state.history.append(_history_row(state, X_norm=0.0))
-    else:
-        state.history.append({"p": 0, "N_p": params.N(0),
-                              "delta_s0": state.V.norm_max(),
-                              "delta_s0_beta": float("nan"), "X_norm": 0.0,
-                              "H0_selfadjoint_defect": float("nan")})
+    state.history.append(_history_row(state, None, track_norms))
     return state
 
 
-def _history_row(state: KamState, X_norm: float) -> dict:
-    pr = state.params
-    return {
-        "p": state.p,
-        "N_p": pr.N(state.p),
-        "delta_s0": state.delta(state.s0),
-        "delta_s0_beta": state.delta(state.s0 + pr.beta),
-        "X_norm": X_norm,
-        "H0_selfadjoint_defect": state.selfadjoint_defect(),
-    }
+def _history_row(state: KamState, X: OperatorPair | None, track_norms: bool) -> dict:
+    """History entry of a state reached by generator X (None for the initial state).
+
+    Without norm tracking delta_s0 is the max-entry norm of V and the other
+    norms are NaN.
+    """
+    pr, nan = state.params, float("nan")
+    row = {"p": state.p, "N_p": pr.N(state.p)}
+    if not track_norms:
+        return dict(row, delta_s0=state.V.norm_max(), delta_s0_beta=nan,
+                    X_norm=0.0 if X is None else nan, H0_selfadjoint_defect=nan)
+    return dict(row, delta_s0=state.delta(state.s0),
+                delta_s0_beta=state.delta(state.s0 + pr.beta),
+                X_norm=0.0 if X is None else pair_norm(X, state.s0, pr.alpha, pr.alpha),
+                H0_selfadjoint_defect=state.selfadjoint_defect())
+
+
+def _block_diagonal(J: int, blocks: dict) -> np.ndarray:
+    """The (2J+1)^2 matrix with blocks[n] on block [n] x [n] and zeros elsewhere."""
+    out = np.zeros((2 * J + 1, 2 * J + 1), dtype=complex)
+    for n, blk in blocks.items():
+        idx = block_slice(J, n)
+        out[np.ix_(idx, idx)] = blk
+    return out
 
 
 def smallness_check(state: KamState):
@@ -258,12 +269,10 @@ def solve_homological(state: KamState, Nval: float | None = None) -> OperatorPai
                             pr.alpha, pr.alpha)
     J = lat.J
     mu, U = state.block_eigs()
-    Uf = np.zeros((2 * J + 1, 2 * J + 1), dtype=complex)
-    muf = np.zeros(2 * J + 1)
-    for n in range(J + 1):
-        idx = block_slice(J, n)
-        Uf[np.ix_(idx, idx)] = U[n]
-        muf[idx] = mu[n]
+    Uf = _block_diagonal(J, U)
+    muf = np.empty(2 * J + 1)
+    for n, m in mu.items():
+        muf[block_slice(J, n)] = m
     nb = np.abs(np.arange(-J, J + 1))          # block of each space index
 
     ells = np.array([ell for ell, _, _ in modes], dtype=float)
@@ -329,11 +338,7 @@ def homological_residual(state: KamState, X: OperatorPair,
                           BlockOperator.zero(lat, K=state.V.Ad.K), pr.alpha, 0.0)
     lhs = ad(X, H0pair) - X.omega_dphi(state.omega)
     VN, _ = state.V.project(Nval)
-    Z = diagonal_correction(state)
-    Zmat = np.zeros_like(state.H0_matrix())
-    for n, blk in Z.items():
-        rows = block_slice(lat.J, n)
-        Zmat[np.ix_(rows, rows)] = blk
+    Zmat = _block_diagonal(lat.J, diagonal_correction(state))
     rhs_d = BlockOperator.time_independent(lat, Zmat, K=state.V.Ad.K) - VN.Ad
     rhs_o = BlockOperator.zero(lat, K=state.V.Ad.K) - VN.Ao
     res_d = (lhs.Ad - rhs_d).norm_max()
@@ -341,8 +346,7 @@ def homological_residual(state: KamState, X: OperatorPair,
     return max(res_d, res_o)
 
 
-def kam_step(state: KamState, lie_tol: float = 1e-15,
-             track_norms: bool = True) -> tuple:
+def kam_step(state: KamState, track_norms: bool = True) -> tuple:
     """One reducibility step: returns (new state, X^(p))."""
     pr = state.params
     Np = pr.N(state.p)
@@ -356,31 +360,15 @@ def kam_step(state: KamState, lie_tol: float = 1e-15,
     # only removes floating-point noise
     H0pair = OperatorPair(BlockOperator.time_independent(lat, state.H0_matrix(), K=K),
                           BlockOperator.zero(lat, K=K), pr.alpha, 0.0)
-    _, VN_perp = state.V.project(Np)
 
-    # V_{p+1} = Pi_N^perp V + sum_{k>=2} ad^k(H0)/k! + sum_{k>=1} ad^k(V)/k!
-    #           - sum_{k>=1} ad^k(Xdot)/(k+1)!
-    V_new = VN_perp
-    term = ad(X, H0pair)
-    scale = max(term.norm_max(), state.V.norm_max(), 1e-300)
-    for k in range(2, 40):
-        term = ad(X, term) * (1.0 / k)
-        V_new = V_new + term
-        if term.norm_max() < lie_tol * scale:
-            break
-    term = state.V
-    for k in range(1, 40):
-        term = ad(X, term) * (1.0 / k)
-        V_new = V_new + term
-        if term.norm_max() < lie_tol * scale:
-            break
-    Xdot = X.omega_dphi(state.omega)
-    term = Xdot
-    for k in range(1, 40):
-        term = ad(X, term) * (1.0 / (k + 1))
-        V_new = V_new - term
-        if term.norm_max() < lie_tol * scale:
-            break
+    # Pi_N^perp V + the H0, V and Xdot series of the module docstring, the
+    # Xdot series started from -Xdot to carry its sign
+    adH0 = ad(X, H0pair)
+    scale = max(adH0.norm_max(), state.V.norm_max(), 1e-300)
+    V_new = lie_series(X, state.V.project(Np)[1], adH0, 2, 0, LIE_TOL, scale, LIE_N_MAX)
+    V_new = lie_series(X, V_new, state.V, 1, 0, LIE_TOL, scale, LIE_N_MAX)
+    V_new = lie_series(X, V_new, X.omega_dphi(state.omega) * -1.0, 1, 1,
+                       LIE_TOL, scale, LIE_N_MAX)
 
     noise = 1e-14 * max(V_new.norm_max(), 1e-300)
     V_new = OperatorPair(V_new.Ad.prune(noise), V_new.Ao.prune(noise),
@@ -388,14 +376,7 @@ def kam_step(state: KamState, lie_tol: float = 1e-15,
     new = KamState(p=state.p + 1, H0=H0_new, V=V_new, omega=state.omega,
                    M=state.M, params=pr, lattice=lat, s0=state.s0,
                    history=list(state.history), lam_ref=state.lam_ref)
-    if track_norms:
-        new.history.append(_history_row(new, X_norm=pair_norm(X, state.s0,
-                                                              pr.alpha, pr.alpha)))
-    else:
-        new.history.append({"p": new.p, "N_p": pr.N(new.p),
-                            "delta_s0": new.V.norm_max(),
-                            "delta_s0_beta": float("nan"), "X_norm": float("nan"),
-                            "H0_selfadjoint_defect": float("nan")})
+    new.history.append(_history_row(new, X, track_norms))
     return new, X
 
 
@@ -422,18 +403,24 @@ def kam_iterate(state: KamState, p_max: int | None = None,
 
     Returns (final state, [X^(p)] if collected else None).  Aborts with the
     recorded history when the smallness margin is violated mid-run (divergent
-    Lie series or growing remainder).
+    Lie series or growing remainder).  The remainder sizes compared are the
+    history's delta_s0, and the stall test refers to the initial state's, so
+    a run continued from an intermediate state repeats a single run exactly;
+    a history recorded in the other track_norms mode (NaN delta_s0_beta
+    marks an untracked row) raises ValueError.
     """
+    if any(math.isnan(row["delta_s0_beta"]) == track_norms for row in state.history):
+        raise ValueError(f"state history was not recorded with track_norms={track_norms}")
     pr = state.params
     p_max = pr.p_max if p_max is None else p_max
     gens = [] if collect_generators else None
-    delta0 = state.delta(state.s0) if track_norms else state.V.norm_max()
-    prev_delta = delta0
+    delta0 = state.history[0]["delta_s0"]
+    prev_delta = state.history[-1]["delta_s0"]
     while state.p < p_max:
         if prev_delta < delta_floor:
             break
         state_next, X = kam_step(state, track_norms=track_norms)
-        d = state_next.delta(state.s0) if track_norms else state_next.V.norm_max()
+        d = state_next.history[-1]["delta_s0"]
         if d > max(1.5 * prev_delta, 1e3 * delta_floor) and d > 1e-13:
             raise SmallnessError(
                 f"remainder grew at p={state.p}: {prev_delta:.3e} -> {d:.3e}; "

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonics import Lattice, TorusFunction
+from .harmonics import Lattice, TorusFunction, toeplitz
 from .opmatrix import BlockOperator, OperatorPair
 from .psdo import (ContourSpec, Cutoff, DEFAULT_CUTOFF, EllipticSymbol, Symbol,
                    complex_power, compose, weighted_norm)
@@ -146,18 +146,13 @@ def apply_divisors(W: BlockOperator, omega, M: float, gamma0: float, tau0: float
 def multiplication_operator(v: TorusFunction) -> BlockOperator:
     """The operator u -> v u as matrix-valued angle coefficients (Toeplitz in x)."""
     lat = v.lattice
-    J = lat.J
-    js = np.arange(-J, J + 1)
-    diff = np.subtract.outer(js, js)      # j_out - j_in
     mats = {}
     for ell_idx in np.ndindex(*v.coeffs.shape[:-1]):
         slice_x = v.coeffs[ell_idx]
         if np.max(np.abs(slice_x)) == 0.0:
             continue
-        padded = np.zeros(4 * J + 1, dtype=complex)
-        padded[J:3 * J + 1] = slice_x
         ell = tuple(int(i) - lat.L for i in ell_idx)
-        mats[ell] = padded[diff + 2 * J]
+        mats[ell] = toeplitz(slice_x)
     return BlockOperator(lat, mats)
 
 

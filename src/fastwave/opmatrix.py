@@ -447,42 +447,42 @@ class LieSeriesDiverged(RuntimeError):
     pass
 
 
-def lie_conjugate(X: OperatorPair, V: OperatorPair, tol: float = 1e-14,
-                  n_max: int = 30):
-    """e^{iX} V e^{-iX} = sum_n ad_X^n(V)/n!, truncated at increment < tol.
+def lie_series(X: OperatorPair, total: OperatorPair, term: OperatorPair,
+               first: int, shift: int, tol: float, scale: float,
+               n_max: int) -> OperatorPair:
+    """total + sum_{k=first..n_max} t_k, t_k = ad_X(t_{k-1})/(k + shift), t_{first-1} = term.
 
-    Returns (conjugated pair, difference pair = result - V).
+    Each term is added to the running total as it is made.  The series stops
+    after its first term whose max entry is below tol * scale.
+    LieSeriesDiverged is raised when a term above scale is more than 4x the
+    one before it, or when the term of index n_max is still above
+    sqrt(tol) * scale.
     """
-    term = V
-    diff = OperatorPair.zero(V.Ad.lattice, V.alpha, V.beta, V.Ad.K)
-    scale = max(V.norm_max(), 1e-300)
     prev_inc = None
-    for n in range(1, n_max + 1):
-        term = ad(X, term) * (1.0 / n)
+    for k in range(first, n_max + 1):
+        term = ad(X, term) * (1.0 / (k + shift))
         inc = term.norm_max()
-        diff = diff + term
-        if inc < tol * (1.0 + scale):
+        total = total + term
+        if inc < tol * scale:
             break
         if prev_inc is not None and inc > 4.0 * prev_inc and inc > scale:
             raise LieSeriesDiverged("Lie series increments growing: generator too large")
         prev_inc = inc
     else:
-        if inc > math.sqrt(tol) * (1.0 + scale):
+        if inc > math.sqrt(tol) * scale:
             raise LieSeriesDiverged("Lie series did not settle within n_max terms")
+    return total
+
+
+def lie_conjugate(X: OperatorPair, V: OperatorPair, tol: float = 1e-14,
+                  n_max: int = 30):
+    """e^{iX} V e^{-iX} = sum_n ad_X^n(V)/n!, truncated at increment < tol (1 + |V|).
+
+    Returns (conjugated pair, difference pair = result - V).
+    """
+    zero = OperatorPair.zero(V.Ad.lattice, V.alpha, V.beta, V.Ad.K)
+    diff = lie_series(X, zero, V, 1, 0, tol, 1.0 + V.norm_max(), n_max)
     return V + diff, diff
-
-
-def lie_sum_xdot(X: OperatorPair, Xdot: OperatorPair, tol: float = 1e-14,
-                 n_max: int = 30) -> OperatorPair:
-    """int_0^1 e^{i s X} Xdot e^{-i s X} ds = sum_n ad_X^n(Xdot)/(n+1)!."""
-    result = Xdot
-    term = Xdot
-    for n in range(1, n_max + 1):
-        term = ad(X, term) * (1.0 / (n + 1))
-        result = result + term
-        if term.norm_max() < tol * (1.0 + Xdot.norm_max()):
-            break
-    return result
 
 
 # -- finite block-space operators ---------------------------------------------

@@ -340,29 +340,25 @@ def quantize(a: Symbol, lattice: Lattice | None = None, K=None) -> BlockOperator
     lattice = lattice or a.lattice
     if a.xi_max < lattice.J:
         raise ValueError("symbol xi range smaller than the lattice cutoff J")
-    D = 2 * lattice.J + 1
+    J = lattice.J
+    D = 2 * J + 1
     mats = {}
-    for j_in in range(-lattice.J, lattice.J + 1):
+    for j_in in range(-J, J + 1):
         v = a.raw(j_in, 0)
+        # entry (j_out, j_in) = a_hat(j_out - j_in; xi = j_in): rows j_out = -J..J
+        # are one slice of the x coefficients zero-padded by 2J on both sides
+        Jx = (v.shape[-1] - 1) // 2
+        padded = np.pad(v, [(0, 0)] * (v.ndim - 1) + [(2 * J, 2 * J)])
+        start = J - j_in + Jx
         # one column per angle transfer (only l = 0 for phi-independent values)
         for ell_idx in np.ndindex(*v.shape[:-1]):
-            col = v[ell_idx]
-            if np.max(np.abs(col)) == 0.0:
+            if np.max(np.abs(v[ell_idx])) == 0.0:
                 continue
             ell = tuple(i - (n - 1) // 2 for i, n in zip(ell_idx, v.shape[:-1]))
             m = mats.setdefault(ell, np.zeros((D, D), dtype=complex))
-            _add_column(m, col, j_in, lattice.J)
+            m[:, j_in + J] += padded[ell_idx][start:start + D]
     return BlockOperator(lattice, {k: m for k, m in mats.items()
                                    if np.max(np.abs(m)) > 0.0}, K)
-
-
-def _add_column(m, xcoeffs, j_in, J):
-    # entry (j_out, j_in) = a_hat(j_out - j_in; xi = j_in)
-    Jx = (len(xcoeffs) - 1) // 2
-    for k in range(-Jx, Jx + 1):
-        j_out = j_in + k
-        if -J <= j_out <= J and xcoeffs[k + Jx] != 0.0:
-            m[j_out + J, j_in + J] += xcoeffs[k + Jx]
 
 
 def weighted_norm(a: Symbol, m: float, s: float, alpha: int = 0) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ from fastwave.kam import (
     melnikov_step_test, nash_moser_check, smallness_check, solve_homological,
 )
 from fastwave.magnus import magnus_transform
-from fastwave.opmatrix import BlockOperator, OperatorPair, block_slice
+from fastwave.melnikov import estimate_measure
+from fastwave.opmatrix import BlockOperator, LieSeriesDiverged, OperatorPair, block_slice
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks
 
 
@@ -101,12 +103,64 @@ def test_smallness_check_balance():
     assert not ok_g
 
 
-def test_divergence_detected_at_small_M():
-    A = 1000.0
+@pytest.mark.parametrize("A, error, match", [
+    (1000.0, LieSeriesDiverged, "increments growing"),   # first step's series
+    (700.0, SmallnessError, "remainder grew"),           # series settle, delta 321 -> 3204
+])
+def test_divergence_detected_at_small_M(A, error, match):
+    # strong driving at M = 1e2 breaks the first step in one of two ways
     vm = {(1, 1): A / 4, (1, -1): A / 4, (-1, 1): A / 4, (-1, -1): A / 4}
     state, *_ = toy_setup(M=1e2, gamma=0.5, v_modes=vm)
-    with pytest.raises(SmallnessError):
+    with pytest.raises(error, match=match):
         kam_iterate(state, p_max=4)
+
+
+def test_stalled_iteration_reported():
+    # with N0 = 1 every N_p is 1, so a remainder on |l| = 2 is never solved
+    # for.  Alone it keeps delta at its initial size and the third step
+    # reports a stall, in a single run and when continued from p = 2.
+    far = {(2, 1): 0.25, (2, -1): 0.25, (-2, 1): 0.25, (-2, -1): 0.25}
+    state, *_ = toy_setup(N0=1, v_modes=far)
+    with pytest.raises(SmallnessError, match="stalled.*after 3 steps"):
+        kam_iterate(state, p_max=4)
+    leg, _ = kam_iterate(state, p_max=2)
+    with pytest.raises(SmallnessError, match="stalled.*after 3 steps"):
+        kam_iterate(leg, p_max=4)
+    # beside a larger solvable |l| = 1 part it holds delta at 0.15 of the
+    # initial size: no stall, since the reference stays the initial state's
+    near = {(1, 1): 0.25, (1, -1): 0.25, (-1, 1): 0.25, (-1, -1): 0.25}
+    state, *_ = toy_setup(N0=1, v_modes={**near, **{k: 0.02 for k in far}})
+    one, _ = kam_iterate(state, p_max=4)
+    two, _ = kam_iterate(kam_iterate(state, p_max=2)[0], p_max=4)
+    assert two.p == 4 and repr(two.history) == repr(one.history)
+    assert 0.1 < one.history[-1]["delta_s0"] / one.history[0]["delta_s0"] < 0.2
+
+
+def test_kam_iterate_rejects_history_of_other_norm_mode():
+    state, out, sd, basis, lat = toy_setup(J=6, L=2)
+    with pytest.raises(ValueError, match="track_norms=False"):
+        kam_iterate(state, p_max=1, track_norms=False)
+    untracked = init_state(out, sd, basis, state.params, lat, track_norms=False)
+    with pytest.raises(ValueError, match="track_norms=True"):
+        kam_iterate(untracked, p_max=1)
+
+
+def test_divergent_lie_series_reported():
+    # an oversized remainder makes X^(0) of order 10: the Lie-series terms of
+    # the step grow instead of settling, and the step says so
+    state, *_ = toy_setup(J=6, L=2, M=1e3)
+    big = dataclasses.replace(state, V=state.V * 1e8)
+    with pytest.raises(LieSeriesDiverged):
+        kam_step(big)
+    kam_step(dataclasses.replace(state, V=state.V * 1e6))    # X of order 0.1 settles
+
+    def pipeline(omega):
+        kam_step(big)
+
+    rep = estimate_measure(pipeline, state.params, state.M, 100, rng_seed=7)
+    assert rep.indeterminate == rep.n_samples - rep.rejected_omega0 > 0
+    assert rep.indeterminate_by_type == {"SmallnessError": 0, "LinAlgError": 0,
+                                         "LieSeriesDiverged": rep.indeterminate}
 
 
 def test_build_G_spectrum():
@@ -310,6 +364,29 @@ def test_kam_iterate_eps_scaling_in_M():
     for M, sup in zip(Ms, sups):
         g0 = 0.5 ** (0.5 / 4.0)
         assert sup <= 10.0 / (g0 * M)
+
+
+@pytest.mark.parametrize("track_norms", [True, False])
+def test_kam_iterate_two_legs_repeat_one_run(track_norms):
+    # stopping at p = 3 and continuing gives the single run bitwise; N0 = 1.5
+    # makes the run take a fourth step, so the second leg does work
+    state, out, sd, basis, lat = toy_setup(J=8, L=3, N0=1.5)
+    state = init_state(out, sd, basis, state.params, lat, track_norms=track_norms)
+    one, gens_one = kam_iterate(state, p_max=6, collect_generators=True,
+                                track_norms=track_norms)
+    leg1, gens = kam_iterate(state, p_max=3, collect_generators=True,
+                             track_norms=track_norms)
+    two, _ = kam_iterate(leg1, p_max=6, track_norms=track_norms)
+    assert one.p == two.p == 4 and leg1.p == 3
+    # the run stopped at the delta floor, and a third leg takes no step
+    assert kam_iterate(two, p_max=6, track_norms=track_norms)[0] is two
+    assert repr(two.history) == repr(one.history)
+    assert all(two.H0[n].tobytes() == one.H0[n].tobytes() for n in one.H0)
+    assert len(gens) == 3
+    for X, Y in zip(gens, gens_one):
+        for A, B in ((X.Ad, Y.Ad), (X.Ao, Y.Ao)):
+            assert list(A.mats) == list(B.mats)
+            assert all(A.mats[e].tobytes() == B.mats[e].tobytes() for e in A.mats)
 
 
 def test_transformation_cauchy_and_conjugation():

@@ -5,8 +5,8 @@ import scipy.linalg
 from fastwave.harmonics import Lattice, TorusFunction
 from fastwave.opmatrix import (
     BlockOperator, LieSeriesDiverged, OperatorPair, ad, block_inverse_norm,
-    block_slice, left_right_ops, lie_conjugate, pair_norm, project_modes,
-    s_decay_norm,
+    block_slice, left_right_ops, lie_conjugate, lie_series, pair_norm,
+    project_modes, s_decay_norm,
 )
 
 LAT = Lattice(1, 3, 6)
@@ -286,6 +286,31 @@ def test_lie_conjugate_matches_dense_expm():
         ref = scipy.linalg.expm(1j * Xm) @ Vm @ scipy.linalg.expm(-1j * Xm)
         got = pair_family_at_angle(out, phi)
         assert np.max(np.abs(got - ref)) < 1e-9
+
+
+def test_lie_series_xdot_matches_dense_integral():
+    # the KAM step's Xdot series sum_{k>=0} ad_X^k(Xdot)/(k+1)! against
+    # int_0^1 e^{isX} Xdot e^{-isX} ds by Gauss-Legendre at sampled angles;
+    # X lives on |l| <= 1 and L = 10 leaves room for the terms' l spread
+    rng = np.random.default_rng(12)
+    lat = Lattice(1, 10, 3)
+    X = random_pair(lat, rng, alpha=0.5)
+    X = OperatorPair(BlockOperator(lat, {e: m for e, m in X.Ad.mats.items()
+                                         if max(abs(c) for c in e) <= 1}),
+                     BlockOperator(lat, {e: m for e, m in X.Ao.mats.items()
+                                         if max(abs(c) for c in e) <= 1}), 0.5, 0.5)
+    X = X * (0.05 / max(X.norm_max(), 1e-30))
+    Xdot = X.omega_dphi(np.array([1.3]))
+    out = lie_series(X, Xdot, Xdot, 1, 1, 1e-16, 1.0 + Xdot.norm_max(), 30)
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    for phi in (np.array([0.0]), np.array([0.7]), np.array([2.1])):
+        Xm = pair_family_at_angle(X, phi)
+        Dm = pair_family_at_angle(Xdot, phi)
+        ref = sum(0.5 * w * scipy.linalg.expm(0.5j * (t + 1) * Xm) @ Dm
+                  @ scipy.linalg.expm(-0.5j * (t + 1) * Xm)
+                  for t, w in zip(nodes, weights))
+        got = pair_family_at_angle(out, phi)
+        assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 def test_lie_conjugate_divergence_guard():
