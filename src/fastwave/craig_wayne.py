@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .harmonics import Lattice, TorusFunction, xconv
-from .opmatrix import BlockOperator, _hs_block_tensor, block_slice
+from .opmatrix import BlockOperator, _hs_block_tensor, _s_decay_sq, block_slice
 from .schrodinger import SpectralData
 
 
@@ -318,24 +318,7 @@ class BasisMatrix:
 
     def s_norm(self, s: float) -> float:
         """|M|_{s;M}^2 = sum_h <h>^{2s} sup_{|n-m|=h} ||M_[n]^[m]||_HS^2."""
-        hs2 = _hs_block_tensor(self.M, self.J)
-        total = 0.0
-        for h in range(self.J + 1):
-            d = np.diagonal(hs2, offset=h)
-            if h:
-                d = np.concatenate([d, np.diagonal(hs2, offset=-h)])
-            total += max(1.0, h) ** (2.0 * s) * float(np.max(d))
-        return math.sqrt(total)
-
-    def transpose_s_norm(self, s: float) -> float:
-        hs2 = _hs_block_tensor(self.M.T, self.J)
-        total = 0.0
-        for h in range(self.J + 1):
-            d = np.diagonal(hs2, offset=h)
-            if h:
-                d = np.concatenate([d, np.diagonal(hs2, offset=-h)])
-            total += max(1.0, h) ** (2.0 * s) * float(np.max(d))
-        return math.sqrt(total)
+        return math.sqrt(_s_decay_sq(_hs_block_tensor(self.M, self.J), [(0,)], s))
 
     def norm_table(self, s_values) -> dict:
         return {f"s={s:g}": self.s_norm(s) for s in s_values}
@@ -377,7 +360,7 @@ def embed_psdo_pair(Ad_sym, Ao_sym, basis: BasisMatrix, s: float,
     must satisfy [A^d]* = A^d and [A^o]* = conj(A^o) up to structure_tol
     (relative), which is checked on the quantized matrices.
     """
-    from .opmatrix import OperatorPair, _pair_norm_terms, pair_norm, s_decay_norm
+    from .opmatrix import OperatorPair, _pair_term_norms, pair_norm
     from .psdo import quantize
 
     Ad = quantize(Ad_sym) if not isinstance(Ad_sym, BlockOperator) else Ad_sym
@@ -391,13 +374,10 @@ def embed_psdo_pair(Ad_sym, Ao_sym, basis: BasisMatrix, s: float,
     Ad_e = change_basis(Ad, basis)
     Ao_e = change_basis(Ao, basis)
     pair = OperatorPair(Ad_e, Ao_e, alpha, beta)
+    terms = _pair_term_norms(pair, s, alpha, beta)
     bundle = {"s": s, "alpha": alpha, "beta": beta,
-              "pair_norm": pair_norm(pair, s, alpha, beta),
-              "structure_defect": max(dd, oo)}
-    for i, (left, right, comp) in enumerate(_pair_norm_terms(alpha, beta)):
-        op = pair.Ad if comp == "d" else pair.Ao
-        bundle[f"term{i}:{comp}:D^{left:g}.A.D^{right:g}"] = s_decay_norm(
-            op.weight(left, right), s)
+              "pair_norm": sum(terms.values()),
+              "structure_defect": max(dd, oo), **terms}
     if s0 is not None:
         bundle["pair_norm_s0"] = pair_norm(pair, s0, alpha, beta)
     return pair, bundle

@@ -85,20 +85,14 @@ class KickOperator:
         Bmh = spectral_power(sd, -0.25)
         W = BlockOperator(lattice, {ell: 0.5 * (Bmh @ m @ Bmh)
                                     for ell, m in multiplication_operator(v).mats.items()})
-        We = change_basis(W, basis)
-        self.mats = We.mats
-        self.K = We.K
+        self.W = change_basis(W, basis)
 
     def at_angle(self, phi_angle: np.ndarray) -> np.ndarray:
-        W = None
-        for ell, m in self.mats.items():
-            ph = np.exp(1j * float(np.dot(ell, phi_angle)))
-            W = ph * m if W is None else W + ph * m
-        return W
+        return self.W.at_angle(phi_angle)
 
 
-def _kick_conj(K, W):
-    """conj-op of W at fixed angle: K conj(W) conj(K)."""
+def _conj_at_angle(K, W):
+    """conj-op of a fixed-angle matrix W: K conj(W) conj(K)."""
     return K @ np.conj(W) @ np.conj(K)
 
 
@@ -139,8 +133,8 @@ def integrate(sd: SpectralData, v, omega, state0: np.ndarray, T: float,
 
 
 def _apply_kick(kick: KickOperator, state, phi_angle, dt):
-    W = kick.at_angle(np.atleast_1d(phi_angle))
-    Wb = _kick_conj(kick.K, W)
+    W = kick.at_angle(phi_angle)
+    Wb = _conj_at_angle(kick.W.K, W)
     s = state[0] + state[1]
     out = np.array(state)
     out[0] -= 1j * dt * (W @ s)
@@ -170,7 +164,7 @@ def band_width(traj: Trajectory, r: float) -> float:
 def sigma4_exponential(Ymat: np.ndarray, K: np.ndarray) -> np.ndarray:
     """e^{i Y sigma4} = 1 + i Y sigma4 exactly (sigma4 nilpotent); Y real."""
     D = Ymat.shape[0]
-    Yb = K @ np.conj(Ymat) @ np.conj(K)
+    Yb = _conj_at_angle(K, Ymat)
     top = np.concatenate([np.eye(D) + 1j * Ymat, 1j * Ymat], axis=1)
     bot = np.concatenate([-1j * Yb, np.eye(D) - 1j * Yb], axis=1)
     return np.concatenate([top, bot], axis=0)
@@ -178,19 +172,9 @@ def sigma4_exponential(Ymat: np.ndarray, K: np.ndarray) -> np.ndarray:
 
 def pair_at_angle(P: OperatorPair, phi_angle) -> np.ndarray:
     """The 2x2-of-operators family of P evaluated at a fixed angle."""
-    lat = P.Ad.lattice
-    D = 2 * lat.J + 1
-    Ad = np.zeros((D, D), dtype=complex)
-    Ao = np.zeros((D, D), dtype=complex)
-    phi_angle = np.atleast_1d(phi_angle)
-    for ell, m in P.Ad.mats.items():
-        Ad += m * np.exp(1j * float(np.dot(ell, phi_angle)))
-    for ell, m in P.Ao.mats.items():
-        Ao += m * np.exp(1j * float(np.dot(ell, phi_angle)))
-    K = P.Ad.K
-    Kc = np.conj(K)
+    Ad, Ao = P.Ad.at_angle(phi_angle), P.Ao.at_angle(phi_angle)
     top = np.concatenate([Ad, Ao], axis=1)
-    bot = np.concatenate([-K @ np.conj(Ao) @ Kc, -K @ np.conj(Ad) @ Kc], axis=1)
+    bot = np.concatenate([-_conj_at_angle(P.Ad.K, Ao), -_conj_at_angle(P.Ad.K, Ad)], axis=1)
     return np.concatenate([top, bot], axis=0)
 
 
@@ -205,15 +189,10 @@ class FloquetFrame:
         self.Y = Y_eigen
         self.gens = generators
         self.final_state = final_state
-        lam_blocks = final_state.H0_matrix()
-        self.H_inf = lam_blocks
+        self.H_inf = final_state.H0_matrix()
 
     def Y_at(self, phi_angle) -> np.ndarray:
-        D = 2 * self.final_state.lattice.J + 1
-        Y = np.zeros((D, D), dtype=complex)
-        for ell, m in self.Y.mats.items():
-            Y += m * np.exp(1j * float(np.dot(ell, np.atleast_1d(phi_angle))))
-        return Y
+        return self.Y.at_angle(phi_angle)
 
     def frame(self, phi_angle) -> np.ndarray:
         out = sigma4_exponential(self.Y_at(phi_angle), self.Y.K)
@@ -222,7 +201,6 @@ class FloquetFrame:
         return out
 
     def reduced_propagator(self, t: float, tau: float) -> np.ndarray:
-        D = self.H_inf.shape[0]
         rot = scipy.linalg.expm(-1j * (t - tau) * np.kron(np.diag([1.0, -1.0]),
                                                           self.H_inf))
         return rot

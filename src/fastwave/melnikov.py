@@ -271,7 +271,6 @@ def resonance_census(params, M: float, L_check: int, n_grid, table: EigenTable):
     counts = {"unreachable": 0, "diagonal": 0, "linear": 0, "explicit": 0}
     budget = {"I_minus_1": 0, "I_minus_2": 0, "I_minus_3": 0}
     from .magnus import nonzero_ell_box
-    nu = 1 if np.isscalar(M) else len(M)
     ells = list(nonzero_ell_box(1, L_check)) + [np.zeros(1, dtype=int)]
     for row in ells:
         ln = float(np.linalg.norm(row))

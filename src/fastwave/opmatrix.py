@@ -11,6 +11,17 @@ The s-decay norm weighs the worst block at each distance |n - n'|:
 
     |A|_s^2 = sum_{l, h} <l,h>^(2s) sup_{|n-n'|=h} ||A_[n]^[n'](l)||_HS^2 .
 
+The pair norm M_s(alpha, beta) of (A^d, A^o) is a sum of s-decay norms of
+weighted components <D>^a A <D>^b, <D> = diag(<n>): the four one-sided terms
+<D>^alpha A^d, A^d <D>^alpha, <D>^beta A^o, A^o <D>^beta, and for each distinct
+sigma in {0, +-alpha, +-beta} the conjugated terms <D>^sigma A <D>^-sigma of
+both components.  Both indices of a block [n] = {-n, n} have the same <n>
+(<-n> = <n>), so every weight is a scalar on a block:
+
+    ||<n>^a A_[n]^[n'] <n'>^b||_HS^2 = <n>^(2a) <n'>^(2b) ||A_[n]^[n']||_HS^2 ,
+
+and all terms of one component share one block-HS^2 tensor.
+
 Operator pairs (A^d, A^o) model the 2x2 matrices-of-operators
 [[A^d, A^o], [-conj(A^o), -conj(A^d)]]; the conjugate operator
 conj(A) psi = conj(A conj(psi)) is basis aware: a conjugation matrix K with
@@ -41,11 +52,6 @@ def _ell_norm(ell) -> float:
     return math.sqrt(sum(float(c) ** 2 for c in ell))
 
 
-@lru_cache(maxsize=None)
-def _jbracket(J):
-    return np.maximum(1.0, np.abs(np.arange(-J, J + 1)).astype(float))
-
-
 def block_slice(J: int, n: int):
     """Scalar indices of block [n] in (-J..J) offset coordinates."""
     if n == 0:
@@ -53,17 +59,37 @@ def block_slice(J: int, n: int):
     return np.array([J - n, J + n])
 
 
-def _hs_block_tensor(mat: np.ndarray, J: int) -> np.ndarray:
-    """(J+1, J+1) array of ||A_[n]^[n']||_HS^2 for one l-coefficient."""
-    P = np.abs(mat) ** 2
-    pp = P[J:, J:]
-    pm = P[J:, J::-1]
-    mp = P[J::-1, J:]
-    mm = P[J::-1, J::-1]
+def _hs_block_tensor(mats, J: int) -> np.ndarray:
+    """(modes, J+1, J+1) array of ||A_[n]^[n'](l)||_HS^2 for a stack of l-coefficients."""
+    D = 2 * J + 1
+    P = np.abs(np.reshape(mats, (-1, D, D))) ** 2
+    pp = P[:, J:, J:]
+    pm = P[:, J:, J::-1]
+    mp = P[:, J::-1, J:]
+    mm = P[:, J::-1, J::-1]
     out = pp + pm + mp + mm
-    out[0, :] *= 0.5
-    out[:, 0] *= 0.5
+    out[:, 0, :] *= 0.5
+    out[:, :, 0] *= 0.5
     return out
+
+
+@lru_cache(maxsize=None)
+def _distance_order(J: int):
+    """Flat (J+1)^2 block indices sorted by h = |n - n'|, and where each h starts."""
+    n = np.arange(J + 1)
+    h = np.abs(n[:, None] - n[None, :]).ravel()
+    order = np.argsort(h, kind="stable")
+    return order, np.searchsorted(h[order], n)
+
+
+def _s_decay_sq(hs2: np.ndarray, ells, s: float) -> float:
+    """sum_{l,h} <l,h>^(2s) sup_{|n-n'|=h} hs2[l, n, n'] over the modes ells of hs2."""
+    J = hs2.shape[-1] - 1
+    order, starts = _distance_order(J)
+    sup = np.maximum.reduceat(hs2.reshape(len(hs2), (J + 1) ** 2)[:, order], starts, axis=1)
+    ln = np.array([_ell_norm(ell) for ell in ells]).reshape(-1, 1)
+    w = np.maximum(1.0, np.maximum(ln, np.arange(J + 1.0)))
+    return float(np.sum(w ** (2.0 * s) * sup))
 
 
 class BlockOperator:
@@ -214,7 +240,7 @@ class BlockOperator:
             out += np.tensordot(shifted, m, axes=([lat.nu], [1]))
         return out
 
-    # -- adjoint, conjugate, weights -----------------------------------------
+    # -- adjoint, conjugate, fixed angle -------------------------------------
 
     def adjoint(self) -> "BlockOperator":
         return BlockOperator(self.lattice,
@@ -229,20 +255,14 @@ class BlockOperator:
                               for k, m in self.mats.items()},
                              self.K)
 
-    def weight(self, left: float = 0.0, right: float = 0.0) -> "BlockOperator":
-        """<D>^left A <D>^right (blockwise <n>, <n'> scalings)."""
-        w = _jbracket(self.lattice.J)
-        wl = w ** left if left else None
-        wr = w ** right if right else None
-        out = {}
-        for k, m in self.mats.items():
-            mm = m
-            if wl is not None:
-                mm = wl[:, None] * mm
-            if wr is not None:
-                mm = mm * wr[None, :]
-            out[k] = mm
-        return BlockOperator(self.lattice, out, self.K)
+    def at_angle(self, phi) -> np.ndarray:
+        """The matrix sum_l A(l) e^{i l.phi} of the family at a fixed angle phi."""
+        D = 2 * self.lattice.J + 1
+        out = np.zeros((D, D), dtype=complex)
+        phi = np.atleast_1d(phi)
+        for ell, m in self.mats.items():
+            out += m * np.exp(1j * float(np.dot(ell, phi)))
+        return out
 
     def omega_dphi(self, omega: np.ndarray) -> "BlockOperator":
         """omega . d_phi A: multiply A(l) by i (omega . l)."""
@@ -295,21 +315,8 @@ def flip_conjugation(J: int) -> np.ndarray:
 
 
 def s_decay_norm(A: BlockOperator, s: float) -> float:
-    J = A.lattice.J
-    total = 0.0
-    for ell, m in A.mats.items():
-        hs2 = _hs_block_tensor(m, J)
-        ln = _ell_norm(ell)
-        # sup over |n-n'| = h, then weight <l,h>^{2s}
-        sup_h = np.zeros(J + 1)
-        for h in range(J + 1):
-            d = np.diagonal(hs2, offset=h)
-            if h > 0:
-                d = np.concatenate([d, np.diagonal(hs2, offset=-h)])
-            sup_h[h] = np.max(d)
-        w = np.maximum(1.0, np.maximum(ln, np.arange(J + 1.0)))
-        total += float(np.sum(w ** (2.0 * s) * sup_h))
-    return math.sqrt(total)
+    hs2 = _hs_block_tensor(list(A.mats.values()), A.lattice.J)
+    return math.sqrt(_s_decay_sq(hs2, list(A.mats), s))
 
 
 def _pair_norm_terms(alpha: float, beta: float):
@@ -321,34 +328,36 @@ def _pair_norm_terms(alpha: float, beta: float):
     return terms
 
 
+def _pair_term_norms(P: "OperatorPair", s: float, alpha: float, beta: float) -> dict:
+    """{label: |<D>^left A <D>^right|_s} over _pair_norm_terms, in term order."""
+    J = P.Ad.lattice.J
+    hs2 = {comp: (_hs_block_tensor(list(op.mats.values()), J), list(op.mats))
+           for comp, op in (("d", P.Ad), ("o", P.Ao))}
+    wn = np.maximum(1.0, np.arange(J + 1.0))
+    out = {}
+    for i, (left, right, comp) in enumerate(_pair_norm_terms(alpha, beta)):
+        tensor, ells = hs2[comp]
+        weighted = tensor * np.outer(wn ** (2.0 * left), wn ** (2.0 * right))
+        out[f"term{i}:{comp}:D^{left:g}.A.D^{right:g}"] = math.sqrt(
+            _s_decay_sq(weighted, ells, s))
+    return out
+
+
 def pair_norm(P: "OperatorPair", s: float, alpha=None, beta=None) -> float:
     """The M_s(alpha, beta) norm: 4 one-sided terms + one per distinct sigma."""
     alpha = P.alpha if alpha is None else alpha
     beta = P.beta if beta is None else beta
-    total = 0.0
-    for left, right, comp in _pair_norm_terms(alpha, beta):
-        op = P.Ad if comp == "d" else P.Ao
-        total += s_decay_norm(op.weight(left, right), s)
-    return total
-
-
-def weight_conjugate(A: BlockOperator, sigma: float) -> BlockOperator:
-    """<D>^sigma A <D>^{-sigma}: blockwise <n>^sigma A_[n]^[n'] <n'>^{-sigma}."""
-    return A.weight(sigma, -sigma)
+    return sum(_pair_term_norms(P, s, alpha, beta).values())
 
 
 def norm_audit(P: "OperatorPair", s: float, alpha=None, beta=None) -> dict:
     """Class-membership certificate: every weighted norm of the pair, JSON-ready."""
     alpha = P.alpha if alpha is None else alpha
     beta = P.beta if beta is None else beta
-    out = {"s": s, "alpha": alpha, "beta": beta,
-           "structure_defect": P.structure_defect()}
-    for i, (left, right, comp) in enumerate(_pair_norm_terms(alpha, beta)):
-        op = P.Ad if comp == "d" else P.Ao
-        out[f"term{i}:{comp}:D^{left:g}.A.D^{right:g}"] = s_decay_norm(
-            op.weight(left, right), s)
-    out["total"] = pair_norm(P, s, alpha, beta)
-    return out
+    terms = _pair_term_norms(P, s, alpha, beta)
+    return {"s": s, "alpha": alpha, "beta": beta,
+            "structure_defect": P.structure_defect(), **terms,
+            "total": sum(terms.values())}
 
 
 def project_modes(A: BlockOperator, N: float):

@@ -3,7 +3,10 @@
 Each workload of perfbench/workloads.py runs in-process at toy size and its
 outputs must pass the workload's own gates.  A change to a public signature
 the benchmark calls (for example `kam_iterate(track_norms=...)`) turns its
-ops into failures and fails this test.
+ops into failures and fails this test.  The traced paper-toy-kam run checks
+that norm work still runs under the function names the benchmark wraps, so a
+refactor that moves it elsewhere fails here instead of zeroing a per-layer
+metric.
 """
 
 import os
@@ -13,7 +16,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
 
-from perfbench import workloads  # noqa: E402
+from perfbench import spans, workloads  # noqa: E402
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -23,3 +26,19 @@ def test_workload_runs_without_failures(name):
     outputs = w.run()
     assert outputs
     assert w.failures(outputs) == []
+
+
+def test_traced_kam_run_attributes_norm_time():
+    cls = workloads.WORKLOADS["paper-toy-kam"]
+    w = cls(cls.default_seed, toy=True)
+    w.setup()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        outputs = w.run(tracer)
+        layers, _ = spans.summarize(*tracer.take())
+    finally:
+        tracer.uninstall()
+    assert w.failures(outputs) == []
+    assert layers["opmatrix.norm_calls"] > 0
+    assert layers["kam.norm_tracking_s"] > 0

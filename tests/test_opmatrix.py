@@ -4,12 +4,13 @@ import scipy.linalg
 
 from fastwave.harmonics import Lattice, TorusFunction
 from fastwave.opmatrix import (
-    BlockOperator, LieSeriesDiverged, OperatorPair, ad, block_inverse_norm,
-    block_slice, left_right_ops, lie_conjugate, lie_series, pair_norm,
-    project_modes, s_decay_norm,
+    BlockOperator, LieSeriesDiverged, OperatorPair, _pair_norm_terms, ad,
+    block_inverse_norm, block_slice, left_right_ops, lie_conjugate, lie_series,
+    norm_audit, pair_norm, project_modes, s_decay_norm,
 )
 
 LAT = Lattice(1, 3, 6)
+LAT2 = Lattice(2, 2, 4)
 
 
 def random_block_op(lat, rng, n_ell=4, scale=1.0, K=None, max_ell=None):
@@ -33,8 +34,8 @@ def random_pair(lat, rng, scale=1.0, alpha=0.5, beta=0.0):
     return OperatorPair(Ad, Ao, alpha, beta)
 
 
-def s_decay_norm_loop(A, s):
-    """Independent direct-loop oracle for the s-decay norm."""
+def s_decay_norm_loop(A, s, left=0.0, right=0.0):
+    """Independent direct-loop oracle for the s-decay norm of <D>^left A <D>^right."""
     J = A.lattice.J
     total = 0.0
     for ell in A.mats:
@@ -44,10 +45,16 @@ def s_decay_norm_loop(A, s):
             for n in range(J + 1):
                 for n2 in (n - h, n + h):
                     if 0 <= n2 <= J:
-                        blk = A.block(ell, n, n2)
+                        blk = max(1, n) ** left * A.block(ell, n, n2) * max(1, n2) ** right
                         sup = max(sup, float(np.sum(np.abs(blk) ** 2)))
             total += max(1.0, ln, h) ** (2 * s) * sup
     return np.sqrt(total)
+
+
+def pair_norm_loop_terms(P, s, alpha, beta):
+    """Direct-loop oracle for every term of the M_s(alpha, beta) pair norm."""
+    return [s_decay_norm_loop(P.Ad if comp == "d" else P.Ao, s, left, right)
+            for left, right, comp in _pair_norm_terms(alpha, beta)]
 
 
 def test_identity_norm():
@@ -67,9 +74,24 @@ def test_single_block_norm():
 
 def test_norm_matches_loop_oracle():
     rng = np.random.default_rng(1)
-    A = random_block_op(LAT, rng)
-    for s in (0.0, 1.0, 2.5):
-        assert s_decay_norm(A, s) == pytest.approx(s_decay_norm_loop(A, s), rel=1e-12)
+    for lat in (LAT, LAT2):
+        A = random_block_op(lat, rng)
+        for s in (0.0, 1.0, 2.5):
+            assert s_decay_norm(A, s) == pytest.approx(s_decay_norm_loop(A, s), rel=1e-12)
+
+
+@pytest.mark.parametrize("lat", [LAT, LAT2], ids=["nu1", "nu2"])
+@pytest.mark.parametrize("alpha,beta,n_terms", [(0.7, 0.3, 14), (0.5, 0.5, 10)])
+def test_pair_norm_matches_loop_oracle(lat, alpha, beta, n_terms):
+    rng = np.random.default_rng(9)
+    P = random_pair(lat, rng, alpha=alpha, beta=beta)
+    for s in (0.0, 2.0, 3.5):
+        want = pair_norm_loop_terms(P, s, alpha, beta)
+        assert len(want) == n_terms
+        assert pair_norm(P, s) == pytest.approx(sum(want), rel=1e-12)
+        audit = norm_audit(P, s)
+        got = [v for k, v in audit.items() if str(k).startswith("term")]
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def matmul_loop_oracle(A, B):
@@ -137,27 +159,6 @@ def test_associativity():
     lhs = (A @ B) @ C
     rhs = A @ (B @ C)
     assert np.max(np.abs(lhs.mat((0,)) - rhs.mat((0,)))) < 1e-12 * max(1.0, lhs.norm_max())
-
-
-def test_weight_conjugate_round_trip():
-    rng = np.random.default_rng(5)
-    A = random_block_op(LAT, rng)
-    ς = 1.3
-    back = A.weight(ς, -ς).weight(-ς, ς)
-    for ell in A.mats:
-        assert np.max(np.abs(back.mat(ell) - A.mat(ell))) < 1e-14
-
-
-def test_weight_conjugate_identity_cases():
-    rng = np.random.default_rng(6)
-    A = random_block_op(LAT, rng)
-    same = A.weight(0.0, 0.0)
-    for ell in A.mats:
-        assert np.array_equal(same.mat(ell), A.mat(ell))
-    # diagonal operators are unchanged by <D>^s . <D>^{-s}
-    D = BlockOperator.time_independent(LAT, np.diag(rng.standard_normal(13)).astype(complex))
-    out = D.weight(2.0, -2.0)
-    assert np.max(np.abs(out.mat((0,)) - D.mat((0,)))) < 1e-14
 
 
 def test_pair_norm_zero_and_dedup():
@@ -420,14 +421,8 @@ def test_monotonicity_in_s_alpha_beta():
     assert pair_norm(P, 3.0, 1.0, 0.0) <= n_hi + 1e-12
 
 
-def test_weight_conjugate_function_and_norm_audit():
-    from fastwave.opmatrix import norm_audit, weight_conjugate
+def test_norm_audit_json_and_total():
     rng = np.random.default_rng(30)
-    A = random_block_op(LAT, rng)
-    W = weight_conjugate(A, 1.5)
-    for ell in A.mats:
-        back = weight_conjugate(W, -1.5).mat(ell)
-        assert np.max(np.abs(back - A.mat(ell))) < 1e-13
     P = random_pair(LAT, rng, alpha=0.5, beta=0.0)
     audit = norm_audit(P, 2.0)
     import json
