@@ -27,6 +27,18 @@ Operator pairs (A^d, A^o) model the 2x2 matrices-of-operators
 conj(A) psi = conj(A conj(psi)) is basis aware: a conjugation matrix K with
 conj(psi_j) = sum_k K[k, j] psi_k is attached to each operator (K = the
 index flip in the exponential basis).
+
+Products and commutators are evaluated on the phi-grid: a family is sampled
+as G(phi) = sum_l A(l) e^{i l.phi} at P = 4L+2 points per angle axis (inverse
+FFT), multiplied pointwise in phi, and cut back to the modes |l| <= L
+(forward FFT).  The conjugate needs no FFT there, since at the same phi
+
+    conj(A)(phi) = K conj(G(phi)) conj(K) .
+
+Grids are transient and never stored on an operator: a product builds and
+drops its operands' grids, `ad` sums its eight products into one grid per
+component, and `lie_series` builds X's grids once and shares them across
+the `ad` of every term.
 """
 
 from __future__ import annotations
@@ -95,7 +107,7 @@ def _s_decay_sq(hs2: np.ndarray, ells, s: float) -> float:
 class BlockOperator:
     """phi-quasi-periodic operator as {angle transfer l -> (2J+1)^2 matrix}."""
 
-    __slots__ = ("lattice", "mats", "K", "_grid")
+    __slots__ = ("lattice", "mats", "K")
 
     def __init__(self, lattice: Lattice, mats: dict, K: np.ndarray | None = None):
         self.lattice = lattice
@@ -107,7 +119,6 @@ class BlockOperator:
                 raise ValueError("matrix coefficient has wrong shape")
             self.mats[tuple(int(c) for c in ell)] = m
         self.K = K if K is not None else flip_conjugation(lattice.J)
-        self._grid = None
 
     # -- constructors ---------------------------------------------------
 
@@ -186,29 +197,6 @@ class BlockOperator:
 
     # -- products ----------------------------------------------------------
 
-    def _phi_grid(self):
-        """Operator family sampled on a phi grid resolving products (4L+1 pts/axis)."""
-        if self._grid is None:
-            lat = self.lattice
-            P = 4 * lat.L + 2
-            D = 2 * lat.J + 1
-            buf = np.zeros((P,) * lat.nu + (D, D), dtype=complex)
-            for ell, m in self.mats.items():
-                buf[tuple(c % P for c in ell)] = m
-            self._grid = np.fft.ifftn(buf, axes=tuple(range(lat.nu))) * P ** lat.nu
-        return self._grid
-
-    @classmethod
-    def _from_phi_grid(cls, lattice, grid, K):
-        P = grid.shape[0]
-        spec = np.fft.fftn(grid, axes=tuple(range(lattice.nu))) / P ** lattice.nu
-        mats = {}
-        for ell in _ell_list(lattice.nu, lattice.L):
-            m = spec[tuple(c % P for c in ell)]
-            if np.max(np.abs(m)) > 0.0:
-                mats[ell] = np.ascontiguousarray(m)
-        return cls(lattice, mats, K)
-
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         if self.lattice != other.lattice:
             raise ValueError("lattice mismatch")
@@ -228,8 +216,8 @@ class BlockOperator:
                     else:
                         out[ll] = ma @ mb
             return BlockOperator(self.lattice, out, self.K)
-        prod = np.matmul(self._phi_grid(), other._phi_grid())
-        return self._from_phi_grid(self.lattice, prod, self.K)
+        prod = np.matmul(*_phi_grid(self.lattice, (self, other)))
+        return _from_phi_grid(self.lattice, prod[None], self.K)[0]
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
         """Action on a function given by coefficients of shape lattice.shape."""
@@ -309,6 +297,43 @@ def _shift_ell(coeffs, ell, lat):
 def flip_conjugation(J: int) -> np.ndarray:
     """K of the exponential basis: conj(e_j) = e_{-j}."""
     return np.eye(2 * J + 1)[::-1].astype(complex)
+
+
+# -- the phi-grid --------------------------------------------------------------
+
+
+def _phi_grid(lattice: Lattice, ops) -> np.ndarray:
+    """(len(ops), P, .., P, D, D) samples G(phi) = sum_l A(l) e^{i l.phi} of each operand.
+
+    phi runs over 2 pi k / P on each angle axis: one inverse FFT per operand.
+    """
+    # alias-free truncation of a product back to |l| <= L needs only P >= 3L + 1
+    P = 4 * lattice.L + 2
+    D = 2 * lattice.J + 1
+    buf = np.zeros((len(ops),) + (P,) * lattice.nu + (D, D), dtype=complex)
+    for i, op in enumerate(ops):
+        if op.mats:
+            buf[(i,) + tuple(np.array(list(op.mats)).T % P)] = list(op.mats.values())
+    grids = np.fft.ifftn(buf, axes=tuple(range(1, lattice.nu + 1)))
+    grids *= P ** lattice.nu
+    return grids
+
+
+def _from_phi_grid(lattice: Lattice, grids: np.ndarray, K) -> list:
+    """The BlockOperators (modes |l| <= L, exact zeros dropped) of a stack of phi-grids."""
+    P = grids.shape[1]
+    ells = _ell_list(lattice.nu, lattice.L)
+    coeffs = np.fft.fftn(grids, axes=tuple(range(1, lattice.nu + 1)))[
+        (slice(None),) + tuple(np.array(ells).T % P)]
+    coeffs /= P ** lattice.nu
+    keep = np.max(np.abs(coeffs), axis=(2, 3)) > 0.0
+    return [BlockOperator(lattice, {ell: m for ell, m, k in zip(ells, c, kp) if k}, K)
+            for c, kp in zip(coeffs, keep)]
+
+
+def _conj_grid(G: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """The phi-grid of conj(A) from the grid G of A: K conj(G(phi)) conj(K), no FFT."""
+    return K @ np.conj(G) @ np.conj(K)
 
 
 # -- norms ------------------------------------------------------------------
@@ -444,12 +469,48 @@ def _dense_conj(M: np.ndarray, K: np.ndarray) -> np.ndarray:
     return K @ np.conj(M) @ np.conj(K)
 
 
-def ad(X: OperatorPair, V: OperatorPair) -> OperatorPair:
-    """ad_X(V) = i[X, V] on operator pairs (component formulas of the 2x2 algebra)."""
-    Xd, Xo, Vd, Vo = X.Ad, X.Ao, V.Ad, V.Ao
-    Wd = Xd @ Vd - Vd @ Xd - (Xo @ Vo.conj_op() - Vo @ Xo.conj_op())
-    Wo = Xd @ Vo + Vo @ Xd.conj_op() - (Xo @ Vd.conj_op() + Vd @ Xo)
-    return OperatorPair(1j * Wd, 1j * Wo, max(X.alpha, V.alpha), max(X.alpha, V.alpha))
+def _x_grids(X: OperatorPair) -> tuple:
+    """The phi-grids (Xd, Xo, conj Xd, conj Xo) of the left operand of ad_X."""
+    Xd, Xo = _phi_grid(X.Ad.lattice, (X.Ad, X.Ao))
+    return Xd, Xo, _conj_grid(Xd, X.Ad.K), _conj_grid(Xo, X.Ao.K)
+
+
+def _sum_products(out: np.ndarray, terms):
+    """out = sum of sign * (a @ b) over terms (sign, a, b), accumulated in place."""
+    (_, a, b), *rest = terms
+    np.matmul(a, b, out=out)
+    tmp = np.empty_like(out)
+    for sign, a, b in rest:
+        np.matmul(a, b, out=tmp)
+        if sign > 0:
+            out += tmp
+        else:
+            out -= tmp
+
+
+def ad(X: OperatorPair, V: OperatorPair, x_grids: tuple | None = None) -> OperatorPair:
+    """ad_X(V) = i[X, V] on operator pairs (component formulas of the 2x2 algebra):
+
+        W^d = X^d V^d - V^d X^d - X^o conj(V^o) + V^o conj(X^o),
+        W^o = X^d V^o + V^o conj(X^d) - X^o conj(V^d) - V^d X^o,   ad_X(V) = i (W^d, W^o).
+
+    The eight products are summed on the phi-grid in one pass: V's two grids
+    (2 inverse FFTs), the conj grids K conj(G(phi)) conj(K) at the same phi,
+    and W^d, W^o back to modes |l| <= L (2 forward FFTs).  x_grids are X's
+    grids from `_x_grids(X)`, built here when not given; `lie_series` builds
+    them once and shares them across its terms.
+    """
+    lat = X.Ad.lattice
+    Xd, Xo, cXd, cXo = _x_grids(X) if x_grids is None else x_grids
+    Vd, Vo = _phi_grid(lat, (V.Ad, V.Ao))
+    cVd, cVo = _conj_grid(Vd, V.Ad.K), _conj_grid(Vo, V.Ao.K)
+    W = np.empty((2,) + Vd.shape, dtype=complex)
+    _sum_products(W[0], ((1, Xd, Vd), (-1, Vd, Xd), (-1, Xo, cVo), (1, Vo, cXo)))
+    _sum_products(W[1], ((1, Xd, Vo), (1, Vo, cXd), (-1, Xo, cVd), (-1, Vd, Xo)))
+    W *= 1j
+    Wd, Wo = _from_phi_grid(lat, W, X.Ad.K)
+    alpha = max(X.alpha, V.alpha)
+    return OperatorPair(Wd, Wo, alpha, alpha)
 
 
 class LieSeriesDiverged(RuntimeError):
@@ -461,15 +522,18 @@ def lie_series(X: OperatorPair, total: OperatorPair, term: OperatorPair,
                n_max: int) -> OperatorPair:
     """total + sum_{k=first..n_max} t_k, t_k = ad_X(t_{k-1})/(k + shift), t_{first-1} = term.
 
-    Each term is added to the running total as it is made.  The series stops
-    after its first term whose max entry is below tol * scale.
+    Each term is added to the running total as it is made.  X's phi-grids are
+    built once per call and shared by every term's `ad`; they are dropped when
+    the series returns.  The series stops after its first term whose max entry
+    is below tol * scale.
     LieSeriesDiverged is raised when a term above scale is more than 4x the
     one before it, or when the term of index n_max is still above
     sqrt(tol) * scale.
     """
     prev_inc = None
+    x_grids = _x_grids(X)
     for k in range(first, n_max + 1):
-        term = ad(X, term) * (1.0 / (k + shift))
+        term = ad(X, term, x_grids) * (1.0 / (k + shift))
         inc = term.norm_max()
         total = total + term
         if inc < tol * scale:

@@ -4,7 +4,8 @@ import scipy.linalg
 
 from fastwave.harmonics import Lattice, TorusFunction
 from fastwave.opmatrix import (
-    BlockOperator, LieSeriesDiverged, OperatorPair, _pair_norm_terms, ad,
+    BlockOperator, LieSeriesDiverged, OperatorPair, _conj_grid, _from_phi_grid,
+    _pair_norm_terms, _phi_grid, _x_grids, ad,
     block_inverse_norm, block_slice, left_right_ops, lie_conjugate, lie_series,
     norm_audit, pair_norm, project_modes, s_decay_norm,
 )
@@ -25,10 +26,10 @@ def random_block_op(lat, rng, n_ell=4, scale=1.0, K=None, max_ell=None):
     return BlockOperator(lat, mats, K)
 
 
-def random_pair(lat, rng, scale=1.0, alpha=0.5, beta=0.0):
+def random_pair(lat, rng, scale=1.0, alpha=0.5, beta=0.0, K=None, n_ell=4):
     """Random pair satisfying the structure constraints exactly."""
-    Ad = random_block_op(lat, rng, scale=scale)
-    Ao = random_block_op(lat, rng, scale=scale)
+    Ad = random_block_op(lat, rng, n_ell=n_ell, scale=scale, K=K)
+    Ao = random_block_op(lat, rng, n_ell=n_ell, scale=scale, K=K)
     Ad = 0.5 * (Ad + Ad.adjoint())
     Ao = 0.5 * (Ao + Ao.conj_op().adjoint())
     return OperatorPair(Ad, Ao, alpha, beta)
@@ -207,18 +208,68 @@ def test_ad_zero_and_commuting():
     assert ad(X2, V2).norm_max() < 1e-14
 
 
+def ad_product_oracle(X, V):
+    """The eight-product formula of ad_X(V), through __matmul__ and conj_op."""
+    Xd, Xo, Vd, Vo = X.Ad, X.Ao, V.Ad, V.Ao
+    Wd = Xd @ Vd - Vd @ Xd - (Xo @ Vo.conj_op() - Vo @ Xo.conj_op())
+    Wo = Xd @ Vo + Vo @ Xd.conj_op() - (Xo @ Vd.conj_op() + Vd @ Xo)
+    return 1j * Wd, 1j * Wo
+
+
+def edge_op(lat, rng, K=None):
+    """Operator with modes at l = 0 and at the box edges l = +-L (on axis 0)."""
+    D = 2 * lat.J + 1
+    ells = [(0,) * lat.nu, (lat.L,) + (0,) * (lat.nu - 1),
+            (-lat.L,) + (1,) * (lat.nu - 1)]
+    return BlockOperator(lat, {e: rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+                               for e in ells}, K)
+
+
+def spectral_K(J):
+    from fastwave.schrodinger import assemble_lq, eigensolve_blocks
+    # real, not even: the eigenbasis conjugation carries complex phases
+    qc = np.zeros(2 * J + 1, dtype=complex)
+    qc[J] = 1.0
+    qc[J + 1], qc[J + 2] = 0.5 * np.exp(0.7j), 0.3 * np.exp(1.1j)
+    qc[J - 1], qc[J - 2] = np.conj(qc[J + 1]), np.conj(qc[J + 2])
+    K = eigensolve_blocks(assemble_lq(qc, J), q=qc).conjugation_matrix()
+    # not a permutation matrix: entries other than 0 and 1
+    assert np.max(np.abs(K - np.round(K.real))) > 1e-3
+    return K
+
+
+@pytest.mark.parametrize("lat", [LAT, LAT2], ids=["nu1", "nu2"])
+@pytest.mark.parametrize("basis", ["flip", "spectral"])
+@pytest.mark.parametrize("support", ["full", "edge"])
+def test_ad_matches_product_oracle(lat, basis, support):
+    # truncation-aware oracle: every product is cut back to |l| <= L on its
+    # own, so modes at l = +-L exercise the truncation of the grid sum
+    rng = np.random.default_rng(9)
+    K = spectral_K(lat.J) if basis == "spectral" else None
+    if support == "full":
+        n_modes = len(lat.ell_range())
+        X = random_pair(lat, rng, alpha=0.5, K=K, n_ell=n_modes)
+        V = random_pair(lat, rng, alpha=0.5, K=K, n_ell=n_modes)
+    else:
+        X = OperatorPair(edge_op(lat, rng, K), edge_op(lat, rng, K), 0.5, 0.5)
+        V = OperatorPair(edge_op(lat, rng, K), edge_op(lat, rng, K), 0.5, 0.0)
+    W = ad(X, V)
+    Wd, Wo = ad_product_oracle(X, V)
+    scale = max(Wd.norm_max(), Wo.norm_max())
+    for got, want in ((W.Ad, Wd), (W.Ao, Wo)):
+        for ell in set(got.mats) | set(want.mats):
+            assert np.max(np.abs(got.mat(ell) - want.mat(ell))) <= 1e-12 * scale
+    # the shared grids of a Lie series give the same terms
+    W2 = ad(X, V, _x_grids(X))
+    assert (W2.Ad - W.Ad).norm_max() == 0.0 and (W2.Ao - W.Ao).norm_max() == 0.0
+
+
 def test_ad_matches_dense_commutator():
+    # l = 0 operators: the extended-lattice commutator is exact, no truncation
     rng = np.random.default_rng(9)
     lat = Lattice(1, 2, 3)
     X = random_pair(lat, rng, alpha=0.5)
     V = random_pair(lat, rng, alpha=0.5)
-    W = ad(X, V)
-    lhs = W.to_dense()
-    Xd, Vd = X.to_dense(), V.to_dense()
-    rhs = 1j * (Xd @ Vd - Vd @ Xd)
-    # commutator of extended matrices pushes angle modes outside the box;
-    # compare blocks reachable without truncation: central l transfer 0 block
-    # safer: restrict X, V to l = 0
     X0 = OperatorPair(BlockOperator(lat, {(0,): X.Ad.mat((0,))}),
                       BlockOperator(lat, {(0,): X.Ao.mat((0,))}), 0.5, 0.5)
     V0 = OperatorPair(BlockOperator(lat, {(0,): V.Ad.mat((0,))}),
@@ -227,6 +278,60 @@ def test_ad_matches_dense_commutator():
     lhs0 = W0.to_dense()
     rhs0 = 1j * (X0.to_dense() @ V0.to_dense() - V0.to_dense() @ X0.to_dense())
     assert np.max(np.abs(lhs0 - rhs0)) < 1e-12 * max(1.0, np.max(np.abs(rhs0)))
+
+
+@pytest.mark.parametrize("lat", [LAT, LAT2], ids=["nu1", "nu2"])
+def test_conj_on_grid_matches_conj_op(lat):
+    # conj(A)(phi) = K conj(G(phi)) conj(K) at the same phi, mode by mode
+    rng = np.random.default_rng(21)
+    for K in (None, spectral_K(lat.J)):
+        A = random_block_op(lat, rng, n_ell=len(lat.ell_range()), K=K)
+        got, = _from_phi_grid(lat, _conj_grid(_phi_grid(lat, (A,)), A.K), A.K)
+        want = A.conj_op()
+        assert set(got.mats) == set(want.mats)
+        for ell, m in want.mats.items():
+            assert np.max(np.abs(got.mats[ell] - m)) <= 1e-12 * want.norm_max()
+
+
+def test_ad_fft_count_and_grid_lifetime(monkeypatch):
+    # each term of a series transforms 2 grids to phi and 2 back; X's grids
+    # are built once per series and not kept on any operand
+    from fastwave import opmatrix
+    rng = np.random.default_rng(22)
+    X = random_pair(LAT, rng, alpha=0.5) * 1e-2
+    V = random_pair(LAT, rng, alpha=0.5)
+    counts = {"ifftn": 0, "fftn": 0, "x_grids": 0}
+
+    def counted(name, fn):
+        def wrapper(a, *args, **kwargs):
+            counts[name] += a.shape[0]
+            return fn(a, *args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(opmatrix.np.fft, "ifftn", counted("ifftn", np.fft.ifftn))
+    monkeypatch.setattr(opmatrix.np.fft, "fftn", counted("fftn", np.fft.fftn))
+    build = opmatrix._x_grids
+
+    def counted_x_grids(X):
+        counts["x_grids"] += 1
+        return build(X)
+    monkeypatch.setattr(opmatrix, "_x_grids", counted_x_grids)
+    g = build(X)
+    counts.update(ifftn=0, fftn=0)
+    ad(X, V, g)
+    assert (counts["ifftn"], counts["fftn"]) == (2, 2)
+    counts.update(ifftn=0, fftn=0)
+    n_terms = 0
+
+    def counted_ad(X, V, x_grids=None):
+        nonlocal n_terms
+        n_terms += 1
+        assert x_grids is not None
+        return ad(X, V, x_grids)
+    monkeypatch.setattr(opmatrix, "ad", counted_ad)
+    out, _ = lie_conjugate(X, V)
+    assert counts["x_grids"] == 1 and n_terms > 3
+    assert counts["ifftn"] == 2 + 2 * n_terms and counts["fftn"] == 2 * n_terms
+    assert not hasattr(out.Ad, "_grid") and not hasattr(out.Ad, "__dict__")
 
 
 def test_ad_preserves_structure():
