@@ -66,13 +66,12 @@ def recalibrate(seed: int = 1234, n_samples: int = 60) -> dict:
     out["harmonics_algebra_C4"] = worst
 
     D = 2 * lat.J + 1
-    ells = [tuple(e) for e in lat.ell_range()]
 
-    def rand_op(n_ell=4, herm=None):
-        mats = {}
-        for e in [ells[i] for i in rng.choice(len(ells), size=n_ell, replace=False)]:
-            mats[e] = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-        return BlockOperator(lat, mats)
+    def rand_op(n_ell=4):
+        A = BlockOperator.zero(lat)
+        for i in rng.choice(len(A.mats), size=n_ell, replace=False):
+            A.mats[i] = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+        return A
 
     worst = 0.0
     for _ in range(n_samples):

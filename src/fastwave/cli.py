@@ -286,8 +286,8 @@ def stage_magnus(ctx: dict) -> dict:
 
 
 def stage_kam(ctx: dict) -> dict:
-    from .kam import (KamParameters, final_spectrum, init_state, kam_iterate,
-                      measured_chi, smallness_check)
+    from .kam import (KamParameters, _log_decrements, final_spectrum, init_state,
+                      kam_iterate, measured_chi, smallness_check)
     cfg = ctx["config"]
     params = KamParameters(tau=cfg["tau"], gamma=cfg["gamma"],
                            alpha=cfg["alpha"], N0=cfg["N0"],
@@ -314,8 +314,14 @@ def stage_kam(ctx: dict) -> dict:
     buf1, buf2 = io.StringIO(), io.StringIO()
     csv.writer(buf1).writerows(rows)
     csv.writer(buf2).writerows(srows)
+    # the rate fit needs two positive log-decrements; a run that reaches the
+    # delta floor early has fewer, and chi is NaN with the count as its reason
+    chi = measured_chi(final.history)
+    n_dec = len(_log_decrements(final.history)[0])
+    chi_reason = None if math.isfinite(chi) else (
+        f"{n_dec} positive log-decrement(s) of delta_s0 after p={final.p}, 2 needed")
     return {"pass": bool(decreasing and sa_ok), "smallness_ok": bool(ok_small),
-            "smallness_margin": margin, "measured_chi": measured_chi(final.history),
+            "smallness_margin": margin, "measured_chi": chi, "chi_reason": chi_reason,
             "weighted_eps_sup": weighted_sup,
             "csv": {"kam_history.csv": buf1.getvalue(),
                     "final_spectrum.csv": buf2.getvalue()}}

@@ -318,7 +318,7 @@ class BasisMatrix:
 
     def s_norm(self, s: float) -> float:
         """|M|_{s;M}^2 = sum_h <h>^{2s} sup_{|n-m|=h} ||M_[n]^[m]||_HS^2."""
-        return math.sqrt(_s_decay_sq(_hs_block_tensor(self.M, self.J), [(0,)], s))
+        return math.sqrt(_s_decay_sq(_hs_block_tensor(self.M, self.J), np.zeros(1), s))
 
     def norm_table(self, s_values) -> dict:
         return {f"s={s:g}": self.s_norm(s) for s in s_values}
@@ -340,11 +340,9 @@ def change_basis(A: BlockOperator, basis: BasisMatrix,
         raise ValueError("cutoff mismatch between operator and basis matrix")
     Mc = np.conj(basis.M)
     if direction == "to_eigen":
-        mats = {ell: Mc @ m @ basis.M.T for ell, m in A.mats.items()}
-        return BlockOperator(A.lattice, mats, K=basis.K)
-    mats = {ell: basis.M.T @ m @ Mc for ell, m in A.mats.items()}
+        return BlockOperator(A.lattice, Mc @ A.mats @ basis.M.T, K=basis.K)
     from .opmatrix import flip_conjugation
-    return BlockOperator(A.lattice, mats, K=flip_conjugation(A.lattice.J))
+    return BlockOperator(A.lattice, basis.M.T @ A.mats @ Mc, K=flip_conjugation(A.lattice.J))
 
 
 def eigen_coords(basis: BasisMatrix, xcoeffs: np.ndarray) -> np.ndarray:

@@ -83,8 +83,7 @@ class KickOperator:
         from .magnus import multiplication_operator
         basis = build_basis_matrix(sd)
         Bmh = spectral_power(sd, -0.25)
-        W = BlockOperator(lattice, {ell: 0.5 * (Bmh @ m @ Bmh)
-                                    for ell, m in multiplication_operator(v).mats.items()})
+        W = BlockOperator(lattice, 0.5 * (Bmh @ multiplication_operator(v).mats @ Bmh))
         self.W = change_basis(W, basis)
 
     def at_angle(self, phi_angle: np.ndarray) -> np.ndarray:

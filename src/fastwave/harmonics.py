@@ -47,6 +47,10 @@ class Lattice:
         """All angle multi-indices as an integer array of shape (n_ell, nu)."""
         return _ell_range(self.nu, self.L)
 
+    def ell_norms(self):
+        """|l|_2 of each row of ell_range(), shape (n_ell,)."""
+        return _ell_norms(self.nu, self.L)
+
     def ell_to_index(self, ell) -> tuple:
         return tuple(int(c) + self.L for c in ell)
 
@@ -55,6 +59,13 @@ class Lattice:
 def _ell_range(nu, L):
     grids = np.meshgrid(*([np.arange(-L, L + 1)] * nu), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _ell_norms(nu, L):
+    norms = np.sqrt(np.sum(_ell_range(nu, L).astype(float) ** 2, axis=1))
+    norms.flags.writeable = False     # shared by every caller of the cache
+    return norms
 
 
 @lru_cache(maxsize=None)

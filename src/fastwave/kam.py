@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .harmonics import Lattice
-from .opmatrix import (BlockOperator, OperatorPair, ad, block_slice,
+from .opmatrix import (BlockOperator, OperatorPair, _x_grids, ad, block_slice,
                        left_right_ops, lie_series, pair_norm)
 from .psdo import Cutoff, DEFAULT_CUTOFF
 from .calibration import CONSTANTS
@@ -261,12 +261,7 @@ def solve_homological(state: KamState, Nval: float | None = None) -> OperatorPai
     """
     pr = state.params
     Nval = pr.N(state.p) if Nval is None else Nval
-    modes = list(_v_components(state, Nval))
     lat = state.lattice
-    K = state.V.Ad.K
-    if not modes:
-        return OperatorPair(BlockOperator.zero(lat, K), BlockOperator.zero(lat, K),
-                            pr.alpha, pr.alpha)
     J = lat.J
     mu, U = state.block_eigs()
     Uf = _block_diagonal(J, U)
@@ -275,8 +270,10 @@ def solve_homological(state: KamState, Nval: float | None = None) -> OperatorPai
         muf[block_slice(J, n)] = m
     nb = np.abs(np.arange(-J, J + 1))          # block of each space index
 
-    ells = np.array([ell for ell, _, _ in modes], dtype=float)
-    comp_d = np.array([comp == "d" for _, comp, _ in modes])
+    # the kept modes |l| <= N of V^d, then of V^o
+    low = lat.ell_norms() <= Nval
+    ells = np.tile(lat.ell_range()[low].astype(float), (2, 1))
+    comp_d = np.repeat([True, False], np.count_nonzero(low))
     sign = np.where(comp_d, -1.0, 1.0)[:, None, None]
     dot = (ells @ state.omega)[:, None, None]
     ln = np.linalg.norm(ells, axis=1)
@@ -294,26 +291,14 @@ def solve_homological(state: KamState, Nval: float | None = None) -> OperatorPai
     excluded = (comp_d & (ln == 0.0))[:, None]
     factor[:, ns, ns] = np.where(excluded, 0.0, factor[:, ns, ns])
     div[div == 0.0] = 1.0             # zeros only where factor = 0
-    T = Uf.conj().T @ np.stack([m for _, _, m in modes]) @ Uf
+    T = Uf.conj().T @ np.concatenate([state.V.Ad.mats[low], state.V.Ao.mats[low]]) @ Uf
     T /= div
     T *= -1j * factor[:, nb][:, :, nb]
-    X = Uf @ T @ Uf.conj().T
-
-    Xd_mats, Xo_mats = {}, {}
-    for (ell, comp, _), x in zip(modes, X):
-        if np.any(x):
-            (Xd_mats if comp == "d" else Xo_mats)[ell] = x
-    return OperatorPair(BlockOperator(lat, Xd_mats, K),
-                        BlockOperator(lat, Xo_mats, K), pr.alpha, pr.alpha)
-
-
-def _v_components(state: KamState, Nval: float):
-    for ell, m in state.V.Ad.mats.items():
-        if float(np.linalg.norm(ell)) <= Nval:
-            yield ell, "d", m
-    for ell, m in state.V.Ao.mats.items():
-        if float(np.linalg.norm(ell)) <= Nval:
-            yield ell, "o", m
+    X = np.zeros((2,) + state.V.Ad.mats.shape, dtype=complex)
+    X[:, low] = (Uf @ T @ Uf.conj().T).reshape((2, -1) + T.shape[1:])
+    K = state.V.Ad.K
+    return OperatorPair(BlockOperator(lat, X[0], K), BlockOperator(lat, X[1], K),
+                        pr.alpha, pr.alpha)
 
 
 def diagonal_correction(state: KamState) -> dict:
@@ -363,12 +348,15 @@ def kam_step(state: KamState, track_norms: bool = True) -> tuple:
 
     # Pi_N^perp V + the H0, V and Xdot series of the module docstring, the
     # Xdot series started from -Xdot to carry its sign
-    adH0 = ad(X, H0pair)
+    # X's phi-grids are built once and shared by all four
+    x_grids = _x_grids(X)
+    adH0 = ad(X, H0pair, x_grids)
     scale = max(adH0.norm_max(), state.V.norm_max(), 1e-300)
-    V_new = lie_series(X, state.V.project(Np)[1], adH0, 2, 0, LIE_TOL, scale, LIE_N_MAX)
-    V_new = lie_series(X, V_new, state.V, 1, 0, LIE_TOL, scale, LIE_N_MAX)
+    V_new = lie_series(X, state.V.project(Np)[1], adH0, 2, 0, LIE_TOL, scale, LIE_N_MAX,
+                       x_grids)
+    V_new = lie_series(X, V_new, state.V, 1, 0, LIE_TOL, scale, LIE_N_MAX, x_grids)
     V_new = lie_series(X, V_new, X.omega_dphi(state.omega) * -1.0, 1, 1,
-                       LIE_TOL, scale, LIE_N_MAX)
+                       LIE_TOL, scale, LIE_N_MAX, x_grids)
 
     noise = 1e-14 * max(V_new.norm_max(), 1e-300)
     V_new = OperatorPair(V_new.Ad.prune(noise), V_new.Ao.prune(noise),
@@ -492,6 +480,14 @@ def measured_chi(history, p_lo: int = 1, p_hi: int | None = None) -> float:
     least-squares slope of ln d_p against p estimates ln chi free of the
     prefactor C (which biases the raw ratio log delta_{p+1}/log delta_p).
     """
+    ps, ys = _log_decrements(history, p_lo, p_hi)
+    if len(ps) < 2:
+        return float("nan")
+    return float(math.exp(np.polyfit(ps, ys, 1)[0]))
+
+
+def _log_decrements(history, p_lo: int = 1, p_hi: int | None = None):
+    """The steps p in [p_lo, p_hi] with a positive log-decrement d_p, and ln d_p."""
     ds = [row["delta_s0"] for row in history]
     p_hi = len(ds) - 2 if p_hi is None else p_hi
     ps, ys = [], []
@@ -500,6 +496,4 @@ def measured_chi(history, p_lo: int = 1, p_hi: int | None = None) -> float:
         if dec > 0:
             ps.append(p)
             ys.append(math.log(dec))
-    if len(ps) < 2:
-        return float("nan")
-    return float(math.exp(np.polyfit(ps, ys, 1)[0]))
+    return ps, ys

@@ -129,31 +129,20 @@ def apply_divisors(W: BlockOperator, omega, M: float, gamma0: float, tau0: float
     """Matrix-route generator: Y(l) = chi/(i omega.l) W(l), Y(0) = 0."""
     lat = W.lattice
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    mats = {}
-    for ell, m in W.mats.items():
-        if not any(ell):
-            if np.max(np.abs(m)) > 1e-12 * max(1.0, W.norm_max()):
-                raise NonZeroAverageError("W must have zero angle average")
-            continue
-        dot = float(np.dot(ell, omega))
-        rho = gamma0 * M * max(1.0, float(np.linalg.norm(ell))) ** (-tau0)
-        c = cutoff(dot / rho)
-        if c != 0.0:
-            mats[ell] = (c / (1j * dot)) * m
-    return BlockOperator(lat, mats, W.K)
+    if np.max(np.abs(W.mat((0,) * lat.nu))) > 1e-12 * max(1.0, W.norm_max()):
+        raise NonZeroAverageError("W must have zero angle average")
+    dot = lat.ell_range() @ omega
+    rho = gamma0 * M * np.maximum(1.0, lat.ell_norms()) ** (-tau0)
+    c = cutoff(dot / rho)           # 0 wherever |omega.l| <= rho/3, l = 0 included
+    on = c != 0.0
+    factor = np.where(on, -1j * (c / np.where(on, dot, 1.0)), 0.0)
+    return BlockOperator(lat, factor[:, None, None] * W.mats, W.K)
 
 
 def multiplication_operator(v: TorusFunction) -> BlockOperator:
     """The operator u -> v u as matrix-valued angle coefficients (Toeplitz in x)."""
     lat = v.lattice
-    mats = {}
-    for ell_idx in np.ndindex(*v.coeffs.shape[:-1]):
-        slice_x = v.coeffs[ell_idx]
-        if np.max(np.abs(slice_x)) == 0.0:
-            continue
-        ell = tuple(int(i) - lat.L for i in ell_idx)
-        mats[ell] = toeplitz(slice_x)
-    return BlockOperator(lat, mats)
+    return BlockOperator(lat, toeplitz(v.coeffs.reshape(-1, 2 * lat.J + 1)))
 
 
 @dataclass
@@ -220,8 +209,7 @@ def magnus_transform(q_xcoeffs, v: TorusFunction, omega, M: float,
     B = spectral_power(sd, 0.5)
     Bmh = spectral_power(sd, -0.25)
     Vmult = multiplication_operator(v)
-    W = BlockOperator(lat, {ell: 0.5 * (Bmh @ m @ Bmh)
-                            for ell, m in Vmult.mats.items()})
+    W = BlockOperator(lat, 0.5 * (Bmh @ Vmult.mats @ Bmh))
     Ym = apply_divisors(W, omega, M, gamma0, tau0)
     Bop = BlockOperator.time_independent(lat, B)
     YB = Ym @ Bop
@@ -263,16 +251,14 @@ def magnus_transform(q_xcoeffs, v: TorusFunction, omega, M: float,
 
 def homological_residual(out: MagnusOutput) -> float:
     """max_l |i (omega.l) Y(l) - W(l)| over active modes (0 where cutoff acted)."""
-    worst = 0.0
-    for ell, m in out.W_mat.mats.items():
-        if not any(ell):
-            continue
-        dot = float(np.dot(ell, out.omega))
-        ym = out.Y_mat.mat(ell)
-        if np.max(np.abs(ym)) == 0.0:
-            continue      # cutoff-extended mode: not part of the raw equation
-        worst = max(worst, float(np.max(np.abs(1j * dot * ym - m))))
-    return worst
+    Y, W = out.Y_mat.mats, out.W_mat.mats
+    dot = out.Y_mat.lattice.ell_range() @ out.omega
+    # modes where the cutoff acted (Y = 0, also at l = 0) are not part of the
+    # raw equation
+    active = np.max(np.abs(Y), axis=(1, 2)) > 0.0
+    if not active.any():
+        return 0.0
+    return float(np.max(np.abs((1j * dot[active])[:, None, None] * Y[active] - W[active])))
 
 
 def adjoint_chain_check(out: MagnusOutput) -> dict:

@@ -1,9 +1,17 @@
 """Block-matrix operator algebra with s-decay norms.
 
-Linear operators A(phi) on functions of (phi, x) are stored as matrix-valued
-Fourier coefficients {l -> A(l)}, where A(l) is a dense (2J+1)^2 matrix over
-the space index (rows = output mode, columns = input mode) and l is the
-angle-mode transfer: (A u)^(l_out) = sum_l A(l) u^(l_out - l).
+Linear operators A(phi) on functions of (phi, x) are stored by their
+matrix-valued Fourier coefficients A(l), where A(l) is a dense (2J+1)^2
+matrix over the space index (rows = output mode, columns = input mode) and l
+is the angle-mode transfer: (A u)^(l_out) = sum_l A(l) u^(l_out - l).
+
+Storage: one complex array `mats` of shape (n_l, D, D), D = 2J+1, over the
+full mode box |l_i| <= L, n_l = (2L+1)^nu, with the rows in
+`Lattice.ell_range()` order (the C-ordered box, l = 0 in the middle row).  A
+mode that is absent or pruned is a zero row, so sums, scalings, masks and
+norms are each one array expression.  The box is symmetric and C-ordered,
+so reversing the mode axis maps every l to -l, for any nu: the adjoint
+A(l) -> A(-l)^*, and the conjugate operator below, are each one reversal.
 
 The space index is partitioned into blocks [n] = {-n, n} ([0] = {0}); the
 2x2 (or rectangular, for n = 0) blocks A_[n]^[n'](l) are views into A(l).
@@ -35,10 +43,12 @@ FFT), multiplied pointwise in phi, and cut back to the modes |l| <= L
 
     conj(A)(phi) = K conj(G(phi)) conj(K) .
 
-Grids are transient and never stored on an operator: a product builds and
-drops its operands' grids, `ad` sums its eight products into one grid per
-component, and `lie_series` builds X's grids once and shares them across
-the `ad` of every term.
+Both transforms run in place on their buffer (`out=`): the grids are the
+largest arrays of a KAM step, and a second copy per transform raises the
+peak memory of an L=64 run by about a tenth.  Grids are transient and never
+stored on an operator: a product builds and drops its operands' grids, `ad`
+sums its eight products into one grid per component, and `lie_series` takes
+X's grids once per series (`kam_step` builds them once per step).
 """
 
 from __future__ import annotations
@@ -48,20 +58,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from .harmonics import Lattice
+from .harmonics import Lattice, _ell_range
 
 
 # -- helpers ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _ell_list(nu, L):
-    from .harmonics import _ell_range
-    return [tuple(int(x) for x in row) for row in _ell_range(nu, L)]
+def _ell_row(lattice: Lattice, ell) -> int:
+    """Row of the angle mode ell on the mode axis."""
+    return int(np.ravel_multi_index(lattice.ell_to_index(np.atleast_1d(ell)),
+                                    (2 * lattice.L + 1,) * lattice.nu))
 
 
-def _ell_norm(ell) -> float:
-    return math.sqrt(sum(float(c) ** 2 for c in ell))
+def _zero_modes(lattice: Lattice) -> np.ndarray:
+    D = 2 * lattice.J + 1
+    return np.zeros(((2 * lattice.L + 1) ** lattice.nu, D, D), dtype=complex)
 
 
 def block_slice(J: int, n: int):
@@ -94,70 +105,69 @@ def _distance_order(J: int):
     return order, np.searchsorted(h[order], n)
 
 
-def _s_decay_sq(hs2: np.ndarray, ells, s: float) -> float:
-    """sum_{l,h} <l,h>^(2s) sup_{|n-n'|=h} hs2[l, n, n'] over the modes ells of hs2."""
+def _s_decay_sq(hs2: np.ndarray, ell_norms: np.ndarray, s: float) -> float:
+    """sum_{l,h} <l,h>^(2s) sup_{|n-n'|=h} hs2[l, n, n'], |l| of each mode in ell_norms."""
     J = hs2.shape[-1] - 1
     order, starts = _distance_order(J)
     sup = np.maximum.reduceat(hs2.reshape(len(hs2), (J + 1) ** 2)[:, order], starts, axis=1)
-    ln = np.array([_ell_norm(ell) for ell in ells]).reshape(-1, 1)
-    w = np.maximum(1.0, np.maximum(ln, np.arange(J + 1.0)))
+    w = np.maximum(1.0, np.maximum(np.reshape(ell_norms, (-1, 1)), np.arange(J + 1.0)))
     return float(np.sum(w ** (2.0 * s) * sup))
 
 
 class BlockOperator:
-    """phi-quasi-periodic operator as {angle transfer l -> (2J+1)^2 matrix}."""
+    """phi-quasi-periodic operator: the coefficients A(l) of every mode of the box.
+
+    `mats` is one complex array of shape (n_l, D, D) in `Lattice.ell_range()`
+    order; `mat(l)` is its row l, and a missing mode is a zero row.  Reversing
+    the mode axis maps l -> -l.  K is the conjugation matrix of the basis.
+    """
 
     __slots__ = ("lattice", "mats", "K")
 
-    def __init__(self, lattice: Lattice, mats: dict, K: np.ndarray | None = None):
-        self.lattice = lattice
+    def __init__(self, lattice: Lattice, mats: np.ndarray, K: np.ndarray | None = None):
+        mats = np.asarray(mats, dtype=complex)
         D = 2 * lattice.J + 1
-        self.mats = {}
-        for ell, m in mats.items():
-            m = np.asarray(m, dtype=complex)
-            if m.shape != (D, D):
-                raise ValueError("matrix coefficient has wrong shape")
-            self.mats[tuple(int(c) for c in ell)] = m
+        if mats.shape != ((2 * lattice.L + 1) ** lattice.nu, D, D):
+            raise ValueError(f"coefficient array shape {mats.shape} does not match the "
+                             f"lattice's (n_l, {D}, {D})")
+        self.lattice = lattice
+        self.mats = mats
         self.K = K if K is not None else flip_conjugation(lattice.J)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, lattice: Lattice, K=None) -> "BlockOperator":
-        return cls(lattice, {}, K)
+        return cls(lattice, _zero_modes(lattice), K)
 
     @classmethod
     def identity(cls, lattice: Lattice, K=None) -> "BlockOperator":
-        D = 2 * lattice.J + 1
-        return cls(lattice, {(0,) * lattice.nu: np.eye(D, dtype=complex)}, K)
+        return cls.time_independent(lattice, np.eye(2 * lattice.J + 1), K)
 
     @classmethod
     def from_blocks(cls, lattice: Lattice, blocks: dict, K=None) -> "BlockOperator":
         """Build from {(l, n, n') -> block array} entries."""
-        D = 2 * lattice.J + 1
-        mats = {}
+        mats = _zero_modes(lattice)
         for (ell, n, n_in), blk in blocks.items():
-            ell = tuple(int(c) for c in (ell if isinstance(ell, tuple) else (ell,)))
-            m = mats.setdefault(ell, np.zeros((D, D), dtype=complex))
             rows = block_slice(lattice.J, n)
             cols = block_slice(lattice.J, n_in)
-            m[np.ix_(rows, cols)] = np.asarray(blk, dtype=complex).reshape(len(rows), len(cols))
+            mats[_ell_row(lattice, ell)][np.ix_(rows, cols)] = np.asarray(
+                blk, dtype=complex).reshape(len(rows), len(cols))
         return cls(lattice, mats, K)
 
     @classmethod
     def time_independent(cls, lattice: Lattice, mat: np.ndarray, K=None) -> "BlockOperator":
-        return cls(lattice, {(0,) * lattice.nu: mat}, K)
-
-    def with_K(self, K: np.ndarray) -> "BlockOperator":
-        return BlockOperator(self.lattice, self.mats, K)
+        mats = _zero_modes(lattice)
+        if np.shape(mat) != mats.shape[1:]:
+            raise ValueError("matrix coefficient has wrong shape")
+        mats[len(mats) // 2] = mat
+        return cls(lattice, mats, K)
 
     # -- accessors --------------------------------------------------------
 
     def mat(self, ell) -> np.ndarray:
-        if np.isscalar(ell):
-            ell = (ell,)
-        D = 2 * self.lattice.J + 1
-        return self.mats.get(tuple(int(c) for c in ell), np.zeros((D, D), dtype=complex))
+        """A(l): row l of `mats` (a view)."""
+        return self.mats[_ell_row(self.lattice, ell)]
 
     def block(self, ell, n: int, n_in: int) -> np.ndarray:
         m = self.mat(ell)
@@ -166,29 +176,26 @@ class BlockOperator:
         return m[np.ix_(rows, cols)]
 
     def norm_max(self) -> float:
-        return max((np.max(np.abs(m)) for m in self.mats.values()), default=0.0)
+        return float(np.max(np.abs(self.mats)))
+
+    def _mode_mask(self, keep) -> "BlockOperator":
+        return BlockOperator(self.lattice, np.where(keep[:, None, None], self.mats, 0.0),
+                             self.K)
 
     def prune(self, tol: float = 0.0) -> "BlockOperator":
-        return BlockOperator(self.lattice,
-                             {l: m for l, m in self.mats.items() if np.max(np.abs(m)) > tol},
-                             self.K)
+        """Zero every mode whose largest entry is at most tol."""
+        return self._mode_mask(np.max(np.abs(self.mats), axis=(1, 2)) > tol)
 
     # -- linear structure -------------------------------------------------
 
-    def _binary(self, other, f):
-        keys = set(self.mats) | set(other.mats)
-        return BlockOperator(self.lattice,
-                             {k: f(self.mat(k), other.mat(k)) for k in keys}, self.K)
-
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        return BlockOperator(self.lattice, self.mats + other.mats, self.K)
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        return BlockOperator(self.lattice, self.mats - other.mats, self.K)
 
     def __mul__(self, scalar):
-        return BlockOperator(self.lattice,
-                             {k: m * scalar for k, m in self.mats.items()}, self.K)
+        return BlockOperator(self.lattice, self.mats * scalar, self.K)
 
     __rmul__ = __mul__
 
@@ -200,22 +207,6 @@ class BlockOperator:
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         if self.lattice != other.lattice:
             raise ValueError("lattice mismatch")
-        n_pairs = len(self.mats) * len(other.mats)
-        if n_pairs == 0:
-            return BlockOperator.zero(self.lattice, self.K)
-        if n_pairs <= 64:
-            out = {}
-            L = self.lattice.L
-            for la, ma in self.mats.items():
-                for lb, mb in other.mats.items():
-                    ll = tuple(a + b for a, b in zip(la, lb))
-                    if max(abs(c) for c in ll) > L:
-                        continue
-                    if ll in out:
-                        out[ll] = out[ll] + ma @ mb
-                    else:
-                        out[ll] = ma @ mb
-            return BlockOperator(self.lattice, out, self.K)
         prod = np.matmul(*_phi_grid(self.lattice, (self, other)))
         return _from_phi_grid(self.lattice, prod[None], self.K)[0]
 
@@ -223,7 +214,7 @@ class BlockOperator:
         """Action on a function given by coefficients of shape lattice.shape."""
         lat = self.lattice
         out = np.zeros(lat.shape, dtype=complex)
-        for ell, m in self.mats.items():
+        for ell, m in zip(lat.ell_range(), self.mats):
             shifted = _shift_ell(coeffs, ell, lat)
             out += np.tensordot(shifted, m, axes=([lat.nu], [1]))
         return out
@@ -231,46 +222,37 @@ class BlockOperator:
     # -- adjoint, conjugate, fixed angle -------------------------------------
 
     def adjoint(self) -> "BlockOperator":
-        return BlockOperator(self.lattice,
-                             {tuple(-c for c in k): m.conj().T for k, m in self.mats.items()},
-                             self.K)
+        """A^*: A(l) -> A(-l)^*, one reversal of the mode axis."""
+        return BlockOperator(self.lattice, self.mats[::-1].conj().swapaxes(1, 2), self.K)
 
     def conj_op(self) -> "BlockOperator":
         """conj(A): psi -> conj(A conj(psi)), i.e. A(l) -> K conj(A(-l)) conj(K)."""
-        Kc = np.conj(self.K)
-        return BlockOperator(self.lattice,
-                             {tuple(-c for c in k): self.K @ np.conj(m) @ Kc
-                              for k, m in self.mats.items()},
+        return BlockOperator(self.lattice, self.K @ np.conj(self.mats[::-1]) @ np.conj(self.K),
                              self.K)
 
     def at_angle(self, phi) -> np.ndarray:
         """The matrix sum_l A(l) e^{i l.phi} of the family at a fixed angle phi."""
-        D = 2 * self.lattice.J + 1
-        out = np.zeros((D, D), dtype=complex)
-        phi = np.atleast_1d(phi)
-        for ell, m in self.mats.items():
-            out += m * np.exp(1j * float(np.dot(ell, phi)))
-        return out
+        n, D = self.mats.shape[:2]
+        phase = np.exp(1j * (self.lattice.ell_range() @ np.atleast_1d(phi)))
+        return (phase @ self.mats.reshape(n, D * D)).reshape(D, D)
 
     def omega_dphi(self, omega: np.ndarray) -> "BlockOperator":
         """omega . d_phi A: multiply A(l) by i (omega . l)."""
-        return BlockOperator(self.lattice,
-                             {k: (1j * float(np.dot(omega, k))) * m
-                              for k, m in self.mats.items()}, self.K)
+        dots = self.lattice.ell_range() @ np.atleast_1d(np.asarray(omega, dtype=float))
+        return BlockOperator(self.lattice, (1j * dots)[:, None, None] * self.mats, self.K)
 
     def to_dense(self) -> np.ndarray:
         """Full matrix over the extended (l, j) mode lattice (oracle use)."""
         lat = self.lattice
-        ells = _ell_list(lat.nu, lat.L)
+        ells = [tuple(e) for e in lat.ell_range()]
         pos = {e: i for i, e in enumerate(ells)}
         D = 2 * lat.J + 1
         n = len(ells) * D
         out = np.zeros((n, n), dtype=complex)
         for lin_in, ell_in in enumerate(ells):
-            for ell, m in self.mats.items():
-                ell_out = tuple(a + b for a, b in zip(ell, ell_in))
-                if ell_out in pos:
-                    i = pos[ell_out]
+            for ell, m in zip(ells, self.mats):
+                i = pos.get(tuple(a + b for a, b in zip(ell, ell_in)))
+                if i is not None:
                     out[i * D:(i + 1) * D, lin_in * D:(lin_in + 1) * D] = m
         return out
 
@@ -302,33 +284,39 @@ def flip_conjugation(J: int) -> np.ndarray:
 # -- the phi-grid --------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _grid_index(nu: int, L: int) -> tuple:
+    """The phi-grid length P = 4L+2 and the grid position l mod P of each mode row."""
+    # alias-free truncation of a product back to |l| <= L needs only P >= 3L + 1
+    P = 4 * L + 2
+    pos = _ell_range(nu, L).T % P
+    pos.flags.writeable = False       # shared by every caller of the cache
+    return P, tuple(pos)
+
+
 def _phi_grid(lattice: Lattice, ops) -> np.ndarray:
     """(len(ops), P, .., P, D, D) samples G(phi) = sum_l A(l) e^{i l.phi} of each operand.
 
-    phi runs over 2 pi k / P on each angle axis: one inverse FFT per operand.
+    phi runs over 2 pi k / P on each angle axis: one inverse FFT per operand,
+    in place on the buffer.
     """
-    # alias-free truncation of a product back to |l| <= L needs only P >= 3L + 1
-    P = 4 * lattice.L + 2
+    P, pos = _grid_index(lattice.nu, lattice.L)
     D = 2 * lattice.J + 1
     buf = np.zeros((len(ops),) + (P,) * lattice.nu + (D, D), dtype=complex)
     for i, op in enumerate(ops):
-        if op.mats:
-            buf[(i,) + tuple(np.array(list(op.mats)).T % P)] = list(op.mats.values())
-    grids = np.fft.ifftn(buf, axes=tuple(range(1, lattice.nu + 1)))
-    grids *= P ** lattice.nu
-    return grids
+        buf[(i,) + pos] = op.mats
+    np.fft.ifftn(buf, axes=tuple(range(1, lattice.nu + 1)), out=buf)
+    buf *= P ** lattice.nu
+    return buf
 
 
 def _from_phi_grid(lattice: Lattice, grids: np.ndarray, K) -> list:
-    """The BlockOperators (modes |l| <= L, exact zeros dropped) of a stack of phi-grids."""
-    P = grids.shape[1]
-    ells = _ell_list(lattice.nu, lattice.L)
-    coeffs = np.fft.fftn(grids, axes=tuple(range(1, lattice.nu + 1)))[
-        (slice(None),) + tuple(np.array(ells).T % P)]
+    """The BlockOperators (modes |l| <= L) of a stack of phi-grids; grids is overwritten."""
+    P, pos = _grid_index(lattice.nu, lattice.L)
+    np.fft.fftn(grids, axes=tuple(range(1, lattice.nu + 1)), out=grids)
+    coeffs = grids[(slice(None),) + pos]
     coeffs /= P ** lattice.nu
-    keep = np.max(np.abs(coeffs), axis=(2, 3)) > 0.0
-    return [BlockOperator(lattice, {ell: m for ell, m, k in zip(ells, c, kp) if k}, K)
-            for c, kp in zip(coeffs, keep)]
+    return [BlockOperator(lattice, c, K) for c in coeffs]
 
 
 def _conj_grid(G: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -340,8 +328,8 @@ def _conj_grid(G: np.ndarray, K: np.ndarray) -> np.ndarray:
 
 
 def s_decay_norm(A: BlockOperator, s: float) -> float:
-    hs2 = _hs_block_tensor(list(A.mats.values()), A.lattice.J)
-    return math.sqrt(_s_decay_sq(hs2, list(A.mats), s))
+    hs2 = _hs_block_tensor(A.mats, A.lattice.J)
+    return math.sqrt(_s_decay_sq(hs2, A.lattice.ell_norms(), s))
 
 
 def _pair_norm_terms(alpha: float, beta: float):
@@ -355,16 +343,16 @@ def _pair_norm_terms(alpha: float, beta: float):
 
 def _pair_term_norms(P: "OperatorPair", s: float, alpha: float, beta: float) -> dict:
     """{label: |<D>^left A <D>^right|_s} over _pair_norm_terms, in term order."""
-    J = P.Ad.lattice.J
-    hs2 = {comp: (_hs_block_tensor(list(op.mats.values()), J), list(op.mats))
-           for comp, op in (("d", P.Ad), ("o", P.Ao))}
+    lat = P.Ad.lattice
+    J = lat.J
+    ln = lat.ell_norms()
+    hs2 = {"d": _hs_block_tensor(P.Ad.mats, J), "o": _hs_block_tensor(P.Ao.mats, J)}
     wn = np.maximum(1.0, np.arange(J + 1.0))
     out = {}
     for i, (left, right, comp) in enumerate(_pair_norm_terms(alpha, beta)):
-        tensor, ells = hs2[comp]
-        weighted = tensor * np.outer(wn ** (2.0 * left), wn ** (2.0 * right))
+        weighted = hs2[comp] * np.outer(wn ** (2.0 * left), wn ** (2.0 * right))
         out[f"term{i}:{comp}:D^{left:g}.A.D^{right:g}"] = math.sqrt(
-            _s_decay_sq(weighted, ells, s))
+            _s_decay_sq(weighted, ln, s))
     return out
 
 
@@ -387,10 +375,8 @@ def norm_audit(P: "OperatorPair", s: float, alpha=None, beta=None) -> dict:
 
 def project_modes(A: BlockOperator, N: float):
     """(Pi_N A, Pi_N^perp A): split the angle modes at |l| <= N."""
-    low, high = {}, {}
-    for ell, m in A.mats.items():
-        (low if _ell_norm(ell) <= N else high)[ell] = m
-    return (BlockOperator(A.lattice, low, A.K), BlockOperator(A.lattice, high, A.K))
+    low = A.lattice.ell_norms() <= N
+    return A._mode_mask(low), A._mode_mask(~low)
 
 
 # -- operator pairs ----------------------------------------------------------
@@ -453,14 +439,10 @@ class OperatorPair:
 
 
 def _dense_conj_mat(A: BlockOperator) -> np.ndarray:
-    lat = A.lattice
-    ells = _ell_list(lat.nu, lat.L)
-    pos = {e: i for i, e in enumerate(ells)}
-    D = 2 * lat.J + 1
-    n = len(ells) * D
-    K = np.zeros((n, n), dtype=complex)
-    for i, ell in enumerate(ells):
-        j = pos[tuple(-c for c in ell)]
+    n_ell, D = A.mats.shape[:2]
+    K = np.zeros((n_ell * D, n_ell * D), dtype=complex)
+    for i in range(n_ell):
+        j = n_ell - 1 - i         # the row of -l
         K[j * D:(j + 1) * D, i * D:(i + 1) * D] = A.K
     return K
 
@@ -519,19 +501,19 @@ class LieSeriesDiverged(RuntimeError):
 
 def lie_series(X: OperatorPair, total: OperatorPair, term: OperatorPair,
                first: int, shift: int, tol: float, scale: float,
-               n_max: int) -> OperatorPair:
+               n_max: int, x_grids: tuple | None = None) -> OperatorPair:
     """total + sum_{k=first..n_max} t_k, t_k = ad_X(t_{k-1})/(k + shift), t_{first-1} = term.
 
-    Each term is added to the running total as it is made.  X's phi-grids are
-    built once per call and shared by every term's `ad`; they are dropped when
-    the series returns.  The series stops after its first term whose max entry
+    Each term is added to the running total as it is made.  X's phi-grids
+    (x_grids, from `_x_grids(X)`; built here when not given) are shared by
+    every term's `ad`.  The series stops after its first term whose max entry
     is below tol * scale.
     LieSeriesDiverged is raised when a term above scale is more than 4x the
     one before it, or when the term of index n_max is still above
     sqrt(tol) * scale.
     """
     prev_inc = None
-    x_grids = _x_grids(X)
+    x_grids = _x_grids(X) if x_grids is None else x_grids
     for k in range(first, n_max + 1):
         term = ad(X, term, x_grids) * (1.0 / (k + shift))
         inc = term.norm_max()

@@ -340,9 +340,9 @@ def quantize(a: Symbol, lattice: Lattice | None = None, K=None) -> BlockOperator
     lattice = lattice or a.lattice
     if a.xi_max < lattice.J:
         raise ValueError("symbol xi range smaller than the lattice cutoff J")
-    J = lattice.J
+    J, L = lattice.J, lattice.L
     D = 2 * J + 1
-    mats = {}
+    mats = np.zeros((2 * L + 1,) * lattice.nu + (D, D), dtype=complex)
     for j_in in range(-J, J + 1):
         v = a.raw(j_in, 0)
         # entry (j_out, j_in) = a_hat(j_out - j_in; xi = j_in): rows j_out = -J..J
@@ -350,15 +350,10 @@ def quantize(a: Symbol, lattice: Lattice | None = None, K=None) -> BlockOperator
         Jx = (v.shape[-1] - 1) // 2
         padded = np.pad(v, [(0, 0)] * (v.ndim - 1) + [(2 * J, 2 * J)])
         start = J - j_in + Jx
-        # one column per angle transfer (only l = 0 for phi-independent values)
-        for ell_idx in np.ndindex(*v.shape[:-1]):
-            if np.max(np.abs(v[ell_idx])) == 0.0:
-                continue
-            ell = tuple(i - (n - 1) // 2 for i, n in zip(ell_idx, v.shape[:-1]))
-            m = mats.setdefault(ell, np.zeros((D, D), dtype=complex))
-            m[:, j_in + J] += padded[ell_idx][start:start + D]
-    return BlockOperator(lattice, {k: m for k, m in mats.items()
-                                   if np.max(np.abs(m)) > 0.0}, K)
+        # the value's angle axes are centred on l = 0 (length 1 when phi-independent)
+        box = tuple(slice(L - (n - 1) // 2, L + (n - 1) // 2 + 1) for n in v.shape[:-1])
+        mats[box + (slice(None), j_in + J)] = padded[..., start:start + D]
+    return BlockOperator(lattice, mats.reshape(-1, D, D), K)
 
 
 def weighted_norm(a: Symbol, m: float, s: float, alpha: int = 0) -> float:
@@ -482,9 +477,7 @@ def entry_decay_exponent(R: BlockOperator, j_lo: int | None = None,
                          j_hi: int | None = None):
     """Fit log(max-column-entry) vs log<j> on mid-range input modes."""
     J = R.lattice.J
-    col_max = np.zeros(2 * J + 1)
-    for m in R.mats.values():
-        col_max = np.maximum(col_max, np.max(np.abs(m), axis=0))
+    col_max = np.max(np.abs(R.mats), axis=(0, 1))
     j_lo = j_lo if j_lo is not None else max(2, J // 4)
     j_hi = j_hi if j_hi is not None else max(j_lo + 3, (3 * J) // 4)
     js, vals = [], []

@@ -106,7 +106,7 @@ def _criterion3_data():
         naive = Symbol.xi_poly(lat, [0, 0, 1.0]) + Symbol.x_multiplication(lat, qc)
         bsym = Symbol(lat, 2.0, naive._rule, 64, lat.J).sqrt()
         OpN = quantize(bsym)
-        Lq = BlockOperator(lat, {(0,): assemble_lq(qc, J).astype(complex)})
+        Lq = BlockOperator.time_independent(lat, assemble_lq(qc, J).astype(complex))
         defect = OpN @ OpN - Lq
         colmax = np.max(np.abs(defect.mat((0,))), axis=0)
         Bspec = spectral_power(sd, 0.5)
@@ -149,6 +149,18 @@ def test_criterion_3_literal_window():
           f"{max(band) / min(band):.2f}x")
     assert literal <= 1e-4
     assert max(band) < 2.0 * min(band)
+
+
+def test_criterion_3_truncation_slope():
+    # criterion 3's window error is the N = 5 parametrix's truncation remainder,
+    # which decays like |j|^-(N-1): the slope of log-error against log j is
+    # pinned so that a regression is told apart from the known remainder
+    J, E, *_ = _criterion3_data()
+    js = np.array([8, 11, 16, 23, 32])
+    err = [max(np.max(E[:, J + j]), np.max(E[:, J - j])) for j in js]
+    slope = float(np.polyfit(np.log(js), np.log(err), 1)[0])
+    print(f"[info] criterion 3 window error slope {slope:.3f}, {err[0]:.3e} at j = 8")
+    assert abs(slope + 4.07) <= 0.2
 
 
 # -- criterion 4: Magnus scaling ------------------------------------------------------
@@ -436,14 +448,12 @@ def test_criterion_9_algebra_invariants():
     D = 2 * lat.J + 1
 
     def rand_pair(scale=1.0, max_ell=1):
-        mats_d, mats_o = {}, {}
+        Ad, Ao = BlockOperator.zero(lat), BlockOperator.zero(lat)
         for ell in ((-1,), (0,), (1,)):
-            mats_d[ell] = scale * (rng.standard_normal((D, D))
-                                   + 1j * rng.standard_normal((D, D)))
-            mats_o[ell] = scale * (rng.standard_normal((D, D))
-                                   + 1j * rng.standard_normal((D, D)))
-        Ad = BlockOperator(lat, mats_d)
-        Ao = BlockOperator(lat, mats_o)
+            Ad.mat(ell)[:] = scale * (rng.standard_normal((D, D))
+                                      + 1j * rng.standard_normal((D, D)))
+            Ao.mat(ell)[:] = scale * (rng.standard_normal((D, D))
+                                      + 1j * rng.standard_normal((D, D)))
         Ad = 0.5 * (Ad + Ad.adjoint())
         Ao = 0.5 * (Ao + Ao.conj_op().adjoint())
         return OperatorPair(Ad, Ao, 0.5, 0.5)
@@ -479,10 +489,10 @@ def test_criterion_9_algebra_invariants():
         ok_tame &= lhs <= rhs
     Dm = 2 * lat2.J + 1
     for k in range(250):
-        ells = [tuple(e) for e in lat2.ell_range()]
-        pick = [ells[i] for i in rng.choice(len(ells), size=3, replace=False)]
-        A = BlockOperator(lat2, {e: rng.standard_normal((Dm, Dm)) + 0j for e in pick})
-        B = BlockOperator(lat2, {e: rng.standard_normal((Dm, Dm)) + 0j for e in pick})
+        pick = rng.choice(len(lat2.ell_range()), size=3, replace=False)
+        A, B = BlockOperator.zero(lat2), BlockOperator.zero(lat2)
+        A.mats[pick] = [rng.standard_normal((Dm, Dm)) for _ in pick]
+        B.mats[pick] = [rng.standard_normal((Dm, Dm)) for _ in pick]
         lhs = s_decay_norm(A @ B, s)
         rhs = C0 * s_decay_norm(A, s0) * s_decay_norm(B, s) \
             + Cs * s_decay_norm(A, s) * s_decay_norm(B, s0)

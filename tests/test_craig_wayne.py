@@ -324,10 +324,11 @@ def test_change_basis_identity_and_round_trip():
     assert np.max(np.abs(Ie.mat((0,)) - np.eye(2 * J + 1))) < 1e-10
     rng = np.random.default_rng(6)
     D = 2 * J + 1
-    A = BlockOperator(lat, {(0,): rng.standard_normal((D, D)) + 0j,
-                            (1,): rng.standard_normal((D, D)) + 0j})
+    A = BlockOperator.zero(lat)
+    A.mat((0,))[:] = rng.standard_normal((D, D))
+    A.mat((1,))[:] = rng.standard_normal((D, D))
     back = change_basis(change_basis(A, B), B, direction="to_exp")
-    for ell in A.mats:
+    for ell in lat.ell_range():
         assert np.max(np.abs(back.mat(ell) - A.mat(ell))) < 1e-10
 
 
@@ -339,7 +340,7 @@ def test_change_basis_preserves_action():
     B = build_basis_matrix(sd)
     rng = np.random.default_rng(7)
     D = 2 * J + 1
-    A = BlockOperator(lat, {(0,): rng.standard_normal((D, D)) + 0j})
+    A = BlockOperator.time_independent(lat, rng.standard_normal((D, D)) + 0j)
     Ae = change_basis(A, B)
     u = rng.standard_normal(D) + 1j * rng.standard_normal(D)
     lhs = Ae.mat((0,)) @ eigen_coords(B, u)
@@ -355,7 +356,7 @@ def test_change_basis_free_q_is_identity_map():
     B = build_basis_matrix(sd)
     rng = np.random.default_rng(8)
     D = 2 * J + 1
-    A = BlockOperator(lat, {(0,): rng.standard_normal((D, D)) + 0j})
+    A = BlockOperator.time_independent(lat, rng.standard_normal((D, D)) + 0j)
     Ae = change_basis(A, B)
     assert np.max(np.abs(Ae.mat((0,)) - A.mat((0,)))) < 1e-12
 

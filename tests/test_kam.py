@@ -224,7 +224,8 @@ def test_solve_homological_single_block():
     # structure: V^d(l)^dagger = V^d(-l)
     m2 = np.zeros_like(m)
     m2[np.ix_(block_slice(J, 5), block_slice(J, 3))] = blk.conj().T
-    Vd = BlockOperator(lat, {ell: m, (-1,): m2}, state.V.Ad.K)
+    Vd = BlockOperator.zero(lat, state.V.Ad.K)
+    Vd.mat(ell)[:], Vd.mat((-1,))[:] = m, m2
     state.V = OperatorPair(Vd, BlockOperator.zero(lat, state.V.Ad.K),
                            pr.alpha, 0.0)
     X = solve_homological(state, Nval=2.0)
@@ -257,8 +258,9 @@ def test_solve_homological_edge_blocks():
     def rand():
         return rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
     K = state.V.Ad.K
-    Vd = BlockOperator(lat, {(0,): rand(), (1,): rand()}, K)
-    Vo = BlockOperator(lat, {(0,): rand(), (1,): rand()}, K)
+    Vd, Vo = BlockOperator.zero(lat, K), BlockOperator.zero(lat, K)
+    Vd.mat((0,))[:], Vd.mat((1,))[:] = rand(), rand()
+    Vo.mat((0,))[:], Vo.mat((1,))[:] = rand(), rand()
     state.V = OperatorPair(Vd, Vo, pr.alpha, 0.0)
     X = solve_homological(state, Nval=1.5)
 
@@ -385,8 +387,8 @@ def test_kam_iterate_two_legs_repeat_one_run(track_norms):
     assert len(gens) == 3
     for X, Y in zip(gens, gens_one):
         for A, B in ((X.Ad, Y.Ad), (X.Ao, Y.Ao)):
-            assert list(A.mats) == list(B.mats)
-            assert all(A.mats[e].tobytes() == B.mats[e].tobytes() for e in A.mats)
+            assert A.mats.shape == B.mats.shape
+            assert A.mats.tobytes() == B.mats.tobytes()
 
 
 def test_transformation_cauchy_and_conjugation():

@@ -197,7 +197,7 @@ def test_cutoff_extension_consistency():
     assert ok
     V = multiplication_operator(VTOY)
     Y = apply_divisors(V, om, M, g0, t0)
-    for ell, m in V.mats.items():
+    for ell, m in zip(LAT.ell_range(), V.mats):
         if not any(ell):
             continue
         dot = float(np.dot(ell, om))

@@ -14,6 +14,20 @@ LAT = Lattice(1, 3, 6)
 LAT2 = Lattice(2, 2, 4)
 
 
+def modes_op(lat, modes, K=None):
+    """The operator with the coefficients {l: A(l)}, zero at every other mode."""
+    A = BlockOperator.zero(lat, K)
+    for ell, m in modes.items():
+        A.mat(ell)[:] = m
+    return A
+
+
+def within(A, max_ell):
+    """A with the modes max_i |l_i| > max_ell set to zero."""
+    keep = np.max(np.abs(A.lattice.ell_range()), axis=1) <= max_ell
+    return BlockOperator(A.lattice, A.mats * keep[:, None, None])
+
+
 def random_block_op(lat, rng, n_ell=4, scale=1.0, K=None, max_ell=None):
     mats = {}
     D = 2 * lat.J + 1
@@ -23,7 +37,7 @@ def random_block_op(lat, rng, n_ell=4, scale=1.0, K=None, max_ell=None):
     n_ell = min(n_ell, len(ells))
     for ell in [ells[i] for i in rng.choice(len(ells), size=n_ell, replace=False)]:
         mats[ell] = scale * (rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D)))
-    return BlockOperator(lat, mats, K)
+    return modes_op(lat, mats, K)
 
 
 def random_pair(lat, rng, scale=1.0, alpha=0.5, beta=0.0, K=None, n_ell=4):
@@ -39,7 +53,7 @@ def s_decay_norm_loop(A, s, left=0.0, right=0.0):
     """Independent direct-loop oracle for the s-decay norm of <D>^left A <D>^right."""
     J = A.lattice.J
     total = 0.0
-    for ell in A.mats:
+    for ell in A.lattice.ell_range():
         ln = np.linalg.norm(ell)
         for h in range(J + 1):
             sup = 0.0
@@ -98,8 +112,9 @@ def test_pair_norm_matches_loop_oracle(lat, alpha, beta, n_terms):
 def matmul_loop_oracle(A, B):
     """Independent direct convolution over coefficient pairs."""
     out = {}
-    for la, ma in A.mats.items():
-        for lb, mb in B.mats.items():
+    ells = [tuple(e) for e in A.lattice.ell_range()]
+    for la, ma in zip(ells, A.mats):
+        for lb, mb in zip(ells, B.mats):
             ll = tuple(a + b for a, b in zip(la, lb))
             if max(abs(c) for c in ll) > A.lattice.L:
                 continue
@@ -130,19 +145,14 @@ def test_matmul_matches_loop_oracle():
 
 
 def test_matmul_grid_path_matches_direct():
-    # pad with explicit zeros to push the product onto the FFT-grid path
+    # the one (phi-grid) product path against the direct sum over mode pairs,
+    # at every mode of the box, the modes the direct sum leaves empty included
     rng = np.random.default_rng(3)
     A = random_block_op(LAT, rng, n_ell=7)
     B = random_block_op(LAT, rng, n_ell=7)
-    C1 = A @ B  # 49 pairs -> direct path
-    D = 2 * LAT.J + 1
-    big_A = BlockOperator(LAT, dict(A.mats))
-    big_B = BlockOperator(LAT, dict(B.mats))
-    for e in [tuple(x) for x in LAT.ell_range()]:
-        big_A.mats.setdefault(e, np.zeros((D, D), dtype=complex))
-        big_B.mats.setdefault(e, np.zeros((D, D), dtype=complex))
-    C2 = big_A @ big_B
-    for ell in set(C1.mats) | set(C2.mats):
+    C1 = modes_op(LAT, matmul_loop_oracle(A, B))
+    C2 = A @ B
+    for ell in LAT.ell_range():
         assert np.max(np.abs(C1.mat(ell) - C2.mat(ell))) < 1e-11
 
 
@@ -154,9 +164,9 @@ def test_associativity():
     C = random_block_op(lat, rng, n_ell=1)
     # operator-level associativity on the truncation requires keeping all
     # intermediate modes inside the box: use l = 0 operators
-    A = BlockOperator(lat, {(0,): A.mat((0,))})
-    B = BlockOperator(lat, {(0,): B.mat((0,))})
-    C = BlockOperator(lat, {(0,): C.mat((0,))})
+    A = BlockOperator.time_independent(lat, A.mat((0,)))
+    B = BlockOperator.time_independent(lat, B.mat((0,)))
+    C = BlockOperator.time_independent(lat, C.mat((0,)))
     lhs = (A @ B) @ C
     rhs = A @ (B @ C)
     assert np.max(np.abs(lhs.mat((0,)) - rhs.mat((0,)))) < 1e-12 * max(1.0, lhs.norm_max())
@@ -221,8 +231,8 @@ def edge_op(lat, rng, K=None):
     D = 2 * lat.J + 1
     ells = [(0,) * lat.nu, (lat.L,) + (0,) * (lat.nu - 1),
             (-lat.L,) + (1,) * (lat.nu - 1)]
-    return BlockOperator(lat, {e: rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-                               for e in ells}, K)
+    return modes_op(lat, {e: rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+                          for e in ells}, K)
 
 
 def spectral_K(J):
@@ -257,8 +267,7 @@ def test_ad_matches_product_oracle(lat, basis, support):
     Wd, Wo = ad_product_oracle(X, V)
     scale = max(Wd.norm_max(), Wo.norm_max())
     for got, want in ((W.Ad, Wd), (W.Ao, Wo)):
-        for ell in set(got.mats) | set(want.mats):
-            assert np.max(np.abs(got.mat(ell) - want.mat(ell))) <= 1e-12 * scale
+        assert np.max(np.abs(got.mats - want.mats)) <= 1e-12 * scale
     # the shared grids of a Lie series give the same terms
     W2 = ad(X, V, _x_grids(X))
     assert (W2.Ad - W.Ad).norm_max() == 0.0 and (W2.Ao - W.Ao).norm_max() == 0.0
@@ -270,10 +279,10 @@ def test_ad_matches_dense_commutator():
     lat = Lattice(1, 2, 3)
     X = random_pair(lat, rng, alpha=0.5)
     V = random_pair(lat, rng, alpha=0.5)
-    X0 = OperatorPair(BlockOperator(lat, {(0,): X.Ad.mat((0,))}),
-                      BlockOperator(lat, {(0,): X.Ao.mat((0,))}), 0.5, 0.5)
-    V0 = OperatorPair(BlockOperator(lat, {(0,): V.Ad.mat((0,))}),
-                      BlockOperator(lat, {(0,): V.Ao.mat((0,))}), 0.5, 0.0)
+    X0 = OperatorPair(BlockOperator.time_independent(lat, X.Ad.mat((0,))),
+                      BlockOperator.time_independent(lat, X.Ao.mat((0,))), 0.5, 0.5)
+    V0 = OperatorPair(BlockOperator.time_independent(lat, V.Ad.mat((0,))),
+                      BlockOperator.time_independent(lat, V.Ao.mat((0,))), 0.5, 0.0)
     W0 = ad(X0, V0)
     lhs0 = W0.to_dense()
     rhs0 = 1j * (X0.to_dense() @ V0.to_dense() - V0.to_dense() @ X0.to_dense())
@@ -288,9 +297,47 @@ def test_conj_on_grid_matches_conj_op(lat):
         A = random_block_op(lat, rng, n_ell=len(lat.ell_range()), K=K)
         got, = _from_phi_grid(lat, _conj_grid(_phi_grid(lat, (A,)), A.K), A.K)
         want = A.conj_op()
-        assert set(got.mats) == set(want.mats)
-        for ell, m in want.mats.items():
-            assert np.max(np.abs(got.mats[ell] - m)) <= 1e-12 * want.norm_max()
+        assert got.mats.shape == want.mats.shape
+        assert np.max(np.abs(got.mats - want.mats)) <= 1e-12 * want.norm_max()
+
+
+def test_dense_layout_matches_per_mode_formulas():
+    # nu = 2 with modes at the four corners of the box, a non-permutation K
+    # and a spread of sizes: each array operation against its per-mode formula
+    lat = LAT2
+    L, D = lat.L, 2 * lat.J + 1
+    K, Kc = spectral_K(lat.J), np.conj(spectral_K(lat.J))
+    rng = np.random.default_rng(31)
+    sizes = {(L, L): 1.0, (L, -L): 1.0, (-L, L): 1.0, (-L, -L): 1.0, (0, 0): 1e-2,
+             (1, -2): 1e-3}
+    modes = {e: a * (rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D)))
+             for e, a in sizes.items()}
+    A = modes_op(lat, modes, K)
+    zero = np.zeros((D, D), dtype=complex)
+    omega, phi, N, tol = np.array([0.7, -1.3]), np.array([0.4, 2.2]), 2.0, 0.05
+    adj, cnj, dphi, pruned = A.adjoint(), A.conj_op(), A.omega_dphi(omega), A.prune(tol)
+    lo, hi = OperatorPair(A, A.conj_op(), 0.5, 0.0).project(N)
+    ells = [tuple(int(c) for c in e) for e in lat.ell_range()]
+    assert A.mats.shape == ((2 * L + 1) ** 2, D, D)
+    for i, ell in enumerate(ells):
+        a = modes.get(ell, zero)
+        a_neg = modes.get(tuple(-c for c in ell), zero)
+        # row i is mode l of ell_range(), and the reversed row is -l
+        assert ells[-1 - i] == tuple(-c for c in ell)
+        assert np.array_equal(A.mats[i], a) and np.array_equal(A.mat(ell), a)
+        assert np.array_equal(adj.mat(ell), a_neg.conj().T)
+        assert np.max(np.abs(cnj.mat(ell) - K @ np.conj(a_neg) @ Kc)) <= 1e-14
+        assert np.max(np.abs(dphi.mat(ell) - 1j * np.dot(omega, ell) * a)) <= 1e-14
+        low = np.linalg.norm(ell) <= N
+        assert np.array_equal(lo.Ad.mat(ell), a if low else zero)
+        assert np.array_equal(hi.Ad.mat(ell), zero if low else a)
+        assert np.array_equal(hi.Ao.mat(ell), zero if low else cnj.mat(ell))
+        assert np.array_equal(pruned.mat(ell), a if np.max(np.abs(a)) > tol else zero)
+    assert not pruned.mat((0, 0)).any() and pruned.mat((L, -L)).any()
+    want = sum(m * np.exp(1j * np.dot(ell, phi)) for ell, m in modes.items())
+    assert np.max(np.abs(A.at_angle(phi) - want)) <= 1e-13
+    with pytest.raises(ValueError):
+        BlockOperator(lat, A.mats[1:], K)
 
 
 def test_ad_fft_count_and_grid_lifetime(monkeypatch):
@@ -358,10 +405,9 @@ def pair_family_at_angle(P, phi):
     D = 2 * lat.J + 1
     Ad = np.zeros((D, D), dtype=complex)
     Ao = np.zeros((D, D), dtype=complex)
-    for ell, m in P.Ad.mats.items():
-        Ad += m * np.exp(1j * np.dot(ell, phi))
-    for ell, m in P.Ao.mats.items():
-        Ao += m * np.exp(1j * np.dot(ell, phi))
+    for ell, md, mo in zip(lat.ell_range(), P.Ad.mats, P.Ao.mats):
+        Ad += md * np.exp(1j * np.dot(ell, phi))
+        Ao += mo * np.exp(1j * np.dot(ell, phi))
     K = P.Ad.K
     top = np.concatenate([Ad, Ao], axis=1)
     bot = np.concatenate([-K @ np.conj(Ao) @ np.conj(K), -K @ np.conj(Ad) @ np.conj(K)], axis=1)
@@ -375,16 +421,10 @@ def test_lie_conjugate_matches_dense_expm():
     rng = np.random.default_rng(12)
     lat = Lattice(1, 4, 3)
     X = random_pair(lat, rng, alpha=0.5)
-    X = OperatorPair(BlockOperator(lat, {e: m for e, m in X.Ad.mats.items()
-                                         if max(abs(c) for c in e) <= 1}),
-                     BlockOperator(lat, {e: m for e, m in X.Ao.mats.items()
-                                         if max(abs(c) for c in e) <= 1}), 0.5, 0.5)
+    X = OperatorPair(within(X.Ad, 1), within(X.Ao, 1), 0.5, 0.5)
     X = X * (2e-3 / max(X.norm_max(), 1e-30))
     V = random_pair(lat, rng, alpha=0.5)
-    V = OperatorPair(BlockOperator(lat, {e: m for e, m in V.Ad.mats.items()
-                                         if max(abs(c) for c in e) <= 1}),
-                     BlockOperator(lat, {e: m for e, m in V.Ao.mats.items()
-                                         if max(abs(c) for c in e) <= 1}), 0.5, 0.0)
+    V = OperatorPair(within(V.Ad, 1), within(V.Ao, 1), 0.5, 0.0)
     out, _ = lie_conjugate(X, V, tol=1e-16)
     for phi in (np.array([0.0]), np.array([0.7]), np.array([2.1])):
         Xm = pair_family_at_angle(X, phi)
@@ -401,10 +441,7 @@ def test_lie_series_xdot_matches_dense_integral():
     rng = np.random.default_rng(12)
     lat = Lattice(1, 10, 3)
     X = random_pair(lat, rng, alpha=0.5)
-    X = OperatorPair(BlockOperator(lat, {e: m for e, m in X.Ad.mats.items()
-                                         if max(abs(c) for c in e) <= 1}),
-                     BlockOperator(lat, {e: m for e, m in X.Ao.mats.items()
-                                         if max(abs(c) for c in e) <= 1}), 0.5, 0.5)
+    X = OperatorPair(within(X.Ad, 1), within(X.Ao, 1), 0.5, 0.5)
     X = X * (0.05 / max(X.norm_max(), 1e-30))
     Xdot = X.omega_dphi(np.array([1.3]))
     out = lie_series(X, Xdot, Xdot, 1, 1, 1e-16, 1.0 + Xdot.norm_max(), 30)
@@ -433,8 +470,8 @@ def test_project_modes():
     lo, hi = project_modes(A, LAT.L)
     assert hi.norm_max() == 0.0
     lo0, hi0 = project_modes(A, 0)
-    for ell in lo0.mats:
-        assert all(c == 0 for c in ell)
+    for ell, m in zip(LAT.ell_range(), lo0.mats):
+        assert all(c == 0 for c in ell) or not m.any()
     # smoothing estimate |Pi_N^perp A|_s <= N^{-b} |A|_{s+b}
     for b in (1.0, 2.0):
         for N in (1, 2):

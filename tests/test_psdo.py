@@ -165,7 +165,7 @@ def test_compose_sqrt_square_defect():
     naive = Symbol.xi_poly(LAT, [0.0, 0.0, 1.0]) + Symbol.x_multiplication(LAT, QC)
     b = Symbol(LAT, 2.0, naive._rule, 12, LAT.J).sqrt()
     approx = compose(b, b, N=2)
-    Lq = BlockOperator(LAT, {(0,): assemble_lq(QC, J).astype(complex)})
+    Lq = BlockOperator.time_independent(LAT, assemble_lq(QC, J).astype(complex))
     R2 = quantize(approx) - Lq
     colmax = np.max(np.abs(R2.mat((0,))), axis=0)
     # bounded, non-vanishing defect: the composition is not Op(b^2) = L_q
@@ -298,7 +298,7 @@ def test_power_inverse_check():
     ell = EllipticSymbol.xi2_plus_q(LAT, QC)
     inv = complex_power(ell, -1.0, N=4, contour=CONT, deriv_depth=0)
     OpInv = quantize(inv)
-    OpA = BlockOperator(LAT, {(0,): assemble_lq(QC, J).astype(complex)})
+    OpA = BlockOperator.time_independent(LAT, assemble_lq(QC, J).astype(complex))
     R = OpInv @ OpA - BlockOperator.identity(LAT)
     colmax = np.max(np.abs(R.mat((0,))), axis=0)
     mid = [max(colmax[J + j], colmax[J - j]) for j in range(10, 17)]
