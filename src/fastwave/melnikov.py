@@ -8,14 +8,25 @@ spectral asymptotics lambda_n = sqrt(n^2 + q_bar + d(n)) outside the truncation
 and the KAM-corrected blocks inside it.  Pruning follows the three emptiness
 lemmas: unreachable block distances, Diophantine-protected diagonal triples,
 and large-index triples reduced to the first-order linear conditions.
+
+`estimate_measure` runs its samples in a pool of forked worker processes,
+one per CPU of the affinity mask (`os.sched_getaffinity(0)`).  The fork start
+method lets the per-omega pipeline be a closure and limits the pool to Linux.
+Each worker classifies its samples' indeterminate errors itself; the parent
+folds the outcomes in sample order, so the counts are identical to a serial
+run.  Within a sample, `omega_infty_test` checks all k-lines of one (l, sign)
+in one array pass.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing as mp
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .calibration import CONSTANTS
 from .kam import SmallnessError
@@ -137,11 +148,14 @@ def omega_infty_test(omega, table: EigenTable, params, M: float, L_check: int,
     params needs fields gamma, tau, alpha, gamma0, tau0.  The scan covers
     (l, n, n') with |l| <= L_check and n, n' inside the reachable window
     |n +- n'| within slack of |omega.l| (everything else is empty by the
-    pruning lemmas; the census records the classification counts).
+    pruning lemmas; the census records the classification counts).  The
+    k-lines n -+ n' = k of one (l, sign) are checked in one array pass
+    (`_scan_lines`); lines go in (l, sign, k) order, one offender is recorded
+    per failing line, and without `collect_census` the scan stops at the
+    first failing line.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     nu = len(omega)
-    gamma, tau, alpha = params.gamma, params.tau, params.alpha
     census = {"explicit": 0, "pruned_unreachable": 0, "pruned_diagonal": 0,
               "pruned_linear": 0, "offenders": []}
 
@@ -152,6 +166,8 @@ def omega_infty_test(omega, table: EigenTable, params, M: float, L_check: int,
     for row in ells:
         ln = float(np.linalg.norm(row))
         dot = float(row @ omega)
+        n_cap = n_max_cap if n_max_cap is not None else int(
+            2.2 * M * max(1.0, ln) + 4 * table.J)
         for sign in (+1, -1):
             # reachable combos k = n (+-) n': |dot + k +- corrections| small
             t = -dot
@@ -159,88 +175,100 @@ def omega_infty_test(omega, table: EigenTable, params, M: float, L_check: int,
                 continue                      # mu_n + mu_n' >= 0: t must be ~ positive
             k_lo = max(0 if sign > 0 else -10 * table.J, int(math.floor(t - slack)))
             k_hi = int(math.ceil(t + slack))
-            n_cap = n_max_cap if n_max_cap is not None else int(
-                2.2 * M * max(1.0, ln) + 4 * table.J)
-            for k in range(k_lo, k_hi + 1):
-                passes, n_checked = _scan_k_line(table, dot, sign, k, n_cap,
-                                                 gamma, tau, alpha, M, ln,
-                                                 row, census)
-                census["explicit"] += n_checked
-                if not passes:
-                    ok = False
-                    if not collect_census:
-                        return False, census
+            if k_hi < k_lo:
+                continue
+            ks = np.arange(k_lo, k_hi + 1)
+            thr = np.array([balanced_threshold(params.gamma, params.tau, params.alpha,
+                                               M, ln, abs(k)) for k in ks.tolist()])
+            checked, offenders = _scan_lines(table, dot, sign, ks, n_cap, thr,
+                                             ln == 0.0 and sign < 0)
+            ell = tuple(int(c) for c in row)
+            if offenders and not collect_census:
+                line, rec = offenders[0]
+                census["explicit"] += int(checked[:line + 1].sum())
+                census["offenders"].append({"ell": ell, "sign": sign, **rec})
+                return False, census
+            census["explicit"] += int(checked.sum())
+            census["offenders"] += [{"ell": ell, "sign": sign, **rec}
+                                    for _, rec in offenders]
+            ok = ok and not offenders
     return ok, census
 
 
-def _scan_k_line(table, dot, sign, k, n_cap, gamma, tau, alpha, M, ln, ell,
-                 census):
-    """Check all (n, n') with n - n' = k (minus) or n + n' = k (plus).
+def _scan_lines(table, dot, sign, ks, n_cap, thr, no_diagonal):
+    """Check the k-lines n - n' = k (sign -1) or n + n' = k (sign +1) of one l.
 
-    Returns (passes, checked).  In the truncation window `checked` counts
-    the triples up to and including the first offender, in ascending n; the
-    asymptotic region counts all of its triples.  The first offender goes to
-    the census.
+    Line k holds the (n, n') with n, n' in [0, n_cap], less the excluded
+    diagonal n = n' when `no_diagonal`; thr[i] is the threshold of line ks[i].
+    Its window triples (n or n' <= J: explicit 2x2 eigenvalues) count up to
+    and including the first offender in ascending n; if none offends, its
+    asymptotic triples (both > J: lambda = sqrt(n^2 + q_bar)) all count.
+    Returns (triples counted per line, [(line, first offender)] of the failing
+    lines in line order).
     """
-    thr = balanced_threshold(gamma, tau, alpha, M, ln, abs(k))
     J = table.J
-    if sign > 0 and k < 0:
-        return True, 0
-    # n range along the k-line
-    if sign < 0:
-        n_lo, n_hi = max(0, k), min(n_cap, n_cap + k)
-    else:
-        n_lo, n_hi = 0, min(k, n_cap)
+    n_lo = np.maximum(0, ks) if sign < 0 else np.zeros_like(ks)
+    n_hi = np.minimum(n_cap, n_cap + ks) if sign < 0 else np.minimum(ks, n_cap)
 
-    def first_offender(ns, ms, gaps):
-        """Index of the first triple (ns, ms) with gap < thr, recorded; or None."""
-        bad = gaps < thr
-        if not np.any(bad):
-            return None
-        i = int(np.argmax(bad))
-        census["offenders"].append(
-            {"ell": tuple(int(c) for c in np.atleast_1d(ell)),
-             "sign": sign, "n": int(ns[i]), "n_in": int(ms[i]),
-             "gap": float(gaps[i]), "threshold": thr})
-        return i
+    def partner(ns, k):
+        return ns - k if sign < 0 else k - ns
 
-    # blocks touching the truncation: explicit 2x2 eigenvalues.  Two small
-    # windows: n <= J, or n_in <= J.
+    # window, ascending n along each line: n = 0..J, then the n > J whose
+    # partner is n' = 0..J (n = k + n' on minus lines, k - n' on plus lines)
+    low = np.arange(J + 1)
+    ns = np.concatenate([np.broadcast_to(low, (len(ks), J + 1)),
+                         ks[:, None] + (low if sign < 0 else -low[::-1])], axis=1)
+    ms = partner(ns, ks[:, None])
+    valid = ((ns >= n_lo[:, None]) & (ns <= n_hi[:, None]) & (ms >= 0) & (ms <= n_cap))
+    valid[:, J + 1:] &= ns[:, J + 1:] > J
+    if no_diagonal:
+        valid &= ns != ms
+    pn = table.pairs(np.maximum(ns, 0).ravel()).reshape(ns.shape + (2,))
+    pm = table.pairs(np.maximum(ms, 0).ravel()).reshape(ms.shape + (2,))
+    gaps = np.min(np.abs(dot + (pn[..., :, None] + sign * pm[..., None, :])), axis=(2, 3))
+    bad = valid & (gaps < thr[:, None])
+    window_bad = bad.any(axis=1)
+    first = bad.argmax(axis=1)
+    lines = np.arange(len(ks))
+    checked = np.where(window_bad, np.cumsum(valid, axis=1)[lines, first],
+                       valid.sum(axis=1))
+    found = {int(i): {"n": int(ns[i, first[i]]), "n_in": int(ms[i, first[i]]),
+                      "gap": float(gaps[i, first[i]]), "threshold": float(thr[i])}
+             for i in np.flatnonzero(window_bad)}
+
+    # asymptotic region: n, n' > J, on the lines whose window passed.  The
+    # lines share one n axis n0..n1; lambda_n' along line k is a shifted
+    # (sign -1) or reversed (sign +1) window of one row of lambda values.
     if sign < 0:
-        other = np.arange(max(n_lo, k), min(n_hi, J + k) + 1)
+        a_lo, a_hi = np.maximum(n_lo, J + 1 + np.maximum(0, ks)), n_hi
     else:
-        other = np.arange(max(n_lo, k - J), n_hi + 1)
-    ns = np.union1d(np.arange(n_lo, min(n_hi, J) + 1), other)
-    ms = ns - k if sign < 0 else k - ns
-    keep = (ms >= 0) & (ms <= n_cap)
-    if ln == 0.0 and sign < 0:
-        keep &= ns != ms          # excluded diagonal triples
-    ns, ms = ns[keep], ms[keep]
-    vals = dot + (table.pairs(ns)[:, :, None] + sign * table.pairs(ms)[:, None, :])
-    i = first_offender(ns, ms, np.min(np.abs(vals), axis=(1, 2)))
-    if i is not None:
-        return False, i + 1
-    checked = len(ns)
-    # asymptotic region: both indices beyond the truncation, vectorized
-    if sign < 0 and k == 0 and ln == 0.0:
-        return True, checked      # the whole (0, n, n) diagonal is excluded
-    a_lo = max(n_lo, J + 1, (J + 1 + k) if sign < 0 else 0)
-    if sign > 0:
-        a_hi = min(n_hi, k - (J + 1))
-    else:
-        a_hi = n_hi
-    if a_hi >= a_lo:
-        ns = np.arange(a_lo, a_hi + 1, dtype=float)
-        ms = ns - k if sign < 0 else k - ns
-        keep = (ms >= 0) & (ms <= n_cap) & (ms > J)
-        ns, ms = ns[keep], ms[keep]
-        if len(ns):
-            vals = dot + np.sqrt(ns ** 2 + table.q_bar) \
-                + sign * np.sqrt(ms ** 2 + table.q_bar)
-            checked += len(ns)
-            if first_offender(ns, ms, np.abs(vals)) is not None:
-                return False, checked
-    return True, checked
+        a_lo, a_hi = np.maximum(J + 1, ks - n_cap), np.minimum(n_hi, ks - (J + 1))
+    a_hi = np.where(window_bad | (no_diagonal & (ks == 0)), -1, a_hi)
+    counts = np.maximum(0, a_hi - a_lo + 1)
+    if counts.any():
+        live = counts > 0
+        n0, n1 = int(a_lo[live].min()), int(a_hi[live].max())
+        width = n1 - n0 + 1
+        m0 = partner(n0, ks)                  # n' at n = n0 on each line
+        # lam covers n0..n1 and every n' the lines reach
+        lo = min(n0, int(m0.min()) - (width - 1 if sign > 0 else 0))
+        hi = max(n1, int(m0.max()) + (width - 1 if sign < 0 else 0))
+        lam = np.sqrt(np.arange(lo, hi + 1, dtype=float) ** 2 + table.q_bar)
+        start = m0 - lo if sign < 0 else hi - m0      # falls by one per line
+        lam_in = sliding_window_view(lam if sign < 0 else lam[::-1],
+                                     width)[start[-1]:start[0] + 1][::-1]
+        # |(dot + lambda_n) + sign * lambda_n'| in this order keeps gaps bit-exact
+        row = dot + lam[n0 - lo:n1 - lo + 1]
+        gaps = row - lam_in if sign < 0 else row + lam_in
+        np.abs(gaps, out=gaps)
+        bad = gaps < thr[:, None]
+        for i in np.flatnonzero(bad.any(axis=1) & live):
+            cols = np.flatnonzero(bad[i, a_lo[i] - n0:a_hi[i] - n0 + 1]) + (a_lo[i] - n0)
+            if len(cols):
+                n = n0 + int(cols[0])
+                found[int(i)] = {"n": n, "n_in": int(partner(n, ks[i])),
+                                 "gap": float(gaps[i, cols[0]]), "threshold": float(thr[i])}
+    return checked + counts, sorted(found.items())
 
 
 def pruning_radii(params, M: float):
@@ -330,9 +358,15 @@ def estimate_measure(pipeline, params, M: float, n_samples: int,
     """Monte-Carlo m_r(Omega_0 \\ Omega_infty) at one gamma.
 
     `pipeline(omega) -> EigenTable` produces the final blocks for a sample
-    (a reduced-depth KAM run).  A SmallnessError, LieSeriesDiverged or
-    LinAlgError makes the sample indeterminate and is counted by type; any
-    other error propagates.  The tau constraint
+    (a reduced-depth KAM run).  Each sample runs `_measure_sample` in a pool
+    of forked workers, one per CPU of `os.sched_getaffinity(0)`, made and
+    joined inside this call.  The pool needs the fork start method (Linux):
+    `pipeline` may be a closure, which the workers inherit instead of
+    unpickling; only the omegas and the per-sample outcomes cross the pipe.
+    The outcomes are folded in sample order, so the counts are identical to
+    a serial run.  A SmallnessError, LieSeriesDiverged or LinAlgError makes
+    the sample indeterminate and is counted by type, in the worker; any
+    other error propagates with its own type.  The tau constraint
     tau > nu - 1 + alpha + tau0/alpha is enforced.
     """
     if n_samples < 100:
@@ -344,26 +378,55 @@ def estimate_measure(pipeline, params, M: float, n_samples: int,
     L_dioph = L_dioph if L_dioph is not None else max(8, L_check)
     report = MeasureReport(M=M, gamma=params.gamma, tau=params.tau,
                            alpha=params.alpha, n_samples=n_samples)
-    pruning_totals = {}
-    for omega in samples:
-        ok0, _ = diophantine_test(omega, M, params.gamma0, params.tau0, L_dioph)
-        if not ok0:
+    job = (pipeline, params, M, L_check, L_dioph)
+    with mp.get_context("fork").Pool(len(os.sched_getaffinity(0)), _serve,
+                                     job) as pool:
+        outcomes = list(pool.imap(_run_sample, samples))
+        pool.close()
+        pool.join()
+    for verdict, counts in outcomes:
+        if verdict == "rejected_omega0":
             report.rejected_omega0 += 1
-            continue
-        try:
-            table = pipeline(omega)
-        except INDETERMINATE_ERRORS as exc:
+        elif verdict in report.indeterminate_by_type:
             report.indeterminate += 1
-            kind = next(e for e in INDETERMINATE_ERRORS if isinstance(exc, e))
-            report.indeterminate_by_type[kind.__name__] += 1
-            continue
-        ok, census = omega_infty_test(omega, table, params, M, L_check)
-        for key in ("explicit", "pruned_unreachable"):
-            pruning_totals[key] = pruning_totals.get(key, 0) + census.get(key, 0)
-        if not ok:
-            report.rejected_infty += 1
-    report.pruning = pruning_totals
+            report.indeterminate_by_type[verdict] += 1
+        else:
+            for key, count in counts.items():
+                report.pruning[key] = report.pruning.get(key, 0) + count
+            if verdict == "rejected_infty":
+                report.rejected_infty += 1
     return report
+
+
+def _measure_sample(omega, pipeline, params, M, L_check, L_dioph):
+    """(verdict, census counts) of one Monte-Carlo sample.
+
+    The verdict is "rejected_omega0", the class name of an indeterminate
+    error, "rejected_infty" or "passed"; the counts (explicit and
+    pruned_unreachable triples) are None unless omega_infty_test ran.
+    """
+    ok0, _ = diophantine_test(omega, M, params.gamma0, params.tau0, L_dioph)
+    if not ok0:
+        return "rejected_omega0", None
+    try:
+        table = pipeline(omega)
+    except INDETERMINATE_ERRORS as exc:
+        return next(e for e in INDETERMINATE_ERRORS if isinstance(exc, e)).__name__, None
+    ok, census = omega_infty_test(omega, table, params, M, L_check)
+    return ("passed" if ok else "rejected_infty"), {
+        key: census[key] for key in ("explicit", "pruned_unreachable")}
+
+
+_JOB = None       # a worker's (pipeline, params, M, L_check, L_dioph)
+
+
+def _serve(*job):
+    global _JOB
+    _JOB = job
+
+
+def _run_sample(omega):
+    return _measure_sample(omega, *_JOB)
 
 
 def fitted_gamma_exponent(gammas, m_rs) -> float:

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ from fastwave.harmonics import Lattice, TorusFunction
 from fastwave.craig_wayne import build_basis_matrix
 from fastwave.kam import (KamParameters, SmallnessError, init_state, kam_iterate,
                           melnikov_step_test)
-from fastwave.magnus import magnus_transform, sample_annulus
+from fastwave.magnus import diophantine_test, magnus_transform, sample_annulus
 from fastwave.melnikov import (
-    EigenTable, MeasureReport, audit_pruned_triples, balanced_threshold,
-    eigen_table_from_state, eigen_table_unperturbed, estimate_measure,
-    fitted_gamma_exponent, gamma_star, omega_infty_test, pruning_radii,
-    resonance_census, single_set_measure_exact,
+    EigenTable, MeasureReport, _measure_sample, audit_pruned_triples,
+    balanced_threshold, eigen_table_from_state, eigen_table_unperturbed,
+    estimate_measure, fitted_gamma_exponent, gamma_star, omega_infty_test,
+    pruning_radii, resonance_census, single_set_measure_exact,
 )
+from fastwave.opmatrix import LieSeriesDiverged
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks
 
 
@@ -74,6 +76,165 @@ def test_omega_infty_matches_brute_force_unperturbed():
         assert got == want
         agree += 1
     assert agree == 40
+
+
+def omega_infty_oracle(omega, table, params, M, L_check, n_max_cap=None,
+                       collect_census=False):
+    """The per-k-line scan that `omega_infty_test` vectorises (oracle).
+
+    The same (l, sign, k) loop, with `_scan_k_line` checking one line at a
+    time; `omega_infty_test` must return the same (passes, census).
+    """
+    from fastwave.magnus import nonzero_ell_box
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    nu = len(omega)
+    gamma, tau, alpha = params.gamma, params.tau, params.alpha
+    census = {"explicit": 0, "pruned_unreachable": 0, "pruned_diagonal": 0,
+              "pruned_linear": 0, "offenders": []}
+    ells = [np.zeros(nu, dtype=int)] + list(nonzero_ell_box(nu, L_check))
+    ok = True
+    slack = 2.0 * table.max_correction(10 * table.J) + 2.0
+    for row in ells:
+        ln = float(np.linalg.norm(row))
+        dot = float(row @ omega)
+        for sign in (+1, -1):
+            t = -dot
+            if sign > 0 and t < -slack:
+                continue
+            k_lo = max(0 if sign > 0 else -10 * table.J, int(math.floor(t - slack)))
+            k_hi = int(math.ceil(t + slack))
+            n_cap = n_max_cap if n_max_cap is not None else int(
+                2.2 * M * max(1.0, ln) + 4 * table.J)
+            for k in range(k_lo, k_hi + 1):
+                passes, n_checked = _scan_k_line(table, dot, sign, k, n_cap,
+                                                 gamma, tau, alpha, M, ln,
+                                                 row, census)
+                census["explicit"] += n_checked
+                if not passes:
+                    ok = False
+                    if not collect_census:
+                        return False, census
+    return ok, census
+
+
+def _scan_k_line(table, dot, sign, k, n_cap, gamma, tau, alpha, M, ln, ell,
+                 census):
+    """Check all (n, n') with n - n' = k (minus) or n + n' = k (plus).
+
+    Returns (passes, checked).  In the truncation window `checked` counts
+    the triples up to and including the first offender, in ascending n; the
+    asymptotic region counts all of its triples.  The first offender goes to
+    the census.
+    """
+    thr = balanced_threshold(gamma, tau, alpha, M, ln, abs(k))
+    J = table.J
+    if sign > 0 and k < 0:
+        return True, 0
+    # n range along the k-line
+    if sign < 0:
+        n_lo, n_hi = max(0, k), min(n_cap, n_cap + k)
+    else:
+        n_lo, n_hi = 0, min(k, n_cap)
+
+    def first_offender(ns, ms, gaps):
+        """Index of the first triple (ns, ms) with gap < thr, recorded; or None."""
+        bad = gaps < thr
+        if not np.any(bad):
+            return None
+        i = int(np.argmax(bad))
+        census["offenders"].append(
+            {"ell": tuple(int(c) for c in np.atleast_1d(ell)),
+             "sign": sign, "n": int(ns[i]), "n_in": int(ms[i]),
+             "gap": float(gaps[i]), "threshold": thr})
+        return i
+
+    # blocks touching the truncation: explicit 2x2 eigenvalues.  Two small
+    # windows: n <= J, or n_in <= J.
+    if sign < 0:
+        other = np.arange(max(n_lo, k), min(n_hi, J + k) + 1)
+    else:
+        other = np.arange(max(n_lo, k - J), n_hi + 1)
+    ns = np.union1d(np.arange(n_lo, min(n_hi, J) + 1), other)
+    ms = ns - k if sign < 0 else k - ns
+    keep = (ms >= 0) & (ms <= n_cap)
+    if ln == 0.0 and sign < 0:
+        keep &= ns != ms          # excluded diagonal triples
+    ns, ms = ns[keep], ms[keep]
+    vals = dot + (table.pairs(ns)[:, :, None] + sign * table.pairs(ms)[:, None, :])
+    i = first_offender(ns, ms, np.min(np.abs(vals), axis=(1, 2)))
+    if i is not None:
+        return False, i + 1
+    checked = len(ns)
+    # asymptotic region: both indices beyond the truncation, vectorized
+    if sign < 0 and k == 0 and ln == 0.0:
+        return True, checked      # the whole (0, n, n) diagonal is excluded
+    a_lo = max(n_lo, J + 1, (J + 1 + k) if sign < 0 else 0)
+    if sign > 0:
+        a_hi = min(n_hi, k - (J + 1))
+    else:
+        a_hi = n_hi
+    if a_hi >= a_lo:
+        ns = np.arange(a_lo, a_hi + 1, dtype=float)
+        ms = ns - k if sign < 0 else k - ns
+        keep = (ms >= 0) & (ms <= n_cap) & (ms > J)
+        ns, ms = ns[keep], ms[keep]
+        if len(ns):
+            vals = dot + np.sqrt(ns ** 2 + table.q_bar) \
+                + sign * np.sqrt(ms ** 2 + table.q_bar)
+            checked += len(ns)
+            if first_offender(ns, ms, np.abs(vals)) is not None:
+                return False, checked
+    return True, checked
+
+
+def random_table(rng, J):
+    """Split 2x2 blocks around sqrt(n^2 + q_bar), q_bar and splits random."""
+    c = rng.uniform(0.5, 3.0)
+    mu = {0: np.array([math.sqrt(c) + rng.uniform(-0.2, 0.2)])}
+    for n in range(1, J + 1):
+        lam = math.sqrt(n * n + c)
+        mu[n] = np.sort(lam + rng.uniform(-0.3, 0.3, size=2))
+    return EigenTable(J=J, q_bar=c, mu_blocks=mu)
+
+
+@pytest.mark.parametrize("nu, M, L_check", [(1, 150.0, 3), (2, 30.0, 2)])
+def test_omega_infty_matches_k_line_oracle(nu, M, L_check):
+    # random split tables and gammas from loose to strict: passing samples,
+    # single offenders and many-offender censuses, at both census settings
+    rng = np.random.default_rng(10 + nu)
+    failing = with_offenders = 0
+    for trial in range(12):
+        table = random_table(rng, int(rng.integers(3, 9)))
+        params = make_params(gamma=(1e-3, 3e-2, 0.5)[trial % 3])
+        for omega in sample_annulus(rng, M, nu, 4):
+            for collect in (False, True):
+                got = omega_infty_test(omega, table, params, M, L_check,
+                                       collect_census=collect)
+                want = omega_infty_oracle(omega, table, params, M, L_check,
+                                          collect_census=collect)
+                assert got == want
+                failing += not got[0]
+                with_offenders += len(got[1]["offenders"]) > 1
+    assert failing > 0 and with_offenders > 0
+
+
+def test_omega_infty_oracle_excluded_diagonal_and_caps():
+    # l = 0 only: unsplit blocks make every (0, n, n) gap exactly 0, so the
+    # scan passes only if the diagonal is excluded on the window and beyond;
+    # a small n cap cuts the lines short
+    J, c, M = 6, 2.0, 100.0
+    table = constant_table(J, c)
+    params = make_params(gamma=1e-2)
+    rng = np.random.default_rng(4)
+    for omega in sample_annulus(rng, M, 1, 5):
+        for cap in (None, 3, 40):
+            for collect in (False, True):
+                got = omega_infty_test(omega, table, params, M, L_check=0,
+                                       n_max_cap=cap, collect_census=collect)
+                assert got == omega_infty_oracle(omega, table, params, M, 0,
+                                                 n_max_cap=cap,
+                                                 collect_census=collect)
+                assert got[0] and got[1]["explicit"] > 0
 
 
 def census_reference(omega, table, params, M, L_check, collect_census):
@@ -148,6 +309,8 @@ def test_omega_infty_census_matches_triple_loop():
                                           collect_census=collect)
             want_ok, want_explicit, want_offenders = census_reference(
                 omega, table, params, M, 2, collect)
+            assert (ok, census) == omega_infty_oracle(omega, table, params, M, 2,
+                                                      collect_census=collect)
             assert not ok and not want_ok
             assert census["explicit"] == want_explicit
             assert census["offenders"] == want_offenders
@@ -297,6 +460,85 @@ def test_estimate_measure_classifies_errors():
 
     with pytest.raises(KeyError):
         estimate_measure(broken, params, 1000.0, 100, rng_seed=7)
+
+
+def toy_kam_pipeline(params, M):
+    """The measure stage's per-omega pipeline at J=4, L=1 (perfbench's toy size)."""
+    J, L = 4, 1
+    lat = Lattice(1, L, J)
+    qc = xcoeffs(J, {0: 1.0, 1: 0.5, -1: 0.5})
+    sd = eigensolve_blocks(assemble_lq(qc, J), q=qc)
+    basis = build_basis_matrix(sd)
+    v = TorusFunction.from_modes(lat, {(1, 1): 0.25, (1, -1): 0.25,
+                                       (-1, 1): 0.25, (-1, -1): 0.25},
+                                 reality=True)
+
+    def pipeline(omega):
+        out = magnus_transform(qc, v, omega, M, params.gamma0, params.tau0, sd,
+                               with_symbols=False)
+        st = init_state(out, sd, basis, params, lat, track_norms=False)
+        fin, _ = kam_iterate(st, p_max=2, track_norms=False)
+        return eigen_table_from_state(fin, sd.q_bar)
+    return pipeline
+
+
+def test_estimate_measure_pool_matches_in_process_fold():
+    M, n, seed, L_check = 1e2, 100, 7, 1
+    mixed = []          # both verdicts of omega_infty_test occur at some gamma
+    for gamma in (1e-2, 1e-4):
+        params = make_params(gamma=gamma)
+        pipeline = toy_kam_pipeline(params, M)
+        rep = estimate_measure(pipeline, params, M, n, rng_seed=seed, L_check=L_check)
+        assert multiprocessing.active_children() == []
+        want = MeasureReport(M=M, gamma=gamma, tau=params.tau, alpha=params.alpha,
+                             n_samples=n)
+        for omega in sample_annulus(np.random.default_rng(seed), M, 1, n):
+            verdict, counts = _measure_sample(omega, pipeline, params, M, L_check, 8)
+            if verdict == "rejected_omega0":
+                want.rejected_omega0 += 1
+                continue
+            assert verdict in ("passed", "rejected_infty")
+            want.rejected_infty += verdict == "rejected_infty"
+            for key, count in counts.items():
+                want.pruning[key] = want.pruning.get(key, 0) + count
+        assert rep.to_json_dict() == want.to_json_dict()
+        mixed.append(0 < want.rejected_infty < n and want.pruning["explicit"] > 0)
+    assert any(mixed)
+
+
+def test_estimate_measure_pool_counts_errors_by_type():
+    J, c, M = 8, 2.0, 1000.0
+    table = constant_table(J, c)
+    params = make_params(gamma=1e-2)
+
+    def mixed(omega):
+        if omega[0] > 1.5 * M:
+            raise SmallnessError("remainder grew")
+        if omega[0] < -1.5 * M:
+            raise LieSeriesDiverged("terms grew")
+        return table
+
+    rep = estimate_measure(mixed, params, M, 300, rng_seed=3, L_check=3)
+    assert multiprocessing.active_children() == []
+    kept = [w[0] for w in sample_annulus(np.random.default_rng(3), M, 1, 300)
+            if diophantine_test(w, M, params.gamma0, params.tau0, 8)[0]]
+    small = sum(w > 1.5 * M for w in kept)
+    diverged = sum(w < -1.5 * M for w in kept)
+    assert small > 0 and diverged > 0
+    assert rep.rejected_omega0 == 300 - len(kept)
+    assert rep.indeterminate_by_type == {"SmallnessError": small,
+                                         "LieSeriesDiverged": diverged,
+                                         "LinAlgError": 0}
+    assert rep.indeterminate == small + diverged
+
+    def broken(omega):
+        if omega[0] < 0:
+            raise KeyError("a programming error, not an indeterminate sample")
+        return table
+
+    with pytest.raises(KeyError):
+        estimate_measure(broken, params, M, 100, rng_seed=7, L_check=3)
+    assert multiprocessing.active_children() == []
 
 
 def test_gamma_sweep_monotone_and_exponent():
