@@ -5,9 +5,8 @@ space splits into span{e_{-n}, e_n} and its complement; the complement
 equation is solved by the Neumann series of T_n = A_lambda^{-1} Q_n V
 (divisors lambda - m^2, |m| != n), leaving an explicit 2x2 system S_n(lambda)
 whose two roots are the block eigenvalues.  The resulting eigenfunctions are
-localized near e_{+-n} with polynomial decay <|m|-n>^{-s}, which is what lets
-pseudodifferential operators (built on exponentials) embed into the decaying
-matrix classes built on the eigenfunction basis.
+localized near e_{+-n} with polynomial decay <|m|-n>^{-s}; `change_basis`
+moves block operators between the exponential and eigenfunction bases.
 
 The constant tilde_C(s) driving the admissibility threshold
 ||q||_s <= n / (2 tilde_C_s) is evaluated numerically from its defining sum
@@ -23,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .harmonics import Lattice, TorusFunction, xconv
+from .harmonics import TorusFunction, xconv
 from .opmatrix import BlockOperator, _hs_block_tensor, _s_decay_sq, block_slice
 from .schrodinger import SpectralData
 
@@ -343,40 +342,3 @@ def change_basis(A: BlockOperator, basis: BasisMatrix,
         return BlockOperator(A.lattice, Mc @ A.mats @ basis.M.T, K=basis.K)
     from .opmatrix import flip_conjugation
     return BlockOperator(A.lattice, basis.M.T @ A.mats @ Mc, K=flip_conjugation(A.lattice.J))
-
-
-def eigen_coords(basis: BasisMatrix, xcoeffs: np.ndarray) -> np.ndarray:
-    return np.conj(basis.M) @ xcoeffs
-
-
-def embed_psdo_pair(Ad_sym, Ao_sym, basis: BasisMatrix, s: float,
-                    alpha: float, beta: float, structure_tol: float = 1e-6,
-                    s0: float | None = None):
-    """Quantize a symbol pair, move to the eigenbasis, certify M_s(alpha, beta).
-
-    Returns (OperatorPair in the eigenbasis, norm bundle dict).  The inputs
-    must satisfy [A^d]* = A^d and [A^o]* = conj(A^o) up to structure_tol
-    (relative), which is checked on the quantized matrices.
-    """
-    from .opmatrix import OperatorPair, _pair_term_norms, pair_norm
-    from .psdo import quantize
-
-    Ad = quantize(Ad_sym) if not isinstance(Ad_sym, BlockOperator) else Ad_sym
-    Ao = quantize(Ao_sym) if not isinstance(Ao_sym, BlockOperator) else Ao_sym
-    scale = max(Ad.norm_max(), Ao.norm_max(), 1e-300)
-    dd = (Ad.adjoint() - Ad).norm_max()
-    oo = (Ao.adjoint() - Ao.conj_op()).norm_max()
-    if max(dd, oo) > structure_tol * scale:
-        raise ValueError(f"structure check failed: defects {dd:.2e}, {oo:.2e} "
-                         f"vs scale {scale:.2e}")
-    Ad_e = change_basis(Ad, basis)
-    Ao_e = change_basis(Ao, basis)
-    pair = OperatorPair(Ad_e, Ao_e, alpha, beta)
-    terms = _pair_term_norms(pair, s, alpha, beta)
-    bundle = {"s": s, "alpha": alpha, "beta": beta,
-              "pair_norm": sum(terms.values()),
-              "structure_defect": max(dd, oo), **terms}
-    if s0 is not None:
-        bundle["pair_norm_s0"] = pair_norm(pair, s0, alpha, beta)
-    return pair, bundle
-

@@ -15,7 +15,7 @@ residual is compared against the budget delta^(p_final) + dt^2 T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -49,23 +49,6 @@ class Trajectory:
             out[k] = math.sqrt(float(np.sum(w ** 2 * (np.abs(e[0]) ** 2
                                                       + np.abs(e[1]) ** 2))))
         return out
-
-
-def complexify(u0: np.ndarray, u0_t: np.ndarray, sd: SpectralData):
-    """phi = B^{1/2} u + i B^{-1/2} u_t (exponential-basis coefficients)."""
-    Bh = spectral_power(sd, 0.25)
-    Bmh = spectral_power(sd, -0.25)
-    phi = Bh @ np.asarray(u0, dtype=complex) + 1j * (Bmh @ np.asarray(u0_t, dtype=complex))
-    return phi
-
-
-def decomplexify(phi: np.ndarray, phibar: np.ndarray, sd: SpectralData):
-    """Inverse map: u = B^{-1/2}(phi + phibar)/2, u_t = B^{1/2}(phi - phibar)/(2i)."""
-    Bh = spectral_power(sd, 0.25)
-    Bmh = spectral_power(sd, -0.25)
-    u = Bmh @ (phi + phibar) / 2.0
-    ut = Bh @ (phi - phibar) / (2.0 * 1j)
-    return u, ut
 
 
 def pair_state(phi_exp: np.ndarray, sd: SpectralData) -> np.ndarray:
@@ -233,20 +216,3 @@ def floquet_residual(frame: FloquetFrame, sd: SpectralData, v, omega,
             worst = max(worst, float(np.linalg.norm(got - want)
                                      / np.linalg.norm(state)))
     return worst
-
-
-def resonant_drive(lattice: Lattice, sd: SpectralData, n: int, m: int,
-                   amplitude: float = 0.5):
-    """A single-harmonic driving resonant with the lam_n + lam_m gap.
-
-    Returns (v, omega) with omega[0] = lam_n + lam_m: the plus-type divisor
-    omega.l + mu_n + mu_m vanishes at l = -1, pumping that pair of modes.
-    """
-    from .harmonics import TorusFunction
-    lam = sd.lam
-    om = float(lam[sd.idx(n)] + lam[sd.idx(m)])
-    # drive the x-mode connecting e_n and e_{-m}: j-transfer n + m
-    v = TorusFunction.from_modes(
-        lattice, {(1, n + m): amplitude / 2, (-1, -(n + m)): amplitude / 2},
-        reality=True)
-    return v, np.array([om])

@@ -16,7 +16,7 @@ discarded (consistent Galerkin projection).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -175,10 +175,6 @@ class TorusFunction:
     def __neg__(self) -> "TorusFunction":
         return TorusFunction(self.lattice, -self.coeffs, self.reality)
 
-    def conj_fn(self) -> "TorusFunction":
-        """Coefficients of the complex conjugate function."""
-        return TorusFunction(self.lattice, np.conj(self._flip()), self.reality)
-
     def dx(self, order: int = 1) -> "TorusFunction":
         """Spectral derivative in x: multiply by (i j)^order."""
         j = np.arange(-self.lattice.J, self.lattice.J + 1)
@@ -242,33 +238,6 @@ def multiply(u: TorusFunction, v: TorusFunction) -> TorusFunction:
     return w
 
 
-def phi_average(v: TorusFunction, tol: float = 1e-14):
-    """The l = 0 slice of v, plus a flag telling whether it vanishes.
-
-    Returns (x-only TorusFunction, flag); flag is True iff the average is
-    identically zero within `tol`.
-    """
-    xs = v.x_slice()
-    flag = bool(np.max(np.abs(xs)) <= tol)
-    return TorusFunction.x_only(v.lattice, xs, reality=v.reality), flag
-
-
-# -- collocation grids ---------------------------------------------------
-
-
-def to_grid(u: TorusFunction, oversample: int = 2) -> np.ndarray:
-    """Sample u on a uniform (phi, x) grid (sizes oversample*(2L+1), oversample*(2J+1))."""
-    lat = u.lattice
-    sizes = [oversample * (2 * lat.L + 1)] * lat.nu + [oversample * (2 * lat.J + 1)]
-    return _coeffs_to_grid(u.coeffs, [lat.L] * lat.nu + [lat.J], sizes)
-
-
-def from_grid(values: np.ndarray, lattice: Lattice, reality: bool = False) -> TorusFunction:
-    """Inverse of to_grid; grid must resolve the lattice (size >= 2*cutoff+1 per axis)."""
-    c = _grid_to_coeffs(values, [lattice.L] * lattice.nu + [lattice.J])
-    return TorusFunction(lattice, c, reality)
-
-
 def x_to_grid(xcoeffs: np.ndarray, n_points: int) -> np.ndarray:
     """Values of sum_j c_j e^{ijx} on n_points uniform x samples.
 
@@ -327,22 +296,3 @@ def xconv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         shape = np.broadcast_shapes(a.shape, b.shape)
         return (a.reshape(-1, D) @ T.reshape(D, D).T).reshape(shape)
     return np.matmul(T, a[..., None])[..., 0]
-
-
-def _coeffs_to_grid(coeffs, cutoffs, sizes):
-    nd = len(cutoffs)
-    buf = np.zeros(sizes, dtype=complex)
-    idx = tuple(np.ix_(*[np.arange(-c, c + 1) % n for c, n in zip(cutoffs, sizes)]))
-    src = tuple(np.ix_(*[np.arange(0, 2 * c + 1) for c in cutoffs]))
-    buf[idx] = coeffs[src]
-    return np.fft.ifftn(buf) * np.prod(sizes)
-
-
-def _grid_to_coeffs(values, cutoffs):
-    sizes = values.shape
-    for c, n in zip(cutoffs, sizes):
-        if n < 2 * c + 1:
-            raise ValueError("grid too coarse for lattice cutoffs")
-    spec = np.fft.fftn(values) / np.prod(sizes)
-    idx = tuple(np.ix_(*[np.arange(-c, c + 1) % n for c, n in zip(cutoffs, sizes)]))
-    return np.ascontiguousarray(spec[idx])

@@ -29,7 +29,7 @@ import numpy as np
 
 from .harmonics import Lattice
 from .opmatrix import (BlockOperator, OperatorPair, _x_grids, ad, block_slice,
-                       left_right_ops, lie_series, pair_norm)
+                       lie_series, pair_norm)
 from .psdo import Cutoff, DEFAULT_CUTOFF
 from .calibration import CONSTANTS
 
@@ -181,13 +181,6 @@ def smallness_check(state: KamState):
     if lhs == 0.0:
         return True, float("inf")
     return lhs <= 1.0, 1.0 / lhs
-
-
-def build_G(state: KamState, ell, n: int, n_in: int, sign: int) -> np.ndarray:
-    """omega.l Id + M_L(H0_[n]) +- M_R(H0_[n']) on the (n, n') block space."""
-    ML, MR = left_right_ops(state.H0[n], state.H0[n_in])
-    dot = float(np.dot(np.atleast_1d(ell), state.omega))
-    return dot * np.eye(ML.shape[0]) + ML + float(sign) * MR
 
 
 def melnikov_threshold(pr: KamParameters, M: float, Nval: float, n: int,
@@ -422,25 +415,6 @@ def kam_iterate(state: KamState, p_max: int | None = None,
         state = state_next
         prev_delta = d
     return state, gens
-
-
-def generator_exponential(X: OperatorPair) -> np.ndarray:
-    """Dense e^{iX} on the doubled extended lattice (oracle / Floquet use)."""
-    import scipy.linalg
-    return scipy.linalg.expm(1j * X.to_dense())
-
-
-def transformation_product(gens, lattice: Lattice) -> np.ndarray:
-    """W_p = e^{iX^(0)} ... e^{iX^(p-1)} as a dense matrix."""
-    out = None
-    for X in gens:
-        E = generator_exponential(X)
-        out = E if out is None else out @ E
-    if out is None:
-        from .harmonics import _ell_range
-        n = len(_ell_range(lattice.nu, lattice.L)) * (2 * lattice.J + 1) * 2
-        out = np.eye(n, dtype=complex)
-    return out
 
 
 def final_spectrum(state: KamState):

@@ -33,21 +33,6 @@ from .psdo import (ContourSpec, Cutoff, DEFAULT_CUTOFF, EllipticSymbol, Symbol,
 from .schrodinger import SpectralData, spectral_power
 
 
-@dataclass
-class FrequencySample:
-    """A frequency vector in the annulus M <= |omega| <= 2M."""
-
-    omega: np.ndarray
-    M: float
-    diophantine: dict | None = None
-
-    def __post_init__(self):
-        self.omega = np.atleast_1d(np.asarray(self.omega, dtype=float))
-        r = float(np.linalg.norm(self.omega))
-        if not (self.M * (1 - 1e-12) <= r <= 2 * self.M * (1 + 1e-12)):
-            raise ValueError(f"|omega| = {r:.4g} outside the annulus [M, 2M]")
-
-
 def sample_annulus(rng, M: float, nu: int, n: int) -> np.ndarray:
     """n uniform samples from the annulus; radial density r^{nu-1}."""
     u = rng.random(n)
@@ -163,9 +148,6 @@ class MagnusOutput:
     tau0: float
     norms: dict = field(default_factory=dict)
 
-    def pair_mat(self, alpha: float = 0.0, beta: float = 0.0) -> OperatorPair:
-        return OperatorPair(self.Vd_mat, self.Vo_mat, alpha, beta)
-
     def structure_defects(self) -> dict:
         Y, Vd, Vo = self.Y_mat, self.Vd_mat, self.Vo_mat
         return {
@@ -280,47 +262,3 @@ def adjoint_chain_check(out: MagnusOutput) -> dict:
     defect2_o = (ad2.Ao - 4.0 * YBY).norm_max()
     return {"ad2_d": defect2_d, "ad2_o": defect2_o, "ad3": ad3.norm_max(),
             "scale": max(1e-300, YBY.norm_max())}
-
-
-def pauli_algebra_check(rng=None, dim: int = 6) -> dict:
-    """Verify the 2x2 Pauli-block identities on random operator blocks.
-
-    sigma4^2 = 0; i[Y s4, B s3] = i[Y,B] 1 - i(YB+BY) s1; ad^2 = 4YBY s4;
-    ad^3 = 0; and the assembled driven Hamiltonian matches its 2x2 definition.
-    """
-    rng = rng or np.random.default_rng(0)
-    Y = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    B = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    I = np.eye(dim)
-    Z = np.zeros((dim, dim), dtype=complex)
-
-    def blocks(a, b, c, d):
-        return np.block([[a, b], [c, d]])
-
-    s1 = blocks(Z, I, I, Z)
-    s3 = blocks(I, Z, Z, -I)
-    s4 = blocks(I, I, -I, -I)
-    out = {}
-    out["sigma4_sq"] = float(np.max(np.abs(s4 @ s4)))
-    Ys4 = blocks(Y, Y, -Y, -Y)
-    Bs3 = blocks(B, Z, Z, -B)
-    comm = Y @ B - B @ Y
-    anti = Y @ B + B @ Y
-    lhs = 1j * (Ys4 @ Bs3 - Bs3 @ Ys4)
-    rhs = blocks(1j * comm, Z, Z, 1j * comm) - 1j * blocks(Z, anti, anti, Z)
-    out["ad1_identity"] = float(np.max(np.abs(lhs - rhs)))
-    ad1 = lhs
-    ad2 = 1j * (Ys4 @ ad1 - ad1 @ Ys4)
-    yby = Y @ B @ Y
-    out["ad2_identity"] = float(np.max(np.abs(ad2 - 4.0 * blocks(yby, yby, -yby, -yby))))
-    ad3 = 1j * (Ys4 @ ad2 - ad2 @ Ys4)
-    out["ad3_zero"] = float(np.max(np.abs(ad3)))
-    # assembled H(t) action against the defining 2x2 matrix form
-    Bh = 0.5 * (B + B.conj().T)
-    W = 0.5 * (Y + Y.conj().T)   # stand-in for B^{-1/2} V B^{-1/2}
-    H = blocks(Bh, Z, Z, -Bh) + blocks(W, W, -W, -W)
-    phi = rng.standard_normal(2 * dim) + 1j * rng.standard_normal(2 * dim)
-    up, lo = phi[:dim], phi[dim:]
-    direct = np.concatenate([Bh @ up + W @ (up + lo), -Bh @ lo - W @ (up + lo)])
-    out["assembled_action"] = float(np.max(np.abs(H @ phi - direct)))
-    return out

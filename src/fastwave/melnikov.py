@@ -5,9 +5,9 @@ conditions |omega.l + mu_n +- mu_n'| >= (gamma/<l>^tau) <n +- n'>^alpha / M^alph
 for the eigenvalues of the final KAM blocks.  The census runs over all block
 pairs up to n_max(l) ~ C1 M <l> (beyond which the sets are empty), using the
 spectral asymptotics lambda_n = sqrt(n^2 + q_bar + d(n)) outside the truncation
-and the KAM-corrected blocks inside it.  Pruning follows the three emptiness
-lemmas: unreachable block distances, Diophantine-protected diagonal triples,
-and large-index triples reduced to the first-order linear conditions.
+and the KAM-corrected blocks inside it.  Only the triples whose block
+distance n +- n' is within reach of |omega.l| are scanned; the emptiness
+lemmas dispose of the rest.
 
 `estimate_measure` runs its samples in a pool of forked worker processes,
 one per CPU of the affinity mask (`os.sched_getaffinity(0)`).  The fork start
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .calibration import CONSTANTS
 from .kam import SmallnessError
 from .magnus import diophantine_test, sample_annulus
 from .opmatrix import LieSeriesDiverged
@@ -127,13 +126,6 @@ class EigenTable:
 def eigen_table_from_state(state, q_bar: float) -> EigenTable:
     mu, _ = state.block_eigs()
     return EigenTable(J=state.lattice.J, q_bar=float(q_bar), mu_blocks=mu)
-
-
-def eigen_table_unperturbed(sd) -> EigenTable:
-    mu = {0: np.array([sd.lam[sd.idx(0)]])}
-    for n in range(1, sd.J + 1):
-        mu[n] = np.array(sorted([sd.lam[sd.idx(-n)], sd.lam[sd.idx(n)]]))
-    return EigenTable(J=sd.J, q_bar=sd.q_bar, mu_blocks=mu)
 
 
 def balanced_threshold(gamma: float, tau: float, alpha: float, M: float,
@@ -271,74 +263,6 @@ def _scan_lines(table, dot, sign, ks, n_cap, thr, no_diagonal):
     return checked + counts, sorted(found.items())
 
 
-def pruning_radii(params, M: float):
-    """R0(l), R1(l) of the diagonal and large-index emptiness lemmas."""
-    C = CONSTANTS["kam_drift_C"]
-    m_sq = CONSTANTS.get("m_sq_bound", 3.0)
-    gamma0 = params.gamma0
-    gamma1 = gamma0 ** 2
-    tau1 = params.tau0
-
-    def R0(ell_norm):
-        return 4.0 * C / (gamma0 * M) ** 2 * max(1.0, ell_norm) ** params.tau0
-
-    def R1(ell_norm):
-        return (8.0 * max(m_sq, C / (gamma0 * M)) * M ** params.alpha / gamma1
-                * max(1.0, ell_norm) ** tau1)
-    return R0, R1
-
-
-def resonance_census(params, M: float, L_check: int, n_grid, table: EigenTable):
-    """Classify grid triples by the pruning lemma that disposes of them.
-
-    Returns counts {unreachable, diagonal, linear, explicit} plus the
-    I- = I-1 + I-2 + I-3 budget mirror of the measure-estimate proof.
-    """
-    R0, R1 = pruning_radii(params, M)
-    C1 = 2.0 + (2.0 * CONSTANTS.get("m_sq_bound", 3.0) + 1.0) / M
-    counts = {"unreachable": 0, "diagonal": 0, "linear": 0, "explicit": 0}
-    budget = {"I_minus_1": 0, "I_minus_2": 0, "I_minus_3": 0}
-    from .magnus import nonzero_ell_box
-    ells = list(nonzero_ell_box(1, L_check)) + [np.zeros(1, dtype=int)]
-    for row in ells:
-        ln = float(np.linalg.norm(row))
-        for n in n_grid:
-            for n_in in n_grid:
-                if ln == 0.0 and n == n_in:
-                    continue
-                k = abs(n - n_in)
-                if k > C1 * M * max(1.0, ln):
-                    counts["unreachable"] += 1
-                    continue
-                if ln > 0 and n == n_in and max(1, n) ** params.alpha >= R0(ln):
-                    counts["diagonal"] += 1
-                    budget["I_minus_1"] += 1
-                    continue
-                if (max(1, min(n, n_in)) ** params.alpha
-                        * max(1, k) ** params.alpha >= R1(ln)):
-                    counts["linear"] += 1
-                    budget["I_minus_2"] += 1
-                    continue
-                counts["explicit"] += 1
-                budget["I_minus_3"] += 1
-    return counts, budget
-
-
-def audit_pruned_triples(params, M: float, omega, table: EigenTable,
-                         triples, rng) -> bool:
-    """1% audit: no pruned triple actually violates the explicit inequality."""
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    sel = [t for t in triples if rng.random() < 0.01] or triples[:1]
-    for (ell, n, n_in, sign) in sel:
-        dot = float(np.dot(ell, omega))
-        vals = dot + np.add.outer(table.values(n), sign * table.values(n_in))
-        thr = balanced_threshold(params.gamma, params.tau, params.alpha, M,
-                                 float(np.linalg.norm(ell)), abs(n + sign * n_in))
-        if np.min(np.abs(vals)) < thr:
-            return False
-    return True
-
-
 def single_set_measure_exact(M: float, ell: int, c: float, delta: float):
     """Exact measure of {omega in R_M : |omega l + c| <= delta} for nu = 1,
     against the Lipschitz-window bound 2 delta (4M)^{nu-1} / (|l| - c0)."""
@@ -439,8 +363,3 @@ def fitted_gamma_exponent(gammas, m_rs) -> float:
     if len(xs) < 2:
         return float("nan")
     return float(np.polyfit(xs, ys, 1)[0])
-
-
-def gamma_star(gamma: float, alpha: float) -> float:
-    """The combined smallness gamma* = min{gamma^(alpha/4), gamma^(1/2)}."""
-    return min(gamma ** (alpha / 4.0), gamma ** 0.5)

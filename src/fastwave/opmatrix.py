@@ -363,16 +363,6 @@ def pair_norm(P: "OperatorPair", s: float, alpha=None, beta=None) -> float:
     return sum(_pair_term_norms(P, s, alpha, beta).values())
 
 
-def norm_audit(P: "OperatorPair", s: float, alpha=None, beta=None) -> dict:
-    """Class-membership certificate: every weighted norm of the pair, JSON-ready."""
-    alpha = P.alpha if alpha is None else alpha
-    beta = P.beta if beta is None else beta
-    terms = _pair_term_norms(P, s, alpha, beta)
-    return {"s": s, "alpha": alpha, "beta": beta,
-            "structure_defect": P.structure_defect(), **terms,
-            "total": sum(terms.values())}
-
-
 def project_modes(A: BlockOperator, N: float):
     """(Pi_N A, Pi_N^perp A): split the angle modes at |l| <= N."""
     low = A.lattice.ell_norms() <= N
@@ -527,41 +517,3 @@ def lie_series(X: OperatorPair, total: OperatorPair, term: OperatorPair,
         if inc > math.sqrt(tol) * scale:
             raise LieSeriesDiverged("Lie series did not settle within n_max terms")
     return total
-
-
-def lie_conjugate(X: OperatorPair, V: OperatorPair, tol: float = 1e-14,
-                  n_max: int = 30):
-    """e^{iX} V e^{-iX} = sum_n ad_X^n(V)/n!, truncated at increment < tol (1 + |V|).
-
-    Returns (conjugated pair, difference pair = result - V).
-    """
-    zero = OperatorPair.zero(V.Ad.lattice, V.alpha, V.beta, V.Ad.K)
-    diff = lie_series(X, zero, V, 1, 0, tol, 1.0 + V.norm_max(), n_max)
-    return V + diff, diff
-
-
-# -- finite block-space operators ---------------------------------------------
-
-
-def left_right_ops(A: np.ndarray, B: np.ndarray):
-    """M_L(A): X -> AX and M_R(B): X -> XB on row-major vectorized blocks."""
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
-    B = np.atleast_2d(np.asarray(B, dtype=complex))
-    ML = np.kron(A, np.eye(B.shape[0]))
-    MR = np.kron(np.eye(A.shape[0]), B.T)
-    return ML, MR
-
-
-def block_inverse_norm(G: np.ndarray, hermitian: bool | None = None) -> float:
-    """||G^{-1}|| = 1/min|eig| (self-adjoint) with singular-value fallback."""
-    G = np.asarray(G, dtype=complex)
-    if hermitian is None:
-        hermitian = np.max(np.abs(G - G.conj().T)) <= 1e-12 * max(1.0, np.max(np.abs(G)))
-    if hermitian:
-        ev = np.linalg.eigvalsh(G)
-        m = np.min(np.abs(ev))
-    else:
-        m = np.min(np.linalg.svd(G, compute_uv=False))
-    if m == 0.0:
-        raise np.linalg.LinAlgError("singular block operator")
-    return float(1.0 / m)

@@ -368,27 +368,6 @@ def weighted_norm(a: Symbol, m: float, s: float, alpha: int = 0) -> float:
     return worst
 
 
-def weighted_norm_lip(symbols: dict, m: float, s: float, alpha: int, w: float) -> float:
-    """Finite-difference Lipschitz variant over sampled parameters omega -> Symbol."""
-    keys = list(symbols)
-    sup = max(weighted_norm(symbols[k], m, s, alpha) for k in keys)
-    lip = 0.0
-    for i in range(len(keys)):
-        for k in range(i + 1, len(keys)):
-            o1, o2 = np.asarray(keys[i]), np.asarray(keys[k])
-            dist = float(np.linalg.norm(o1 - o2))
-            if dist == 0.0:
-                continue
-            worst = 0.0
-            for beta in range(alpha + 1):
-                for xi in range(-symbols[keys[i]].xi_max, symbols[keys[i]].xi_max + 1):
-                    dv = sobolev_norm(symbols[keys[i]].eval(xi, beta)
-                                      - symbols[keys[k]].eval(xi, beta), max(s - 1, 0))
-                    worst = max(worst, dv * max(1.0, abs(xi)) ** (-m + beta))
-            lip = max(lip, worst / dist)
-    return sup + w * lip
-
-
 # -- composition ----------------------------------------------------------------
 
 
@@ -427,50 +406,6 @@ def compose(a: Symbol, b: Symbol, N: int, with_report: bool = False):
         "column_max": diag,
     }
     return approx, report
-
-
-def commutator_symbol(a: Symbol, b: Symbol, with_report: bool = False):
-    """Leading commutator symbol -i{a, b}; residual decays two orders lower."""
-    if a.deriv_depth < 2 or b.deriv_depth < 2:
-        raise ValueError("commutator needs deriv_depth >= 2")
-    lead = (-1j) * (a.dxi().mul(b.dx()) - a.dx().mul(b.dxi()))
-    lead = Symbol(lead.lattice, a.order + b.order - 1, lead._rule,
-                  lead.deriv_depth, lead.xi_max, "composed")
-    if not with_report:
-        return lead
-    Opa, Opb = quantize(a), quantize(b)
-    residual = (Opa @ Opb - Opb @ Opa) - quantize(lead)
-    expo, diag = entry_decay_exponent(residual)
-    return lead, {"expected_order": a.order + b.order - 2,
-                  "fitted_exponent": expo, "residual": residual,
-                  "column_max": diag}
-
-
-def symbol_dump(a: Symbol, xi_values=None, beta: int = 0) -> dict:
-    """JSON-ready sample of a symbol: order, xi range, coefficient slices."""
-    xi_values = list(xi_values) if xi_values is not None else \
-        sorted({-a.xi_max, -a.xi_max // 2, -1, 0, 1, a.xi_max // 2, a.xi_max})
-    samples = {}
-    for xi in xi_values:
-        tf = a.eval(xi, beta)
-        samples[str(xi)] = tf.to_json_dict(tol=1e-14)["coeffs"]
-    return {"order": a.order, "xi_max": a.xi_max, "deriv_depth": a.deriv_depth,
-            "provenance": a.provenance, "beta": beta, "samples": samples}
-
-
-def decay_fit_csv(R: BlockOperator, j_lo: int | None = None,
-                  j_hi: int | None = None) -> str:
-    """CSV (|j|, max entry, fitted exponent) of an operator's column decay."""
-    import csv as _csv
-    import io as _io
-    expo, colmax = entry_decay_exponent(R, j_lo, j_hi)
-    J = R.lattice.J
-    buf = _io.StringIO()
-    w = _csv.writer(buf)
-    w.writerow(["abs_j", "max_entry", "fitted_exponent"])
-    for j in range(J + 1):
-        w.writerow([j, max(colmax[J + j], colmax[J - j]), expo])
-    return buf.getvalue()
 
 
 def entry_decay_exponent(R: BlockOperator, j_lo: int | None = None,

@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from fastwave.craig_wayne import (
     AdmissibilityError, LsContext, apply_Tn, assemble_Sn, build_basis_matrix,
-    change_basis, eigen_coords, eigen_residual, embed_psdo_pair,
+    change_basis, eigen_residual,
     fit_exponential_decay, ls_block_eigenpairs, shifted_norm, solve_q_equation,
     tilde_C, verify_localization, x_sobolev_norm,
 )
@@ -286,7 +284,7 @@ def test_localization_exponential_crosscheck():
     assert sigma > 0.5
 
 
-# -- basis matrix and embedding ------------------------------------------------------
+# -- basis matrix ------------------------------------------------------
 
 
 def test_basis_matrix_free_identity():
@@ -343,8 +341,8 @@ def test_change_basis_preserves_action():
     A = BlockOperator.time_independent(lat, rng.standard_normal((D, D)) + 0j)
     Ae = change_basis(A, B)
     u = rng.standard_normal(D) + 1j * rng.standard_normal(D)
-    lhs = Ae.mat((0,)) @ eigen_coords(B, u)
-    rhs = eigen_coords(B, A.mat((0,)) @ u)
+    lhs = Ae.mat((0,)) @ (np.conj(B.M) @ u)
+    rhs = np.conj(B.M) @ (A.mat((0,)) @ u)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -359,46 +357,3 @@ def test_change_basis_free_q_is_identity_map():
     A = BlockOperator.time_independent(lat, rng.standard_normal((D, D)) + 0j)
     Ae = change_basis(A, B)
     assert np.max(np.abs(Ae.mat((0,)) - A.mat((0,)))) < 1e-12
-
-
-def test_embed_psdo_pair_diagonal_closed_form():
-    from fastwave.psdo import Symbol
-    J = 12
-    lat = Lattice(1, 2, J)
-    q0 = xcoeffs(J, {0: 1.0})
-    sd = eigensolve_blocks(assemble_lq(q0, J), q=q0)
-    B = build_basis_matrix(sd)
-    Ad = Symbol.bracket_power(lat, -1.0)
-    Ao = Symbol.constant(lat, 0.0)
-    pair, bundle = embed_psdo_pair(Ad, Ao, B, s=3.0, alpha=1.0, beta=0.0)
-    # diagonal <xi>^{-1}: the <D>^1-weighted norm has all blocks of HS norm
-    # sqrt(2) <n>^{-1} <n>^{1} = sqrt(2) (n>=1), 1 at n=0
-    got = bundle["term0:d:D^1.A.D^0"]
-    assert got == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    assert bundle["pair_norm"] > 0
-
-
-def test_embed_psdo_pair_zero():
-    from fastwave.psdo import Symbol
-    J = 8
-    lat = Lattice(1, 2, J)
-    q0 = xcoeffs(J, {0: 1.0})
-    sd = eigensolve_blocks(assemble_lq(q0, J), q=q0)
-    B = build_basis_matrix(sd)
-    z = Symbol.constant(lat, 0.0)
-    pair, bundle = embed_psdo_pair(z, z, B, s=3.0, alpha=0.5, beta=0.0)
-    assert bundle["pair_norm"] == 0.0
-
-
-def test_embed_psdo_pair_structure_guard():
-    from fastwave.psdo import Symbol
-    J = 8
-    lat = Lattice(1, 2, J)
-    q0 = xcoeffs(J, {0: 1.0})
-    sd = eigensolve_blocks(assemble_lq(q0, J), q=q0)
-    B = build_basis_matrix(sd)
-    bad = Symbol.xi_poly(lat, [0.0, 1.0])   # Op(xi) is self-adjoint... use asym x-part
-    bad = Symbol.x_multiplication(lat, xcoeffs(J, {1: 1.0}))  # e^{ix}: not real
-    good = Symbol.constant(lat, 0.0)
-    with pytest.raises(ValueError):
-        embed_psdo_pair(bad, good, B, s=3.0, alpha=0.5, beta=0.0)

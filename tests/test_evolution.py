@@ -1,18 +1,16 @@
-import math
-
 import numpy as np
 import pytest
 
 from fastwave.craig_wayne import build_basis_matrix, change_basis
 from fastwave.evolution import (
-    FloquetFrame, Trajectory, band_width, complexify, decomplexify,
-    floquet_residual, integrate, pair_state, resonant_drive, sigma4_exponential,
-    sobolev_trace,
+    FloquetFrame, band_width, floquet_residual, integrate,
+    pair_state, sigma4_exponential, sobolev_trace,
 )
 from fastwave.harmonics import Lattice, TorusFunction
 from fastwave.kam import KamParameters, init_state, kam_iterate
 from fastwave.magnus import magnus_transform
-from fastwave.schrodinger import assemble_lq, eigensolve_blocks
+from fastwave.schrodinger import assemble_lq, eigensolve_blocks, spectral_power
+from oracles import resonant_drive
 
 
 def xcoeffs(J, entries):
@@ -29,32 +27,6 @@ SD = eigensolve_blocks(assemble_lq(QC, J), q=QC)
 VTOY = TorusFunction.from_modes(LAT, {(1, 1): 0.25, (1, -1): 0.25,
                                       (-1, 1): 0.25, (-1, -1): 0.25},
                                 reality=True)
-
-
-def test_complexify_round_trip():
-    # real wave-equation data: coefficients with the conj-flip symmetry
-    rng = np.random.default_rng(0)
-
-    def real_coeffs():
-        c = rng.standard_normal(2 * J + 1) + 1j * rng.standard_normal(2 * J + 1)
-        return 0.5 * (c + np.conj(c[::-1]))
-
-    u0, ut = real_coeffs(), real_coeffs()
-    phi = complexify(u0, ut, SD)
-    phibar = np.conj(phi[::-1])     # coefficients of the conjugate function
-    u_back, ut_back = decomplexify(phi, phibar, SD)
-    assert np.max(np.abs(u_back - u0)) < 1e-12
-    assert np.max(np.abs(ut_back - ut)) < 1e-12
-
-
-def test_complexify_eigenfunction():
-    # u0 = psi_n, u0_t = 0: phi = lambda_n^{1/2} psi_n
-    n = 3
-    psi_n = SD.psi[:, SD.idx(n)]
-    phi = complexify(psi_n, np.zeros_like(psi_n), SD)
-    want = SD.lam[SD.idx(n)] ** 0.5 * psi_n
-    assert np.max(np.abs(phi - want)) < 1e-10
-    assert np.max(np.abs(complexify(0 * psi_n, 0 * psi_n, SD))) == 0.0
 
 
 def test_free_evolution_exact_rotation():
@@ -100,8 +72,7 @@ def test_reality_preserved():
     rng = np.random.default_rng(3)
     u0 = np.conj((rng.standard_normal(2 * J + 1) + 1j * rng.standard_normal(2 * J + 1))[::-1])
     u0 = 0.5 * (u0 + np.conj(u0[::-1]))          # real-valued u0
-    ut = np.zeros_like(u0)
-    phi = complexify(u0, ut, SD)
+    phi = spectral_power(SD, 0.25) @ u0      # B^{1/2} u0 + i B^{-1/2} u0_t, u0_t = 0
     state = pair_state(phi, SD)
     traj = integrate(SD, VTOY, np.array([50.0]), state, 0.5, 1e-3, LAT,
                      store_every=100)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from fastwave.harmonics import (
-    Lattice, TorusFunction, sobolev_norm, multiply, phi_average,
-    to_grid, from_grid, x_to_grid, x_from_grid, xconv,
+    Lattice, TorusFunction, sobolev_norm, multiply, x_to_grid, x_from_grid, xconv,
 )
 
 
@@ -76,6 +75,27 @@ def test_multiply_deltas():
     assert np.sum(np.abs(w.coeffs)) == pytest.approx(1.0)
 
 
+def _grid_index(lat, sizes):
+    cutoffs = [lat.L] * lat.nu + [lat.J]
+    return np.ix_(*[np.arange(-c, c + 1) % n for c, n in zip(cutoffs, sizes)])
+
+
+def to_grid(u, oversample=2):
+    """Collocation oracle: u sampled on a uniform (phi, x) grid of
+    oversample * (2L+1) points per angle and oversample * (2J+1) in x."""
+    lat = u.lattice
+    sizes = [oversample * (2 * lat.L + 1)] * lat.nu + [oversample * (2 * lat.J + 1)]
+    buf = np.zeros(sizes, dtype=complex)
+    buf[_grid_index(lat, sizes)] = u.coeffs
+    return np.fft.ifftn(buf) * np.prod(sizes)
+
+
+def from_grid(values, lat):
+    """Inverse of to_grid: the lattice's coefficients of the sampled values."""
+    spec = np.fft.fftn(values) / np.prod(values.shape)
+    return TorusFunction(lat, np.ascontiguousarray(spec[_grid_index(lat, values.shape)]))
+
+
 def test_multiply_matches_collocation():
     # oracle: sample both factors on an oversampled grid, multiply pointwise,
     # re-transform, truncate
@@ -121,37 +141,6 @@ def test_multiply_lattice_mismatch():
     v = TorusFunction.zero(Lattice(1, 2, 3))
     with pytest.raises(ValueError):
         multiply(u, v)
-
-
-def test_phi_average_zero_slice():
-    lat = Lattice(1, 2, 2)
-    v = TorusFunction.from_modes(lat, {(1, 1): 1.0, (-1, -1): 1.0})
-    avg, flag = phi_average(v)
-    assert flag
-    assert np.max(np.abs(avg.coeffs)) == 0.0
-
-
-def test_phi_average_reads_off_slice():
-    # v = cos(phi) cos(x) + cos(x) -> average is cos(x)
-    lat = Lattice(1, 2, 2)
-    v = TorusFunction.from_modes(lat, {
-        (1, 1): 0.25, (1, -1): 0.25, (-1, 1): 0.25, (-1, -1): 0.25,
-        (0, 1): 0.5, (0, -1): 0.5,
-    }, reality=True)
-    avg, flag = phi_average(v)
-    assert not flag
-    assert avg.coeff((0,), 1) == pytest.approx(0.5)
-    assert avg.coeff((0,), -1) == pytest.approx(0.5)
-    assert avg.coeff((0,), 0) == pytest.approx(0.0)
-
-
-def test_phi_average_self_consistency():
-    lat = Lattice(2, 2, 3)
-    rng = np.random.default_rng(4)
-    v = TorusFunction.random(lat, rng, reality=True)
-    avg, _ = phi_average(v)
-    _, flag = phi_average(v - avg)
-    assert flag
 
 
 def test_parseval():

@@ -1,13 +1,13 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fastwave.harmonics import Lattice, TorusFunction
 from fastwave.craig_wayne import build_basis_matrix
 from fastwave.kam import (
-    KamParameters, KamState, SmallnessError, build_G, diagonal_correction,
+    KamParameters, KamState, SmallnessError, diagonal_correction,
     final_spectrum, homological_residual, init_state, kam_iterate, kam_step,
     melnikov_step_test, nash_moser_check, smallness_check, solve_homological,
 )
@@ -15,6 +15,7 @@ from fastwave.magnus import magnus_transform
 from fastwave.melnikov import estimate_measure
 from fastwave.opmatrix import BlockOperator, LieSeriesDiverged, OperatorPair, block_slice
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks
+from oracles import left_right_ops
 
 
 def xcoeffs(J, entries):
@@ -161,6 +162,13 @@ def test_divergent_lie_series_reported():
     assert rep.indeterminate == rep.n_samples - rep.rejected_omega0 > 0
     assert rep.indeterminate_by_type == {"SmallnessError": 0, "LinAlgError": 0,
                                          "LieSeriesDiverged": rep.indeterminate}
+
+
+def build_G(state: KamState, ell, n: int, n_in: int, sign: int) -> np.ndarray:
+    """omega.l Id + M_L(H0_[n]) +- M_R(H0_[n']) on the (n, n') block space."""
+    ML, MR = left_right_ops(state.H0[n], state.H0[n_in])
+    dot = float(np.dot(np.atleast_1d(ell), state.omega))
+    return dot * np.eye(ML.shape[0]) + ML + float(sign) * MR
 
 
 def test_build_G_spectrum():
@@ -391,9 +399,24 @@ def test_kam_iterate_two_legs_repeat_one_run(track_norms):
             assert A.mats.tobytes() == B.mats.tobytes()
 
 
+def generator_exponential(X: OperatorPair) -> np.ndarray:
+    """Dense e^{iX} on the doubled extended lattice."""
+    return scipy.linalg.expm(1j * X.to_dense())
+
+
+def transformation_product(gens, lattice: Lattice) -> np.ndarray:
+    """W_p = e^{iX^(0)} ... e^{iX^(p-1)} as a dense matrix."""
+    out = None
+    for X in gens:
+        E = generator_exponential(X)
+        out = E if out is None else out @ E
+    if out is None:
+        n = len(lattice.ell_range()) * (2 * lattice.J + 1) * 2
+        out = np.eye(n, dtype=complex)
+    return out
+
+
 def test_transformation_cauchy_and_conjugation():
-    import scipy.linalg
-    from fastwave.kam import generator_exponential, transformation_product
     state, out, sd, basis, lat = toy_setup(J=8, L=3, M=1e3)
     final, gens = kam_iterate(state, p_max=3, collect_generators=True)
     assert gens, "expected at least one generator"
@@ -405,7 +428,6 @@ def test_transformation_cauchy_and_conjugation():
     # e^{-iX} (H - omega.dphi) e^{iX} = H0^{(1)} + V^{(1)} as quadratic forms
     X = gens[0]
     E = generator_exponential(X)
-    H0m = np.kron(np.diag([1.0, -1.0]), np.zeros((1, 1)))  # placeholder shape
     # assemble extended H^{(0)} and H^{(1)} including the rotation term
     def extended(state_k):
         lat_ = state_k.lattice

@@ -5,10 +5,9 @@ import pytest
 
 from fastwave.harmonics import Lattice, TorusFunction
 from fastwave.magnus import (
-    FrequencySample, MagnusOutput, NonZeroAverageError, adjoint_chain_check,
-    apply_divisors, build_power_symbols, diophantine_test, homological_residual,
-    magnus_generator, magnus_transform, multiplication_operator,
-    pauli_algebra_check, sample_annulus,
+    NonZeroAverageError, adjoint_chain_check, apply_divisors,
+    build_power_symbols, diophantine_test, homological_residual,
+    magnus_generator, magnus_transform, multiplication_operator, sample_annulus,
 )
 from fastwave.psdo import Symbol, weighted_norm
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks
@@ -36,12 +35,6 @@ def golden_omega(M, nu=1):
     g = (1 + math.sqrt(5)) / 2
     v = np.array([1.0] + [g ** (k + 1) for k in range(nu - 1)])
     return 1.5 * M * v / np.linalg.norm(v)
-
-
-def test_frequency_sample_annulus_guard():
-    FrequencySample(np.array([1.5]), 1.0)
-    with pytest.raises(ValueError):
-        FrequencySample(np.array([0.5]), 1.0)
 
 
 def test_sample_annulus_in_range():
@@ -227,7 +220,38 @@ def test_symbol_route_and_matrix_route_agree_midband():
 
 
 def test_pauli_algebra_check():
-    rep = pauli_algebra_check()
-    assert rep["sigma4_sq"] == 0.0
-    for key in ("ad1_identity", "ad2_identity", "ad3_zero", "assembled_action"):
-        assert rep[key] < 1e-12
+    # the 2x2 Pauli-block identities on random operator blocks: sigma4^2 = 0;
+    # i[Y s4, B s3] = i[Y,B] 1 - i(YB+BY) s1; ad^2 = 4YBY s4; ad^3 = 0; and the
+    # assembled driven Hamiltonian matches its 2x2 definition
+    rng = np.random.default_rng(0)
+    dim = 6
+    Y = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    B = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    I = np.eye(dim)
+    Z = np.zeros((dim, dim), dtype=complex)
+
+    def blocks(a, b, c, d):
+        return np.block([[a, b], [c, d]])
+
+    s4 = blocks(I, I, -I, -I)
+    assert np.max(np.abs(s4 @ s4)) == 0.0
+    Ys4 = blocks(Y, Y, -Y, -Y)
+    Bs3 = blocks(B, Z, Z, -B)
+    comm = Y @ B - B @ Y
+    anti = Y @ B + B @ Y
+    ad1 = 1j * (Ys4 @ Bs3 - Bs3 @ Ys4)
+    rhs = blocks(1j * comm, Z, Z, 1j * comm) - 1j * blocks(Z, anti, anti, Z)
+    assert np.max(np.abs(ad1 - rhs)) < 1e-12
+    ad2 = 1j * (Ys4 @ ad1 - ad1 @ Ys4)
+    yby = Y @ B @ Y
+    assert np.max(np.abs(ad2 - 4.0 * blocks(yby, yby, -yby, -yby))) < 1e-12
+    ad3 = 1j * (Ys4 @ ad2 - ad2 @ Ys4)
+    assert np.max(np.abs(ad3)) < 1e-12
+    # assembled H(t) action against the defining 2x2 matrix form
+    Bh = 0.5 * (B + B.conj().T)
+    W = 0.5 * (Y + Y.conj().T)   # stand-in for B^{-1/2} V B^{-1/2}
+    H = blocks(Bh, Z, Z, -Bh) + blocks(W, W, -W, -W)
+    phi = rng.standard_normal(2 * dim) + 1j * rng.standard_normal(2 * dim)
+    up, lo = phi[:dim], phi[dim:]
+    direct = np.concatenate([Bh @ up + W @ (up + lo), -Bh @ lo - W @ (up + lo)])
+    assert np.max(np.abs(H @ phi - direct)) < 1e-12

@@ -5,10 +5,10 @@ import scipy.linalg
 from fastwave.harmonics import Lattice, TorusFunction
 from fastwave.opmatrix import (
     BlockOperator, LieSeriesDiverged, OperatorPair, _conj_grid, _from_phi_grid,
-    _pair_norm_terms, _phi_grid, _x_grids, ad,
-    block_inverse_norm, block_slice, left_right_ops, lie_conjugate, lie_series,
-    norm_audit, pair_norm, project_modes, s_decay_norm,
+    _pair_norm_terms, _pair_term_norms, _phi_grid, _x_grids, ad,
+    lie_series, pair_norm, project_modes, s_decay_norm,
 )
+from oracles import left_right_ops, lie_conjugate
 
 LAT = Lattice(1, 3, 6)
 LAT2 = Lattice(2, 2, 4)
@@ -104,8 +104,7 @@ def test_pair_norm_matches_loop_oracle(lat, alpha, beta, n_terms):
         want = pair_norm_loop_terms(P, s, alpha, beta)
         assert len(want) == n_terms
         assert pair_norm(P, s) == pytest.approx(sum(want), rel=1e-12)
-        audit = norm_audit(P, s)
-        got = [v for k, v in audit.items() if str(k).startswith("term")]
+        got = list(_pair_term_norms(P, s, alpha, beta).values())
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -511,17 +510,6 @@ def test_left_right_action_and_opnorm():
     assert opn <= np.linalg.norm(A) + 1e-12
 
 
-def test_block_inverse_norm():
-    assert block_inverse_norm(np.diag([2.0, 3.0])) == pytest.approx(0.5)
-    assert block_inverse_norm(np.eye(3)) == pytest.approx(1.0)
-    rng = np.random.default_rng(17)
-    G = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    G = 0.5 * (G + G.conj().T)
-    assert block_inverse_norm(G) == pytest.approx(np.linalg.norm(np.linalg.inv(G), 2), rel=1e-12)
-    with pytest.raises(np.linalg.LinAlgError):
-        block_inverse_norm(np.diag([1.0, 0.0]))
-
-
 def test_tame_product_inequality():
     from fastwave.calibration import CONSTANTS
     rng = np.random.default_rng(18)
@@ -561,14 +549,3 @@ def test_monotonicity_in_s_alpha_beta():
     assert pair_norm(P, 2.0, 1.0, 0.5) <= n_hi + 1e-12
     assert pair_norm(P, 3.0, 0.5, 0.5) <= n_hi + 1e-12
     assert pair_norm(P, 3.0, 1.0, 0.0) <= n_hi + 1e-12
-
-
-def test_norm_audit_json_and_total():
-    rng = np.random.default_rng(30)
-    P = random_pair(LAT, rng, alpha=0.5, beta=0.0)
-    audit = norm_audit(P, 2.0)
-    import json
-    json.dumps(audit)
-    assert audit["total"] == pytest.approx(
-        sum(v for k, v in audit.items() if str(k).startswith("term")),
-        rel=1e-12)

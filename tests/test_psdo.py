@@ -7,8 +7,8 @@ from fastwave.harmonics import Lattice, TorusFunction, multiply, sobolev_norm
 from fastwave.opmatrix import BlockOperator
 from fastwave.psdo import (
     ContourSpec, Cutoff, EllipticityError, EllipticSymbol, Symbol,
-    commutator_symbol, complex_power, compose, entry_decay_exponent,
-    parametrix_layers_batch, quantize, resolvent_parametrix, weighted_norm,
+    complex_power, compose, entry_decay_exponent, parametrix_layers_batch,
+    quantize, resolvent_parametrix, weighted_norm,
 )
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks, spectral_power
 
@@ -185,34 +185,6 @@ def test_compose_requires_depth():
         compose(a, a, N=3)
 
 
-def test_commutator_trivial_and_canonical():
-    a = Symbol.xi_poly(LAT, [0.0, 1.0])
-    lead_aa = commutator_symbol(a, a)
-    for xi in (-4, 0, 3):
-        assert np.max(np.abs(lead_aa.eval(xi).coeffs)) < 1e-14
-    f = cos_coeffs(J, amp=2.0)
-    b = Symbol.x_multiplication(LAT, f)
-    lead = commutator_symbol(a, b)
-    for xi in (-4, 0, 3):
-        got = lead.eval(xi).coeffs[LAT.L]
-        want = -1j * (1j * np.arange(-J, J + 1)) * f   # -i f'(x)
-        assert np.max(np.abs(got - want)) < 1e-13
-    # operator-level: [Op(a), Op(b)] = Op(lead) exactly for polynomial a
-    R = (quantize(a) @ quantize(b) - quantize(b) @ quantize(a)) - quantize(lead)
-    assert R.norm_max() < 1e-12
-
-
-def test_commutator_residual_decay():
-    rng = np.random.default_rng(2)
-    u = TorusFunction.x_only(LAT, cos_coeffs(J, amp=1.0), reality=True)
-    a = Symbol.torus_multiplication(LAT, u).mul(Symbol.bracket_power(LAT, -1.0))
-    naive = Symbol.xi_poly(LAT, [0.0, 0.0, 1.0]) + Symbol.x_multiplication(LAT, QC)
-    b = Symbol(LAT, 2.0, naive._rule, 12, LAT.J).sqrt()
-    lead, report = commutator_symbol(a, b, with_report=True)
-    # orders: -1 + 1 - 2 = -2; fitted exponent should be at or below ~-2 + slack
-    assert report["fitted_exponent"] < report["expected_order"] + 0.6
-
-
 # -- parametrix ------------------------------------------------------------------
 
 
@@ -343,28 +315,3 @@ def test_power_contour_guard():
     with pytest.raises(EllipticityError):
         # rho far above the bottom of the symbol range: circle crosses it
         complex_power(ell, -0.5, N=2, contour=ContourSpec(2.0, 2.0 * math.exp(80), 64))
-
-
-def test_symbol_dump_and_decay_csv():
-    from fastwave.psdo import decay_fit_csv, symbol_dump
-    a = Symbol.x_multiplication(LAT, QC).mul(Symbol.bracket_power(LAT, -1.0))
-    d = symbol_dump(a)
-    assert d["order"] == -1.0 and "samples" in d and "0" in d["samples"]
-    import json
-    json.dumps(d)    # JSON-serializable
-    R = quantize(a)
-    text = decay_fit_csv(R)
-    assert text.splitlines()[0] == "abs_j,max_entry,fitted_exponent"
-    assert len(text.splitlines()) == J + 2
-
-
-def test_weighted_norm_lipschitz_variant():
-    from fastwave.psdo import weighted_norm_lip
-    # omega-labelled family: scaling by 1/|omega| has the expected seminorms
-    base = Symbol.x_multiplication(LAT, QC).mul(Symbol.bracket_power(LAT, -1.0))
-    fam = {(100.0,): base * (1.0 / 100.0), (110.0,): base * (1.0 / 110.0)}
-    w = 0.5
-    val = weighted_norm_lip(fam, -1.0, 2.0, 0, w)
-    sup = weighted_norm(base, -1.0, 2.0, 0)
-    want = sup / 100.0 + w * sup * (1 / 100.0 - 1 / 110.0) / 10.0
-    assert val == pytest.approx(want, rel=1e-10)
