@@ -15,8 +15,6 @@ CONSTANTS = {
     "sdecay_tame_C_s": 1.35,
     # ||A u||_{H^r} <= C |A|_s ||u||_{H^r}, r <= s (opnorm vs s-decay, s = 4)
     "opnorm_C_rs": 1.65,
-    # ad tame bound |ad_X(V)|_{s,a,a} <= C(|X| |V| + |X| |V|) at s = 4
-    "ad_tame_C": 6.0,
     # KAM smallness constant C_{s0} in  C_{s0} N0^Lambda (M^a/gamma) delta <= 1.
     # Anchored at the measured divergence boundary of the iteration on the
     # driven-cosine corpus (boundary raw factor ~ 2.4e23 across driving

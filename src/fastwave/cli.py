@@ -257,15 +257,14 @@ def stage_magnus(ctx: dict) -> dict:
     norms_d, norms_o = [], []
     for M in cfg["sweep_M"]:
         omega = golden_omega(M, lat.nu)
-        out = magnus_transform(qc, v, omega, M, cfg["gamma0"], cfg["tau0"], sd,
-                               with_symbols=False)
+        out = magnus_transform(qc, v, omega, M, cfg["gamma0"], cfg["tau0"], sd)
         nd, no = s_decay_norm(out.Vd_mat, 3.0), s_decay_norm(out.Vo_mat, 3.0)
         norms_d.append(nd)
         norms_o.append(no)
         rows.append((M, nd, no))
     M0 = cfg["M"]
     out = magnus_transform(qc, v, golden_omega(M0, lat.nu), M0, cfg["gamma0"],
-                           cfg["tau0"], sd, with_symbols=False)
+                           cfg["tau0"], sd)
     ctx["magnus_out"] = out
     defects = out.structure_defects()
     res = homological_residual(out)
@@ -352,7 +351,7 @@ def stage_measure(ctx: dict) -> dict:
 
         def pipeline(omega):
             out = magnus_transform(qc, v, omega, M, params.gamma0,
-                                   params.tau0, sd, with_symbols=False)
+                                   params.tau0, sd)
             st = init_state(out, sd, basis, params, lat, track_norms=False)
             fin, _ = kam_iterate(st, p_max=2, track_norms=False)
             return eigen_table_from_state(fin, sd.q_bar)

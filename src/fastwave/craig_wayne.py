@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .harmonics import TorusFunction, xconv
-from .opmatrix import BlockOperator, _hs_block_tensor, _s_decay_sq, block_slice
+from .opmatrix import BlockOperator, _hs_block_tensor, _s_decay_sq
 from .schrodinger import SpectralData
 
 
@@ -280,21 +280,6 @@ def verify_localization(f, n: int, s: float, slack: float = 1e-8):
     return ratio, ratio <= 2.0 + slack
 
 
-def fit_exponential_decay(f, n: int):
-    """Fitted sigma of |(f, e_m)| ~ C exp(-sigma |m - n|) (analytic q cross-check)."""
-    c = np.abs(_xcoeffs(f))
-    J = (len(c) - 1) // 2
-    ds, vals = [], []
-    for m in range(n + 1, J + 1):
-        v = max(c[J + m], c[J - m])
-        if v > 1e-14:
-            ds.append(m - n)
-            vals.append(math.log(v))
-    if len(ds) < 3:
-        return float("nan")
-    return -float(np.polyfit(ds, vals, 1)[0])
-
-
 # -- basis change ---------------------------------------------------------------
 
 
@@ -305,11 +290,6 @@ class BasisMatrix:
     M: np.ndarray
     J: int
     K: np.ndarray          # conjugation matrix in eigen coordinates
-
-    def block(self, n: int, m: int) -> np.ndarray:
-        rows = block_slice(self.J, n)
-        cols = block_slice(self.J, m)
-        return self.M[np.ix_(rows, cols)]
 
     def unitarity_defect(self) -> float:
         G = self.M @ self.M.conj().T

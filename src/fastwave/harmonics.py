@@ -15,7 +15,6 @@ discarded (consistent Galerkin projection).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -108,16 +107,6 @@ class TorusFunction:
         return cls(lattice, c, reality)
 
     @classmethod
-    def x_only(cls, lattice: Lattice, xcoeffs: np.ndarray, reality: bool = False) -> "TorusFunction":
-        """Embed a function of x alone as the l = 0 slice."""
-        xcoeffs = np.asarray(xcoeffs, dtype=complex)
-        if xcoeffs.shape != (2 * lattice.J + 1,):
-            raise ValueError("xcoeffs must have length 2J+1")
-        c = np.zeros(lattice.shape, dtype=complex)
-        c[(lattice.L,) * lattice.nu] = xcoeffs
-        return cls(lattice, c, reality)
-
-    @classmethod
     def random(cls, lattice: Lattice, rng, decay: float = 0.0, reality: bool = True) -> "TorusFunction":
         """Seeded random function with |u_hat(l,j)| ~ <l,j>^(-decay)."""
         c = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
@@ -135,14 +124,6 @@ class TorusFunction:
         """Project onto real-valued functions: u_hat(-l,-j) = conj(u_hat(l,j))."""
         c = 0.5 * (self.coeffs + np.conj(self._flip()))
         return TorusFunction(self.lattice, c, reality=True)
-
-    def check_reality(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.coeffs - np.conj(self._flip()))) <= tol)
-
-    def coeff(self, ell, j) -> complex:
-        if np.isscalar(ell):
-            ell = (ell,)
-        return self.coeffs[self.lattice.ell_to_index(ell) + (int(j) + self.lattice.J,)]
 
     def x_slice(self) -> np.ndarray:
         """Coefficients of the l = 0 slice (length 2J+1)."""
@@ -205,20 +186,7 @@ class TorusFunction:
             c[lat.ell_to_index(ell) + (int(j) + lat.J,)] = re + 1j * im
         return cls(lat, c, d.get("reality", False))
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-
-# -- norms and structural operations ------------------------------------
-
-
-def sobolev_norm(u: TorusFunction, s: float) -> float:
-    """H^s norm with weight <l,j> = max(1, |l|, |j|)."""
-    if s < 0:
-        raise ValueError("sobolev_norm requires s >= 0")
-    lat = u.lattice
-    w = _bracket_weights(lat.nu, lat.L, lat.J)
-    return float(np.sqrt(np.sum(w ** (2.0 * s) * np.abs(u.coeffs) ** 2)))
+# -- structural operations ----------------------------------------------
 
 
 def multiply(u: TorusFunction, v: TorusFunction) -> TorusFunction:

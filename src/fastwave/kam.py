@@ -80,10 +80,6 @@ class KamParameters:
             return 1.0
         return float(self.N0) ** (self.chi ** p)
 
-    def weight(self, M: float) -> float:
-        """The Lipschitz weight gamma / M^alpha."""
-        return self.gamma / M ** self.alpha
-
     def tau_constraint_ok(self, nu: int) -> bool:
         return self.tau > nu - 1 + self.alpha + self.tau0 / self.alpha
 
@@ -303,25 +299,6 @@ def diagonal_correction(state: KamState) -> dict:
         rows = block_slice(J, n)
         Z[n] = np.array(V0[np.ix_(rows, rows)])
     return Z
-
-
-def homological_residual(state: KamState, X: OperatorPair,
-                         Nval: float | None = None) -> float:
-    """max block residual of i[X, H0] - omega.dphi X + Pi_N V - Z (cutoff-free blocks)."""
-    pr = state.params
-    Nval = pr.N(state.p) if Nval is None else Nval
-    lat = state.lattice
-    H0pair = OperatorPair(BlockOperator.time_independent(lat, state.H0_matrix(),
-                                                         K=state.V.Ad.K),
-                          BlockOperator.zero(lat, K=state.V.Ad.K), pr.alpha, 0.0)
-    lhs = ad(X, H0pair) - X.omega_dphi(state.omega)
-    VN, _ = state.V.project(Nval)
-    Zmat = _block_diagonal(lat.J, diagonal_correction(state))
-    rhs_d = BlockOperator.time_independent(lat, Zmat, K=state.V.Ad.K) - VN.Ad
-    rhs_o = BlockOperator.zero(lat, K=state.V.Ad.K) - VN.Ao
-    res_d = (lhs.Ad - rhs_d).norm_max()
-    res_o = (lhs.Ao - rhs_o).norm_max()
-    return max(res_d, res_o)
 
 
 def kam_step(state: KamState, track_norms: bool = True) -> tuple:

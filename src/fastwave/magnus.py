@@ -13,23 +13,19 @@ gamma0 M <l>^{-tau0}.  The generator is defined for every omega in the
 annulus via the smooth cutoff chi(omega . l / rho_l), which equals 1 on all
 active modes whenever omega is Diophantine.
 
-Two parallel routes are produced: symbols (compose at N = 3; feeds the
-weighted-norm scaling laws) and exact matrices against the spectral B (feeds
-the KAM iteration, where structure identities must hold to machine
-precision).
+Everything is computed as exact matrices against the spectral B, so that the
+structure identities the KAM iteration relies on hold to machine precision.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import Lattice, TorusFunction, toeplitz
+from .harmonics import TorusFunction, toeplitz
 from .opmatrix import BlockOperator, OperatorPair
-from .psdo import (ContourSpec, Cutoff, DEFAULT_CUTOFF, EllipticSymbol, Symbol,
-                   complex_power, compose, weighted_norm)
+from .psdo import Cutoff, DEFAULT_CUTOFF
 from .schrodinger import SpectralData, spectral_power
 
 
@@ -62,56 +58,13 @@ def diophantine_test(omega, M: float, gamma0: float, tau0: float, L: int):
     return worst >= 1.0, worst
 
 
-def divisor_factors(omega, M: float, gamma0: float, tau0: float, nu: int, L: int,
-                    cutoff: Cutoff = DEFAULT_CUTOFF) -> np.ndarray:
-    """chi(omega.l / rho_l) / (i omega.l) on the angle-mode box (0 at l = 0)."""
-    from .harmonics import _ell_range
-    ells = _ell_range(nu, L)
-    out = np.zeros((2 * L + 1,) * nu, dtype=complex)
-    omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    for row in ells:
-        if not np.any(row):
-            continue
-        dot = float(row @ omega)
-        rho = gamma0 * M * max(1.0, float(np.linalg.norm(row))) ** (-tau0)
-        c = cutoff(dot / rho)
-        idx = tuple(int(v) + L for v in row)
-        out[idx] = c / (1j * dot) if c != 0.0 else 0.0
-    return out
-
-
 class NonZeroAverageError(ValueError):
     pass
 
 
-def magnus_generator(w: Symbol, omega, M: float, gamma0: float, tau0: float,
-                     cutoff: Cutoff = DEFAULT_CUTOFF) -> Symbol:
-    """Y symbol: p_hat(l) = chi(omega.l/rho_l) w_hat(l) / (i omega.l).
-
-    Requires zero angle average (w_hat(0, ., .) = 0).  When omega is
-    Diophantine for (gamma0, tau0) the cutoff is identically 1 on all active
-    modes and Y solves Ydot = W exactly on the truncation.
-    """
-    lat = w.lattice
-    div = divisor_factors(omega, M, gamma0, tau0, lat.nu, lat.L, cutoff)
-
-    def rule(xi, beta):
-        v = w.raw(xi, beta)
-        if v.shape[:-1] == (1,) * lat.nu:
-            # phi-independent input: only legal if identically zero
-            if np.max(np.abs(v)) > 1e-14:
-                raise NonZeroAverageError("generator input must have zero angle average")
-            return v * 0.0
-        zero_slice = v[(lat.L,) * lat.nu]
-        if np.max(np.abs(zero_slice)) > 1e-12 * max(1.0, np.max(np.abs(v))):
-            raise NonZeroAverageError("generator input must have zero angle average")
-        return v * div[..., None]
-    return Symbol(lat, w.order, rule, w.deriv_depth, w.xi_max, "composed")
-
-
 def apply_divisors(W: BlockOperator, omega, M: float, gamma0: float, tau0: float,
                    cutoff: Cutoff = DEFAULT_CUTOFF) -> BlockOperator:
-    """Matrix-route generator: Y(l) = chi/(i omega.l) W(l), Y(0) = 0."""
+    """The generator Y(l) = chi(omega.l / rho_l)/(i omega.l) W(l), Y(0) = 0."""
     lat = W.lattice
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if np.max(np.abs(W.mat((0,) * lat.nu))) > 1e-12 * max(1.0, W.norm_max()):
@@ -132,11 +85,8 @@ def multiplication_operator(v: TorusFunction) -> BlockOperator:
 
 @dataclass
 class MagnusOutput:
-    """Generator and transformed perturbation, symbol and matrix routes."""
+    """Generator and transformed perturbation."""
 
-    Y: Symbol
-    Vd: Symbol
-    Vo: Symbol
     Y_mat: BlockOperator
     Vd_mat: BlockOperator
     Vo_mat: BlockOperator
@@ -146,7 +96,6 @@ class MagnusOutput:
     M: float
     gamma0: float
     tau0: float
-    norms: dict = field(default_factory=dict)
 
     def structure_defects(self) -> dict:
         Y, Vd, Vo = self.Y_mat, self.Vd_mat, self.Vo_mat
@@ -158,36 +107,23 @@ class MagnusOutput:
         }
 
 
-def build_power_symbols(q_xcoeffs, lattice: Lattice, sd: SpectralData,
-                        N: int = 4, n_quad: int = 280, deriv_depth: int = 3,
-                        compose_N: int = 3):
-    """(B, B^{-1/2}) as symbols for the elliptic xi^2 + q."""
-    ell = EllipticSymbol.xi2_plus_q(lattice, q_xcoeffs)
-    rho = 0.45 * float(np.min(sd.mu_sq))
-    cont = ContourSpec(rho=rho, R=rho * math.exp(200.0), n_quad=n_quad)
-    B = complex_power(ell, 0.5, N=N, contour=cont, deriv_depth=deriv_depth,
-                      compose_N=compose_N)
-    Bmh = complex_power(ell, -0.25, N=N, contour=cont, deriv_depth=deriv_depth + 6)
-    return B, Bmh
-
-
 def magnus_transform(q_xcoeffs, v: TorusFunction, omega, M: float,
-                     gamma0: float, tau0: float, sd: SpectralData,
-                     power_symbols=None, compose_N: int = 3,
-                     with_symbols: bool = True,
-                     norm_s: float | None = None, norm_delta: int = 0) -> MagnusOutput:
+                     gamma0: float, tau0: float, sd: SpectralData, *,
+                     with_symbols: bool = False) -> MagnusOutput:
     """Full Magnus step for the driven system with potential v(phi, x).
 
-    q enters through its spectral data sd (matrix route, exact) and its
-    elliptic symbol (symbol route).  The returned V^d, V^o satisfy the
-    structure identities exactly on the matrix route.
+    q enters through its spectral data sd; the returned V^d, V^o satisfy the
+    structure identities exactly.
     """
+    # q_xcoeffs and with_symbols are unused; they stay only because the
+    # benchmark scripts pass q positionally and turn with_symbols off
+    if with_symbols:
+        raise ValueError("the symbol route of the Magnus step has been removed")
     lat = v.lattice
     avg = v.x_slice()
     if np.max(np.abs(avg)) > 1e-12 * max(1.0, np.max(np.abs(v.coeffs))):
         raise NonZeroAverageError("v must have zero average in the angles")
 
-    # matrix route, exact against the spectral functional calculus
     B = spectral_power(sd, 0.5)
     Bmh = spectral_power(sd, -0.25)
     Vmult = multiplication_operator(v)
@@ -199,36 +135,9 @@ def magnus_transform(q_xcoeffs, v: TorusFunction, omega, M: float,
     YBY = YB @ Ym
     Vd_m = 1j * (YB - BY) + 2.0 * YBY
     Vo_m = -1j * (YB + BY) + 2.0 * YBY
-
-    out = MagnusOutput(Y=None, Vd=None, Vo=None, Y_mat=Ym, Vd_mat=Vd_m,
-                       Vo_mat=Vo_m, B_mat=B, W_mat=W,
-                       omega=np.atleast_1d(np.asarray(omega, float)),
-                       M=M, gamma0=gamma0, tau0=tau0)
-
-    if with_symbols:
-        if power_symbols is None:
-            power_symbols = build_power_symbols(q_xcoeffs, lat, sd,
-                                                compose_N=compose_N)
-        B_sym, Bmh_sym = power_symbols
-        v_sym = Symbol.torus_multiplication(lat, v)
-        w_sym = 0.5 * compose(compose(Bmh_sym, v_sym, compose_N), Bmh_sym, compose_N)
-        w_sym = Symbol(lat, -1.0, w_sym._rule, w_sym.deriv_depth, w_sym.xi_max)
-        Y_sym = magnus_generator(w_sym, omega, M, gamma0, tau0)
-        YB_s = compose(Y_sym, B_sym, compose_N)
-        BY_s = compose(B_sym, Y_sym, compose_N)
-        YBY_s = compose(YB_s, Y_sym, compose_N)
-        Vd_s = 1j * (YB_s - BY_s) + 2.0 * YBY_s
-        Vo_s = (-1j) * (YB_s + BY_s) + 2.0 * YBY_s
-        out.Y = Y_sym
-        out.Vd = Symbol(lat, -1.0, Vd_s._rule, Vd_s.deriv_depth, Vd_s.xi_max, "composed")
-        out.Vo = Symbol(lat, 0.0, Vo_s._rule, Vo_s.deriv_depth, Vo_s.xi_max, "composed")
-        if norm_s is not None:
-            out.norms = {
-                "Y(-1)": weighted_norm(out.Y, -1.0, norm_s, norm_delta),
-                "Vd(-1)": weighted_norm(out.Vd, -1.0, norm_s, norm_delta),
-                "Vo(0)": weighted_norm(out.Vo, 0.0, norm_s, norm_delta),
-            }
-    return out
+    return MagnusOutput(Y_mat=Ym, Vd_mat=Vd_m, Vo_mat=Vo_m, B_mat=B, W_mat=W,
+                        omega=np.atleast_1d(np.asarray(omega, float)),
+                        M=M, gamma0=gamma0, tau0=tau0)
 
 
 def homological_residual(out: MagnusOutput) -> float:

@@ -145,17 +145,6 @@ class BlockOperator:
         return cls.time_independent(lattice, np.eye(2 * lattice.J + 1), K)
 
     @classmethod
-    def from_blocks(cls, lattice: Lattice, blocks: dict, K=None) -> "BlockOperator":
-        """Build from {(l, n, n') -> block array} entries."""
-        mats = _zero_modes(lattice)
-        for (ell, n, n_in), blk in blocks.items():
-            rows = block_slice(lattice.J, n)
-            cols = block_slice(lattice.J, n_in)
-            mats[_ell_row(lattice, ell)][np.ix_(rows, cols)] = np.asarray(
-                blk, dtype=complex).reshape(len(rows), len(cols))
-        return cls(lattice, mats, K)
-
-    @classmethod
     def time_independent(cls, lattice: Lattice, mat: np.ndarray, K=None) -> "BlockOperator":
         mats = _zero_modes(lattice)
         if np.shape(mat) != mats.shape[1:]:
@@ -168,12 +157,6 @@ class BlockOperator:
     def mat(self, ell) -> np.ndarray:
         """A(l): row l of `mats` (a view)."""
         return self.mats[_ell_row(self.lattice, ell)]
-
-    def block(self, ell, n: int, n_in: int) -> np.ndarray:
-        m = self.mat(ell)
-        rows = block_slice(self.lattice.J, n)
-        cols = block_slice(self.lattice.J, n_in)
-        return m[np.ix_(rows, cols)]
 
     def norm_max(self) -> float:
         return float(np.max(np.abs(self.mats)))
@@ -210,15 +193,6 @@ class BlockOperator:
         prod = np.matmul(*_phi_grid(self.lattice, (self, other)))
         return _from_phi_grid(self.lattice, prod[None], self.K)[0]
 
-    def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        """Action on a function given by coefficients of shape lattice.shape."""
-        lat = self.lattice
-        out = np.zeros(lat.shape, dtype=complex)
-        for ell, m in zip(lat.ell_range(), self.mats):
-            shifted = _shift_ell(coeffs, ell, lat)
-            out += np.tensordot(shifted, m, axes=([lat.nu], [1]))
-        return out
-
     # -- adjoint, conjugate, fixed angle -------------------------------------
 
     def adjoint(self) -> "BlockOperator":
@@ -240,40 +214,6 @@ class BlockOperator:
         """omega . d_phi A: multiply A(l) by i (omega . l)."""
         dots = self.lattice.ell_range() @ np.atleast_1d(np.asarray(omega, dtype=float))
         return BlockOperator(self.lattice, (1j * dots)[:, None, None] * self.mats, self.K)
-
-    def to_dense(self) -> np.ndarray:
-        """Full matrix over the extended (l, j) mode lattice (oracle use)."""
-        lat = self.lattice
-        ells = [tuple(e) for e in lat.ell_range()]
-        pos = {e: i for i, e in enumerate(ells)}
-        D = 2 * lat.J + 1
-        n = len(ells) * D
-        out = np.zeros((n, n), dtype=complex)
-        for lin_in, ell_in in enumerate(ells):
-            for ell, m in zip(ells, self.mats):
-                i = pos.get(tuple(a + b for a, b in zip(ell, ell_in)))
-                if i is not None:
-                    out[i * D:(i + 1) * D, lin_in * D:(lin_in + 1) * D] = m
-        return out
-
-
-def _shift_ell(coeffs, ell, lat):
-    """coeffs(l - ell) with zero fill outside the box."""
-    out = np.zeros_like(coeffs)
-    src = []
-    dst = []
-    n = 2 * lat.L + 1
-    for c in ell:
-        if c >= 0:
-            dst.append(slice(c, n))
-            src.append(slice(0, n - c))
-        else:
-            dst.append(slice(0, n + c))
-            src.append(slice(-c, n))
-    src.append(slice(None))
-    dst.append(slice(None))
-    out[tuple(dst)] = coeffs[tuple(src)]
-    return out
 
 
 def flip_conjugation(J: int) -> np.ndarray:
@@ -403,12 +343,6 @@ class OperatorPair:
     def norm_max(self) -> float:
         return max(self.Ad.norm_max(), self.Ao.norm_max())
 
-    def structure_defect(self) -> float:
-        """max deviation from [A^d]* = A^d, [A^o]* = conj(A^o)."""
-        dd = (self.Ad.adjoint() - self.Ad).norm_max()
-        oo = (self.Ao.adjoint() - self.Ao.conj_op()).norm_max()
-        return max(dd, oo)
-
     def omega_dphi(self, omega):
         return OperatorPair(self.Ad.omega_dphi(omega), self.Ao.omega_dphi(omega),
                             self.alpha, self.beta)
@@ -418,27 +352,6 @@ class OperatorPair:
         lo_o, hi_o = project_modes(self.Ao, N)
         return (OperatorPair(lo_d, lo_o, self.alpha, self.beta),
                 OperatorPair(hi_d, hi_o, self.alpha, self.beta))
-
-    def to_dense(self) -> np.ndarray:
-        """The full 2x2 matrix-of-operators over the extended lattice."""
-        Ad, Ao = self.Ad.to_dense(), self.Ao.to_dense()
-        Kd = _dense_conj_mat(self.Ad)
-        top = np.concatenate([Ad, Ao], axis=1)
-        bot = np.concatenate([-_dense_conj(Ao, Kd), -_dense_conj(Ad, Kd)], axis=1)
-        return np.concatenate([top, bot], axis=0)
-
-
-def _dense_conj_mat(A: BlockOperator) -> np.ndarray:
-    n_ell, D = A.mats.shape[:2]
-    K = np.zeros((n_ell * D, n_ell * D), dtype=complex)
-    for i in range(n_ell):
-        j = n_ell - 1 - i         # the row of -l
-        K[j * D:(j + 1) * D, i * D:(i + 1) * D] = A.K
-    return K
-
-
-def _dense_conj(M: np.ndarray, K: np.ndarray) -> np.ndarray:
-    return K @ np.conj(M) @ np.conj(K)
 
 
 def _x_grids(X: OperatorPair) -> tuple:

@@ -30,8 +30,7 @@ from functools import reduce
 
 import numpy as np
 
-from .harmonics import (Lattice, TorusFunction, multiply, sobolev_norm, x_from_grid,
-                        x_to_grid, xconv)
+from .harmonics import Lattice, TorusFunction, multiply, x_from_grid, x_to_grid, xconv
 from .opmatrix import BlockOperator
 
 
@@ -191,13 +190,12 @@ class Symbol:
     """
 
     def __init__(self, lattice: Lattice, order: float, rule, deriv_depth: int = 4,
-                 xi_max: int | None = None, provenance: str = "primitive"):
+                 xi_max: int | None = None):
         self.lattice = lattice
         self.order = float(order)
         self._rule = rule
         self.deriv_depth = int(deriv_depth)
         self.xi_max = int(xi_max if xi_max is not None else lattice.J)
-        self.provenance = provenance
         self._cache = {}
 
     # raw evaluation with caching
@@ -209,9 +207,6 @@ class Symbol:
             self._cache[key] = _lift(self._rule(float(xi), int(beta)), self.lattice.nu + 1)
         return self._cache[key]
 
-    def eval(self, xi: float, beta: int = 0) -> TorusFunction:
-        return TorusFunction(self.lattice, _widen(self.raw(xi, beta), self.lattice.shape))
-
     @property
     def phi_independent(self) -> bool:
         return not _phi_dependent(self.raw(0, 0), self.lattice)
@@ -221,18 +216,18 @@ class Symbol:
     def dxi(self) -> "Symbol":
         return Symbol(self.lattice, self.order - 1,
                       lambda xi, b: self.raw(xi, b + 1),
-                      self.deriv_depth - 1, self.xi_max, "composed")
+                      self.deriv_depth - 1, self.xi_max)
 
     def dx(self, order: int = 1) -> "Symbol":
         return Symbol(self.lattice, self.order,
                       lambda xi, b: _dx(self.raw(xi, b), order),
-                      self.deriv_depth, self.xi_max, "composed")
+                      self.deriv_depth, self.xi_max)
 
     def __add__(self, other: "Symbol") -> "Symbol":
         return Symbol(self.lattice, max(self.order, other.order),
                       lambda xi, b: _add(self.raw(xi, b), other.raw(xi, b), self.lattice),
                       min(self.deriv_depth, other.deriv_depth),
-                      min(self.xi_max, other.xi_max), "composed")
+                      min(self.xi_max, other.xi_max))
 
     def __sub__(self, other: "Symbol") -> "Symbol":
         return self + (other * (-1.0))
@@ -240,7 +235,7 @@ class Symbol:
     def __mul__(self, scalar) -> "Symbol":
         return Symbol(self.lattice, self.order,
                       lambda xi, b: self.raw(xi, b) * scalar,
-                      self.deriv_depth, self.xi_max, self.provenance)
+                      self.deriv_depth, self.xi_max)
 
     __rmul__ = __mul__
 
@@ -251,7 +246,7 @@ class Symbol:
                             self.lattice)
         return Symbol(self.lattice, self.order + other.order if order is None else order,
                       rule, min(self.deriv_depth, other.deriv_depth),
-                      min(self.xi_max, other.xi_max), "composed")
+                      min(self.xi_max, other.xi_max))
 
     # -- constructors ---------------------------------------------------------
 
@@ -274,50 +269,10 @@ class Symbol:
         return cls(lattice, len(coeffs) - 1, rule, deriv_depth=64)
 
     @classmethod
-    def bracket_power(cls, lattice: Lattice, m: float) -> "Symbol":
-        """<xi>^m with <xi> = max(1, |xi|); derivatives use the |xi| > 1 branch."""
-        def rule(xi, b):
-            if abs(xi) <= 1.0:
-                return 1.0 + 0.0j if b == 0 else 0.0 + 0.0j
-            fall = 1.0
-            for i in range(b):
-                fall *= (m - i)
-            return complex(fall * abs(xi) ** (m - b) * np.sign(xi) ** b)
-        return cls(lattice, m, rule, deriv_depth=64)
-
-    @classmethod
     def x_multiplication(cls, lattice: Lattice, xcoeffs: np.ndarray) -> "Symbol":
         xc = np.asarray(xcoeffs, dtype=complex)
         return cls(lattice, 0.0, lambda xi, b: xc if b == 0 else np.zeros_like(xc),
                    deriv_depth=64)
-
-    @classmethod
-    def torus_multiplication(cls, lattice: Lattice, u: TorusFunction) -> "Symbol":
-        return cls(lattice, 0.0,
-                   lambda xi, b: u.coeffs if b == 0 else np.zeros_like(u.coeffs),
-                   deriv_depth=64)
-
-    def sqrt(self, grid_oversample: int = 8) -> "Symbol":
-        """sqrt(a) pointwise, with derivatives from Leibniz on s*s = a."""
-        lat = self.lattice
-        cache = {}
-
-        def rule(xi, b):
-            if (xi, b) not in cache:
-                if b == 0:
-                    out = _pointwise(self.raw(xi, 0), np.sqrt, lat, grid_oversample)
-                else:
-                    rhs = self.raw(xi, b)
-                    for g in range(1, b):
-                        term = math.comb(b, g) * _mul(rule(xi, g), rule(xi, b - g), lat)
-                        rhs = _add(rhs, -term, lat)
-                    half_inv = _pointwise(rule(xi, 0), lambda s: 1.0 / (2.0 * s), lat,
-                                          grid_oversample)
-                    out = _mul(half_inv, rhs, lat)
-                cache[(xi, b)] = out
-            return cache[(xi, b)]
-        return Symbol(self.lattice, self.order / 2.0, rule, self.deriv_depth,
-                      self.xi_max, "primitive")
 
     def scaled_by_cutoff(self, cutoff: Cutoff = DEFAULT_CUTOFF) -> "Symbol":
         """chi(xi) a(x, xi): kills the xi = 0 mode, identity for |xi| >= 1."""
@@ -328,11 +283,10 @@ class Symbol:
                 if c != 0.0:
                     acc = _add(acc, c * self.raw(xi, b - g), self.lattice)
             return acc
-        return Symbol(self.lattice, self.order, rule, self.deriv_depth,
-                      self.xi_max, self.provenance)
+        return Symbol(self.lattice, self.order, rule, self.deriv_depth, self.xi_max)
 
 
-# -- quantization and weighted norms ------------------------------------------
+# -- quantization -------------------------------------------------------------
 
 
 def quantize(a: Symbol, lattice: Lattice | None = None, K=None) -> BlockOperator:
@@ -354,18 +308,6 @@ def quantize(a: Symbol, lattice: Lattice | None = None, K=None) -> BlockOperator
         box = tuple(slice(L - (n - 1) // 2, L + (n - 1) // 2 + 1) for n in v.shape[:-1])
         mats[box + (slice(None), j_in + J)] = padded[..., start:start + D]
     return BlockOperator(lattice, mats.reshape(-1, D, D), K)
-
-
-def weighted_norm(a: Symbol, m: float, s: float, alpha: int = 0) -> float:
-    """max_{beta<=alpha} sup_xi ||d_xi^beta a(.,.,xi)||_s <xi>^{-m+beta}."""
-    if alpha > a.deriv_depth:
-        raise ValueError("derivative depth exceeded")
-    worst = 0.0
-    for beta in range(alpha + 1):
-        for xi in range(-a.xi_max, a.xi_max + 1):
-            val = sobolev_norm(a.eval(xi, beta), s)
-            worst = max(worst, val * max(1.0, abs(xi)) ** (-m + beta))
-    return worst
 
 
 # -- composition ----------------------------------------------------------------
@@ -393,7 +335,7 @@ def compose(a: Symbol, b: Symbol, N: int, with_report: bool = False):
     for t in terms[1:]:
         approx = approx + t
     approx = Symbol(approx.lattice, a.order + b.order, approx._rule,
-                    approx.deriv_depth, approx.xi_max, "composed")
+                    approx.deriv_depth, approx.xi_max)
     if not with_report:
         return approx
     Opa, Opb, Opc = quantize(a), quantize(b), quantize(approx)
@@ -449,17 +391,12 @@ class EllipticSymbol:
             layers.append((2, Symbol.x_multiplication(lattice, qcoeffs)))
         return cls(lattice, layers, order=2.0)
 
-    @classmethod
-    def single_layer(cls, lattice: Lattice, sym: Symbol, order: float) -> "EllipticSymbol":
-        return cls(lattice, [(0, sym)], order=order)
-
     def full_symbol(self) -> Symbol:
         syms = list(self.layers.values())
         out = syms[0]
         for s in syms[1:]:
             out = out + s
-        return Symbol(out.lattice, self.order, out._rule, out.deriv_depth,
-                      out.xi_max, "primitive")
+        return Symbol(out.lattice, self.order, out._rule, out.deriv_depth, out.xi_max)
 
     def principal_min_abs(self, lam: complex, xi_vals) -> float:
         """min |a_m(x, xi) - lam| over the sampling grid (ellipticity check)."""
@@ -575,7 +512,7 @@ def resolvent_parametrix(a: EllipticSymbol, lam: complex, N: int,
         if xi not in cache:
             cache[xi] = _summed_layers(a, [lam], xi, N, deriv_depth, cutoff)
         return cache[xi][beta][0]
-    return Symbol(a.lattice, -a.order, rule, deriv_depth, a.lattice.J, "parametrix")
+    return Symbol(a.lattice, -a.order, rule, deriv_depth, a.lattice.J)
 
 
 @dataclass
@@ -612,17 +549,9 @@ class ContourSpec:
         return np.concatenate([lam_legs, lam_circ]), np.concatenate([w_legs, w_circ])
 
 
-def default_contour(sd_min: float, z: float, n_quad: int = 320) -> ContourSpec:
-    """Contour sized from the bottom of the spectrum and power tail tolerance."""
-    rho = 0.5 * sd_min
-    U = 40.0 / max(abs(z), 0.05)
-    return ContourSpec(rho=rho, R=rho * math.exp(min(U, 600.0)), n_quad=n_quad)
-
-
-def complex_power(a: EllipticSymbol, z: float, N: int = 4,
-                  contour: ContourSpec | None = None, deriv_depth: int = 3,
-                  cutoff: Cutoff = DEFAULT_CUTOFF, compose_N: int = 3,
-                  apply_xi_cutoff: bool = True) -> Symbol:
+def complex_power(a: EllipticSymbol, z: float, contour: ContourSpec, N: int = 4,
+                  deriv_depth: int = 3, cutoff: Cutoff = DEFAULT_CUTOFF,
+                  compose_N: int = 3) -> Symbol:
     """Symbol of A^z by contour integration of the parametrix layers.
 
     For z < 0 the layers are integrated directly; z >= 0 uses the reduction
@@ -630,17 +559,14 @@ def complex_power(a: EllipticSymbol, z: float, N: int = 4,
     """
     if z >= 0.0:
         k = int(math.floor(z)) + 1
-        low = complex_power(a, z - k, N, contour, deriv_depth + compose_N,
-                            cutoff, compose_N, apply_xi_cutoff)
+        low = complex_power(a, z - k, contour, N, deriv_depth + compose_N, cutoff,
+                            compose_N)
         out = low
         full = a.full_symbol()
         for _ in range(k):
             out = compose(full, out, compose_N)
-        return Symbol(out.lattice, a.order * z, out._rule, out.deriv_depth,
-                      out.xi_max, "power")
+        return Symbol(out.lattice, a.order * z, out._rule, out.deriv_depth, out.xi_max)
 
-    if contour is None:
-        contour = default_contour(1.0, z)
     lam_nodes, w_nodes = contour.nodes(z)
     # the circle must stay below the operator spectrum
     full = a.full_symbol()
@@ -662,5 +588,5 @@ def complex_power(a: EllipticSymbol, z: float, N: int = 4,
                          _summed_layers(a, lam_nodes, xi, N, deriv_depth, cutoff)]
         return cache[xi][beta]
 
-    sym = Symbol(a.lattice, a.order * z, rule, deriv_depth, a.lattice.J, "power")
-    return sym.scaled_by_cutoff(cutoff) if apply_xi_cutoff else sym
+    sym = Symbol(a.lattice, a.order * z, rule, deriv_depth, a.lattice.J)
+    return sym.scaled_by_cutoff(cutoff)

@@ -1,13 +1,17 @@
 """Reference implementations shared by several test modules.
 
 Each is a direct, unoptimised form of something the pipeline computes
-another way, kept here so that tests can compare against it.
+another way, or a plain accessor or constructor that only tests need, kept
+here so that tests can compare against it.
 """
+
+import math
 
 import numpy as np
 
-from fastwave.harmonics import TorusFunction
-from fastwave.opmatrix import OperatorPair, lie_series
+from fastwave.harmonics import TorusFunction, _bracket_weights
+from fastwave.opmatrix import BlockOperator, OperatorPair, block_slice, lie_series
+from fastwave.psdo import Symbol, _add, _mul, _pointwise
 
 
 def lie_conjugate(X: OperatorPair, V: OperatorPair, tol: float = 1e-14,
@@ -43,3 +47,138 @@ def resonant_drive(lattice, sd, n: int, m: int, amplitude: float = 0.5):
         lattice, {(1, n + m): amplitude / 2, (-1, -(n + m)): amplitude / 2},
         reality=True)
     return v, np.array([om])
+
+
+# -- functions on the torus ----------------------------------------------------
+
+
+def x_only(lattice, xcoeffs, reality: bool = False) -> TorusFunction:
+    """A function of x alone, embedded as the l = 0 slice."""
+    c = np.zeros(lattice.shape, dtype=complex)
+    c[(lattice.L,) * lattice.nu] = xcoeffs
+    return TorusFunction(lattice, c, reality)
+
+
+def coeff(u: TorusFunction, ell, j) -> complex:
+    """The coefficient u_hat(l, j)."""
+    return u.coeffs[u.lattice.ell_to_index(np.atleast_1d(ell)) + (int(j) + u.lattice.J,)]
+
+
+def check_reality(u: TorusFunction, tol: float = 1e-12) -> bool:
+    """u_hat(-l, -j) = conj(u_hat(l, j)) to within tol."""
+    return bool(np.max(np.abs(u.coeffs - np.conj(np.flip(u.coeffs)))) <= tol)
+
+
+def sobolev_norm(u: TorusFunction, s: float) -> float:
+    """H^s norm with weight <l,j> = max(1, |l|, |j|)."""
+    if s < 0:
+        raise ValueError("sobolev_norm requires s >= 0")
+    lat = u.lattice
+    w = _bracket_weights(lat.nu, lat.L, lat.J)
+    return float(np.sqrt(np.sum(w ** (2.0 * s) * np.abs(u.coeffs) ** 2)))
+
+
+# -- operators -------------------------------------------------------------------
+
+
+def block(A: BlockOperator, ell, n: int, n_in: int) -> np.ndarray:
+    """The block [A(l)]_[n]^[n_in]."""
+    rows = block_slice(A.lattice.J, n)
+    cols = block_slice(A.lattice.J, n_in)
+    return A.mat(ell)[np.ix_(rows, cols)]
+
+
+def _shift_ell(coeffs, ell, lat):
+    """coeffs(l - ell) with zero fill outside the box."""
+    out = np.zeros_like(coeffs)
+    src, dst = [], []
+    n = 2 * lat.L + 1
+    for c in ell:
+        if c >= 0:
+            dst.append(slice(c, n))
+            src.append(slice(0, n - c))
+        else:
+            dst.append(slice(0, n + c))
+            src.append(slice(-c, n))
+    out[tuple(dst)] = coeffs[tuple(src)]
+    return out
+
+
+def apply(A: BlockOperator, coeffs: np.ndarray) -> np.ndarray:
+    """Action of A on a function given by coefficients of shape lattice.shape."""
+    lat = A.lattice
+    out = np.zeros(lat.shape, dtype=complex)
+    for ell, m in zip(lat.ell_range(), A.mats):
+        out += np.tensordot(_shift_ell(coeffs, ell, lat), m, axes=([lat.nu], [1]))
+    return out
+
+
+def to_dense(A: BlockOperator) -> np.ndarray:
+    """Full matrix of A over the extended (l, j) mode lattice."""
+    lat = A.lattice
+    ells = [tuple(e) for e in lat.ell_range()]
+    pos = {e: i for i, e in enumerate(ells)}
+    D = 2 * lat.J + 1
+    n = len(ells) * D
+    out = np.zeros((n, n), dtype=complex)
+    for lin_in, ell_in in enumerate(ells):
+        for ell, m in zip(ells, A.mats):
+            i = pos.get(tuple(a + b for a, b in zip(ell, ell_in)))
+            if i is not None:
+                out[i * D:(i + 1) * D, lin_in * D:(lin_in + 1) * D] = m
+    return out
+
+
+def pair_to_dense(X: OperatorPair) -> np.ndarray:
+    """The full 2x2 matrix-of-operators of a pair over the extended lattice."""
+    Ad, Ao = to_dense(X.Ad), to_dense(X.Ao)
+    n_ell, D = X.Ad.mats.shape[:2]
+    K = np.zeros((n_ell * D, n_ell * D), dtype=complex)
+    for i in range(n_ell):
+        j = n_ell - 1 - i         # the row of -l
+        K[j * D:(j + 1) * D, i * D:(i + 1) * D] = X.Ad.K
+
+    def conj(M):
+        return K @ np.conj(M) @ np.conj(K)
+    top = np.concatenate([Ad, Ao], axis=1)
+    bot = np.concatenate([-conj(Ao), -conj(Ad)], axis=1)
+    return np.concatenate([top, bot], axis=0)
+
+
+def structure_defect(X: OperatorPair) -> float:
+    """max deviation from [A^d]* = A^d, [A^o]* = conj(A^o)."""
+    dd = (X.Ad.adjoint() - X.Ad).norm_max()
+    oo = (X.Ao.adjoint() - X.Ao.conj_op()).norm_max()
+    return max(dd, oo)
+
+
+# -- symbols ---------------------------------------------------------------------
+
+
+def torus_multiplication(lattice, u: TorusFunction) -> Symbol:
+    """The order-0 symbol of multiplication by u(phi, x)."""
+    return Symbol(lattice, 0.0,
+                  lambda xi, b: u.coeffs if b == 0 else np.zeros_like(u.coeffs),
+                  deriv_depth=64)
+
+
+def symbol_sqrt(a: Symbol, grid_oversample: int = 8) -> Symbol:
+    """sqrt(a) pointwise, with derivatives from Leibniz on s*s = a."""
+    lat = a.lattice
+    cache = {}
+
+    def rule(xi, b):
+        if (xi, b) not in cache:
+            if b == 0:
+                out = _pointwise(a.raw(xi, 0), np.sqrt, lat, grid_oversample)
+            else:
+                rhs = a.raw(xi, b)
+                for g in range(1, b):
+                    term = math.comb(b, g) * _mul(rule(xi, g), rule(xi, b - g), lat)
+                    rhs = _add(rhs, -term, lat)
+                half_inv = _pointwise(rule(xi, 0), lambda s: 1.0 / (2.0 * s), lat,
+                                      grid_oversample)
+                out = _mul(half_inv, rhs, lat)
+            cache[(xi, b)] = out
+        return cache[(xi, b)]
+    return Symbol(lat, a.order / 2.0, rule, a.deriv_depth, a.xi_max)

@@ -89,6 +89,7 @@ def _criterion3_data():
         from fastwave.opmatrix import BlockOperator
         from fastwave.psdo import (ContourSpec, EllipticSymbol, Symbol,
                                    complex_power, entry_decay_exponent, quantize)
+        from oracles import symbol_sqrt
         J = 64
         lat = Lattice(1, 2, J)
         qc = xcoeffs(J, {0: 1.0, 1: 0.5, -1: 0.5})     # q = 1 + cos x (positive)
@@ -104,7 +105,7 @@ def _criterion3_data():
         R = OpQ @ OpQ - OpB
         group_expo, _ = entry_decay_exponent(R, j_lo=8, j_hi=48)
         naive = Symbol.xi_poly(lat, [0, 0, 1.0]) + Symbol.x_multiplication(lat, qc)
-        bsym = Symbol(lat, 2.0, naive._rule, 64, lat.J).sqrt()
+        bsym = symbol_sqrt(Symbol(lat, 2.0, naive._rule, 64, lat.J))
         OpN = quantize(bsym)
         Lq = BlockOperator.time_independent(lat, assemble_lq(qc, J).astype(complex))
         defect = OpN @ OpN - Lq
@@ -183,7 +184,7 @@ def test_criterion_4_magnus_scaling():
     deltas = []
     for M in Ms:
         out = magnus_transform(qc, v, golden_omega(M, 1), M, params.gamma0,
-                               params.tau0, sd, with_symbols=False)
+                               params.tau0, sd)
         state = init_state(out, sd, basis, params, lat)
         deltas.append(state.delta(state.s0))
     slope = float(np.polyfit(np.log(Ms), np.log(deltas), 1)[0])
@@ -209,7 +210,7 @@ def _paper_toy_run(M=1e3):
                            alpha=cfg["alpha"], N0=cfg["N0"], tau0=cfg["tau0"],
                            gamma0=cfg["gamma0"])
     out = magnus_transform(qc, v, golden_omega(M, 1), M, params.gamma0,
-                           params.tau0, sd, with_symbols=False)
+                           params.tau0, sd)
     state = init_state(out, sd, basis, params, lat)
     final, _ = kam_iterate(state, p_max=int(cfg["p_max"]))
     return final, params
@@ -296,7 +297,7 @@ def test_criterion_7_measure_sweep():
 
         def pipeline(omega):
             out = magnus_transform(qc, v, omega, M, params.gamma0,
-                                   params.tau0, sd, with_symbols=False)
+                                   params.tau0, sd)
             st = init_state(out, sd, basis, params, lat, track_norms=False)
             fin, _ = kam_iterate(st, p_max=2, track_norms=False)
             return eigen_table_from_state(fin, sd.q_bar)
@@ -337,8 +338,7 @@ def _floq_setup(M, p_max=3, amplitude=1.0):
     params = KamParameters(tau=2.6, gamma=gamma, alpha=0.5, N0=2.1, tau0=1.0,
                            gamma0=gamma ** 0.125)
     omega = golden_omega(M, 1)
-    out = magnus_transform(qc, v, omega, M, params.gamma0, params.tau0, sd,
-                           with_symbols=False)
+    out = magnus_transform(qc, v, omega, M, params.gamma0, params.tau0, sd)
     state = init_state(out, sd, basis, params, lat)
     final, gens = kam_iterate(state, p_max=p_max, collect_generators=True)
     frame = FloquetFrame(change_basis(out.Y_mat, basis), gens, final)
@@ -418,9 +418,9 @@ def test_criterion_8_literal_band_slope():
 
 def test_criterion_9_algebra_invariants():
     import scipy.linalg
-    from fastwave.harmonics import multiply, sobolev_norm
+    from fastwave.harmonics import multiply
     from fastwave.opmatrix import BlockOperator, OperatorPair, ad, s_decay_norm
-    from oracles import left_right_ops, lie_conjugate
+    from oracles import left_right_ops, lie_conjugate, sobolev_norm
     rng = np.random.default_rng(20250810)    # fresh seed, disjoint from calibration
     # M_L/M_R spectrum = pairwise sums exactly
     worst_pair = 0.0

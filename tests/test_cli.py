@@ -9,6 +9,7 @@ from fastwave.cli import (
     run_experiment, emit_report, validate_config,
 )
 from fastwave.harmonics import Lattice
+from oracles import check_reality, coeff
 
 
 def small_cfg(**over):
@@ -47,11 +48,11 @@ def test_build_q_families():
 def test_build_v_families():
     lat = Lattice(1, 4, 6)
     v = build_v({"v": {"family": "cosine-product", "amplitude": 1.0}}, lat)
-    assert v.coeff((1,), 1) == pytest.approx(0.25)
-    assert v.check_reality()
+    assert coeff(v, (1,), 1) == pytest.approx(0.25)
+    assert check_reality(v)
     v = build_v({"v": {"family": "smooth-random", "seed": 3, "ell_decay": 5.0,
                        "j_decay": 6.0, "ell_compensated": True}}, lat)
-    assert v.check_reality()
+    assert check_reality(v)
     assert np.max(np.abs(v.x_slice())) == 0.0     # zero angle average
     z = build_v({"v": {"family": "zero"}}, lat)
     assert np.max(np.abs(z.coeffs)) == 0.0

@@ -3,13 +3,13 @@ import pytest
 
 from fastwave.craig_wayne import (
     AdmissibilityError, LsContext, apply_Tn, assemble_Sn, build_basis_matrix,
-    change_basis, eigen_residual,
-    fit_exponential_decay, ls_block_eigenpairs, shifted_norm, solve_q_equation,
+    change_basis, eigen_residual, ls_block_eigenpairs, shifted_norm, solve_q_equation,
     tilde_C, verify_localization, x_sobolev_norm,
 )
-from fastwave.harmonics import Lattice, TorusFunction
+from fastwave.harmonics import Lattice
 from fastwave.opmatrix import BlockOperator, s_decay_norm
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks
+from oracles import sobolev_norm, x_only
 
 
 def xcoeffs(J, entries):
@@ -38,9 +38,8 @@ def test_shifted_norm_zero_shift_is_sobolev():
     rng = np.random.default_rng(0)
     u = rng.standard_normal(2 * J + 1) + 1j * rng.standard_normal(2 * J + 1)
     lat = Lattice(1, 1, J)
-    from fastwave.harmonics import sobolev_norm
     assert shifted_norm(u, 3.0, 0) == pytest.approx(
-        sobolev_norm(TorusFunction.x_only(lat, u), 3.0), rel=1e-13)
+        sobolev_norm(x_only(lat, u), 3.0), rel=1e-13)
 
 
 def test_shifted_norm_product_identity():
@@ -272,16 +271,6 @@ def test_localization_cos_admissible():
     for lam, f in ls_block_eigenpairs(n, q, s):
         ratio, ok = verify_localization(f, n, s)
         assert ok, f"ratio {ratio} at n={n}"
-
-
-def test_localization_exponential_crosscheck():
-    # analytic q: coefficients also decay exponentially (fitted sigma > 0)
-    J, s = 64, 4.0
-    q = cosx(J, amp=1.0)
-    n = 20
-    lam, f = ls_block_eigenpairs(n, q, s)[0]
-    sigma = fit_exponential_decay(f, n)
-    assert sigma > 0.5
 
 
 # -- basis matrix ------------------------------------------------------

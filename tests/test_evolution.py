@@ -114,8 +114,7 @@ def magnus_kam_frame(M=800.0, gamma=0.5, p_max=3):
     params = KamParameters(tau=2.6, gamma=gamma, alpha=0.5, N0=2.1, tau0=1.0,
                            gamma0=gamma ** 0.125)
     omega = np.array([1.37 * M])
-    out = magnus_transform(QC, VTOY, omega, M, params.gamma0, params.tau0,
-                           SD, with_symbols=False)
+    out = magnus_transform(QC, VTOY, omega, M, params.gamma0, params.tau0, SD)
     basis = build_basis_matrix(SD)
     state = init_state(out, SD, basis, params, LAT)
     final, gens = kam_iterate(state, p_max=p_max, collect_generators=True)
@@ -129,8 +128,7 @@ def test_floquet_residual_v_zero():
                            gamma0=0.9)
     vz = TorusFunction.zero(LAT)
     omega = np.array([800.0])
-    out = magnus_transform(QC, vz, omega, 700.0, params.gamma0, params.tau0,
-                           SD, with_symbols=False)
+    out = magnus_transform(QC, vz, omega, 700.0, params.gamma0, params.tau0, SD)
     basis = build_basis_matrix(SD)
     state = init_state(out, SD, basis, params, LAT)
     final, gens = kam_iterate(state, p_max=2, collect_generators=True)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from fastwave.harmonics import (
-    Lattice, TorusFunction, sobolev_norm, multiply, x_to_grid, x_from_grid, xconv,
+    Lattice, TorusFunction, multiply, x_to_grid, x_from_grid, xconv,
 )
+from oracles import check_reality, coeff, sobolev_norm
 
 
 def bracket(ell, j):
@@ -16,7 +17,7 @@ def sobolev_norm_loop(u, s):
     total = 0.0
     for ell in lat.ell_range():
         for j in range(-lat.J, lat.J + 1):
-            total += bracket(ell, j) ** (2 * s) * abs(u.coeff(ell, j)) ** 2
+            total += bracket(ell, j) ** (2 * s) * abs(coeff(u, ell, j)) ** 2
     return np.sqrt(total)
 
 
@@ -71,7 +72,7 @@ def test_multiply_deltas():
     ej = TorusFunction.from_modes(lat, {(0, 2): 1.0})
     ek = TorusFunction.from_modes(lat, {(1, 3): 1.0})
     w = multiply(ej, ek)
-    assert w.coeff((1,), 5) == pytest.approx(1.0)
+    assert coeff(w, (1,), 5) == pytest.approx(1.0)
     assert np.sum(np.abs(w.coeffs)) == pytest.approx(1.0)
 
 
@@ -115,7 +116,7 @@ def test_multiply_preserves_reality():
     u = TorusFunction.random(lat, rng, reality=True)
     v = TorusFunction.random(lat, rng, reality=True)
     w = multiply(u, v)
-    assert w.reality and w.check_reality(1e-12)
+    assert w.reality and check_reality(w, 1e-12)
 
 
 def test_xconv_matches_truncated_convolve():
@@ -201,6 +202,6 @@ def test_reality_scan():
     lat = Lattice(1, 2, 2)
     rng = np.random.default_rng(10)
     u = TorusFunction.random(lat, rng, reality=True)
-    assert u.check_reality()
+    assert check_reality(u)
     v = TorusFunction.from_modes(lat, {(1, 1): 1.0})
-    assert not v.check_reality()
+    assert not check_reality(v)

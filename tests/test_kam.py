@@ -7,15 +7,15 @@ import scipy.linalg
 from fastwave.harmonics import Lattice, TorusFunction
 from fastwave.craig_wayne import build_basis_matrix
 from fastwave.kam import (
-    KamParameters, KamState, SmallnessError, diagonal_correction,
-    final_spectrum, homological_residual, init_state, kam_iterate, kam_step,
+    KamParameters, KamState, SmallnessError, _block_diagonal, diagonal_correction,
+    final_spectrum, init_state, kam_iterate, kam_step,
     melnikov_step_test, nash_moser_check, smallness_check, solve_homological,
 )
 from fastwave.magnus import magnus_transform
 from fastwave.melnikov import estimate_measure
-from fastwave.opmatrix import BlockOperator, LieSeriesDiverged, OperatorPair, block_slice
+from fastwave.opmatrix import BlockOperator, LieSeriesDiverged, OperatorPair, ad, block_slice
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks
-from oracles import left_right_ops
+from oracles import block, left_right_ops, pair_to_dense, structure_defect
 
 
 def xcoeffs(J, entries):
@@ -37,10 +37,23 @@ def toy_setup(J=12, L=4, M=1000.0, gamma=0.5, tau=2.6, alpha=0.5, N0=2,
     omega = np.array([1.5 * M])
     params = KamParameters(tau=tau, gamma=gamma, alpha=alpha, N0=N0,
                            tau0=1.0, gamma0=gamma ** (alpha / 4.0))
-    out = magnus_transform(qc, v, omega, M, params.gamma0, params.tau0, sd,
-                           with_symbols=False)
+    out = magnus_transform(qc, v, omega, M, params.gamma0, params.tau0, sd)
     state = init_state(out, sd, basis, params, lat)
     return state, out, sd, basis, lat
+
+
+def homological_residual(state: KamState, X: OperatorPair, Nval=None) -> float:
+    """max block residual of i[X, H0] - omega.dphi X + Pi_N V - Z (cutoff-free blocks)."""
+    pr = state.params
+    Nval = pr.N(state.p) if Nval is None else Nval
+    lat, K = state.lattice, state.V.Ad.K
+    H0pair = OperatorPair(BlockOperator.time_independent(lat, state.H0_matrix(), K=K),
+                          BlockOperator.zero(lat, K=K), pr.alpha, 0.0)
+    lhs = ad(X, H0pair) - X.omega_dphi(state.omega)
+    VN, _ = state.V.project(Nval)
+    Zmat = _block_diagonal(lat.J, diagonal_correction(state))
+    rhs_d = BlockOperator.time_independent(lat, Zmat, K=K) - VN.Ad
+    return max((lhs.Ad - rhs_d).norm_max(), (lhs.Ao + VN.Ao).norm_max())
 
 
 def test_params_schedule_and_guards():
@@ -60,7 +73,7 @@ def test_params_schedule_and_guards():
 def test_init_state_blocks_and_structure():
     state, out, sd, basis, lat = toy_setup()
     assert state.selfadjoint_defect() < 1e-12
-    assert state.V.structure_defect() < 1e-11 * max(1.0, state.V.norm_max())
+    assert structure_defect(state.V) < 1e-11 * max(1.0, state.V.norm_max())
     # H0 blocks carry the spectral lambdas
     assert state.H0[3][0, 0] == pytest.approx(sd.lam[sd.idx(-3)])
     assert state.H0[3][1, 1] == pytest.approx(sd.lam[sd.idx(3)])
@@ -278,12 +291,12 @@ def test_solve_homological_edge_blocks():
         combo = max(1, abs(n + n_in) if sign > 0 else abs(n - n_in))
         rho = 0.5 * pr.gamma / state.M ** pr.alpha * combo ** pr.alpha
         chi = pr.cutoff(min(np.min(np.abs(np.linalg.eigvalsh(G))) / rho, 1.0))
-        V = (Vd if comp == "d" else Vo).block((ell,), n, n_in)
+        V = block(Vd if comp == "d" else Vo, (ell,), n, n_in)
         x = -1j * chi * np.linalg.solve(G, V.reshape(-1))
         return x.reshape(V.shape), chi
 
     def got(ell, comp, n, n_in):
-        return (X.Ad if comp == "d" else X.Ao).block((ell,), n, n_in)
+        return block(X.Ad if comp == "d" else X.Ao, (ell,), n, n_in)
 
     for ell in (0, 1):
         for comp in ("d", "o"):
@@ -321,7 +334,7 @@ def test_kam_step_contracts_and_preserves_structure():
     d0 = state.delta(state.s0)
     new, X = kam_step(state)
     assert new.selfadjoint_defect() < 1e-12
-    assert new.V.structure_defect() < 1e-10 * max(1.0, d0)
+    assert structure_defect(new.V) < 1e-10 * max(1.0, d0)
     d1 = new.delta(new.s0)
     assert d1 < 0.5 * d0
     chk = nash_moser_check(state, new)
@@ -401,7 +414,7 @@ def test_kam_iterate_two_legs_repeat_one_run(track_norms):
 
 def generator_exponential(X: OperatorPair) -> np.ndarray:
     """Dense e^{iX} on the doubled extended lattice."""
-    return scipy.linalg.expm(1j * X.to_dense())
+    return scipy.linalg.expm(1j * pair_to_dense(X))
 
 
 def transformation_product(gens, lattice: Lattice) -> np.ndarray:
@@ -434,7 +447,7 @@ def test_transformation_cauchy_and_conjugation():
         H0x = OperatorPair(
             BlockOperator.time_independent(lat_, state_k.H0_matrix(), K=state_k.V.Ad.K),
             BlockOperator.zero(lat_, K=state_k.V.Ad.K), 0.5, 0.0)
-        dense = (H0x + state_k.V).to_dense()
+        dense = pair_to_dense(H0x + state_k.V)
         # the angle derivative acts as a diagonal omega.l on both components
         from fastwave.harmonics import _ell_range
         ells = _ell_range(lat_.nu, lat_.L)
@@ -476,11 +489,11 @@ def test_lipschitz_drift_across_omega():
         lat, {(1, 1): 0.25, (1, -1): 0.25, (-1, 1): 0.25, (-1, -1): 0.25},
         reality=True)
     o2 = mg.magnus_transform(qc, v, state1.omega + h, M, params.gamma0,
-                             params.tau0, sd, with_symbols=False)
+                             params.tau0, sd)
     state2 = init_state(o2, sd, basis, params, lat)
     f1, _ = kam_iterate(state1, p_max=3)
     f2, _ = kam_iterate(state2, p_max=3)
-    w = params.weight(M)
+    w = params.gamma / M ** params.alpha          # the Lipschitz weight
     drift = 0.0
     for n in f1.H0:
         d = np.max(np.abs(f1.H0[n] - f2.H0[n]))

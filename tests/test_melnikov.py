@@ -370,8 +370,7 @@ def test_omega_infty_nested_in_step_sets():
     rng = np.random.default_rng(1)
     tested = 0
     for omega in sample_annulus(rng, M, 1, 6):
-        out = magnus_transform(qc, v, omega, M, params.gamma0, params.tau0,
-                               sd, with_symbols=False)
+        out = magnus_transform(qc, v, omega, M, params.gamma0, params.tau0, sd)
         state = init_state(out, sd, basis, params, lat)
         final, _ = kam_iterate(state, p_max=2)
         table = eigen_table_from_state(final, sd.q_bar)
@@ -461,8 +460,7 @@ def toy_kam_pipeline(params, M):
                                  reality=True)
 
     def pipeline(omega):
-        out = magnus_transform(qc, v, omega, M, params.gamma0, params.tau0, sd,
-                               with_symbols=False)
+        out = magnus_transform(qc, v, omega, M, params.gamma0, params.tau0, sd)
         st = init_state(out, sd, basis, params, lat, track_norms=False)
         fin, _ = kam_iterate(st, p_max=2, track_norms=False)
         return eigen_table_from_state(fin, sd.q_bar)

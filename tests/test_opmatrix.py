@@ -6,9 +6,10 @@ from fastwave.harmonics import Lattice, TorusFunction
 from fastwave.opmatrix import (
     BlockOperator, LieSeriesDiverged, OperatorPair, _conj_grid, _from_phi_grid,
     _pair_norm_terms, _pair_term_norms, _phi_grid, _x_grids, ad,
-    lie_series, pair_norm, project_modes, s_decay_norm,
+    block_slice, lie_series, pair_norm, project_modes, s_decay_norm,
 )
-from oracles import left_right_ops, lie_conjugate
+from oracles import (apply, block, left_right_ops, lie_conjugate, pair_to_dense,
+                     sobolev_norm, structure_defect)
 
 LAT = Lattice(1, 3, 6)
 LAT2 = Lattice(2, 2, 4)
@@ -60,7 +61,7 @@ def s_decay_norm_loop(A, s, left=0.0, right=0.0):
             for n in range(J + 1):
                 for n2 in (n - h, n + h):
                     if 0 <= n2 <= J:
-                        blk = max(1, n) ** left * A.block(ell, n, n2) * max(1, n2) ** right
+                        blk = max(1, n) ** left * block(A, ell, n, n2) * max(1, n2) ** right
                         sup = max(sup, float(np.sum(np.abs(blk) ** 2)))
             total += max(1.0, ln, h) ** (2 * s) * sup
     return np.sqrt(total)
@@ -81,7 +82,8 @@ def test_identity_norm():
 def test_single_block_norm():
     rng = np.random.default_rng(0)
     blk = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    A = BlockOperator.from_blocks(LAT, {((2,), 1, 4): blk})
+    A = BlockOperator.zero(LAT)
+    A.mat((2,))[np.ix_(block_slice(LAT.J, 1), block_slice(LAT.J, 4))] = blk
     s = 2.0
     expect = max(1.0, 2.0, 3.0) ** s * np.linalg.norm(blk)
     assert s_decay_norm(A, s) == pytest.approx(expect, rel=1e-14)
@@ -138,8 +140,8 @@ def test_matmul_matches_loop_oracle():
     mask = np.zeros(LAT.shape)
     mask[LAT.L - 1:LAT.L + 2, :] = 1.0  # |l| <= 1 = L - 2
     uc = u.coeffs * mask
-    lhs = C2.apply(uc)
-    rhs = A2.apply(B2.apply(uc))
+    lhs = apply(C2, uc)
+    rhs = apply(A2, apply(B2, uc))
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -283,8 +285,9 @@ def test_ad_matches_dense_commutator():
     V0 = OperatorPair(BlockOperator.time_independent(lat, V.Ad.mat((0,))),
                       BlockOperator.time_independent(lat, V.Ao.mat((0,))), 0.5, 0.0)
     W0 = ad(X0, V0)
-    lhs0 = W0.to_dense()
-    rhs0 = 1j * (X0.to_dense() @ V0.to_dense() - V0.to_dense() @ X0.to_dense())
+    lhs0 = pair_to_dense(W0)
+    X0d, V0d = pair_to_dense(X0), pair_to_dense(V0)
+    rhs0 = 1j * (X0d @ V0d - V0d @ X0d)
     assert np.max(np.abs(lhs0 - rhs0)) < 1e-12 * max(1.0, np.max(np.abs(rhs0)))
 
 
@@ -384,9 +387,9 @@ def test_ad_preserves_structure():
     rng = np.random.default_rng(10)
     X = random_pair(LAT, rng, alpha=0.5)
     V = random_pair(LAT, rng, alpha=0.5)
-    assert X.structure_defect() < 1e-13
+    assert structure_defect(X) < 1e-13
     W = ad(X, V)
-    assert W.structure_defect() < 1e-12
+    assert structure_defect(W) < 1e-12
 
 
 def test_lie_conjugate_identity_and_zero():
@@ -532,8 +535,7 @@ def test_opnorm_bounded_by_sdecay():
     for _ in range(10):
         A = random_block_op(LAT, rng)
         u = TorusFunction.random(LAT, rng)
-        Au = A.apply(u.coeffs)
-        from fastwave.harmonics import sobolev_norm
+        Au = apply(A, u.coeffs)
         for r in (0.0, 2.0, 4.0):
             nAu = np.sqrt(np.sum(np.maximum(
                 1.0, np.maximum.outer(np.abs(np.arange(-LAT.L, LAT.L + 1)),

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from fastwave.harmonics import Lattice, TorusFunction
+from fastwave.harmonics import Lattice
 from fastwave.schrodinger import (
     SpectrumError, assemble_lq, decompose_eigenvalues, eigensolve_blocks,
     spectral_power,
 )
+from oracles import x_only
 
 
 def xcoeffs(J, entries):
@@ -45,7 +46,7 @@ def test_assemble_rejects_complex_q():
 
 def test_assemble_accepts_torusfunction():
     lat = Lattice(1, 2, 6)
-    q = TorusFunction.x_only(lat, cos_potential(6, amp=2.0), reality=True)
+    q = x_only(lat, cos_potential(6, amp=2.0), reality=True)
     assert np.allclose(assemble_lq(q, 6), assemble_lq(cos_potential(6, amp=2.0), 6))
 
 
