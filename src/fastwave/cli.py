@@ -226,8 +226,8 @@ def stage_psdo_audit(ctx: dict) -> dict:
     out = {}
     # parametrix residual decay
     shifted = ell.full_symbol() + Symbol.constant(lat, 1.0)
-    OpA = quantize(Symbol(lat, 2.0, shifted._rule, 12, lat.J))
-    bN = resolvent_parametrix(ell, -1.0, N=3, deriv_depth=0)
+    OpA = quantize(Symbol(lat, 2.0, shifted._rule, 12))
+    bN = resolvent_parametrix(ell, -1.0, N=3)
     R = quantize(bN) @ OpA - BlockOperator.identity(lat)
     expo, _ = entry_decay_exponent(R)
     out["parametrix_N3_exponent"] = expo
@@ -484,12 +484,7 @@ def emit_report(manifest: dict, outdir: str) -> list:
     for name, st in manifest["stages"].items():
         entry = {k: v for k, v in st.items() if k not in ("csv", "plot")}
         clean[name] = entry
-        for fname, text in st.get("csv", {}).items():
-            path = os.path.join(outdir, fname)
-            with open(path, "w") as fh:
-                fh.write(text)
-            written.append(path)
-        for fname, text in st.get("plot", {}).items():
+        for fname, text in [*st.get("csv", {}).items(), *st.get("plot", {}).items()]:
             path = os.path.join(outdir, fname)
             with open(path, "w") as fh:
                 fh.write(text)

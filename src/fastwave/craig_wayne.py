@@ -6,7 +6,7 @@ equation is solved by the Neumann series of T_n = A_lambda^{-1} Q_n V
 (divisors lambda - m^2, |m| != n), leaving an explicit 2x2 system S_n(lambda)
 whose two roots are the block eigenvalues.  The resulting eigenfunctions are
 localized near e_{+-n} with polynomial decay <|m|-n>^{-s}; `change_basis`
-moves block operators between the exponential and eigenfunction bases.
+moves block operators from the exponential to the eigenfunction basis.
 
 The constant tilde_C(s) driving the admissibility threshold
 ||q||_s <= n / (2 tilde_C_s) is evaluated numerically from its defining sum
@@ -17,12 +17,12 @@ empirical contraction, and reports whether the certified threshold held.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .harmonics import TorusFunction, xconv
+from .harmonics import xconv
 from .opmatrix import BlockOperator, _hs_block_tensor, _s_decay_sq
 from .schrodinger import SpectralData
 
@@ -31,15 +31,9 @@ class AdmissibilityError(RuntimeError):
     pass
 
 
-def _xcoeffs(u) -> np.ndarray:
-    if isinstance(u, TorusFunction):
-        return u.x_slice()
-    return np.asarray(u, dtype=complex)
-
-
 def shifted_norm(u, s: float, j: int) -> float:
     """( sum_n <n+j>^{2s} |u_hat(n)|^2 )^{1/2}."""
-    c = _xcoeffs(u)
+    c = np.asarray(u, dtype=complex)
     J = (len(c) - 1) // 2
     w = np.maximum(1.0, np.abs(np.arange(-J, J + 1) + j)).astype(float)
     return float(np.sqrt(np.sum(w ** (2.0 * s) * np.abs(c) ** 2)))
@@ -71,17 +65,18 @@ class LsContext:
     s: float
     q: np.ndarray                      # x coefficients, length 2J+1
     lam: float
-    C_tilde: float = field(default=None)
 
     def __post_init__(self):
-        self.q = _xcoeffs(self.q)
+        self.q = np.asarray(self.q, dtype=complex)
         if self.n < 1:
             raise ValueError("the Lyapunov-Schmidt path needs n >= 1")
         if abs(self.lam - self.n ** 2) > self.n / 2 + 1e-12:
             raise AdmissibilityError(
                 f"lambda is outside U_n = {{|lam - n^2| <= n/2}} (n = {self.n})")
-        if self.C_tilde is None:
-            self.C_tilde = tilde_C(self.s)
+
+    @property
+    def C_tilde(self) -> float:
+        return tilde_C(self.s)
 
     @property
     def J(self) -> int:
@@ -97,12 +92,12 @@ class LsContext:
         return self.q_norm <= self.n / (2.0 * self.C_tilde)
 
     def with_lam(self, lam: float) -> "LsContext":
-        return LsContext(self.n, self.s, self.q, lam, self.C_tilde)
+        return LsContext(self.n, self.s, self.q, lam)
 
 
 def apply_Tn(w, ctx: LsContext) -> np.ndarray:
     """(T_n w)(m) = (lam - m^2)^{-1} (q w)(m) for |m| != n, zero at +-n."""
-    wc = _xcoeffs(w)
+    wc = np.asarray(w, dtype=complex)
     J = ctx.J
     if abs(wc[J + ctx.n]) > 1e-13 or abs(wc[J - ctx.n]) > 1e-13:
         raise ValueError("input must lie in the complement Q_n (w_hat(+-n) = 0)")
@@ -115,25 +110,26 @@ def apply_Tn(w, ctx: LsContext) -> np.ndarray:
     return out
 
 
-def solve_q_equation(u, ctx: LsContext, tol: float = 1e-13, n_max: int = 200):
-    """v = sum_{k>=1} T_n^k u, truncated at increment < tol.
+def solve_q_equation(u, ctx: LsContext, tol: float = 1e-13):
+    """v = sum_{k>=1} T_n^k u, truncated at increment < tol (at most 200 terms).
 
     Returns (v, info) with the residual of (Id - T_n) v = T_n u checked to
     10*tol and the shifted-norm bound of the certified regime recorded.
     """
-    uc = _xcoeffs(u)
+    uc = np.asarray(u, dtype=complex)
     J = ctx.J
     # first term: T_n applied to u, the +-n modes allowed in the input
     qw = xconv(ctx.q, uc)
     ms = np.arange(-J, J + 1)
     div = ctx.lam - ms.astype(float) ** 2
-    term = np.zeros_like(qw)
+    first = np.zeros_like(qw)
     keep = np.abs(ms) != ctx.n
-    term[keep] = qw[keep] / div[keep]
+    first[keep] = qw[keep] / div[keep]
 
-    v = np.array(term)
+    v = np.array(first)
+    term = first
     prev = np.linalg.norm(term)
-    for k in range(2, n_max + 1):
+    for k in range(2, 201):
         term = apply_Tn(term, ctx)
         inc = np.linalg.norm(term)
         if prev > 0 and inc / prev >= 1.0:
@@ -144,8 +140,6 @@ def solve_q_equation(u, ctx: LsContext, tol: float = 1e-13, n_max: int = 200):
             break
         prev = inc
     # residual check: (Id - T_n) v - T_n u = 0
-    first = np.zeros_like(qw)
-    first[keep] = qw[keep] / div[keep]
     residual = v - apply_Tn(v, ctx) - first
     res = float(np.linalg.norm(residual))
     if res > 10 * tol * max(1.0, np.linalg.norm(v)):
@@ -160,7 +154,7 @@ def solve_q_equation(u, ctx: LsContext, tol: float = 1e-13, n_max: int = 200):
     return v, info
 
 
-def assemble_Sn(ctx: LsContext, tol: float = 1e-13):
+def assemble_Sn(ctx: LsContext):
     """The 2x2 system S_n(lambda) with entries from a_{+-n}, c_{+-n}.
 
     a_n = (V (Id-T_n)^{-1} e_n, e_n),  c_n = (V (Id-T_n)^{-1} e_{-n}, e_n).
@@ -173,7 +167,7 @@ def assemble_Sn(ctx: LsContext, tol: float = 1e-13):
     def resolve(sign):
         e = np.zeros(2 * J + 1, dtype=complex)
         e[J + sign * n] = 1.0
-        v, _ = solve_q_equation(e, ctx, tol)
+        v, _ = solve_q_equation(e, ctx)
         return e + v
 
     rp, rm = resolve(+1), resolve(-1)
@@ -190,20 +184,21 @@ def assemble_Sn(ctx: LsContext, tol: float = 1e-13):
     return S, complex(a_n), complex(c_n)
 
 
-def ls_block_eigenpairs(n: int, q, s: float, tol: float = 1e-12,
-                        newton_max: int = 60):
+def ls_block_eigenpairs(n: int, q, s: float):
     """Both roots of det S_n(lambda) in the disc D_n, with eigenfunctions.
 
     Returns a list [(lam, f)] sorted ascending; each f has unit projection
-    onto span{e_{-n}, e_n}.  Newton iteration from lam = n^2 + a_n(n^2) with
-    bisection fallback; roots escaping D_n raise with diagnostics.
+    onto span{e_{-n}, e_n}.  At most 60 Newton steps from lam = n^2 + a_n(n^2)
+    solve to relative tolerance 1e-12, with bisection fallback; roots
+    escaping D_n raise with diagnostics.
     """
-    qc = _xcoeffs(q)
+    tol = 1e-12
+    qc = np.asarray(q, dtype=complex)
     ctx0 = LsContext(n, s, qc, float(n ** 2))
     radius = (2.0 * ctx0.C_tilde / 3.0) * ctx0.q_norm
 
     def entries(lam):
-        _, a, c = assemble_Sn(ctx0.with_lam(lam), tol=1e-13)
+        _, a, c = assemble_Sn(ctx0.with_lam(lam))
         return float(np.real(a)), c
 
     out = []
@@ -215,7 +210,7 @@ def ls_block_eigenpairs(n: int, q, s: float, tol: float = 1e-12,
 
         lam = n ** 2 + a0 + sign * abs(c0)
         converged = False
-        for _ in range(newton_max):
+        for _ in range(60):
             val = h(lam)
             if abs(val) < tol * max(1.0, abs(lam)):
                 converged = True
@@ -257,19 +252,19 @@ def ls_block_eigenpairs(n: int, q, s: float, tol: float = 1e-12,
 def eigen_residual(lam: float, f: np.ndarray, q) -> float:
     """||L_q f - lam f||_0 / ||f||_0 on the truncation."""
     from .schrodinger import assemble_lq
-    qc = _xcoeffs(q)
+    qc = np.asarray(q, dtype=complex)
     J = (len(f) - 1) // 2
     M = assemble_lq(qc, J)
     r = M @ f - lam * f
     return float(np.linalg.norm(r) / np.linalg.norm(f))
 
 
-def verify_localization(f, n: int, s: float, slack: float = 1e-8):
-    """Worst ratio max_m |(f, e_m)| <|m| - n>^s; PASS iff <= 2 + slack.
+def verify_localization(f, n: int, s: float):
+    """Worst ratio max_m |(f, e_m)| <|m| - n>^s; PASS iff <= 2 + 1e-8.
 
     f is normalized to unit projection on span{e_{-n}, e_n} first.
     """
-    c = np.array(_xcoeffs(f))
+    c = np.array(f, dtype=complex)
     J = (len(c) - 1) // 2
     pn = math.hypot(abs(c[J - n]), abs(c[J + n]))
     if pn > 0:
@@ -277,7 +272,7 @@ def verify_localization(f, n: int, s: float, slack: float = 1e-8):
     ms = np.arange(-J, J + 1)
     w = np.maximum(1.0, np.abs(np.abs(ms) - n)).astype(float) ** s
     ratio = float(np.max(np.abs(c) * w))
-    return ratio, ratio <= 2.0 + slack
+    return ratio, ratio <= 2.0 + 1e-8
 
 
 # -- basis change ---------------------------------------------------------------
@@ -308,17 +303,12 @@ def build_basis_matrix(sd: SpectralData) -> BasisMatrix:
     return BasisMatrix(M=sd.psi.T.copy(), J=sd.J, K=sd.conjugation_matrix())
 
 
-def change_basis(A: BlockOperator, basis: BasisMatrix,
-                 direction: str = "to_eigen") -> BlockOperator:
-    """Conjugate a BlockOperator between the exponential and eigen bases.
+def change_basis(A: BlockOperator, basis: BasisMatrix) -> BlockOperator:
+    """A BlockOperator of the exponential basis in the eigen basis.
 
-    to_eigen: A_eig(l) = conj(M) A_exp(l) M^T (so that matrix action agrees
-    with operator action in eigen coordinates); to_exp is the inverse.
+    A_eig(l) = conj(M) A_exp(l) M^T, so that matrix action agrees with
+    operator action in eigen coordinates.
     """
     if A.lattice.J != basis.J:
         raise ValueError("cutoff mismatch between operator and basis matrix")
-    Mc = np.conj(basis.M)
-    if direction == "to_eigen":
-        return BlockOperator(A.lattice, Mc @ A.mats @ basis.M.T, K=basis.K)
-    from .opmatrix import flip_conjugation
-    return BlockOperator(A.lattice, basis.M.T @ A.mats @ Mc, K=flip_conjugation(A.lattice.J))
+    return BlockOperator(A.lattice, np.conj(basis.M) @ A.mats @ basis.M.T, K=basis.K)

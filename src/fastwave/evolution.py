@@ -20,8 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .harmonics import Lattice
-from .opmatrix import BlockOperator, OperatorPair
+from .craig_wayne import build_basis_matrix, change_basis
+from .harmonics import Lattice, TorusFunction
+from .magnus import multiplication_operator
+from .opmatrix import BlockOperator, OperatorPair, _conj_grid
 from .schrodinger import SpectralData, spectral_power
 
 
@@ -58,33 +60,15 @@ def pair_state(phi_exp: np.ndarray, sd: SpectralData) -> np.ndarray:
     return np.stack([coords @ phi_exp, coords @ phibar])
 
 
-class KickOperator:
-    """W(phi) sigma4 with W = (1/2) B^{-1/2} V(phi) B^{-1/2} in eigen coords."""
-
-    def __init__(self, v, sd: SpectralData, lattice: Lattice):
-        from .craig_wayne import build_basis_matrix, change_basis
-        from .magnus import multiplication_operator
-        basis = build_basis_matrix(sd)
-        Bmh = spectral_power(sd, -0.25)
-        W = BlockOperator(lattice, 0.5 * (Bmh @ multiplication_operator(v).mats @ Bmh))
-        self.W = change_basis(W, basis)
-
-    def at_angle(self, phi_angle: np.ndarray) -> np.ndarray:
-        return self.W.at_angle(phi_angle)
-
-
-def _conj_at_angle(K, W):
-    """conj-op of a fixed-angle matrix W: K conj(W) conj(K)."""
-    return K @ np.conj(W) @ np.conj(K)
-
-
-def integrate(sd: SpectralData, v, omega, state0: np.ndarray, T: float,
-              dt: float, lattice: Lattice | None = None, t0: float = 0.0,
+def integrate(sd: SpectralData, v: TorusFunction, omega, state0: np.ndarray, T: float,
+              dt: float, lattice: Lattice, t0: float = 0.0,
               store_every: int = 1) -> Trajectory:
     """Strang splitting: half rotation, exact kick at the midpoint, half rotation.
 
-    state0: (2, D) eigen coordinates.  dt must resolve the driving and the
-    spectral radius: dt <= 0.1 / max(|omega|, lambda_max).
+    The kick is W(phi) sigma4 with W = (1/2) B^{-1/2} V(phi) B^{-1/2} in
+    eigen coordinates; v = 0 gives the free flow.  state0: (2, D) eigen
+    coordinates.  dt must resolve the driving and the spectral radius:
+    dt <= 0.1 / max(|omega|, lambda_max).
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     lam = sd.lam
@@ -92,8 +76,12 @@ def integrate(sd: SpectralData, v, omega, state0: np.ndarray, T: float,
     if dt > 0.1 / max(float(np.linalg.norm(omega)), lam_max):
         raise ValueError("dt too coarse for the driving/spectral scales")
     n_steps = int(round(T / dt))
-    lattice = lattice or getattr(v, "lattice", None)
-    kick = KickOperator(v, sd, lattice) if v is not None and np.max(np.abs(v.coeffs)) > 0 else None
+    W = None                                  # no kick for v = 0
+    if np.max(np.abs(v.coeffs)) > 0:
+        Bmh = spectral_power(sd, -0.25)
+        V = multiplication_operator(v)
+        W = change_basis(BlockOperator(lattice, 0.5 * (Bmh @ V.mats @ Bmh)),
+                         build_basis_matrix(sd))
     half = np.exp(-0.5j * dt * lam)
     state = np.array(state0, dtype=complex)
     times = [t0]
@@ -102,8 +90,8 @@ def integrate(sd: SpectralData, v, omega, state0: np.ndarray, T: float,
     for k in range(n_steps):
         state[0] *= half
         state[1] *= np.conj(half)
-        if kick is not None:
-            state = _apply_kick(kick, state, omega * (t + 0.5 * dt), dt)
+        if W is not None:
+            state = _apply_kick(W, state, omega * (t + 0.5 * dt), dt)
         state[0] *= half
         state[1] *= np.conj(half)
         t += dt
@@ -114,12 +102,12 @@ def integrate(sd: SpectralData, v, omega, state0: np.ndarray, T: float,
                       sd=sd, dt=dt)
 
 
-def _apply_kick(kick: KickOperator, state, phi_angle, dt):
-    W = kick.at_angle(phi_angle)
-    Wb = _conj_at_angle(kick.W.K, W)
+def _apply_kick(W: BlockOperator, state, phi_angle, dt):
+    Wp = W.at_angle(phi_angle)
+    Wb = _conj_grid(Wp, W.K)
     s = state[0] + state[1]
     out = np.array(state)
-    out[0] -= 1j * dt * (W @ s)
+    out[0] -= 1j * dt * (Wp @ s)
     out[1] += 1j * dt * (Wb @ s)
     return out
 
@@ -146,7 +134,7 @@ def band_width(traj: Trajectory, r: float) -> float:
 def sigma4_exponential(Ymat: np.ndarray, K: np.ndarray) -> np.ndarray:
     """e^{i Y sigma4} = 1 + i Y sigma4 exactly (sigma4 nilpotent); Y real."""
     D = Ymat.shape[0]
-    Yb = _conj_at_angle(K, Ymat)
+    Yb = _conj_grid(Ymat, K)
     top = np.concatenate([np.eye(D) + 1j * Ymat, 1j * Ymat], axis=1)
     bot = np.concatenate([-1j * Yb, np.eye(D) - 1j * Yb], axis=1)
     return np.concatenate([top, bot], axis=0)
@@ -156,7 +144,7 @@ def pair_at_angle(P: OperatorPair, phi_angle) -> np.ndarray:
     """The 2x2-of-operators family of P evaluated at a fixed angle."""
     Ad, Ao = P.Ad.at_angle(phi_angle), P.Ao.at_angle(phi_angle)
     top = np.concatenate([Ad, Ao], axis=1)
-    bot = np.concatenate([-_conj_at_angle(P.Ad.K, Ao), -_conj_at_angle(P.Ad.K, Ad)], axis=1)
+    bot = np.concatenate([-_conj_grid(Ao, P.Ad.K), -_conj_grid(Ad, P.Ad.K)], axis=1)
     return np.concatenate([top, bot], axis=0)
 
 
@@ -196,9 +184,12 @@ class FloquetFrame:
 
 def floquet_residual(frame: FloquetFrame, sd: SpectralData, v, omega,
                      t_tau_pairs, dt: float, lattice: Lattice,
-                     n_probes: int = 4, rng=None) -> float:
-    """max over (t, tau) and probes of |U_num(t,tau) p - U_floquet(t,tau) p| / |p|."""
-    rng = rng or np.random.default_rng(0)
+                     n_probes: int = 4) -> float:
+    """max over (t, tau) and probes of |U_num(t,tau) p - U_floquet(t,tau) p| / |p|.
+
+    The probes p are drawn from a generator seeded with 0.
+    """
+    rng = np.random.default_rng(0)
     D = 2 * sd.J + 1
     worst = 0.0
     for (t, tau) in t_tau_pairs:

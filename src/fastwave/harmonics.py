@@ -67,16 +67,6 @@ def _ell_norms(nu, L):
     return norms
 
 
-@lru_cache(maxsize=None)
-def _bracket_weights(nu, L, J):
-    """<l,j> = max(1, |l|_2, |j|) on the full index box."""
-    axes = [np.arange(-L, L + 1)] * nu + [np.arange(-J, J + 1)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    ell_sq = sum(g.astype(float) ** 2 for g in grids[:-1])
-    w = np.maximum(np.sqrt(ell_sq), np.abs(grids[-1]).astype(float))
-    return np.maximum(w, 1.0)
-
-
 class TorusFunction:
     """Truncated Fourier coefficients of a scalar function on T^nu x T."""
 
@@ -94,8 +84,8 @@ class TorusFunction:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, lattice: Lattice, reality: bool = True) -> "TorusFunction":
-        return cls(lattice, np.zeros(lattice.shape, dtype=complex), reality)
+    def zero(cls, lattice: Lattice) -> "TorusFunction":
+        return cls(lattice, np.zeros(lattice.shape, dtype=complex), True)
 
     @classmethod
     def from_modes(cls, lattice: Lattice, modes: dict, reality: bool = False) -> "TorusFunction":
@@ -105,15 +95,6 @@ class TorusFunction:
             *ell, j = idx
             c[lattice.ell_to_index(ell) + (int(j) + lattice.J,)] = amp
         return cls(lattice, c, reality)
-
-    @classmethod
-    def random(cls, lattice: Lattice, rng, decay: float = 0.0, reality: bool = True) -> "TorusFunction":
-        """Seeded random function with |u_hat(l,j)| ~ <l,j>^(-decay)."""
-        c = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
-        if decay:
-            c = c * _bracket_weights(lattice.nu, lattice.L, lattice.J) ** (-decay)
-        u = cls(lattice, c, reality=False)
-        return u.symmetrized() if reality else u
 
     # -- basic structure ----------------------------------------------
 
@@ -128,12 +109,6 @@ class TorusFunction:
     def x_slice(self) -> np.ndarray:
         """Coefficients of the l = 0 slice (length 2J+1)."""
         return np.array(self.coeffs[(self.lattice.L,) * self.lattice.nu])
-
-    def is_x_only(self, tol: float = 0.0) -> bool:
-        mask = np.ones(self.lattice.shape, dtype=bool)
-        mask[(self.lattice.L,) * self.lattice.nu] = False
-        off = self.coeffs[mask]
-        return bool(np.max(np.abs(off), initial=0.0) <= tol)
 
     # -- algebra --------------------------------------------------------
 
@@ -156,29 +131,15 @@ class TorusFunction:
     def __neg__(self) -> "TorusFunction":
         return TorusFunction(self.lattice, -self.coeffs, self.reality)
 
-    def dx(self, order: int = 1) -> "TorusFunction":
-        """Spectral derivative in x: multiply by (i j)^order."""
-        j = np.arange(-self.lattice.J, self.lattice.J + 1)
-        return TorusFunction(self.lattice, self.coeffs * (1j * j) ** order, self.reality)
-
     def _require_same_lattice(self, other: "TorusFunction"):
         if self.lattice != other.lattice:
             raise ValueError("lattice mismatch")
 
     # -- serialization ---------------------------------------------------
 
-    def to_json_dict(self, tol: float = 0.0) -> dict:
-        lat = self.lattice
-        entries = []
-        for flat, val in np.ndenumerate(self.coeffs):
-            if abs(val) > tol:
-                ell = [int(flat[k]) - lat.L for k in range(lat.nu)]
-                entries.append(ell + [int(flat[-1]) - lat.J, float(val.real), float(val.imag)])
-        return {"nu": lat.nu, "L": lat.L, "J": lat.J, "reality": self.reality,
-                "coeffs": entries}
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "TorusFunction":
+        """Read {"nu", "L", "J", "reality", "coeffs": [[l_1..l_nu, j, re, im], ...]}."""
         lat = Lattice(d["nu"], d["L"], d["J"])
         c = np.zeros(lat.shape, dtype=complex)
         for row in d["coeffs"]:

@@ -30,13 +30,15 @@ import numpy as np
 from .harmonics import Lattice
 from .opmatrix import (BlockOperator, OperatorPair, _x_grids, ad, block_slice,
                        lie_series, pair_norm)
-from .psdo import Cutoff, DEFAULT_CUTOFF
+from .psdo import DEFAULT_CUTOFF
 from .calibration import CONSTANTS
 
 # each Lie series of a step stops after its first term below LIE_TOL times
 # max(|ad_X H0|, |V|) and holds at most the terms of index k <= LIE_N_MAX
 LIE_TOL = 1e-15
 LIE_N_MAX = 39
+# kam_iterate stops once the remainder's delta_s0 is below DELTA_FLOOR
+DELTA_FLOOR = 1e-14
 
 
 class SmallnessError(RuntimeError):
@@ -53,9 +55,7 @@ class KamParameters:
     N0: int = 16
     tau0: float = 1.0
     gamma0: float = 0.1
-    chi: float = 1.5
     p_max: int = 8
-    cutoff: Cutoff = field(default_factory=lambda: DEFAULT_CUTOFF)
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
@@ -76,9 +76,10 @@ class KamParameters:
         return 2.0 * self.tau + 2.0 + self.rho
 
     def N(self, p: int) -> float:
+        """N_p = N0^(chi^p) with chi = 3/2."""
         if p < 0:
             return 1.0
-        return float(self.N0) ** (self.chi ** p)
+        return float(self.N0) ** (1.5 ** p)
 
     def tau_constraint_ok(self, nu: int) -> bool:
         return self.tau > nu - 1 + self.alpha + self.tau0 / self.alpha
@@ -118,7 +119,7 @@ class KamState:
 
 
 def init_state(magnus_out, sd, basis, params: KamParameters, lattice: Lattice,
-               s0: float | None = None, track_norms: bool = True) -> KamState:
+               track_norms: bool = True) -> KamState:
     """Initial normal form diag(lambda_[n]) plus the embedded remainder."""
     from .craig_wayne import change_basis
     if not sd.positive:
@@ -134,9 +135,8 @@ def init_state(magnus_out, sd, basis, params: KamParameters, lattice: Lattice,
     # high-index norms under the <l,h>^{2(s0+beta)} weights
     V = OperatorPair(Vd.prune(1e-14 * scale), Vo.prune(1e-14 * scale),
                      params.alpha, 0.0)
-    s0 = float(lattice.s0 if s0 is None else s0)
     state = KamState(p=0, H0=H0, V=V, omega=magnus_out.omega, M=magnus_out.M,
-                     params=params, lattice=lattice, s0=s0,
+                     params=params, lattice=lattice, s0=float(lattice.s0),
                      lam_ref=sd.lam.copy())
     state.history.append(_history_row(state, None, track_norms))
     return state
@@ -275,7 +275,7 @@ def solve_homological(state: KamState, Nval: float | None = None) -> OperatorPai
                                    np.abs(np.subtract.outer(ns, ns))))
     rho = (0.5 * pr.gamma / state.M ** pr.alpha * combo ** pr.alpha
            / np.maximum(1.0, ln)[:, None, None] ** pr.tau)
-    factor = pr.cutoff(np.minimum(mingap / rho, 1.0))
+    factor = DEFAULT_CUTOFF(np.minimum(mingap / rho, 1.0))
     # excluded (0, n, n) indices of X^d: absorbed into Z
     excluded = (comp_d & (ln == 0.0))[:, None]
     factor[:, ns, ns] = np.where(excluded, 0.0, factor[:, ns, ns])
@@ -355,8 +355,7 @@ def nash_moser_check(state_prev: KamState, state_next: KamState) -> dict:
 
 
 def kam_iterate(state: KamState, p_max: int | None = None,
-                delta_floor: float = 1e-14, collect_generators: bool = False,
-                track_norms: bool = True):
+                collect_generators: bool = False, track_norms: bool = True):
     """Iterate to the block-diagonal normal form.
 
     Returns (final state, [X^(p)] if collected else None).  Aborts with the
@@ -375,15 +374,15 @@ def kam_iterate(state: KamState, p_max: int | None = None,
     delta0 = state.history[0]["delta_s0"]
     prev_delta = state.history[-1]["delta_s0"]
     while state.p < p_max:
-        if prev_delta < delta_floor:
+        if prev_delta < DELTA_FLOOR:
             break
         state_next, X = kam_step(state, track_norms=track_norms)
         d = state_next.history[-1]["delta_s0"]
-        if d > max(1.5 * prev_delta, 1e3 * delta_floor) and d > 1e-13:
+        if d > max(1.5 * prev_delta, 1e3 * DELTA_FLOOR) and d > 1e-13:
             raise SmallnessError(
                 f"remainder grew at p={state.p}: {prev_delta:.3e} -> {d:.3e}; "
                 "smallness condition violated")
-        if state_next.p >= 3 and d > 0.5 * delta0 and d > delta_floor:
+        if state_next.p >= 3 and d > 0.5 * delta0 and d > DELTA_FLOOR:
             raise SmallnessError(
                 f"iteration stalled: delta {d:.3e} vs initial {delta0:.3e} "
                 f"after {state_next.p} steps")

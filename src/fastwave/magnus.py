@@ -25,7 +25,7 @@ import numpy as np
 
 from .harmonics import TorusFunction, toeplitz
 from .opmatrix import BlockOperator, OperatorPair
-from .psdo import Cutoff, DEFAULT_CUTOFF
+from .psdo import DEFAULT_CUTOFF
 from .schrodinger import SpectralData, spectral_power
 
 
@@ -62,8 +62,8 @@ class NonZeroAverageError(ValueError):
     pass
 
 
-def apply_divisors(W: BlockOperator, omega, M: float, gamma0: float, tau0: float,
-                   cutoff: Cutoff = DEFAULT_CUTOFF) -> BlockOperator:
+def apply_divisors(W: BlockOperator, omega, M: float, gamma0: float,
+                   tau0: float) -> BlockOperator:
     """The generator Y(l) = chi(omega.l / rho_l)/(i omega.l) W(l), Y(0) = 0."""
     lat = W.lattice
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
@@ -71,7 +71,7 @@ def apply_divisors(W: BlockOperator, omega, M: float, gamma0: float, tau0: float
         raise NonZeroAverageError("W must have zero angle average")
     dot = lat.ell_range() @ omega
     rho = gamma0 * M * np.maximum(1.0, lat.ell_norms()) ** (-tau0)
-    c = cutoff(dot / rho)           # 0 wherever |omega.l| <= rho/3, l = 0 included
+    c = DEFAULT_CUTOFF(dot / rho)   # 0 wherever |omega.l| <= rho/3, l = 0 included
     on = c != 0.0
     factor = np.where(on, -1j * (c / np.where(on, dot, 1.0)), 0.0)
     return BlockOperator(lat, factor[:, None, None] * W.mats, W.K)

@@ -45,20 +45,22 @@ class MeasureReport:
     tau: float
     alpha: float
     n_samples: int
-    rejected_omega0: int = 0
-    rejected_infty: int = 0
-    indeterminate: int = 0
-    indeterminate_by_type: dict = field(default_factory=lambda: dict.fromkeys(
+    # the counts start at zero and are accumulated sample by sample
+    rejected_omega0: int = field(default=0, init=False)
+    rejected_infty: int = field(default=0, init=False)
+    indeterminate: int = field(default=0, init=False)
+    indeterminate_by_type: dict = field(init=False, default_factory=lambda: dict.fromkeys(
         (e.__name__ for e in INDETERMINATE_ERRORS), 0))
-    pruning: dict = field(default_factory=dict)
+    pruning: dict = field(default_factory=dict, init=False)
 
     @property
     def m_r(self) -> float:
         """Relative measure of Omega_0 \\ Omega_infty."""
         return self.rejected_infty / self.n_samples
 
-    def confidence_interval(self, z: float = 1.96):
+    def confidence_interval(self):
         """Wilson 95% interval for m_r."""
+        z = 1.96
         n, k = self.n_samples, self.rejected_infty
         if n == 0:
             return (0.0, 1.0)
@@ -96,12 +98,6 @@ class EigenTable:
         # (J+1, 2) eigenvalue pairs of the explicit blocks, [0]'s value twice
         self._inner = np.array([np.resize(np.asarray(self.mu_blocks[n], dtype=float), 2)
                                 for n in range(self.J + 1)])
-
-    def values(self, n: int) -> np.ndarray:
-        if n <= self.J:
-            return self.mu_blocks[n]
-        lam = math.sqrt(n * n + self.q_bar)
-        return np.array([lam, lam])
 
     def pairs(self, ns) -> np.ndarray:
         """(len(ns), 2) eigenvalues of the blocks ns (nonnegative ints)."""
@@ -277,8 +273,7 @@ def single_set_measure_exact(M: float, ell: int, c: float, delta: float):
 
 
 def estimate_measure(pipeline, params, M: float, n_samples: int,
-                     rng_seed: int, nu: int = 1, L_check: int = 4,
-                     L_dioph: int | None = None) -> MeasureReport:
+                     rng_seed: int, nu: int = 1, L_check: int = 4) -> MeasureReport:
     """Monte-Carlo m_r(Omega_0 \\ Omega_infty) at one gamma.
 
     `pipeline(omega) -> EigenTable` produces the final blocks for a sample
@@ -291,7 +286,8 @@ def estimate_measure(pipeline, params, M: float, n_samples: int,
     a serial run.  A SmallnessError, LieSeriesDiverged or LinAlgError makes
     the sample indeterminate and is counted by type, in the worker; any
     other error propagates with its own type.  The tau constraint
-    tau > nu - 1 + alpha + tau0/alpha is enforced.
+    tau > nu - 1 + alpha + tau0/alpha is enforced.  The Diophantine test of
+    Omega_0 scans 0 < |l| <= max(8, L_check).
     """
     if n_samples < 100:
         raise ValueError("need at least 100 samples for a meaningful estimate")
@@ -299,7 +295,7 @@ def estimate_measure(pipeline, params, M: float, n_samples: int,
         raise ValueError("tau violates tau > nu - 1 + alpha + tau0/alpha")
     rng = np.random.default_rng(rng_seed)
     samples = sample_annulus(rng, M, nu, n_samples)
-    L_dioph = L_dioph if L_dioph is not None else max(8, L_check)
+    L_dioph = max(8, L_check)
     report = MeasureReport(M=M, gamma=params.gamma, tau=params.tau,
                            alpha=params.alpha, n_samples=n_samples)
     job = (pipeline, params, M, L_check, L_dioph)

@@ -141,8 +141,8 @@ class BlockOperator:
         return cls(lattice, _zero_modes(lattice), K)
 
     @classmethod
-    def identity(cls, lattice: Lattice, K=None) -> "BlockOperator":
-        return cls.time_independent(lattice, np.eye(2 * lattice.J + 1), K)
+    def identity(cls, lattice: Lattice) -> "BlockOperator":
+        return cls.time_independent(lattice, np.eye(2 * lattice.J + 1))
 
     @classmethod
     def time_independent(cls, lattice: Lattice, mat: np.ndarray, K=None) -> "BlockOperator":
@@ -296,10 +296,8 @@ def _pair_term_norms(P: "OperatorPair", s: float, alpha: float, beta: float) -> 
     return out
 
 
-def pair_norm(P: "OperatorPair", s: float, alpha=None, beta=None) -> float:
+def pair_norm(P: "OperatorPair", s: float, alpha: float, beta: float) -> float:
     """The M_s(alpha, beta) norm: 4 one-sided terms + one per distinct sigma."""
-    alpha = P.alpha if alpha is None else alpha
-    beta = P.beta if beta is None else beta
     return sum(_pair_term_norms(P, s, alpha, beta).values())
 
 
@@ -324,10 +322,6 @@ class OperatorPair:
         self.Ao = Ao
         self.alpha = float(alpha)
         self.beta = float(beta)
-
-    @classmethod
-    def zero(cls, lattice: Lattice, alpha=0.0, beta=0.0, K=None) -> "OperatorPair":
-        return cls(BlockOperator.zero(lattice, K), BlockOperator.zero(lattice, K), alpha, beta)
 
     def __add__(self, other):
         return OperatorPair(self.Ad + other.Ad, self.Ao + other.Ao, self.alpha, self.beta)

@@ -14,8 +14,7 @@ Products convolve along the axes that are full on both sides and broadcast
 along the rest; sums put a length-1 axis at the zero mode of a full one.
 
 Composition uses the asymptotic expansion a#b = sum_{beta<N} (i^beta beta!)^-1
-d_xi^beta a . d_x^beta b, with the operator-level residual measured and its
-column decay exponent fitted.  Real powers of an elliptic operator are built
+d_xi^beta a . d_x^beta b.  Real powers of an elliptic operator are built
 from the resolvent parametrix layers b_n(lambda; x, xi) (recursively, with the
 smooth cutoff removing the (xi, lambda) = 0 singularity) and the clockwise
 contour integral -(2 pi i)^-1 \oint lambda^z b_n dlambda around the branch
@@ -109,7 +108,7 @@ class Cutoff:
         return float(val[0]) if scalar_in else val
 
 
-DEFAULT_CUTOFF = Cutoff(1.0)
+DEFAULT_CUTOFF = Cutoff()
 
 
 # -- symbols -------------------------------------------------------------------
@@ -189,13 +188,11 @@ class Symbol:
     axes (the lambda nodes) in front of these.
     """
 
-    def __init__(self, lattice: Lattice, order: float, rule, deriv_depth: int = 4,
-                 xi_max: int | None = None):
+    def __init__(self, lattice: Lattice, order: float, rule, deriv_depth: int = 4):
         self.lattice = lattice
         self.order = float(order)
         self._rule = rule
         self.deriv_depth = int(deriv_depth)
-        self.xi_max = int(xi_max if xi_max is not None else lattice.J)
         self._cache = {}
 
     # raw evaluation with caching
@@ -215,27 +212,23 @@ class Symbol:
 
     def dxi(self) -> "Symbol":
         return Symbol(self.lattice, self.order - 1,
-                      lambda xi, b: self.raw(xi, b + 1),
-                      self.deriv_depth - 1, self.xi_max)
+                      lambda xi, b: self.raw(xi, b + 1), self.deriv_depth - 1)
 
     def dx(self, order: int = 1) -> "Symbol":
         return Symbol(self.lattice, self.order,
-                      lambda xi, b: _dx(self.raw(xi, b), order),
-                      self.deriv_depth, self.xi_max)
+                      lambda xi, b: _dx(self.raw(xi, b), order), self.deriv_depth)
 
     def __add__(self, other: "Symbol") -> "Symbol":
         return Symbol(self.lattice, max(self.order, other.order),
                       lambda xi, b: _add(self.raw(xi, b), other.raw(xi, b), self.lattice),
-                      min(self.deriv_depth, other.deriv_depth),
-                      min(self.xi_max, other.xi_max))
+                      min(self.deriv_depth, other.deriv_depth))
 
     def __sub__(self, other: "Symbol") -> "Symbol":
         return self + (other * (-1.0))
 
     def __mul__(self, scalar) -> "Symbol":
         return Symbol(self.lattice, self.order,
-                      lambda xi, b: self.raw(xi, b) * scalar,
-                      self.deriv_depth, self.xi_max)
+                      lambda xi, b: self.raw(xi, b) * scalar, self.deriv_depth)
 
     __rmul__ = __mul__
 
@@ -245,8 +238,7 @@ class Symbol:
             return _leibniz(lambda g: self.raw(xi, g), lambda g: other.raw(xi, g), b,
                             self.lattice)
         return Symbol(self.lattice, self.order + other.order if order is None else order,
-                      rule, min(self.deriv_depth, other.deriv_depth),
-                      min(self.xi_max, other.xi_max))
+                      rule, min(self.deriv_depth, other.deriv_depth))
 
     # -- constructors ---------------------------------------------------------
 
@@ -283,17 +275,15 @@ class Symbol:
                 if c != 0.0:
                     acc = _add(acc, c * self.raw(xi, b - g), self.lattice)
             return acc
-        return Symbol(self.lattice, self.order, rule, self.deriv_depth, self.xi_max)
+        return Symbol(self.lattice, self.order, rule, self.deriv_depth)
 
 
 # -- quantization -------------------------------------------------------------
 
 
-def quantize(a: Symbol, lattice: Lattice | None = None, K=None) -> BlockOperator:
-    """Matrix of Op(a) on the truncated lattice (exponential basis)."""
-    lattice = lattice or a.lattice
-    if a.xi_max < lattice.J:
-        raise ValueError("symbol xi range smaller than the lattice cutoff J")
+def quantize(a: Symbol) -> BlockOperator:
+    """Matrix of Op(a) on the symbol's truncated lattice (exponential basis)."""
+    lattice = a.lattice
     J, L = lattice.J, lattice.L
     D = 2 * J + 1
     mats = np.zeros((2 * L + 1,) * lattice.nu + (D, D), dtype=complex)
@@ -307,20 +297,14 @@ def quantize(a: Symbol, lattice: Lattice | None = None, K=None) -> BlockOperator
         # the value's angle axes are centred on l = 0 (length 1 when phi-independent)
         box = tuple(slice(L - (n - 1) // 2, L + (n - 1) // 2 + 1) for n in v.shape[:-1])
         mats[box + (slice(None), j_in + J)] = padded[..., start:start + D]
-    return BlockOperator(lattice, mats.reshape(-1, D, D), K)
+    return BlockOperator(lattice, mats.reshape(-1, D, D))
 
 
 # -- composition ----------------------------------------------------------------
 
 
-def compose(a: Symbol, b: Symbol, N: int, with_report: bool = False):
-    """Asymptotic composition a#b truncated at N terms.
-
-    Returns the approximate symbol of order a.order + b.order; with
-    with_report=True also returns the operator-level residual diagnostics
-    (residual BlockOperator and fitted column-decay exponent, to be compared
-    with a.order + b.order - N).
-    """
+def compose(a: Symbol, b: Symbol, N: int) -> Symbol:
+    """Asymptotic composition a#b truncated at N terms, of order a.order + b.order."""
     if a.deriv_depth < N or b.deriv_depth < N:
         raise ValueError("composition needs deriv_depth >= N on both factors")
     terms = []
@@ -334,20 +318,7 @@ def compose(a: Symbol, b: Symbol, N: int, with_report: bool = False):
     approx = terms[0]
     for t in terms[1:]:
         approx = approx + t
-    approx = Symbol(approx.lattice, a.order + b.order, approx._rule,
-                    approx.deriv_depth, approx.xi_max)
-    if not with_report:
-        return approx
-    Opa, Opb, Opc = quantize(a), quantize(b), quantize(approx)
-    residual = Opa @ Opb - Opc
-    expo, diag = entry_decay_exponent(residual)
-    report = {
-        "expected_order": a.order + b.order - N,
-        "fitted_exponent": expo,
-        "residual": residual,
-        "column_max": diag,
-    }
-    return approx, report
+    return Symbol(approx.lattice, a.order + b.order, approx._rule, approx.deriv_depth)
 
 
 def entry_decay_exponent(R: BlockOperator, j_lo: int | None = None,
@@ -375,28 +346,26 @@ def entry_decay_exponent(R: BlockOperator, j_lo: int | None = None,
 class EllipticSymbol:
     """Declared layer decomposition a ~ sum_k a_{m-k} of an elliptic symbol."""
 
-    def __init__(self, lattice: Lattice, layers: list, order: float | None = None):
+    def __init__(self, lattice: Lattice, layers: list):
         """layers: list of (order_drop k, Symbol); k = 0 is the principal layer."""
         self.lattice = lattice
         self.layers = dict()
         for k, sym in layers:
             self.layers[int(k)] = sym
-        self.order = float(order if order is not None else self.layers[0].order)
+        self.order = self.layers[0].order
 
     @classmethod
-    def xi2_plus_q(cls, lattice: Lattice, qcoeffs=None) -> "EllipticSymbol":
+    def xi2_plus_q(cls, lattice: Lattice, qcoeffs) -> "EllipticSymbol":
         """The Schroedinger symbol xi^2 + q(x) with layers (xi^2, q)."""
-        layers = [(0, Symbol.xi_poly(lattice, [0.0, 0.0, 1.0]))]
-        if qcoeffs is not None:
-            layers.append((2, Symbol.x_multiplication(lattice, qcoeffs)))
-        return cls(lattice, layers, order=2.0)
+        return cls(lattice, [(0, Symbol.xi_poly(lattice, [0.0, 0.0, 1.0])),
+                             (2, Symbol.x_multiplication(lattice, qcoeffs))])
 
     def full_symbol(self) -> Symbol:
         syms = list(self.layers.values())
         out = syms[0]
         for s in syms[1:]:
             out = out + s
-        return Symbol(out.lattice, self.order, out._rule, out.deriv_depth, out.xi_max)
+        return Symbol(out.lattice, self.order, out._rule, out.deriv_depth)
 
     def principal_min_abs(self, lam: complex, xi_vals) -> float:
         """min |a_m(x, xi) - lam| over the sampling grid (ellipticity check)."""
@@ -417,8 +386,7 @@ def _layer_data(a: EllipticSymbol, xi: float, n_beta: int, dx_max: int):
 
 
 def parametrix_layers_batch(a: EllipticSymbol, lam: np.ndarray, xi: float, N: int,
-                            n_beta: int = 0, cutoff: Cutoff = DEFAULT_CUTOFF,
-                            apply_cutoff: bool = True):
+                            n_beta: int = 0, cutoff: Cutoff = DEFAULT_CUTOFF):
     """Parametrix layers b_n(lam; ., xi) for a whole batch of lambda values.
 
     Returns {(n, beta): d_xi^beta b_n} for 0 <= n < N, 0 <= beta <= n_beta,
@@ -466,8 +434,6 @@ def parametrix_layers_batch(a: EllipticSymbol, lam: np.ndarray, xi: float, N: in
                     rhs[bb] = _add(rhs[bb], c * term, lat)
         b[n] = {bb: -_leibniz(lambda g: r[g], lambda g: rhs[g], bb, lat) for bb in rhs}
 
-    if not apply_cutoff:
-        return {(n, beta): b[n][beta] for n in range(N) for beta in range(n_beta + 1)}
     t = abs(xi) ** 2 + np.abs(lam) ** (2.0 / a.order)
     chi = _chain_quadratic_batch(cutoff, t, 2.0 * xi, 2.0, n_beta)
     return {(n, beta): _leibniz(lambda g: chi[g], lambda g: b[n][g], beta, lat)
@@ -499,10 +465,12 @@ def _summed_layers(a: EllipticSymbol, lam, xi: float, N: int, deriv_depth: int,
             for beta in range(deriv_depth + 1)]
 
 
-def resolvent_parametrix(a: EllipticSymbol, lam: complex, N: int,
-                         cutoff: Cutoff = DEFAULT_CUTOFF,
-                         deriv_depth: int = 2) -> Symbol:
-    """The truncated parametrix symbol b_(N)(lam) = sum_{n<N} b_{-m-n}(lam)."""
+def resolvent_parametrix(a: EllipticSymbol, lam: complex, N: int) -> Symbol:
+    """The truncated parametrix symbol b_(N)(lam) = sum_{n<N} b_{-m-n}(lam).
+
+    It carries no xi-derivatives (deriv_depth 0), so it can be quantized but
+    not composed.
+    """
     xi_vals = range(-a.lattice.J, a.lattice.J + 1)
     if a.principal_min_abs(lam, xi_vals) == 0.0:
         raise EllipticityError("lambda touches the principal symbol range")
@@ -510,9 +478,9 @@ def resolvent_parametrix(a: EllipticSymbol, lam: complex, N: int,
 
     def rule(xi, beta):
         if xi not in cache:
-            cache[xi] = _summed_layers(a, [lam], xi, N, deriv_depth, cutoff)
+            cache[xi] = _summed_layers(a, [lam], xi, N, 0, DEFAULT_CUTOFF)
         return cache[xi][beta][0]
-    return Symbol(a.lattice, -a.order, rule, deriv_depth, a.lattice.J)
+    return Symbol(a.lattice, -a.order, rule, 0)
 
 
 @dataclass
@@ -565,7 +533,7 @@ def complex_power(a: EllipticSymbol, z: float, contour: ContourSpec, N: int = 4,
         full = a.full_symbol()
         for _ in range(k):
             out = compose(full, out, compose_N)
-        return Symbol(out.lattice, a.order * z, out._rule, out.deriv_depth, out.xi_max)
+        return Symbol(out.lattice, a.order * z, out._rule, out.deriv_depth)
 
     lam_nodes, w_nodes = contour.nodes(z)
     # the circle must stay below the operator spectrum
@@ -588,5 +556,5 @@ def complex_power(a: EllipticSymbol, z: float, contour: ContourSpec, N: int = 4,
                          _summed_layers(a, lam_nodes, xi, N, deriv_depth, cutoff)]
         return cache[xi][beta]
 
-    sym = Symbol(a.lattice, a.order * z, rule, deriv_depth, a.lattice.J)
+    sym = Symbol(a.lattice, a.order * z, rule, deriv_depth)
     return sym.scaled_by_cutoff(cutoff)

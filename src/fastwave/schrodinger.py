@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .harmonics import TorusFunction
+from .harmonics import toeplitz
 
 DEGENERACY_RTOL = 1e-12
 
@@ -58,15 +58,6 @@ class SpectralData:
         """K with conj(psi_j) = sum_k K[j,k] psi_k (eigen coordinates)."""
         return self.psi.conj().T @ np.conj(self.psi[::-1, :])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "J": self.J, "q_bar": self.q_bar, "m_sq": self.m_sq,
-            "positive": self.positive,
-            "mu_sq": self.mu_sq.tolist(), "d": self.d.tolist(),
-            "lambda": [None if not np.isfinite(v) else v for v in self.lam],
-            "c": [None if not np.isfinite(v) else v for v in self.c],
-        }
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf)
@@ -78,39 +69,27 @@ class SpectralData:
         return buf.getvalue()
 
 
-def _x_coefficients(q, J: int) -> np.ndarray:
-    """Fourier coefficients q_hat(k), k in [-2J, 2J], from an x-only input."""
-    if isinstance(q, TorusFunction):
-        if not q.is_x_only(1e-13):
-            raise ValueError("q must be a function of x alone")
-        xc = q.x_slice()
-        Jq = q.lattice.J
-    else:
-        xc = np.asarray(q, dtype=complex)
-        Jq = (len(xc) - 1) // 2
-    out = np.zeros(4 * J + 1, dtype=complex)
-    lo = max(-Jq, -2 * J)
-    out[lo + 2 * J: 2 * J + min(Jq, 2 * J) + 1] = xc[lo + Jq: Jq + min(Jq, 2 * J) + 1]
-    return out
+def assemble_lq(q: np.ndarray, J: int) -> np.ndarray:
+    """Hermitian (2J+1)x(2J+1) matrix of -d_xx + q in the exponential basis.
 
-
-def assemble_lq(q, J: int) -> np.ndarray:
-    """Hermitian (2J+1)x(2J+1) matrix of -d_xx + q in the exponential basis."""
-    qc = _x_coefficients(q, J)
+    q holds the Fourier coefficients q_hat(k), |k| <= J, of a real q(x).
+    """
+    qc = np.asarray(q, dtype=complex)
+    if qc.shape != (2 * J + 1,):
+        raise ValueError(f"q needs 2J+1 = {2 * J + 1} x coefficients, got shape {qc.shape}")
     if np.max(np.abs(qc - np.conj(qc[::-1]))) > 1e-12 * max(1.0, np.max(np.abs(qc))):
         raise ValueError("q must be real-valued")
-    js = np.arange(-J, J + 1)
-    diff = js[:, None] - js[None, :]          # j - j'
-    M = qc[diff + 2 * J]
-    M[np.diag_indices(2 * J + 1)] += js.astype(float) ** 2
+    M = toeplitz(qc)                          # M[j, j'] = q_hat(j - j')
+    M[np.diag_indices(2 * J + 1)] += np.arange(-J, J + 1).astype(float) ** 2
     return 0.5 * (M + M.conj().T)
 
 
-def eigensolve_blocks(matrix: np.ndarray, q=None, require_positive: bool = True) -> SpectralData:
+def eigensolve_blocks(matrix: np.ndarray, q: np.ndarray,
+                      require_positive: bool = True) -> SpectralData:
     """Diagonalize, pair eigenvalues into blocks [n] = {-n, n}, fix phases.
 
-    `q` (optional) supplies q_bar directly; otherwise q_bar is read off the
-    matrix trace structure (mean of diagonal minus j^2).
+    q is the x-coefficient array the matrix was assembled from; its mean
+    q_hat(0) is q_bar.
     """
     matrix = np.asarray(matrix, dtype=complex)
     dim = matrix.shape[0]
@@ -121,12 +100,7 @@ def eigensolve_blocks(matrix: np.ndarray, q=None, require_positive: bool = True)
             f"spectrum not positive (min eigenvalue {evals[0]:.6g}); "
             "the construction assumes inf spec(L_q) > 0")
 
-    if q is not None:
-        qc = _x_coefficients(q, J)
-        q_bar = float(np.real(qc[2 * J]))
-    else:
-        js = np.arange(-J, J + 1)
-        q_bar = float(np.real(np.mean(np.diag(matrix) - js ** 2)))
+    q_bar = float(np.real(q[J]))
 
     mu_sq = np.empty(dim)
     psi = np.empty((dim, dim), dtype=complex)
@@ -209,15 +183,9 @@ def decompose_eigenvalues(sd: SpectralData):
     return sd.q_bar, sd.d.copy(), report
 
 
-def spectral_power(sd: SpectralData, mu: float, basis: str = "exp") -> np.ndarray:
-    """(L_q)^mu: diagonal (mu_j^2)^mu in the eigenbasis.
-
-    basis="eig" returns the diagonal matrix, basis="exp" conjugates back to
-    the exponential basis via psi.
-    """
+def spectral_power(sd: SpectralData, mu: float) -> np.ndarray:
+    """(L_q)^mu in the exponential basis: psi diag((mu_j^2)^mu) psi^*."""
     if not sd.positive and mu != int(mu):
         raise SpectrumError("fractional powers need a positive spectrum")
     diag = sd.mu_sq.astype(complex) ** mu
-    if basis == "eig":
-        return np.diag(diag)
     return (sd.psi * diag[None, :]) @ sd.psi.conj().T

@@ -6,10 +6,11 @@ here so that tests can compare against it.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from fastwave.harmonics import TorusFunction, _bracket_weights
+from fastwave.harmonics import TorusFunction
 from fastwave.opmatrix import BlockOperator, OperatorPair, block_slice, lie_series
 from fastwave.psdo import Symbol, _add, _mul, _pointwise
 
@@ -20,7 +21,7 @@ def lie_conjugate(X: OperatorPair, V: OperatorPair, tol: float = 1e-14,
 
     Returns (conjugated pair, difference pair = result - V).
     """
-    zero = OperatorPair.zero(V.Ad.lattice, V.alpha, V.beta, V.Ad.K)
+    zero = zero_pair(V.Ad.lattice, V.alpha, V.beta, V.Ad.K)
     diff = lie_series(X, zero, V, 1, 0, tol, 1.0 + V.norm_max(), n_max)
     return V + diff, diff
 
@@ -52,6 +53,12 @@ def resonant_drive(lattice, sd, n: int, m: int, amplitude: float = 0.5):
 # -- functions on the torus ----------------------------------------------------
 
 
+def random_function(lattice, rng) -> TorusFunction:
+    """A seeded random real-valued function: Gaussian coefficients, symmetrized."""
+    c = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
+    return TorusFunction(lattice, c).symmetrized()
+
+
 def x_only(lattice, xcoeffs, reality: bool = False) -> TorusFunction:
     """A function of x alone, embedded as the l = 0 slice."""
     c = np.zeros(lattice.shape, dtype=complex)
@@ -69,6 +76,16 @@ def check_reality(u: TorusFunction, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(u.coeffs - np.conj(np.flip(u.coeffs)))) <= tol)
 
 
+@lru_cache(maxsize=None)
+def _bracket_weights(nu, L, J):
+    """<l,j> = max(1, |l|_2, |j|) on the full index box."""
+    axes = [np.arange(-L, L + 1)] * nu + [np.arange(-J, J + 1)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    ell_sq = sum(g.astype(float) ** 2 for g in grids[:-1])
+    w = np.maximum(np.sqrt(ell_sq), np.abs(grids[-1]).astype(float))
+    return np.maximum(w, 1.0)
+
+
 def sobolev_norm(u: TorusFunction, s: float) -> float:
     """H^s norm with weight <l,j> = max(1, |l|, |j|)."""
     if s < 0:
@@ -79,6 +96,12 @@ def sobolev_norm(u: TorusFunction, s: float) -> float:
 
 
 # -- operators -------------------------------------------------------------------
+
+
+def zero_pair(lattice, alpha: float, beta: float, K=None) -> OperatorPair:
+    """The zero operator pair with decay weights (alpha, beta)."""
+    return OperatorPair(BlockOperator.zero(lattice, K), BlockOperator.zero(lattice, K),
+                        alpha, beta)
 
 
 def block(A: BlockOperator, ell, n: int, n_in: int) -> np.ndarray:
@@ -181,4 +204,4 @@ def symbol_sqrt(a: Symbol, grid_oversample: int = 8) -> Symbol:
                 out = _mul(half_inv, rhs, lat)
             cache[(xi, b)] = out
         return cache[(xi, b)]
-    return Symbol(lat, a.order / 2.0, rule, a.deriv_depth, a.xi_max)
+    return Symbol(lat, a.order / 2.0, rule, a.deriv_depth)

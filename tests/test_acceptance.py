@@ -105,7 +105,7 @@ def _criterion3_data():
         R = OpQ @ OpQ - OpB
         group_expo, _ = entry_decay_exponent(R, j_lo=8, j_hi=48)
         naive = Symbol.xi_poly(lat, [0, 0, 1.0]) + Symbol.x_multiplication(lat, qc)
-        bsym = symbol_sqrt(Symbol(lat, 2.0, naive._rule, 64, lat.J))
+        bsym = symbol_sqrt(Symbol(lat, 2.0, naive._rule, 64))
         OpN = quantize(bsym)
         Lq = BlockOperator.time_independent(lat, assemble_lq(qc, J).astype(complex))
         defect = OpN @ OpN - Lq
@@ -420,7 +420,7 @@ def test_criterion_9_algebra_invariants():
     import scipy.linalg
     from fastwave.harmonics import multiply
     from fastwave.opmatrix import BlockOperator, OperatorPair, ad, s_decay_norm
-    from oracles import left_right_ops, lie_conjugate, sobolev_norm
+    from oracles import left_right_ops, lie_conjugate, random_function, sobolev_norm
     rng = np.random.default_rng(20250810)    # fresh seed, disjoint from calibration
     # M_L/M_R spectrum = pairwise sums exactly
     worst_pair = 0.0
@@ -482,8 +482,8 @@ def test_criterion_9_algebra_invariants():
     Ca = CONSTANTS["harmonics_algebra_C4"]
     ok_tame = True
     for k in range(250):
-        u = TorusFunction.random(lat2, rng)
-        w = TorusFunction.random(lat2, rng)
+        u = random_function(lat2, rng)
+        w = random_function(lat2, rng)
         lhs = sobolev_norm(multiply(u, w), s)
         rhs = Ca * (sobolev_norm(u, s) * sobolev_norm(w, s0)
                     + sobolev_norm(u, s0) * sobolev_norm(w, s))

@@ -27,6 +27,7 @@ SD = eigensolve_blocks(assemble_lq(QC, J), q=QC)
 VTOY = TorusFunction.from_modes(LAT, {(1, 1): 0.25, (1, -1): 0.25,
                                       (-1, 1): 0.25, (-1, -1): 0.25},
                                 reality=True)
+VZERO = TorusFunction.zero(LAT)
 
 
 def test_free_evolution_exact_rotation():
@@ -34,7 +35,7 @@ def test_free_evolution_exact_rotation():
     pe = rng.standard_normal(2 * J + 1) + 1j * rng.standard_normal(2 * J + 1)
     state = pair_state(pe, SD)
     T, dt = 0.5, 0.0009
-    traj = integrate(SD, None, np.array([100.0]), state, T, dt, LAT)
+    traj = integrate(SD, VZERO, np.array([100.0]), state, T, dt, LAT)
     lam = SD.lam
     want0 = state[0] * np.exp(-1j * lam * traj.times[-1])
     assert np.max(np.abs(traj.states[-1][0] - want0)) < 1e-12
@@ -100,7 +101,7 @@ def test_sobolev_trace_free():
     rng = np.random.default_rng(5)
     pe = rng.standard_normal(2 * J + 1) + 1j * rng.standard_normal(2 * J + 1)
     state = pair_state(pe, SD)
-    traj = integrate(SD, None, np.array([60.0]), state, 0.4, 1e-3, LAT,
+    traj = integrate(SD, VZERO, np.array([60.0]), state, 0.4, 1e-3, LAT,
                      store_every=40)
     sup, ratios = sobolev_trace(traj, 1.0)
     # v = 0: the H^r norms oscillate only through the basis mixing of the
@@ -135,7 +136,7 @@ def test_floquet_residual_v_zero():
     Y_eig = change_basis(out.Y_mat, basis)
     frame = FloquetFrame(Y_eig, gens, final)
     dt = 1e-4
-    res = floquet_residual(frame, SD, None, omega, [(0.3, 0.0)], dt, LAT,
+    res = floquet_residual(frame, SD, vz, omega, [(0.3, 0.0)], dt, LAT,
                            n_probes=2)
     assert res < 10 * (dt ** 2 * 0.3) + 1e-10
 

@@ -4,7 +4,7 @@ import pytest
 from fastwave.harmonics import (
     Lattice, TorusFunction, multiply, x_to_grid, x_from_grid, xconv,
 )
-from oracles import check_reality, coeff, sobolev_norm
+from oracles import check_reality, coeff, random_function, sobolev_norm
 
 
 def bracket(ell, j):
@@ -46,7 +46,7 @@ def test_constant_norm():
 def test_norm_matches_direct_loop():
     lat = Lattice(1, 4, 4)
     rng = np.random.default_rng(0)
-    u = TorusFunction.random(lat, rng)
+    u = random_function(lat, rng)
     for s in [0.0, 1.5, 3.0]:
         assert sobolev_norm(u, s) == pytest.approx(sobolev_norm_loop(u, s), rel=1e-12)
 
@@ -61,7 +61,7 @@ def test_negative_s_rejected():
 def test_multiply_identity():
     lat = Lattice(1, 4, 4)
     rng = np.random.default_rng(1)
-    u = TorusFunction.random(lat, rng)
+    u = random_function(lat, rng)
     one = TorusFunction.from_modes(lat, {(0, 0): 1.0}, reality=True)
     w = multiply(u, one)
     assert np.max(np.abs(w.coeffs - u.coeffs)) < 1e-14
@@ -102,8 +102,8 @@ def test_multiply_matches_collocation():
     # re-transform, truncate
     lat = Lattice(1, 3, 5)
     rng = np.random.default_rng(2)
-    u = TorusFunction.random(lat, rng)
-    v = TorusFunction.random(lat, rng)
+    u = random_function(lat, rng)
+    v = random_function(lat, rng)
     gu, gv = to_grid(u, oversample=3), to_grid(v, oversample=3)
     ref = from_grid(gu * gv, lat)
     w = multiply(u, v)
@@ -113,8 +113,8 @@ def test_multiply_matches_collocation():
 def test_multiply_preserves_reality():
     lat = Lattice(1, 3, 3)
     rng = np.random.default_rng(3)
-    u = TorusFunction.random(lat, rng, reality=True)
-    v = TorusFunction.random(lat, rng, reality=True)
+    u = random_function(lat, rng)
+    v = random_function(lat, rng)
     w = multiply(u, v)
     assert w.reality and check_reality(w, 1e-12)
 
@@ -147,7 +147,7 @@ def test_multiply_lattice_mismatch():
 def test_parseval():
     lat = Lattice(1, 4, 4)
     rng = np.random.default_rng(5)
-    u = TorusFunction.random(lat, rng)
+    u = random_function(lat, rng)
     g = to_grid(u, oversample=2)
     mean_sq = np.mean(np.abs(g) ** 2)
     assert mean_sq == pytest.approx(sobolev_norm(u, 0.0) ** 2, rel=1e-10)
@@ -156,7 +156,7 @@ def test_parseval():
 def test_norm_monotone_in_s():
     lat = Lattice(1, 3, 3)
     rng = np.random.default_rng(6)
-    u = TorusFunction.random(lat, rng)
+    u = random_function(lat, rng)
     norms = [sobolev_norm(u, s) for s in [0.0, 0.5, 1.0, 2.0, 3.5]]
     assert all(a <= b + 1e-14 for a, b in zip(norms, norms[1:]))
 
@@ -169,8 +169,8 @@ def test_algebra_tame_bound():
     rng = np.random.default_rng(7)
     C = CONSTANTS["harmonics_algebra_C4"]
     for _ in range(20):
-        u = TorusFunction.random(lat, rng)
-        v = TorusFunction.random(lat, rng)
+        u = random_function(lat, rng)
+        v = random_function(lat, rng)
         s = 4.0
         lhs = sobolev_norm(multiply(u, v), s)
         rhs = C * (sobolev_norm(u, s) * sobolev_norm(v, s0)
@@ -181,7 +181,7 @@ def test_algebra_tame_bound():
 def test_grid_round_trip():
     lat = Lattice(1, 3, 4)
     rng = np.random.default_rng(8)
-    u = TorusFunction.random(lat, rng)
+    u = random_function(lat, rng)
     back = from_grid(to_grid(u, oversample=2), lat)
     assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-12
     xc = rng.standard_normal(9) + 1j * rng.standard_normal(9)
@@ -191,8 +191,11 @@ def test_grid_round_trip():
 def test_json_round_trip():
     lat = Lattice(2, 2, 2)
     rng = np.random.default_rng(9)
-    u = TorusFunction.random(lat, rng, reality=True)
-    d = u.to_json_dict()
+    u = random_function(lat, rng)
+    # the file format of a v given by path: one [l_1..l_nu, j, re, im] row per mode
+    rows = [[*(np.array(idx[:-1]) - lat.L).tolist(), idx[-1] - lat.J, val.real, val.imag]
+            for idx, val in np.ndenumerate(u.coeffs)]
+    d = {"nu": lat.nu, "L": lat.L, "J": lat.J, "reality": True, "coeffs": rows}
     v = TorusFunction.from_json_dict(d)
     assert v.lattice == lat and v.reality
     assert np.max(np.abs(v.coeffs - u.coeffs)) < 1e-15
@@ -201,7 +204,7 @@ def test_json_round_trip():
 def test_reality_scan():
     lat = Lattice(1, 2, 2)
     rng = np.random.default_rng(10)
-    u = TorusFunction.random(lat, rng, reality=True)
+    u = random_function(lat, rng)
     assert check_reality(u)
     v = TorusFunction.from_modes(lat, {(1, 1): 1.0})
     assert not check_reality(v)

@@ -14,6 +14,7 @@ from fastwave.kam import (
 from fastwave.magnus import magnus_transform
 from fastwave.melnikov import estimate_measure
 from fastwave.opmatrix import BlockOperator, LieSeriesDiverged, OperatorPair, ad, block_slice
+from fastwave.psdo import DEFAULT_CUTOFF
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks
 from oracles import block, left_right_ops, pair_to_dense, structure_defect
 
@@ -290,7 +291,7 @@ def test_solve_homological_edge_blocks():
         G = build_G(state, np.array([ell]), n, n_in, sign)
         combo = max(1, abs(n + n_in) if sign > 0 else abs(n - n_in))
         rho = 0.5 * pr.gamma / state.M ** pr.alpha * combo ** pr.alpha
-        chi = pr.cutoff(min(np.min(np.abs(np.linalg.eigvalsh(G))) / rho, 1.0))
+        chi = DEFAULT_CUTOFF(min(np.min(np.abs(np.linalg.eigvalsh(G))) / rho, 1.0))
         V = block(Vd if comp == "d" else Vo, (ell,), n, n_in)
         x = -1j * chi * np.linalg.solve(G, V.reshape(-1))
         return x.reshape(V.shape), chi

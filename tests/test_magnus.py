@@ -12,7 +12,7 @@ from fastwave.opmatrix import BlockOperator
 from fastwave.psdo import (DEFAULT_CUTOFF, ContourSpec, EllipticSymbol, Symbol,
                            complex_power, compose, quantize)
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks
-from oracles import apply, torus_multiplication
+from oracles import apply, random_function, torus_multiplication
 
 
 def xcoeffs(J, entries):
@@ -131,7 +131,7 @@ def test_generator_norm_scaling_in_M():
 def test_multiplication_operator_action():
     rng = np.random.default_rng(2)
     V = multiplication_operator(VTOY)
-    u = TorusFunction.random(LAT, rng)
+    u = random_function(LAT, rng)
     mask = np.zeros(LAT.shape)
     mask[1:-1, :] = 1.0   # keep angle modes off the edge
     uc = u.coeffs * mask
@@ -222,7 +222,7 @@ def test_symbol_route_and_matrix_route_agree_midband():
     probe = np.ones((len(LAT.ell_range()), 2 * J + 1, 2 * J + 1))
     probe[len(probe) // 2] = 0.0
     div = apply_divisors(BlockOperator(LAT, probe), om, M, g0, t0).mats[:, :1, 0]
-    Y = Symbol(LAT, -1.0, lambda xi, beta: w.raw(xi, beta) * div, w.deriv_depth, w.xi_max)
+    Y = Symbol(LAT, -1.0, lambda xi, beta: w.raw(xi, beta) * div, w.deriv_depth)
     # the generator symbol solves the homological equation i (omega.l) Y = w
     dots = (LAT.ell_range() @ om)[:, None]
     for xi in (-J, 2, 7):

@@ -38,6 +38,14 @@ def constant_table(J, c):
     return EigenTable(J=J, q_bar=c, mu_blocks=mu)
 
 
+def block_values(table, n):
+    """Eigenvalues of block [n], one n at a time (oracle of EigenTable.pairs)."""
+    if n <= table.J:
+        return table.mu_blocks[n]
+    lam = math.sqrt(n * n + table.q_bar)
+    return np.array([lam, lam])
+
+
 def brute_force_oracle(table, params, M, L_check, n_max):
     """Every (l, n, n') of the full index box n, n' <= n_max, in array form (oracle).
 
@@ -48,7 +56,7 @@ def brute_force_oracle(table, params, M, L_check, n_max):
     from fastwave.magnus import nonzero_ell_box
     ells = [np.zeros(1, dtype=int)] + list(nonzero_ell_box(1, L_check))
     ns = np.arange(n_max + 1)
-    mus = np.array([np.resize(table.values(n), 2) for n in ns])    # [0]'s value twice
+    mus = np.array([np.resize(block_values(table, n), 2) for n in ns])    # [0]'s value twice
     lines = []
     for row in ells:
         ln = float(np.linalg.norm(row))
@@ -281,15 +289,16 @@ def census_reference(omega, table, params, M, L_check, collect_census):
                 bad = None
                 for n, m in window:
                     explicit += 1
-                    gap = min(abs(dot + (a + sign * b)) for a in table.values(n)
-                              for b in table.values(m))
+                    gap = min(abs(dot + (a + sign * b)) for a in block_values(table, n)
+                              for b in block_values(table, m))
                     if gap < thr:
                         bad = (n, m, gap)
                         break
                 if bad is None:
                     explicit += len(far)
                     for n, m in far:
-                        gap = abs(dot + table.values(n)[0] + sign * table.values(m)[0])
+                        gap = abs(dot + block_values(table, n)[0]
+                                  + sign * block_values(table, m)[0])
                         if gap < thr:
                             bad = (n, m, gap)
                             break

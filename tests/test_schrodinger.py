@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from fastwave.harmonics import Lattice
 from fastwave.schrodinger import (
     SpectrumError, assemble_lq, decompose_eigenvalues, eigensolve_blocks,
     spectral_power,
 )
-from oracles import x_only
 
 
 def xcoeffs(J, entries):
@@ -44,15 +42,19 @@ def test_assemble_rejects_complex_q():
         assemble_lq(xcoeffs(3, {1: 1.0}), 3)
 
 
-def test_assemble_accepts_torusfunction():
-    lat = Lattice(1, 2, 6)
-    q = x_only(lat, cos_potential(6, amp=2.0), reality=True)
-    assert np.allclose(assemble_lq(q, 6), assemble_lq(cos_potential(6, amp=2.0), 6))
+def test_assemble_rejects_wrong_length():
+    # q carries exactly the modes |k| <= J of the matrix's cutoff
+    for J_q in (5, 7):
+        with pytest.raises(ValueError):
+            assemble_lq(cos_potential(J_q, amp=2.0), 6)
+    with pytest.raises(ValueError):
+        assemble_lq(cos_potential(6, amp=2.0)[None, :], 6)
 
 
 def test_free_spectrum_exact():
     J = 6
-    sd = eigensolve_blocks(assemble_lq(xcoeffs(J, {}), J), require_positive=False)
+    q = xcoeffs(J, {})
+    sd = eigensolve_blocks(assemble_lq(q, J), q=q, require_positive=False)
     assert np.allclose(sd.mu_sq, np.arange(-J, J + 1) ** 2)
     # psi_j = e_j exactly (up to the phase convention, which fixes +1)
     assert np.allclose(sd.psi, np.eye(2 * J + 1))
@@ -69,7 +71,8 @@ def test_constant_potential_exact():
 def test_positivity_guard():
     J = 8
     with pytest.raises(SpectrumError):
-        eigensolve_blocks(assemble_lq(cos_potential(J, amp=2.0), J))
+        q = cos_potential(J, amp=2.0)
+        eigensolve_blocks(assemble_lq(q, J), q=q)
 
 
 def test_orthonormal_columns_and_conjugation():
@@ -186,8 +189,6 @@ def test_serialization():
     J = 6
     q = cos_potential(J, mean=2.0, amp=1.0)
     sd = eigensolve_blocks(assemble_lq(q, J), q=q)
-    d = sd.to_json_dict()
-    assert d["J"] == J and d["positive"]
     csv_text = sd.to_csv()
     assert csv_text.splitlines()[0] == "j,mu_sq,d,lambda,c"
     assert len(csv_text.splitlines()) == 2 * J + 2
