@@ -409,6 +409,8 @@ def stage_evolve(ctx: dict) -> dict:
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     plot = "\n".join(f"{t} {x}" for t, x in zip(traj.times, ratios))
+    # the verdict takes max(budget, 1e-6): below the floor the floor decides,
+    # and the reported budget is not what the residual is judged against
     ok = res <= max(budget, 1e-6) and width < 0.5
     return {"pass": bool(ok), "floquet_residual": res, "floquet_budget": budget,
             "band_width": width, "sup_ratio": sup,

@@ -11,7 +11,10 @@ the lattice axes (phi_1..phi_nu, x).  Each of them has length 1 (only the
 zero mode: the value is constant along that axis) or full length 2L+1 resp.
 2J+1.  Any leading axes are batch axes, the lambda nodes of the contour.
 Products convolve along the axes that are full on both sides and broadcast
-along the rest; sums put a length-1 axis at the zero mode of a full one.
+along the rest; sums put a length-1 axis at the zero mode of a full one.  A
+value of a single zero entry is a structural zero (a vanishing derivative of
+xi^2 or of an x-only symbol): a product with it is that zero and a sum with
+it is the other operand, so it carries no batch axes.
 
 Composition uses the asymptotic expansion a#b = sum_{beta<N} (i^beta beta!)^-1
 d_xi^beta a . d_x^beta b.  Real powers of an elliptic operator are built
@@ -135,7 +138,15 @@ def _widen(v: np.ndarray, dims: tuple) -> np.ndarray:
     return out
 
 
+def _zero(v: np.ndarray) -> bool:
+    return v.size == 1 and v.item() == 0
+
+
 def _add(a: np.ndarray, b: np.ndarray, lattice: Lattice) -> np.ndarray:
+    if _zero(a):
+        return b
+    if _zero(b):
+        return a
     nd = lattice.nu + 1
     dims = tuple(max(s, t) for s, t in zip(a.shape[-nd:], b.shape[-nd:]))
     return _widen(a, dims) + _widen(b, dims)
@@ -143,6 +154,10 @@ def _add(a: np.ndarray, b: np.ndarray, lattice: Lattice) -> np.ndarray:
 
 def _mul(a: np.ndarray, b: np.ndarray, lattice: Lattice) -> np.ndarray:
     """Pointwise product: a coefficient convolution along the axes full on both sides."""
+    if _zero(a):
+        return a
+    if _zero(b):
+        return b
     if _phi_dependent(a, lattice) and _phi_dependent(b, lattice):
         return multiply(TorusFunction(lattice, _widen(a, lattice.shape)),
                         TorusFunction(lattice, _widen(b, lattice.shape))).coeffs
@@ -263,8 +278,7 @@ class Symbol:
     @classmethod
     def x_multiplication(cls, lattice: Lattice, xcoeffs: np.ndarray) -> "Symbol":
         xc = np.asarray(xcoeffs, dtype=complex)
-        return cls(lattice, 0.0, lambda xi, b: xc if b == 0 else np.zeros_like(xc),
-                   deriv_depth=64)
+        return cls(lattice, 0.0, lambda xi, b: xc if b == 0 else 0.0, deriv_depth=64)
 
     def scaled_by_cutoff(self, cutoff: Cutoff = DEFAULT_CUTOFF) -> "Symbol":
         """chi(xi) a(x, xi): kills the xi = 0 mode, identity for |xi| >= 1."""
@@ -390,20 +404,24 @@ def parametrix_layers_batch(a: EllipticSymbol, lam: np.ndarray, xi: float, N: in
     """Parametrix layers b_n(lam; ., xi) for a whole batch of lambda values.
 
     Returns {(n, beta): d_xi^beta b_n} for 0 <= n < N, 0 <= beta <= n_beta,
-    each a raw value whose leading axis runs over lam, from the recursion
+    each a raw value whose leading axis runs over lam (a layer that vanishes
+    identically, such as b_1 of xi^2 + q, is a zero of that shape), from the
+    recursion
 
       b_0 (a_m - lam) = 1,
       b_n (a_m - lam) + sum_{p<n} b_p a_{m-n+p}
         + sum_{beta=1..n} (i^beta beta!)^-1 sum_{p<=n-beta}
             d_xi^beta b_p . d_x^beta a_{m-n+beta+p} = 0,
 
-    each layer multiplied by chi(|xi|^2 + |lam|^{2/m}).
+    each layer multiplied by chi(|xi|^2 + |lam|^{2/m}).  b_n enters the
+    layers above it with up to N - 1 - n more xi-derivatives, so it is built
+    up to order n_beta + N - 1 - n.
     """
     lat = a.lattice
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     lam = lam.reshape(lam.shape + (1,) * (lat.nu + 1))
-    max_beta = n_beta + N
-    data = _layer_data(a, xi, max_beta, N)
+    max_beta = n_beta + N - 1
+    data = _layer_data(a, xi, max_beta, N - 1)
 
     def inverse(g):
         u = g - lam
@@ -436,8 +454,11 @@ def parametrix_layers_batch(a: EllipticSymbol, lam: np.ndarray, xi: float, N: in
 
     t = abs(xi) ** 2 + np.abs(lam) ** (2.0 / a.order)
     chi = _chain_quadratic_batch(cutoff, t, 2.0 * xi, 2.0, n_beta)
-    return {(n, beta): _leibniz(lambda g: chi[g], lambda g: b[n][g], beta, lat)
-            for n in range(N) for beta in range(n_beta + 1)}
+    layers = {(n, beta): _leibniz(lambda g: chi[g], lambda g: b[n][g], beta, lat)
+              for n in range(N) for beta in range(n_beta + 1)}
+    # a structural zero has no batch axes; every other value has lam's
+    return {key: np.zeros(lam.shape, dtype=complex) if _zero(v) else v
+            for key, v in layers.items()}
 
 
 def _chain_quadratic_batch(cutoff: Cutoff, t: np.ndarray, t1: float, t2: float,

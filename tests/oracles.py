@@ -10,9 +10,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from fastwave.craig_wayne import build_basis_matrix, change_basis
 from fastwave.harmonics import TorusFunction
-from fastwave.opmatrix import BlockOperator, OperatorPair, block_slice, lie_series
+from fastwave.magnus import multiplication_operator
+from fastwave.opmatrix import BlockOperator, OperatorPair, _conj_grid, block_slice, lie_series
 from fastwave.psdo import Symbol, _add, _mul, _pointwise
+from fastwave.schrodinger import spectral_power
 
 
 def lie_conjugate(X: OperatorPair, V: OperatorPair, tol: float = 1e-14,
@@ -48,6 +51,37 @@ def resonant_drive(lattice, sd, n: int, m: int, amplitude: float = 0.5):
         lattice, {(1, n + m): amplitude / 2, (-1, -(n + m)): amplitude / 2},
         reality=True)
     return v, np.array([om])
+
+
+def dense_strang(sd, v, omega, state0, T: float, dt: float, lattice,
+                 store_every: int = 1) -> np.ndarray:
+    """The Strang integrator with a dense kick: the stored (n_t, 2, D) states.
+
+    Each kick builds W(phi) from every angle mode of W (`at_angle`) and the
+    matrix K conj(W(phi)) conj(K) of the conjugate family, then applies both.
+    """
+    omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    Bmh = spectral_power(sd, -0.25)
+    V = multiplication_operator(v)
+    W = change_basis(BlockOperator(lattice, 0.5 * (Bmh @ V.mats @ Bmh)),
+                     build_basis_matrix(sd))
+    half = np.exp(-0.5j * dt * sd.lam)
+    state = np.array(state0, dtype=complex)
+    states, t = [np.array(state)], 0.0
+    n_steps = int(round(T / dt))
+    for k in range(n_steps):
+        state[0] *= half
+        state[1] *= np.conj(half)
+        Wp = W.at_angle(omega * (t + 0.5 * dt))
+        s = state[0] + state[1]
+        state[0] -= 1j * dt * (Wp @ s)
+        state[1] += 1j * dt * (_conj_grid(Wp, W.K) @ s)
+        state[0] *= half
+        state[1] *= np.conj(half)
+        t += dt
+        if (k + 1) % store_every == 0 or k == n_steps - 1:
+            states.append(np.array(state))
+    return np.asarray(states)
 
 
 # -- functions on the torus ----------------------------------------------------

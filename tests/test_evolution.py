@@ -10,7 +10,7 @@ from fastwave.harmonics import Lattice, TorusFunction
 from fastwave.kam import KamParameters, init_state, kam_iterate
 from fastwave.magnus import magnus_transform
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks, spectral_power
-from oracles import resonant_drive
+from oracles import dense_strang, resonant_drive
 
 
 def xcoeffs(J, entries):
@@ -42,6 +42,26 @@ def test_free_evolution_exact_rotation():
     # energy conserved exactly for the free flow
     n0 = np.linalg.norm(traj.states[0])
     assert abs(np.linalg.norm(traj.states[-1]) - n0) < 1e-12 * n0
+
+
+# a v whose angle modes l = 1, 3 are live and l = 2 between them is a zero block
+VGAP = TorusFunction.from_modes(LAT, {(1, 1): 0.2, (-1, -1): 0.2, (3, 2): 0.1j,
+                                      (-3, -2): -0.1j}, reality=True)
+
+
+@pytest.mark.parametrize("v", [VTOY, VGAP, VZERO], ids=["toy", "gap", "zero"])
+def test_kick_matches_dense_oracle(v):
+    # the live-mode kick on the flat state agrees with W(phi) built from every
+    # angle mode and the matrix of the conjugate family, at every stored state
+    rng = np.random.default_rng(7)
+    pe = rng.standard_normal(2 * J + 1) + 1j * rng.standard_normal(2 * J + 1)
+    state = pair_state(pe, SD)
+    omega, T, dt = np.array([40.0]), 0.2, 2e-3
+    traj = integrate(SD, v, omega, state, T, dt, LAT, store_every=7)
+    want = dense_strang(SD, v, omega, state, T, dt, LAT, store_every=7)
+    assert traj.states.shape == want.shape
+    for got, ref in zip(traj.states, want):
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_dt_guard():

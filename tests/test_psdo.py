@@ -6,7 +6,7 @@ import pytest
 from fastwave.harmonics import Lattice, TorusFunction, multiply
 from fastwave.opmatrix import BlockOperator
 from fastwave.psdo import (
-    ContourSpec, Cutoff, EllipticityError, EllipticSymbol, Symbol, _widen,
+    ContourSpec, Cutoff, EllipticityError, EllipticSymbol, Symbol, _add, _mul, _widen,
     complex_power, compose, entry_decay_exponent, parametrix_layers_batch,
     quantize, resolvent_parametrix,
 )
@@ -204,6 +204,43 @@ def test_parametrix_layers_closed_form():
         for key, w in want.items():
             scale = np.max(np.abs(w)) if key != (1, 0) else np.max(np.abs(want[(0, 0)]))
             assert np.max(np.abs(xcoeffs(layers[key]) - w)) <= 1e-13 * scale, key
+
+
+def test_parametrix_order_trim_and_lam_axis():
+    # a layer does not depend on how many xi-derivatives are asked for, and
+    # every value, the identically vanishing b_1 included, has the lam axis
+    # first; at xi = 0 and lambda = 0.4i the cutoff's transition is hit
+    ell = EllipticSymbol.xi2_plus_q(LAT, QC)
+    lam = np.array([-1.0, 0.4j, 2.0 + 3.0j])
+    for xi in (0, 3):
+        for n_beta in (0, 2):
+            lo = parametrix_layers_batch(ell, lam, xi, N=5, n_beta=n_beta)
+            hi = parametrix_layers_batch(ell, lam, xi, N=5, n_beta=n_beta + 1)
+            assert set(lo) < set(hi)
+            for key, v in lo.items():
+                assert v.shape == hi[key].shape and v.tobytes() == hi[key].tobytes(), key
+            for key, v in hi.items():
+                assert v.ndim == LAT.nu + 2 and v.shape[0] == len(lam), key
+            assert not np.any(hi[(1, 0)])
+
+
+def test_zero_operand_matches_widened_path():
+    # a one-entry zero short-circuits products and sums; the values equal
+    # those of the general path with the zero widened to the other's shape
+    rng = np.random.default_rng(8)
+    D, P = 2 * J + 1, 2 * LAT.L + 1
+    zero = np.zeros((1, 1), dtype=complex)
+
+    def full(v):
+        return np.broadcast_to(_widen(v, LAT.shape), (3,) + LAT.shape)
+
+    for shape in [(1, 1), (1, D), (3, 1, 1), (3, 1, D), (P, D)]:
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        wide = np.zeros(shape, dtype=complex)
+        for op in (_mul, _add):
+            want = full(op(wide, x, LAT))
+            assert np.array_equal(full(op(zero, x, LAT)), want), (op, shape)
+            assert np.array_equal(full(op(x, zero, LAT)), want), (op, shape)
 
 
 def test_parametrix_residual_decay_and_refinement():
