@@ -429,8 +429,8 @@ STAGES = [
 ]
 
 
-def run_experiment(cfg: dict, stages=None) -> dict:
-    """Execute the requested stages; returns the run manifest."""
+def run_experiment(cfg: dict, stages) -> dict:
+    """Execute the requested stages (None: all of them); returns the run manifest."""
     cfg = validate_config(cfg)
     wanted = list(stages) if stages else [name for name, _, _ in STAGES]
     # pull in dependencies

@@ -64,8 +64,8 @@ def pair_state(phi_exp: np.ndarray, sd: SpectralData) -> np.ndarray:
 
 
 def integrate(sd: SpectralData, v: TorusFunction, omega, state0: np.ndarray, T: float,
-              dt: float, lattice: Lattice, t0: float = 0.0,
-              store_every: int = 1) -> Trajectory:
+              dt: float, lattice: Lattice, store_every: int,
+              t0: float = 0.0) -> Trajectory:
     """Strang splitting: half rotation, exact kick at the midpoint, half rotation.
 
     The kick is W(phi) sigma4 with W = (1/2) B^{-1/2} V(phi) B^{-1/2} in
@@ -196,7 +196,7 @@ class FloquetFrame:
 
 def floquet_residual(frame: FloquetFrame, sd: SpectralData, v, omega,
                      t_tau_pairs, dt: float, lattice: Lattice,
-                     n_probes: int = 4) -> float:
+                     n_probes: int) -> float:
     """max over (t, tau) and probes of |U_num(t,tau) p - U_floquet(t,tau) p| / |p|.
 
     The probes p are drawn from a generator seeded with 0.

@@ -88,7 +88,7 @@ class TorusFunction:
         return cls(lattice, np.zeros(lattice.shape, dtype=complex), True)
 
     @classmethod
-    def from_modes(cls, lattice: Lattice, modes: dict, reality: bool = False) -> "TorusFunction":
+    def from_modes(cls, lattice: Lattice, modes: dict, reality: bool) -> "TorusFunction":
         """Build from {(l_1..l_nu, j): amplitude} entries."""
         c = np.zeros(lattice.shape, dtype=complex)
         for idx, amp in modes.items():

@@ -13,11 +13,15 @@ conditions |omega.l + mu_n +- mu_n'| >= (gamma/<l>^tau) <n +- n'>^alpha / M^alph
 and the solution is extended to every omega by the smooth cutoff
 chi(mingap/rho), which is identically 1 on the non-resonant set.
 
-The new remainder is written with three Lie series, summed by
+The new remainder is written with two Lie series, summed by
 `opmatrix.lie_series` under one stopping rule and divergence guard:
 
-    V_{p+1} = Pi_N^perp V + sum_{k>=2} ad_X^k(H0)/k! + sum_{k>=1} ad_X^k(V)/k!
-              - sum_{k>=1} ad_X^k(Xdot)/(k+1)!,    Xdot = omega.d_phi X.
+    V_{p+1} = Pi_N^perp V + sum_{k>=1} ad_X^k(V)/k!
+              + sum_{k>=1} ad_X^k(ad_X H0 - Xdot)/(k+1)!,    Xdot = omega.d_phi X.
+
+The last is the H0 series sum_{k>=2} ad_X^k(H0)/k!, re-indexed as
+sum_{k>=1} ad_X^k(ad_X H0)/(k+1)!, plus the Xdot series
+-sum_{k>=1} ad_X^k(Xdot)/(k+1)!: exact algebra, not the homological equation.
 """
 
 from __future__ import annotations
@@ -52,9 +56,9 @@ class KamParameters:
     tau: float
     gamma: float
     alpha: float
-    N0: int = 16
-    tau0: float = 1.0
-    gamma0: float = 0.1
+    N0: int
+    tau0: float
+    gamma0: float
     p_max: int = 8
 
     def __post_init__(self):
@@ -97,8 +101,8 @@ class KamState:
     params: KamParameters
     lattice: Lattice
     s0: float
+    lam_ref: np.ndarray                   # unperturbed lambda_j for drift reports
     history: list = field(default_factory=list)
-    lam_ref: np.ndarray | None = None     # unperturbed lambda_j for drift reports
 
     def H0_matrix(self) -> np.ndarray:
         return _block_diagonal(self.lattice.J, self.H0)
@@ -236,7 +240,7 @@ def melnikov_step_test(state: KamState, Nval: float | None = None):
     return worst["margin"] >= 1.0, worst
 
 
-def solve_homological(state: KamState, Nval: float | None = None) -> OperatorPair:
+def solve_homological(state: KamState, Nval: float) -> OperatorPair:
     """The generator X^(p) from the blockwise homological equations.
 
     X^d on the minus index set (zero at the excluded (0, n, n) diagonal),
@@ -249,7 +253,6 @@ def solve_homological(state: KamState, Nval: float | None = None) -> OperatorPai
     in the block HS tensor, and chi(mingap/rho) scales the whole block.
     """
     pr = state.params
-    Nval = pr.N(state.p) if Nval is None else Nval
     lat = state.lattice
     J = lat.J
     mu, U = state.block_eigs()
@@ -316,17 +319,16 @@ def kam_step(state: KamState, track_norms: bool = True) -> tuple:
     H0pair = OperatorPair(BlockOperator.time_independent(lat, state.H0_matrix(), K=K),
                           BlockOperator.zero(lat, K=K), pr.alpha, 0.0)
 
-    # Pi_N^perp V + the H0, V and Xdot series of the module docstring, the
-    # Xdot series started from -Xdot to carry its sign
-    # X's phi-grids are built once and shared by all four
+    # Pi_N^perp V + the V series + the H0 and Xdot series merged as one of
+    # ad_X H0 - Xdot (module docstring), one `ad` per power for both;
+    # X's phi-grids are built once and shared by every `ad`
     x_grids = _x_grids(X)
     adH0 = ad(X, H0pair, x_grids)
     scale = max(adH0.norm_max(), state.V.norm_max(), 1e-300)
-    V_new = lie_series(X, state.V.project(Np)[1], adH0, 2, 0, LIE_TOL, scale, LIE_N_MAX,
+    V_new = lie_series(X, state.V.project(Np)[1], state.V, 1, 0, LIE_TOL, scale, LIE_N_MAX,
                        x_grids)
-    V_new = lie_series(X, V_new, state.V, 1, 0, LIE_TOL, scale, LIE_N_MAX, x_grids)
-    V_new = lie_series(X, V_new, X.omega_dphi(state.omega) * -1.0, 1, 1,
-                       LIE_TOL, scale, LIE_N_MAX, x_grids)
+    V_new = lie_series(X, V_new, adH0 - X.omega_dphi(state.omega), 1, 1, LIE_TOL, scale,
+                       LIE_N_MAX, x_grids)
 
     noise = 1e-14 * max(V_new.norm_max(), 1e-300)
     V_new = OperatorPair(V_new.Ad.prune(noise), V_new.Ao.prune(noise),
@@ -354,8 +356,8 @@ def nash_moser_check(state_prev: KamState, state_next: KamState) -> dict:
             "lhs_low": lhs1, "rhs_low": rhs1, "lhs_high": lhs2, "rhs_high": rhs2}
 
 
-def kam_iterate(state: KamState, p_max: int | None = None,
-                collect_generators: bool = False, track_norms: bool = True):
+def kam_iterate(state: KamState, p_max: int, collect_generators: bool = False,
+                track_norms: bool = True):
     """Iterate to the block-diagonal normal form.
 
     Returns (final state, [X^(p)] if collected else None).  Aborts with the
@@ -368,8 +370,6 @@ def kam_iterate(state: KamState, p_max: int | None = None,
     """
     if any(math.isnan(row["delta_s0_beta"]) == track_norms for row in state.history):
         raise ValueError(f"state history was not recorded with track_norms={track_norms}")
-    pr = state.params
-    p_max = pr.p_max if p_max is None else p_max
     gens = [] if collect_generators else None
     delta0 = state.history[0]["delta_s0"]
     prev_delta = state.history[-1]["delta_s0"]
@@ -404,22 +404,18 @@ def final_spectrum(state: KamState):
     weighted = []
     for n in range(J + 1):
         mu = np.linalg.eigvalsh(0.5 * (state.H0[n] + state.H0[n].conj().T))
-        lam_n = state.lam_ref[state_idx(state, n)] if state.lam_ref is not None else float("nan")
+        lam_n = state.lam_ref[J + n]
         if n == 0:
             eps = (float(mu[0] - lam_n),)
             out[n] = (float(mu[0]), float(mu[0]), eps[0], eps[0])
         else:
-            lam_m = state.lam_ref[state_idx(state, -n)]
+            lam_m = state.lam_ref[J - n]
             e_minus = float(mu[0] - min(lam_n, lam_m))
             e_plus = float(mu[1] - max(lam_n, lam_m))
             out[n] = (float(mu[0]), float(mu[1]), e_minus, e_plus)
             eps = (e_minus, e_plus)
         weighted.append(max(1, n) ** state.params.alpha * max(abs(e) for e in eps))
     return out, float(np.max(weighted))
-
-
-def state_idx(state: KamState, j: int) -> int:
-    return j + state.lattice.J
 
 
 def measured_chi(history, p_lo: int = 1, p_hi: int | None = None) -> float:

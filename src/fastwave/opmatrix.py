@@ -165,7 +165,7 @@ class BlockOperator:
         return BlockOperator(self.lattice, np.where(keep[:, None, None], self.mats, 0.0),
                              self.K)
 
-    def prune(self, tol: float = 0.0) -> "BlockOperator":
+    def prune(self, tol: float) -> "BlockOperator":
         """Zero every mode whose largest entry is at most tol."""
         return self._mode_mask(np.max(np.abs(self.mats), axis=(1, 2)) > tol)
 
@@ -376,8 +376,8 @@ def ad(X: OperatorPair, V: OperatorPair, x_grids: tuple | None = None) -> Operat
     The eight products are summed on the phi-grid in one pass: V's two grids
     (2 inverse FFTs), the conj grids K conj(G(phi)) conj(K) at the same phi,
     and W^d, W^o back to modes |l| <= L (2 forward FFTs).  x_grids are X's
-    grids from `_x_grids(X)`, built here when not given; `lie_series` builds
-    them once and shares them across its terms.
+    grids from `_x_grids(X)`, built here when not given; a Lie series shares
+    one build across its terms.
     """
     lat = X.Ad.lattice
     Xd, Xo, cXd, cXo = _x_grids(X) if x_grids is None else x_grids
@@ -398,19 +398,17 @@ class LieSeriesDiverged(RuntimeError):
 
 def lie_series(X: OperatorPair, total: OperatorPair, term: OperatorPair,
                first: int, shift: int, tol: float, scale: float,
-               n_max: int, x_grids: tuple | None = None) -> OperatorPair:
+               n_max: int, x_grids: tuple) -> OperatorPair:
     """total + sum_{k=first..n_max} t_k, t_k = ad_X(t_{k-1})/(k + shift), t_{first-1} = term.
 
     Each term is added to the running total as it is made.  X's phi-grids
-    (x_grids, from `_x_grids(X)`; built here when not given) are shared by
-    every term's `ad`.  The series stops after its first term whose max entry
-    is below tol * scale.
+    (x_grids, from `_x_grids(X)`) are shared by every term's `ad`.  The
+    series stops after its first term whose max entry is below tol * scale.
     LieSeriesDiverged is raised when a term above scale is more than 4x the
     one before it, or when the term of index n_max is still above
     sqrt(tol) * scale.
     """
     prev_inc = None
-    x_grids = _x_grids(X) if x_grids is None else x_grids
     for k in range(first, n_max + 1):
         term = ad(X, term, x_grids) * (1.0 / (k + shift))
         inc = term.norm_max()

@@ -12,9 +12,9 @@ zero mode: the value is constant along that axis) or full length 2L+1 resp.
 2J+1.  Any leading axes are batch axes, the lambda nodes of the contour.
 Products convolve along the axes that are full on both sides and broadcast
 along the rest; sums put a length-1 axis at the zero mode of a full one.  A
-value of a single zero entry is a structural zero (a vanishing derivative of
-xi^2 or of an x-only symbol): a product with it is that zero and a sum with
-it is the other operand, so it carries no batch axes.
+single zero entry is a structural zero (a vanishing derivative of xi^2, of an
+x-only symbol or of the cutoff): a product with it is that zero, a sum with it
+the other operand; it has no batch axes, or is broadcast (stride 0) to them.
 
 Composition uses the asymptotic expansion a#b = sum_{beta<N} (i^beta beta!)^-1
 d_xi^beta a . d_x^beta b.  Real powers of an elliptic operator are built
@@ -203,7 +203,7 @@ class Symbol:
     axes (the lambda nodes) in front of these.
     """
 
-    def __init__(self, lattice: Lattice, order: float, rule, deriv_depth: int = 4):
+    def __init__(self, lattice: Lattice, order: float, rule, deriv_depth: int):
         self.lattice = lattice
         self.order = float(order)
         self._rule = rule
@@ -211,7 +211,7 @@ class Symbol:
         self._cache = {}
 
     # raw evaluation with caching
-    def raw(self, xi: float, beta: int = 0) -> np.ndarray:
+    def raw(self, xi: float, beta: int) -> np.ndarray:
         if beta > self.deriv_depth:
             raise ValueError(f"derivative depth {self.deriv_depth} exceeded (beta={beta})")
         key = (float(xi), int(beta))
@@ -229,7 +229,7 @@ class Symbol:
         return Symbol(self.lattice, self.order - 1,
                       lambda xi, b: self.raw(xi, b + 1), self.deriv_depth - 1)
 
-    def dx(self, order: int = 1) -> "Symbol":
+    def dx(self, order: int) -> "Symbol":
         return Symbol(self.lattice, self.order,
                       lambda xi, b: _dx(self.raw(xi, b), order), self.deriv_depth)
 
@@ -247,13 +247,12 @@ class Symbol:
 
     __rmul__ = __mul__
 
-    def mul(self, other: "Symbol", order: float | None = None) -> "Symbol":
-        """Pointwise product with Leibniz propagation of xi-derivatives."""
+    def mul(self, other: "Symbol", order: float) -> "Symbol":
+        """Pointwise product of the given order; Leibniz propagates xi-derivatives."""
         def rule(xi, b):
             return _leibniz(lambda g: self.raw(xi, g), lambda g: other.raw(xi, g), b,
                             self.lattice)
-        return Symbol(self.lattice, self.order + other.order if order is None else order,
-                      rule, min(self.deriv_depth, other.deriv_depth))
+        return Symbol(self.lattice, order, rule, min(self.deriv_depth, other.deriv_depth))
 
     # -- constructors ---------------------------------------------------------
 
@@ -280,7 +279,7 @@ class Symbol:
         xc = np.asarray(xcoeffs, dtype=complex)
         return cls(lattice, 0.0, lambda xi, b: xc if b == 0 else 0.0, deriv_depth=64)
 
-    def scaled_by_cutoff(self, cutoff: Cutoff = DEFAULT_CUTOFF) -> "Symbol":
+    def scaled_by_cutoff(self, cutoff: Cutoff) -> "Symbol":
         """chi(xi) a(x, xi): kills the xi = 0 mode, identity for |xi| >= 1."""
         def rule(xi, b):
             acc = 0.0 * self.raw(xi, b)
@@ -400,13 +399,13 @@ def _layer_data(a: EllipticSymbol, xi: float, n_beta: int, dx_max: int):
 
 
 def parametrix_layers_batch(a: EllipticSymbol, lam: np.ndarray, xi: float, N: int,
-                            n_beta: int = 0, cutoff: Cutoff = DEFAULT_CUTOFF):
+                            n_beta: int, cutoff: Cutoff):
     """Parametrix layers b_n(lam; ., xi) for a whole batch of lambda values.
 
     Returns {(n, beta): d_xi^beta b_n} for 0 <= n < N, 0 <= beta <= n_beta,
     each a raw value whose leading axis runs over lam (a layer that vanishes
-    identically, such as b_1 of xi^2 + q, is a zero of that shape), from the
-    recursion
+    identically, such as b_1 of xi^2 + q, is the structural zero broadcast to
+    that shape), from the recursion
 
       b_0 (a_m - lam) = 1,
       b_n (a_m - lam) + sum_{p<n} b_p a_{m-n+p}
@@ -456,8 +455,8 @@ def parametrix_layers_batch(a: EllipticSymbol, lam: np.ndarray, xi: float, N: in
     chi = _chain_quadratic_batch(cutoff, t, 2.0 * xi, 2.0, n_beta)
     layers = {(n, beta): _leibniz(lambda g: chi[g], lambda g: b[n][g], beta, lat)
               for n in range(N) for beta in range(n_beta + 1)}
-    # a structural zero has no batch axes; every other value has lam's
-    return {key: np.zeros(lam.shape, dtype=complex) if _zero(v) else v
+    # a structural zero has no batch axes: it gets lam's by broadcasting
+    return {key: np.broadcast_to(v, lam.shape) if _zero(v) else v
             for key, v in layers.items()}
 
 
@@ -466,8 +465,12 @@ def _chain_quadratic_batch(cutoff: Cutoff, t: np.ndarray, t1: float, t2: float,
     """d^k/dxi^k chi(t(xi)) for quadratic t, batched over t: Faa di Bruno
 
     d_k = sum_{m1 + 2 m2 = k} k!/(m1! m2! 2^{m2}) chi^(m1+m2)(t) t'^{m1} t''^{m2}.
+    With no t in chi's transition window (1/3, 2/3), each d_k, k >= 1, is the structural zero.
     """
     d = [cutoff(t, 0)]
+    s = 3.0 * (np.abs(t) - 1.0 / 3.0)          # Cutoff's transition variable
+    if not np.any((s > 0.0) & (s < 1.0)):
+        return d + [np.zeros((1,) * (t.ndim - 1), dtype=complex)] * beta_max
     for k in range(1, beta_max + 1):
         acc = np.zeros_like(t)
         for m2 in range(k // 2 + 1):
@@ -480,9 +483,12 @@ def _chain_quadratic_batch(cutoff: Cutoff, t: np.ndarray, t1: float, t2: float,
 
 def _summed_layers(a: EllipticSymbol, lam, xi: float, N: int, deriv_depth: int,
                    cutoff: Cutoff) -> list:
-    """[sum_{n<N} d_xi^beta b_n(lam; ., xi) for beta <= deriv_depth], batched over lam."""
+    """[sum_{n<N} d_xi^beta b_n(lam; ., xi) for beta <= deriv_depth], batched over lam;
+    a vanishing layer above b_0 (one zero entry broadcast over lam) is left out."""
     layers = parametrix_layers_batch(a, lam, xi, N, n_beta=deriv_depth, cutoff=cutoff)
-    return [reduce(lambda x, y: _add(x, y, a.lattice), [layers[(n, beta)] for n in range(N)])
+    return [reduce(lambda x, y: _add(x, y, a.lattice),
+                   [v for n in range(1, N) if any((v := layers[(n, beta)]).strides) or v.flat[0]],
+                   layers[(0, beta)])
             for beta in range(deriv_depth + 1)]
 
 
@@ -511,9 +517,9 @@ class ContourSpec:
     rho must lie below the spectrum; R truncates the legs (log-substituted
     Gauss-Legendre handles the tail); n_quad = nodes per leg.
     """
-    rho: float = 0.5
-    R: float = 1e30
-    n_quad: int = 320
+    rho: float
+    R: float
+    n_quad: int
 
     def __post_init__(self):
         if not (0 < self.rho < self.R):
@@ -538,9 +544,8 @@ class ContourSpec:
         return np.concatenate([lam_legs, lam_circ]), np.concatenate([w_legs, w_circ])
 
 
-def complex_power(a: EllipticSymbol, z: float, contour: ContourSpec, N: int = 4,
-                  deriv_depth: int = 3, cutoff: Cutoff = DEFAULT_CUTOFF,
-                  compose_N: int = 3) -> Symbol:
+def complex_power(a: EllipticSymbol, z: float, contour: ContourSpec, N: int,
+                  deriv_depth: int, compose_N: int, cutoff: Cutoff = DEFAULT_CUTOFF) -> Symbol:
     """Symbol of A^z by contour integration of the parametrix layers.
 
     For z < 0 the layers are integrated directly; z >= 0 uses the reduction
@@ -548,8 +553,8 @@ def complex_power(a: EllipticSymbol, z: float, contour: ContourSpec, N: int = 4,
     """
     if z >= 0.0:
         k = int(math.floor(z)) + 1
-        low = complex_power(a, z - k, contour, N, deriv_depth + compose_N, cutoff,
-                            compose_N)
+        low = complex_power(a, z - k, contour, N, deriv_depth + compose_N, compose_N,
+                            cutoff)
         out = low
         full = a.full_symbol()
         for _ in range(k):

@@ -13,7 +13,9 @@ import numpy as np
 from fastwave.craig_wayne import build_basis_matrix, change_basis
 from fastwave.harmonics import TorusFunction
 from fastwave.magnus import multiplication_operator
-from fastwave.opmatrix import BlockOperator, OperatorPair, _conj_grid, block_slice, lie_series
+from fastwave.kam import LIE_N_MAX, LIE_TOL, solve_homological
+from fastwave.opmatrix import (BlockOperator, OperatorPair, _conj_grid, _x_grids, ad,
+                               block_slice, lie_series)
 from fastwave.psdo import Symbol, _add, _mul, _pointwise
 from fastwave.schrodinger import spectral_power
 
@@ -25,8 +27,34 @@ def lie_conjugate(X: OperatorPair, V: OperatorPair, tol: float = 1e-14,
     Returns (conjugated pair, difference pair = result - V).
     """
     zero = zero_pair(V.Ad.lattice, V.alpha, V.beta, V.Ad.K)
-    diff = lie_series(X, zero, V, 1, 0, tol, 1.0 + V.norm_max(), n_max)
+    diff = lie_series(X, zero, V, 1, 0, tol, 1.0 + V.norm_max(), n_max, _x_grids(X))
     return V + diff, diff
+
+
+def three_series_remainder(state) -> OperatorPair:
+    """kam_step's new remainder summed as three Lie series, of H0, V and Xdot:
+
+        Pi_N^perp V + sum_{k>=2} ad_X^k(H0)/k! + sum_{k>=1} ad_X^k(V)/k!
+          - sum_{k>=1} ad_X^k(Xdot)/(k+1)!,    Xdot = omega.d_phi X,
+
+    with kam_step's generator, stopping rule, divergence guard and noise pruning.
+    """
+    pr = state.params
+    Np = pr.N(state.p)
+    X = solve_homological(state, Np)
+    lat, K = state.lattice, state.V.Ad.K
+    H0pair = OperatorPair(BlockOperator.time_independent(lat, state.H0_matrix(), K=K),
+                          BlockOperator.zero(lat, K=K), pr.alpha, 0.0)
+    x_grids = _x_grids(X)
+    adH0 = ad(X, H0pair, x_grids)
+    scale = max(adH0.norm_max(), state.V.norm_max(), 1e-300)
+    V_new = lie_series(X, state.V.project(Np)[1], adH0, 2, 0, LIE_TOL, scale, LIE_N_MAX,
+                       x_grids)
+    V_new = lie_series(X, V_new, state.V, 1, 0, LIE_TOL, scale, LIE_N_MAX, x_grids)
+    V_new = lie_series(X, V_new, X.omega_dphi(state.omega) * -1.0, 1, 1,
+                       LIE_TOL, scale, LIE_N_MAX, x_grids)
+    noise = 1e-14 * max(V_new.norm_max(), 1e-300)
+    return OperatorPair(V_new.Ad.prune(noise), V_new.Ao.prune(noise), pr.alpha, 0.0)
 
 
 def left_right_ops(A: np.ndarray, B: np.ndarray):

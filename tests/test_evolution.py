@@ -35,7 +35,7 @@ def test_free_evolution_exact_rotation():
     pe = rng.standard_normal(2 * J + 1) + 1j * rng.standard_normal(2 * J + 1)
     state = pair_state(pe, SD)
     T, dt = 0.5, 0.0009
-    traj = integrate(SD, VZERO, np.array([100.0]), state, T, dt, LAT)
+    traj = integrate(SD, VZERO, np.array([100.0]), state, T, dt, LAT, store_every=1)
     lam = SD.lam
     want0 = state[0] * np.exp(-1j * lam * traj.times[-1])
     assert np.max(np.abs(traj.states[-1][0] - want0)) < 1e-12
@@ -67,7 +67,7 @@ def test_kick_matches_dense_oracle(v):
 def test_dt_guard():
     state = np.zeros((2, 2 * J + 1), dtype=complex)
     with pytest.raises(ValueError):
-        integrate(SD, VTOY, np.array([1000.0]), state, 1.0, 0.01, LAT)
+        integrate(SD, VTOY, np.array([1000.0]), state, 1.0, 0.01, LAT, store_every=1)
 
 
 def test_richardson_order_two():

@@ -31,14 +31,14 @@ def test_lattice_s0():
 
 def test_single_mode_norm():
     lat = Lattice(1, 4, 6)
-    u = TorusFunction.from_modes(lat, {(3, -5): 1.0})
+    u = TorusFunction.from_modes(lat, {(3, -5): 1.0}, reality=False)
     for s in [0.0, 1.0, 2.5]:
         assert sobolev_norm(u, s) == pytest.approx(5.0 ** s, rel=1e-14)
 
 
 def test_constant_norm():
     lat = Lattice(2, 3, 3)
-    u = TorusFunction.from_modes(lat, {(0, 0, 0): 1.0})
+    u = TorusFunction.from_modes(lat, {(0, 0, 0): 1.0}, reality=False)
     for s in [0.0, 1.0, 7.0]:
         assert sobolev_norm(u, s) == pytest.approx(1.0, rel=1e-14)
 
@@ -69,8 +69,8 @@ def test_multiply_identity():
 
 def test_multiply_deltas():
     lat = Lattice(1, 3, 8)
-    ej = TorusFunction.from_modes(lat, {(0, 2): 1.0})
-    ek = TorusFunction.from_modes(lat, {(1, 3): 1.0})
+    ej = TorusFunction.from_modes(lat, {(0, 2): 1.0}, reality=False)
+    ek = TorusFunction.from_modes(lat, {(1, 3): 1.0}, reality=False)
     w = multiply(ej, ek)
     assert coeff(w, (1,), 5) == pytest.approx(1.0)
     assert np.sum(np.abs(w.coeffs)) == pytest.approx(1.0)
@@ -206,5 +206,5 @@ def test_reality_scan():
     rng = np.random.default_rng(10)
     u = random_function(lat, rng)
     assert check_reality(u)
-    v = TorusFunction.from_modes(lat, {(1, 1): 1.0})
+    v = TorusFunction.from_modes(lat, {(1, 1): 1.0}, reality=False)
     assert not check_reality(v)

@@ -11,12 +11,14 @@ from fastwave.kam import (
     final_spectrum, init_state, kam_iterate, kam_step,
     melnikov_step_test, nash_moser_check, smallness_check, solve_homological,
 )
+from fastwave import opmatrix
 from fastwave.magnus import magnus_transform
 from fastwave.melnikov import estimate_measure
 from fastwave.opmatrix import BlockOperator, LieSeriesDiverged, OperatorPair, ad, block_slice
 from fastwave.psdo import DEFAULT_CUTOFF
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks
-from oracles import block, left_right_ops, pair_to_dense, structure_defect
+from oracles import (block, left_right_ops, pair_to_dense, structure_defect,
+                     three_series_remainder)
 
 
 def xcoeffs(J, entries):
@@ -58,7 +60,7 @@ def homological_residual(state: KamState, X: OperatorPair, Nval=None) -> float:
 
 
 def test_params_schedule_and_guards():
-    p = KamParameters(tau=2.6, gamma=0.1, alpha=0.5, N0=2)
+    p = KamParameters(tau=2.6, gamma=0.1, alpha=0.5, N0=2, tau0=1.0, gamma0=0.1)
     assert p.N(-1) == 1.0 and p.N(0) == 2.0
     assert p.N(2) == pytest.approx(2.0 ** 2.25)
     assert p.rho == pytest.approx(6 * 2.6 + 4)
@@ -66,9 +68,9 @@ def test_params_schedule_and_guards():
     assert p.Lambda == pytest.approx(2 * 2.6 + 2 + p.rho)
     assert p.tau_constraint_ok(nu=1)
     with pytest.raises(ValueError):
-        KamParameters(tau=2.6, gamma=0.1, alpha=1.0)
+        KamParameters(tau=2.6, gamma=0.1, alpha=1.0, N0=2, tau0=1.0, gamma0=0.1)
     with pytest.raises(ValueError):
-        KamParameters(tau=2.6, gamma=1.5, alpha=0.5)
+        KamParameters(tau=2.6, gamma=1.5, alpha=0.5, N0=2, tau0=1.0, gamma0=0.1)
 
 
 def test_init_state_blocks_and_structure():
@@ -83,7 +85,7 @@ def test_init_state_blocks_and_structure():
 def test_init_state_v_zero_trivial():
     state, *_ = toy_setup(v_modes={})
     assert state.delta(state.s0) == 0.0
-    final, gens = kam_iterate(state)
+    final, gens = kam_iterate(state, state.params.p_max)
     assert final.p == 0
     ok, margin = smallness_check(state)
     assert ok and margin == float("inf")
@@ -319,13 +321,13 @@ def test_solve_homological_edge_blocks():
 
 def test_solve_homological_zero():
     state, *_ = toy_setup(v_modes={})
-    X = solve_homological(state)
+    X = solve_homological(state, state.params.N(state.p))
     assert X.norm_max() == 0.0
 
 
 def test_homological_residual_random():
     state, *_ = toy_setup()
-    X = solve_homological(state)
+    X = solve_homological(state, state.params.N(state.p))
     res = homological_residual(state, X)
     assert res < 1e-10 * max(1.0, state.V.norm_max())
 
@@ -340,6 +342,23 @@ def test_kam_step_contracts_and_preserves_structure():
     assert d1 < 0.5 * d0
     chk = nash_moser_check(state, new)
     assert chk["low_ok"] and chk["high_ok"]
+
+
+@pytest.mark.parametrize("M", [1e3, 1e2])
+def test_kam_step_two_series_match_three(monkeypatch, M):
+    # the merged series of ad_X H0 - Xdot gives the three-series remainder,
+    # with fewer Lie-series `ad` calls
+    state, *_ = toy_setup(M=M)
+    calls = []
+    real_ad = opmatrix.ad
+    monkeypatch.setattr(opmatrix, "ad", lambda *a: calls.append(1) or real_ad(*a))
+    want = three_series_remainder(state)
+    n_oracle = len(calls)
+    calls.clear()
+    new, _ = kam_step(state)
+    tol = 1e-13 * max(want.norm_max(), 1e-300)
+    assert (new.V - want).norm_max() <= tol
+    assert 0 < len(calls) < n_oracle
 
 
 def test_kam_step_absorbs_diagonal():

@@ -344,7 +344,8 @@ def test_dense_layout_matches_per_mode_formulas():
 
 def test_ad_fft_count_and_grid_lifetime(monkeypatch):
     # each term of a series transforms 2 grids to phi and 2 back; X's grids
-    # are built once per series and not kept on any operand
+    # are built once per series, by its caller, and not kept on any operand
+    import oracles
     from fastwave import opmatrix
     rng = np.random.default_rng(22)
     X = random_pair(LAT, rng, alpha=0.5) * 1e-2
@@ -364,6 +365,7 @@ def test_ad_fft_count_and_grid_lifetime(monkeypatch):
         counts["x_grids"] += 1
         return build(X)
     monkeypatch.setattr(opmatrix, "_x_grids", counted_x_grids)
+    monkeypatch.setattr(oracles, "_x_grids", counted_x_grids)
     g = build(X)
     counts.update(ifftn=0, fftn=0)
     ad(X, V, g)
@@ -437,7 +439,7 @@ def test_lie_conjugate_matches_dense_expm():
 
 
 def test_lie_series_xdot_matches_dense_integral():
-    # the KAM step's Xdot series sum_{k>=0} ad_X^k(Xdot)/(k+1)! against
+    # the KAM step's second series sum_{k>=0} ad_X^k(Y)/(k+1)!, at Y = Xdot, against
     # int_0^1 e^{isX} Xdot e^{-isX} ds by Gauss-Legendre at sampled angles;
     # X lives on |l| <= 1 and L = 10 leaves room for the terms' l spread
     rng = np.random.default_rng(12)
@@ -446,7 +448,7 @@ def test_lie_series_xdot_matches_dense_integral():
     X = OperatorPair(within(X.Ad, 1), within(X.Ao, 1), 0.5, 0.5)
     X = X * (0.05 / max(X.norm_max(), 1e-30))
     Xdot = X.omega_dphi(np.array([1.3]))
-    out = lie_series(X, Xdot, Xdot, 1, 1, 1e-16, 1.0 + Xdot.norm_max(), 30)
+    out = lie_series(X, Xdot, Xdot, 1, 1, 1e-16, 1.0 + Xdot.norm_max(), 30, _x_grids(X))
     nodes, weights = np.polynomial.legendre.leggauss(12)
     for phi in (np.array([0.0]), np.array([0.7]), np.array([2.1])):
         Xm = pair_family_at_angle(X, phi)

@@ -6,9 +6,9 @@ import pytest
 from fastwave.harmonics import Lattice, TorusFunction, multiply
 from fastwave.opmatrix import BlockOperator
 from fastwave.psdo import (
-    ContourSpec, Cutoff, EllipticityError, EllipticSymbol, Symbol, _add, _mul, _widen,
-    complex_power, compose, entry_decay_exponent, parametrix_layers_batch,
-    quantize, resolvent_parametrix,
+    DEFAULT_CUTOFF, ContourSpec, Cutoff, EllipticityError, EllipticSymbol, Symbol, _add,
+    _chain_quadratic_batch, _mul, _summed_layers, _widen, _zero, complex_power, compose,
+    entry_decay_exponent, parametrix_layers_batch, quantize, resolvent_parametrix,
 )
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks, spectral_power
 from oracles import apply, random_function, symbol_sqrt, torus_multiplication
@@ -113,7 +113,7 @@ def test_quantize_multiplication_action_matches_multiply():
 
 
 def test_compose_with_one():
-    a = Symbol.x_multiplication(LAT, QC).mul(bracket_power(LAT, -1.0))
+    a = Symbol.x_multiplication(LAT, QC).mul(bracket_power(LAT, -1.0), order=-1.0)
     one = Symbol.constant(LAT, 1.0)
     approx = compose(a, one, N=3)
     for xi in (-3, 0, 5):
@@ -196,7 +196,7 @@ def test_parametrix_layers_closed_form():
 
     for xi in (3, 7):
         u = (xi ** 2 - lam)[:, None]
-        layers = parametrix_layers_batch(ell, lam, xi, N=5, n_beta=1)
+        layers = parametrix_layers_batch(ell, lam, xi, N=5, n_beta=1, cutoff=DEFAULT_CUTOFF)
         want = {(0, 0): delta / u, (1, 0): 0.0 * delta / u, (2, 0): -QC / u ** 2,
                 (3, 0): -2j * xi * dq / u ** 3,
                 (4, 0): qq / u ** 3 + (-1.0 / u ** 3 + 4.0 * xi ** 2 / u ** 4) * ddq,
@@ -214,8 +214,10 @@ def test_parametrix_order_trim_and_lam_axis():
     lam = np.array([-1.0, 0.4j, 2.0 + 3.0j])
     for xi in (0, 3):
         for n_beta in (0, 2):
-            lo = parametrix_layers_batch(ell, lam, xi, N=5, n_beta=n_beta)
-            hi = parametrix_layers_batch(ell, lam, xi, N=5, n_beta=n_beta + 1)
+            lo = parametrix_layers_batch(ell, lam, xi, N=5, n_beta=n_beta,
+                                         cutoff=DEFAULT_CUTOFF)
+            hi = parametrix_layers_batch(ell, lam, xi, N=5, n_beta=n_beta + 1,
+                                         cutoff=DEFAULT_CUTOFF)
             assert set(lo) < set(hi)
             for key, v in lo.items():
                 assert v.shape == hi[key].shape and v.tobytes() == hi[key].tobytes(), key
@@ -241,6 +243,38 @@ def test_zero_operand_matches_widened_path():
             want = full(op(wide, x, LAT))
             assert np.array_equal(full(op(zero, x, LAT)), want), (op, shape)
             assert np.array_equal(full(op(x, zero, LAT)), want), (op, shape)
+
+
+def test_cutoff_derivatives_outside_window_are_structural_zeros():
+    # no t in chi's transition window (1/3, 2/3): every derivative of
+    # chi(t(xi)) of order >= 1 is the one-entry zero, which the general
+    # path would give as zeros; one t inside takes the general path
+    t = np.array([0.1, 1.0 / 3.0, 2.0 / 3.0, 5.0]).reshape(4, 1, 1)
+    d = _chain_quadratic_batch(DEFAULT_CUTOFF, t, 6.0, 2.0, 4)
+    assert np.array_equal(d[0], DEFAULT_CUTOFF(t, 0))
+    assert all(_zero(v) for v in d[1:])
+    assert not any(np.any(DEFAULT_CUTOFF(t, k)) for k in range(1, 5))
+    t[0] = 0.5
+    d = _chain_quadratic_batch(DEFAULT_CUTOFF, t, 6.0, 2.0, 4)
+    assert all(v.shape == t.shape and np.any(v) for v in d[1:])
+
+
+def test_summed_layers_skip_zero_layers():
+    # the layer sums equal those over every layer with each zero layer
+    # materialised (b_1 of xi^2 + q vanishes); at xi = 0 and lambda = 0.4i
+    # the cutoff's transition is hit, at xi = 3 it is not
+    ell = EllipticSymbol.xi2_plus_q(LAT, QC)
+    lam = np.array([-1.0, 0.4j, 2.0 + 3.0j])
+    for xi in (0, 3):
+        layers = parametrix_layers_batch(ell, lam, xi, N=5, n_beta=2,
+                                         cutoff=DEFAULT_CUTOFF)
+        got = _summed_layers(ell, lam, xi, 5, 2, DEFAULT_CUTOFF)
+        for beta in range(3):
+            want = np.array(layers[(0, beta)])
+            for n in range(1, 5):
+                want = _add(want, np.array(layers[(n, beta)]), LAT)
+            assert got[beta].shape == want.shape
+            assert np.array_equal(got[beta], want), (xi, beta)
 
 
 def test_parametrix_residual_decay_and_refinement():
@@ -272,7 +306,8 @@ def test_parametrix_ellipticity_guard():
 
 def test_power_constant_coefficient_exact():
     ell = EllipticSymbol(LAT, [(0, Symbol.xi_poly(LAT, [1.0, 0.0, 1.0]))])
-    B = complex_power(ell, 0.5, N=3, contour=ContourSpec(0.4, 0.4 * math.exp(170), 280))
+    B = complex_power(ell, 0.5, N=3, contour=ContourSpec(0.4, 0.4 * math.exp(170), 280),
+                      deriv_depth=3, compose_N=3)
     for xi in range(-J, J + 1):
         v = B.raw(xi, 0)
         v0 = v[..., v.shape[-1] // 2].item()
@@ -284,7 +319,7 @@ def test_power_inverse_check():
     # residual decays like |j|^{-N-ish}: at this desk scale check the decay
     # and a mid-frequency bound; the 1e-6 level is reached at larger |j|
     ell = EllipticSymbol.xi2_plus_q(LAT, QC)
-    inv = complex_power(ell, -1.0, N=4, contour=CONT, deriv_depth=0)
+    inv = complex_power(ell, -1.0, N=4, contour=CONT, deriv_depth=0, compose_N=3)
     OpInv = quantize(inv)
     OpA = BlockOperator.time_independent(LAT, assemble_lq(QC, J).astype(complex))
     R = OpInv @ OpA - BlockOperator.identity(LAT)
@@ -316,9 +351,9 @@ def test_power_group_property_smoothing():
 
 def test_power_insensitive_to_admissible_cutoff():
     ell = EllipticSymbol.xi2_plus_q(LAT, QC)
-    B1 = complex_power(ell, -0.5, N=3, contour=CONT, deriv_depth=0,
+    B1 = complex_power(ell, -0.5, N=3, contour=CONT, deriv_depth=0, compose_N=3,
                        cutoff=Cutoff(1.0))
-    B2 = complex_power(ell, -0.5, N=3, contour=CONT, deriv_depth=0,
+    B2 = complex_power(ell, -0.5, N=3, contour=CONT, deriv_depth=0, compose_N=3,
                        cutoff=Cutoff(2.0))
     # at integer xi != 0 all admissible cutoffs act identically
     for xi in (-J, -5, -1, 1, 4, J):
@@ -330,4 +365,5 @@ def test_power_contour_guard():
     ell = EllipticSymbol.xi2_plus_q(LAT, QC)
     with pytest.raises(EllipticityError):
         # rho far above the bottom of the symbol range: circle crosses it
-        complex_power(ell, -0.5, N=2, contour=ContourSpec(2.0, 2.0 * math.exp(80), 64))
+        complex_power(ell, -0.5, N=2, contour=ContourSpec(2.0, 2.0 * math.exp(80), 64),
+                      deriv_depth=3, compose_N=3)
