@@ -4,7 +4,9 @@ The first-order form i phi_t = H(t) phi with H = B sigma3 + W(omega t) sigma4
 is integrated in the eigenbasis of B by Strang splitting: the free rotation
 e^{-i dt B sigma3} is exact (diagonal), and the kick e^{-i dt W sigma4} is
 exact as well because W sigma4 is nilpotent (sigma4^2 = 0), so the only error
-is the order-2 splitting error in dt.
+is the order-2 splitting error in dt.  W is `magnus_transform`'s W_mat moved
+to the eigenbasis by `change_basis`; the caller builds it once and passes it
+to `integrate` and `floquet_residual`.
 
 The Floquet factorization U(t, tau) = T(omega t)^{-1} e^{-i(t-tau)H_inf}
 T(omega tau) is assembled from the Magnus generator (e^{iY sigma4} = 1 + iY
@@ -23,11 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .craig_wayne import build_basis_matrix, change_basis
-from .harmonics import Lattice, TorusFunction
-from .magnus import multiplication_operator
 from .opmatrix import BlockOperator, OperatorPair, _conj_grid
-from .schrodinger import SpectralData, spectral_power
+from .schrodinger import SpectralData
 
 
 @dataclass
@@ -63,17 +62,16 @@ def pair_state(phi_exp: np.ndarray, sd: SpectralData) -> np.ndarray:
     return np.stack([coords @ phi_exp, coords @ phibar])
 
 
-def integrate(sd: SpectralData, v: TorusFunction, omega, state0: np.ndarray, T: float,
-              dt: float, lattice: Lattice, store_every: int,
-              t0: float = 0.0) -> Trajectory:
+def integrate(sd: SpectralData, W: BlockOperator, omega, state0: np.ndarray, T: float,
+              dt: float, store_every: int, t0: float = 0.0) -> Trajectory:
     """Strang splitting: half rotation, exact kick at the midpoint, half rotation.
 
-    The kick is W(phi) sigma4 with W = (1/2) B^{-1/2} V(phi) B^{-1/2} in
-    eigen coordinates, summed over W's live angle modes (those whose block
-    is not identically zero); v = 0 gives the free flow.  state0: (2, D)
-    eigen coordinates, held as one flat vector during the run.  dt must
-    resolve the driving and the spectral radius:
-    dt <= 0.1 / max(|omega|, lambda_max).
+    The kick is W(phi) sigma4, with W = (1/2) B^{-1/2} V(phi) B^{-1/2} in
+    eigen coordinates (`magnus_transform`'s W_mat moved by `change_basis`),
+    summed over W's live angle modes (those whose block is not identically
+    zero); W = 0 gives the free flow.  state0: (2, D) eigen coordinates,
+    held as one flat vector during the run.  dt must resolve the driving and
+    the spectral radius: dt <= 0.1 / max(|omega|, lambda_max).
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     lam = sd.lam
@@ -81,15 +79,10 @@ def integrate(sd: SpectralData, v: TorusFunction, omega, state0: np.ndarray, T: 
     if dt > 0.1 / max(float(np.linalg.norm(omega)), lam_max):
         raise ValueError("dt too coarse for the driving/spectral scales")
     n_steps = int(round(T / dt))
-    W = None                                  # no kick for v = 0
-    if np.max(np.abs(v.coeffs)) > 0:
-        Bmh = spectral_power(sd, -0.25)
-        V = multiplication_operator(v)
-        Wop = change_basis(BlockOperator(lattice, 0.5 * (Bmh @ V.mats @ Bmh)),
-                           build_basis_matrix(sd))
-        # only the modes whose block is not identically zero enter W(phi)
-        live = np.any(Wop.mats != 0, axis=(1, 2))
-        W = (lattice.ell_range()[live], Wop.mats[live].reshape(-1, len(lam) ** 2), Wop.K)
+    # only the modes whose block is not identically zero enter W(phi)
+    live = np.any(W.mats != 0, axis=(1, 2))
+    kick = ((W.lattice.ell_range()[live], W.mats[live].reshape(-1, len(lam) ** 2), W.K)
+            if live.any() else None)
     half = np.exp(-0.5j * dt * lam)
     rot = np.concatenate([half, np.conj(half)])
     state = np.array(state0, dtype=complex).reshape(-1)
@@ -98,8 +91,8 @@ def integrate(sd: SpectralData, v: TorusFunction, omega, state0: np.ndarray, T: 
     t = t0
     for k in range(n_steps):
         state *= rot
-        if W is not None:
-            _apply_kick(W, state, omega * (t + 0.5 * dt), dt)
+        if kick is not None:
+            _apply_kick(kick, state, omega * (t + 0.5 * dt), dt)
         state *= rot
         t += dt
         if (k + 1) % store_every == 0 or k == n_steps - 1:
@@ -109,14 +102,14 @@ def integrate(sd: SpectralData, v: TorusFunction, omega, state0: np.ndarray, T: 
                       sd=sd, dt=dt)
 
 
-def _apply_kick(W, state, phi_angle, dt):
+def _apply_kick(kick, state, phi_angle, dt):
     """The kick, in place, on the flat state (phi, phibar-slot).
 
-    W = (ells, modes, K): the live angle modes, their flattened blocks and the
-    conjugation matrix.  W(phi) is one contraction of the modes with their
+    kick = (ells, modes, K): W's live angle modes, their flattened blocks and
+    the conjugation matrix.  W(phi) is one contraction of the modes with their
     phases; the conjugate family acts as conj(W)(phi) s = K conj(W(phi) K conj(s)).
     """
-    ells, modes, K = W
+    ells, modes, K = kick
     D = len(K)
     Wp = (np.exp(1j * (ells @ phi_angle)) @ modes).reshape(D, D)
     s = state[:D] + state[D:]
@@ -134,9 +127,8 @@ def sobolev_trace(traj: Trajectory, r: float):
     return float(np.max(ratios)), ratios
 
 
-def band_width(traj: Trajectory, r: float) -> float:
-    """Measured half-width c with sup_t ratio within [1 - c, 1 + c]."""
-    _, ratios = sobolev_trace(traj, r)
+def band_width(ratios: np.ndarray) -> float:
+    """Measured half-width c with the `sobolev_trace` ratios within [1 - c, 1 + c]."""
     return float(np.max(np.abs(ratios - 1.0)))
 
 
@@ -167,17 +159,13 @@ class FloquetFrame:
     block-diagonal flow: psi_final(t) = T(omega t) psi(t).
     """
 
-    def __init__(self, Y_eigen: BlockOperator, generators, final_state):
+    def __init__(self, Y_eigen: BlockOperator, generators, H_inf: np.ndarray):
         self.Y = Y_eigen
         self.gens = generators
-        self.final_state = final_state
-        self.H_inf = final_state.H0_matrix()
-
-    def Y_at(self, phi_angle) -> np.ndarray:
-        return self.Y.at_angle(phi_angle)
+        self.H_inf = H_inf
 
     def frame(self, phi_angle) -> np.ndarray:
-        out = sigma4_exponential(self.Y_at(phi_angle), self.Y.K)
+        out = sigma4_exponential(self.Y.at_angle(phi_angle), self.Y.K)
         for X in self.gens:
             out = scipy.linalg.expm(1j * pair_at_angle(X, phi_angle)) @ out
         return out
@@ -194,12 +182,12 @@ class FloquetFrame:
         return np.linalg.solve(Tt, self.reduced_propagator(t, tau) @ Tt0)
 
 
-def floquet_residual(frame: FloquetFrame, sd: SpectralData, v, omega,
-                     t_tau_pairs, dt: float, lattice: Lattice,
-                     n_probes: int) -> float:
+def floquet_residual(frame: FloquetFrame, sd: SpectralData, W: BlockOperator, omega,
+                     t_tau_pairs, dt: float, n_probes: int) -> float:
     """max over (t, tau) and probes of |U_num(t,tau) p - U_floquet(t,tau) p| / |p|.
 
-    The probes p are drawn from a generator seeded with 0.
+    U_num is the Strang flow of `integrate` with the eigen-basis W; the probes
+    p are drawn from a generator seeded with 0.
     """
     rng = np.random.default_rng(0)
     D = 2 * sd.J + 1
@@ -212,7 +200,7 @@ def floquet_residual(frame: FloquetFrame, sd: SpectralData, v, omega,
         for _ in range(n_probes):
             pe = rng.standard_normal(D) + 1j * rng.standard_normal(D)
             state = pair_state(pe, sd)
-            traj = integrate(sd, v, omega, state, t - tau, dt_run, lattice,
+            traj = integrate(sd, W, omega, state, t - tau, dt_run,
                              t0=tau, store_every=n_steps)
             got = traj.states[-1].reshape(-1)
             want = U @ state.reshape(-1)

@@ -112,28 +112,11 @@ class TorusFunction:
 
     # -- algebra --------------------------------------------------------
 
-    def __add__(self, other: "TorusFunction") -> "TorusFunction":
-        self._require_same_lattice(other)
-        return TorusFunction(self.lattice, self.coeffs + other.coeffs,
-                             self.reality and other.reality)
-
-    def __sub__(self, other: "TorusFunction") -> "TorusFunction":
-        self._require_same_lattice(other)
-        return TorusFunction(self.lattice, self.coeffs - other.coeffs,
-                             self.reality and other.reality)
-
     def __mul__(self, scalar) -> "TorusFunction":
         return TorusFunction(self.lattice, self.coeffs * scalar,
                              self.reality and np.isrealobj(np.asarray(scalar)))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "TorusFunction":
-        return TorusFunction(self.lattice, -self.coeffs, self.reality)
-
-    def _require_same_lattice(self, other: "TorusFunction"):
-        if self.lattice != other.lattice:
-            raise ValueError("lattice mismatch")
 
     # -- serialization ---------------------------------------------------
 
@@ -152,7 +135,8 @@ class TorusFunction:
 
 def multiply(u: TorusFunction, v: TorusFunction) -> TorusFunction:
     """Coefficient convolution of u and v, truncated back to the lattice."""
-    u._require_same_lattice(v)
+    if u.lattice != v.lattice:
+        raise ValueError("lattice mismatch")
     from scipy.signal import fftconvolve
 
     full = fftconvolve(u.coeffs, v.coeffs, mode="full")

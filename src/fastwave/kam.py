@@ -22,6 +22,12 @@ The new remainder is written with two Lie series, summed by
 The last is the H0 series sum_{k>=2} ad_X^k(H0)/k!, re-indexed as
 sum_{k>=1} ad_X^k(ad_X H0)/(k+1)!, plus the Xdot series
 -sum_{k>=1} ad_X^k(Xdot)/(k+1)!: exact algebra, not the homological equation.
+
+The normal form H0 is held as one (D, D) matrix, D = 2J+1, zero outside the
+blocks [n] x [n]; each step adds the symmetrized Z.  `KamState.block_eigs`
+diagonalizes it with one `eigh` on the stack of its 2x2 blocks, and the
+homological solve, the Melnikov scan and the final spectrum all read that
+one result.
 """
 
 from __future__ import annotations
@@ -94,7 +100,7 @@ class KamState:
     """Iteration state: block normal form, remainder pair, history."""
 
     p: int
-    H0: dict                      # n -> self-adjoint block (#[n] x #[n])
+    H0: np.ndarray                # (D, D), zero outside the blocks [n] x [n]
     V: OperatorPair               # remainder, class (alpha, 0)
     omega: np.ndarray
     M: float
@@ -104,22 +110,30 @@ class KamState:
     lam_ref: np.ndarray                   # unperturbed lambda_j for drift reports
     history: list = field(default_factory=list)
 
-    def H0_matrix(self) -> np.ndarray:
-        return _block_diagonal(self.lattice.J, self.H0)
-
     def selfadjoint_defect(self) -> float:
-        return max(float(np.max(np.abs(b - b.conj().T))) for b in self.H0.values())
+        return float(np.max(np.abs(self.H0 - self.H0.conj().T)))
 
     def block_eigs(self):
-        """(mu[n] arrays, U[n] unitaries) per block."""
-        mu, U = {}, {}
-        for n, blk in self.H0.items():
-            w, v = np.linalg.eigh(0.5 * (blk + blk.conj().T))
-            mu[n], U[n] = w, v
+        """(mu, U): the (D,) eigenvalues and the block-diagonal unitary eigenframe of H0.
+
+        The blocks [1]..[J] are diagonalized by one `eigh` on their (J, 2, 2)
+        stack; block [n]'s ascending eigenvalues go to the indices (-n, n).
+        Block [0] is 1x1: its eigenvalue is read off the diagonal.
+        """
+        J = self.lattice.J
+        H = 0.5 * (self.H0 + self.H0.conj().T)
+        # row n-1: the indices (-n, n) of block [n], n = 1..J
+        idx = np.stack([np.arange(J - 1, -1, -1), np.arange(J + 1, 2 * J + 1)], axis=1)
+        blocks = (idx[:, :, None], idx[:, None, :])
+        w, v = np.linalg.eigh(H[blocks])
+        mu = np.empty(2 * J + 1)
+        mu[J], mu[idx] = H[J, J].real, w
+        U = np.zeros_like(H)
+        U[J, J], U[blocks] = 1.0, v
         return mu, U
 
     def delta(self, s: float) -> float:
-        return pair_norm(self.V, s, self.V.alpha, 0.0)
+        return pair_norm(self.V, s, self.params.alpha, 0.0)
 
 
 def init_state(magnus_out, sd, basis, params: KamParameters, lattice: Lattice,
@@ -128,17 +142,13 @@ def init_state(magnus_out, sd, basis, params: KamParameters, lattice: Lattice,
     from .craig_wayne import change_basis
     if not sd.positive:
         raise SmallnessError("KAM initialization needs a positive spectrum")
-    J = sd.J
-    H0 = {0: np.array([[sd.lam[sd.idx(0)]]], dtype=complex)}
-    for n in range(1, J + 1):
-        H0[n] = np.diag([sd.lam[sd.idx(-n)], sd.lam[sd.idx(n)]]).astype(complex)
+    H0 = np.diag(sd.lam).astype(complex)
     Vd = change_basis(magnus_out.Vd_mat, basis)
     Vo = change_basis(magnus_out.Vo_mat, basis)
     scale = max(Vd.norm_max(), Vo.norm_max())
     # drop pure floating-point noise: it would otherwise dominate the
     # high-index norms under the <l,h>^{2(s0+beta)} weights
-    V = OperatorPair(Vd.prune(1e-14 * scale), Vo.prune(1e-14 * scale),
-                     params.alpha, 0.0)
+    V = OperatorPair(Vd.prune(1e-14 * scale), Vo.prune(1e-14 * scale))
     state = KamState(p=0, H0=H0, V=V, omega=magnus_out.omega, M=magnus_out.M,
                      params=params, lattice=lattice, s0=float(lattice.s0),
                      lam_ref=sd.lam.copy())
@@ -161,15 +171,6 @@ def _history_row(state: KamState, X: OperatorPair | None, track_norms: bool) -> 
                 delta_s0_beta=state.delta(state.s0 + pr.beta),
                 X_norm=0.0 if X is None else pair_norm(X, state.s0, pr.alpha, pr.alpha),
                 H0_selfadjoint_defect=state.selfadjoint_defect())
-
-
-def _block_diagonal(J: int, blocks: dict) -> np.ndarray:
-    """The (2J+1)^2 matrix with blocks[n] on block [n] x [n] and zeros elsewhere."""
-    out = np.zeros((2 * J + 1, 2 * J + 1), dtype=complex)
-    for n, blk in blocks.items():
-        idx = block_slice(J, n)
-        out[np.ix_(idx, idx)] = blk
-    return out
 
 
 def smallness_check(state: KamState):
@@ -207,7 +208,7 @@ def melnikov_step_test(state: KamState, Nval: float | None = None):
     Nval = pr.N(state.p - 1) if Nval is None else Nval
     mu, _ = state.block_eigs()
     J = state.lattice.J
-    mus = [mu[n] for n in range(J + 1)]
+    mus = [mu[block_slice(J, n)] for n in range(J + 1)]
     C1M = prune_C1(state) * state.M
     from .harmonics import _ell_range
     ells = _ell_range(state.lattice.nu, state.lattice.L)
@@ -256,10 +257,6 @@ def solve_homological(state: KamState, Nval: float) -> OperatorPair:
     lat = state.lattice
     J = lat.J
     mu, U = state.block_eigs()
-    Uf = _block_diagonal(J, U)
-    muf = np.empty(2 * J + 1)
-    for n, m in mu.items():
-        muf[block_slice(J, n)] = m
     nb = np.abs(np.arange(-J, J + 1))          # block of each space index
 
     # the kept modes |l| <= N of V^d, then of V^o
@@ -269,7 +266,7 @@ def solve_homological(state: KamState, Nval: float) -> OperatorPair:
     sign = np.where(comp_d, -1.0, 1.0)[:, None, None]
     dot = (ells @ state.omega)[:, None, None]
     ln = np.linalg.norm(ells, axis=1)
-    div = dot + muf[None, :, None] + sign * muf[None, None, :]
+    div = dot + mu[None, :, None] + sign * mu[None, None, :]
     gap = np.abs(div)
     mingap = np.minimum(np.minimum(gap[:, J:, J:], gap[:, J:, J::-1]),
                         np.minimum(gap[:, J::-1, J:], gap[:, J::-1, J::-1]))
@@ -283,25 +280,19 @@ def solve_homological(state: KamState, Nval: float) -> OperatorPair:
     excluded = (comp_d & (ln == 0.0))[:, None]
     factor[:, ns, ns] = np.where(excluded, 0.0, factor[:, ns, ns])
     div[div == 0.0] = 1.0             # zeros only where factor = 0
-    T = Uf.conj().T @ np.concatenate([state.V.Ad.mats[low], state.V.Ao.mats[low]]) @ Uf
+    T = U.conj().T @ np.concatenate([state.V.Ad.mats[low], state.V.Ao.mats[low]]) @ U
     T /= div
     T *= -1j * factor[:, nb][:, :, nb]
     X = np.zeros((2,) + state.V.Ad.mats.shape, dtype=complex)
-    X[:, low] = (Uf @ T @ Uf.conj().T).reshape((2, -1) + T.shape[1:])
+    X[:, low] = (U @ T @ U.conj().T).reshape((2, -1) + T.shape[1:])
     K = state.V.Ad.K
-    return OperatorPair(BlockOperator(lat, X[0], K), BlockOperator(lat, X[1], K),
-                        pr.alpha, pr.alpha)
+    return OperatorPair(BlockOperator(lat, X[0], K), BlockOperator(lat, X[1], K))
 
 
-def diagonal_correction(state: KamState) -> dict:
-    """Z^(p): the l = 0 block-diagonal part of V^d."""
-    J = state.lattice.J
-    V0 = state.V.Ad.mat((0,) * state.lattice.nu)
-    Z = {}
-    for n in range(J + 1):
-        rows = block_slice(J, n)
-        Z[n] = np.array(V0[np.ix_(rows, rows)])
-    return Z
+def diagonal_correction(state: KamState) -> np.ndarray:
+    """Z^(p): V^d(0) on the blocks [n] x [n], zero elsewhere."""
+    nb = np.abs(np.arange(-state.lattice.J, state.lattice.J + 1))
+    return np.where(nb[:, None] == nb, state.V.Ad.mat((0,) * state.lattice.nu), 0.0)
 
 
 def kam_step(state: KamState, track_norms: bool = True) -> tuple:
@@ -313,11 +304,11 @@ def kam_step(state: KamState, track_norms: bool = True) -> tuple:
     K = state.V.Ad.K
 
     Z = diagonal_correction(state)
-    H0_new = {n: state.H0[n] + 0.5 * (Z[n] + Z[n].conj().T) for n in state.H0}
     # Z is Hermitian when the structure constraints hold; the symmetrization
     # only removes floating-point noise
-    H0pair = OperatorPair(BlockOperator.time_independent(lat, state.H0_matrix(), K=K),
-                          BlockOperator.zero(lat, K=K), pr.alpha, 0.0)
+    H0_new = state.H0 + 0.5 * (Z + Z.conj().T)
+    H0pair = OperatorPair(BlockOperator.time_independent(lat, state.H0, K=K),
+                          BlockOperator.zero(lat, K=K))
 
     # Pi_N^perp V + the V series + the H0 and Xdot series merged as one of
     # ad_X H0 - Xdot (module docstring), one `ad` per power for both;
@@ -331,8 +322,7 @@ def kam_step(state: KamState, track_norms: bool = True) -> tuple:
                        LIE_N_MAX, x_grids)
 
     noise = 1e-14 * max(V_new.norm_max(), 1e-300)
-    V_new = OperatorPair(V_new.Ad.prune(noise), V_new.Ao.prune(noise),
-                         pr.alpha, 0.0)
+    V_new = OperatorPair(V_new.Ad.prune(noise), V_new.Ao.prune(noise))
     new = KamState(p=state.p + 1, H0=H0_new, V=V_new, omega=state.omega,
                    M=state.M, params=pr, lattice=lat, s0=state.s0,
                    history=list(state.history), lam_ref=state.lam_ref)
@@ -400,22 +390,17 @@ def final_spectrum(state: KamState):
     measured against the unperturbed lambda_n, plus the weighted sup table.
     """
     J = state.lattice.J
-    out = {}
-    weighted = []
-    for n in range(J + 1):
-        mu = np.linalg.eigvalsh(0.5 * (state.H0[n] + state.H0[n].conj().T))
-        lam_n = state.lam_ref[J + n]
-        if n == 0:
-            eps = (float(mu[0] - lam_n),)
-            out[n] = (float(mu[0]), float(mu[0]), eps[0], eps[0])
-        else:
-            lam_m = state.lam_ref[J - n]
-            e_minus = float(mu[0] - min(lam_n, lam_m))
-            e_plus = float(mu[1] - max(lam_n, lam_m))
-            out[n] = (float(mu[0]), float(mu[1]), e_minus, e_plus)
-            eps = (e_minus, e_plus)
-        weighted.append(max(1, n) ** state.params.alpha * max(abs(e) for e in eps))
-    return out, float(np.max(weighted))
+    mu, _ = state.block_eigs()
+    lam = state.lam_ref
+    # column n: block [n]'s lower and upper eigenvalue, and their drifts
+    lo, hi = mu[J::-1], mu[J:]
+    eps_lo = lo - np.minimum(lam[J::-1], lam[J:])
+    eps_hi = hi - np.maximum(lam[J::-1], lam[J:])
+    # Python's pow: numpy's vectorized power may round differently
+    weights = np.array([max(1, n) ** state.params.alpha for n in range(J + 1)])
+    weighted = weights * np.maximum(np.abs(eps_lo), np.abs(eps_hi))
+    rows = np.stack([lo, hi, eps_lo, eps_hi], axis=1).tolist()
+    return dict(enumerate(map(tuple, rows))), float(np.max(weighted))
 
 
 def measured_chi(history, p_lo: int = 1, p_hi: int | None = None) -> float:

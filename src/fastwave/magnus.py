@@ -160,9 +160,9 @@ def adjoint_chain_check(out: MagnusOutput) -> dict:
     """
     from .opmatrix import ad
     lat = out.Y_mat.lattice
-    Ypair = OperatorPair(out.Y_mat, out.Y_mat, 0.0, 0.0)
+    Ypair = OperatorPair(out.Y_mat, out.Y_mat)
     H0pair = OperatorPair(BlockOperator.time_independent(lat, out.B_mat),
-                          BlockOperator.zero(lat), 0.0, 0.0)
+                          BlockOperator.zero(lat))
     ad1 = ad(Ypair, H0pair)
     ad2 = ad(Ypair, ad1)
     ad3 = ad(Ypair, ad2)

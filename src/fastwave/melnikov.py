@@ -85,19 +85,20 @@ class MeasureReport:
 class EigenTable:
     """Final-block eigenvalues inside the truncation + asymptotics beyond it.
 
-    mu[n] is a 1- or 2-vector for n <= J; for n > J both eigenvalues are
-    taken as lambda_n = sqrt(n^2 + q_bar) (the l2 tail of d is below the
-    Melnikov windows there, as is the <n>^{-alpha}-weighted KAM drift).
+    mu holds the (2J+1,) eigenvalues of the final normal form by space index
+    (`KamState.block_eigs`): block [n]'s pair sits at the indices (-n, n).
+    For n > J both eigenvalues are taken as lambda_n = sqrt(n^2 + q_bar)
+    (the l2 tail of d is below the Melnikov windows there, as is the
+    <n>^{-alpha}-weighted KAM drift).
     """
 
-    J: int
     q_bar: float
-    mu_blocks: dict
+    mu: np.ndarray
 
     def __post_init__(self):
+        self.J = (len(self.mu) - 1) // 2
         # (J+1, 2) eigenvalue pairs of the explicit blocks, [0]'s value twice
-        self._inner = np.array([np.resize(np.asarray(self.mu_blocks[n], dtype=float), 2)
-                                for n in range(self.J + 1)])
+        self._inner = np.stack([self.mu[self.J::-1], self.mu[self.J:]], axis=1)
 
     def pairs(self, ns) -> np.ndarray:
         """(len(ns), 2) eigenvalues of the blocks ns (nonnegative ints)."""
@@ -120,8 +121,7 @@ class EigenTable:
 
 
 def eigen_table_from_state(state, q_bar: float) -> EigenTable:
-    mu, _ = state.block_eigs()
-    return EigenTable(J=state.lattice.J, q_bar=float(q_bar), mu_blocks=mu)
+    return EigenTable(q_bar=float(q_bar), mu=state.block_eigs()[0])
 
 
 def balanced_threshold(gamma: float, tau: float, alpha: float, M: float,

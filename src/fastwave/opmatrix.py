@@ -182,9 +182,6 @@ class BlockOperator:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * (-1.0)
-
     # -- products ----------------------------------------------------------
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
@@ -311,41 +308,35 @@ def project_modes(A: BlockOperator, N: float):
 
 
 class OperatorPair:
-    """(A^d, A^o) with decay weights; the off-diagonal entries are implied."""
+    """(A^d, A^o); the off-diagonal entries are implied."""
 
-    __slots__ = ("Ad", "Ao", "alpha", "beta")
+    __slots__ = ("Ad", "Ao")
 
-    def __init__(self, Ad: BlockOperator, Ao: BlockOperator, alpha: float, beta: float):
+    def __init__(self, Ad: BlockOperator, Ao: BlockOperator):
         if Ad.lattice != Ao.lattice:
             raise ValueError("lattice mismatch")
         self.Ad = Ad
         self.Ao = Ao
-        self.alpha = float(alpha)
-        self.beta = float(beta)
 
     def __add__(self, other):
-        return OperatorPair(self.Ad + other.Ad, self.Ao + other.Ao, self.alpha, self.beta)
+        return OperatorPair(self.Ad + other.Ad, self.Ao + other.Ao)
 
     def __sub__(self, other):
-        return OperatorPair(self.Ad - other.Ad, self.Ao - other.Ao, self.alpha, self.beta)
+        return OperatorPair(self.Ad - other.Ad, self.Ao - other.Ao)
 
     def __mul__(self, scalar):
-        return OperatorPair(self.Ad * scalar, self.Ao * scalar, self.alpha, self.beta)
-
-    __rmul__ = __mul__
+        return OperatorPair(self.Ad * scalar, self.Ao * scalar)
 
     def norm_max(self) -> float:
         return max(self.Ad.norm_max(), self.Ao.norm_max())
 
     def omega_dphi(self, omega):
-        return OperatorPair(self.Ad.omega_dphi(omega), self.Ao.omega_dphi(omega),
-                            self.alpha, self.beta)
+        return OperatorPair(self.Ad.omega_dphi(omega), self.Ao.omega_dphi(omega))
 
     def project(self, N: float):
         lo_d, hi_d = project_modes(self.Ad, N)
         lo_o, hi_o = project_modes(self.Ao, N)
-        return (OperatorPair(lo_d, lo_o, self.alpha, self.beta),
-                OperatorPair(hi_d, hi_o, self.alpha, self.beta))
+        return OperatorPair(lo_d, lo_o), OperatorPair(hi_d, hi_o)
 
 
 def _x_grids(X: OperatorPair) -> tuple:
@@ -387,9 +378,7 @@ def ad(X: OperatorPair, V: OperatorPair, x_grids: tuple | None = None) -> Operat
     _sum_products(W[0], ((1, Xd, Vd), (-1, Vd, Xd), (-1, Xo, cVo), (1, Vo, cXo)))
     _sum_products(W[1], ((1, Xd, Vo), (1, Vo, cXd), (-1, Xo, cVd), (-1, Vd, Xo)))
     W *= 1j
-    Wd, Wo = _from_phi_grid(lat, W, X.Ad.K)
-    alpha = max(X.alpha, V.alpha)
-    return OperatorPair(Wd, Wo, alpha, alpha)
+    return OperatorPair(*_from_phi_grid(lat, W, X.Ad.K))
 
 
 class LieSeriesDiverged(RuntimeError):

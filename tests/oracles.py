@@ -12,12 +12,11 @@ import numpy as np
 
 from fastwave.craig_wayne import build_basis_matrix, change_basis
 from fastwave.harmonics import TorusFunction
-from fastwave.magnus import multiplication_operator
+from fastwave.magnus import magnus_transform
 from fastwave.kam import LIE_N_MAX, LIE_TOL, solve_homological
 from fastwave.opmatrix import (BlockOperator, OperatorPair, _conj_grid, _x_grids, ad,
                                block_slice, lie_series)
 from fastwave.psdo import Symbol, _add, _mul, _pointwise
-from fastwave.schrodinger import spectral_power
 
 
 def lie_conjugate(X: OperatorPair, V: OperatorPair, tol: float = 1e-14,
@@ -26,7 +25,7 @@ def lie_conjugate(X: OperatorPair, V: OperatorPair, tol: float = 1e-14,
 
     Returns (conjugated pair, difference pair = result - V).
     """
-    zero = zero_pair(V.Ad.lattice, V.alpha, V.beta, V.Ad.K)
+    zero = zero_pair(V.Ad.lattice, V.Ad.K)
     diff = lie_series(X, zero, V, 1, 0, tol, 1.0 + V.norm_max(), n_max, _x_grids(X))
     return V + diff, diff
 
@@ -43,8 +42,8 @@ def three_series_remainder(state) -> OperatorPair:
     Np = pr.N(state.p)
     X = solve_homological(state, Np)
     lat, K = state.lattice, state.V.Ad.K
-    H0pair = OperatorPair(BlockOperator.time_independent(lat, state.H0_matrix(), K=K),
-                          BlockOperator.zero(lat, K=K), pr.alpha, 0.0)
+    H0pair = OperatorPair(BlockOperator.time_independent(lat, state.H0, K=K),
+                          BlockOperator.zero(lat, K=K))
     x_grids = _x_grids(X)
     adH0 = ad(X, H0pair, x_grids)
     scale = max(adH0.norm_max(), state.V.norm_max(), 1e-300)
@@ -54,7 +53,58 @@ def three_series_remainder(state) -> OperatorPair:
     V_new = lie_series(X, V_new, X.omega_dphi(state.omega) * -1.0, 1, 1,
                        LIE_TOL, scale, LIE_N_MAX, x_grids)
     noise = 1e-14 * max(V_new.norm_max(), 1e-300)
-    return OperatorPair(V_new.Ad.prune(noise), V_new.Ao.prune(noise), pr.alpha, 0.0)
+    return OperatorPair(V_new.Ad.prune(noise), V_new.Ao.prune(noise))
+
+
+# -- the KAM normal form, block by block ---------------------------------------
+
+
+def normal_form_blocks(state) -> dict:
+    """n -> the block [n] x [n] of the normal form H0 (1x1 for n = 0, else 2x2)."""
+    J = state.lattice.J
+    return {n: state.H0[np.ix_(block_slice(J, n), block_slice(J, n))] for n in range(J + 1)}
+
+
+def block_eigs_oracle(state):
+    """`KamState.block_eigs` with one `eigh` per block, laid out in the (D,) / (D, D) form."""
+    J = state.lattice.J
+    mu, U = np.empty(2 * J + 1), np.zeros((2 * J + 1,) * 2, dtype=complex)
+    for n, blk in normal_form_blocks(state).items():
+        w, v = np.linalg.eigh(0.5 * (blk + blk.conj().T))
+        idx = block_slice(J, n)
+        mu[idx], U[np.ix_(idx, idx)] = w, v
+    return mu, U
+
+
+def diagonal_correction_oracle(state) -> np.ndarray:
+    """`kam.diagonal_correction` as a copy of each block of V^d(0)."""
+    J = state.lattice.J
+    V0 = state.V.Ad.mat((0,) * state.lattice.nu)
+    Z = np.zeros_like(V0)
+    for n in range(J + 1):
+        rows = np.ix_(block_slice(J, n), block_slice(J, n))
+        Z[rows] = V0[rows]
+    return Z
+
+
+def final_spectrum_oracle(state):
+    """`kam.final_spectrum` block by block, with `eigvalsh` on each block."""
+    J = state.lattice.J
+    out, weighted = {}, []
+    for n, blk in normal_form_blocks(state).items():
+        mu = np.linalg.eigvalsh(0.5 * (blk + blk.conj().T))
+        lam_n = state.lam_ref[J + n]
+        if n == 0:
+            eps = (float(mu[0] - lam_n),)
+            out[n] = (float(mu[0]), float(mu[0]), eps[0], eps[0])
+        else:
+            lam_m = state.lam_ref[J - n]
+            e_minus = float(mu[0] - min(lam_n, lam_m))
+            e_plus = float(mu[1] - max(lam_n, lam_m))
+            out[n] = (float(mu[0]), float(mu[1]), e_minus, e_plus)
+            eps = (e_minus, e_plus)
+        weighted.append(max(1, n) ** state.params.alpha * max(abs(e) for e in eps))
+    return out, float(np.max(weighted))
 
 
 def left_right_ops(A: np.ndarray, B: np.ndarray):
@@ -81,18 +131,25 @@ def resonant_drive(lattice, sd, n: int, m: int, amplitude: float = 0.5):
     return v, np.array([om])
 
 
-def dense_strang(sd, v, omega, state0, T: float, dt: float, lattice,
+def eigen_W(q, v: TorusFunction, sd) -> BlockOperator:
+    """The kick's W = (1/2) B^{-1/2} V B^{-1/2} in the eigen basis.
+
+    It is `magnus_transform`'s W_mat moved by `change_basis`.  W does not
+    depend on the driving frequency; the Magnus step here runs at M = 1e3.
+    """
+    out = magnus_transform(q, v, np.full(v.lattice.nu, 1.5e3), 1e3, 0.5, 1.0, sd)
+    return change_basis(out.W_mat, build_basis_matrix(sd))
+
+
+def dense_strang(sd, W: BlockOperator, omega, state0, T: float, dt: float,
                  store_every: int = 1) -> np.ndarray:
     """The Strang integrator with a dense kick: the stored (n_t, 2, D) states.
 
-    Each kick builds W(phi) from every angle mode of W (`at_angle`) and the
-    matrix K conj(W(phi)) conj(K) of the conjugate family, then applies both.
+    Each kick builds W(phi) from every angle mode of the eigen-basis W
+    (`at_angle`) and the matrix K conj(W(phi)) conj(K) of the conjugate
+    family, then applies both.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    Bmh = spectral_power(sd, -0.25)
-    V = multiplication_operator(v)
-    W = change_basis(BlockOperator(lattice, 0.5 * (Bmh @ V.mats @ Bmh)),
-                     build_basis_matrix(sd))
     half = np.exp(-0.5j * dt * sd.lam)
     state = np.array(state0, dtype=complex)
     states, t = [np.array(state)], 0.0
@@ -160,10 +217,9 @@ def sobolev_norm(u: TorusFunction, s: float) -> float:
 # -- operators -------------------------------------------------------------------
 
 
-def zero_pair(lattice, alpha: float, beta: float, K=None) -> OperatorPair:
-    """The zero operator pair with decay weights (alpha, beta)."""
-    return OperatorPair(BlockOperator.zero(lattice, K), BlockOperator.zero(lattice, K),
-                        alpha, beta)
+def zero_pair(lattice, K=None) -> OperatorPair:
+    """The zero operator pair."""
+    return OperatorPair(BlockOperator.zero(lattice, K), BlockOperator.zero(lattice, K))
 
 
 def block(A: BlockOperator, ell, n: int, n_in: int) -> np.ndarray:

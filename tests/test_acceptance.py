@@ -341,24 +341,24 @@ def _floq_setup(M, p_max=3, amplitude=1.0):
     out = magnus_transform(qc, v, omega, M, params.gamma0, params.tau0, sd)
     state = init_state(out, sd, basis, params, lat)
     final, gens = kam_iterate(state, p_max=p_max, collect_generators=True)
-    frame = FloquetFrame(change_basis(out.Y_mat, basis), gens, final)
-    return lat, sd, v, omega, out, final, frame, params
+    frame = FloquetFrame(change_basis(out.Y_mat, basis), gens, final.H0)
+    return lat, qc, sd, change_basis(out.W_mat, basis), omega, out, final, frame, params
 
 
 def _criterion8_band_sweep():
     if not hasattr(_criterion8_band_sweep, "cache"):
-        from fastwave.evolution import band_width, integrate, pair_state
+        from fastwave.evolution import band_width, integrate, pair_state, sobolev_trace
         Ms = (1e2, 1e3, 1e4)
         widths = []
         for M in Ms:
-            lat, sd, v, omega, *_ = _floq_setup(M, p_max=0)
+            lat, qc, sd, W, omega, *_ = _floq_setup(M, p_max=0)
             rng = np.random.default_rng(0)
             pe = rng.standard_normal(2 * sd.J + 1) + 1j * rng.standard_normal(2 * sd.J + 1)
             state = pair_state(pe, sd)
             T = 2 * math.pi * 200 / float(omega[0])
             dt = 0.09 / float(omega[0])
-            traj = integrate(sd, v, omega, state, T, dt, lat, store_every=20)
-            widths.append(band_width(traj, 1.0))
+            traj = integrate(sd, W, omega, state, T, dt, store_every=20)
+            widths.append(band_width(sobolev_trace(traj, 1.0)[1]))
         _criterion8_band_sweep.cache = (Ms, widths)
     return _criterion8_band_sweep.cache
 
@@ -366,15 +366,15 @@ def _criterion8_band_sweep():
 def test_criterion_8_floquet_and_boundedness():
     from fastwave.evolution import (band_width, floquet_residual, integrate,
                                     pair_state, sobolev_trace)
-    from oracles import resonant_drive
+    from oracles import eigen_W, resonant_drive
     M = 1e3
     # moderate driving: the budget formula's implicit constant (linear in the
     # driving amplitude through the leading splitting commutator) stays < 10
-    lat, sd, v, omega, out, final, frame, params = _floq_setup(M, p_max=2,
-                                                               amplitude=0.1)
+    lat, qc, sd, W, omega, out, final, frame, params = _floq_setup(M, p_max=2,
+                                                                   amplitude=0.1)
     dt = 0.0225 / float(omega[0])
     t_pairs = [(0.25, 0.0), (0.4, 0.1)]
-    res = floquet_residual(frame, sd, v, omega, t_pairs, dt, lat, n_probes=3)
+    res = floquet_residual(frame, sd, W, omega, t_pairs, dt, n_probes=3)
     delta_final = final.history[-1]["delta_s0"]
     budget = 10.0 * (delta_final + dt ** 2 * 0.4)
     floq_ok = res <= budget
@@ -388,7 +388,7 @@ def test_criterion_8_floquet_and_boundedness():
     vres, om_res = resonant_drive(lat, sd, 2, 1, amplitude=0.8)
     phi = sd.psi[:, sd.idx(2)].copy()
     state = pair_state(phi, sd)
-    traj = integrate(sd, vres, om_res, state, 12.0, 5e-4, lat, store_every=2000)
+    traj = integrate(sd, eigen_W(qc, vres, sd), om_res, state, 12.0, 5e-4, store_every=2000)
     sup_res, _ = sobolev_trace(traj, 0.0)
     res_ok = sup_res > 1.0 + 10 * max(widths)
 
@@ -457,7 +457,7 @@ def test_criterion_9_algebra_invariants():
                                       + 1j * rng.standard_normal((D, D)))
         Ad = 0.5 * (Ad + Ad.adjoint())
         Ao = 0.5 * (Ao + Ao.conj_op().adjoint())
-        return OperatorPair(Ad, Ao, 0.5, 0.5)
+        return OperatorPair(Ad, Ao)
 
     from fastwave.evolution import pair_at_angle
     worst_ad = worst_lie = 0.0

@@ -146,6 +146,10 @@ def test_solve_q_equation_small_q_first_order():
     rel = np.linalg.norm(v - first) / np.linalg.norm(first)
     assert rel < (ctx.C_tilde / n * ctx.q_norm) ** 1.0  # correction < ||T_n|| relative
     assert info["certified"]
+    # the certified regime's shifted-norm bound |v|_{s,j} <= (2 C_s/n) |q|_s |u|_{s,j}
+    bound = 2 * ctx.C_tilde / n * ctx.q_norm
+    for j in (0, n, -n):
+        assert shifted_norm(v, ctx.s, j) <= bound * shifted_norm(u, ctx.s, j) + 1e-12
 
 
 def test_solve_q_equation_dense_oracle():

@@ -7,7 +7,7 @@ import scipy.linalg
 from fastwave.harmonics import Lattice, TorusFunction
 from fastwave.craig_wayne import build_basis_matrix
 from fastwave.kam import (
-    KamParameters, KamState, SmallnessError, _block_diagonal, diagonal_correction,
+    KamParameters, KamState, SmallnessError, diagonal_correction,
     final_spectrum, init_state, kam_iterate, kam_step,
     melnikov_step_test, nash_moser_check, smallness_check, solve_homological,
 )
@@ -17,8 +17,9 @@ from fastwave.melnikov import estimate_measure
 from fastwave.opmatrix import BlockOperator, LieSeriesDiverged, OperatorPair, ad, block_slice
 from fastwave.psdo import DEFAULT_CUTOFF
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks
-from oracles import (block, left_right_ops, pair_to_dense, structure_defect,
-                     three_series_remainder)
+from oracles import (block, block_eigs_oracle, diagonal_correction_oracle,
+                     final_spectrum_oracle, left_right_ops, normal_form_blocks,
+                     pair_to_dense, structure_defect, three_series_remainder)
 
 
 def xcoeffs(J, entries):
@@ -50,12 +51,11 @@ def homological_residual(state: KamState, X: OperatorPair, Nval=None) -> float:
     pr = state.params
     Nval = pr.N(state.p) if Nval is None else Nval
     lat, K = state.lattice, state.V.Ad.K
-    H0pair = OperatorPair(BlockOperator.time_independent(lat, state.H0_matrix(), K=K),
-                          BlockOperator.zero(lat, K=K), pr.alpha, 0.0)
+    H0pair = OperatorPair(BlockOperator.time_independent(lat, state.H0, K=K),
+                          BlockOperator.zero(lat, K=K))
     lhs = ad(X, H0pair) - X.omega_dphi(state.omega)
     VN, _ = state.V.project(Nval)
-    Zmat = _block_diagonal(lat.J, diagonal_correction(state))
-    rhs_d = BlockOperator.time_independent(lat, Zmat, K=K) - VN.Ad
+    rhs_d = BlockOperator.time_independent(lat, diagonal_correction(state), K=K) - VN.Ad
     return max((lhs.Ad - rhs_d).norm_max(), (lhs.Ao + VN.Ao).norm_max())
 
 
@@ -77,9 +77,10 @@ def test_init_state_blocks_and_structure():
     state, out, sd, basis, lat = toy_setup()
     assert state.selfadjoint_defect() < 1e-12
     assert structure_defect(state.V) < 1e-11 * max(1.0, state.V.norm_max())
-    # H0 blocks carry the spectral lambdas
-    assert state.H0[3][0, 0] == pytest.approx(sd.lam[sd.idx(-3)])
-    assert state.H0[3][1, 1] == pytest.approx(sd.lam[sd.idx(3)])
+    # H0 is diag(lambda_j), j = -J..J: block [3] carries lambda_{-3}, lambda_3
+    assert np.array_equal(state.H0, np.diag(sd.lam))
+    assert normal_form_blocks(state)[3][0, 0] == sd.lam[sd.idx(-3)]
+    assert normal_form_blocks(state)[3][1, 1] == sd.lam[sd.idx(3)]
 
 
 def test_init_state_v_zero_trivial():
@@ -182,7 +183,8 @@ def test_divergent_lie_series_reported():
 
 def build_G(state: KamState, ell, n: int, n_in: int, sign: int) -> np.ndarray:
     """omega.l Id + M_L(H0_[n]) +- M_R(H0_[n']) on the (n, n') block space."""
-    ML, MR = left_right_ops(state.H0[n], state.H0[n_in])
+    blocks = normal_form_blocks(state)
+    ML, MR = left_right_ops(blocks[n], blocks[n_in])
     dot = float(np.dot(np.atleast_1d(ell), state.omega))
     return dot * np.eye(ML.shape[0]) + ML + float(sign) * MR
 
@@ -195,8 +197,9 @@ def test_build_G_spectrum():
     A = 0.5 * (A + A.conj().T)
     B = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     B = 0.5 * (B + B.conj().T)
-    state.H0[1] = A
-    state.H0[2] = B
+    J = state.lattice.J
+    for n, blk in ((1, A), (2, B)):
+        state.H0[np.ix_(block_slice(J, n), block_slice(J, n))] = blk
     for sign in (+1, -1):
         G = build_G(state, np.array([2]), 1, 2, sign)
         got = np.sort(np.linalg.eigvalsh(G))
@@ -226,7 +229,8 @@ def test_melnikov_engineered_resonance():
     state, *_ = toy_setup(M=1e3)
     # engineer omega with omega.l = -(mu_n - mu_n') for l=1, n=8, n'=4
     mu, _ = state.block_eigs()
-    state.omega = np.array([-(mu[8][1] - mu[4][1])])
+    J = state.lattice.J
+    state.omega = np.array([-(mu[J + 8] - mu[J + 4])])
     # that omega is far below the annulus; the scan still sees the resonance
     ok, worst = melnikov_step_test(state, Nval=2.0)
     assert not ok
@@ -250,8 +254,7 @@ def test_solve_homological_single_block():
     m2[np.ix_(block_slice(J, 5), block_slice(J, 3))] = blk.conj().T
     Vd = BlockOperator.zero(lat, state.V.Ad.K)
     Vd.mat(ell)[:], Vd.mat((-1,))[:] = m, m2
-    state.V = OperatorPair(Vd, BlockOperator.zero(lat, state.V.Ad.K),
-                           pr.alpha, 0.0)
+    state.V = OperatorPair(Vd, BlockOperator.zero(lat, state.V.Ad.K))
     X = solve_homological(state, Nval=2.0)
     Xblk = X.Ad.mat(ell)[np.ix_(block_slice(J, 3), block_slice(J, 5))]
     G = build_G(state, np.array([1]), 3, 5, -1)
@@ -274,9 +277,9 @@ def test_solve_homological_edge_blocks():
     D = 2 * J + 1
     mu, _ = state.block_eigs()
     # omega.1 + mu_0 - mu_1[0] = rho/2 puts the (1, 0, 1) minus block of V^d
-    # halfway into the cutoff's transition window
+    # halfway into the cutoff's transition window (mu_1[0] sits at index -1)
     rho_01 = 0.5 * pr.gamma / state.M ** pr.alpha
-    state.omega = np.array([mu[1][0] - mu[0][0] + 0.5 * rho_01])
+    state.omega = np.array([mu[J - 1] - mu[J] + 0.5 * rho_01])
     rng = np.random.default_rng(4)
 
     def rand():
@@ -285,7 +288,7 @@ def test_solve_homological_edge_blocks():
     Vd, Vo = BlockOperator.zero(lat, K), BlockOperator.zero(lat, K)
     Vd.mat((0,))[:], Vd.mat((1,))[:] = rand(), rand()
     Vo.mat((0,))[:], Vo.mat((1,))[:] = rand(), rand()
-    state.V = OperatorPair(Vd, Vo, pr.alpha, 0.0)
+    state.V = OperatorPair(Vd, Vo)
     X = solve_homological(state, Nval=1.5)
 
     def direct(ell, comp, n, n_in):
@@ -365,9 +368,26 @@ def test_kam_step_absorbs_diagonal():
     state, *_ = toy_setup(M=1e3)
     Z = diagonal_correction(state)
     new, _ = kam_step(state)
-    for n in (0, 2, 7):
-        want = state.H0[n] + 0.5 * (Z[n] + Z[n].conj().T)
-        assert np.max(np.abs(new.H0[n] - want)) < 1e-14
+    assert np.max(np.abs(new.H0 - (state.H0 + 0.5 * (Z + Z.conj().T)))) < 1e-14
+
+
+def test_normal_form_matches_per_block_oracle():
+    # the stacked eigensolve, the masked Z and the array-read final spectrum
+    # give the per-block results bytewise, on the initial state and after two
+    # steps (2x2 blocks no longer diagonal); H0 stays zero outside its blocks
+    state, *_ = toy_setup(M=1e3)
+    J = state.lattice.J
+    nb = np.abs(np.arange(-J, J + 1))
+    off_blocks = nb[:, None] != nb
+    for _ in range(3):
+        assert not np.any(state.H0[off_blocks])
+        for got, want in zip(state.block_eigs(), block_eigs_oracle(state)):
+            assert got.tobytes() == want.tobytes()
+        assert diagonal_correction(state).tobytes() == diagonal_correction_oracle(state).tobytes()
+        assert final_spectrum(state) == final_spectrum_oracle(state)
+        state, _ = kam_step(state)
+    ns = np.arange(1, J + 1)
+    assert np.any(state.H0[J - ns, J + ns])          # some 2x2 block is not diagonal
 
 
 def test_kam_iterate_quadratic_decay_and_drift():
@@ -424,7 +444,7 @@ def test_kam_iterate_two_legs_repeat_one_run(track_norms):
     # the run stopped at the delta floor, and a third leg takes no step
     assert kam_iterate(two, p_max=6, track_norms=track_norms)[0] is two
     assert repr(two.history) == repr(one.history)
-    assert all(two.H0[n].tobytes() == one.H0[n].tobytes() for n in one.H0)
+    assert two.H0.tobytes() == one.H0.tobytes()
     assert len(gens) == 3
     for X, Y in zip(gens, gens_one):
         for A, B in ((X.Ad, Y.Ad), (X.Ao, Y.Ao)):
@@ -465,8 +485,8 @@ def test_transformation_cauchy_and_conjugation():
     def extended(state_k):
         lat_ = state_k.lattice
         H0x = OperatorPair(
-            BlockOperator.time_independent(lat_, state_k.H0_matrix(), K=state_k.V.Ad.K),
-            BlockOperator.zero(lat_, K=state_k.V.Ad.K), 0.5, 0.0)
+            BlockOperator.time_independent(lat_, state_k.H0, K=state_k.V.Ad.K),
+            BlockOperator.zero(lat_, K=state_k.V.Ad.K))
         dense = pair_to_dense(H0x + state_k.V)
         # the angle derivative acts as a diagonal omega.l on both components
         from fastwave.harmonics import _ell_range
@@ -515,9 +535,9 @@ def test_lipschitz_drift_across_omega():
     f2, _ = kam_iterate(state2, p_max=3)
     w = params.gamma / M ** params.alpha          # the Lipschitz weight
     drift = 0.0
-    for n in f1.H0:
-        d = np.max(np.abs(f1.H0[n] - f2.H0[n]))
-        drift = max(drift, max(1, n) ** params.alpha * d)
+    for n, (b1, b2) in enumerate(zip(normal_form_blocks(f1).values(),
+                                     normal_form_blocks(f2).values())):
+        drift = max(drift, max(1, n) ** params.alpha * np.max(np.abs(b1 - b2)))
     fd_lip = w * drift / h
     # both the drift and its weighted Lipschitz proxy sit at the 1/(gamma0 M)
     # scale with a comfortable constant

@@ -31,17 +31,13 @@ def make_params(gamma=1e-2, tau=2.6, alpha=0.5, tau0=1.0, N0=2.1):
 
 
 def constant_table(J, c):
-    mu = {0: np.array([math.sqrt(c)])}
-    for n in range(1, J + 1):
-        lam = math.sqrt(n * n + c)
-        mu[n] = np.array([lam, lam])
-    return EigenTable(J=J, q_bar=c, mu_blocks=mu)
+    return EigenTable(q_bar=c, mu=np.sqrt(np.arange(-J, J + 1) ** 2 + c))
 
 
 def block_values(table, n):
     """Eigenvalues of block [n], one n at a time (oracle of EigenTable.pairs)."""
     if n <= table.J:
-        return table.mu_blocks[n]
+        return table.mu[[table.J - n, table.J + n]]
     lam = math.sqrt(n * n + table.q_bar)
     return np.array([lam, lam])
 
@@ -56,7 +52,7 @@ def brute_force_oracle(table, params, M, L_check, n_max):
     from fastwave.magnus import nonzero_ell_box
     ells = [np.zeros(1, dtype=int)] + list(nonzero_ell_box(1, L_check))
     ns = np.arange(n_max + 1)
-    mus = np.array([np.resize(block_values(table, n), 2) for n in ns])    # [0]'s value twice
+    mus = np.array([block_values(table, n) for n in ns])    # [0]'s value twice
     lines = []
     for row in ells:
         ln = float(np.linalg.norm(row))
@@ -212,11 +208,11 @@ def _scan_k_line(table, dot, sign, k, n_cap, gamma, tau, alpha, M, ln, ell,
 def random_table(rng, J):
     """Split 2x2 blocks around sqrt(n^2 + q_bar), q_bar and splits random."""
     c = rng.uniform(0.5, 3.0)
-    mu = {0: np.array([math.sqrt(c) + rng.uniform(-0.2, 0.2)])}
+    mu = np.empty(2 * J + 1)
+    mu[J] = math.sqrt(c) + rng.uniform(-0.2, 0.2)
     for n in range(1, J + 1):
-        lam = math.sqrt(n * n + c)
-        mu[n] = np.sort(lam + rng.uniform(-0.3, 0.3, size=2))
-    return EigenTable(J=J, q_bar=c, mu_blocks=mu)
+        mu[[J - n, J + n]] = np.sort(math.sqrt(n * n + c) + rng.uniform(-0.3, 0.3, size=2))
+    return EigenTable(q_bar=c, mu=mu)
 
 
 @pytest.mark.parametrize("nu, M, L_check", [(1, 150.0, 3), (2, 30.0, 2)])
@@ -315,16 +311,15 @@ def census_reference(omega, table, params, M, L_check, collect_census):
 def test_omega_infty_census_matches_triple_loop():
     # split 2x2 blocks inside the truncation, so the window is not symmetric
     J, c, M = 4, 2.0, 50.0
-    mu = {0: np.array([math.sqrt(c)])}
-    for n in range(1, J + 1):
-        lam = math.sqrt(n * n + c)
-        mu[n] = np.array([lam - 0.1 / n, lam + 0.1 / n])
-    table = EigenTable(J=J, q_bar=c, mu_blocks=mu)
+    js = np.arange(-J, J + 1)
+    # block [n] = (lambda_n - 0.1/n, lambda_n + 0.1/n) at the indices (-n, n)
+    mu = np.sqrt(js ** 2 + c) + 0.1 * np.sign(js) / np.maximum(1, np.abs(js))
+    table = EigenTable(q_bar=c, mu=mu)
     params = make_params(gamma=1e-2)
     lam = lambda n: math.sqrt(n * n + c)
     # exact resonances at l = -1: n = 77 against the block [2], and two
     # indices beyond the truncation (a neighbour on that line offends)
-    in_window = np.array([lam(77) - mu[2][0]])
+    in_window = np.array([lam(77) - mu[J - 2]])
     far_only = np.array([lam(90) - lam(15)])
     for omega, window_offender in ((in_window, True), (far_only, False)):
         for collect in (False, True):

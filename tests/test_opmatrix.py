@@ -41,13 +41,13 @@ def random_block_op(lat, rng, n_ell=4, scale=1.0, K=None, max_ell=None):
     return modes_op(lat, mats, K)
 
 
-def random_pair(lat, rng, scale=1.0, alpha=0.5, beta=0.0, K=None, n_ell=4):
+def random_pair(lat, rng, scale=1.0, K=None, n_ell=4):
     """Random pair satisfying the structure constraints exactly."""
     Ad = random_block_op(lat, rng, n_ell=n_ell, scale=scale, K=K)
     Ao = random_block_op(lat, rng, n_ell=n_ell, scale=scale, K=K)
     Ad = 0.5 * (Ad + Ad.adjoint())
     Ao = 0.5 * (Ao + Ao.conj_op().adjoint())
-    return OperatorPair(Ad, Ao, alpha, beta)
+    return OperatorPair(Ad, Ao)
 
 
 def s_decay_norm_loop(A, s, left=0.0, right=0.0):
@@ -101,7 +101,7 @@ def test_norm_matches_loop_oracle():
 @pytest.mark.parametrize("alpha,beta,n_terms", [(0.7, 0.3, 14), (0.5, 0.5, 10)])
 def test_pair_norm_matches_loop_oracle(lat, alpha, beta, n_terms):
     rng = np.random.default_rng(9)
-    P = random_pair(lat, rng, alpha=alpha, beta=beta)
+    P = random_pair(lat, rng)
     for s in (0.0, 2.0, 3.5):
         want = pair_norm_loop_terms(P, s, alpha, beta)
         assert len(want) == n_terms
@@ -174,10 +174,10 @@ def test_associativity():
 
 
 def test_pair_norm_zero_and_dedup():
-    Z = zero_pair(LAT, 0.5, 0.0)
+    Z = zero_pair(LAT)
     assert pair_norm(Z, 2.0, 0.5, 0.0) == 0.0
     rng = np.random.default_rng(7)
-    P = random_pair(LAT, rng, alpha=0.0, beta=0.0)
+    P = random_pair(LAT, rng)
     # alpha = beta = 0: 4 one-sided + 2 conjugated copies of plain norms
     plain_d = s_decay_norm(P.Ad, 2.0)
     plain_o = s_decay_norm(P.Ao, 2.0)
@@ -189,7 +189,7 @@ def test_pair_norm_diagonal_closed_form():
     J = LAT.J
     w = np.maximum(1, np.abs(np.arange(-J, J + 1)))
     Ad = BlockOperator.time_independent(LAT, np.diag(1.0 / w).astype(complex))
-    P = OperatorPair(Ad, BlockOperator.zero(LAT), 1.0, 0.0)
+    P = OperatorPair(Ad, BlockOperator.zero(LAT))
     # each diagonal-weight term: sup_n ||<n>^{a} <n>^{-1} Id_[n]||_HS over h=0
     # <D>A<D^{-1}> leaves A unchanged; <D>^1-weighted: sup_n <n>^0 sqrt(2) = sqrt(2)
     # terms: <D>Ad (sqrt2), Ad<D> (sqrt2), two o-terms 0,
@@ -208,14 +208,14 @@ def test_pair_norm_diagonal_closed_form():
 
 def test_ad_zero_and_commuting():
     rng = np.random.default_rng(8)
-    X = random_pair(LAT, rng, alpha=0.5)
-    Z = zero_pair(LAT, 0.5, 0.0)
+    X = random_pair(LAT, rng)
+    Z = zero_pair(LAT)
     assert ad(X, Z).norm_max() == 0.0
     # diagonal multiples of the identity commute
     lam = np.diag(rng.standard_normal(13)).astype(complex)
     Dd = BlockOperator.time_independent(LAT, lam)
-    X2 = OperatorPair(Dd, BlockOperator.zero(LAT), 0.5, 0.5)
-    V2 = OperatorPair(Dd * 2.0, BlockOperator.zero(LAT), 0.5, 0.0)
+    X2 = OperatorPair(Dd, BlockOperator.zero(LAT))
+    V2 = OperatorPair(Dd * 2.0, BlockOperator.zero(LAT))
     assert ad(X2, V2).norm_max() < 1e-14
 
 
@@ -259,11 +259,11 @@ def test_ad_matches_product_oracle(lat, basis, support):
     K = spectral_K(lat.J) if basis == "spectral" else None
     if support == "full":
         n_modes = len(lat.ell_range())
-        X = random_pair(lat, rng, alpha=0.5, K=K, n_ell=n_modes)
-        V = random_pair(lat, rng, alpha=0.5, K=K, n_ell=n_modes)
+        X = random_pair(lat, rng, K=K, n_ell=n_modes)
+        V = random_pair(lat, rng, K=K, n_ell=n_modes)
     else:
-        X = OperatorPair(edge_op(lat, rng, K), edge_op(lat, rng, K), 0.5, 0.5)
-        V = OperatorPair(edge_op(lat, rng, K), edge_op(lat, rng, K), 0.5, 0.0)
+        X = OperatorPair(edge_op(lat, rng, K), edge_op(lat, rng, K))
+        V = OperatorPair(edge_op(lat, rng, K), edge_op(lat, rng, K))
     W = ad(X, V)
     Wd, Wo = ad_product_oracle(X, V)
     scale = max(Wd.norm_max(), Wo.norm_max())
@@ -278,12 +278,12 @@ def test_ad_matches_dense_commutator():
     # l = 0 operators: the extended-lattice commutator is exact, no truncation
     rng = np.random.default_rng(9)
     lat = Lattice(1, 2, 3)
-    X = random_pair(lat, rng, alpha=0.5)
-    V = random_pair(lat, rng, alpha=0.5)
+    X = random_pair(lat, rng)
+    V = random_pair(lat, rng)
     X0 = OperatorPair(BlockOperator.time_independent(lat, X.Ad.mat((0,))),
-                      BlockOperator.time_independent(lat, X.Ao.mat((0,))), 0.5, 0.5)
+                      BlockOperator.time_independent(lat, X.Ao.mat((0,))))
     V0 = OperatorPair(BlockOperator.time_independent(lat, V.Ad.mat((0,))),
-                      BlockOperator.time_independent(lat, V.Ao.mat((0,))), 0.5, 0.0)
+                      BlockOperator.time_independent(lat, V.Ao.mat((0,))))
     W0 = ad(X0, V0)
     lhs0 = pair_to_dense(W0)
     X0d, V0d = pair_to_dense(X0), pair_to_dense(V0)
@@ -318,7 +318,7 @@ def test_dense_layout_matches_per_mode_formulas():
     zero = np.zeros((D, D), dtype=complex)
     omega, phi, N, tol = np.array([0.7, -1.3]), np.array([0.4, 2.2]), 2.0, 0.05
     adj, cnj, dphi, pruned = A.adjoint(), A.conj_op(), A.omega_dphi(omega), A.prune(tol)
-    lo, hi = OperatorPair(A, A.conj_op(), 0.5, 0.0).project(N)
+    lo, hi = OperatorPair(A, A.conj_op()).project(N)
     ells = [tuple(int(c) for c in e) for e in lat.ell_range()]
     assert A.mats.shape == ((2 * L + 1) ** 2, D, D)
     for i, ell in enumerate(ells):
@@ -348,8 +348,8 @@ def test_ad_fft_count_and_grid_lifetime(monkeypatch):
     import oracles
     from fastwave import opmatrix
     rng = np.random.default_rng(22)
-    X = random_pair(LAT, rng, alpha=0.5) * 1e-2
-    V = random_pair(LAT, rng, alpha=0.5)
+    X = random_pair(LAT, rng) * 1e-2
+    V = random_pair(LAT, rng)
     counts = {"ifftn": 0, "fftn": 0, "x_grids": 0}
 
     def counted(name, fn):
@@ -387,8 +387,8 @@ def test_ad_fft_count_and_grid_lifetime(monkeypatch):
 
 def test_ad_preserves_structure():
     rng = np.random.default_rng(10)
-    X = random_pair(LAT, rng, alpha=0.5)
-    V = random_pair(LAT, rng, alpha=0.5)
+    X = random_pair(LAT, rng)
+    V = random_pair(LAT, rng)
     assert structure_defect(X) < 1e-13
     W = ad(X, V)
     assert structure_defect(W) < 1e-12
@@ -397,7 +397,7 @@ def test_ad_preserves_structure():
 def test_lie_conjugate_identity_and_zero():
     rng = np.random.default_rng(11)
     V = random_pair(LAT, rng)
-    X = zero_pair(LAT, 0.5, 0.5)
+    X = zero_pair(LAT)
     out, diff = lie_conjugate(X, V)
     assert diff.norm_max() == 0.0
     assert (out.Ad - V.Ad).norm_max() == 0.0
@@ -424,11 +424,11 @@ def test_lie_conjugate_matches_dense_expm():
     # by the angle-mode box at the comparison accuracy.
     rng = np.random.default_rng(12)
     lat = Lattice(1, 4, 3)
-    X = random_pair(lat, rng, alpha=0.5)
-    X = OperatorPair(within(X.Ad, 1), within(X.Ao, 1), 0.5, 0.5)
+    X = random_pair(lat, rng)
+    X = OperatorPair(within(X.Ad, 1), within(X.Ao, 1))
     X = X * (2e-3 / max(X.norm_max(), 1e-30))
-    V = random_pair(lat, rng, alpha=0.5)
-    V = OperatorPair(within(V.Ad, 1), within(V.Ao, 1), 0.5, 0.0)
+    V = random_pair(lat, rng)
+    V = OperatorPair(within(V.Ad, 1), within(V.Ao, 1))
     out, _ = lie_conjugate(X, V, tol=1e-16)
     for phi in (np.array([0.0]), np.array([0.7]), np.array([2.1])):
         Xm = pair_family_at_angle(X, phi)
@@ -444,8 +444,8 @@ def test_lie_series_xdot_matches_dense_integral():
     # X lives on |l| <= 1 and L = 10 leaves room for the terms' l spread
     rng = np.random.default_rng(12)
     lat = Lattice(1, 10, 3)
-    X = random_pair(lat, rng, alpha=0.5)
-    X = OperatorPair(within(X.Ad, 1), within(X.Ao, 1), 0.5, 0.5)
+    X = random_pair(lat, rng)
+    X = OperatorPair(within(X.Ad, 1), within(X.Ao, 1))
     X = X * (0.05 / max(X.norm_max(), 1e-30))
     Xdot = X.omega_dphi(np.array([1.3]))
     out = lie_series(X, Xdot, Xdot, 1, 1, 1e-16, 1.0 + Xdot.norm_max(), 30, _x_grids(X))
@@ -462,8 +462,8 @@ def test_lie_series_xdot_matches_dense_integral():
 
 def test_lie_conjugate_divergence_guard():
     rng = np.random.default_rng(13)
-    X = random_pair(LAT, rng, scale=30.0, alpha=0.5)
-    V = random_pair(LAT, rng, alpha=0.5)
+    X = random_pair(LAT, rng, scale=30.0)
+    V = random_pair(LAT, rng)
     with pytest.raises(LieSeriesDiverged):
         lie_conjugate(X, V, tol=1e-14)
 
@@ -548,7 +548,7 @@ def test_opnorm_bounded_by_sdecay():
 
 def test_monotonicity_in_s_alpha_beta():
     rng = np.random.default_rng(20)
-    P = random_pair(LAT, rng, alpha=1.0, beta=0.5)
+    P = random_pair(LAT, rng)
     n_hi = pair_norm(P, 3.0, 1.0, 0.5)
     assert pair_norm(P, 2.0, 1.0, 0.5) <= n_hi + 1e-12
     assert pair_norm(P, 3.0, 0.5, 0.5) <= n_hi + 1e-12

@@ -19,6 +19,25 @@ def test_modules_compile_without_warnings():
             compile(path.read_text(), str(path), "exec")
 
 
+def test_every_import_is_used():
+    # every name an import binds in a package module (at any depth) is read
+    # somewhere in that module; `from __future__` imports bind nothing
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.stem}:{node.lineno}:{name}" for name in bound
+                       if name not in read]
+    assert unused == []
+
+
 # Kept without a caller: ROADMAP direction 5 wires both into `kam_iterate`.
 UNCALLED_OK = {"kam.melnikov_step_test", "kam.nash_moser_check"}
 
