@@ -11,7 +11,10 @@ absorbs the time-independent diagonal Z into the new normal form, and leaves
 a quadratically smaller remainder.  Divisors are protected by the balanced
 conditions |omega.l + mu_n +- mu_n'| >= (gamma/<l>^tau) <n +- n'>^alpha / M^alpha,
 and the solution is extended to every omega by the smooth cutoff
-chi(mingap/rho), which is identically 1 on the non-resonant set.
+chi(mingap/rho), which is identically 1 on the non-resonant set.  One
+`balanced_threshold` serves the cutoff scale rho, the step scan
+`melnikov_step_test` and melnikov's omega-infinity census, and the step scan
+reads the homological solve's divisor table instead of forming its own.
 
 The new remainder is written with two Lie series, summed by
 `opmatrix.lie_series` under one stopping rule and divergence guard:
@@ -38,8 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .harmonics import Lattice
-from .opmatrix import (BlockOperator, OperatorPair, _x_grids, ad, block_slice,
-                       lie_series, pair_norm)
+from .opmatrix import BlockOperator, OperatorPair, _x_grids, ad, lie_series, pair_norm
 from .psdo import DEFAULT_CUTOFF
 from .calibration import CONSTANTS
 
@@ -184,60 +186,76 @@ def smallness_check(state: KamState):
     return lhs <= 1.0, 1.0 / lhs
 
 
-def melnikov_threshold(pr: KamParameters, M: float, Nval: float, n: int,
-                       n_in: int, sign: int) -> float:
-    """Required min gap (gamma/2N^tau) <n +- n'>^alpha / M^alpha."""
-    combo = max(1, abs(n + n_in) if sign > 0 else abs(n - n_in))
-    return (pr.gamma / (2.0 * Nval ** pr.tau)) * combo ** pr.alpha / M ** pr.alpha
-
-
 def prune_C1(state: KamState) -> float:
     """C1 of the emptiness pruning: blocks with |n +- n'| > C1 M <l> auto-pass."""
-    m_sq = CONSTANTS.get("m_sq_bound", 3.0)
+    m_sq = CONSTANTS["m_sq_bound"]
     drift = CONSTANTS["kam_drift_C"] / (state.params.gamma0 * state.M)
     return 2.0 * math.sqrt(state.lattice.nu) + (2.0 * m_sq + 2.0 * drift + 1.0) / state.M
+
+
+def balanced_threshold(gamma, tau, alpha, M, ell_norm, combo):
+    """The balanced Melnikov threshold gamma <n +- n'>^alpha / (<l>^tau M^alpha).
+
+    combo = |n +- n'| and ell_norm = |l| (or a mode radius) are floored at 1;
+    every argument broadcasts.
+    """
+    return (gamma / M ** alpha * np.maximum(1, combo) ** alpha
+            / np.maximum(1.0, ell_norm) ** tau)
+
+
+def _divisor_table(state: KamState, mu: np.ndarray, Nval: float):
+    """The divisors omega.l + mu_i +- mu_j of the kept modes |l| <= Nval.
+
+    Rows are V^d's kept modes (sign -1), then V^o's (sign +1), in
+    `Lattice.ell_range()` order.  Returns (low: the kept rows of the mode
+    axis, ells, ln = |l|, div (rows, D, D), and per (n, n') block (rows, J+1,
+    J+1): mingap, the smallest |divisor| folded from the four sign quadrants
+    as in the block HS tensor, combo = |n +- n'|, and the excluded (0, n, n)).
+    """
+    J = state.lattice.J
+    low = state.lattice.ell_norms() <= Nval
+    ells = np.tile(state.lattice.ell_range()[low].astype(float), (2, 1))
+    comp_d = np.repeat([True, False], np.count_nonzero(low))
+    sign = np.where(comp_d, -1.0, 1.0)[:, None, None]
+    dot = (ells @ state.omega)[:, None, None]
+    ln = np.linalg.norm(ells, axis=1)
+    div = dot + mu[None, :, None] + sign * mu[None, None, :]
+    gap = np.abs(div)
+    mingap = np.minimum(np.minimum(gap[:, J:, J:], gap[:, J:, J::-1]),
+                        np.minimum(gap[:, J::-1, J:], gap[:, J::-1, J::-1]))
+    ns = np.arange(J + 1)
+    combo = np.where(sign > 0, np.add.outer(ns, ns), np.abs(np.subtract.outer(ns, ns)))
+    excluded = (comp_d & (ln == 0.0))[:, None, None] & np.eye(J + 1, dtype=bool)
+    return low, ells, ln, div, mingap, combo, excluded
 
 
 def melnikov_step_test(state: KamState, Nval: float | None = None):
     """Scan all (l, n, n') with |l| <= N_{p-1}: is every divisor large enough?
 
-    Returns (ok, worst offender dict).  The Lemma-5.15 pruning |n +- n'| >
-    C1 M <l> is applied first (auto-pass) and its savings counted.
+    Reads `_divisor_table` against `balanced_threshold(gamma/2, .., N_{p-1},
+    |n +- n'|)`.  Returns (ok, worst offender dict): the smallest margin, the
+    first in (l, sign +1 then -1, n, n') order.  The Lemma-5.15 pruning
+    |n +- n'| > C1 M <l> is applied first (auto-pass) and its savings counted.
     """
     pr = state.params
     Nval = pr.N(state.p - 1) if Nval is None else Nval
     mu, _ = state.block_eigs()
-    J = state.lattice.J
-    mus = [mu[block_slice(J, n)] for n in range(J + 1)]
-    C1M = prune_C1(state) * state.M
-    from .harmonics import _ell_range
-    ells = _ell_range(state.lattice.nu, state.lattice.L)
-    worst = {"margin": float("inf")}
-    pruned = checked = 0
-    for row in ells:
-        ln = float(np.linalg.norm(row))
-        if ln > Nval:
-            continue
-        dot = float(row @ state.omega)
-        for sign in (+1, -1):
-            for n in range(J + 1):
-                for n_in in range(J + 1):
-                    if sign < 0 and ln == 0.0 and n == n_in:
-                        continue          # excluded from the minus index set
-                    combo = abs(n + n_in) if sign > 0 else abs(n - n_in)
-                    if combo > C1M * max(1.0, ln):
-                        pruned += 1
-                        continue
-                    checked += 1
-                    gaps = np.abs(dot + np.add.outer(mus[n], sign * mus[n_in]))
-                    thr = melnikov_threshold(pr, state.M, Nval, n, n_in, sign)
-                    margin = float(np.min(gaps)) / thr
-                    if margin < worst["margin"]:
-                        worst = {"margin": margin, "ell": tuple(int(c) for c in row),
-                                 "n": n, "n_in": n_in, "sign": sign,
-                                 "gap": float(np.min(gaps)), "threshold": thr}
-    worst["pruned"] = pruned
-    worst["checked"] = checked
+    _, ells, ln, _, mingap, combo, excluded = _divisor_table(state, mu, Nval)
+    pruned = ~excluded & (combo > prune_C1(state) * state.M
+                          * np.maximum(1.0, ln)[:, None, None])
+    thr = balanced_threshold(0.5 * pr.gamma, pr.tau, pr.alpha, state.M, Nval, combo)
+    margin = np.where(excluded | pruned, np.inf, mingap / thr)
+    # rows go (sign -1 modes, sign +1 modes): scan (l, sign +1 then -1, n, n')
+    by_row = margin.reshape((2, -1) + margin.shape[1:])[::-1].swapaxes(0, 1)
+    i_ell, i_sign, n, n_in = np.unravel_index(np.argmin(by_row), by_row.shape)
+    row = (1 - i_sign) * len(by_row) + i_ell
+    worst = {"margin": float(margin[row, n, n_in])}
+    if worst["margin"] < np.inf:
+        worst.update(ell=tuple(int(c) for c in ells[row]), n=int(n), n_in=int(n_in),
+                     sign=1 - 2 * int(i_sign), gap=float(mingap[row, n, n_in]),
+                     threshold=float(thr[row, n, n_in]))
+    worst["pruned"] = int(np.count_nonzero(pruned))
+    worst["checked"] = int(margin.size - np.count_nonzero(excluded | pruned))
     return worst["margin"] >= 1.0, worst
 
 
@@ -249,36 +267,19 @@ def solve_homological(state: KamState, Nval: float) -> OperatorPair:
     cutoff chi(mingap/rho) that extends the solution to all omega.  All kept
     modes and blocks are solved in one pass: with U the block-diagonal
     eigenframe of H0 (eigenvalues mu), each mode's V(l) becomes U^H V U, whose
-    (i, j) entry is divided by omega.l + mu_i +- mu_j; mingap is the smallest
-    |divisor| of each (n, n') block, folded from the four sign quadrants as
-    in the block HS tensor, and chi(mingap/rho) scales the whole block.
+    (i, j) entry is divided by omega.l + mu_i +- mu_j (`_divisor_table`), and
+    chi(mingap/rho), rho = `balanced_threshold(gamma/2, .., |l|, |n +- n'|)`,
+    scales the whole (n, n') block.
     """
     pr = state.params
     lat = state.lattice
-    J = lat.J
     mu, U = state.block_eigs()
-    nb = np.abs(np.arange(-J, J + 1))          # block of each space index
-
-    # the kept modes |l| <= N of V^d, then of V^o
-    low = lat.ell_norms() <= Nval
-    ells = np.tile(lat.ell_range()[low].astype(float), (2, 1))
-    comp_d = np.repeat([True, False], np.count_nonzero(low))
-    sign = np.where(comp_d, -1.0, 1.0)[:, None, None]
-    dot = (ells @ state.omega)[:, None, None]
-    ln = np.linalg.norm(ells, axis=1)
-    div = dot + mu[None, :, None] + sign * mu[None, None, :]
-    gap = np.abs(div)
-    mingap = np.minimum(np.minimum(gap[:, J:, J:], gap[:, J:, J::-1]),
-                        np.minimum(gap[:, J::-1, J:], gap[:, J::-1, J::-1]))
-    ns = np.arange(J + 1)
-    combo = np.maximum(1, np.where(sign > 0, np.add.outer(ns, ns),
-                                   np.abs(np.subtract.outer(ns, ns))))
-    rho = (0.5 * pr.gamma / state.M ** pr.alpha * combo ** pr.alpha
-           / np.maximum(1.0, ln)[:, None, None] ** pr.tau)
+    nb = np.abs(np.arange(-lat.J, lat.J + 1))          # block of each space index
+    low, _, ln, div, mingap, combo, excluded = _divisor_table(state, mu, Nval)
+    rho = balanced_threshold(0.5 * pr.gamma, pr.tau, pr.alpha, state.M,
+                             ln[:, None, None], combo)
     factor = DEFAULT_CUTOFF(np.minimum(mingap / rho, 1.0))
-    # excluded (0, n, n) indices of X^d: absorbed into Z
-    excluded = (comp_d & (ln == 0.0))[:, None]
-    factor[:, ns, ns] = np.where(excluded, 0.0, factor[:, ns, ns])
+    factor[excluded] = 0.0            # absorbed into Z
     div[div == 0.0] = 1.0             # zeros only where factor = 0
     T = U.conj().T @ np.concatenate([state.V.Ad.mats[low], state.V.Ao.mats[low]]) @ U
     T /= div
@@ -331,16 +332,19 @@ def kam_step(state: KamState, track_norms: bool = True) -> tuple:
 
 
 def nash_moser_check(state_prev: KamState, state_next: KamState) -> dict:
-    """The two iterative inequalities with the frozen calibrated constants."""
+    """The two iterative inequalities with the frozen calibrated constants.
+
+    delta_s0 and delta_s0_beta of both states are read off their last history
+    rows; an untracked row (NaN delta_s0_beta) raises ValueError.
+    """
     pr = state_prev.params
-    s0, beta = state_prev.s0, pr.beta
+    rows = state_prev.history[-1], state_next.history[-1]
+    if any(math.isnan(row["delta_s0_beta"]) for row in rows):
+        raise ValueError("nash_moser_check needs history rows recorded with track_norms")
+    (d_s, d_sb), (lhs1, lhs2) = ((row["delta_s0"], row["delta_s0_beta"]) for row in rows)
     Np = pr.N(state_prev.p)
     fac = Np ** (2 * pr.tau + 1) * state_prev.M ** pr.alpha / pr.gamma
-    d_s = state_prev.delta(s0)
-    d_sb = state_prev.delta(s0 + beta)
-    lhs1 = state_next.delta(s0)
-    rhs1 = CONSTANTS["nash_moser_C1"] * (Np ** (-beta) * d_sb + fac * d_s * d_s)
-    lhs2 = state_next.delta(s0 + beta)
+    rhs1 = CONSTANTS["nash_moser_C1"] * (Np ** (-pr.beta) * d_sb + fac * d_s * d_s)
     rhs2 = CONSTANTS["nash_moser_C2"] * (d_sb + fac * (d_sb * d_s + d_s * d_s))
     return {"low_ok": lhs1 <= rhs1, "high_ok": lhs2 <= rhs2,
             "lhs_low": lhs1, "rhs_low": rhs1, "lhs_high": lhs2, "rhs_high": rhs2}

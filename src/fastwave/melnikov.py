@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .kam import SmallnessError
+from .kam import SmallnessError, balanced_threshold
 from .magnus import diophantine_test, sample_annulus
 from .opmatrix import LieSeriesDiverged
 
@@ -124,11 +124,6 @@ def eigen_table_from_state(state, q_bar: float) -> EigenTable:
     return EigenTable(q_bar=float(q_bar), mu=state.block_eigs()[0])
 
 
-def balanced_threshold(gamma: float, tau: float, alpha: float, M: float,
-                       ell_norm: float, combo: int) -> float:
-    return (gamma / max(1.0, ell_norm) ** tau) * max(1, combo) ** alpha / M ** alpha
-
-
 def omega_infty_test(omega, table: EigenTable, params, M: float, L_check: int,
                      n_max_cap: int | None = None, collect_census: bool = False):
     """(passes, offender census) of the balanced conditions at this omega.
@@ -144,8 +139,8 @@ def omega_infty_test(omega, table: EigenTable, params, M: float, L_check: int,
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     nu = len(omega)
-    census = {"explicit": 0, "pruned_unreachable": 0, "pruned_diagonal": 0,
-              "pruned_linear": 0, "offenders": []}
+    # pruned_unreachable stays 0: _measure_sample forwards it and perfbench's reference pins it
+    census = {"explicit": 0, "pruned_unreachable": 0, "offenders": []}
 
     from .magnus import nonzero_ell_box
     ells = [np.zeros(nu, dtype=int)] + list(nonzero_ell_box(nu, L_check))
@@ -166,8 +161,8 @@ def omega_infty_test(omega, table: EigenTable, params, M: float, L_check: int,
             if k_hi < k_lo:
                 continue
             ks = np.arange(k_lo, k_hi + 1)
-            thr = np.array([balanced_threshold(params.gamma, params.tau, params.alpha,
-                                               M, ln, abs(k)) for k in ks.tolist()])
+            thr = balanced_threshold(params.gamma, params.tau, params.alpha, M, ln,
+                                     np.abs(ks))
             checked, offenders = _scan_lines(table, dot, sign, ks, n_cap, thr,
                                              ln == 0.0 and sign < 0)
             ell = tuple(int(c) for c in row)

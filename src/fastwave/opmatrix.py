@@ -75,13 +75,6 @@ def _zero_modes(lattice: Lattice) -> np.ndarray:
     return np.zeros(((2 * lattice.L + 1) ** lattice.nu, D, D), dtype=complex)
 
 
-def block_slice(J: int, n: int):
-    """Scalar indices of block [n] in (-J..J) offset coordinates."""
-    if n == 0:
-        return np.array([J])
-    return np.array([J - n, J + n])
-
-
 def _hs_block_tensor(mats, J: int) -> np.ndarray:
     """(modes, J+1, J+1) array of ||A_[n]^[n'](l)||_HS^2 for a stack of l-coefficients."""
     D = 2 * J + 1

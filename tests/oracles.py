@@ -13,9 +13,8 @@ import numpy as np
 from fastwave.craig_wayne import build_basis_matrix, change_basis
 from fastwave.harmonics import TorusFunction
 from fastwave.magnus import magnus_transform
-from fastwave.kam import LIE_N_MAX, LIE_TOL, solve_homological
-from fastwave.opmatrix import (BlockOperator, OperatorPair, _conj_grid, _x_grids, ad,
-                               block_slice, lie_series)
+from fastwave.kam import LIE_N_MAX, LIE_TOL, prune_C1, solve_homological
+from fastwave.opmatrix import BlockOperator, OperatorPair, _conj_grid, _x_grids, ad, lie_series
 from fastwave.psdo import Symbol, _add, _mul, _pointwise
 
 
@@ -57,6 +56,13 @@ def three_series_remainder(state) -> OperatorPair:
 
 
 # -- the KAM normal form, block by block ---------------------------------------
+
+
+def block_slice(J: int, n: int):
+    """Scalar indices of block [n] in (-J..J) offset coordinates."""
+    if n == 0:
+        return np.array([J])
+    return np.array([J - n, J + n])
 
 
 def normal_form_blocks(state) -> dict:
@@ -105,6 +111,52 @@ def final_spectrum_oracle(state):
             eps = (e_minus, e_plus)
         weighted.append(max(1, n) ** state.params.alpha * max(abs(e) for e in eps))
     return out, float(np.max(weighted))
+
+
+def melnikov_step_oracle(state, Nval=None):
+    """`kam.melnikov_step_test` as a Python loop over (l, sign, n, n').
+
+    Each block's gaps |omega.l + mu_a +- mu_b| are formed on their own, in
+    the homological solve's association (omega.l + mu_a) +- mu_b, so that the
+    ties between (l, n, n', -1) and (-l, n', n, -1) are exact and break in
+    loop order as in the array scan.  The threshold is written out as
+    (gamma/(2 N^tau)) <n +- n'>^alpha / M^alpha, and the worst offender is the
+    first smallest margin in loop order.
+    """
+    pr = state.params
+    Nval = pr.N(state.p - 1) if Nval is None else Nval
+    mu, _ = state.block_eigs()
+    J = state.lattice.J
+    mus = [mu[block_slice(J, n)] for n in range(J + 1)]
+    C1M = prune_C1(state) * state.M
+    worst = {"margin": float("inf")}
+    pruned = checked = 0
+    for row in state.lattice.ell_range():
+        ln = float(np.linalg.norm(row))
+        if ln > Nval:
+            continue
+        dot = float(row @ state.omega)
+        for sign in (+1, -1):
+            for n in range(J + 1):
+                for n_in in range(J + 1):
+                    if sign < 0 and ln == 0.0 and n == n_in:
+                        continue          # excluded from the minus index set
+                    combo = abs(n + n_in) if sign > 0 else abs(n - n_in)
+                    if combo > C1M * max(1.0, ln):
+                        pruned += 1
+                        continue
+                    checked += 1
+                    gaps = np.abs(dot + mus[n][:, None] + sign * mus[n_in][None, :])
+                    thr = ((pr.gamma / (2.0 * Nval ** pr.tau)) * max(1, combo) ** pr.alpha
+                           / state.M ** pr.alpha)
+                    margin = float(np.min(gaps)) / thr
+                    if margin < worst["margin"]:
+                        worst = {"margin": margin, "ell": tuple(int(c) for c in row),
+                                 "n": n, "n_in": n_in, "sign": sign,
+                                 "gap": float(np.min(gaps)), "threshold": thr}
+    worst["pruned"] = pruned
+    worst["checked"] = checked
+    return worst["margin"] >= 1.0, worst
 
 
 def left_right_ops(A: np.ndarray, B: np.ndarray):

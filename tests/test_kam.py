@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from fastwave.calibration import CONSTANTS
 from fastwave.harmonics import Lattice, TorusFunction
 from fastwave.craig_wayne import build_basis_matrix
 from fastwave.kam import (
@@ -14,12 +15,13 @@ from fastwave.kam import (
 from fastwave import opmatrix
 from fastwave.magnus import magnus_transform
 from fastwave.melnikov import estimate_measure
-from fastwave.opmatrix import BlockOperator, LieSeriesDiverged, OperatorPair, ad, block_slice
+from fastwave.opmatrix import BlockOperator, LieSeriesDiverged, OperatorPair, ad
 from fastwave.psdo import DEFAULT_CUTOFF
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks
-from oracles import (block, block_eigs_oracle, diagonal_correction_oracle,
-                     final_spectrum_oracle, left_right_ops, normal_form_blocks,
-                     pair_to_dense, structure_defect, three_series_remainder)
+from oracles import (block, block_eigs_oracle, block_slice, diagonal_correction_oracle,
+                     final_spectrum_oracle, left_right_ops, melnikov_step_oracle,
+                     normal_form_blocks, pair_to_dense, structure_defect,
+                     three_series_remainder)
 
 
 def xcoeffs(J, entries):
@@ -235,6 +237,42 @@ def test_melnikov_engineered_resonance():
     ok, worst = melnikov_step_test(state, Nval=2.0)
     assert not ok
     assert worst["margin"] < 1.0
+    # the offending triple is the resonant one, first met at l = -1
+    assert (worst["ell"], worst["n"], worst["n_in"], worst["sign"]) == ((-1,), 4, 8, -1)
+    assert_step_scan_matches_oracle(state, Nval=2.0)
+
+
+def assert_step_scan_matches_oracle(state, Nval=None) -> dict:
+    """melnikov_step_test equals the loop oracle: the offender and counts exactly."""
+    ok, worst = melnikov_step_test(state, Nval)
+    ok_want, want = melnikov_step_oracle(state, Nval)
+    assert ok == ok_want
+    exact = ("ell", "n", "n_in", "sign", "pruned", "checked")
+    assert {k: worst[k] for k in exact} == {k: want[k] for k in exact}
+    for key in ("margin", "gap", "threshold"):
+        assert worst[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key
+    return worst
+
+
+@pytest.mark.parametrize("M, Nval", [(1e3, None), (1e3, 2.0), (1e3, 3.0),
+                                     (3.0, None), (3.0, 3.0)])
+def test_melnikov_step_matches_loop_oracle(M, Nval):
+    # at M = 3 the emptiness pruning |n +- n'| > C1 M <l> fires
+    state, *_ = toy_setup(M=1e3)
+    state.M = M
+    worst = assert_step_scan_matches_oracle(state, Nval)
+    assert (worst["pruned"] > 0) == (M < 10) and worst["checked"] > 0
+
+
+def test_melnikov_step_matches_loop_oracle_nu2():
+    # the scan reads only H0, omega and the lattice: put the toy normal form
+    # on a nu = 2 lattice to check the (l1, l2) box order and the |l| cut
+    state, *_ = toy_setup(M=1e3)
+    state = dataclasses.replace(state, lattice=Lattice(2, 3, state.lattice.J),
+                                omega=np.array([0.37, 1.21]))
+    for Nval in (None, 2.5):
+        worst = assert_step_scan_matches_oracle(state, Nval)
+        assert worst["margin"] < float("inf")
 
 
 def test_solve_homological_single_block():
@@ -345,6 +383,28 @@ def test_kam_step_contracts_and_preserves_structure():
     assert d1 < 0.5 * d0
     chk = nash_moser_check(state, new)
     assert chk["low_ok"] and chk["high_ok"]
+
+
+def test_nash_moser_check_reads_history():
+    # the history's deltas are the norms the check would recompute, at the
+    # first step and at the next one
+    state, *_ = toy_setup(M=1e3)
+    new, _ = kam_step(state)
+    newer, _ = kam_step(new)
+    for prev, nxt in ((state, new), (new, newer)):
+        pr = prev.params
+        s0, beta, Np = prev.s0, pr.beta, pr.N(prev.p)
+        fac = Np ** (2 * pr.tau + 1) * prev.M ** pr.alpha / pr.gamma
+        d_s, d_sb = prev.delta(s0), prev.delta(s0 + beta)
+        lhs1, lhs2 = nxt.delta(s0), nxt.delta(s0 + beta)
+        rhs1 = CONSTANTS["nash_moser_C1"] * (Np ** (-beta) * d_sb + fac * d_s * d_s)
+        rhs2 = CONSTANTS["nash_moser_C2"] * (d_sb + fac * (d_sb * d_s + d_s * d_s))
+        assert nash_moser_check(prev, nxt) == {
+            "low_ok": lhs1 <= rhs1, "high_ok": lhs2 <= rhs2, "lhs_low": lhs1,
+            "rhs_low": rhs1, "lhs_high": lhs2, "rhs_high": rhs2}
+    untracked, _ = kam_step(state, track_norms=False)
+    with pytest.raises(ValueError):
+        nash_moser_check(state, untracked)
 
 
 @pytest.mark.parametrize("M", [1e3, 1e2])

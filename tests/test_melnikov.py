@@ -6,13 +6,12 @@ import pytest
 
 from fastwave.harmonics import Lattice, TorusFunction
 from fastwave.craig_wayne import build_basis_matrix
-from fastwave.kam import (KamParameters, SmallnessError, init_state, kam_iterate,
-                          melnikov_step_test)
+from fastwave.kam import (KamParameters, SmallnessError, balanced_threshold, init_state,
+                          kam_iterate, melnikov_step_test)
 from fastwave.magnus import diophantine_test, magnus_transform, sample_annulus
 from fastwave.melnikov import (
-    EigenTable, MeasureReport, _measure_sample, balanced_threshold,
-    eigen_table_from_state, estimate_measure, fitted_gamma_exponent,
-    omega_infty_test, single_set_measure_exact,
+    EigenTable, MeasureReport, _measure_sample, eigen_table_from_state,
+    estimate_measure, fitted_gamma_exponent, omega_infty_test, single_set_measure_exact,
 )
 from fastwave.opmatrix import LieSeriesDiverged
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks
@@ -107,8 +106,7 @@ def omega_infty_oracle(omega, table, params, M, L_check, n_max_cap=None,
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     nu = len(omega)
     gamma, tau, alpha = params.gamma, params.tau, params.alpha
-    census = {"explicit": 0, "pruned_unreachable": 0, "pruned_diagonal": 0,
-              "pruned_linear": 0, "offenders": []}
+    census = {"explicit": 0, "pruned_unreachable": 0, "offenders": []}
     ells = [np.zeros(nu, dtype=int)] + list(nonzero_ell_box(nu, L_check))
     ok = True
     slack = 2.0 * table.max_correction(10 * table.J) + 2.0

@@ -6,10 +6,11 @@ from fastwave.harmonics import Lattice
 from fastwave.opmatrix import (
     BlockOperator, LieSeriesDiverged, OperatorPair, _conj_grid, _from_phi_grid,
     _pair_norm_terms, _pair_term_norms, _phi_grid, _x_grids, ad,
-    block_slice, lie_series, pair_norm, project_modes, s_decay_norm,
+    lie_series, pair_norm, project_modes, s_decay_norm,
 )
-from oracles import (apply, block, left_right_ops, lie_conjugate, pair_to_dense,
-                     random_function, sobolev_norm, structure_defect, zero_pair)
+from oracles import (apply, block, block_slice, left_right_ops, lie_conjugate,
+                     pair_to_dense, random_function, sobolev_norm, structure_defect,
+                     zero_pair)
 
 LAT = Lattice(1, 3, 6)
 LAT2 = Lattice(2, 2, 4)
