@@ -261,7 +261,7 @@ def stage_magnus(ctx: dict) -> dict:
     for M in cfg["sweep_M"]:
         omega = golden_omega(M, lat.nu)
         out = magnus_transform(qc, v, omega, M, cfg["gamma0"], cfg["tau0"], sd)
-        nd, no = s_decay_norm(out.Vd_mat, 3.0), s_decay_norm(out.Vo_mat, 3.0)
+        nd, no = (s_decay_norm(V, 3.0) for V in out.V)
         norms_d.append(nd)
         norms_o.append(no)
         rows.append((M, nd, no))
@@ -435,23 +435,15 @@ STAGES = [
 def run_experiment(cfg: dict, stages) -> dict:
     """Execute the requested stages (None: all of them); returns the run manifest."""
     cfg = validate_config(cfg)
-    wanted = list(stages) if stages else [name for name, _, _ in STAGES]
-    # pull in dependencies
-    names = [name for name, _, _ in STAGES]
-    needed = set()
-
-    def require(name):
+    needed = set(stages) if stages else {name for name, _, _ in STAGES}
+    unknown = needed - {name for name, _, _ in STAGES}
+    if unknown:
+        raise ConfigError(f"unknown stage {sorted(unknown)[0]!r}")
+    # STAGES lists every stage after its dependencies: one reverse pass pulls
+    # them all in
+    for name, _, deps in reversed(STAGES):
         if name in needed:
-            return
-        needed.add(name)
-        for n, _, deps in STAGES:
-            if n == name:
-                for d in deps:
-                    require(d)
-    for w in wanted:
-        if w not in names:
-            raise ConfigError(f"unknown stage {w!r}")
-        require(w)
+            needed.update(deps)
     manifest = {"version": __version__, "config": cfg,
                 "constants": dict(CONSTANTS), "stages": {}}
     ctx = {"config": cfg}

@@ -294,7 +294,8 @@ def build_basis_matrix(sd: SpectralData) -> BasisMatrix:
 
 
 def change_basis(A: BlockOperator, basis: BasisMatrix) -> BlockOperator:
-    """A BlockOperator of the exponential basis in the eigen basis.
+    """A BlockOperator (or a stack, slice by slice) of the exponential basis in
+    the eigen basis.
 
     A_eig(l) = conj(M) A_exp(l) M^T, so that matrix action agrees with
     operator action in eigen coordinates.

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .opmatrix import BlockOperator, OperatorPair, _conj_grid
+from .opmatrix import BlockOperator, _conj_grid
 from .schrodinger import SpectralData
 
 
@@ -135,37 +135,30 @@ def band_width(ratios: np.ndarray) -> float:
 # -- Floquet assembly ----------------------------------------------------------
 
 
-def sigma4_exponential(Ymat: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """e^{i Y sigma4} = 1 + i Y sigma4 exactly (sigma4 nilpotent); Y real."""
-    D = Ymat.shape[0]
-    Yb = _conj_grid(Ymat, K)
-    top = np.concatenate([np.eye(D) + 1j * Ymat, 1j * Ymat], axis=1)
-    bot = np.concatenate([-1j * Yb, np.eye(D) - 1j * Yb], axis=1)
-    return np.concatenate([top, bot], axis=0)
-
-
-def pair_at_angle(P: OperatorPair, phi_angle) -> np.ndarray:
-    """The 2x2-of-operators family of P evaluated at a fixed angle."""
-    Ad, Ao = P.Ad.at_angle(phi_angle), P.Ao.at_angle(phi_angle)
-    top = np.concatenate([Ad, Ao], axis=1)
-    bot = np.concatenate([-_conj_grid(Ao, P.Ad.K), -_conj_grid(Ad, P.Ad.K)], axis=1)
-    return np.concatenate([top, bot], axis=0)
+def pair_at_angle(P: BlockOperator, phi_angle) -> np.ndarray:
+    """The 2x2-of-operators matrix [[A^d, A^o], [-conj A^o, -conj A^d]] of the
+    pair P at a fixed angle."""
+    Ad, Ao = P.at_angle(phi_angle)
+    return np.block([[Ad, Ao], [-_conj_grid(Ao, P.K), -_conj_grid(Ad, P.K)]])
 
 
 class FloquetFrame:
     """T(phi) = e^{iX^(P-1)(phi)} ... e^{iX^(0)(phi)} e^{iY(phi) sigma4}.
 
     Conjugates the original (Magnus-frame input) flow to the final constant
-    block-diagonal flow: psi_final(t) = T(omega t) psi(t).
+    block-diagonal flow: psi_final(t) = T(omega t) psi(t).  Y sigma4 is the
+    pair (Y, Y), and since sigma4 is nilpotent e^{iY sigma4} = 1 + iY sigma4
+    exactly: the identity plus i times that pair's matrix.
     """
 
     def __init__(self, Y_eigen: BlockOperator, generators, H_inf: np.ndarray):
-        self.Y = Y_eigen
+        self.Y = BlockOperator(Y_eigen.lattice, np.stack([Y_eigen.mats, Y_eigen.mats]),
+                               Y_eigen.K)
         self.gens = generators
         self.H_inf = H_inf
 
     def frame(self, phi_angle) -> np.ndarray:
-        out = sigma4_exponential(self.Y.at_angle(phi_angle), self.Y.K)
+        out = np.eye(2 * len(self.H_inf)) + 1j * pair_at_angle(self.Y, phi_angle)
         for X in self.gens:
             out = scipy.linalg.expm(1j * pair_at_angle(X, phi_angle)) @ out
         return out

@@ -26,6 +26,12 @@ The last is the H0 series sum_{k>=2} ad_X^k(H0)/k!, re-indexed as
 sum_{k>=1} ad_X^k(ad_X H0)/(k+1)!, plus the Xdot series
 -sum_{k>=1} ad_X^k(Xdot)/(k+1)!: exact algebra, not the homological equation.
 
+The remainder V = (V^d, V^o) and the generator X = (X^d, X^o) are operator
+pairs, each one `BlockOperator` stack of shape (2, n_l, D, D); H0 enters `ad`
+as the pair stack (H0, 0).  The divisor table carries the same leading axis
+(0: the minus lines of V^d, 1: the plus lines of V^o), so the homological
+solve divides both components in one array pass and writes X as one stack.
+
 The normal form H0 is held as one (D, D) matrix, D = 2J+1, zero outside the
 blocks [n] x [n]; each step adds the symmetrized Z.  `KamState.block_eigs`
 diagonalizes it with one `eigh` on the stack of its 2x2 blocks, and the
@@ -41,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .harmonics import Lattice
-from .opmatrix import BlockOperator, OperatorPair, _x_grids, ad, lie_series, pair_norm
+from .opmatrix import BlockOperator, _x_grids, ad, lie_series, pair_norm
 from .psdo import DEFAULT_CUTOFF
 from .calibration import CONSTANTS
 
@@ -103,7 +109,7 @@ class KamState:
 
     p: int
     H0: np.ndarray                # (D, D), zero outside the blocks [n] x [n]
-    V: OperatorPair               # remainder, class (alpha, 0)
+    V: BlockOperator              # remainder pair stack (V^d, V^o), class (alpha, 0)
     omega: np.ndarray
     M: float
     params: KamParameters
@@ -145,12 +151,10 @@ def init_state(magnus_out, sd, basis, params: KamParameters, lattice: Lattice,
     if not sd.positive:
         raise SmallnessError("KAM initialization needs a positive spectrum")
     H0 = np.diag(sd.lam).astype(complex)
-    Vd = change_basis(magnus_out.Vd_mat, basis)
-    Vo = change_basis(magnus_out.Vo_mat, basis)
-    scale = max(Vd.norm_max(), Vo.norm_max())
+    V = change_basis(magnus_out.V, basis)
     # drop pure floating-point noise: it would otherwise dominate the
     # high-index norms under the <l,h>^{2(s0+beta)} weights
-    V = OperatorPair(Vd.prune(1e-14 * scale), Vo.prune(1e-14 * scale))
+    V = V.prune(1e-14 * V.norm_max())
     state = KamState(p=0, H0=H0, V=V, omega=magnus_out.omega, M=magnus_out.M,
                      params=params, lattice=lattice, s0=float(lattice.s0),
                      lam_ref=sd.lam.copy())
@@ -158,7 +162,7 @@ def init_state(magnus_out, sd, basis, params: KamParameters, lattice: Lattice,
     return state
 
 
-def _history_row(state: KamState, X: OperatorPair | None, track_norms: bool) -> dict:
+def _history_row(state: KamState, X: BlockOperator | None, track_norms: bool) -> dict:
     """History entry of a state reached by generator X (None for the initial state).
 
     Without norm tracking delta_s0 is the max-entry norm of V and the other
@@ -206,26 +210,26 @@ def balanced_threshold(gamma, tau, alpha, M, ell_norm, combo):
 def _divisor_table(state: KamState, mu: np.ndarray, Nval: float):
     """The divisors omega.l + mu_i +- mu_j of the kept modes |l| <= Nval.
 
-    Rows are V^d's kept modes (sign -1), then V^o's (sign +1), in
-    `Lattice.ell_range()` order.  Returns (low: the kept rows of the mode
-    axis, ells, ln = |l|, div (rows, D, D), and per (n, n') block (rows, J+1,
-    J+1): mingap, the smallest |divisor| folded from the four sign quadrants
-    as in the block HS tensor, combo = |n +- n'|, and the excluded (0, n, n)).
+    The arrays lead with the pair axis of V: 0 for V^d (sign -1), 1 for V^o
+    (sign +1), then the kept modes in `Lattice.ell_range()` order.  Returns
+    (low: the kept rows of the mode axis, ells, ln = |l|, div (2, rows, D, D),
+    and per (n, n') block (2, rows, J+1, J+1): mingap, the smallest |divisor|
+    folded from the four sign quadrants as in the block HS tensor, and the
+    excluded (0, n, n); and combo = |n +- n'| (2, 1, J+1, J+1)).
     """
     J = state.lattice.J
     low = state.lattice.ell_norms() <= Nval
-    ells = np.tile(state.lattice.ell_range()[low].astype(float), (2, 1))
-    comp_d = np.repeat([True, False], np.count_nonzero(low))
-    sign = np.where(comp_d, -1.0, 1.0)[:, None, None]
+    ells = state.lattice.ell_range()[low].astype(float)
+    sign = np.array([-1.0, 1.0])[:, None, None, None]
     dot = (ells @ state.omega)[:, None, None]
     ln = np.linalg.norm(ells, axis=1)
-    div = dot + mu[None, :, None] + sign * mu[None, None, :]
+    div = dot + mu[:, None] + sign * mu
     gap = np.abs(div)
-    mingap = np.minimum(np.minimum(gap[:, J:, J:], gap[:, J:, J::-1]),
-                        np.minimum(gap[:, J::-1, J:], gap[:, J::-1, J::-1]))
+    mingap = np.minimum(np.minimum(gap[..., J:, J:], gap[..., J:, J::-1]),
+                        np.minimum(gap[..., J::-1, J:], gap[..., J::-1, J::-1]))
     ns = np.arange(J + 1)
     combo = np.where(sign > 0, np.add.outer(ns, ns), np.abs(np.subtract.outer(ns, ns)))
-    excluded = (comp_d & (ln == 0.0))[:, None, None] & np.eye(J + 1, dtype=bool)
+    excluded = (sign < 0) & (ln == 0.0)[:, None, None] & np.eye(J + 1, dtype=bool)
     return low, ells, ln, div, mingap, combo, excluded
 
 
@@ -233,43 +237,55 @@ def melnikov_step_test(state: KamState, Nval: float | None = None):
     """Scan all (l, n, n') with |l| <= N_{p-1}: is every divisor large enough?
 
     Reads `_divisor_table` against `balanced_threshold(gamma/2, .., N_{p-1},
-    |n +- n'|)`.  Returns (ok, worst offender dict): the smallest margin, the
-    first in (l, sign +1 then -1, n, n') order.  The Lemma-5.15 pruning
+    |n +- n'|)`.  Each triple has a twin with the same |divisor|, threshold
+    and pruning: (-l, n', n) on the minus lines, (l, n', n) on the plus lines.
+    Only the canonical twin is scanned: l after l = 0 in the box order, or
+    l = 0 and n < n', on the minus lines, and n <= n' on the plus lines.
+    Returns (ok, worst offender dict): the smallest margin, the first in
+    (l, sign +1 then -1, n, n') order.  The Lemma-5.15 pruning
     |n +- n'| > C1 M <l> is applied first (auto-pass) and its savings counted.
     """
     pr = state.params
     Nval = pr.N(state.p - 1) if Nval is None else Nval
     mu, _ = state.block_eigs()
     _, ells, ln, _, mingap, combo, excluded = _divisor_table(state, mu, Nval)
-    pruned = ~excluded & (combo > prune_C1(state) * state.M
-                          * np.maximum(1.0, ln)[:, None, None])
+    # the twins left out: on the minus lines the rows before l = 0 (the middle
+    # row) and n > n' at l = 0, on the plus lines n > n'
+    mid = len(ells) // 2
+    n_gt = np.tril(np.ones(mingap.shape[-2:], dtype=bool), -1)
+    skip = np.zeros(mingap.shape, dtype=bool)
+    skip[0, :mid], skip[0, mid], skip[1] = True, n_gt, n_gt
+    skip |= excluded
+    pruned = ~skip & (combo > prune_C1(state) * state.M
+                      * np.maximum(1.0, ln)[:, None, None])
     thr = balanced_threshold(0.5 * pr.gamma, pr.tau, pr.alpha, state.M, Nval, combo)
-    margin = np.where(excluded | pruned, np.inf, mingap / thr)
-    # rows go (sign -1 modes, sign +1 modes): scan (l, sign +1 then -1, n, n')
-    by_row = margin.reshape((2, -1) + margin.shape[1:])[::-1].swapaxes(0, 1)
-    i_ell, i_sign, n, n_in = np.unravel_index(np.argmin(by_row), by_row.shape)
-    row = (1 - i_sign) * len(by_row) + i_ell
-    worst = {"margin": float(margin[row, n, n_in])}
+    margin = np.where(skip | pruned, np.inf, mingap / thr)
+    # scan (l, sign +1 then -1, n, n')
+    i_ell, i_sign, n, n_in = np.unravel_index(np.argmin(margin[::-1].swapaxes(0, 1)),
+                                              margin.shape[1::-1] + margin.shape[2:])
+    at = (1 - i_sign, i_ell, n, n_in)
+    worst = {"margin": float(margin[at])}
     if worst["margin"] < np.inf:
-        worst.update(ell=tuple(int(c) for c in ells[row]), n=int(n), n_in=int(n_in),
-                     sign=1 - 2 * int(i_sign), gap=float(mingap[row, n, n_in]),
-                     threshold=float(thr[row, n, n_in]))
+        worst.update(ell=tuple(int(c) for c in ells[i_ell]), n=int(n), n_in=int(n_in),
+                     sign=1 - 2 * int(i_sign), gap=float(mingap[at]),
+                     threshold=float(np.broadcast_to(thr, margin.shape)[at]))
     worst["pruned"] = int(np.count_nonzero(pruned))
-    worst["checked"] = int(margin.size - np.count_nonzero(excluded | pruned))
+    worst["checked"] = int(margin.size - np.count_nonzero(skip | pruned))
     return worst["margin"] >= 1.0, worst
 
 
-def solve_homological(state: KamState, Nval: float) -> OperatorPair:
-    """The generator X^(p) from the blockwise homological equations.
+def solve_homological(state: KamState, Nval: float) -> BlockOperator:
+    """The generator pair X^(p) from the blockwise homological equations.
 
     X^d on the minus index set (zero at the excluded (0, n, n) diagonal),
     X^o everywhere, both restricted to |l| <= N_p and multiplied by the
     cutoff chi(mingap/rho) that extends the solution to all omega.  All kept
-    modes and blocks are solved in one pass: with U the block-diagonal
-    eigenframe of H0 (eigenvalues mu), each mode's V(l) becomes U^H V U, whose
-    (i, j) entry is divided by omega.l + mu_i +- mu_j (`_divisor_table`), and
-    chi(mingap/rho), rho = `balanced_threshold(gamma/2, .., |l|, |n +- n'|)`,
-    scales the whole (n, n') block.
+    modes and blocks of both components are solved in one pass: with U the
+    block-diagonal eigenframe of H0 (eigenvalues mu), each mode's V(l)
+    becomes U^H V U, whose (i, j) entry is divided by omega.l + mu_i +- mu_j
+    (`_divisor_table`, laid out as V's (2, rows) stack), and chi(mingap/rho),
+    rho = `balanced_threshold(gamma/2, .., |l|, |n +- n'|)`, scales the whole
+    (n, n') block.
     """
     pr = state.params
     lat = state.lattice
@@ -281,19 +297,18 @@ def solve_homological(state: KamState, Nval: float) -> OperatorPair:
     factor = DEFAULT_CUTOFF(np.minimum(mingap / rho, 1.0))
     factor[excluded] = 0.0            # absorbed into Z
     div[div == 0.0] = 1.0             # zeros only where factor = 0
-    T = U.conj().T @ np.concatenate([state.V.Ad.mats[low], state.V.Ao.mats[low]]) @ U
+    T = U.conj().T @ state.V.mats[:, low] @ U
     T /= div
-    T *= -1j * factor[:, nb][:, :, nb]
-    X = np.zeros((2,) + state.V.Ad.mats.shape, dtype=complex)
-    X[:, low] = (U @ T @ U.conj().T).reshape((2, -1) + T.shape[1:])
-    K = state.V.Ad.K
-    return OperatorPair(BlockOperator(lat, X[0], K), BlockOperator(lat, X[1], K))
+    T *= -1j * factor[..., nb, :][..., nb]
+    X = np.zeros_like(state.V.mats)
+    X[:, low] = U @ T @ U.conj().T
+    return BlockOperator(lat, X, state.V.K)
 
 
 def diagonal_correction(state: KamState) -> np.ndarray:
     """Z^(p): V^d(0) on the blocks [n] x [n], zero elsewhere."""
     nb = np.abs(np.arange(-state.lattice.J, state.lattice.J + 1))
-    return np.where(nb[:, None] == nb, state.V.Ad.mat((0,) * state.lattice.nu), 0.0)
+    return np.where(nb[:, None] == nb, state.V[0].mat((0,) * state.lattice.nu), 0.0)
 
 
 def kam_step(state: KamState, track_norms: bool = True) -> tuple:
@@ -302,14 +317,13 @@ def kam_step(state: KamState, track_norms: bool = True) -> tuple:
     Np = pr.N(state.p)
     X = solve_homological(state, Np)
     lat = state.lattice
-    K = state.V.Ad.K
 
     Z = diagonal_correction(state)
     # Z is Hermitian when the structure constraints hold; the symmetrization
     # only removes floating-point noise
     H0_new = state.H0 + 0.5 * (Z + Z.conj().T)
-    H0pair = OperatorPair(BlockOperator.time_independent(lat, state.H0, K=K),
-                          BlockOperator.zero(lat, K=K))
+    H0pair = BlockOperator.time_independent(lat, np.stack([state.H0, np.zeros_like(state.H0)]),
+                                            K=state.V.K)
 
     # Pi_N^perp V + the V series + the H0 and Xdot series merged as one of
     # ad_X H0 - Xdot (module docstring), one `ad` per power for both;
@@ -323,7 +337,7 @@ def kam_step(state: KamState, track_norms: bool = True) -> tuple:
                        LIE_N_MAX, x_grids)
 
     noise = 1e-14 * max(V_new.norm_max(), 1e-300)
-    V_new = OperatorPair(V_new.Ad.prune(noise), V_new.Ao.prune(noise))
+    V_new = V_new.prune(noise)
     new = KamState(p=state.p + 1, H0=H0_new, V=V_new, omega=state.omega,
                    M=state.M, params=pr, lattice=lat, s0=state.s0,
                    history=list(state.history), lam_ref=state.lam_ref)

@@ -5,13 +5,14 @@ matrix-valued Fourier coefficients A(l), where A(l) is a dense (2J+1)^2
 matrix over the space index (rows = output mode, columns = input mode) and l
 is the angle-mode transfer: (A u)^(l_out) = sum_l A(l) u^(l_out - l).
 
-Storage: one complex array `mats` of shape (n_l, D, D), D = 2J+1, over the
-full mode box |l_i| <= L, n_l = (2L+1)^nu, with the rows in
-`Lattice.ell_range()` order (the C-ordered box, l = 0 in the middle row).  A
-mode that is absent or pruned is a zero row, so sums, scalings, masks and
-norms are each one array expression.  The box is symmetric and C-ordered,
-so reversing the mode axis maps every l to -l, for any nu: the adjoint
-A(l) -> A(-l)^*, and the conjugate operator below, are each one reversal.
+Storage: one complex array `mats` of shape (n_l, D, D), D = 2J+1 (a stack
+of operators puts leading axes in front, see below), over the full mode
+box |l_i| <= L, n_l = (2L+1)^nu, with the rows in `Lattice.ell_range()`
+order (the C-ordered box, l = 0 in the middle row).  A mode that is absent
+or pruned is a zero row, so sums, scalings, masks and norms are each one
+array expression.  The box is symmetric and C-ordered, so reversing the
+mode axis maps every l to -l, for any nu: the adjoint A(l) -> A(-l)^*, and
+the conjugate operator below, are each one reversal.
 
 The space index is partitioned into blocks [n] = {-n, n} ([0] = {0}); the
 2x2 (or rectangular, for n = 0) blocks A_[n]^[n'](l) are views into A(l).
@@ -31,10 +32,17 @@ both components.  Both indices of a block [n] = {-n, n} have the same <n>
 and all terms of one component share one block-HS^2 tensor.
 
 Operator pairs (A^d, A^o) model the 2x2 matrices-of-operators
-[[A^d, A^o], [-conj(A^o), -conj(A^d)]]; the conjugate operator
-conj(A) psi = conj(A conj(psi)) is basis aware: a conjugation matrix K with
-conj(psi_j) = sum_k K[k, j] psi_k is attached to each operator (K = the
-index flip in the exponential basis).
+[[A^d, A^o], [-conj(A^o), -conj(A^d)]].  A pair is a stack: one
+BlockOperator whose `mats` has shape (2, n_l, D, D), A^d = P[0] first and
+A^o = P[1] second.  Every method indexes the mode and space axes from the
+end, so sums, masks, projections, adjoints, conjugates, angle derivatives
+and values at an angle act slice by slice, with each slice's arithmetic
+exactly that of a single operator.  Products (`@`) and `s_decay_norm` take
+single operators; `ad`, `lie_series` and `pair_norm` take pairs, and their
+phi-grid buffers carry the same leading axis.
+The conjugate operator conj(A) psi = conj(A conj(psi)) is basis aware: a
+conjugation matrix K with conj(psi_j) = sum_k K[k, j] psi_k is attached to
+each operator (K = the index flip in the exponential basis).
 
 Products and commutators are evaluated on the phi-grid: a family is sampled
 as G(phi) = sum_l A(l) e^{i l.phi} at P = 4L+2 points per angle axis (inverse
@@ -47,8 +55,9 @@ Both transforms run in place on their buffer (`out=`): the grids are the
 largest arrays of a KAM step, and a second copy per transform raises the
 peak memory of an L=64 run by about a tenth.  Grids are transient and never
 stored on an operator: a product builds and drops its operands' grids, `ad`
-sums its eight products into one grid per component, and `lie_series` takes
-X's grids once per series (`kam_step` builds them once per step).
+sums its eight products into one (2, P.., D, D) grid stack, and
+`lie_series` takes X's grids once per series (`kam_step` builds them once
+per step).
 """
 
 from __future__ import annotations
@@ -68,11 +77,6 @@ def _ell_row(lattice: Lattice, ell) -> int:
     """Row of the angle mode ell on the mode axis."""
     return int(np.ravel_multi_index(lattice.ell_to_index(np.atleast_1d(ell)),
                                     (2 * lattice.L + 1,) * lattice.nu))
-
-
-def _zero_modes(lattice: Lattice) -> np.ndarray:
-    D = 2 * lattice.J + 1
-    return np.zeros(((2 * lattice.L + 1) ** lattice.nu, D, D), dtype=complex)
 
 
 def _hs_block_tensor(mats, J: int) -> np.ndarray:
@@ -110,9 +114,11 @@ def _s_decay_sq(hs2: np.ndarray, ell_norms: np.ndarray, s: float) -> float:
 class BlockOperator:
     """phi-quasi-periodic operator: the coefficients A(l) of every mode of the box.
 
-    `mats` is one complex array of shape (n_l, D, D) in `Lattice.ell_range()`
-    order; `mat(l)` is its row l, and a missing mode is a zero row.  Reversing
-    the mode axis maps l -> -l.  K is the conjugation matrix of the basis.
+    `mats` is one complex array of shape (..., n_l, D, D), the mode axis in
+    `Lattice.ell_range()` order; `mat(l)` is its row l, and a missing mode is a
+    zero row.  Reversing the mode axis maps l -> -l.  Leading axes make a stack
+    of operators (a pair is the stack (A^d, A^o)), and `P[i]` is one of them.
+    K is the conjugation matrix of the basis.
     """
 
     __slots__ = ("lattice", "mats", "K")
@@ -120,9 +126,9 @@ class BlockOperator:
     def __init__(self, lattice: Lattice, mats: np.ndarray, K: np.ndarray | None = None):
         mats = np.asarray(mats, dtype=complex)
         D = 2 * lattice.J + 1
-        if mats.shape != ((2 * lattice.L + 1) ** lattice.nu, D, D):
+        if mats.shape[-3:] != ((2 * lattice.L + 1) ** lattice.nu, D, D):
             raise ValueError(f"coefficient array shape {mats.shape} does not match the "
-                             f"lattice's (n_l, {D}, {D})")
+                             f"lattice's (..., n_l, {D}, {D})")
         self.lattice = lattice
         self.mats = mats
         self.K = K if K is not None else flip_conjugation(lattice.J)
@@ -130,37 +136,45 @@ class BlockOperator:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, lattice: Lattice, K=None) -> "BlockOperator":
-        return cls(lattice, _zero_modes(lattice), K)
-
-    @classmethod
     def identity(cls, lattice: Lattice) -> "BlockOperator":
         return cls.time_independent(lattice, np.eye(2 * lattice.J + 1))
 
     @classmethod
     def time_independent(cls, lattice: Lattice, mat: np.ndarray, K=None) -> "BlockOperator":
-        mats = _zero_modes(lattice)
-        if np.shape(mat) != mats.shape[1:]:
+        """The operator (a stack, for mat of shape (..., D, D)) with A(0) = mat only."""
+        D = 2 * lattice.J + 1
+        if np.shape(mat)[-2:] != (D, D):
             raise ValueError("matrix coefficient has wrong shape")
-        mats[len(mats) // 2] = mat
+        n_l = (2 * lattice.L + 1) ** lattice.nu
+        mats = np.zeros(np.shape(mat)[:-2] + (n_l, D, D), dtype=complex)
+        mats[..., n_l // 2, :, :] = mat
         return cls(lattice, mats, K)
 
     # -- accessors --------------------------------------------------------
 
+    def __getitem__(self, i) -> "BlockOperator":
+        """Component i of a stack: P[0] = A^d and P[1] = A^o of a pair."""
+        return BlockOperator(self.lattice, self.mats[i], self.K)
+
     def mat(self, ell) -> np.ndarray:
-        """A(l): row l of `mats` (a view)."""
-        return self.mats[_ell_row(self.lattice, ell)]
+        """A(l): row l of the mode axis (a view)."""
+        return self.mats[..., _ell_row(self.lattice, ell), :, :]
 
     def norm_max(self) -> float:
         return float(np.max(np.abs(self.mats)))
 
     def _mode_mask(self, keep) -> "BlockOperator":
-        return BlockOperator(self.lattice, np.where(keep[:, None, None], self.mats, 0.0),
+        return BlockOperator(self.lattice, np.where(keep[..., None, None], self.mats, 0.0),
                              self.K)
 
     def prune(self, tol: float) -> "BlockOperator":
         """Zero every mode whose largest entry is at most tol."""
-        return self._mode_mask(np.max(np.abs(self.mats), axis=(1, 2)) > tol)
+        return self._mode_mask(np.max(np.abs(self.mats), axis=(-2, -1)) > tol)
+
+    def project(self, N: float) -> tuple:
+        """(Pi_N A, Pi_N^perp A): split the angle modes at |l| <= N."""
+        low = self.lattice.ell_norms() <= N
+        return self._mode_mask(low), self._mode_mask(~low)
 
     # -- linear structure -------------------------------------------------
 
@@ -178,27 +192,29 @@ class BlockOperator:
     # -- products ----------------------------------------------------------
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
+        """The product of two single operators."""
         if self.lattice != other.lattice:
             raise ValueError("lattice mismatch")
-        prod = np.matmul(*_phi_grid(self.lattice, (self, other)))
-        return _from_phi_grid(self.lattice, prod[None], self.K)[0]
+        prod = np.matmul(*_phi_grid(self.lattice, np.stack((self.mats, other.mats))))
+        return _from_phi_grid(self.lattice, prod, self.K)
 
     # -- adjoint, conjugate, fixed angle -------------------------------------
 
     def adjoint(self) -> "BlockOperator":
         """A^*: A(l) -> A(-l)^*, one reversal of the mode axis."""
-        return BlockOperator(self.lattice, self.mats[::-1].conj().swapaxes(1, 2), self.K)
+        return BlockOperator(self.lattice, self.mats[..., ::-1, :, :].conj().swapaxes(-1, -2),
+                             self.K)
 
     def conj_op(self) -> "BlockOperator":
         """conj(A): psi -> conj(A conj(psi)), i.e. A(l) -> K conj(A(-l)) conj(K)."""
-        return BlockOperator(self.lattice, self.K @ np.conj(self.mats[::-1]) @ np.conj(self.K),
+        return BlockOperator(self.lattice, _conj_grid(self.mats[..., ::-1, :, :], self.K),
                              self.K)
 
     def at_angle(self, phi) -> np.ndarray:
-        """The matrix sum_l A(l) e^{i l.phi} of the family at a fixed angle phi."""
-        n, D = self.mats.shape[:2]
+        """The matrix sum_l A(l) e^{i l.phi} (one per component) at a fixed angle phi."""
+        *lead, n, D, _ = self.mats.shape
         phase = np.exp(1j * (self.lattice.ell_range() @ np.atleast_1d(phi)))
-        return (phase @ self.mats.reshape(n, D * D)).reshape(D, D)
+        return (phase @ self.mats.reshape(*lead, n, D * D)).reshape(*lead, D, D)
 
     def omega_dphi(self, omega: np.ndarray) -> "BlockOperator":
         """omega . d_phi A: multiply A(l) by i (omega . l)."""
@@ -216,41 +232,43 @@ def flip_conjugation(J: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _grid_index(nu: int, L: int) -> tuple:
-    """The phi-grid length P = 4L+2 and the grid position l mod P of each mode row."""
+    """The phi-grid length P = 4L+2, the grid axes (from the end) and the index
+    that puts each mode row at its grid position l mod P."""
     # alias-free truncation of a product back to |l| <= L needs only P >= 3L + 1
     P = 4 * L + 2
     pos = _ell_range(nu, L).T % P
     pos.flags.writeable = False       # shared by every caller of the cache
-    return P, tuple(pos)
+    return P, tuple(range(-nu - 2, -2)), (Ellipsis, *pos, slice(None), slice(None))
 
 
-def _phi_grid(lattice: Lattice, ops) -> np.ndarray:
-    """(len(ops), P, .., P, D, D) samples G(phi) = sum_l A(l) e^{i l.phi} of each operand.
+def _phi_grid(lattice: Lattice, mats: np.ndarray) -> np.ndarray:
+    """(..., P, .., P, D, D) samples G(phi) = sum_l A(l) e^{i l.phi} of a stack
+    of coefficient arrays (..., n_l, D, D).
 
     phi runs over 2 pi k / P on each angle axis: one inverse FFT per operand,
     in place on the buffer.
     """
-    P, pos = _grid_index(lattice.nu, lattice.L)
-    D = 2 * lattice.J + 1
-    buf = np.zeros((len(ops),) + (P,) * lattice.nu + (D, D), dtype=complex)
-    for i, op in enumerate(ops):
-        buf[(i,) + pos] = op.mats
-    np.fft.ifftn(buf, axes=tuple(range(1, lattice.nu + 1)), out=buf)
+    P, axes, index = _grid_index(lattice.nu, lattice.L)
+    buf = np.zeros(mats.shape[:-3] + (P,) * lattice.nu + mats.shape[-2:], dtype=complex)
+    buf[index] = mats
+    np.fft.ifftn(buf, axes=axes, out=buf)
     buf *= P ** lattice.nu
     return buf
 
 
-def _from_phi_grid(lattice: Lattice, grids: np.ndarray, K) -> list:
-    """The BlockOperators (modes |l| <= L) of a stack of phi-grids; grids is overwritten."""
-    P, pos = _grid_index(lattice.nu, lattice.L)
-    np.fft.fftn(grids, axes=tuple(range(1, lattice.nu + 1)), out=grids)
-    coeffs = grids[(slice(None),) + pos]
+def _from_phi_grid(lattice: Lattice, grids: np.ndarray, K) -> BlockOperator:
+    """The BlockOperator (modes |l| <= L, one per leading index) of a stack of
+    phi-grids; grids is overwritten."""
+    P, axes, index = _grid_index(lattice.nu, lattice.L)
+    np.fft.fftn(grids, axes=axes, out=grids)
+    coeffs = grids[index]
     coeffs /= P ** lattice.nu
-    return [BlockOperator(lattice, c, K) for c in coeffs]
+    return BlockOperator(lattice, coeffs, K)
 
 
 def _conj_grid(G: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """The phi-grid of conj(A) from the grid G of A: K conj(G(phi)) conj(K), no FFT."""
+    """K conj(G) conj(K) on the last two axes: the phi-grid of conj(A) from the
+    grid G of A (no FFT), and conj(A)(l) from A(-l)."""
     return K @ np.conj(G) @ np.conj(K)
 
 
@@ -271,12 +289,12 @@ def _pair_norm_terms(alpha: float, beta: float):
     return terms
 
 
-def _pair_term_norms(P: "OperatorPair", s: float, alpha: float, beta: float) -> dict:
+def _pair_term_norms(P: BlockOperator, s: float, alpha: float, beta: float) -> dict:
     """{label: |<D>^left A <D>^right|_s} over _pair_norm_terms, in term order."""
-    lat = P.Ad.lattice
+    lat = P.lattice
     J = lat.J
     ln = lat.ell_norms()
-    hs2 = {"d": _hs_block_tensor(P.Ad.mats, J), "o": _hs_block_tensor(P.Ao.mats, J)}
+    hs2 = {"d": _hs_block_tensor(P.mats[0], J), "o": _hs_block_tensor(P.mats[1], J)}
     wn = np.maximum(1.0, np.arange(J + 1.0))
     out = {}
     for i, (left, right, comp) in enumerate(_pair_norm_terms(alpha, beta)):
@@ -286,56 +304,18 @@ def _pair_term_norms(P: "OperatorPair", s: float, alpha: float, beta: float) -> 
     return out
 
 
-def pair_norm(P: "OperatorPair", s: float, alpha: float, beta: float) -> float:
-    """The M_s(alpha, beta) norm: 4 one-sided terms + one per distinct sigma."""
+def pair_norm(P: BlockOperator, s: float, alpha: float, beta: float) -> float:
+    """The M_s(alpha, beta) norm of the pair P: 4 one-sided terms + one per distinct sigma."""
     return sum(_pair_term_norms(P, s, alpha, beta).values())
-
-
-def project_modes(A: BlockOperator, N: float):
-    """(Pi_N A, Pi_N^perp A): split the angle modes at |l| <= N."""
-    low = A.lattice.ell_norms() <= N
-    return A._mode_mask(low), A._mode_mask(~low)
 
 
 # -- operator pairs ----------------------------------------------------------
 
 
-class OperatorPair:
-    """(A^d, A^o); the off-diagonal entries are implied."""
-
-    __slots__ = ("Ad", "Ao")
-
-    def __init__(self, Ad: BlockOperator, Ao: BlockOperator):
-        if Ad.lattice != Ao.lattice:
-            raise ValueError("lattice mismatch")
-        self.Ad = Ad
-        self.Ao = Ao
-
-    def __add__(self, other):
-        return OperatorPair(self.Ad + other.Ad, self.Ao + other.Ao)
-
-    def __sub__(self, other):
-        return OperatorPair(self.Ad - other.Ad, self.Ao - other.Ao)
-
-    def __mul__(self, scalar):
-        return OperatorPair(self.Ad * scalar, self.Ao * scalar)
-
-    def norm_max(self) -> float:
-        return max(self.Ad.norm_max(), self.Ao.norm_max())
-
-    def omega_dphi(self, omega):
-        return OperatorPair(self.Ad.omega_dphi(omega), self.Ao.omega_dphi(omega))
-
-    def project(self, N: float):
-        lo_d, hi_d = project_modes(self.Ad, N)
-        lo_o, hi_o = project_modes(self.Ao, N)
-        return OperatorPair(lo_d, lo_o), OperatorPair(hi_d, hi_o)
-
-
-def _x_grids(X: OperatorPair) -> tuple:
-    """The phi-grids (Xd, Xo, conj Xd, conj Xo) of the left operand of ad_X."""
-    Xd, Xo = _phi_grid(X.Ad.lattice, (X.Ad, X.Ao))
-    return Xd, Xo, _conj_grid(Xd, X.Ad.K), _conj_grid(Xo, X.Ao.K)
+def _x_grids(X: BlockOperator) -> tuple:
+    """The phi-grids ((Xd, Xo), (conj Xd, conj Xo)) of the left operand of ad_X."""
+    G = _phi_grid(X.lattice, X.mats)
+    return G, _conj_grid(G, X.K)
 
 
 def _sum_products(out: np.ndarray, terms):
@@ -351,7 +331,7 @@ def _sum_products(out: np.ndarray, terms):
             out -= tmp
 
 
-def ad(X: OperatorPair, V: OperatorPair, x_grids: tuple | None = None) -> OperatorPair:
+def ad(X: BlockOperator, V: BlockOperator, x_grids: tuple | None = None) -> BlockOperator:
     """ad_X(V) = i[X, V] on operator pairs (component formulas of the 2x2 algebra):
 
         W^d = X^d V^d - V^d X^d - X^o conj(V^o) + V^o conj(X^o),
@@ -363,24 +343,23 @@ def ad(X: OperatorPair, V: OperatorPair, x_grids: tuple | None = None) -> Operat
     grids from `_x_grids(X)`, built here when not given; a Lie series shares
     one build across its terms.
     """
-    lat = X.Ad.lattice
-    Xd, Xo, cXd, cXo = _x_grids(X) if x_grids is None else x_grids
-    Vd, Vo = _phi_grid(lat, (V.Ad, V.Ao))
-    cVd, cVo = _conj_grid(Vd, V.Ad.K), _conj_grid(Vo, V.Ao.K)
-    W = np.empty((2,) + Vd.shape, dtype=complex)
+    (Xd, Xo), (cXd, cXo) = _x_grids(X) if x_grids is None else x_grids
+    G = _phi_grid(V.lattice, V.mats)
+    (Vd, Vo), (cVd, cVo) = G, _conj_grid(G, V.K)
+    W = np.empty_like(G)
     _sum_products(W[0], ((1, Xd, Vd), (-1, Vd, Xd), (-1, Xo, cVo), (1, Vo, cXo)))
     _sum_products(W[1], ((1, Xd, Vo), (1, Vo, cXd), (-1, Xo, cVd), (-1, Vd, Xo)))
     W *= 1j
-    return OperatorPair(*_from_phi_grid(lat, W, X.Ad.K))
+    return _from_phi_grid(X.lattice, W, X.K)
 
 
 class LieSeriesDiverged(RuntimeError):
     pass
 
 
-def lie_series(X: OperatorPair, total: OperatorPair, term: OperatorPair,
+def lie_series(X: BlockOperator, total: BlockOperator, term: BlockOperator,
                first: int, shift: int, tol: float, scale: float,
-               n_max: int, x_grids: tuple) -> OperatorPair:
+               n_max: int, x_grids: tuple) -> BlockOperator:
     """total + sum_{k=first..n_max} t_k, t_k = ad_X(t_{k-1})/(k + shift), t_{first-1} = term.
 
     Each term is added to the running total as it is made.  X's phi-grids

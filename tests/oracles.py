@@ -14,22 +14,22 @@ from fastwave.craig_wayne import build_basis_matrix, change_basis
 from fastwave.harmonics import TorusFunction
 from fastwave.magnus import magnus_transform
 from fastwave.kam import LIE_N_MAX, LIE_TOL, prune_C1, solve_homological
-from fastwave.opmatrix import BlockOperator, OperatorPair, _conj_grid, _x_grids, ad, lie_series
+from fastwave.opmatrix import BlockOperator, _conj_grid, _x_grids, ad, lie_series
 from fastwave.psdo import Symbol, _add, _mul, _pointwise
 
 
-def lie_conjugate(X: OperatorPair, V: OperatorPair, tol: float = 1e-14,
+def lie_conjugate(X: BlockOperator, V: BlockOperator, tol: float = 1e-14,
                   n_max: int = 30):
     """e^{iX} V e^{-iX} = sum_n ad_X^n(V)/n!, truncated at increment < tol (1 + |V|).
 
     Returns (conjugated pair, difference pair = result - V).
     """
-    zero = zero_pair(V.Ad.lattice, V.Ad.K)
+    zero = zero_pair(V.lattice, V.K)
     diff = lie_series(X, zero, V, 1, 0, tol, 1.0 + V.norm_max(), n_max, _x_grids(X))
     return V + diff, diff
 
 
-def three_series_remainder(state) -> OperatorPair:
+def three_series_remainder(state) -> BlockOperator:
     """kam_step's new remainder summed as three Lie series, of H0, V and Xdot:
 
         Pi_N^perp V + sum_{k>=2} ad_X^k(H0)/k! + sum_{k>=1} ad_X^k(V)/k!
@@ -40,9 +40,8 @@ def three_series_remainder(state) -> OperatorPair:
     pr = state.params
     Np = pr.N(state.p)
     X = solve_homological(state, Np)
-    lat, K = state.lattice, state.V.Ad.K
-    H0pair = OperatorPair(BlockOperator.time_independent(lat, state.H0, K=K),
-                          BlockOperator.zero(lat, K=K))
+    H0pair = stack_pair(BlockOperator.time_independent(state.lattice, state.H0, K=state.V.K),
+                        zero_op(state.lattice, K=state.V.K))
     x_grids = _x_grids(X)
     adH0 = ad(X, H0pair, x_grids)
     scale = max(adH0.norm_max(), state.V.norm_max(), 1e-300)
@@ -52,7 +51,7 @@ def three_series_remainder(state) -> OperatorPair:
     V_new = lie_series(X, V_new, X.omega_dphi(state.omega) * -1.0, 1, 1,
                        LIE_TOL, scale, LIE_N_MAX, x_grids)
     noise = 1e-14 * max(V_new.norm_max(), 1e-300)
-    return OperatorPair(V_new.Ad.prune(noise), V_new.Ao.prune(noise))
+    return V_new.prune(noise)
 
 
 # -- the KAM normal form, block by block ---------------------------------------
@@ -85,7 +84,7 @@ def block_eigs_oracle(state):
 def diagonal_correction_oracle(state) -> np.ndarray:
     """`kam.diagonal_correction` as a copy of each block of V^d(0)."""
     J = state.lattice.J
-    V0 = state.V.Ad.mat((0,) * state.lattice.nu)
+    V0 = state.V[0].mat((0,) * state.lattice.nu)
     Z = np.zeros_like(V0)
     for n in range(J + 1):
         rows = np.ix_(block_slice(J, n), block_slice(J, n))
@@ -117,9 +116,11 @@ def melnikov_step_oracle(state, Nval=None):
     """`kam.melnikov_step_test` as a Python loop over (l, sign, n, n').
 
     Each block's gaps |omega.l + mu_a +- mu_b| are formed on their own, in
-    the homological solve's association (omega.l + mu_a) +- mu_b, so that the
-    ties between (l, n, n', -1) and (-l, n', n, -1) are exact and break in
-    loop order as in the array scan.  The threshold is written out as
+    the homological solve's association (omega.l + mu_a) +- mu_b.  Of the
+    twins (l, n, n', -1) and (-l, n', n, -1), and of (l, n, n', +1) and
+    (l, n', n, +1), only the canonical one is visited: l > 0 in the box's
+    lexicographic order (l = 0: n < n') on the minus lines, n <= n' on the
+    plus lines.  The threshold is written out as
     (gamma/(2 N^tau)) <n +- n'>^alpha / M^alpha, and the worst offender is the
     first smallest margin in loop order.
     """
@@ -136,10 +137,15 @@ def melnikov_step_oracle(state, Nval=None):
         if ln > Nval:
             continue
         dot = float(row @ state.omega)
+        centre = tuple(row) == (0,) * len(row)
         for sign in (+1, -1):
+            if sign < 0 and tuple(row) < (0,) * len(row):
+                continue                  # the twin (-l, n', n) is visited
             for n in range(J + 1):
                 for n_in in range(J + 1):
-                    if sign < 0 and ln == 0.0 and n == n_in:
+                    if n > n_in and (sign > 0 or centre):
+                        continue          # the twin (l, n', n) is visited
+                    if sign < 0 and centre and n == n_in:
                         continue          # excluded from the minus index set
                     combo = abs(n + n_in) if sign > 0 else abs(n - n_in)
                     if combo > C1M * max(1.0, ln):
@@ -269,9 +275,21 @@ def sobolev_norm(u: TorusFunction, s: float) -> float:
 # -- operators -------------------------------------------------------------------
 
 
-def zero_pair(lattice, K=None) -> OperatorPair:
+def zero_op(lattice, K=None) -> BlockOperator:
+    """The zero operator."""
+    D = 2 * lattice.J + 1
+    return BlockOperator(lattice, np.zeros(((2 * lattice.L + 1) ** lattice.nu, D, D)), K)
+
+
+def stack_pair(Ad: BlockOperator, Ao: BlockOperator) -> BlockOperator:
+    """The operator pair (A^d, A^o): the two-slice stack of their coefficients."""
+    assert Ad.lattice == Ao.lattice
+    return BlockOperator(Ad.lattice, np.stack([Ad.mats, Ao.mats]), Ad.K)
+
+
+def zero_pair(lattice, K=None) -> BlockOperator:
     """The zero operator pair."""
-    return OperatorPair(BlockOperator.zero(lattice, K), BlockOperator.zero(lattice, K))
+    return stack_pair(zero_op(lattice, K), zero_op(lattice, K))
 
 
 def block(A: BlockOperator, ell, n: int, n_in: int) -> np.ndarray:
@@ -322,14 +340,14 @@ def to_dense(A: BlockOperator) -> np.ndarray:
     return out
 
 
-def pair_to_dense(X: OperatorPair) -> np.ndarray:
+def pair_to_dense(X: BlockOperator) -> np.ndarray:
     """The full 2x2 matrix-of-operators of a pair over the extended lattice."""
-    Ad, Ao = to_dense(X.Ad), to_dense(X.Ao)
-    n_ell, D = X.Ad.mats.shape[:2]
+    Ad, Ao = to_dense(X[0]), to_dense(X[1])
+    n_ell, D = X.mats.shape[1:3]
     K = np.zeros((n_ell * D, n_ell * D), dtype=complex)
     for i in range(n_ell):
         j = n_ell - 1 - i         # the row of -l
-        K[j * D:(j + 1) * D, i * D:(i + 1) * D] = X.Ad.K
+        K[j * D:(j + 1) * D, i * D:(i + 1) * D] = X.K
 
     def conj(M):
         return K @ np.conj(M) @ np.conj(K)
@@ -338,10 +356,10 @@ def pair_to_dense(X: OperatorPair) -> np.ndarray:
     return np.concatenate([top, bot], axis=0)
 
 
-def structure_defect(X: OperatorPair) -> float:
+def structure_defect(X: BlockOperator) -> float:
     """max deviation from [A^d]* = A^d, [A^o]* = conj(A^o)."""
-    dd = (X.Ad.adjoint() - X.Ad).norm_max()
-    oo = (X.Ao.adjoint() - X.Ao.conj_op()).norm_max()
+    dd = (X[0].adjoint() - X[0]).norm_max()
+    oo = (X[1].adjoint() - X[1].conj_op()).norm_max()
     return max(dd, oo)
 
 

@@ -419,8 +419,9 @@ def test_criterion_8_literal_band_slope():
 def test_criterion_9_algebra_invariants():
     import scipy.linalg
     from fastwave.harmonics import multiply
-    from fastwave.opmatrix import BlockOperator, OperatorPair, ad, s_decay_norm
-    from oracles import left_right_ops, lie_conjugate, random_function, sobolev_norm
+    from fastwave.opmatrix import BlockOperator, ad, s_decay_norm
+    from oracles import (left_right_ops, lie_conjugate, random_function, sobolev_norm,
+                         stack_pair, zero_op)
     rng = np.random.default_rng(20250810)    # fresh seed, disjoint from calibration
     # M_L/M_R spectrum = pairwise sums exactly
     worst_pair = 0.0
@@ -449,7 +450,7 @@ def test_criterion_9_algebra_invariants():
     D = 2 * lat.J + 1
 
     def rand_pair(scale=1.0, max_ell=1):
-        Ad, Ao = BlockOperator.zero(lat), BlockOperator.zero(lat)
+        Ad, Ao = zero_op(lat), zero_op(lat)
         for ell in ((-1,), (0,), (1,)):
             Ad.mat(ell)[:] = scale * (rng.standard_normal((D, D))
                                       + 1j * rng.standard_normal((D, D)))
@@ -457,7 +458,7 @@ def test_criterion_9_algebra_invariants():
                                       + 1j * rng.standard_normal((D, D)))
         Ad = 0.5 * (Ad + Ad.adjoint())
         Ao = 0.5 * (Ao + Ao.conj_op().adjoint())
-        return OperatorPair(Ad, Ao)
+        return stack_pair(Ad, Ao)
 
     from fastwave.evolution import pair_at_angle
     worst_ad = worst_lie = 0.0
@@ -491,7 +492,7 @@ def test_criterion_9_algebra_invariants():
     Dm = 2 * lat2.J + 1
     for k in range(250):
         pick = rng.choice(len(lat2.ell_range()), size=3, replace=False)
-        A, B = BlockOperator.zero(lat2), BlockOperator.zero(lat2)
+        A, B = zero_op(lat2), zero_op(lat2)
         A.mats[pick] = [rng.standard_normal((Dm, Dm)) for _ in pick]
         B.mats[pick] = [rng.standard_normal((Dm, Dm)) for _ in pick]
         lhs = s_decay_norm(A @ B, s)

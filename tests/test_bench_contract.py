@@ -4,9 +4,10 @@ Each workload of perfbench/workloads.py runs in-process at toy size and its
 outputs must pass the workload's own gates.  A change to a public signature
 the benchmark calls (for example `kam_iterate(track_norms=...)`) turns its
 ops into failures and fails this test.  The traced paper-toy-kam run checks
-that norm work still runs under the function names the benchmark wraps, so a
-refactor that moves it elsewhere fails here instead of zeroing a per-layer
-metric.
+that norm work, `ad` and the homological solve still run under the function
+names the benchmark wraps, so a refactor that moves them elsewhere (a method
+in place of the module-level `ad`, say) fails here instead of zeroing a
+per-layer metric.
 """
 
 import os
@@ -42,3 +43,5 @@ def test_traced_kam_run_attributes_norm_time():
     assert w.failures(outputs) == []
     assert layers["opmatrix.norm_calls"] > 0
     assert layers["kam.norm_tracking_s"] > 0
+    assert layers["opmatrix.ad_calls"] > 0
+    assert layers["kam.solve_homological_calls"] > 0

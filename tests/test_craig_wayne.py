@@ -9,7 +9,7 @@ from fastwave.craig_wayne import (
 from fastwave.harmonics import Lattice
 from fastwave.opmatrix import BlockOperator, s_decay_norm
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks
-from oracles import sobolev_norm, x_only
+from oracles import sobolev_norm, x_only, zero_op
 
 
 def xcoeffs(J, entries):
@@ -315,7 +315,7 @@ def test_change_basis_identity_and_round_trip():
     assert np.max(np.abs(Ie.mat((0,)) - np.eye(2 * J + 1))) < 1e-10
     rng = np.random.default_rng(6)
     D = 2 * J + 1
-    A = BlockOperator.zero(lat)
+    A = zero_op(lat)
     A.mat((0,))[:] = rng.standard_normal((D, D))
     A.mat((1,))[:] = rng.standard_normal((D, D))
     # back to the exponential basis: A_exp(l) = M^T A_eig(l) conj(M)

@@ -4,11 +4,12 @@ import pytest
 from fastwave.craig_wayne import build_basis_matrix, change_basis
 from fastwave.evolution import (
     FloquetFrame, band_width, floquet_residual, integrate,
-    pair_state, sigma4_exponential, sobolev_trace,
+    pair_at_angle, pair_state, sobolev_trace,
 )
 from fastwave.harmonics import Lattice, TorusFunction
 from fastwave.kam import KamParameters, init_state, kam_iterate
 from fastwave.magnus import magnus_transform
+from fastwave.opmatrix import BlockOperator
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks, spectral_power
 from oracles import dense_strang, eigen_W, resonant_drive
 
@@ -180,14 +181,21 @@ def test_floquet_residual_decreases_with_depth():
 
 
 def test_sigma4_exponential_inverse():
+    # e^{iY sigma4} = 1 + i (the pair (Y, Y) at the angle), and its inverse is
+    # the same with -Y, since sigma4 is nilpotent
     rng = np.random.default_rng(6)
     Y = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     Y = 0.5 * (Y + Y.conj().T)
     K = np.eye(5)[::-1].astype(complex)
     Y = 0.5 * (Y + K @ np.conj(Y) @ np.conj(K))    # conj-real structure
-    E = sigma4_exponential(Y, K)
-    Em = sigma4_exponential(-Y, K)
+    lat = Lattice(1, 2, 2)
+
+    def sigma4_exponential(Y):
+        YY = BlockOperator.time_independent(lat, np.stack([Y, Y]), K)
+        return np.eye(10) + 1j * pair_at_angle(YY, np.array([0.3]))
+    E, Em = sigma4_exponential(Y), sigma4_exponential(-Y)
     assert np.max(np.abs(E @ Em - np.eye(10))) < 1e-12
+    assert np.array_equal(E[:5, 5:], 1j * Y)
 
 
 def test_resonant_drive_grows():

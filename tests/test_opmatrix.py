@@ -4,13 +4,13 @@ import scipy.linalg
 
 from fastwave.harmonics import Lattice
 from fastwave.opmatrix import (
-    BlockOperator, LieSeriesDiverged, OperatorPair, _conj_grid, _from_phi_grid,
+    BlockOperator, LieSeriesDiverged, _conj_grid, _from_phi_grid,
     _pair_norm_terms, _pair_term_norms, _phi_grid, _x_grids, ad,
-    lie_series, pair_norm, project_modes, s_decay_norm,
+    lie_series, pair_norm, s_decay_norm,
 )
 from oracles import (apply, block, block_slice, left_right_ops, lie_conjugate,
-                     pair_to_dense, random_function, sobolev_norm, structure_defect,
-                     zero_pair)
+                     pair_to_dense, random_function, sobolev_norm, stack_pair,
+                     structure_defect, zero_op, zero_pair)
 
 LAT = Lattice(1, 3, 6)
 LAT2 = Lattice(2, 2, 4)
@@ -18,14 +18,14 @@ LAT2 = Lattice(2, 2, 4)
 
 def modes_op(lat, modes, K=None):
     """The operator with the coefficients {l: A(l)}, zero at every other mode."""
-    A = BlockOperator.zero(lat, K)
+    A = zero_op(lat, K)
     for ell, m in modes.items():
         A.mat(ell)[:] = m
     return A
 
 
 def within(A, max_ell):
-    """A with the modes max_i |l_i| > max_ell set to zero."""
+    """A (an operator or a stack) with the modes max_i |l_i| > max_ell set to zero."""
     keep = np.max(np.abs(A.lattice.ell_range()), axis=1) <= max_ell
     return BlockOperator(A.lattice, A.mats * keep[:, None, None])
 
@@ -48,7 +48,7 @@ def random_pair(lat, rng, scale=1.0, K=None, n_ell=4):
     Ao = random_block_op(lat, rng, n_ell=n_ell, scale=scale, K=K)
     Ad = 0.5 * (Ad + Ad.adjoint())
     Ao = 0.5 * (Ao + Ao.conj_op().adjoint())
-    return OperatorPair(Ad, Ao)
+    return stack_pair(Ad, Ao)
 
 
 def s_decay_norm_loop(A, s, left=0.0, right=0.0):
@@ -70,7 +70,7 @@ def s_decay_norm_loop(A, s, left=0.0, right=0.0):
 
 def pair_norm_loop_terms(P, s, alpha, beta):
     """Direct-loop oracle for every term of the M_s(alpha, beta) pair norm."""
-    return [s_decay_norm_loop(P.Ad if comp == "d" else P.Ao, s, left, right)
+    return [s_decay_norm_loop(P[0] if comp == "d" else P[1], s, left, right)
             for left, right, comp in _pair_norm_terms(alpha, beta)]
 
 
@@ -83,7 +83,7 @@ def test_identity_norm():
 def test_single_block_norm():
     rng = np.random.default_rng(0)
     blk = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    A = BlockOperator.zero(LAT)
+    A = zero_op(LAT)
     A.mat((2,))[np.ix_(block_slice(LAT.J, 1), block_slice(LAT.J, 4))] = blk
     s = 2.0
     expect = max(1.0, 2.0, 3.0) ** s * np.linalg.norm(blk)
@@ -180,8 +180,8 @@ def test_pair_norm_zero_and_dedup():
     rng = np.random.default_rng(7)
     P = random_pair(LAT, rng)
     # alpha = beta = 0: 4 one-sided + 2 conjugated copies of plain norms
-    plain_d = s_decay_norm(P.Ad, 2.0)
-    plain_o = s_decay_norm(P.Ao, 2.0)
+    plain_d = s_decay_norm(P[0], 2.0)
+    plain_o = s_decay_norm(P[1], 2.0)
     assert pair_norm(P, 2.0, 0.0, 0.0) == pytest.approx(3 * plain_d + 3 * plain_o, rel=1e-12)
 
 
@@ -190,7 +190,7 @@ def test_pair_norm_diagonal_closed_form():
     J = LAT.J
     w = np.maximum(1, np.abs(np.arange(-J, J + 1)))
     Ad = BlockOperator.time_independent(LAT, np.diag(1.0 / w).astype(complex))
-    P = OperatorPair(Ad, BlockOperator.zero(LAT))
+    P = stack_pair(Ad, zero_op(LAT))
     # each diagonal-weight term: sup_n ||<n>^{a} <n>^{-1} Id_[n]||_HS over h=0
     # <D>A<D^{-1}> leaves A unchanged; <D>^1-weighted: sup_n <n>^0 sqrt(2) = sqrt(2)
     # terms: <D>Ad (sqrt2), Ad<D> (sqrt2), two o-terms 0,
@@ -215,14 +215,14 @@ def test_ad_zero_and_commuting():
     # diagonal multiples of the identity commute
     lam = np.diag(rng.standard_normal(13)).astype(complex)
     Dd = BlockOperator.time_independent(LAT, lam)
-    X2 = OperatorPair(Dd, BlockOperator.zero(LAT))
-    V2 = OperatorPair(Dd * 2.0, BlockOperator.zero(LAT))
+    X2 = stack_pair(Dd, zero_op(LAT))
+    V2 = stack_pair(Dd * 2.0, zero_op(LAT))
     assert ad(X2, V2).norm_max() < 1e-14
 
 
 def ad_product_oracle(X, V):
     """The eight-product formula of ad_X(V), through __matmul__ and conj_op."""
-    Xd, Xo, Vd, Vo = X.Ad, X.Ao, V.Ad, V.Ao
+    Xd, Xo, Vd, Vo = X[0], X[1], V[0], V[1]
     Wd = Xd @ Vd - Vd @ Xd - (Xo @ Vo.conj_op() - Vo @ Xo.conj_op())
     Wo = Xd @ Vo + Vo @ Xd.conj_op() - (Xo @ Vd.conj_op() + Vd @ Xo)
     return 1j * Wd, 1j * Wo
@@ -237,14 +237,18 @@ def edge_op(lat, rng, K=None):
                           for e in ells}, K)
 
 
-def spectral_K(J):
+def spectral_sd(J):
     from fastwave.schrodinger import assemble_lq, eigensolve_blocks
     # real, not even: the eigenbasis conjugation carries complex phases
     qc = np.zeros(2 * J + 1, dtype=complex)
     qc[J] = 1.0
     qc[J + 1], qc[J + 2] = 0.5 * np.exp(0.7j), 0.3 * np.exp(1.1j)
     qc[J - 1], qc[J - 2] = np.conj(qc[J + 1]), np.conj(qc[J + 2])
-    K = eigensolve_blocks(assemble_lq(qc, J), q=qc).conjugation_matrix()
+    return eigensolve_blocks(assemble_lq(qc, J), q=qc)
+
+
+def spectral_K(J):
+    K = spectral_sd(J).conjugation_matrix()
     # not a permutation matrix: entries other than 0 and 1
     assert np.max(np.abs(K - np.round(K.real))) > 1e-3
     return K
@@ -263,16 +267,16 @@ def test_ad_matches_product_oracle(lat, basis, support):
         X = random_pair(lat, rng, K=K, n_ell=n_modes)
         V = random_pair(lat, rng, K=K, n_ell=n_modes)
     else:
-        X = OperatorPair(edge_op(lat, rng, K), edge_op(lat, rng, K))
-        V = OperatorPair(edge_op(lat, rng, K), edge_op(lat, rng, K))
+        X = stack_pair(edge_op(lat, rng, K), edge_op(lat, rng, K))
+        V = stack_pair(edge_op(lat, rng, K), edge_op(lat, rng, K))
     W = ad(X, V)
     Wd, Wo = ad_product_oracle(X, V)
     scale = max(Wd.norm_max(), Wo.norm_max())
-    for got, want in ((W.Ad, Wd), (W.Ao, Wo)):
+    for got, want in ((W[0], Wd), (W[1], Wo)):
         assert np.max(np.abs(got.mats - want.mats)) <= 1e-12 * scale
     # the shared grids of a Lie series give the same terms
     W2 = ad(X, V, _x_grids(X))
-    assert (W2.Ad - W.Ad).norm_max() == 0.0 and (W2.Ao - W.Ao).norm_max() == 0.0
+    assert (W2 - W).norm_max() == 0.0
 
 
 def test_ad_matches_dense_commutator():
@@ -281,10 +285,9 @@ def test_ad_matches_dense_commutator():
     lat = Lattice(1, 2, 3)
     X = random_pair(lat, rng)
     V = random_pair(lat, rng)
-    X0 = OperatorPair(BlockOperator.time_independent(lat, X.Ad.mat((0,))),
-                      BlockOperator.time_independent(lat, X.Ao.mat((0,))))
-    V0 = OperatorPair(BlockOperator.time_independent(lat, V.Ad.mat((0,))),
-                      BlockOperator.time_independent(lat, V.Ao.mat((0,))))
+    X0 = BlockOperator.time_independent(lat, X.mat((0,)))
+    V0 = BlockOperator.time_independent(lat, V.mat((0,)))
+    assert X0.mats.shape == X.mats.shape
     W0 = ad(X0, V0)
     lhs0 = pair_to_dense(W0)
     X0d, V0d = pair_to_dense(X0), pair_to_dense(V0)
@@ -298,7 +301,7 @@ def test_conj_on_grid_matches_conj_op(lat):
     rng = np.random.default_rng(21)
     for K in (None, spectral_K(lat.J)):
         A = random_block_op(lat, rng, n_ell=len(lat.ell_range()), K=K)
-        got, = _from_phi_grid(lat, _conj_grid(_phi_grid(lat, (A,)), A.K), A.K)
+        got = _from_phi_grid(lat, _conj_grid(_phi_grid(lat, A.mats), A.K), A.K)
         want = A.conj_op()
         assert got.mats.shape == want.mats.shape
         assert np.max(np.abs(got.mats - want.mats)) <= 1e-12 * want.norm_max()
@@ -319,7 +322,7 @@ def test_dense_layout_matches_per_mode_formulas():
     zero = np.zeros((D, D), dtype=complex)
     omega, phi, N, tol = np.array([0.7, -1.3]), np.array([0.4, 2.2]), 2.0, 0.05
     adj, cnj, dphi, pruned = A.adjoint(), A.conj_op(), A.omega_dphi(omega), A.prune(tol)
-    lo, hi = OperatorPair(A, A.conj_op()).project(N)
+    lo, hi = stack_pair(A, A.conj_op()).project(N)
     ells = [tuple(int(c) for c in e) for e in lat.ell_range()]
     assert A.mats.shape == ((2 * L + 1) ** 2, D, D)
     for i, ell in enumerate(ells):
@@ -332,15 +335,46 @@ def test_dense_layout_matches_per_mode_formulas():
         assert np.max(np.abs(cnj.mat(ell) - K @ np.conj(a_neg) @ Kc)) <= 1e-14
         assert np.max(np.abs(dphi.mat(ell) - 1j * np.dot(omega, ell) * a)) <= 1e-14
         low = np.linalg.norm(ell) <= N
-        assert np.array_equal(lo.Ad.mat(ell), a if low else zero)
-        assert np.array_equal(hi.Ad.mat(ell), zero if low else a)
-        assert np.array_equal(hi.Ao.mat(ell), zero if low else cnj.mat(ell))
+        assert np.array_equal(lo[0].mat(ell), a if low else zero)
+        assert np.array_equal(hi[0].mat(ell), zero if low else a)
+        assert np.array_equal(hi[1].mat(ell), zero if low else cnj.mat(ell))
         assert np.array_equal(pruned.mat(ell), a if np.max(np.abs(a)) > tol else zero)
     assert not pruned.mat((0, 0)).any() and pruned.mat((L, -L)).any()
     want = sum(m * np.exp(1j * np.dot(ell, phi)) for ell, m in modes.items())
     assert np.max(np.abs(A.at_angle(phi) - want)) <= 1e-13
     with pytest.raises(ValueError):
         BlockOperator(lat, A.mats[1:], K)
+
+
+@pytest.mark.parametrize("lat", [LAT, LAT2], ids=["nu1", "nu2"])
+def test_stack_methods_act_slice_by_slice(lat):
+    # each method on a pair stack (2, n_l, D, D) equals, byte for byte, the
+    # same method on each slice; the eigenbasis K is not the index flip
+    from fastwave.craig_wayne import build_basis_matrix, change_basis
+    rng = np.random.default_rng(41)
+    basis = build_basis_matrix(spectral_sd(lat.J))
+    n_modes = len(lat.ell_range())
+    P = stack_pair(*(random_block_op(lat, rng, n_ell=n_modes, K=basis.K) for _ in "do"))
+    # a different set of modes of each slice falls below the prune tolerance
+    P.mats[0, ::3] *= 1e-3
+    P.mats[1, 1::3] *= 1e-3
+    omega, phi = np.array([0.7, -1.3])[:lat.nu], np.array([0.4, 2.2])[:lat.nu]
+    methods = {
+        "adjoint": lambda A: A.adjoint().mats,
+        "conj_op": lambda A: A.conj_op().mats,
+        "prune": lambda A: A.prune(0.05).mats,
+        "project low": lambda A: A.project(1.5)[0].mats,
+        "project high": lambda A: A.project(1.5)[1].mats,
+        "omega_dphi": lambda A: A.omega_dphi(omega).mats,
+        "at_angle": lambda A: A.at_angle(phi),
+        "mat": lambda A: A.mat((1,) * lat.nu),
+        "change_basis": lambda A: change_basis(A, basis).mats,
+    }
+    pruned = P.prune(0.05).mats
+    assert not pruned[0, 0].any() and pruned[1, 0].any()
+    for name, method in methods.items():
+        got, want = method(P), np.stack([method(P[0]), method(P[1])])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 def test_ad_fft_count_and_grid_lifetime(monkeypatch):
@@ -383,7 +417,7 @@ def test_ad_fft_count_and_grid_lifetime(monkeypatch):
     out, _ = lie_conjugate(X, V)
     assert counts["x_grids"] == 1 and n_terms > 3
     assert counts["ifftn"] == 2 + 2 * n_terms and counts["fftn"] == 2 * n_terms
-    assert not hasattr(out.Ad, "_grid") and not hasattr(out.Ad, "__dict__")
+    assert not hasattr(out, "_grid") and not hasattr(out, "__dict__")
 
 
 def test_ad_preserves_structure():
@@ -401,19 +435,19 @@ def test_lie_conjugate_identity_and_zero():
     X = zero_pair(LAT)
     out, diff = lie_conjugate(X, V)
     assert diff.norm_max() == 0.0
-    assert (out.Ad - V.Ad).norm_max() == 0.0
+    assert (out - V).norm_max() == 0.0
 
 
 def pair_family_at_angle(P, phi):
     """The 2x2 matrix-of-operators of P evaluated at a fixed angle."""
-    lat = P.Ad.lattice
+    lat = P.lattice
     D = 2 * lat.J + 1
     Ad = np.zeros((D, D), dtype=complex)
     Ao = np.zeros((D, D), dtype=complex)
-    for ell, md, mo in zip(lat.ell_range(), P.Ad.mats, P.Ao.mats):
+    for ell, md, mo in zip(lat.ell_range(), P.mats[0], P.mats[1]):
         Ad += md * np.exp(1j * np.dot(ell, phi))
         Ao += mo * np.exp(1j * np.dot(ell, phi))
-    K = P.Ad.K
+    K = P.K
     top = np.concatenate([Ad, Ao], axis=1)
     bot = np.concatenate([-K @ np.conj(Ao) @ np.conj(K), -K @ np.conj(Ad) @ np.conj(K)], axis=1)
     return np.concatenate([top, bot], axis=0)
@@ -426,10 +460,9 @@ def test_lie_conjugate_matches_dense_expm():
     rng = np.random.default_rng(12)
     lat = Lattice(1, 4, 3)
     X = random_pair(lat, rng)
-    X = OperatorPair(within(X.Ad, 1), within(X.Ao, 1))
+    X = within(X, 1)
     X = X * (2e-3 / max(X.norm_max(), 1e-30))
-    V = random_pair(lat, rng)
-    V = OperatorPair(within(V.Ad, 1), within(V.Ao, 1))
+    V = within(random_pair(lat, rng), 1)
     out, _ = lie_conjugate(X, V, tol=1e-16)
     for phi in (np.array([0.0]), np.array([0.7]), np.array([2.1])):
         Xm = pair_family_at_angle(X, phi)
@@ -446,7 +479,7 @@ def test_lie_series_xdot_matches_dense_integral():
     rng = np.random.default_rng(12)
     lat = Lattice(1, 10, 3)
     X = random_pair(lat, rng)
-    X = OperatorPair(within(X.Ad, 1), within(X.Ao, 1))
+    X = within(X, 1)
     X = X * (0.05 / max(X.norm_max(), 1e-30))
     Xdot = X.omega_dphi(np.array([1.3]))
     out = lie_series(X, Xdot, Xdot, 1, 1, 1e-16, 1.0 + Xdot.norm_max(), 30, _x_grids(X))
@@ -472,15 +505,15 @@ def test_lie_conjugate_divergence_guard():
 def test_project_modes():
     rng = np.random.default_rng(14)
     A = random_block_op(LAT, rng, n_ell=6)
-    lo, hi = project_modes(A, LAT.L)
+    lo, hi = A.project(LAT.L)
     assert hi.norm_max() == 0.0
-    lo0, hi0 = project_modes(A, 0)
+    lo0, hi0 = A.project(0)
     for ell, m in zip(LAT.ell_range(), lo0.mats):
         assert all(c == 0 for c in ell) or not m.any()
     # smoothing estimate |Pi_N^perp A|_s <= N^{-b} |A|_{s+b}
     for b in (1.0, 2.0):
         for N in (1, 2):
-            _, tail = project_modes(A, N)
+            _, tail = A.project(N)
             assert s_decay_norm(tail, 2.0) <= N ** (-b) * s_decay_norm(A, 2.0 + b) + 1e-12
 
 
