@@ -69,6 +69,8 @@ def validate_config(cfg: dict) -> dict:
     if not (0.0 < out["alpha"] < 1.0):
         raise ConfigError("alpha must lie in (0, 1); alpha = 1 breaks the balance")
     nu = int(out["nu"])
+    if not out["tau0"] > nu - 1:
+        raise ConfigError(f"tau0 must exceed nu-1 = {nu - 1} for Omega_0 to have large measure")
     need = nu - 1 + out["alpha"] + out["tau0"] / out["alpha"]
     if not out["tau"] > need:
         raise ConfigError(f"tau must exceed nu-1+alpha+tau0/alpha = {need:.3f}")
@@ -322,7 +324,7 @@ def stage_kam(ctx: dict) -> dict:
     n_dec = len(_log_decrements(final.history)[0])
     chi_reason = None if math.isfinite(chi) else (
         f"{n_dec} positive log-decrement(s) of delta_s0 after p={final.p}, 2 needed")
-    return {"pass": bool(decreasing and sa_ok), "smallness_ok": bool(ok_small),
+    return {"pass": bool(decreasing and sa_ok and ok_small), "smallness_ok": bool(ok_small),
             "smallness_margin": margin, "measured_chi": chi, "chi_reason": chi_reason,
             "weighted_eps_sup": weighted_sup,
             "csv": {"kam_history.csv": buf1.getvalue(),

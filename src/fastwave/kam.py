@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .harmonics import Lattice
-from .opmatrix import BlockOperator, _x_grids, ad, lie_series, pair_norm
+from .opmatrix import BlockOperator, _phi_grid, ad, lie_series, pair_norm
 from .psdo import DEFAULT_CUTOFF
 from .calibration import CONSTANTS
 
@@ -327,14 +327,14 @@ def kam_step(state: KamState, track_norms: bool = True) -> tuple:
 
     # Pi_N^perp V + the V series + the H0 and Xdot series merged as one of
     # ad_X H0 - Xdot (module docstring), one `ad` per power for both;
-    # X's phi-grids are built once and shared by every `ad`
-    x_grids = _x_grids(X)
-    adH0 = ad(X, H0pair, x_grids)
+    # X's phi-grid is built once and shared by every `ad`
+    x_grid = _phi_grid(lat, X.mats)
+    adH0 = ad(X, H0pair, x_grid)
     scale = max(adH0.norm_max(), state.V.norm_max(), 1e-300)
     V_new = lie_series(X, state.V.project(Np)[1], state.V, 1, 0, LIE_TOL, scale, LIE_N_MAX,
-                       x_grids)
+                       x_grid)
     V_new = lie_series(X, V_new, adH0 - X.omega_dphi(state.omega), 1, 1, LIE_TOL, scale,
-                       LIE_N_MAX, x_grids)
+                       LIE_N_MAX, x_grid)
 
     noise = 1e-14 * max(V_new.norm_max(), 1e-300)
     V_new = V_new.prune(noise)

@@ -49,15 +49,17 @@ as G(phi) = sum_l A(l) e^{i l.phi} at P = 4L+2 points per angle axis (inverse
 FFT), multiplied pointwise in phi, and cut back to the modes |l| <= L
 (forward FFT).  The conjugate needs no FFT there, since at the same phi
 
-    conj(A)(phi) = K conj(G(phi)) conj(K) .
+    conj(A)(phi) = K conj(G(phi)) conj(K)
+
+(`conj_op`, the Floquet assembly); `ad` takes no conjugate grid (see there).
 
 Both transforms run in place on their buffer (`out=`): the grids are the
 largest arrays of a KAM step, and a second copy per transform raises the
 peak memory of an L=64 run by about a tenth.  Grids are transient and never
 stored on an operator: a product builds and drops its operands' grids, `ad`
-sums its eight products into one (2, P.., D, D) grid stack, and
-`lie_series` takes X's grids once per series (`kam_step` builds them once
-per step).
+makes its four products into one (2, P.., D, D) grid stack, and
+`lie_series` takes X's grid once per series (`kam_step` builds it once per
+step).
 """
 
 from __future__ import annotations
@@ -312,45 +314,38 @@ def pair_norm(P: BlockOperator, s: float, alpha: float, beta: float) -> float:
 # -- operator pairs ----------------------------------------------------------
 
 
-def _x_grids(X: BlockOperator) -> tuple:
-    """The phi-grids ((Xd, Xo), (conj Xd, conj Xo)) of the left operand of ad_X."""
-    G = _phi_grid(X.lattice, X.mats)
-    return G, _conj_grid(G, X.K)
-
-
-def _sum_products(out: np.ndarray, terms):
-    """out = sum of sign * (a @ b) over terms (sign, a, b), accumulated in place."""
-    (_, a, b), *rest = terms
-    np.matmul(a, b, out=out)
-    tmp = np.empty_like(out)
-    for sign, a, b in rest:
-        np.matmul(a, b, out=tmp)
-        if sign > 0:
-            out += tmp
-        else:
-            out -= tmp
-
-
-def ad(X: BlockOperator, V: BlockOperator, x_grids: tuple | None = None) -> BlockOperator:
-    """ad_X(V) = i[X, V] on operator pairs (component formulas of the 2x2 algebra):
+def ad(X: BlockOperator, V: BlockOperator, x_grid: np.ndarray | None = None) -> BlockOperator:
+    """ad_X(V) = i[X, V] on Hamiltonian pairs (component formulas of the 2x2 algebra):
 
         W^d = X^d V^d - V^d X^d - X^o conj(V^o) + V^o conj(X^o),
         W^o = X^d V^o + V^o conj(X^d) - X^o conj(V^d) - V^d X^o,   ad_X(V) = i (W^d, W^o).
 
-    The eight products are summed on the phi-grid in one pass: V's two grids
-    (2 inverse FFTs), the conj grids K conj(G(phi)) conj(K) at the same phi,
-    and W^d, W^o back to modes |l| <= L (2 forward FFTs).  x_grids are X's
-    grids from `_x_grids(X)`, built here when not given; a Lie series shares
-    one build across its terms.
+    Precondition: X and V are Hamiltonian (A^d self-adjoint, (A^o)^* =
+    conj(A^o)), as is every generator, remainder and Lie-series term of the
+    KAM iteration.  On the phi-grid X^d, V^d are then Hermitian and
+    conj(V^o) = (V^o)^H, so with S = X^d V^d - X^o (V^o)^H and
+    R = X^d V^o - V^d X^o,  W^d = S - S^* and W^o = R + (conj R)^*.  In modes
+    S^*(l) = S(-l)^H and (conj R)^*(l) = K R(l)^T conj(K) (K is unitary with
+    K conj(K) = I, so K = K^T).  That is four grid products, V's grids
+    (2 inverse FFTs), S and R back to modes |l| <= L (2 forward FFTs), and an
+    adjoint and a K-sandwich on the modes.  i is taken into S and R first, so
+    i W^d = iS + (iS)^* is self-adjoint bit for bit.  x_grid is X's grid
+    `_phi_grid(X.lattice, X.mats)`, built here when not given; a Lie series
+    shares one build across its terms.
     """
-    (Xd, Xo), (cXd, cXo) = _x_grids(X) if x_grids is None else x_grids
-    G = _phi_grid(V.lattice, V.mats)
-    (Vd, Vo), (cVd, cVo) = G, _conj_grid(G, V.K)
-    W = np.empty_like(G)
-    _sum_products(W[0], ((1, Xd, Vd), (-1, Vd, Xd), (-1, Xo, cVo), (1, Vo, cXo)))
-    _sum_products(W[1], ((1, Xd, Vo), (1, Vo, cXd), (-1, Xo, cVd), (-1, Vd, Xo)))
-    W *= 1j
-    return _from_phi_grid(X.lattice, W, X.K)
+    Xd, Xo = _phi_grid(X.lattice, X.mats) if x_grid is None else x_grid
+    Vd, Vo = G = _phi_grid(V.lattice, V.mats)
+    SR = np.empty_like(G)
+    np.matmul(Xd, Vd, out=SR[0])
+    SR[0] -= Xo @ np.conj(Vo).swapaxes(-1, -2)
+    np.matmul(Xd, Vo, out=SR[1])
+    SR[1] -= Vd @ Xo
+    W = _from_phi_grid(X.lattice, SR, X.K)
+    W.mats *= 1j
+    S, R = W.mats
+    S += S[::-1].conj().swapaxes(-1, -2)
+    R += X.K @ R.swapaxes(-1, -2) @ np.conj(X.K)
+    return W
 
 
 class LieSeriesDiverged(RuntimeError):
@@ -359,19 +354,20 @@ class LieSeriesDiverged(RuntimeError):
 
 def lie_series(X: BlockOperator, total: BlockOperator, term: BlockOperator,
                first: int, shift: int, tol: float, scale: float,
-               n_max: int, x_grids: tuple) -> BlockOperator:
+               n_max: int, x_grid: np.ndarray) -> BlockOperator:
     """total + sum_{k=first..n_max} t_k, t_k = ad_X(t_{k-1})/(k + shift), t_{first-1} = term.
 
-    Each term is added to the running total as it is made.  X's phi-grids
-    (x_grids, from `_x_grids(X)`) are shared by every term's `ad`.  The
-    series stops after its first term whose max entry is below tol * scale.
+    Each term is added to the running total as it is made.  X's phi-grid
+    (x_grid, from `_phi_grid(X.lattice, X.mats)`) is shared by every term's
+    `ad`.  The series stops after its first term whose max entry is below
+    tol * scale.
     LieSeriesDiverged is raised when a term above scale is more than 4x the
     one before it, or when the term of index n_max is still above
     sqrt(tol) * scale.
     """
     prev_inc = None
     for k in range(first, n_max + 1):
-        term = ad(X, term, x_grids) * (1.0 / (k + shift))
+        term = ad(X, term, x_grid) * (1.0 / (k + shift))
         inc = term.norm_max()
         total = total + term
         if inc < tol * scale:

@@ -14,7 +14,7 @@ from fastwave.craig_wayne import build_basis_matrix, change_basis
 from fastwave.harmonics import TorusFunction
 from fastwave.magnus import magnus_transform
 from fastwave.kam import LIE_N_MAX, LIE_TOL, prune_C1, solve_homological
-from fastwave.opmatrix import BlockOperator, _conj_grid, _x_grids, ad, lie_series
+from fastwave.opmatrix import BlockOperator, _conj_grid, _phi_grid, ad, lie_series
 from fastwave.psdo import Symbol, _add, _mul, _pointwise
 
 
@@ -25,7 +25,8 @@ def lie_conjugate(X: BlockOperator, V: BlockOperator, tol: float = 1e-14,
     Returns (conjugated pair, difference pair = result - V).
     """
     zero = zero_pair(V.lattice, V.K)
-    diff = lie_series(X, zero, V, 1, 0, tol, 1.0 + V.norm_max(), n_max, _x_grids(X))
+    diff = lie_series(X, zero, V, 1, 0, tol, 1.0 + V.norm_max(), n_max,
+                      _phi_grid(X.lattice, X.mats))
     return V + diff, diff
 
 
@@ -42,14 +43,14 @@ def three_series_remainder(state) -> BlockOperator:
     X = solve_homological(state, Np)
     H0pair = stack_pair(BlockOperator.time_independent(state.lattice, state.H0, K=state.V.K),
                         zero_op(state.lattice, K=state.V.K))
-    x_grids = _x_grids(X)
-    adH0 = ad(X, H0pair, x_grids)
+    x_grid = _phi_grid(X.lattice, X.mats)
+    adH0 = ad(X, H0pair, x_grid)
     scale = max(adH0.norm_max(), state.V.norm_max(), 1e-300)
     V_new = lie_series(X, state.V.project(Np)[1], adH0, 2, 0, LIE_TOL, scale, LIE_N_MAX,
-                       x_grids)
-    V_new = lie_series(X, V_new, state.V, 1, 0, LIE_TOL, scale, LIE_N_MAX, x_grids)
+                       x_grid)
+    V_new = lie_series(X, V_new, state.V, 1, 0, LIE_TOL, scale, LIE_N_MAX, x_grid)
     V_new = lie_series(X, V_new, X.omega_dphi(state.omega) * -1.0, 1, 1,
-                       LIE_TOL, scale, LIE_N_MAX, x_grids)
+                       LIE_TOL, scale, LIE_N_MAX, x_grid)
     noise = 1e-14 * max(V_new.norm_max(), 1e-300)
     return V_new.prune(noise)
 

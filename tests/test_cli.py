@@ -32,6 +32,15 @@ def test_validate_config_guards():
     assert cfg["gamma0"] == pytest.approx(cfg["gamma"] ** (cfg["alpha"] / 4))
 
 
+def test_validate_config_requires_tau0_above_nu_minus_1():
+    # tau = 5 meets the tau constraint at both tau0, so tau0 alone decides
+    with pytest.raises(ConfigError, match="tau0"):
+        validate_config({"nu": 2, "tau0": 1.0, "tau": 5.0})
+    assert validate_config({"nu": 2, "tau0": 1.5, "tau": 5.0})["tau0"] == 1.5
+    for name in ("demo", "paper-toy", "measure"):
+        validate_config(named_config(name))
+
+
 def test_build_q_families():
     J = 8
     c = build_q({"q": {"family": "constant", "value": 2.0}}, J)
@@ -98,6 +107,14 @@ def test_determinism(tmp_path):
         for stage in j["stages"].values():
             stage.pop("seconds")
     assert j1["stages"] == j2["stages"]
+
+
+def test_kam_stage_fails_without_smallness(monkeypatch):
+    from fastwave import kam
+    monkeypatch.setattr(kam, "smallness_check", lambda state: (False, 0.5))
+    stage = run_experiment(small_cfg(), stages=["kam"])["stages"]["kam"]
+    assert not stage["pass"] and not stage["smallness_ok"]
+    assert stage["smallness_margin"] == 0.5
 
 
 def test_stage_failure_skips_dependents(monkeypatch):

@@ -85,6 +85,32 @@ def test_init_state_blocks_and_structure():
     assert normal_form_blocks(state)[3][1, 1] == sd.lam[sd.idx(3)]
 
 
+def test_ad_sees_only_hamiltonian_pairs(monkeypatch):
+    # ad's four-product form holds on Hamiltonian pairs only (opmatrix.ad's
+    # precondition): every operand that the KAM iteration and the sigma4
+    # chain check pass in has the structure, and each W^d is self-adjoint
+    # bit for bit
+    from fastwave import kam
+    from fastwave.magnus import adjoint_chain_check
+    calls = []
+
+    def checked_ad(X, V, x_grid=None):
+        for P in (X, V):
+            assert structure_defect(P) <= 1e-12 * P.norm_max()
+        W = ad(X, V, x_grid)
+        assert np.array_equal(W[0].adjoint().mats, W[0].mats)
+        calls.append(1)
+        return W
+    monkeypatch.setattr(opmatrix, "ad", checked_ad)
+    monkeypatch.setattr(kam, "ad", checked_ad)
+    state, out, *_ = toy_setup()
+    final, _ = kam_iterate(state, p_max=3)
+    n_kam = len(calls)
+    assert final.p == 3 and n_kam > 3 * 3
+    adjoint_chain_check(out)
+    assert len(calls) == n_kam + 3
+
+
 def test_init_state_v_zero_trivial():
     state, *_ = toy_setup(v_modes={})
     assert state.delta(state.s0) == 0.0

@@ -5,7 +5,7 @@ import scipy.linalg
 from fastwave.harmonics import Lattice
 from fastwave.opmatrix import (
     BlockOperator, LieSeriesDiverged, _conj_grid, _from_phi_grid,
-    _pair_norm_terms, _pair_term_norms, _phi_grid, _x_grids, ad,
+    _pair_norm_terms, _pair_term_norms, _phi_grid, ad,
     lie_series, pair_norm, s_decay_norm,
 )
 from oracles import (apply, block, block_slice, left_right_ops, lie_conjugate,
@@ -42,13 +42,16 @@ def random_block_op(lat, rng, n_ell=4, scale=1.0, K=None, max_ell=None):
     return modes_op(lat, mats, K)
 
 
+def hamiltonian_pair(Ad, Ao):
+    """The pair (1/2 (A^d + A^d*), 1/2 (A^o + conj(A^o)*)): the structure constraints hold."""
+    return stack_pair(0.5 * (Ad + Ad.adjoint()), 0.5 * (Ao + Ao.conj_op().adjoint()))
+
+
 def random_pair(lat, rng, scale=1.0, K=None, n_ell=4):
     """Random pair satisfying the structure constraints exactly."""
     Ad = random_block_op(lat, rng, n_ell=n_ell, scale=scale, K=K)
     Ao = random_block_op(lat, rng, n_ell=n_ell, scale=scale, K=K)
-    Ad = 0.5 * (Ad + Ad.adjoint())
-    Ao = 0.5 * (Ao + Ao.conj_op().adjoint())
-    return stack_pair(Ad, Ao)
+    return hamiltonian_pair(Ad, Ao)
 
 
 def s_decay_norm_loop(A, s, left=0.0, right=0.0):
@@ -259,7 +262,8 @@ def spectral_K(J):
 @pytest.mark.parametrize("support", ["full", "edge"])
 def test_ad_matches_product_oracle(lat, basis, support):
     # truncation-aware oracle: every product is cut back to |l| <= L on its
-    # own, so modes at l = +-L exercise the truncation of the grid sum
+    # own, so modes at l = +-L exercise the truncation of the grid sum; the
+    # edge pairs are symmetrized too, since ad takes Hamiltonian pairs only
     rng = np.random.default_rng(9)
     K = spectral_K(lat.J) if basis == "spectral" else None
     if support == "full":
@@ -267,15 +271,16 @@ def test_ad_matches_product_oracle(lat, basis, support):
         X = random_pair(lat, rng, K=K, n_ell=n_modes)
         V = random_pair(lat, rng, K=K, n_ell=n_modes)
     else:
-        X = stack_pair(edge_op(lat, rng, K), edge_op(lat, rng, K))
-        V = stack_pair(edge_op(lat, rng, K), edge_op(lat, rng, K))
+        X = hamiltonian_pair(edge_op(lat, rng, K), edge_op(lat, rng, K))
+        V = hamiltonian_pair(edge_op(lat, rng, K), edge_op(lat, rng, K))
+        assert X.mat((lat.L,) + (0,) * (lat.nu - 1))[1].any()
     W = ad(X, V)
     Wd, Wo = ad_product_oracle(X, V)
     scale = max(Wd.norm_max(), Wo.norm_max())
     for got, want in ((W[0], Wd), (W[1], Wo)):
         assert np.max(np.abs(got.mats - want.mats)) <= 1e-12 * scale
     # the shared grids of a Lie series give the same terms
-    W2 = ad(X, V, _x_grids(X))
+    W2 = ad(X, V, _phi_grid(lat, X.mats))
     assert (W2 - W).norm_max() == 0.0
 
 
@@ -378,14 +383,14 @@ def test_stack_methods_act_slice_by_slice(lat):
 
 
 def test_ad_fft_count_and_grid_lifetime(monkeypatch):
-    # each term of a series transforms 2 grids to phi and 2 back; X's grids
-    # are built once per series, by its caller, and not kept on any operand
-    import oracles
+    # each term of a series transforms 2 grids to phi and 2 back; X's grid
+    # (2 inverse FFTs) is built once per series, by its caller, and not kept
+    # on any operand
     from fastwave import opmatrix
     rng = np.random.default_rng(22)
     X = random_pair(LAT, rng) * 1e-2
     V = random_pair(LAT, rng)
-    counts = {"ifftn": 0, "fftn": 0, "x_grids": 0}
+    counts = {"ifftn": 0, "fftn": 0}
 
     def counted(name, fn):
         def wrapper(a, *args, **kwargs):
@@ -394,28 +399,21 @@ def test_ad_fft_count_and_grid_lifetime(monkeypatch):
         return wrapper
     monkeypatch.setattr(opmatrix.np.fft, "ifftn", counted("ifftn", np.fft.ifftn))
     monkeypatch.setattr(opmatrix.np.fft, "fftn", counted("fftn", np.fft.fftn))
-    build = opmatrix._x_grids
-
-    def counted_x_grids(X):
-        counts["x_grids"] += 1
-        return build(X)
-    monkeypatch.setattr(opmatrix, "_x_grids", counted_x_grids)
-    monkeypatch.setattr(oracles, "_x_grids", counted_x_grids)
-    g = build(X)
+    g = _phi_grid(LAT, X.mats)
     counts.update(ifftn=0, fftn=0)
     ad(X, V, g)
     assert (counts["ifftn"], counts["fftn"]) == (2, 2)
     counts.update(ifftn=0, fftn=0)
     n_terms = 0
 
-    def counted_ad(X, V, x_grids=None):
+    def counted_ad(X, V, x_grid=None):
         nonlocal n_terms
         n_terms += 1
-        assert x_grids is not None
-        return ad(X, V, x_grids)
+        assert x_grid is not None
+        return ad(X, V, x_grid)
     monkeypatch.setattr(opmatrix, "ad", counted_ad)
     out, _ = lie_conjugate(X, V)
-    assert counts["x_grids"] == 1 and n_terms > 3
+    assert n_terms > 3
     assert counts["ifftn"] == 2 + 2 * n_terms and counts["fftn"] == 2 * n_terms
     assert not hasattr(out, "_grid") and not hasattr(out, "__dict__")
 
@@ -482,7 +480,8 @@ def test_lie_series_xdot_matches_dense_integral():
     X = within(X, 1)
     X = X * (0.05 / max(X.norm_max(), 1e-30))
     Xdot = X.omega_dphi(np.array([1.3]))
-    out = lie_series(X, Xdot, Xdot, 1, 1, 1e-16, 1.0 + Xdot.norm_max(), 30, _x_grids(X))
+    out = lie_series(X, Xdot, Xdot, 1, 1, 1e-16, 1.0 + Xdot.norm_max(), 30,
+                     _phi_grid(lat, X.mats))
     nodes, weights = np.polynomial.legendre.leggauss(12)
     for phi in (np.array([0.0]), np.array([0.7]), np.array([2.1])):
         Xm = pair_family_at_angle(X, phi)
