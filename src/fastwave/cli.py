@@ -126,7 +126,7 @@ def build_v(cfg: dict, lattice: Lattice) -> TorusFunction:
         for se in (1, -1):
             for sj in (1, -1):
                 modes[(se,) + (0,) * (lattice.nu - 1) + (sj,)] = a
-        return TorusFunction.from_modes(lattice, modes, reality=True)
+        return TorusFunction.from_modes(lattice, modes)
     if fam == "smooth-random":
         rng = np.random.default_rng(spec.get("seed", 42))
         ells = np.abs(np.arange(-lattice.L, lattice.L + 1)).astype(float)
@@ -140,10 +140,10 @@ def build_v(cfg: dict, lattice: Lattice) -> TorusFunction:
             prof = prof[..., None] * prof_l
         prof = prof[..., None] * prof_j
         raw = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
-        v = TorusFunction(lattice, raw * prof, reality=False).symmetrized()
+        v = TorusFunction(lattice, raw * prof).symmetrized()
         c = np.array(v.coeffs)
         c[(lattice.L,) * lattice.nu] = 0.0         # zero angle average
-        v = TorusFunction(lattice, c, reality=True).symmetrized()
+        v = TorusFunction(lattice, c).symmetrized()
         return v * (spec.get("scale", 1.0) / max(1e-300, np.max(np.abs(v.coeffs))))
     if fam == "file":
         return TorusFunction.from_json_dict(json.load(open(spec["path"])))
@@ -215,30 +215,28 @@ def stage_craigwayne(ctx: dict) -> dict:
 
 
 def stage_psdo_audit(ctx: dict) -> dict:
-    from .opmatrix import BlockOperator
     from .psdo import (ContourSpec, EllipticSymbol, Symbol, complex_power,
                        entry_decay_exponent, quantize, resolvent_parametrix)
     from .schrodinger import assemble_lq, spectral_power
     cfg = ctx["config"]
     J = 16                                    # fixed audit scale
-    lat = Lattice(int(cfg["nu"]), 2, J)
     qc = build_q(cfg, J)
     from .schrodinger import eigensolve_blocks
     sd = eigensolve_blocks(assemble_lq(qc, J), q=qc)
     rho = 0.45 * float(np.min(sd.mu_sq))
     cont = ContourSpec(rho=rho, R=rho * math.exp(170.0), n_quad=280)
-    ell = EllipticSymbol.xi2_plus_q(lat, qc)
+    ell = EllipticSymbol.xi2_plus_q(J, qc)
     out = {}
     # parametrix residual decay
-    shifted = ell.full_symbol() + Symbol.constant(lat, 1.0)
-    OpA = quantize(Symbol(lat, 2.0, shifted._rule, 12))
+    shifted = ell.full_symbol() + Symbol.constant(J, 1.0)
+    OpA = quantize(Symbol(J, 2.0, shifted._rule, 12))
     bN = resolvent_parametrix(ell, -1.0, N=3)
-    R = quantize(bN) @ OpA - BlockOperator.identity(lat)
+    R = quantize(bN) @ OpA - np.eye(2 * J + 1)
     expo, _ = entry_decay_exponent(R)
     out["parametrix_N3_exponent"] = expo
     # spectral agreement of the symbol sqrt on mid frequencies
     B = complex_power(ell, 0.5, N=4, contour=cont, deriv_depth=0, compose_N=4)
-    E = np.abs(quantize(B).mat((0,) * lat.nu) - spectral_power(sd, 0.5))
+    E = np.abs(quantize(B) - spectral_power(sd, 0.5))
     window = [max(np.max(E[:, J + j]), np.max(E[:, J - j]))
               for j in range(J // 4, J // 2 + 1)]
     out["sqrt_window_error"] = float(np.max(window))
@@ -295,8 +293,7 @@ def stage_kam(ctx: dict) -> dict:
     cfg = ctx["config"]
     params = KamParameters(tau=cfg["tau"], gamma=cfg["gamma"],
                            alpha=cfg["alpha"], N0=cfg["N0"],
-                           tau0=cfg["tau0"], gamma0=cfg["gamma0"],
-                           p_max=int(cfg["p_max"]))
+                           tau0=cfg["tau0"], gamma0=cfg["gamma0"])
     state = init_state(ctx["magnus_out"], ctx["sd"], ctx["basis"], params,
                        ctx["lattice"])
     ok_small, margin = smallness_check(state)

@@ -38,21 +38,15 @@ class Trajectory:
     sd: SpectralData
     dt: float
 
-    def exp_components(self, k: int) -> np.ndarray:
-        """State k converted to exponential-basis coefficients (2, D)."""
-        return np.stack([self.sd.psi @ self.states[k, 0],
-                         self.sd.psi @ self.states[k, 1]])
-
     def sobolev_norms(self, r: float) -> np.ndarray:
         """||phi(t)||_{H^r_x} of the two-component state at each time."""
         J = self.sd.J
         w = np.maximum(1.0, np.abs(np.arange(-J, J + 1))).astype(float) ** r
-        out = np.empty(len(self.times))
-        for k in range(len(self.times)):
-            e = self.exp_components(k)
-            out[k] = math.sqrt(float(np.sum(w ** 2 * (np.abs(e[0]) ** 2
-                                                      + np.abs(e[1]) ** 2))))
-        return out
+        # exponential-basis coefficients, one matrix-vector product per state:
+        # the bits of psi @ state, which one (n_t*2, D) @ (D, D) product does not keep
+        e = (self.sd.psi @ self.states[..., None])[..., 0]
+        return np.sqrt(np.sum(w ** 2 * (np.abs(e[:, 0]) ** 2 + np.abs(e[:, 1]) ** 2),
+                              axis=-1))
 
 
 def pair_state(phi_exp: np.ndarray, sd: SpectralData) -> np.ndarray:

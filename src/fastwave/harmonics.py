@@ -9,8 +9,9 @@ with exponentials orthonormal, i.e. the L^2 pairing carries the
 1/(2 pi)^(nu+1) volume normalisation so that Parseval reads
 mean-square(u) = sum |u_hat|^2.
 
-All operations re-truncate to the lattice: aliasing from products is
-discarded (consistent Galerkin projection).
+Products act on the x coefficients alone (`xconv`, `toeplitz`) and
+re-truncate to |j| <= J: aliasing is discarded (consistent Galerkin
+projection).
 """
 
 from __future__ import annotations
@@ -70,31 +71,30 @@ def _ell_norms(nu, L):
 class TorusFunction:
     """Truncated Fourier coefficients of a scalar function on T^nu x T."""
 
-    __slots__ = ("lattice", "coeffs", "reality")
+    __slots__ = ("lattice", "coeffs")
 
-    def __init__(self, lattice: Lattice, coeffs: np.ndarray, reality: bool = False):
+    def __init__(self, lattice: Lattice, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.shape != lattice.shape:
             raise ValueError(f"coefficient shape {coeffs.shape} != lattice {lattice.shape}")
         self.lattice = lattice
         self.coeffs = coeffs
         self.coeffs.flags.writeable = False
-        self.reality = bool(reality)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, lattice: Lattice) -> "TorusFunction":
-        return cls(lattice, np.zeros(lattice.shape, dtype=complex), True)
+        return cls(lattice, np.zeros(lattice.shape, dtype=complex))
 
     @classmethod
-    def from_modes(cls, lattice: Lattice, modes: dict, reality: bool) -> "TorusFunction":
+    def from_modes(cls, lattice: Lattice, modes: dict) -> "TorusFunction":
         """Build from {(l_1..l_nu, j): amplitude} entries."""
         c = np.zeros(lattice.shape, dtype=complex)
         for idx, amp in modes.items():
             *ell, j = idx
             c[lattice.ell_to_index(ell) + (int(j) + lattice.J,)] = amp
-        return cls(lattice, c, reality)
+        return cls(lattice, c)
 
     # -- basic structure ----------------------------------------------
 
@@ -104,7 +104,7 @@ class TorusFunction:
     def symmetrized(self) -> "TorusFunction":
         """Project onto real-valued functions: u_hat(-l,-j) = conj(u_hat(l,j))."""
         c = 0.5 * (self.coeffs + np.conj(self._flip()))
-        return TorusFunction(self.lattice, c, reality=True)
+        return TorusFunction(self.lattice, c)
 
     def x_slice(self) -> np.ndarray:
         """Coefficients of the l = 0 slice (length 2J+1)."""
@@ -113,8 +113,7 @@ class TorusFunction:
     # -- algebra --------------------------------------------------------
 
     def __mul__(self, scalar) -> "TorusFunction":
-        return TorusFunction(self.lattice, self.coeffs * scalar,
-                             self.reality and np.isrealobj(np.asarray(scalar)))
+        return TorusFunction(self.lattice, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
@@ -122,33 +121,16 @@ class TorusFunction:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TorusFunction":
-        """Read {"nu", "L", "J", "reality", "coeffs": [[l_1..l_nu, j, re, im], ...]}."""
+        """Read {"nu", "L", "J", "coeffs": [[l_1..l_nu, j, re, im], ...]}."""
         lat = Lattice(d["nu"], d["L"], d["J"])
         c = np.zeros(lat.shape, dtype=complex)
         for row in d["coeffs"]:
             *ell, j, re, im = row
             c[lat.ell_to_index(ell) + (int(j) + lat.J,)] = re + 1j * im
-        return cls(lat, c, d.get("reality", False))
+        return cls(lat, c)
+
 
 # -- structural operations ----------------------------------------------
-
-
-def multiply(u: TorusFunction, v: TorusFunction) -> TorusFunction:
-    """Coefficient convolution of u and v, truncated back to the lattice."""
-    if u.lattice != v.lattice:
-        raise ValueError("lattice mismatch")
-    from scipy.signal import fftconvolve
-
-    full = fftconvolve(u.coeffs, v.coeffs, mode="full")
-    lat = u.lattice
-    sl = tuple(slice(lat.L, 3 * lat.L + 1) for _ in range(lat.nu))
-    sl += (slice(lat.J, 3 * lat.J + 1),)
-    out = np.ascontiguousarray(full[sl])
-    w = TorusFunction(lat, out, reality=u.reality and v.reality)
-    # fftconvolve leaves O(eps) asymmetry; re-symmetrize real products
-    if w.reality:
-        w = w.symmetrized()
-    return w
 
 
 def x_to_grid(xcoeffs: np.ndarray, n_points: int) -> np.ndarray:

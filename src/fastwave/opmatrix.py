@@ -138,10 +138,6 @@ class BlockOperator:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def identity(cls, lattice: Lattice) -> "BlockOperator":
-        return cls.time_independent(lattice, np.eye(2 * lattice.J + 1))
-
-    @classmethod
     def time_independent(cls, lattice: Lattice, mat: np.ndarray, K=None) -> "BlockOperator":
         """The operator (a stack, for mat of shape (..., D, D)) with A(0) = mat only."""
         D = 2 * lattice.J + 1
@@ -219,7 +215,7 @@ class BlockOperator:
         return (phase @ self.mats.reshape(*lead, n, D * D)).reshape(*lead, D, D)
 
     def omega_dphi(self, omega: np.ndarray) -> "BlockOperator":
-        """omega . d_phi A: multiply A(l) by i (omega . l)."""
+        """omega . d_phi A: A(l) scaled by i (omega . l)."""
         dots = self.lattice.ell_range() @ np.atleast_1d(np.asarray(omega, dtype=float))
         return BlockOperator(self.lattice, (1j * dots)[:, None, None] * self.mats, self.K)
 

@@ -1,20 +1,19 @@
 r"""Pseudodifferential symbol calculus and contour-integral functional calculus.
 
-A symbol a(phi, x, xi) of order m is stored as a rule giving, for each xi and
-each xi-derivative order beta up to `deriv_depth`, the Fourier coefficients of
-a(., ., xi) as a function on the torus.  Quantization acts mode-wise:
+A symbol a(x, xi) of order m is stored as a rule giving, for each xi and each
+xi-derivative order beta up to `deriv_depth`, the Fourier coefficients of
+a(., xi) as a function of x.  Quantization gives the (2J+1)^2 matrix
 
-    [Op(a) u]^(l_out, j_out) = sum a_hat(l, j_out - j_in; xi = j_in) u^(l_in, j_in).
+    [Op(a) u]^(j_out) = sum_{j_in} a_hat(j_out - j_in; xi = j_in) u^(j_in).
 
-Every raw value has one form: a complex array whose trailing nu+1 axes are
-the lattice axes (phi_1..phi_nu, x).  Each of them has length 1 (only the
-zero mode: the value is constant along that axis) or full length 2L+1 resp.
+Every raw value has one form: a complex array whose last axis is x, of
+length 1 (only the zero mode: the value is constant in x) or full length
 2J+1.  Any leading axes are batch axes, the lambda nodes of the contour.
-Products convolve along the axes that are full on both sides and broadcast
-along the rest; sums put a length-1 axis at the zero mode of a full one.  A
-single zero entry is a structural zero (a vanishing derivative of xi^2, of an
-x-only symbol or of the cutoff): a product with it is that zero, a sum with it
-the other operand; it has no batch axes, or is broadcast (stride 0) to them.
+Products convolve in x when both sides are full and broadcast otherwise; sums
+put a length-1 value at the zero mode of a full one.  A single zero entry is a
+structural zero (a vanishing derivative of xi^2, of an x-only symbol or of the
+cutoff): a product with it is that zero, a sum with it the other operand; it
+has no batch axes, or is broadcast (stride 0) to them.
 
 Composition uses the asymptotic expansion a#b = sum_{beta<N} (i^beta beta!)^-1
 d_xi^beta a . d_x^beta b.  Real powers of an elliptic operator are built
@@ -32,8 +31,7 @@ from functools import reduce
 
 import numpy as np
 
-from .harmonics import Lattice, TorusFunction, multiply, x_from_grid, x_to_grid, xconv
-from .opmatrix import BlockOperator
+from .harmonics import x_from_grid, x_to_grid, xconv
 
 
 class EllipticityError(RuntimeError):
@@ -117,24 +115,18 @@ DEFAULT_CUTOFF = Cutoff()
 # -- symbols -------------------------------------------------------------------
 
 
-def _lift(v, nd: int) -> np.ndarray:
-    """A rule's scalar or x-array return value as a raw value with nd lattice axes."""
-    v = np.asarray(v, dtype=complex)
-    return v.reshape((1,) * (nd - v.ndim) + v.shape)
+def _lift(v) -> np.ndarray:
+    """A rule's scalar or x-array return value as a raw value."""
+    return np.atleast_1d(np.asarray(v, dtype=complex))
 
 
-def _phi_dependent(v: np.ndarray, lattice: Lattice) -> bool:
-    return v.shape[-lattice.nu - 1:-1] != (1,) * lattice.nu
-
-
-def _widen(v: np.ndarray, dims: tuple) -> np.ndarray:
-    """v with each length-1 lattice axis zero-padded, at the zero mode, to dims."""
-    nd = len(dims)
-    if v.shape[-nd:] == dims:
+def _widen(v: np.ndarray, D: int) -> np.ndarray:
+    """v with its x axis zero-padded, centred on the zero mode, to length D."""
+    n = v.shape[-1]
+    if n == D:
         return v
-    out = np.zeros(v.shape[:-nd] + dims, dtype=complex)
-    centre = tuple(slice((n - s) // 2, (n + s) // 2) for s, n in zip(v.shape[-nd:], dims))
-    out[(...,) + centre] = v
+    out = np.zeros(v.shape[:-1] + (D,), dtype=complex)
+    out[..., (D - n) // 2:(D + n) // 2] = v
     return out
 
 
@@ -142,36 +134,32 @@ def _zero(v: np.ndarray) -> bool:
     return v.size == 1 and v.item() == 0
 
 
-def _add(a: np.ndarray, b: np.ndarray, lattice: Lattice) -> np.ndarray:
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if _zero(a):
         return b
     if _zero(b):
         return a
-    nd = lattice.nu + 1
-    dims = tuple(max(s, t) for s, t in zip(a.shape[-nd:], b.shape[-nd:]))
-    return _widen(a, dims) + _widen(b, dims)
+    D = max(a.shape[-1], b.shape[-1])
+    return _widen(a, D) + _widen(b, D)
 
 
-def _mul(a: np.ndarray, b: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """Pointwise product: a coefficient convolution along the axes full on both sides."""
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise product: an x-convolution when both sides are full."""
     if _zero(a):
         return a
     if _zero(b):
         return b
-    if _phi_dependent(a, lattice) and _phi_dependent(b, lattice):
-        return multiply(TorusFunction(lattice, _widen(a, lattice.shape)),
-                        TorusFunction(lattice, _widen(b, lattice.shape))).coeffs
     if a.shape[-1] > 1 and b.shape[-1] > 1:
         return xconv(a, b)
     return a * b
 
 
-def _leibniz(f, g, b: int, lattice: Lattice, lo: int = 0) -> np.ndarray:
+def _leibniz(f, g, b: int, lo: int = 0) -> np.ndarray:
     """sum_{k=lo..b} binom(b, k) f(k) g(b-k): d_xi^b of a product, from k = lo."""
     acc = None
     for k in range(lo, b + 1):
-        term = math.comb(b, k) * _mul(f(k), g(b - k), lattice)
-        acc = term if acc is None else _add(acc, term, lattice)
+        term = math.comb(b, k) * _mul(f(k), g(b - k))
+        acc = term if acc is None else _add(acc, term)
     return acc
 
 
@@ -180,31 +168,29 @@ def _dx(v: np.ndarray, order: int = 1) -> np.ndarray:
     return v * (1j * np.arange(-J, J + 1)) ** order
 
 
-def _x_samples(v: np.ndarray, lattice: Lattice, oversample: int = 8) -> np.ndarray:
-    """Values of a phi-independent raw value on oversample * (2J+1) x points."""
-    if _phi_dependent(v, lattice):
-        raise NotImplementedError("grid functions of phi-dependent symbols are unused")
+def _x_samples(v: np.ndarray, oversample: int = 8) -> np.ndarray:
+    """Values of a raw value on oversample * (2J+1) x points."""
     return x_to_grid(v, oversample * v.shape[-1])
 
 
-def _pointwise(v: np.ndarray, f, lattice: Lattice, oversample: int = 8) -> np.ndarray:
+def _pointwise(v: np.ndarray, f, oversample: int = 8) -> np.ndarray:
     """f applied pointwise in x, on the oversampled grid."""
-    return x_from_grid(f(_x_samples(v, lattice, oversample)), (v.shape[-1] - 1) // 2)
+    return x_from_grid(f(_x_samples(v, oversample)), (v.shape[-1] - 1) // 2)
 
 
 class Symbol:
     """Pseudodifferential symbol with xi-derivative access.
 
-    `rule(xi, beta)` gives d_xi^beta a(., ., xi) as a scalar (constant in
-    (phi, x)), a (2J+1,) x-coefficient array, or a full lattice coefficient
-    array.  `raw` returns it in the one value form of this module: an array
-    whose nu+1 axes (phi_1..phi_nu, x) each have length 1 (the zero mode
-    only) or full length.  Values inside the parametrix carry leading batch
-    axes (the lambda nodes) in front of these.
+    `rule(xi, beta)` gives d_xi^beta a(., xi) as a scalar (constant in x) or
+    a (2J+1,) x-coefficient array.  `raw` returns it in the one value form of
+    this module: an array whose last axis, x, has length 1 (the zero mode
+    only) or 2J+1.  Values inside the parametrix carry leading batch axes
+    (the lambda nodes) in front of it.  J is the truncation |j| <= J of the
+    quantized matrix.
     """
 
-    def __init__(self, lattice: Lattice, order: float, rule, deriv_depth: int):
-        self.lattice = lattice
+    def __init__(self, J: int, order: float, rule, deriv_depth: int):
+        self.J = int(J)
         self.order = float(order)
         self._rule = rule
         self.deriv_depth = int(deriv_depth)
@@ -216,33 +202,29 @@ class Symbol:
             raise ValueError(f"derivative depth {self.deriv_depth} exceeded (beta={beta})")
         key = (float(xi), int(beta))
         if key not in self._cache:
-            self._cache[key] = _lift(self._rule(float(xi), int(beta)), self.lattice.nu + 1)
+            self._cache[key] = _lift(self._rule(float(xi), int(beta)))
         return self._cache[key]
-
-    @property
-    def phi_independent(self) -> bool:
-        return not _phi_dependent(self.raw(0, 0), self.lattice)
 
     # -- algebra (closures propagate derivative rules) ----------------------
 
     def dxi(self) -> "Symbol":
-        return Symbol(self.lattice, self.order - 1,
+        return Symbol(self.J, self.order - 1,
                       lambda xi, b: self.raw(xi, b + 1), self.deriv_depth - 1)
 
     def dx(self, order: int) -> "Symbol":
-        return Symbol(self.lattice, self.order,
+        return Symbol(self.J, self.order,
                       lambda xi, b: _dx(self.raw(xi, b), order), self.deriv_depth)
 
     def __add__(self, other: "Symbol") -> "Symbol":
-        return Symbol(self.lattice, max(self.order, other.order),
-                      lambda xi, b: _add(self.raw(xi, b), other.raw(xi, b), self.lattice),
+        return Symbol(self.J, max(self.order, other.order),
+                      lambda xi, b: _add(self.raw(xi, b), other.raw(xi, b)),
                       min(self.deriv_depth, other.deriv_depth))
 
     def __sub__(self, other: "Symbol") -> "Symbol":
         return self + (other * (-1.0))
 
     def __mul__(self, scalar) -> "Symbol":
-        return Symbol(self.lattice, self.order,
+        return Symbol(self.J, self.order,
                       lambda xi, b: self.raw(xi, b) * scalar, self.deriv_depth)
 
     __rmul__ = __mul__
@@ -250,19 +232,18 @@ class Symbol:
     def mul(self, other: "Symbol", order: float) -> "Symbol":
         """Pointwise product of the given order; Leibniz propagates xi-derivatives."""
         def rule(xi, b):
-            return _leibniz(lambda g: self.raw(xi, g), lambda g: other.raw(xi, g), b,
-                            self.lattice)
-        return Symbol(self.lattice, order, rule, min(self.deriv_depth, other.deriv_depth))
+            return _leibniz(lambda g: self.raw(xi, g), lambda g: other.raw(xi, g), b)
+        return Symbol(self.J, order, rule, min(self.deriv_depth, other.deriv_depth))
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def constant(cls, lattice: Lattice, value: complex) -> "Symbol":
-        return cls(lattice, 0.0, lambda xi, b: complex(value) if b == 0 else 0.0,
+    def constant(cls, J: int, value: complex) -> "Symbol":
+        return cls(J, 0.0, lambda xi, b: complex(value) if b == 0 else 0.0,
                    deriv_depth=64)
 
     @classmethod
-    def xi_poly(cls, lattice: Lattice, coeffs) -> "Symbol":
+    def xi_poly(cls, J: int, coeffs) -> "Symbol":
         """sum_k coeffs[k] xi^k with exact derivative rules."""
         coeffs = [complex(c) for c in coeffs]
 
@@ -272,12 +253,12 @@ class Symbol:
                 if k >= b:
                     tot += c * math.perm(k, b) * xi ** (k - b)
             return tot
-        return cls(lattice, len(coeffs) - 1, rule, deriv_depth=64)
+        return cls(J, len(coeffs) - 1, rule, deriv_depth=64)
 
     @classmethod
-    def x_multiplication(cls, lattice: Lattice, xcoeffs: np.ndarray) -> "Symbol":
+    def x_multiplication(cls, J: int, xcoeffs: np.ndarray) -> "Symbol":
         xc = np.asarray(xcoeffs, dtype=complex)
-        return cls(lattice, 0.0, lambda xi, b: xc if b == 0 else 0.0, deriv_depth=64)
+        return cls(J, 0.0, lambda xi, b: xc if b == 0 else 0.0, deriv_depth=64)
 
     def scaled_by_cutoff(self, cutoff: Cutoff) -> "Symbol":
         """chi(xi) a(x, xi): kills the xi = 0 mode, identity for |xi| >= 1."""
@@ -286,31 +267,28 @@ class Symbol:
             for g in range(b + 1):
                 c = math.comb(b, g) * cutoff(xi, g)
                 if c != 0.0:
-                    acc = _add(acc, c * self.raw(xi, b - g), self.lattice)
+                    acc = _add(acc, c * self.raw(xi, b - g))
             return acc
-        return Symbol(self.lattice, self.order, rule, self.deriv_depth)
+        return Symbol(self.J, self.order, rule, self.deriv_depth)
 
 
 # -- quantization -------------------------------------------------------------
 
 
-def quantize(a: Symbol) -> BlockOperator:
-    """Matrix of Op(a) on the symbol's truncated lattice (exponential basis)."""
-    lattice = a.lattice
-    J, L = lattice.J, lattice.L
+def quantize(a: Symbol) -> np.ndarray:
+    """The (2J+1)^2 matrix of Op(a) in the exponential basis, |j| <= J."""
+    J = a.J
     D = 2 * J + 1
-    mats = np.zeros((2 * L + 1,) * lattice.nu + (D, D), dtype=complex)
+    mat = np.zeros((D, D), dtype=complex)
     for j_in in range(-J, J + 1):
         v = a.raw(j_in, 0)
         # entry (j_out, j_in) = a_hat(j_out - j_in; xi = j_in): rows j_out = -J..J
         # are one slice of the x coefficients zero-padded by 2J on both sides
         Jx = (v.shape[-1] - 1) // 2
-        padded = np.pad(v, [(0, 0)] * (v.ndim - 1) + [(2 * J, 2 * J)])
+        padded = np.pad(v, (2 * J, 2 * J))
         start = J - j_in + Jx
-        # the value's angle axes are centred on l = 0 (length 1 when phi-independent)
-        box = tuple(slice(L - (n - 1) // 2, L + (n - 1) // 2 + 1) for n in v.shape[:-1])
-        mats[box + (slice(None), j_in + J)] = padded[..., start:start + D]
-    return BlockOperator(lattice, mats.reshape(-1, D, D))
+        mat[:, j_in + J] = padded[start:start + D]
+    return mat
 
 
 # -- composition ----------------------------------------------------------------
@@ -331,14 +309,14 @@ def compose(a: Symbol, b: Symbol, N: int) -> Symbol:
     approx = terms[0]
     for t in terms[1:]:
         approx = approx + t
-    return Symbol(approx.lattice, a.order + b.order, approx._rule, approx.deriv_depth)
+    return Symbol(approx.J, a.order + b.order, approx._rule, approx.deriv_depth)
 
 
-def entry_decay_exponent(R: BlockOperator, j_lo: int | None = None,
+def entry_decay_exponent(R: np.ndarray, j_lo: int | None = None,
                          j_hi: int | None = None):
-    """Fit log(max-column-entry) vs log<j> on mid-range input modes."""
-    J = R.lattice.J
-    col_max = np.max(np.abs(R.mats), axis=(0, 1))
+    """Fit log(max-column-entry) vs log<j> on mid-range input modes of the matrix R."""
+    J = (R.shape[-1] - 1) // 2
+    col_max = np.max(np.abs(R), axis=0)
     j_lo = j_lo if j_lo is not None else max(2, J // 4)
     j_hi = j_hi if j_hi is not None else max(j_lo + 3, (3 * J) // 4)
     js, vals = [], []
@@ -359,31 +337,31 @@ def entry_decay_exponent(R: BlockOperator, j_lo: int | None = None,
 class EllipticSymbol:
     """Declared layer decomposition a ~ sum_k a_{m-k} of an elliptic symbol."""
 
-    def __init__(self, lattice: Lattice, layers: list):
+    def __init__(self, J: int, layers: list):
         """layers: list of (order_drop k, Symbol); k = 0 is the principal layer."""
-        self.lattice = lattice
+        self.J = int(J)
         self.layers = dict()
         for k, sym in layers:
             self.layers[int(k)] = sym
         self.order = self.layers[0].order
 
     @classmethod
-    def xi2_plus_q(cls, lattice: Lattice, qcoeffs) -> "EllipticSymbol":
+    def xi2_plus_q(cls, J: int, qcoeffs) -> "EllipticSymbol":
         """The Schroedinger symbol xi^2 + q(x) with layers (xi^2, q)."""
-        return cls(lattice, [(0, Symbol.xi_poly(lattice, [0.0, 0.0, 1.0])),
-                             (2, Symbol.x_multiplication(lattice, qcoeffs))])
+        return cls(J, [(0, Symbol.xi_poly(J, [0.0, 0.0, 1.0])),
+                       (2, Symbol.x_multiplication(J, qcoeffs))])
 
     def full_symbol(self) -> Symbol:
         syms = list(self.layers.values())
         out = syms[0]
         for s in syms[1:]:
             out = out + s
-        return Symbol(out.lattice, self.order, out._rule, out.deriv_depth)
+        return Symbol(out.J, self.order, out._rule, out.deriv_depth)
 
     def principal_min_abs(self, lam: complex, xi_vals) -> float:
         """min |a_m(x, xi) - lam| over the sampling grid (ellipticity check)."""
         a0 = self.layers[0]
-        return float(min(np.min(np.abs(_x_samples(a0.raw(xi, 0), self.lattice) - lam))
+        return float(min(np.min(np.abs(_x_samples(a0.raw(xi, 0)) - lam))
                          for xi in xi_vals))
 
 
@@ -416,9 +394,7 @@ def parametrix_layers_batch(a: EllipticSymbol, lam: np.ndarray, xi: float, N: in
     layers above it with up to N - 1 - n more xi-derivatives, so it is built
     up to order n_beta + N - 1 - n.
     """
-    lat = a.lattice
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    lam = lam.reshape(lam.shape + (1,) * (lat.nu + 1))
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))[..., None]
     max_beta = n_beta + N - 1
     data = _layer_data(a, xi, max_beta, N - 1)
 
@@ -429,13 +405,13 @@ def parametrix_layers_batch(a: EllipticSymbol, lam: np.ndarray, xi: float, N: in
         return 1.0 / u
 
     # r = 1/(a_m - lam) and its xi-derivatives by the u r = 1 recursion
-    r = {0: _pointwise(data[(0, 0, 0)], inverse, lat)}
+    r = {0: _pointwise(data[(0, 0, 0)], inverse)}
     for beta in range(1, max_beta + 1):
-        acc = _leibniz(lambda g: data[(0, g, 0)], lambda g: r[g], beta, lat, lo=1)
-        r[beta] = -_mul(r[0], acc, lat)
+        acc = _leibniz(lambda g: data[(0, g, 0)], lambda g: r[g], beta, lo=1)
+        r[beta] = -_mul(r[0], acc)
 
     b = {0: r}
-    zero = np.zeros((1,) * (lat.nu + 1), dtype=complex)
+    zero = np.zeros(1, dtype=complex)
     for n in range(1, N):
         # (coefficient, p, k, beta) of each d_xi^beta b_p . d_x^beta a_{m-k} above
         terms = [(1.0, p, n - p, 0) for p in range(n)]
@@ -447,13 +423,13 @@ def parametrix_layers_batch(a: EllipticSymbol, lam: np.ndarray, xi: float, N: in
             for c, p, k, beta in terms:
                 if k in a.layers:
                     term = _leibniz(lambda g: b[p][g + beta], lambda g: data[(k, g, beta)],
-                                    bb, lat)
-                    rhs[bb] = _add(rhs[bb], c * term, lat)
-        b[n] = {bb: -_leibniz(lambda g: r[g], lambda g: rhs[g], bb, lat) for bb in rhs}
+                                    bb)
+                    rhs[bb] = _add(rhs[bb], c * term)
+        b[n] = {bb: -_leibniz(lambda g: r[g], lambda g: rhs[g], bb) for bb in rhs}
 
     t = abs(xi) ** 2 + np.abs(lam) ** (2.0 / a.order)
     chi = _chain_quadratic_batch(cutoff, t, 2.0 * xi, 2.0, n_beta)
-    layers = {(n, beta): _leibniz(lambda g: chi[g], lambda g: b[n][g], beta, lat)
+    layers = {(n, beta): _leibniz(lambda g: chi[g], lambda g: b[n][g], beta)
               for n in range(N) for beta in range(n_beta + 1)}
     # a structural zero has no batch axes: it gets lam's by broadcasting
     return {key: np.broadcast_to(v, lam.shape) if _zero(v) else v
@@ -486,7 +462,7 @@ def _summed_layers(a: EllipticSymbol, lam, xi: float, N: int, deriv_depth: int,
     """[sum_{n<N} d_xi^beta b_n(lam; ., xi) for beta <= deriv_depth], batched over lam;
     a vanishing layer above b_0 (one zero entry broadcast over lam) is left out."""
     layers = parametrix_layers_batch(a, lam, xi, N, n_beta=deriv_depth, cutoff=cutoff)
-    return [reduce(lambda x, y: _add(x, y, a.lattice),
+    return [reduce(_add,
                    [v for n in range(1, N) if any((v := layers[(n, beta)]).strides) or v.flat[0]],
                    layers[(0, beta)])
             for beta in range(deriv_depth + 1)]
@@ -498,7 +474,7 @@ def resolvent_parametrix(a: EllipticSymbol, lam: complex, N: int) -> Symbol:
     It carries no xi-derivatives (deriv_depth 0), so it can be quantized but
     not composed.
     """
-    xi_vals = range(-a.lattice.J, a.lattice.J + 1)
+    xi_vals = range(-a.J, a.J + 1)
     if a.principal_min_abs(lam, xi_vals) == 0.0:
         raise EllipticityError("lambda touches the principal symbol range")
     cache = {}
@@ -507,7 +483,7 @@ def resolvent_parametrix(a: EllipticSymbol, lam: complex, N: int) -> Symbol:
         if xi not in cache:
             cache[xi] = _summed_layers(a, [lam], xi, N, 0, DEFAULT_CUTOFF)
         return cache[xi][beta][0]
-    return Symbol(a.lattice, -a.order, rule, 0)
+    return Symbol(a.J, -a.order, rule, 0)
 
 
 @dataclass
@@ -559,28 +535,28 @@ def complex_power(a: EllipticSymbol, z: float, contour: ContourSpec, N: int,
         full = a.full_symbol()
         for _ in range(k):
             out = compose(full, out, compose_N)
-        return Symbol(out.lattice, a.order * z, out._rule, out.deriv_depth)
+        return Symbol(out.J, a.order * z, out._rule, out.deriv_depth)
 
     lam_nodes, w_nodes = contour.nodes(z)
     # the circle must stay below the operator spectrum
-    full = a.full_symbol()
-    if full.phi_independent:
-        m0 = quantize(full).mat((0,) * a.lattice.nu)
-        smin = float(np.linalg.eigvalsh(0.5 * (m0 + m0.conj().T))[0])
-        if smin <= contour.rho:
-            raise EllipticityError(
-                f"contour intersects the spectrum (min eig {smin:.4g} <= rho {contour.rho:.4g})")
+    m0 = quantize(a.full_symbol())
+    smin = float(np.linalg.eigvalsh(0.5 * (m0 + m0.conj().T))[0])
+    if smin <= contour.rho:
+        raise EllipticityError(
+            f"contour intersects the spectrum (min eig {smin:.4g} <= rho {contour.rho:.4g})")
     for lam in (lam_nodes[0], lam_nodes[len(lam_nodes) // 2], lam_nodes[-1]):
-        if a.principal_min_abs(lam, range(-a.lattice.J, a.lattice.J + 1)) == 0.0:
+        if a.principal_min_abs(lam, range(-a.J, a.J + 1)) == 0.0:
             raise EllipticityError("contour intersects the symbol spectrum range")
 
     cache = {}
 
+    # einsum's own loop sums the nodes in one fixed order; BLAS (tensordot)
+    # splits the sum by its thread count, and the last bits follow it
     def rule(xi, beta):
         if xi not in cache:
-            cache[xi] = [np.tensordot(w_nodes, v, axes=(0, 0)) for v in
+            cache[xi] = [np.einsum("i,i...->...", w_nodes, v) for v in
                          _summed_layers(a, lam_nodes, xi, N, deriv_depth, cutoff)]
         return cache[xi][beta]
 
-    sym = Symbol(a.lattice, a.order * z, rule, deriv_depth)
+    sym = Symbol(a.J, a.order * z, rule, deriv_depth)
     return sym.scaled_by_cutoff(cutoff)

@@ -9,6 +9,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+import scipy.signal
 
 from fastwave.craig_wayne import build_basis_matrix, change_basis
 from fastwave.harmonics import TorusFunction
@@ -185,8 +186,7 @@ def resonant_drive(lattice, sd, n: int, m: int, amplitude: float = 0.5):
     om = float(lam[sd.idx(n)] + lam[sd.idx(m)])
     # drive the x-mode connecting e_n and e_{-m}: j-transfer n + m
     v = TorusFunction.from_modes(
-        lattice, {(1, n + m): amplitude / 2, (-1, -(n + m)): amplitude / 2},
-        reality=True)
+        lattice, {(1, n + m): amplitude / 2, (-1, -(n + m)): amplitude / 2})
     return v, np.array([om])
 
 
@@ -237,11 +237,20 @@ def random_function(lattice, rng) -> TorusFunction:
     return TorusFunction(lattice, c).symmetrized()
 
 
-def x_only(lattice, xcoeffs, reality: bool = False) -> TorusFunction:
+def x_only(lattice, xcoeffs) -> TorusFunction:
     """A function of x alone, embedded as the l = 0 slice."""
     c = np.zeros(lattice.shape, dtype=complex)
     c[(lattice.L,) * lattice.nu] = xcoeffs
-    return TorusFunction(lattice, c, reality)
+    return TorusFunction(lattice, c)
+
+
+def torus_product(u: TorusFunction, v: TorusFunction) -> TorusFunction:
+    """The product uv: the full coefficient convolution, cut back to the lattice box."""
+    assert u.lattice == v.lattice
+    lat = u.lattice
+    full = scipy.signal.convolve(u.coeffs, v.coeffs, method="direct")
+    box = (slice(lat.L, 3 * lat.L + 1),) * lat.nu + (slice(lat.J, 3 * lat.J + 1),)
+    return TorusFunction(lat, full[box])
 
 
 def coeff(u: TorusFunction, ell, j) -> complex:
@@ -367,30 +376,22 @@ def structure_defect(X: BlockOperator) -> float:
 # -- symbols ---------------------------------------------------------------------
 
 
-def torus_multiplication(lattice, u: TorusFunction) -> Symbol:
-    """The order-0 symbol of multiplication by u(phi, x)."""
-    return Symbol(lattice, 0.0,
-                  lambda xi, b: u.coeffs if b == 0 else np.zeros_like(u.coeffs),
-                  deriv_depth=64)
-
-
 def symbol_sqrt(a: Symbol, grid_oversample: int = 8) -> Symbol:
     """sqrt(a) pointwise, with derivatives from Leibniz on s*s = a."""
-    lat = a.lattice
     cache = {}
 
     def rule(xi, b):
         if (xi, b) not in cache:
             if b == 0:
-                out = _pointwise(a.raw(xi, 0), np.sqrt, lat, grid_oversample)
+                out = _pointwise(a.raw(xi, 0), np.sqrt, grid_oversample)
             else:
                 rhs = a.raw(xi, b)
                 for g in range(1, b):
-                    term = math.comb(b, g) * _mul(rule(xi, g), rule(xi, b - g), lat)
-                    rhs = _add(rhs, -term, lat)
-                half_inv = _pointwise(rule(xi, 0), lambda s: 1.0 / (2.0 * s), lat,
+                    term = math.comb(b, g) * _mul(rule(xi, g), rule(xi, b - g))
+                    rhs = _add(rhs, -term)
+                half_inv = _pointwise(rule(xi, 0), lambda s: 1.0 / (2.0 * s),
                                       grid_oversample)
-                out = _mul(half_inv, rhs, lat)
+                out = _mul(half_inv, rhs)
             cache[(xi, b)] = out
         return cache[(xi, b)]
-    return Symbol(lat, a.order / 2.0, rule, a.deriv_depth)
+    return Symbol(a.J, a.order / 2.0, rule, a.deriv_depth)

@@ -310,7 +310,7 @@ def test_change_basis_identity_and_round_trip():
     q = cosx(J, mean=2.0, amp=1.0)
     sd = eigensolve_blocks(assemble_lq(q, J), q=q)
     B = build_basis_matrix(sd)
-    I = BlockOperator.identity(lat)
+    I = BlockOperator.time_independent(lat, np.eye(2 * J + 1))
     Ie = change_basis(I, B)
     assert np.max(np.abs(Ie.mat((0,)) - np.eye(2 * J + 1))) < 1e-10
     rng = np.random.default_rng(6)

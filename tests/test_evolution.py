@@ -26,8 +26,7 @@ LAT = Lattice(1, 4, J)
 QC = xcoeffs(J, {0: 1.0, 1: 0.5, -1: 0.5})
 SD = eigensolve_blocks(assemble_lq(QC, J), q=QC)
 VTOY = TorusFunction.from_modes(LAT, {(1, 1): 0.25, (1, -1): 0.25,
-                                      (-1, 1): 0.25, (-1, -1): 0.25},
-                                reality=True)
+                                      (-1, 1): 0.25, (-1, -1): 0.25})
 VZERO = TorusFunction.zero(LAT)
 WTOY, WZERO = eigen_W(QC, VTOY, SD), eigen_W(QC, VZERO, SD)
 
@@ -48,7 +47,7 @@ def test_free_evolution_exact_rotation():
 
 # a v whose angle modes l = 1, 3 are live and l = 2 between them is a zero block
 VGAP = TorusFunction.from_modes(LAT, {(1, 1): 0.2, (-1, -1): 0.2, (3, 2): 0.1j,
-                                      (-3, -2): -0.1j}, reality=True)
+                                      (-3, -2): -0.1j})
 
 
 @pytest.mark.parametrize("v", [VTOY, VGAP, VZERO], ids=["toy", "gap", "zero"])
@@ -128,6 +127,11 @@ def test_sobolev_trace_free():
     # modulus, so the exp-basis H^r norms stay within a tight band
     assert abs(sup - 1.0) < 0.05
     assert band_width(sobolev_trace(traj, 0.0)[1]) < 1e-10
+    # the norms are those of a loop over the stored states, bit for bit
+    w = np.maximum(1.0, np.abs(np.arange(-J, J + 1))) ** 1.0
+    loop = [np.sqrt(np.sum(w ** 2 * (np.abs(SD.psi @ s[0]) ** 2 + np.abs(SD.psi @ s[1]) ** 2)))
+            for s in traj.states]
+    assert np.array_equal(traj.sobolev_norms(1.0), loop)
 
 
 def magnus_kam_frame(M=800.0, gamma=0.5, p_max=3):

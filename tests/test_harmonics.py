@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from fastwave.harmonics import (
-    Lattice, TorusFunction, multiply, x_to_grid, x_from_grid, xconv,
-)
-from oracles import check_reality, coeff, random_function, sobolev_norm
+from fastwave.harmonics import Lattice, TorusFunction, x_to_grid, x_from_grid, xconv
+from oracles import check_reality, coeff, random_function, sobolev_norm, torus_product
 
 
 def bracket(ell, j):
@@ -31,14 +29,14 @@ def test_lattice_s0():
 
 def test_single_mode_norm():
     lat = Lattice(1, 4, 6)
-    u = TorusFunction.from_modes(lat, {(3, -5): 1.0}, reality=False)
+    u = TorusFunction.from_modes(lat, {(3, -5): 1.0})
     for s in [0.0, 1.0, 2.5]:
         assert sobolev_norm(u, s) == pytest.approx(5.0 ** s, rel=1e-14)
 
 
 def test_constant_norm():
     lat = Lattice(2, 3, 3)
-    u = TorusFunction.from_modes(lat, {(0, 0, 0): 1.0}, reality=False)
+    u = TorusFunction.from_modes(lat, {(0, 0, 0): 1.0})
     for s in [0.0, 1.0, 7.0]:
         assert sobolev_norm(u, s) == pytest.approx(1.0, rel=1e-14)
 
@@ -56,24 +54,6 @@ def test_negative_s_rejected():
     u = TorusFunction.zero(lat)
     with pytest.raises(ValueError):
         sobolev_norm(u, -1.0)
-
-
-def test_multiply_identity():
-    lat = Lattice(1, 4, 4)
-    rng = np.random.default_rng(1)
-    u = random_function(lat, rng)
-    one = TorusFunction.from_modes(lat, {(0, 0): 1.0}, reality=True)
-    w = multiply(u, one)
-    assert np.max(np.abs(w.coeffs - u.coeffs)) < 1e-14
-
-
-def test_multiply_deltas():
-    lat = Lattice(1, 3, 8)
-    ej = TorusFunction.from_modes(lat, {(0, 2): 1.0}, reality=False)
-    ek = TorusFunction.from_modes(lat, {(1, 3): 1.0}, reality=False)
-    w = multiply(ej, ek)
-    assert coeff(w, (1,), 5) == pytest.approx(1.0)
-    assert np.sum(np.abs(w.coeffs)) == pytest.approx(1.0)
 
 
 def _grid_index(lat, sizes):
@@ -97,28 +77,6 @@ def from_grid(values, lat):
     return TorusFunction(lat, np.ascontiguousarray(spec[_grid_index(lat, values.shape)]))
 
 
-def test_multiply_matches_collocation():
-    # oracle: sample both factors on an oversampled grid, multiply pointwise,
-    # re-transform, truncate
-    lat = Lattice(1, 3, 5)
-    rng = np.random.default_rng(2)
-    u = random_function(lat, rng)
-    v = random_function(lat, rng)
-    gu, gv = to_grid(u, oversample=3), to_grid(v, oversample=3)
-    ref = from_grid(gu * gv, lat)
-    w = multiply(u, v)
-    assert np.max(np.abs(w.coeffs - ref.coeffs)) < 1e-10
-
-
-def test_multiply_preserves_reality():
-    lat = Lattice(1, 3, 3)
-    rng = np.random.default_rng(3)
-    u = random_function(lat, rng)
-    v = random_function(lat, rng)
-    w = multiply(u, v)
-    assert w.reality and check_reality(w, 1e-12)
-
-
 def test_xconv_matches_truncated_convolve():
     # the centred |k| <= J part of the full convolution, broadcast over leading axes
     rng = np.random.default_rng(10)
@@ -135,13 +93,6 @@ def test_xconv_matches_truncated_convolve():
     one = np.array([conv(c, a[i, 0]) for i in range(4)])[:, None]
     assert np.max(np.abs(xconv(c, a) - one)) < 1e-13         # one x-array against a batch
     assert np.max(np.abs(xconv(c, c) - conv(c, c))) < 1e-13
-
-
-def test_multiply_lattice_mismatch():
-    u = TorusFunction.zero(Lattice(1, 2, 2))
-    v = TorusFunction.zero(Lattice(1, 2, 3))
-    with pytest.raises(ValueError):
-        multiply(u, v)
 
 
 def test_parseval():
@@ -172,7 +123,7 @@ def test_algebra_tame_bound():
         u = random_function(lat, rng)
         v = random_function(lat, rng)
         s = 4.0
-        lhs = sobolev_norm(multiply(u, v), s)
+        lhs = sobolev_norm(torus_product(u, v), s)
         rhs = C * (sobolev_norm(u, s) * sobolev_norm(v, s0)
                    + sobolev_norm(u, s0) * sobolev_norm(v, s))
         assert lhs <= rhs
@@ -195,9 +146,9 @@ def test_json_round_trip():
     # the file format of a v given by path: one [l_1..l_nu, j, re, im] row per mode
     rows = [[*(np.array(idx[:-1]) - lat.L).tolist(), idx[-1] - lat.J, val.real, val.imag]
             for idx, val in np.ndenumerate(u.coeffs)]
-    d = {"nu": lat.nu, "L": lat.L, "J": lat.J, "reality": True, "coeffs": rows}
+    d = {"nu": lat.nu, "L": lat.L, "J": lat.J, "coeffs": rows}
     v = TorusFunction.from_json_dict(d)
-    assert v.lattice == lat and v.reality
+    assert v.lattice == lat
     assert np.max(np.abs(v.coeffs - u.coeffs)) < 1e-15
 
 
@@ -206,5 +157,5 @@ def test_reality_scan():
     rng = np.random.default_rng(10)
     u = random_function(lat, rng)
     assert check_reality(u)
-    v = TorusFunction.from_modes(lat, {(1, 1): 1.0}, reality=False)
+    v = TorusFunction.from_modes(lat, {(1, 1): 1.0})
     assert not check_reality(v)

@@ -39,7 +39,7 @@ def toy_setup(J=12, L=4, M=1000.0, gamma=0.5, tau=2.6, alpha=0.5, N0=2,
     basis = build_basis_matrix(sd)
     if v_modes is None:
         v_modes = {(1, 1): 0.25, (1, -1): 0.25, (-1, 1): 0.25, (-1, -1): 0.25}
-    v = TorusFunction.from_modes(lat, v_modes, reality=True)
+    v = TorusFunction.from_modes(lat, v_modes)
     omega = np.array([1.5 * M])
     params = KamParameters(tau=tau, gamma=gamma, alpha=alpha, N0=N0,
                            tau0=1.0, gamma0=gamma ** (alpha / 4.0))
@@ -613,8 +613,7 @@ def test_lipschitz_drift_across_omega():
     import fastwave.magnus as mg
     qc = xcoeffs(12, {0: 1.0, 1: 0.5, -1: 0.5})
     v = __import__("fastwave.harmonics", fromlist=["TorusFunction"]).TorusFunction.from_modes(
-        lat, {(1, 1): 0.25, (1, -1): 0.25, (-1, 1): 0.25, (-1, -1): 0.25},
-        reality=True)
+        lat, {(1, 1): 0.25, (1, -1): 0.25, (-1, 1): 0.25, (-1, -1): 0.25})
     o2 = mg.magnus_transform(qc, v, state1.omega + h, M, params.gamma0,
                              params.tau0, sd)
     state2 = init_state(o2, sd, basis, params, lat)

@@ -12,7 +12,7 @@ from fastwave.opmatrix import BlockOperator
 from fastwave.psdo import (DEFAULT_CUTOFF, ContourSpec, EllipticSymbol, Symbol,
                            complex_power, compose, quantize)
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks
-from oracles import apply, random_function, torus_multiplication, zero_op
+from oracles import apply, random_function, torus_product, zero_op
 
 
 def xcoeffs(J, entries):
@@ -28,7 +28,7 @@ QC = xcoeffs(J, {0: 1.0, 1: 0.5, -1: 0.5})           # q = 1 + cos x
 SD = eigensolve_blocks(assemble_lq(QC, J), q=QC)
 # v = cos(phi) cos(x)
 VTOY = TorusFunction.from_modes(LAT, {(1, 1): 0.25, (1, -1): 0.25,
-                                      (-1, 1): 0.25, (-1, -1): 0.25}, reality=True)
+                                      (-1, 1): 0.25, (-1, -1): 0.25})
 
 
 def golden_omega(M, nu=1):
@@ -109,7 +109,7 @@ def test_generator_zero_and_average_guard():
     M, g0, t0 = 100.0, 0.1, 1.0
     Y = apply_divisors(zero_op(LAT), golden_omega(M), M, g0, t0)
     assert Y.norm_max() == 0.0
-    bad = multiplication_operator(TorusFunction.from_modes(LAT, {(0, 1): 1.0}, reality=False))
+    bad = multiplication_operator(TorusFunction.from_modes(LAT, {(0, 1): 1.0}))
     with pytest.raises(NonZeroAverageError):
         apply_divisors(bad, golden_omega(M), M, g0, t0)
     with pytest.raises(NonZeroAverageError):
@@ -136,8 +136,7 @@ def test_multiplication_operator_action():
     mask[1:-1, :] = 1.0   # keep angle modes off the edge
     uc = u.coeffs * mask
     got = apply(V, uc)
-    from fastwave.harmonics import multiply
-    want = multiply(TorusFunction(LAT, uc), VTOY).coeffs
+    want = torus_product(TorusFunction(LAT, uc), VTOY).coeffs
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -184,7 +183,7 @@ def test_transform_norm_scaling_sweep():
 
 def test_transform_nonzero_average_rejected():
     M = 1000.0
-    bad = TorusFunction.from_modes(LAT, {(0, 1): 0.5, (0, -1): 0.5}, reality=True)
+    bad = TorusFunction.from_modes(LAT, {(0, 1): 0.5, (0, -1): 0.5})
     with pytest.raises(NonZeroAverageError):
         magnus_transform(QC, bad, golden_omega(M), M, 0.1, 1.0, SD)
 
@@ -206,40 +205,46 @@ def test_cutoff_extension_consistency():
 
 
 def test_symbol_route_and_matrix_route_agree_midband():
-    # the Magnus step redone in the symbol calculus (contour powers of
-    # xi^2 + q, compositions at N = 2) and quantized approximates the exact
-    # V^d away from the smallest and edge modes
+    # the Magnus step redone in the symbol calculus, one angle mode l at a time
+    # (contour powers of xi^2 + q, compositions at N = 2), and quantized,
+    # approximates the exact V^d away from the smallest and edge modes:
+    # w_l = (1/2) B^{-1/4} # v_l # B^{-1/4}, Y_l = div_l w_l and
+    # V^d_l = i (Y_l # B - B # Y_l).  VTOY lives at l = +-1 only, so the
+    # 2 Y B Y term of V^d, whose modes are sums of two of those, adds nothing there
     M, g0, t0 = 1000.0, 0.1, 1.0
     om = golden_omega(M)
     out = magnus_transform(QC, VTOY, om, M, g0, t0, SD)
-    a = EllipticSymbol.xi2_plus_q(LAT, QC)
+    a = EllipticSymbol.xi2_plus_q(J, QC)
     rho = 0.45 * float(np.min(SD.mu_sq))
     cont = ContourSpec(rho=rho, R=rho * math.exp(200.0), n_quad=240)
     B = complex_power(a, 0.5, cont, N=3, deriv_depth=2, compose_N=2)
     Bmh = complex_power(a, -0.25, cont, N=3, deriv_depth=8, compose_N=3)
-    w = 0.5 * compose(compose(Bmh, torus_multiplication(LAT, VTOY), 2), Bmh, 2)
     # chi(omega.l / rho_l)/(i omega.l) of each angle mode, read off apply_divisors
     probe = np.ones((len(LAT.ell_range()), 2 * J + 1, 2 * J + 1))
     probe[len(probe) // 2] = 0.0
-    div = apply_divisors(BlockOperator(LAT, probe), om, M, g0, t0).mats[:, :1, 0]
-    Y = Symbol(LAT, -1.0, lambda xi, beta: w.raw(xi, beta) * div, w.deriv_depth)
-    # the generator symbol solves the homological equation i (omega.l) Y = w
-    dots = (LAT.ell_range() @ om)[:, None]
-    for xi in (-J, 2, 7):
-        scale = np.max(np.abs(w.raw(xi, 0)))
-        assert scale > 0.0
-        assert np.max(np.abs(1j * dots * Y.raw(xi, 0) - w.raw(xi, 0))) < 1e-12 * scale
-    YB, BY = compose(Y, B, 2), compose(B, Y, 2)
-    Vd = 1j * (YB - BY) + 2.0 * compose(YB, Y, 2)
-    Vd_q = quantize(Vd)
+    div = apply_divisors(BlockOperator(LAT, probe), om, M, g0, t0).mats[:, 0, 0]
     scale = out.V[0].norm_max()
+    worst = 0.0
     for ell in ((1,), (-1,)):
-        E = np.abs(Vd_q.mat(ell) - out.V[0].mat(ell))
+        row = LAT.ell_to_index(ell)
+        v = Symbol.x_multiplication(J, VTOY.coeffs[row])
+        w = 0.5 * compose(compose(Bmh, v, 2), Bmh, 2)
+        Y = w * div[row]
+        # the generator symbol solves the homological equation i (omega.l) Y = w
+        dot = float(np.dot(ell, om))
+        for xi in (-J, 2, 7):
+            wscale = np.max(np.abs(w.raw(xi, 0)))
+            assert wscale > 0.0
+            assert np.max(np.abs(1j * dot * Y.raw(xi, 0) - w.raw(xi, 0))) < 1e-12 * wscale
+        Vd = 1j * (compose(Y, B, 2) - compose(B, Y, 2))
+        E = np.abs(quantize(Vd) - out.V[0].mat(ell))
         # compare away from the smallest and edge modes
         sel = np.ix_(range(J - 10, J + 11), range(J - 10, J + 11))
         mid = E[sel]
         mid = mid[:, [k for k in range(21) if abs(k - 10) >= 4]]
-        assert np.max(mid) < 0.2 * scale
+        worst = max(worst, float(np.max(mid)))
+    print(f"[info] symbol-route mid-band error {worst / scale:.4f} * scale")
+    assert worst < 0.2 * scale
 
 
 def test_pauli_algebra_check():

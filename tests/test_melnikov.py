@@ -365,8 +365,7 @@ def test_omega_infty_nested_in_step_sets():
     sd = eigensolve_blocks(assemble_lq(qc, J), q=qc)
     basis = build_basis_matrix(sd)
     v = TorusFunction.from_modes(lat, {(1, 1): 0.25, (1, -1): 0.25,
-                                       (-1, 1): 0.25, (-1, -1): 0.25},
-                                 reality=True)
+                                       (-1, 1): 0.25, (-1, -1): 0.25})
     M = 1000.0
     params = make_params(gamma=1e-2)
     rng = np.random.default_rng(1)
@@ -458,8 +457,7 @@ def toy_kam_pipeline(params, M):
     sd = eigensolve_blocks(assemble_lq(qc, J), q=qc)
     basis = build_basis_matrix(sd)
     v = TorusFunction.from_modes(lat, {(1, 1): 0.25, (1, -1): 0.25,
-                                       (-1, 1): 0.25, (-1, -1): 0.25},
-                                 reality=True)
+                                       (-1, 1): 0.25, (-1, -1): 0.25})
 
     def pipeline(omega):
         out = magnus_transform(qc, v, omega, M, params.gamma0, params.tau0, sd)

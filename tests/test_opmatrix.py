@@ -79,7 +79,7 @@ def pair_norm_loop_terms(P, s, alpha, beta):
 
 def test_identity_norm():
     # only h=0, l=0 contributes; sup over HS of 2-dim identity blocks = sqrt(2)
-    I = BlockOperator.identity(LAT)
+    I = BlockOperator.time_independent(LAT, np.eye(2 * LAT.J + 1))
     assert s_decay_norm(I, 3.0) == pytest.approx(np.sqrt(2.0), rel=1e-14)
 
 
