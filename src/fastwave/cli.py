@@ -332,8 +332,7 @@ def stage_measure(ctx: dict) -> dict:
     from .craig_wayne import build_basis_matrix
     from .kam import KamParameters, init_state, kam_iterate
     from .magnus import magnus_transform
-    from .melnikov import (eigen_table_from_state, estimate_measure,
-                           fitted_gamma_exponent, single_set_measure_exact)
+    from .melnikov import eigen_table_from_state, estimate_measure, fitted_gamma_exponent
     from .schrodinger import assemble_lq, eigensolve_blocks
     cfg = ctx["config"]
     nu = int(cfg["nu"])
@@ -344,8 +343,8 @@ def stage_measure(ctx: dict) -> dict:
     basis = build_basis_matrix(sd)
     v = build_v({**cfg, "v": {"family": "cosine-product", "amplitude": 1.0}}, lat)
     M = float(cfg["M"])
-    rows = [("gamma", "m_r", "ci_lo", "ci_hi", "rejected", "indeterminate")]
-    mrs, indeterminate = [], {}
+    rows = [("gamma", "m_r", "ci_lo", "ci_hi", "rejected", "indeterminate", "rejected_omega0")]
+    mrs, indeterminate, rejected_omega0 = [], {}, {}
     for gamma in cfg["sweep_gamma"]:
         params = KamParameters(tau=cfg["tau"], gamma=gamma, alpha=cfg["alpha"],
                                N0=cfg["N0"], tau0=cfg["tau0"],
@@ -362,23 +361,19 @@ def stage_measure(ctx: dict) -> dict:
                                rng_seed=int(cfg["seed"]), nu=nu, L_check=L_m)
         lo, hi = rep.confidence_interval()
         rows.append((gamma, rep.m_r, lo, hi, rep.rejected_infty,
-                     rep.indeterminate))
+                     rep.indeterminate, rep.rejected_omega0))
         mrs.append(rep.m_r)
         indeterminate[str(gamma)] = dict(rep.indeterminate_by_type)
+        rejected_omega0[str(gamma)] = rep.rejected_omega0
     expo = fitted_gamma_exponent(cfg["sweep_gamma"], mrs)
     monotone = all(a >= b for a, b in zip(mrs, mrs[1:]))
-    # Lemma-window exact check on linear test functions (nu = 1)
-    exact_ok = True
-    if nu == 1:
-        for ellv, c, delta in ((1, 1234.5, 0.05), (3, -2000.0, 0.4)):
-            meas, bound = single_set_measure_exact(M, ellv, c, delta)
-            exact_ok &= meas <= bound + 1e-12
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
-    ok = monotone and exact_ok and (math.isnan(expo) or expo >= 0.4)
+    ok = monotone and (math.isnan(expo) or expo >= 0.4)
     return {"pass": bool(ok), "m_r_by_gamma": dict(zip(map(str, cfg["sweep_gamma"]), mrs)),
+            "rejected_omega0_by_gamma": rejected_omega0,
             "indeterminate_by_type": indeterminate,
-            "fitted_exponent": expo, "single_set_exact_ok": bool(exact_ok),
+            "fitted_exponent": expo,
             "csv": {"measure_sweep.csv": buf.getvalue()}}
 
 

@@ -254,19 +254,6 @@ def _scan_lines(table, dot, sign, ks, n_cap, thr, no_diagonal):
     return checked + counts, sorted(found.items())
 
 
-def single_set_measure_exact(M: float, ell: int, c: float, delta: float):
-    """Exact measure of {omega in R_M : |omega l + c| <= delta} for nu = 1,
-    against the Lipschitz-window bound 2 delta (4M)^{nu-1} / (|l| - c0)."""
-    lo, hi = (-c - delta) / ell, (-c + delta) / ell
-    if lo > hi:
-        lo, hi = hi, lo
-    total = 0.0
-    for a, b in ((-2 * M, -M), (M, 2 * M)):
-        total += max(0.0, min(b, hi) - max(a, lo))
-    bound = 2 * delta / abs(ell)
-    return total, bound
-
-
 def estimate_measure(pipeline, params, M: float, n_samples: int,
                      rng_seed: int, nu: int = 1, L_check: int = 4) -> MeasureReport:
     """Monte-Carlo m_r(Omega_0 \\ Omega_infty) at one gamma.

@@ -60,12 +60,28 @@ stored on an operator: a product builds and drops its operands' grids, `ad`
 makes its four products into one (2, P.., D, D) grid stack, and
 `lie_series` takes X's grid once per series (`kam_step` builds it once per
 step).
+
+The two slices of a pair are worked on two threads where the affinity mask
+has two CPUs: `_phi_grid` transforms the slices of a pair stack, and `ad`
+computes W^d and W^o (products, forward FFT, cut and fix-up), one on the
+calling thread and one on a single helper thread.  numpy releases the GIL
+in matmul and its FFTs, and each slice goes through the same numpy calls as
+in the stack-wide form, so the results are the same bits.  The helper is
+made on first use and runs numpy calls only, on buffers that the calling
+thread allocates: its malloc arena stays small, and no public function
+(which perfbench's tracer wraps) runs on it.  With one CPU, and in a forked
+child (the measure stage's pool workers, which drop the inherited helper),
+the arithmetic is stack-wide on one thread: at L=4 the extra per-slice
+calls cost more than a second thread saves.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -225,18 +241,72 @@ def flip_conjugation(J: int) -> np.ndarray:
     return np.eye(2 * J + 1)[::-1].astype(complex)
 
 
+# -- two threads ---------------------------------------------------------------
+
+
+_HELPER = []      # [the helper's executor] once asked for; [None] where there is none
+_HELPER_MADE = threading.Lock()
+
+
+def _helper() -> ThreadPoolExecutor | None:
+    """The executor of the one helper thread, made on first use; None with one
+    CPU in the affinity mask and in a forked child."""
+    if not _HELPER:
+        with _HELPER_MADE:
+            if not _HELPER:
+                _HELPER.append(ThreadPoolExecutor(1, "fastwave-helper")
+                               if len(os.sched_getaffinity(0)) > 1 else None)
+    return _HELPER[0]
+
+
+def _drop_helper() -> None:
+    # a forked child has no helper thread: a submit to the inherited executor
+    # would wait forever, so the child computes on its one thread
+    _HELPER[:] = [None]
+
+
+os.register_at_fork(after_in_child=_drop_helper)
+
+
+def _on_two_threads(first, second) -> None:
+    """first() on the helper thread while second() runs on this one.
+
+    Both have returned when this returns.  first may only call numpy (which
+    releases the GIL in its loops) on arrays allocated by the caller, so that
+    the helper's malloc arena stays small and no public function, which
+    perfbench's tracer wraps, runs on it.
+    """
+    done = _helper().submit(first)
+    try:
+        second()
+    finally:
+        done.result()
+
+
+def _pair_slices(a: np.ndarray, core: int) -> tuple:
+    """The slices (..., 0, <core axes>) and (..., 1, <core axes>) of a pair stack:
+    the pair axis is the one in front of the last `core` axes."""
+    tail = (slice(None),) * core
+    return a[(Ellipsis, 0) + tail], a[(Ellipsis, 1) + tail]
+
+
 # -- the phi-grid --------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def _grid_index(nu: int, L: int) -> tuple:
-    """The phi-grid length P = 4L+2, the grid axes (from the end) and the index
-    that puts each mode row at its grid position l mod P."""
+    """The phi-grid length P = 4L+2, the grid axes (from the end) and each mode
+    row's position l mod P on the flattened grid axes."""
     # alias-free truncation of a product back to |l| <= L needs only P >= 3L + 1
     P = 4 * L + 2
-    pos = _ell_range(nu, L).T % P
-    pos.flags.writeable = False       # shared by every caller of the cache
-    return P, tuple(range(-nu - 2, -2)), (Ellipsis, *pos, slice(None), slice(None))
+    flat = np.ravel_multi_index(tuple(_ell_range(nu, L).T % P), (P,) * nu)
+    flat.flags.writeable = False      # shared by every caller of the cache
+    return P, tuple(range(-nu - 2, -2)), flat
+
+
+def _flat_grid(grids: np.ndarray, nu: int) -> np.ndarray:
+    """The view of a stack of phi-grids with its nu angle axes as one."""
+    return grids.reshape(grids.shape[:grids.ndim - nu - 2] + (-1,) + grids.shape[-2:])
 
 
 def _phi_grid(lattice: Lattice, mats: np.ndarray) -> np.ndarray:
@@ -244,24 +314,44 @@ def _phi_grid(lattice: Lattice, mats: np.ndarray) -> np.ndarray:
     of coefficient arrays (..., n_l, D, D).
 
     phi runs over 2 pi k / P on each angle axis: one inverse FFT per operand,
-    in place on the buffer.
+    in place on the buffer.  The two slices of a pair are transformed on two
+    threads where there are two (`_on_two_threads`).
     """
-    P, axes, index = _grid_index(lattice.nu, lattice.L)
-    buf = np.zeros(mats.shape[:-3] + (P,) * lattice.nu + mats.shape[-2:], dtype=complex)
-    buf[index] = mats
-    np.fft.ifftn(buf, axes=axes, out=buf)
-    buf *= P ** lattice.nu
+    nu = lattice.nu
+    P, axes, flat = _grid_index(nu, lattice.L)
+    buf = np.zeros(mats.shape[:-3] + (P,) * nu + mats.shape[-2:], dtype=complex)
+    _flat_grid(buf, nu)[..., flat, :, :] = mats
+    if mats.ndim > 3 and mats.shape[-4] == 2 and _helper() is not None:
+        _on_two_threads(*(partial(_inverse_fft, g, axes, P ** nu)
+                          for g in _pair_slices(buf, nu + 2)))
+    else:
+        _inverse_fft(buf, axes, P ** nu)
     return buf
+
+
+def _inverse_fft(buf: np.ndarray, axes: tuple, scale: int) -> None:
+    np.fft.ifftn(buf, axes=axes, out=buf)
+    buf *= scale
+
+
+def _to_modes(lattice: Lattice, grids: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The coefficients |l| <= L of a stack of phi-grids, written to out
+    (..., n_l, D, D); grids is overwritten."""
+    P, axes, flat = _grid_index(lattice.nu, lattice.L)
+    np.fft.fftn(grids, axes=axes, out=grids)
+    # the rows are in range; mode="raise" would copy through a buffer first
+    np.take(_flat_grid(grids, lattice.nu), flat, axis=-3, out=out, mode="clip")
+    out /= P ** lattice.nu
+    return out
 
 
 def _from_phi_grid(lattice: Lattice, grids: np.ndarray, K) -> BlockOperator:
     """The BlockOperator (modes |l| <= L, one per leading index) of a stack of
     phi-grids; grids is overwritten."""
-    P, axes, index = _grid_index(lattice.nu, lattice.L)
-    np.fft.fftn(grids, axes=axes, out=grids)
-    coeffs = grids[index]
-    coeffs /= P ** lattice.nu
-    return BlockOperator(lattice, coeffs, K)
+    n_l = (2 * lattice.L + 1) ** lattice.nu
+    out = np.empty(grids.shape[:grids.ndim - lattice.nu - 2] + (n_l,) + grids.shape[-2:],
+                   dtype=complex)
+    return BlockOperator(lattice, _to_modes(lattice, grids, out), K)
 
 
 def _conj_grid(G: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -327,21 +417,71 @@ def ad(X: BlockOperator, V: BlockOperator, x_grid: np.ndarray | None = None) -> 
     adjoint and a K-sandwich on the modes.  i is taken into S and R first, so
     i W^d = iS + (iS)^* is self-adjoint bit for bit.  x_grid is X's grid
     `_phi_grid(X.lattice, X.mats)`, built here when not given; a Lie series
-    shares one build across its terms.
+    shares one build across its terms.  W^d and W^o are made on two threads
+    where there are two (module docstring), into one preallocated output.
     """
-    Xd, Xo = _phi_grid(X.lattice, X.mats) if x_grid is None else x_grid
-    Vd, Vo = G = _phi_grid(V.lattice, V.mats)
+    lat, K = X.lattice, X.K
+    core = lat.nu + 2
+    Xd, Xo = _pair_slices(_phi_grid(lat, X.mats) if x_grid is None else x_grid, core)
+    G = _phi_grid(lat, V.mats)
+    Vd, Vo = _pair_slices(G, core)
     SR = np.empty_like(G)
-    np.matmul(Xd, Vd, out=SR[0])
-    SR[0] -= Xo @ np.conj(Vo).swapaxes(-1, -2)
-    np.matmul(Xd, Vo, out=SR[1])
-    SR[1] -= Vd @ Xo
-    W = _from_phi_grid(X.lattice, SR, X.K)
-    W.mats *= 1j
-    S, R = W.mats
-    S += S[::-1].conj().swapaxes(-1, -2)
-    R += X.K @ R.swapaxes(-1, -2) @ np.conj(X.K)
-    return W
+    W = np.empty(V.mats.shape, dtype=complex)
+    (Sg, Rg), (S, R) = _pair_slices(SR, core), _pair_slices(W, 3)
+    cK = np.conj(K)
+    if _helper() is None:
+        # one thread: transform and scale the stack at once, the fewest numpy calls
+        _s_grid(Xd, Xo, Vd, Vo, Sg)
+        _r_grid(Xd, Xo, Vd, Vo, Rg)
+        _to_modes(lat, SR, W)
+        W *= 1j
+        _s_adjoin(S)
+        _r_sandwich(R, K, cK)
+        return BlockOperator(lat, W, K)
+
+    # two threads: W^o on the helper, W^d here; the same calls slice by slice.
+    # W^o's scratch is allocated here: V^d X^o on the grid, then in its place
+    # the sandwich's two products in modes (P^nu >= 2 (2L+1)^nu rows)
+    tmp = np.empty(Rg.size, dtype=complex)
+    t1, t2 = tmp[:2 * R.size].reshape((2,) + R.shape)
+
+    def w_o():
+        _r_grid(Xd, Xo, Vd, Vo, Rg, tmp.reshape(Rg.shape))
+        _to_modes(lat, Rg, R)
+        np.multiply(R, 1j, out=R)
+        _r_sandwich(R, K, cK, t1, t2)
+
+    def w_d():
+        _s_grid(Xd, Xo, Vd, Vo, Sg)
+        _to_modes(lat, Sg, S)
+        np.multiply(S, 1j, out=S)
+        _s_adjoin(S)
+
+    _on_two_threads(w_o, w_d)
+    return BlockOperator(lat, W, K)
+
+
+def _s_grid(Xd, Xo, Vd, Vo, out) -> None:
+    """S = X^d V^d - X^o (V^o)^H on the phi-grid; conj(V^o) is dropped before
+    X^d V^d is made, so at most one temporary grid is alive at a time."""
+    np.matmul(Xo, np.conj(Vo).swapaxes(-1, -2), out=out)
+    np.subtract(Xd @ Vd, out, out=out)
+
+
+def _r_grid(Xd, Xo, Vd, Vo, out, tmp=None) -> None:
+    """R = X^d V^o - V^d X^o on the phi-grid (tmp: a buffer for V^d X^o)."""
+    np.matmul(Xd, Vo, out=out)
+    out -= np.matmul(Vd, Xo, out=tmp)
+
+
+def _s_adjoin(S) -> None:
+    """S + S^* in modes: S(l) + S(-l)^H."""
+    S += S[..., ::-1, :, :].conj().swapaxes(-1, -2)
+
+
+def _r_sandwich(R, K, cK, t1=None, t2=None) -> None:
+    """R + (conj R)^* in modes: R(l) + K R(l)^T conj(K) (t1, t2: buffers)."""
+    R += np.matmul(np.matmul(K, R.swapaxes(-1, -2), out=t1), cK, out=t2)
 
 
 class LieSeriesDiverged(RuntimeError):

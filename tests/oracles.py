@@ -5,7 +5,10 @@ another way, or a plain accessor or constructor that only tests need, kept
 here so that tests can compare against it.
 """
 
+import contextlib
 import math
+import multiprocessing
+import signal
 from functools import lru_cache
 
 import numpy as np
@@ -15,6 +18,7 @@ from fastwave.craig_wayne import build_basis_matrix, change_basis
 from fastwave.harmonics import TorusFunction
 from fastwave.magnus import magnus_transform
 from fastwave.kam import LIE_N_MAX, LIE_TOL, prune_C1, solve_homological
+from fastwave import opmatrix
 from fastwave.opmatrix import BlockOperator, _conj_grid, _phi_grid, ad, lie_series
 from fastwave.psdo import Symbol, _add, _mul, _pointwise
 
@@ -226,6 +230,68 @@ def dense_strang(sd, W: BlockOperator, omega, state0, T: float, dt: float,
         if (k + 1) % store_every == 0 or k == n_steps - 1:
             states.append(np.array(state))
     return np.asarray(states)
+
+
+# -- processes and threads -------------------------------------------------------
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError in the body once it has run for `seconds` (SIGALRM:
+    the main thread only), so that a hang fails a test instead of stalling it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def in_forked_child(fn, seconds: float = 60.0):
+    """(fn(), whether opmatrix had no helper thread) computed in a forked child.
+
+    The child drops the helper thread it inherits, so opmatrix computes on one
+    thread there.  An error in the child is raised here as a RuntimeError.
+    """
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+
+    def child_main():
+        try:
+            send.send((True, (fn(), opmatrix._helper() is None)))
+        except Exception as exc:
+            send.send((False, repr(exc)))
+    child = ctx.Process(target=child_main)
+    child.start()
+    try:
+        if not recv.poll(seconds):
+            raise TimeoutError(f"the forked child gave no result in {seconds} s")
+        ok, value = recv.recv()
+    finally:
+        child.kill()
+        child.join()
+    if not ok:
+        raise RuntimeError(f"the forked child failed: {value}")
+    return value
+
+
+# -- the measure -------------------------------------------------------------------
+
+
+def single_set_measure_exact(M: float, ell: int, c: float, delta: float):
+    """Exact measure of {omega in R_M : |omega l + c| <= delta} for nu = 1,
+    against the Lipschitz-window bound 2 delta (4M)^{nu-1} / (|l| - c0)."""
+    lo, hi = (-c - delta) / ell, (-c + delta) / ell
+    if lo > hi:
+        lo, hi = hi, lo
+    total = 0.0
+    for a, b in ((-2 * M, -M), (M, 2 * M)):
+        total += max(0.0, min(b, hi) - max(a, lo))
+    bound = 2 * delta / abs(ell)
+    return total, bound
 
 
 # -- functions on the torus ----------------------------------------------------

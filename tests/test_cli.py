@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 
@@ -9,7 +11,7 @@ from fastwave.cli import (
     run_experiment, emit_report, validate_config,
 )
 from fastwave.harmonics import Lattice
-from oracles import check_reality, coeff
+from oracles import check_reality, coeff, time_limit
 
 
 def small_cfg(**over):
@@ -107,6 +109,24 @@ def test_determinism(tmp_path):
         for stage in j["stages"].values():
             stage.pop("seconds")
     assert j1["stages"] == j2["stages"]
+
+
+def test_measure_stage_reports_omega0_rejections_after_kam():
+    # the kam stage runs ad in this process before the measure stage forks its
+    # pool, as `fastwave all` does; the measure stage reports the samples that
+    # Omega_0 rejects at each gamma, in the manifest and in its csv
+    cfg = small_cfg(samples=100, sweep_gamma=[1e-1, 1e-2])
+    with time_limit(120):
+        manifest = run_experiment(cfg, stages=["kam", "measure"])
+    stage = manifest["stages"]["measure"]
+    assert manifest["stages"]["kam"]["pass"] and "error" not in stage
+    assert "single_set_exact_ok" not in stage
+    rows = list(csv.DictReader(io.StringIO(stage["csv"]["measure_sweep.csv"])))
+    by_gamma = stage["rejected_omega0_by_gamma"]
+    assert list(by_gamma) == list(stage["m_r_by_gamma"]) == ["0.1", "0.01"]
+    assert [int(r["rejected_omega0"]) for r in rows] == list(by_gamma.values())
+    for row, n in zip(rows, by_gamma.values()):
+        assert 0 <= n and int(row["rejected"]) + int(row["indeterminate"]) + n <= 100
 
 
 def test_kam_stage_fails_without_smallness(monkeypatch):

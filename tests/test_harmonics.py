@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,48 @@ def test_algebra_tame_bound():
         rhs = C * (sobolev_norm(u, s) * sobolev_norm(v, s0)
                    + sobolev_norm(u, s0) * sobolev_norm(v, s))
         assert lhs <= rhs
+
+
+def collocation_product(lat, uc, vc):
+    """uv by collocation, an independent check of the coefficient convolution.
+
+    The coefficient arrays uc, vc (leading axes: a batch) are summed on a
+    (phi, x) grid of 3K+1 points per axis (K = L or J), multiplied pointwise
+    and projected back on the box.  A mode of the product, |k| <= 2K, lands
+    on the box |k| <= K only if it lies there, so nothing aliases.  The sums
+    are explicit exponential matrices, not FFTs.
+    """
+    axes = [np.arange(-lat.L, lat.L + 1)] * lat.nu + [np.arange(-lat.J, lat.J + 1)]
+    synth = [np.exp(2j * np.pi * np.outer(np.arange(3 * k[-1] + 1), k) / (3 * k[-1] + 1))
+             for k in axes]
+
+    def each_axis(mats, c):
+        for i, m in enumerate(mats):
+            ax = c.ndim - len(mats) + i
+            c = np.moveaxis(np.tensordot(m, c, axes=(1, ax)), 0, ax)
+        return c
+    values = each_axis(synth, uc) * each_axis(synth, vc)
+    return each_axis([m.conj().T / len(m) for m in synth], values)
+
+
+@pytest.mark.parametrize("lat", [Lattice(1, 3, 4), Lattice(2, 2, 3)], ids=["nu1", "nu2"])
+def test_torus_product_matches_collocation(lat):
+    rng = np.random.default_rng(12)
+    pairs = [(random_function(lat, rng), random_function(lat, rng)) for _ in range(3)]
+    # single modes with each coordinate at -K, 0 or K: products that fall on
+    # the box's edges and corners, inside it, or outside it (cut away)
+    edge = [(*ell, j) for ell in itertools.product((-lat.L, 0, lat.L), repeat=lat.nu)
+            for j in (-lat.J, 0, lat.J)]
+    pairs += [(TorusFunction.from_modes(lat, {a: 1.0}), TorusFunction.from_modes(lat, {b: 1.0}))
+              for a in edge for b in edge]
+    want = collocation_product(lat, np.stack([u.coeffs for u, _ in pairs]),
+                               np.stack([v.coeffs for _, v in pairs]))
+    got = np.stack([torus_product(u, v).coeffs for u, v in pairs])
+    scale = np.maximum(1.0, np.max(np.abs(want), axis=tuple(range(1, want.ndim))))
+    err = np.max(np.abs(got - want), axis=tuple(range(1, want.ndim)))
+    assert np.all(err <= 1e-12 * scale)
+    cut = np.max(np.abs(want), axis=tuple(range(1, want.ndim))) < 1e-12
+    assert 0 < np.sum(cut) < len(pairs)
 
 
 def test_grid_round_trip():

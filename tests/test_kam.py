@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from fastwave.opmatrix import BlockOperator, LieSeriesDiverged, ad
 from fastwave.psdo import DEFAULT_CUTOFF
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks
 from oracles import (block, block_eigs_oracle, block_slice, diagonal_correction_oracle,
-                     final_spectrum_oracle, left_right_ops, melnikov_step_oracle,
+                     final_spectrum_oracle, in_forked_child, left_right_ops, melnikov_step_oracle,
                      normal_form_blocks, pair_to_dense, stack_pair, structure_defect,
                      three_series_remainder, zero_op)
 
@@ -538,6 +539,23 @@ def test_kam_iterate_two_legs_repeat_one_run(track_norms):
     for X, Y in zip(gens, gens_one):
         assert X.mats.shape == Y.mats.shape
         assert X.mats.tobytes() == Y.mats.tobytes()
+
+
+def test_kam_iterate_same_bits_without_the_helper_thread():
+    # a 3-step run here (ad on two threads where there are two CPUs) against
+    # the same run in a forked child, which computes on one thread
+    state = toy_setup()[0]
+
+    def run():
+        final, gens = kam_iterate(state, p_max=3, collect_generators=True)
+        return (repr(final.history), final.H0.tobytes(), final.V.mats.tobytes(),
+                [X.mats.tobytes() for X in gens])
+    here = run()
+    assert (opmatrix._helper() is None) == (len(os.sched_getaffinity(0)) == 1)
+    there, alone = in_forked_child(run)
+    assert alone
+    assert len(here[3]) == 3
+    assert there == here
 
 
 def generator_exponential(X: BlockOperator) -> np.ndarray:

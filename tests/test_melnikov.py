@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from fastwave.kam import (KamParameters, SmallnessError, balanced_threshold, ini
 from fastwave.magnus import diophantine_test, magnus_transform, sample_annulus
 from fastwave.melnikov import (
     EigenTable, MeasureReport, _measure_sample, eigen_table_from_state,
-    estimate_measure, fitted_gamma_exponent, omega_infty_test, single_set_measure_exact,
+    estimate_measure, fitted_gamma_exponent, omega_infty_test,
 )
+from fastwave import opmatrix
 from fastwave.opmatrix import LieSeriesDiverged
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks
+from oracles import single_set_measure_exact, time_limit
 
 
 def xcoeffs(J, entries):
@@ -467,6 +470,22 @@ def toy_kam_pipeline(params, M):
     return pipeline
 
 
+def fold_in_process(pipeline, params, M, n, seed, L_check) -> MeasureReport:
+    """estimate_measure's report with its samples run and folded in this process."""
+    want = MeasureReport(M=M, gamma=params.gamma, tau=params.tau, alpha=params.alpha,
+                         n_samples=n)
+    for omega in sample_annulus(np.random.default_rng(seed), M, 1, n):
+        verdict, counts = _measure_sample(omega, pipeline, params, M, L_check, 8)
+        if verdict == "rejected_omega0":
+            want.rejected_omega0 += 1
+            continue
+        assert verdict in ("passed", "rejected_infty")
+        want.rejected_infty += verdict == "rejected_infty"
+        for key, count in counts.items():
+            want.pruning[key] = want.pruning.get(key, 0) + count
+    return want
+
+
 def test_estimate_measure_pool_matches_in_process_fold():
     M, n, seed, L_check = 1e2, 100, 7, 1
     mixed = []          # both verdicts of omega_infty_test occur at some gamma
@@ -475,20 +494,25 @@ def test_estimate_measure_pool_matches_in_process_fold():
         pipeline = toy_kam_pipeline(params, M)
         rep = estimate_measure(pipeline, params, M, n, rng_seed=seed, L_check=L_check)
         assert multiprocessing.active_children() == []
-        want = MeasureReport(M=M, gamma=gamma, tau=params.tau, alpha=params.alpha,
-                             n_samples=n)
-        for omega in sample_annulus(np.random.default_rng(seed), M, 1, n):
-            verdict, counts = _measure_sample(omega, pipeline, params, M, L_check, 8)
-            if verdict == "rejected_omega0":
-                want.rejected_omega0 += 1
-                continue
-            assert verdict in ("passed", "rejected_infty")
-            want.rejected_infty += verdict == "rejected_infty"
-            for key, count in counts.items():
-                want.pruning[key] = want.pruning.get(key, 0) + count
+        want = fold_in_process(pipeline, params, M, n, seed, L_check)
         assert rep.to_json_dict() == want.to_json_dict()
         mixed.append(0 < want.rejected_infty < n and want.pruning["explicit"] > 0)
     assert any(mixed)
+
+
+def test_estimate_measure_forks_safely_after_ad_on_two_threads():
+    # the in-process fold runs ad here, on two threads where there are two
+    # CPUs, so the pool forks a process whose helper thread exists; a worker
+    # that submitted to the helper it inherits would wait forever
+    M, n, seed, L_check = 1e2, 100, 7, 1
+    params = make_params(gamma=1e-2)
+    pipeline = toy_kam_pipeline(params, M)
+    want = fold_in_process(pipeline, params, M, n, seed, L_check)
+    assert (opmatrix._helper() is None) == (len(os.sched_getaffinity(0)) == 1)
+    with time_limit(60):
+        rep = estimate_measure(pipeline, params, M, n, rng_seed=seed, L_check=L_check)
+    assert multiprocessing.active_children() == []
+    assert rep.to_json_dict() == want.to_json_dict()
 
 
 def test_estimate_measure_pool_counts_errors_by_type():

@@ -1,3 +1,9 @@
+import math
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,9 +14,9 @@ from fastwave.opmatrix import (
     _pair_norm_terms, _pair_term_norms, _phi_grid, ad,
     lie_series, pair_norm, s_decay_norm,
 )
-from oracles import (apply, block, block_slice, left_right_ops, lie_conjugate,
-                     pair_to_dense, random_function, sobolev_norm, stack_pair,
-                     structure_defect, zero_op, zero_pair)
+from oracles import (apply, block, block_slice, in_forked_child, left_right_ops,
+                     lie_conjugate, pair_to_dense, random_function, sobolev_norm,
+                     stack_pair, structure_defect, zero_op, zero_pair)
 
 LAT = Lattice(1, 3, 6)
 LAT2 = Lattice(2, 2, 4)
@@ -385,16 +391,20 @@ def test_stack_methods_act_slice_by_slice(lat):
 def test_ad_fft_count_and_grid_lifetime(monkeypatch):
     # each term of a series transforms 2 grids to phi and 2 back; X's grid
     # (2 inverse FFTs) is built once per series, by its caller, and not kept
-    # on any operand
+    # on any operand.  A call counts the slices it transforms (the axes in
+    # front of its FFT axes), so one call on a pair stack and one call per
+    # slice of it, on two threads, count alike.
     from fastwave import opmatrix
     rng = np.random.default_rng(22)
     X = random_pair(LAT, rng) * 1e-2
     V = random_pair(LAT, rng)
     counts = {"ifftn": 0, "fftn": 0}
+    lock = threading.Lock()
 
     def counted(name, fn):
         def wrapper(a, *args, **kwargs):
-            counts[name] += a.shape[0]
+            with lock:
+                counts[name] += math.prod(a.shape[:min(kwargs["axes"])])
             return fn(a, *args, **kwargs)
         return wrapper
     monkeypatch.setattr(opmatrix.np.fft, "ifftn", counted("ifftn", np.fft.ifftn))
@@ -416,6 +426,44 @@ def test_ad_fft_count_and_grid_lifetime(monkeypatch):
     assert n_terms > 3
     assert counts["ifftn"] == 2 + 2 * n_terms and counts["fftn"] == 2 * n_terms
     assert not hasattr(out, "_grid") and not hasattr(out, "__dict__")
+
+
+@pytest.mark.parametrize("lat", [LAT, LAT2], ids=["nu1", "nu2"])
+def test_ad_and_grids_same_bits_without_the_helper_thread(lat):
+    # pair grids, ad and products here (two threads where there are two CPUs)
+    # against the same calls in a forked child, which computes on one thread
+    from fastwave import opmatrix
+    rng = np.random.default_rng(24)
+    X = random_pair(lat, rng) * 0.1
+    V = random_pair(lat, rng)
+
+    def run():
+        g = _phi_grid(lat, X.mats)
+        return [g.tobytes(), ad(X, V, g).mats.tobytes(), ad(X, V).mats.tobytes(),
+                (X[0] @ V[1]).mats.tobytes()]
+    here = run()
+    assert (opmatrix._helper() is None) == (len(os.sched_getaffinity(0)) == 1)
+    there, alone = in_forked_child(run)
+    assert alone
+    assert there == here
+
+
+def test_ad_from_several_threads_at_once():
+    # four calling threads share the one helper thread, with a thread switch
+    # every microsecond; a buffer shared between calls would change some bits
+    rng = np.random.default_rng(25)
+    pairs = [(random_pair(LAT2, rng) * 0.1, random_pair(LAT2, rng)) for _ in range(4)]
+    want = [ad(X, V).mats.tobytes() for X, V in pairs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            runs = [pool.submit(lambda X, V: [ad(X, V).mats.tobytes() for _ in range(5)], X, V)
+                    for X, V in pairs]
+            got = [run.result(timeout=60) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [[w] * 5 for w in want]
 
 
 def test_ad_preserves_structure():
