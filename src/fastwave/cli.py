@@ -20,7 +20,6 @@ import time
 import numpy as np
 
 from . import __version__
-from .calibration import CONSTANTS
 from .harmonics import Lattice, TorusFunction
 
 
@@ -106,7 +105,8 @@ def build_q(cfg: dict, J: int) -> np.ndarray:
         c *= spec.get("scale", 1.0) / max(1e-300, np.max(np.abs(c)))
         c[J] += spec.get("mean", 1.0)
     elif fam == "file":
-        data = json.load(open(spec["path"]))
+        with open(spec["path"]) as fh:
+            data = json.load(fh)
         arr = np.asarray([complex(re, im) for re, im in data["coeffs"]])
         lo = min(J, (len(arr) - 1) // 2)
         c[J - lo:J + lo + 1] = arr[(len(arr) - 1) // 2 - lo:(len(arr) - 1) // 2 + lo + 1]
@@ -146,7 +146,8 @@ def build_v(cfg: dict, lattice: Lattice) -> TorusFunction:
         v = TorusFunction(lattice, c).symmetrized()
         return v * (spec.get("scale", 1.0) / max(1e-300, np.max(np.abs(v.coeffs))))
     if fam == "file":
-        return TorusFunction.from_json_dict(json.load(open(spec["path"])))
+        with open(spec["path"]) as fh:
+            return TorusFunction.from_json_dict(json.load(fh))
     raise ConfigError(f"unknown v family {fam!r}")
 
 
@@ -229,7 +230,7 @@ def stage_psdo_audit(ctx: dict) -> dict:
     out = {}
     # parametrix residual decay
     shifted = ell.full_symbol() + Symbol.constant(J, 1.0)
-    OpA = quantize(Symbol(J, 2.0, shifted._rule, 12))
+    OpA = quantize(shifted)
     bN = resolvent_parametrix(ell, -1.0, N=3)
     R = quantize(bN) @ OpA - np.eye(2 * J + 1)
     expo, _ = entry_decay_exponent(R)
@@ -257,17 +258,18 @@ def stage_magnus(ctx: dict) -> dict:
     ctx["v"] = v
     sd, qc = ctx["sd"], ctx["qc"]
     rows = [("M", "delta_d_s3", "delta_o_s3")]
-    norms_d, norms_o = [], []
+    norms_d, norms_o, outs = [], [], {}
     for M in cfg["sweep_M"]:
         omega = golden_omega(M, lat.nu)
-        out = magnus_transform(qc, v, omega, M, cfg["gamma0"], cfg["tau0"], sd)
-        nd, no = (s_decay_norm(V, 3.0) for V in out.V)
+        outs[M] = magnus_transform(qc, v, omega, M, cfg["gamma0"], cfg["tau0"], sd)
+        nd, no = (s_decay_norm(V, 3.0) for V in outs[M].V)
         norms_d.append(nd)
         norms_o.append(no)
         rows.append((M, nd, no))
     M0 = cfg["M"]
-    out = magnus_transform(qc, v, golden_omega(M0, lat.nu), M0, cfg["gamma0"],
-                           cfg["tau0"], sd)
+    # the sweep's transform at the run's own M when the sweep has it
+    out = outs[M0] if M0 in outs else magnus_transform(
+        qc, v, golden_omega(M0, lat.nu), M0, cfg["gamma0"], cfg["tau0"], sd)
     ctx["magnus_out"] = out
     defects = out.structure_defects()
     res = homological_residual(out)
@@ -438,8 +440,12 @@ def run_experiment(cfg: dict, stages) -> dict:
     for name, _, deps in reversed(STAGES):
         if name in needed:
             needed.update(deps)
+    from .kam import SMALLNESS_C_S0
+    # the one constant a run reads that is neither derived nor an input
     manifest = {"version": __version__, "config": cfg,
-                "constants": dict(CONSTANTS), "stages": {}}
+                "constants": {"kam_smallness_C_s0": {"value": SMALLNESS_C_S0,
+                                                     "kind": "fitted"}},
+                "stages": {}}
     ctx = {"config": cfg}
     failed = set()
     for name, fn, deps in STAGES:
@@ -519,7 +525,8 @@ def main(argv=None) -> int:
 
     cfg = named_config(args.preset) if args.preset else dict(DEFAULTS)
     if args.config:
-        cfg.update(json.load(open(args.config)))
+        with open(args.config) as fh:
+            cfg.update(json.load(fh))
     for key in ("nu", "L", "J", "M", "gamma", "gamma0", "tau", "tau0", "alpha",
                 "N0", "seed", "samples"):
         val = getattr(args, key.replace("-", "_"))

@@ -309,7 +309,7 @@ def compose(a: Symbol, b: Symbol, N: int) -> Symbol:
     approx = terms[0]
     for t in terms[1:]:
         approx = approx + t
-    return Symbol(approx.J, a.order + b.order, approx._rule, approx.deriv_depth)
+    return approx
 
 
 def entry_decay_exponent(R: np.ndarray, j_lo: int | None = None,
@@ -352,11 +352,12 @@ class EllipticSymbol:
                        (2, Symbol.x_multiplication(J, qcoeffs))])
 
     def full_symbol(self) -> Symbol:
+        """The sum of the layers, of the principal layer's order."""
         syms = list(self.layers.values())
         out = syms[0]
         for s in syms[1:]:
             out = out + s
-        return Symbol(out.J, self.order, out._rule, out.deriv_depth)
+        return out
 
     def principal_min_abs(self, lam: complex, xi_vals) -> float:
         """min |a_m(x, xi) - lam| over the sampling grid (ellipticity check)."""

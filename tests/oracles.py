@@ -13,6 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.signal
+import scipy.special
 
 from fastwave.craig_wayne import build_basis_matrix, change_basis
 from fastwave.harmonics import TorusFunction
@@ -437,6 +438,72 @@ def structure_defect(X: BlockOperator) -> float:
     dd = (X[0].adjoint() - X[0]).norm_max()
     oo = (X[1].adjoint() - X[1].conj_op()).norm_max()
     return max(dd, oo)
+
+
+# -- tame product estimates at nu = 1, weight <l,j> = max(1, |l|, |j|) -----------
+
+
+def bracket_sum(p: float) -> float:
+    """sum over k = (l, j) in Z^2 of <k>^(-p), p > 2, in closed form.
+
+    <k> = 1 at the 9 points max(|l|, |j|) <= 1, and <k> = m at the 8m points
+    max(|l|, |j|) = m >= 2, so the sum is 9 + 8 (zeta(p - 1) - 1).
+    """
+    return 9.0 + 8.0 * (float(scipy.special.zeta(p - 1.0)) - 1.0)
+
+
+def algebra_tame_constant(s: float, s0: float) -> float:
+    """C = 2^(s-1) bracket_sum(2 s0)^(1/2) of |uv|_s <= C (|u|_s |v|_s0 + |u|_s0 |v|_s).
+
+    The derivation is test_harmonics' test_algebra_tame_bound.
+    """
+    return 2.0 ** (s - 1.0) * math.sqrt(bracket_sum(2.0 * s0))
+
+
+def sdecay_tame_constant(s: float, s0: float) -> float:
+    """C = 2^s bracket_sum(2 s0)^(1/2) of |AB|_s <= C (|A|_s0 |B|_s + |A|_s |B|_s0).
+
+    The derivation is test_opmatrix's test_tame_product_inequality.
+    """
+    return 2.0 ** s * math.sqrt(bracket_sum(2.0 * s0))
+
+
+def algebra_ratio(u: TorusFunction, v: TorusFunction, s: float, s0: float) -> float:
+    """|uv|_s / (|u|_s |v|_s0 + |u|_s0 |v|_s)."""
+    return sobolev_norm(torus_product(u, v), s) / (
+        sobolev_norm(u, s) * sobolev_norm(v, s0) + sobolev_norm(u, s0) * sobolev_norm(v, s))
+
+
+def sdecay_ratio(A: BlockOperator, B: BlockOperator, s: float, s0: float) -> float:
+    """|AB|_s / (|A|_s0 |B|_s + |A|_s |B|_s0)."""
+    norm = opmatrix.s_decay_norm
+    return norm(A @ B, s) / (norm(A, s0) * norm(B, s) + norm(A, s) * norm(B, s0))
+
+
+def single_modes(lattice, radius: int) -> list:
+    """The functions exp(i(l.phi + jx)) with every |l_i|, |j| <= radius."""
+    out = []
+    for ell in lattice.ell_range():
+        if np.max(np.abs(ell)) <= radius:
+            for j in range(-radius, radius + 1):
+                c = np.zeros(lattice.shape, dtype=complex)
+                c[lattice.ell_to_index(ell) + (j + lattice.J,)] = 1.0
+                out.append(TorusFunction(lattice, c))
+    return out
+
+
+def single_entries(lattice, radius: int) -> list:
+    """The operators with one unit entry (j, j') at one mode l, all of |l_i|, |j|,
+    |j'| <= radius."""
+    J, out = lattice.J, []
+    for i, ell in enumerate(lattice.ell_range()):
+        if np.max(np.abs(ell)) <= radius:
+            for j in range(-radius, radius + 1):
+                for j_in in range(-radius, radius + 1):
+                    A = zero_op(lattice)
+                    A.mats[i, J + j, J + j_in] = 1.0
+                    out.append(A)
+    return out
 
 
 # -- symbols ---------------------------------------------------------------------

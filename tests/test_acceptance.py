@@ -15,7 +15,6 @@ import time
 import numpy as np
 import pytest
 
-from fastwave.calibration import CONSTANTS
 from fastwave.cli import build_q, build_v, golden_omega, named_config, validate_config
 from fastwave.craig_wayne import (build_basis_matrix, eigen_residual,
                                   ls_block_eigenpairs, tilde_C,
@@ -411,11 +410,16 @@ def test_criterion_8_literal_band_slope():
 
 
 def test_criterion_9_algebra_invariants():
+    """The tame inequalities take the derived constants of test_harmonics'
+    test_algebra_tame_bound and test_opmatrix's test_tame_product_inequality,
+    and their single-mode corpora hold the extremal pairs of ratio 2^s / 2 = 8.
+    """
     import scipy.linalg
-    from fastwave.opmatrix import ad, s_decay_norm
-    from oracles import (left_right_ops, lie_conjugate, random_function, sobolev_norm,
-                         stack_pair, torus_product, zero_op)
-    rng = np.random.default_rng(20250810)    # fresh seed, disjoint from calibration
+    from fastwave.opmatrix import ad
+    from oracles import (algebra_ratio, algebra_tame_constant, left_right_ops, lie_conjugate,
+                         random_function, sdecay_ratio, sdecay_tame_constant, single_entries,
+                         single_modes, stack_pair, zero_op)
+    rng = np.random.default_rng(20250810)
     # M_L/M_R spectrum = pairwise sums exactly
     worst_pair = 0.0
     for _ in range(50):
@@ -469,32 +473,31 @@ def test_criterion_9_algebra_invariants():
                 pair_at_angle(conj, phi) - ref))))
     ok_dense = worst_ad <= 1e-9 and worst_lie <= 1e-9
 
-    # tame inequalities on 500 fresh samples with the frozen constants
+    # tame inequalities with the derived constants, on 500 fresh samples and
+    # on the single-mode pairs, whose largest ratio is 2^s / 2 = 8
     lat2 = Lattice(1, 4, 8)
     s, s0 = 4.0, float(lat2.s0)
-    C0, Cs = CONSTANTS["sdecay_tame_C_s0"], CONSTANTS["sdecay_tame_C_s"]
-    Ca = CONSTANTS["harmonics_algebra_C4"]
-    ok_tame = True
-    for k in range(250):
-        u = random_function(lat2, rng)
-        w = random_function(lat2, rng)
-        lhs = sobolev_norm(torus_product(u, w), s)
-        rhs = Ca * (sobolev_norm(u, s) * sobolev_norm(w, s0)
-                    + sobolev_norm(u, s0) * sobolev_norm(w, s))
-        ok_tame &= lhs <= rhs
+    Ca, Cp = algebra_tame_constant(s, s0), sdecay_tame_constant(s, s0)
+    alg = [algebra_ratio(random_function(lat2, rng), random_function(lat2, rng), s, s0)
+           for _ in range(250)]
     Dm = 2 * lat2.J + 1
+    prod = []
     for k in range(250):
         pick = rng.choice(len(lat2.ell_range()), size=3, replace=False)
         A, B = zero_op(lat2), zero_op(lat2)
         A.mats[pick] = [rng.standard_normal((Dm, Dm)) for _ in pick]
         B.mats[pick] = [rng.standard_normal((Dm, Dm)) for _ in pick]
-        lhs = s_decay_norm(A @ B, s)
-        rhs = C0 * s_decay_norm(A, s0) * s_decay_norm(B, s) \
-            + Cs * s_decay_norm(A, s) * s_decay_norm(B, s0)
-        ok_tame &= lhs <= rhs
+        prod.append(sdecay_ratio(A, B, s, s0))
+    modes, ops = single_modes(lat2, 1), single_entries(lat2, 1)
+    alg_single = max(algebra_ratio(u, w, s, s0) for u in modes for w in modes)
+    prod_single = max(sdecay_ratio(A, B, s, s0) for A in ops for B in ops)
+    ok_tame = (max(alg) <= Ca and max(prod) <= Cp
+               and abs(alg_single - 8.0) <= 1e-12 and abs(prod_single - 8.0) <= 1e-12)
 
     ok = ok_pair and ok_unit and ok_dense and ok_tame
     assert report(9, ok,
                   f"M_L/M_R pairwise sums exact to {worst_pair:.1e}; unitarity "
                   f"{unit:.1e}; ad/Lie vs dense {max(worst_ad, worst_lie):.1e}; "
-                  f"tame inequalities on 500 fresh samples: {ok_tame}")
+                  f"tame ratios on 500 fresh samples {max(alg):.2g} <= {Ca:.4g} "
+                  f"and {max(prod):.2g} <= {Cp:.4g}; single-mode maxima {alg_single:.15g} "
+                  f"and {prod_single:.15g} against 2^s/2 = 8")

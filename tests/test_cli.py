@@ -1,7 +1,9 @@
 import csv
+import gc
 import io
 import json
-import os
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -69,15 +71,39 @@ def test_build_v_families():
     assert np.max(np.abs(z.coeffs)) == 0.0
 
 
+def test_file_inputs_are_closed(tmp_path, monkeypatch):
+    # a q-file, a v-file and a --config file load with ResourceWarning raised
+    # as an error; a file left open warns from its finalizer, where the error
+    # is unraisable, so the hook collects it
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    qpath, vpath, cpath = (tmp_path / f"{x}.json" for x in "qvc")
+    qpath.write_text(json.dumps({"coeffs": [[0.5, 0.0], [1.0, 0.0], [0.5, 0.0]]}))
+    vpath.write_text(json.dumps({"nu": 1, "L": 2, "J": 3,
+                                 "coeffs": [[1, 1, 0.25, 0.0], [-1, -1, 0.25, 0.0]]}))
+    cpath.write_text(json.dumps({"q": {"family": "file", "path": str(qpath)}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        qc = build_q({"q": {"family": "file", "path": str(qpath)}}, 4)
+        v = build_v({"v": {"family": "file", "path": str(vpath)}}, Lattice(1, 2, 3))
+        rc = main(["spectrum", "--config", str(cpath), "--J", "8", "--L", "2",
+                   "--outdir", str(tmp_path / "out")])
+        gc.collect()
+    assert unraisable == []
+    assert list(qc[3:6]) == [0.5, 1.0, 0.5] and coeff(v, (-1,), -1) == 0.25
+    assert rc == 0
+
+
 def test_run_experiment_spectrum_only(tmp_path):
     manifest = run_experiment(small_cfg(), stages=["spectrum"])
     assert manifest["stages"]["spectrum"]["pass"]
     files = emit_report(manifest, str(tmp_path))
     assert any(p.endswith("manifest.json") for p in files)
     assert any(p.endswith("spectrum.csv") for p in files)
-    doc = json.load(open(os.path.join(tmp_path, "manifest.json")))
+    doc = json.loads((tmp_path / "manifest.json").read_text())
     assert doc["all_pass"]
-    assert "constants" in doc and "kam_smallness_C_s0" in doc["constants"]
+    # the one constant a run reads, marked as fitted
+    assert doc["constants"] == {"kam_smallness_C_s0": {"value": 4.2e-24, "kind": "fitted"}}
 
 
 def test_run_experiment_dependencies_pulled():
@@ -100,11 +126,11 @@ def test_determinism(tmp_path):
     m2 = run_experiment(cfg, stages=["magnus"])
     f1 = emit_report(m1, str(tmp_path / "a"))
     f2 = emit_report(m2, str(tmp_path / "b"))
-    c1 = open(os.path.join(tmp_path, "a", "magnus_sweep.csv")).read()
-    c2 = open(os.path.join(tmp_path, "b", "magnus_sweep.csv")).read()
+    c1 = (tmp_path / "a" / "magnus_sweep.csv").read_text()
+    c2 = (tmp_path / "b" / "magnus_sweep.csv").read_text()
     assert c1 == c2
-    j1 = json.load(open(os.path.join(tmp_path, "a", "manifest.json")))
-    j2 = json.load(open(os.path.join(tmp_path, "b", "manifest.json")))
+    j1 = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    j2 = json.loads((tmp_path / "b" / "manifest.json").read_text())
     for j in (j1, j2):              # wall times differ between runs
         for stage in j["stages"].values():
             stage.pop("seconds")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fastwave.harmonics import Lattice, TorusFunction, x_to_grid, x_from_grid, xconv
-from oracles import check_reality, coeff, random_function, sobolev_norm, torus_product
+from oracles import (algebra_ratio, algebra_tame_constant, bracket_sum, check_reality, coeff,
+                     random_function, single_modes, sobolev_norm, torus_product)
 
 
 def bracket(ell, j):
@@ -114,21 +115,38 @@ def test_norm_monotone_in_s():
     assert all(a <= b + 1e-14 for a, b in zip(norms, norms[1:]))
 
 
+def test_bracket_sum_closed_form():
+    # 9 + 8 (zeta(p - 1) - 1) against the direct sum over the box |l|, |j| <= 600,
+    # whose tail 8 sum_{m > 600} m^(1-p) is below 2e-11 at p = 6
+    k = np.arange(-600, 601)
+    w = np.maximum(1.0, np.maximum.outer(np.abs(k), np.abs(k)))
+    for p in (6.0, 8.0):
+        assert bracket_sum(p) == pytest.approx(np.sum(w ** -p), rel=1e-11)
+
+
 def test_algebra_tame_bound():
-    # |uv|_s <= C(s) (|u|_s |v|_s0 + |u|_s0 |v|_s), C(s) frozen in calibration
-    from fastwave.calibration import CONSTANTS
+    """|uv|_s <= C (|u|_s |v|_s0 + |u|_s0 |v|_s) with C = 2^(s-1) Z(2 s0)^(1/2).
+
+    Z(p) = sum_{k in Z^2} <k>^(-p) = 9 + 8 (zeta(p - 1) - 1) (`bracket_sum`),
+    so C = 8 (9 + 8 (zeta(5) - 1))^(1/2) = 24.39 at s = 4, s0 = 3, nu = 1.
+    The weight is subadditive, <k + k'> <= <k> + <k'>, so by convexity
+    <k + k'>^s <= 2^(s-1) (<k>^s + <k'>^s); the box cut only drops modes.
+    Young's inequality |f * g|_2 <= |f|_2 |g|_1 bounds each of the two
+    convolutions, and Cauchy-Schwarz gives |g|_1 <= Z(2 s0)^(1/2) |<.>^s0 g|_2.
+
+    The single modes k = k' with <k> = 1 and <2k> = 2 reach 2^s / 2 = 8, the
+    largest ratio of any two single modes; the corpus holds them.
+    """
     lat = Lattice(1, 4, 8)
-    s0 = lat.s0
+    s, s0 = 4.0, lat.s0
+    C = algebra_tame_constant(s, s0)
+    assert C == pytest.approx(24.3907, abs=1e-4)
     rng = np.random.default_rng(7)
-    C = CONSTANTS["harmonics_algebra_C4"]
     for _ in range(20):
-        u = random_function(lat, rng)
-        v = random_function(lat, rng)
-        s = 4.0
-        lhs = sobolev_norm(torus_product(u, v), s)
-        rhs = C * (sobolev_norm(u, s) * sobolev_norm(v, s0)
-                   + sobolev_norm(u, s0) * sobolev_norm(v, s))
-        assert lhs <= rhs
+        assert algebra_ratio(random_function(lat, rng), random_function(lat, rng), s, s0) <= C
+    modes = single_modes(lat, 1)
+    ratios = [algebra_ratio(u, v, s, s0) for u in modes for v in modes]
+    assert max(ratios) == pytest.approx(2 ** s / 2, abs=1e-12)
 
 
 def collocation_product(lat, uc, vc):

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fastwave.calibration import CONSTANTS
 from fastwave.harmonics import Lattice, TorusFunction
 from fastwave.craig_wayne import build_basis_matrix
 from fastwave.kam import (
-    KamParameters, KamState, SmallnessError, diagonal_correction,
-    final_spectrum, init_state, kam_iterate, kam_step,
+    NASH_MOSER_C1, NASH_MOSER_C2, KamParameters, KamState, SmallnessError,
+    diagonal_correction, final_spectrum, init_state, kam_iterate, kam_step,
     melnikov_step_test, nash_moser_check, smallness_check, solve_homological,
 )
 from fastwave import opmatrix
@@ -427,8 +426,8 @@ def test_nash_moser_check_reads_history():
         fac = Np ** (2 * pr.tau + 1) * prev.M ** pr.alpha / pr.gamma
         d_s, d_sb = prev.delta(s0), prev.delta(s0 + beta)
         lhs1, lhs2 = nxt.delta(s0), nxt.delta(s0 + beta)
-        rhs1 = CONSTANTS["nash_moser_C1"] * (Np ** (-beta) * d_sb + fac * d_s * d_s)
-        rhs2 = CONSTANTS["nash_moser_C2"] * (d_sb + fac * (d_sb * d_s + d_s * d_s))
+        rhs1 = NASH_MOSER_C1 * (Np ** (-beta) * d_sb + fac * d_s * d_s)
+        rhs2 = NASH_MOSER_C2 * (d_sb + fac * (d_sb * d_s + d_s * d_s))
         assert nash_moser_check(prev, nxt) == {
             "low_ok": lhs1 <= rhs1, "high_ok": lhs2 <= rhs2, "lhs_low": lhs1,
             "rhs_low": rhs1, "lhs_high": lhs2, "rhs_high": rhs2}

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fastwave.harmonics import Lattice
+from fastwave.harmonics import Lattice, TorusFunction
 from fastwave.opmatrix import (
     BlockOperator, LieSeriesDiverged, _conj_grid, _from_phi_grid,
     _pair_norm_terms, _pair_term_norms, _phi_grid, ad,
     lie_series, pair_norm, s_decay_norm,
 )
-from oracles import (apply, block, block_slice, in_forked_child, left_right_ops,
-                     lie_conjugate, pair_to_dense, random_function, sobolev_norm,
-                     stack_pair, structure_defect, zero_op, zero_pair)
+from oracles import (apply, block, block_slice, bracket_sum, in_forked_child,
+                     left_right_ops, lie_conjugate, pair_to_dense, random_function,
+                     sdecay_ratio, sdecay_tame_constant, single_entries, single_modes,
+                     sobolev_norm, stack_pair, structure_defect, zero_op, zero_pair)
 
 LAT = Lattice(1, 3, 6)
 LAT2 = Lattice(2, 2, 4)
@@ -597,34 +598,64 @@ def test_left_right_action_and_opnorm():
 
 
 def test_tame_product_inequality():
-    from fastwave.calibration import CONSTANTS
-    rng = np.random.default_rng(18)
+    """|AB|_s <= C (|A|_s0 |B|_s + |A|_s |B|_s0) with C = 2^s Z(2 s0)^(1/2).
+
+    Z(p) = sum_{k in Z^2} <k>^(-p) = 9 + 8 (zeta(p - 1) - 1) (`bracket_sum`),
+    so C = 16 (9 + 8 (zeta(5) - 1))^(1/2) = 48.78 at s = 4, s0 = 3, nu = 1.
+    Write a(l, h) = sup_{|n-n'|=h} |A_[n]^[n'](l)|_HS, extended to k = (l, h)
+    in Z^2 by a(l, -h) = a(l, h), and b likewise for B.  The HS norm is
+    submultiplicative, and block [n]^[n'] of sum_l1 A(l1) B(l - l1) sums over
+    the inner block m, that is over h1 = n - m in Z, so its HS norm is at most
+    (a * b)(l, n - n'), a convolution on Z^2 (the box cuts only drop terms).
+    As for the algebra bound, <k>^s <= 2^(s-1) (<k1>^s + <k2>^s), Young's
+    inequality and Cauchy-Schwarz bound the convolution by
+    2^(s-1) Z(2 s0)^(1/2) (|<.>^s a|_2 |<.>^s0 b|_2 + ...), and
+    |<.>^s a|_2 <= 2^(1/2) |A|_s, since each h >= 1 appears twice in Z.
+
+    Single-entry pairs at the modes l1 = l2 = 1 with h = 0 reach
+    <k1 + k2>^s / (<k1>^s <k2>^s0 + <k1>^s0 <k2>^s) = 2^s / 2 = 8, the largest
+    ratio of any two single entries; the corpus holds them.
+    """
     s, s0 = 4.0, float(LAT.s0)
-    C0, Cs = CONSTANTS["sdecay_tame_C_s0"], CONSTANTS["sdecay_tame_C_s"]
+    C = sdecay_tame_constant(s, s0)
+    assert C == pytest.approx(48.7814, abs=1e-4)
+    rng = np.random.default_rng(18)
     for _ in range(25):
-        A = random_block_op(LAT, rng)
-        B = random_block_op(LAT, rng)
-        lhs = s_decay_norm(A @ B, s)
-        rhs = C0 * s_decay_norm(A, s0) * s_decay_norm(B, s) \
-            + Cs * s_decay_norm(A, s) * s_decay_norm(B, s0)
-        assert lhs <= rhs
+        A, B = random_block_op(LAT, rng), random_block_op(LAT, rng)
+        assert sdecay_ratio(A, B, s, s0) <= C
+    ops = single_entries(LAT, 1)
+    ratios = [sdecay_ratio(A, B, s, s0) for A in ops for B in ops]
+    assert max(ratios) == pytest.approx(2 ** s / 2, abs=1e-12)
 
 
 def test_opnorm_bounded_by_sdecay():
-    from fastwave.calibration import CONSTANTS
-    rng = np.random.default_rng(19)
-    C = CONSTANTS["opnorm_C_rs"]
+    """||Au||_H^r <= C_r |A|_s ||u||_H^r, r <= s, with C_r = 2^(r+1) (2 Z(2 s))^(1/2).
+
+    Z(p) = sum_{k in Z^2} <k>^(-p) (`bracket_sum`); Z(8) = 9 + 8 (zeta(7) - 1),
+    so C_r = 8.52, 34.07 and 136.27 at r = 0, 2, 4 (s = 4, nu = 1).
+    With a(l, h) as in test_tame_product_inequality and U(l, n) = |u_[n](l)|,
+    |(Au)_[n](l)| <= sum_{l1, n'} a(l1, n - n') U(l - l1, n'), a convolution
+    on Z^2 (U = 0 at n < 0).  Since |j| <= ||j| - |j'|| + |j'|, the weight is
+    subadditive along it: <k> <= <k1> + <k2> <= 2 max(<k1>, <k2>).  Where
+    <k1> >= <k2>, <k>^r <= 2^r <k1>^s <k2>^(r-s), and Young's inequality with
+    Cauchy-Schwarz gives 2^r |<.>^s a|_2 Z(2 s)^(1/2) ||u||_H^r; where
+    <k2> > <k1>, <k>^r <= 2^r <k2>^r gives 2^r |a|_1 ||u||_H^r with
+    |a|_1 <= Z(2 s)^(1/2) |<.>^s a|_2.  Last, |<.>^s a|_2 <= 2^(1/2) |A|_s.
+
+    A single entry at l1 = 1 (h = 0) on a single mode at (l2, j') = (1, 1)
+    reaches 2^r, the largest ratio of any single entry and single mode; the
+    corpus holds them.
+    """
     s = 4.0
-    for _ in range(10):
-        A = random_block_op(LAT, rng)
-        u = random_function(LAT, rng)
-        Au = apply(A, u.coeffs)
-        for r in (0.0, 2.0, 4.0):
-            nAu = np.sqrt(np.sum(np.maximum(
-                1.0, np.maximum.outer(np.abs(np.arange(-LAT.L, LAT.L + 1)),
-                                      np.abs(np.arange(-LAT.J, LAT.J + 1)))) ** (2 * r)
-                * np.abs(Au) ** 2))
-            assert nAu <= C * s_decay_norm(A, s) * sobolev_norm(u, r) + 1e-12
+    rng = np.random.default_rng(19)
+    corpus = [(random_block_op(LAT, rng), random_function(LAT, rng)) for _ in range(10)]
+    extremal = [(A, u) for A in single_entries(LAT, 1) for u in single_modes(LAT, 1)]
+    for r, C in ((0.0, 8.5167), (2.0, 34.0668), (4.0, 136.2674)):
+        assert 2 ** (r + 1) * math.sqrt(2 * bracket_sum(2 * s)) == pytest.approx(C, abs=1e-4)
+        ratios = [sobolev_norm(TorusFunction(LAT, apply(A, u.coeffs)), r)
+                  / (s_decay_norm(A, s) * sobolev_norm(u, r)) for A, u in corpus + extremal]
+        assert max(ratios) <= C
+        assert max(ratios[len(corpus):]) == pytest.approx(2 ** r, abs=1e-12)
 
 
 def test_monotonicity_in_s_alpha_beta():

@@ -9,6 +9,9 @@ SRC = pathlib.Path(fastwave.__file__).parent
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = {p.stem for p in SRC.glob("*.py")}
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+# (module, name) of every top-level class of the package
+CLASSES = {(p.stem, node.name) for p in SRC.glob("*.py")
+           for node in ast.parse(p.read_text()).body if isinstance(node, ast.ClassDef)}
 
 
 def test_modules_compile_without_warnings():
@@ -60,8 +63,10 @@ class _Scan:
     `imported` holds (module, name) for each `from .m import name` or
     `from fastwave.m import name`, and `bound` maps the local name of each to
     it; `qualified` holds (module, attr) for each `alias.attr` whose alias is
-    bound to `fastwave.m`; `names` counts bare names; `attrs` counts attribute
-    names on a base that is not a module.
+    bound to `fastwave.m`; `names` counts bare names; `class_attrs` counts
+    (module, class, attr) for each `C.attr` whose base C names a package
+    class; `attrs` counts the other attribute names on a base that is not a
+    module.
     """
 
     def __init__(self, path: pathlib.Path, in_package: bool):
@@ -88,21 +93,41 @@ class _Scan:
         self.qualified = {(self.aliases[n.value.id], n.attr) for n in ast.walk(self.tree)
                           if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
                           and n.value.id in self.aliases}
-        self.names, self.attrs = self.refs(self.tree)
+        self.names, self.attrs, self.class_attrs = self.refs(self.tree)
+
+    def owner(self, base: ast.AST):
+        """(module, class) when an attribute's base names a package class, else None.
+
+        The base is a bare name, imported from a package module or defined in
+        this one, or `alias.C` with `alias` bound to a package module.
+        """
+        if isinstance(base, ast.Name):
+            ref = self.bound.get(base.id, (self.stem, base.id))
+        elif (isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name)
+              and base.value.id in self.aliases):
+            ref = (self.aliases[base.value.id], base.attr)
+        else:
+            return None
+        return ref if ref in CLASSES else None
 
     def refs(self, node: ast.AST) -> tuple:
-        """(bare names, attribute names on a base that is not a module) under node."""
+        """(names, attrs, class_attrs) under node, counted as for the whole file."""
         names, attrs = collections.Counter(), collections.Counter()
+        class_attrs = collections.Counter()
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 names[sub.id] += 1
             elif isinstance(sub, ast.Attribute):
+                cls = self.owner(sub.value)
+                if cls is not None:
+                    class_attrs[cls + (sub.attr,)] += 1
+                    continue
                 root = sub.value
                 while isinstance(root, ast.Attribute):
                     root = root.value
                 if not (isinstance(root, ast.Name) and root.id in self.module_names):
                     attrs[sub.attr] += 1
-        return names, attrs
+        return names, attrs, class_attrs
 
 
 def _uncalled() -> tuple:
@@ -112,6 +137,7 @@ def _uncalled() -> tuple:
     everyone = list(scans.values()) + bench
     imported = set().union(*(s.imported | s.qualified for s in everyone))
     attrs = sum((s.attrs for s in everyone), collections.Counter())
+    class_attrs = sum((s.class_attrs for s in everyone), collections.Counter())
     uncalled, public = [], set()
     for stem, scan in scans.items():
         for node in scan.tree.body:
@@ -120,21 +146,24 @@ def _uncalled() -> tuple:
             public.add(f"{stem}.{node.name}")
             # a top-level name is called by its bare name in its own module
             # (outside its own body), or through an import of its module
-            own_names, _ = scan.refs(node)
+            own_names = scan.refs(node)[0]
             if (scan.names[node.name] <= own_names[node.name]
                     and (stem, node.name) not in imported):
                 uncalled.append(f"{stem}.{node.name}")
             if not isinstance(node, ast.ClassDef):
                 continue
-            # a method is called by its name as an attribute, outside its own
-            # body, on a base that is not an imported module (np.sqrt is not
-            # a call of Symbol.sqrt)
+            # a method is called, outside its own body, by its name as an
+            # attribute on its own class (TorusFunction.zero is not a call of
+            # any other class's zero), or on a base that is neither an imported
+            # module (np.sqrt is not a call of Symbol.sqrt) nor a package class
             for meth in node.body:
                 if isinstance(meth, DEFS) and not meth.name.startswith("_"):
                     name = f"{stem}.{node.name}.{meth.name}"
                     public.add(name)
-                    own = scan.refs(meth)[1][meth.name]
-                    if attrs[meth.name] <= own:
+                    _, own, own_cls = scan.refs(meth)
+                    qual = (stem, node.name, meth.name)
+                    if (attrs[meth.name] <= own[meth.name]
+                            and class_attrs[qual] <= own_cls[qual]):
                         uncalled.append(name)
     return uncalled, public
 
@@ -242,13 +271,15 @@ def _unset_options() -> tuple:
     or, for a constructor, "module.Class.param".  A call reaches a function
     or constructor by the same per-module resolution as the caller guard
     above (and `cls(...)` inside its class); it reaches a method by its
-    name as an attribute on a base that is not a module.  A call inside the
-    callee's own body does not count.
+    name as an attribute on a base that is not a module, or, on a package
+    class, that class's method only.  A call inside the callee's own body
+    does not count.
     """
     scans = {stem: _Scan(SRC / f"{stem}.py", True) for stem in sorted(MODULES)}
     files = list(scans.values()) + [_Scan(p, False) for p in sorted(BENCH.glob("*.py"))]
     # callee key -> [(option prefix, defaulted params, def node)]; the key is
-    # (module, name) for a function or constructor, the bare name for a method
+    # (module, name) for a function or constructor, and for a method both the
+    # bare name and (module, class, name)
     callees = collections.defaultdict(list)
     for stem, scan in scans.items():
         for node in scan.tree.body:
@@ -268,9 +299,10 @@ def _unset_options() -> tuple:
                 if meth.name == "__init__":
                     callees[(stem, node.name)].append((prefix, _defaulted(meth, True), meth))
                 elif not meth.name.startswith("_") and "property" not in decos:
-                    callees[meth.name].append((f"{prefix}.{meth.name}",
-                                               _defaulted(meth, "staticmethod" not in decos),
-                                               meth))
+                    entry = (f"{prefix}.{meth.name}",
+                             _defaulted(meth, "staticmethod" not in decos), meth)
+                    callees[meth.name].append(entry)
+                    callees[(stem, node.name, meth.name)].append(entry)
     options = {f"{prefix}.{name}": False for targets in callees.values()
                for prefix, params, _ in targets for name, _ in params}
     # the options some call leaves at their default, and those called at all
@@ -285,6 +317,9 @@ def _unset_options() -> tuple:
                 return scan.stem, func.id
             return scan.bound.get(func.id)
         if isinstance(func, ast.Attribute):
+            owner = scan.owner(func.value)
+            if owner is not None:
+                return owner + (func.attr,)
             root = func.value
             if isinstance(root, ast.Name) and root.id in scan.aliases:
                 return scan.aliases[root.id], func.attr
