@@ -147,7 +147,12 @@ def build_v(cfg: dict, lattice: Lattice) -> TorusFunction:
         return v * (spec.get("scale", 1.0) / max(1e-300, np.max(np.abs(v.coeffs))))
     if fam == "file":
         with open(spec["path"]) as fh:
-            return TorusFunction.from_json_dict(json.load(fh))
+            v = TorusFunction.from_json_dict(json.load(fh))
+        file_box, run_box = ((lat.nu, lat.L, lat.J) for lat in (v.lattice, lattice))
+        if file_box != run_box:
+            raise ConfigError(f"v file {spec['path']} is on the lattice (nu, L, J) = "
+                              f"{file_box}, the run's is {run_box}")
+        return v
     raise ConfigError(f"unknown v family {fam!r}")
 
 

@@ -133,27 +133,6 @@ class TorusFunction:
 # -- structural operations ----------------------------------------------
 
 
-def x_to_grid(xcoeffs: np.ndarray, n_points: int) -> np.ndarray:
-    """Values of sum_j c_j e^{ijx} on n_points uniform x samples.
-
-    The x coefficients run along the last axis; leading axes are carried along.
-    """
-    c = np.asarray(xcoeffs, dtype=complex)
-    J = (c.shape[-1] - 1) // 2
-    buf = np.zeros(c.shape[:-1] + (n_points,), dtype=complex)
-    buf[..., np.arange(-J, J + 1) % n_points] = c
-    return np.fft.ifft(buf, axis=-1) * n_points
-
-
-def x_from_grid(values: np.ndarray, J: int) -> np.ndarray:
-    """Inverse of x_to_grid: the |j| <= J coefficients along the last axis."""
-    values = np.asarray(values, dtype=complex)
-    n = values.shape[-1]
-    if n < 2 * J + 1:
-        raise ValueError("grid too coarse for lattice cutoffs")
-    return np.fft.fft(values, axis=-1)[..., np.arange(-J, J + 1) % n] / n
-
-
 @lru_cache(maxsize=None)
 def _toeplitz_index(J: int) -> np.ndarray:
     # T[k, j] = b_{k-j}: index k - j + J into b, out-of-range -> the zero slot 2J+1

@@ -8,19 +8,28 @@ a(., xi) as a function of x.  Quantization gives the (2J+1)^2 matrix
 
 Every raw value has one form: a complex array whose last axis is x, of
 length 1 (only the zero mode: the value is constant in x) or full length
-2J+1.  Any leading axes are batch axes, the lambda nodes of the contour.
-Products convolve in x when both sides are full and broadcast otherwise; sums
-put a length-1 value at the zero mode of a full one.  A single zero entry is a
-structural zero (a vanishing derivative of xi^2, of an x-only symbol or of the
-cutoff): a product with it is that zero, a sum with it the other operand; it
-has no batch axes, or is broadcast (stride 0) to them.
+2J+1.  Inside the resolvent parametrix a value has one leading axis more, the
+power k of r = 1/(a_m(xi) - lambda): the array c[k, x] stands for the
+polynomial sum_k c_k(x) r^k, whose coefficients do not depend on lambda.
+Products convolve in x when both sides are full and broadcast otherwise, and
+convolve along the power axis when both sides have more than one power; sums
+zero-pad both operands to a common shape.  A single zero entry is a structural
+zero (a vanishing derivative of xi^2, of an x-only symbol or of the cutoff): a
+product with it is that zero, a sum with it the other operand.
 
 Composition uses the asymptotic expansion a#b = sum_{beta<N} (i^beta beta!)^-1
 d_xi^beta a . d_x^beta b.  Real powers of an elliptic operator are built
-from the resolvent parametrix layers b_n(lambda; x, xi) (recursively, with the
-smooth cutoff removing the (xi, lambda) = 0 singularity) and the clockwise
-contour integral -(2 pi i)^-1 \oint lambda^z b_n dlambda around the branch
-cut; z >= 0 reduces to A^k A_{z-k}.
+from the resolvent parametrix layers b_n(lambda; x, xi), each multiplied by a
+smooth cutoff chi that removes the (xi, lambda) = 0 singularity.  The
+principal layer a_m(xi) must not depend on x; then every layer and each of its
+xi-derivatives is exactly an r-polynomial with lambda-free coefficients, built
+at each xi by one recursion, only to the xi-derivative order asked for.  The
+clockwise contour integral -(2 pi i)^-1 \oint lambda^z chi b_n dlambda around
+the branch cut is then the layers' coefficients, summed over n, contracted with
+the scalar moments M[g, k] = sum_i w_i d_xi^g chi(t_i) r_i^k of the quadrature
+nodes lambda_i; the contractions run in einsum's own loop, not in BLAS, so
+their bits do not depend on the BLAS thread count.  z >= 0 reduces to
+A^k A_{z-k}.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from functools import reduce
 
 import numpy as np
 
-from .harmonics import x_from_grid, x_to_grid, xconv
+from .harmonics import xconv
 
 
 class EllipticityError(RuntimeError):
@@ -134,21 +143,42 @@ def _zero(v: np.ndarray) -> bool:
     return v.size == 1 and v.item() == 0
 
 
+_ZERO = np.zeros(1, dtype=complex)     # the structural zero
+_ZERO.flags.writeable = False
+
+
 def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum, each side zero-padded: x centred on the zero mode, r-polynomials at their
+    high powers."""
     if _zero(a):
         return b
     if _zero(b):
         return a
     D = max(a.shape[-1], b.shape[-1])
-    return _widen(a, D) + _widen(b, D)
+    a, b = _widen(a, D), _widen(b, D)
+    if a.ndim > 1 and len(a) != len(b):
+        if len(a) < len(b):
+            a, b = b, a
+        out = a.copy()
+        out[:len(b)] += b
+        return out
+    return a + b
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise product: an x-convolution when both sides are full."""
+    """Product: an x-convolution when both sides are full, and a convolution of
+    the powers of r when both sides have more than one."""
     if _zero(a):
         return a
     if _zero(b):
         return b
+    if a.ndim > 1 and b.ndim > 1 and len(a) > 1 and len(b) > 1:
+        # every pair of powers at once, then the sums along the anti-diagonals
+        prod = _mul(a[:, None], b[None])
+        out = np.zeros((len(a) + len(b) - 1, prod.shape[-1]), dtype=complex)
+        for k, row in enumerate(prod):
+            out[k:k + len(b)] += row
+        return out
     if a.shape[-1] > 1 and b.shape[-1] > 1:
         return xconv(a, b)
     return a * b
@@ -156,10 +186,11 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _leibniz(f, g, b: int, lo: int = 0) -> np.ndarray:
     """sum_{k=lo..b} binom(b, k) f(k) g(b-k): d_xi^b of a product, from k = lo."""
-    acc = None
+    acc = _ZERO
     for k in range(lo, b + 1):
-        term = math.comb(b, k) * _mul(f(k), g(b - k))
-        acc = term if acc is None else _add(acc, term)
+        fk, gk = f(k), g(b - k)
+        if not (_zero(fk) or _zero(gk)):
+            acc = _add(acc, math.comb(b, k) * _mul(fk, gk))
     return acc
 
 
@@ -168,25 +199,14 @@ def _dx(v: np.ndarray, order: int = 1) -> np.ndarray:
     return v * (1j * np.arange(-J, J + 1)) ** order
 
 
-def _x_samples(v: np.ndarray, oversample: int = 8) -> np.ndarray:
-    """Values of a raw value on oversample * (2J+1) x points."""
-    return x_to_grid(v, oversample * v.shape[-1])
-
-
-def _pointwise(v: np.ndarray, f, oversample: int = 8) -> np.ndarray:
-    """f applied pointwise in x, on the oversampled grid."""
-    return x_from_grid(f(_x_samples(v, oversample)), (v.shape[-1] - 1) // 2)
-
-
 class Symbol:
     """Pseudodifferential symbol with xi-derivative access.
 
     `rule(xi, beta)` gives d_xi^beta a(., xi) as a scalar (constant in x) or
     a (2J+1,) x-coefficient array.  `raw` returns it in the one value form of
     this module: an array whose last axis, x, has length 1 (the zero mode
-    only) or 2J+1.  Values inside the parametrix carry leading batch axes
-    (the lambda nodes) in front of it.  J is the truncation |j| <= J of the
-    quantized matrix.
+    only) or 2J+1.  Inside the parametrix a value carries the power axis of r
+    in front of it.  J is the truncation |j| <= J of the quantized matrix.
     """
 
     def __init__(self, J: int, order: float, rule, deriv_depth: int):
@@ -360,59 +380,55 @@ class EllipticSymbol:
         return out
 
     def principal_min_abs(self, lam: complex, xi_vals) -> float:
-        """min |a_m(x, xi) - lam| over the sampling grid (ellipticity check)."""
-        a0 = self.layers[0]
-        return float(min(np.min(np.abs(_x_samples(a0.raw(xi, 0)) - lam))
-                         for xi in xi_vals))
+        """min |a_m(xi) - lam| over xi_vals (ellipticity check)."""
+        return float(min(abs(_principal(self, xi, 0) - lam) for xi in xi_vals))
+
+
+def _principal(a: EllipticSymbol, xi: float, beta: int) -> complex:
+    """d_xi^beta a_m(xi): the parametrix's r-polynomials need a principal
+    layer that does not depend on x."""
+    v = a.layers[0].raw(xi, beta)
+    c = v.shape[-1] // 2
+    if np.any(v[:c]) or np.any(v[c + 1:]):
+        raise ValueError(f"the principal layer depends on x (at xi = {xi}); the resolvent "
+                         "parametrix needs an x-independent a_m(xi)")
+    return complex(v[c])
 
 
 def _layer_data(a: EllipticSymbol, xi: float, n_beta: int, dx_max: int):
-    """d_xi^beta d_x^g of each declared layer at fixed xi."""
+    """d_xi^beta d_x^g of each declared layer at fixed xi, as r-polynomials of
+    degree 0; those of the principal layer with g >= 1 are structural zeros."""
     out = {}
     for k, sym in a.layers.items():
         for beta in range(n_beta + 1):
-            base = sym.raw(xi, beta)
+            base = (np.array([[_principal(a, xi, beta)]]) if k == 0
+                    else sym.raw(xi, beta)[None])
             for g in range(dx_max + 1):
                 out[(k, beta, g)] = _dx(base, g) if g else base
     return out
 
 
-def parametrix_layers_batch(a: EllipticSymbol, lam: np.ndarray, xi: float, N: int,
-                            n_beta: int, cutoff: Cutoff):
-    """Parametrix layers b_n(lam; ., xi) for a whole batch of lambda values.
-
-    Returns {(n, beta): d_xi^beta b_n} for 0 <= n < N, 0 <= beta <= n_beta,
-    each a raw value whose leading axis runs over lam (a layer that vanishes
-    identically, such as b_1 of xi^2 + q, is the structural zero broadcast to
-    that shape), from the recursion
+def _parametrix_coeffs(a: EllipticSymbol, xi: float, N: int, max_beta: int) -> dict:
+    """{n: {beta: d_xi^beta b_n(., xi)}} for n < N, beta <= max_beta - n, each an
+    r-polynomial in r = 1/(a_m(xi) - lam) with lam-free coefficients, from
 
       b_0 (a_m - lam) = 1,
       b_n (a_m - lam) + sum_{p<n} b_p a_{m-n+p}
         + sum_{beta=1..n} (i^beta beta!)^-1 sum_{p<=n-beta}
-            d_xi^beta b_p . d_x^beta a_{m-n+beta+p} = 0,
+            d_xi^beta b_p . d_x^beta a_{m-n+beta+p} = 0.
 
-    each layer multiplied by chi(|xi|^2 + |lam|^{2/m}).  b_n enters the
-    layers above it with up to N - 1 - n more xi-derivatives, so it is built
-    up to order n_beta + N - 1 - n.
+    b_n enters the layers above it with up to N - 1 - n more xi-derivatives, so
+    it is built up to order max_beta - n.  An identically vanishing layer, such
+    as b_1 of xi^2 + q, is the structural zero.
     """
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))[..., None]
-    max_beta = n_beta + N - 1
     data = _layer_data(a, xi, max_beta, N - 1)
-
-    def inverse(g):
-        u = g - lam
-        if np.min(np.abs(u)) < 1e-14:
-            raise EllipticityError("principal symbol hits lambda on the grid")
-        return 1.0 / u
-
-    # r = 1/(a_m - lam) and its xi-derivatives by the u r = 1 recursion
-    r = {0: _pointwise(data[(0, 0, 0)], inverse)}
+    # r's xi-derivatives by the u r = 1 recursion, u = a_m - lam: d_xi^g u = d_xi^g a_m
+    r = {0: np.array([[0.0], [1.0]], dtype=complex)}
     for beta in range(1, max_beta + 1):
         acc = _leibniz(lambda g: data[(0, g, 0)], lambda g: r[g], beta, lo=1)
         r[beta] = -_mul(r[0], acc)
 
     b = {0: r}
-    zero = np.zeros(1, dtype=complex)
     for n in range(1, N):
         # (coefficient, p, k, beta) of each d_xi^beta b_p . d_x^beta a_{m-k} above
         terms = [(1.0, p, n - p, 0) for p in range(n)]
@@ -420,20 +436,61 @@ def parametrix_layers_batch(a: EllipticSymbol, lam: np.ndarray, xi: float, N: in
                   for beta in range(1, n + 1) for p in range(n - beta + 1)]
         rhs = {}
         for bb in range(max_beta - n + 1):
-            rhs[bb] = zero
+            rhs[bb] = _ZERO
             for c, p, k, beta in terms:
                 if k in a.layers:
                     term = _leibniz(lambda g: b[p][g + beta], lambda g: data[(k, g, beta)],
                                     bb)
                     rhs[bb] = _add(rhs[bb], c * term)
         b[n] = {bb: -_leibniz(lambda g: r[g], lambda g: rhs[g], bb) for bb in rhs}
+    return b
 
+
+def _cutoff_moments(a: EllipticSymbol, lam: np.ndarray, xi: float, K: int, n_beta: int,
+                    cutoff: Cutoff) -> list:
+    """[d_xi^g chi(t) r^k for k < K at each lam, g <= n_beta], t = xi^2 + |lam|^(2/m);
+    a d_xi^g chi that vanishes at every lam is the structural zero."""
+    u = _principal(a, xi, 0) - lam
+    if np.min(np.abs(u)) < 1e-14:
+        raise EllipticityError("principal symbol hits lambda on the grid")
+    rk = np.ones(lam.shape + (K,), dtype=complex)
+    for k in range(1, K):
+        rk[..., k] = rk[..., k - 1] / u
     t = abs(xi) ** 2 + np.abs(lam) ** (2.0 / a.order)
     chi = _chain_quadratic_batch(cutoff, t, 2.0 * xi, 2.0, n_beta)
-    layers = {(n, beta): _leibniz(lambda g: chi[g], lambda g: b[n][g], beta)
+    return [c if _zero(c) else c[..., None] * rk for c in chi]
+
+
+def _with_cutoff(moments: list, coeffs, beta: int) -> np.ndarray:
+    """d_xi^beta (chi b) = sum_g binom(beta, g) d_xi^g chi . d_xi^(beta-g) b, with the
+    powers of r in each coeffs[beta - g] contracted against moments[g]."""
+    acc = _ZERO
+    for g in range(beta + 1):
+        c = coeffs[beta - g]
+        if not (_zero(moments[g]) or _zero(c)):
+            term = np.einsum("...k,kx->...x", moments[g][..., :len(c)], c)
+            acc = _add(acc, math.comb(beta, g) * term)
+    return acc
+
+
+def parametrix_layers_batch(a: EllipticSymbol, lam: np.ndarray, xi: float, N: int,
+                            n_beta: int, cutoff: Cutoff):
+    """Parametrix layers chi b_n(lam; ., xi) for a whole batch of lambda values.
+
+    Returns {(n, beta): d_xi^beta (chi b_n)} for 0 <= n < N, 0 <= beta <= n_beta,
+    each a raw value whose leading axes run over lam (a layer that vanishes
+    identically, such as b_1 of xi^2 + q, is the structural zero broadcast to
+    them): the r-polynomials of `_parametrix_coeffs` evaluated at each lam,
+    with chi = chi(|xi|^2 + |lam|^{2/m}).
+    """
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    b = _parametrix_coeffs(a, xi, N, n_beta + N - 1)
+    K = max(len(b[n][beta]) for n in range(N) for beta in range(n_beta + 1))
+    moments = _cutoff_moments(a, lam, xi, K, n_beta, cutoff)
+    layers = {(n, beta): _with_cutoff(moments, b[n], beta)
               for n in range(N) for beta in range(n_beta + 1)}
-    # a structural zero has no batch axes: it gets lam's by broadcasting
-    return {key: np.broadcast_to(v, lam.shape) if _zero(v) else v
+    # a structural zero has no lam axes: it gets them by broadcasting
+    return {key: np.broadcast_to(v, lam.shape + (1,)) if _zero(v) else v
             for key, v in layers.items()}
 
 
@@ -458,17 +515,6 @@ def _chain_quadratic_batch(cutoff: Cutoff, t: np.ndarray, t1: float, t2: float,
     return d
 
 
-def _summed_layers(a: EllipticSymbol, lam, xi: float, N: int, deriv_depth: int,
-                   cutoff: Cutoff) -> list:
-    """[sum_{n<N} d_xi^beta b_n(lam; ., xi) for beta <= deriv_depth], batched over lam;
-    a vanishing layer above b_0 (one zero entry broadcast over lam) is left out."""
-    layers = parametrix_layers_batch(a, lam, xi, N, n_beta=deriv_depth, cutoff=cutoff)
-    return [reduce(_add,
-                   [v for n in range(1, N) if any((v := layers[(n, beta)]).strides) or v.flat[0]],
-                   layers[(0, beta)])
-            for beta in range(deriv_depth + 1)]
-
-
 def resolvent_parametrix(a: EllipticSymbol, lam: complex, N: int) -> Symbol:
     """The truncated parametrix symbol b_(N)(lam) = sum_{n<N} b_{-m-n}(lam).
 
@@ -478,12 +524,11 @@ def resolvent_parametrix(a: EllipticSymbol, lam: complex, N: int) -> Symbol:
     xi_vals = range(-a.J, a.J + 1)
     if a.principal_min_abs(lam, xi_vals) == 0.0:
         raise EllipticityError("lambda touches the principal symbol range")
-    cache = {}
 
     def rule(xi, beta):
-        if xi not in cache:
-            cache[xi] = _summed_layers(a, [lam], xi, N, 0, DEFAULT_CUTOFF)
-        return cache[xi][beta][0]
+        # a vanishing layer (one zero entry at lam) drops out of the sum
+        layers = parametrix_layers_batch(a, [lam], xi, N, 0, DEFAULT_CUTOFF)
+        return reduce(_add, [layers[(n, 0)][0] for n in range(N)])
     return Symbol(a.J, -a.order, rule, 0)
 
 
@@ -513,9 +558,8 @@ class ContourSpec:
         lam_legs = -r
         w_legs = -(math.sin(math.pi * z) / math.pi) * (r ** (z + 1)) * wu
         # circle: +(2 pi)^-1 int_{-pi}^{pi} rho^{1+z} e^{i(1+z)phi} f(rho e^{i phi}) dphi
-        xc, wc = np.polynomial.legendre.leggauss(self.n_quad)
-        phi = math.pi * xc
-        wphi = math.pi * wc
+        phi = math.pi * x
+        wphi = math.pi * w
         lam_circ = self.rho * np.exp(1j * phi)
         w_circ = (1.0 / (2 * math.pi)) * self.rho ** (1 + z) * np.exp(1j * (1 + z) * phi) * wphi
         return np.concatenate([lam_legs, lam_circ]), np.concatenate([w_legs, w_circ])
@@ -525,8 +569,9 @@ def complex_power(a: EllipticSymbol, z: float, contour: ContourSpec, N: int,
                   deriv_depth: int, compose_N: int, cutoff: Cutoff = DEFAULT_CUTOFF) -> Symbol:
     """Symbol of A^z by contour integration of the parametrix layers.
 
-    For z < 0 the layers are integrated directly; z >= 0 uses the reduction
-    A^z = A^k A_{z-k} with k = floor(z) + 1, composing with the full symbol.
+    For z < 0 the layers are integrated directly and the result is multiplied
+    by chi(xi); z >= 0 uses the reduction A^z = A^k A_{z-k} with
+    k = floor(z) + 1, composing with the full symbol.
     """
     if z >= 0.0:
         k = int(math.floor(z)) + 1
@@ -537,7 +582,14 @@ def complex_power(a: EllipticSymbol, z: float, contour: ContourSpec, N: int,
         for _ in range(k):
             out = compose(full, out, compose_N)
         return Symbol(out.J, a.order * z, out._rule, out.deriv_depth)
+    return _contour_integral(a, z, contour, N, deriv_depth, cutoff).scaled_by_cutoff(cutoff)
 
+
+def _contour_integral(a: EllipticSymbol, z: float, contour: ContourSpec, N: int,
+                      deriv_depth: int, cutoff: Cutoff) -> Symbol:
+    r"""-(2 pi i)^-1 \oint lambda^z sum_{n<N} chi b_n dlambda by the quadrature of `contour`:
+    the layers summed over n on their r-coefficients, contracted with the contour
+    moments sum_i w_i d_xi^g chi(t_i) r_i^k."""
     lam_nodes, w_nodes = contour.nodes(z)
     # the circle must stay below the operator spectrum
     m0 = quantize(a.full_symbol())
@@ -549,15 +601,16 @@ def complex_power(a: EllipticSymbol, z: float, contour: ContourSpec, N: int,
         if a.principal_min_abs(lam, range(-a.J, a.J + 1)) == 0.0:
             raise EllipticityError("contour intersects the symbol spectrum range")
 
-    cache = {}
-
-    # einsum's own loop sums the nodes in one fixed order; BLAS (tensordot)
-    # splits the sum by its thread count, and the last bits follow it
+    # d_xi^beta needs the layers only to that order, so each (xi, beta) that is
+    # asked for (Symbol.raw caches it) runs its own recursion; einsum's own
+    # loop sums the nodes in one fixed order, where BLAS (tensordot) would split
+    # the sum by its thread count and the last bits would follow it
     def rule(xi, beta):
-        if xi not in cache:
-            cache[xi] = [np.einsum("i,i...->...", w_nodes, v) for v in
-                         _summed_layers(a, lam_nodes, xi, N, deriv_depth, cutoff)]
-        return cache[xi][beta]
+        b = _parametrix_coeffs(a, xi, N, beta + N - 1)
+        summed = [reduce(_add, [b[n][bb] for n in range(N)]) for bb in range(beta + 1)]
+        K = max(len(c) for c in summed)
+        moments = [m if _zero(m) else np.einsum("i,ik->k", w_nodes, m) for m in
+                   _cutoff_moments(a, lam_nodes, xi, K, beta, cutoff)]
+        return _with_cutoff(moments, summed, beta)
 
-    sym = Symbol(a.J, a.order * z, rule, deriv_depth)
-    return sym.scaled_by_cutoff(cutoff)
+    return Symbol(a.J, a.order * z, rule, deriv_depth)

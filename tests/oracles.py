@@ -21,7 +21,7 @@ from fastwave.magnus import magnus_transform
 from fastwave.kam import LIE_N_MAX, LIE_TOL, prune_C1, solve_homological
 from fastwave import opmatrix
 from fastwave.opmatrix import BlockOperator, _conj_grid, _phi_grid, ad, lie_series
-from fastwave.psdo import Symbol, _add, _mul, _pointwise
+from fastwave.psdo import DEFAULT_CUTOFF, Symbol, _add, _mul, _widen, parametrix_layers_batch
 
 
 def lie_conjugate(X: BlockOperator, V: BlockOperator, tol: float = 1e-14,
@@ -509,6 +509,49 @@ def single_entries(lattice, radius: int) -> list:
 # -- symbols ---------------------------------------------------------------------
 
 
+def x_to_grid(xcoeffs: np.ndarray, n_points: int) -> np.ndarray:
+    """Values of sum_j c_j e^{ijx} on n_points uniform x samples.
+
+    The x coefficients run along the last axis; leading axes are carried along.
+    """
+    c = np.asarray(xcoeffs, dtype=complex)
+    J = (c.shape[-1] - 1) // 2
+    buf = np.zeros(c.shape[:-1] + (n_points,), dtype=complex)
+    buf[..., np.arange(-J, J + 1) % n_points] = c
+    return np.fft.ifft(buf, axis=-1) * n_points
+
+
+def x_from_grid(values: np.ndarray, J: int) -> np.ndarray:
+    """Inverse of x_to_grid: the |j| <= J coefficients along the last axis."""
+    values = np.asarray(values, dtype=complex)
+    n = values.shape[-1]
+    if n < 2 * J + 1:
+        raise ValueError("grid too coarse for lattice cutoffs")
+    return np.fft.fft(values, axis=-1)[..., np.arange(-J, J + 1) % n] / n
+
+
+def pointwise(v: np.ndarray, f, oversample: int = 8) -> np.ndarray:
+    """f applied pointwise in x to the x coefficients v, on oversample * (2J+1) points."""
+    n = oversample * v.shape[-1]
+    return x_from_grid(f(x_to_grid(v, n)), (v.shape[-1] - 1) // 2)
+
+
+def contour_sum_by_nodes(a, z: float, contour, N: int, xi: float, deriv_depth: int,
+                         cutoff=DEFAULT_CUTOFF) -> list:
+    """[sum_i w_i sum_{n<N} d_xi^beta (chi b_n)(lam_i; ., xi) for beta <= deriv_depth]:
+    the contour integral of `complex_power`, before its outer chi(xi), as the
+    weighted sum, node by node, of `parametrix_layers_batch`'s values at each
+    node, each a (2J+1,) array of x coefficients."""
+    lam, w = contour.nodes(z)
+    layers = parametrix_layers_batch(a, lam, xi, N, deriv_depth, cutoff)
+    D = 2 * a.J + 1
+    out = []
+    for beta in range(deriv_depth + 1):
+        per_node = sum(_widen(layers[(n, beta)], D) for n in range(N))
+        out.append(sum(w_i * v_i for w_i, v_i in zip(w, per_node)))
+    return out
+
+
 def symbol_sqrt(a: Symbol, grid_oversample: int = 8) -> Symbol:
     """sqrt(a) pointwise, with derivatives from Leibniz on s*s = a."""
     cache = {}
@@ -516,14 +559,14 @@ def symbol_sqrt(a: Symbol, grid_oversample: int = 8) -> Symbol:
     def rule(xi, b):
         if (xi, b) not in cache:
             if b == 0:
-                out = _pointwise(a.raw(xi, 0), np.sqrt, grid_oversample)
+                out = pointwise(a.raw(xi, 0), np.sqrt, grid_oversample)
             else:
                 rhs = a.raw(xi, b)
                 for g in range(1, b):
                     term = math.comb(b, g) * _mul(rule(xi, g), rule(xi, b - g))
                     rhs = _add(rhs, -term)
-                half_inv = _pointwise(rule(xi, 0), lambda s: 1.0 / (2.0 * s),
-                                      grid_oversample)
+                half_inv = pointwise(rule(xi, 0), lambda s: 1.0 / (2.0 * s),
+                                     grid_oversample)
                 out = _mul(half_inv, rhs)
             cache[(xi, b)] = out
         return cache[(xi, b)]

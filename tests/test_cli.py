@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import json
+import re
 import sys
 import warnings
 
@@ -92,6 +93,20 @@ def test_file_inputs_are_closed(tmp_path, monkeypatch):
     assert unraisable == []
     assert list(qc[3:6]) == [0.5, 1.0, 0.5] and coeff(v, (-1,), -1) == 0.25
     assert rc == 0
+
+
+def test_v_file_on_another_lattice_is_refused(tmp_path):
+    # a v-file at (nu, L, J) = (1, 2, 3) does not drive a run at L = 4, J = 8:
+    # build_v names both lattices instead of handing magnus a mismatched v
+    vpath = tmp_path / "v.json"
+    vpath.write_text(json.dumps({"nu": 1, "L": 2, "J": 3,
+                                 "coeffs": [[1, 1, 0.25, 0.0], [-1, -1, 0.25, 0.0]]}))
+    cfg = {"v": {"family": "file", "path": str(vpath)}}
+    for lat in (Lattice(1, 4, 8), Lattice(1, 2, 8), Lattice(2, 2, 3)):
+        with pytest.raises(ConfigError, match=r"\(1, 2, 3\).*" + re.escape(
+                str((lat.nu, lat.L, lat.J)))):
+            build_v(cfg, lat)
+    assert coeff(build_v(cfg, Lattice(1, 2, 3)), (1,), 1) == 0.25
 
 
 def test_run_experiment_spectrum_only(tmp_path):

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from fastwave.harmonics import Lattice, TorusFunction, x_to_grid, x_from_grid, xconv
+from fastwave.harmonics import Lattice, TorusFunction, xconv
 from oracles import (algebra_ratio, algebra_tame_constant, bracket_sum, check_reality, coeff,
-                     random_function, single_modes, sobolev_norm, torus_product)
+                     random_function, single_modes, sobolev_norm, torus_product, x_from_grid,
+                     x_to_grid)
 
 
 def bracket(ell, j):

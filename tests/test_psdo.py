@@ -10,11 +10,12 @@ import pytest
 import fastwave
 from fastwave.psdo import (
     DEFAULT_CUTOFF, ContourSpec, Cutoff, EllipticityError, EllipticSymbol, Symbol, _add,
-    _chain_quadratic_batch, _mul, _summed_layers, _widen, _zero, complex_power, compose,
-    entry_decay_exponent, parametrix_layers_batch, quantize, resolvent_parametrix,
+    _chain_quadratic_batch, _contour_integral, _mul, _widen, _zero,
+    complex_power, compose, entry_decay_exponent, parametrix_layers_batch, quantize,
+    resolvent_parametrix,
 )
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks, spectral_power
-from oracles import symbol_sqrt
+from oracles import contour_sum_by_nodes, symbol_sqrt
 
 J = 16
 D = 2 * J + 1
@@ -45,9 +46,9 @@ def bracket_power(J, m):
     return Symbol(J, m, rule, deriv_depth=64)
 
 
-def symbol_at(a, xi):
-    """The x coefficients |j| <= J of a(., xi)."""
-    return _widen(a.raw(xi, 0), 2 * a.J + 1)
+def symbol_at(a, xi, beta=0):
+    """The x coefficients |j| <= J of d_xi^beta a(., xi)."""
+    return _widen(a.raw(xi, beta), 2 * a.J + 1)
 
 
 # -- cutoff ---------------------------------------------------------------
@@ -212,11 +213,14 @@ def test_parametrix_order_trim_and_lam_axis():
 def test_zero_operand_matches_widened_path():
     # a one-entry zero short-circuits products and sums; the values equal
     # those of the general path with the zero widened to the other's shape
+    # (a (3, .) value is an r-polynomial of three powers, so a product of two
+    # of them has five)
     rng = np.random.default_rng(8)
     zero = np.zeros(1, dtype=complex)
 
     def full(v):
-        return np.broadcast_to(_widen(v, D), (3, D))
+        v = _widen(np.atleast_2d(v), D)
+        return np.pad(v, ((0, 5 - len(v)), (0, 0)))
 
     for shape in [(1,), (D,), (3, 1), (3, D)]:
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -241,22 +245,22 @@ def test_cutoff_derivatives_outside_window_are_structural_zeros():
     assert all(v.shape == t.shape and np.any(v) for v in d[1:])
 
 
-def test_summed_layers_skip_zero_layers():
-    # the layer sums equal those over every layer with each zero layer
-    # materialised (b_1 of xi^2 + q vanishes); at xi = 0 and lambda = 0.4i
-    # the cutoff's transition is hit, at xi = 3 it is not
+def test_resolvent_parametrix_sums_every_layer():
+    # the parametrix symbol equals the sum over every layer with each zero
+    # layer materialised (b_1 of xi^2 + q vanishes); at xi = 0 and
+    # lambda = 0.4i the cutoff's transition is hit, at xi = 3 it is not
     ell = EllipticSymbol.xi2_plus_q(J, QC)
-    lam = np.array([-1.0, 0.4j, 2.0 + 3.0j])
-    for xi in (0, 3):
-        layers = parametrix_layers_batch(ell, lam, xi, N=5, n_beta=2,
-                                         cutoff=DEFAULT_CUTOFF)
-        got = _summed_layers(ell, lam, xi, 5, 2, DEFAULT_CUTOFF)
-        for beta in range(3):
-            want = np.array(layers[(0, beta)])
+    for lam in (-1.0, 0.4j, 2.0 + 3.0j):
+        bN = resolvent_parametrix(ell, lam, N=5)
+        for xi in (0, 3):
+            layers = parametrix_layers_batch(ell, [lam], xi, N=5, n_beta=0,
+                                             cutoff=DEFAULT_CUTOFF)
+            want = _widen(layers[(0, 0)][0], D)
             for n in range(1, 5):
-                want = _add(want, np.array(layers[(n, beta)]))
-            assert got[beta].shape == want.shape
-            assert np.array_equal(got[beta], want), (xi, beta)
+                want = _add(want, _widen(layers[(n, 0)][0], D))
+            got = bN.raw(xi, 0)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), (lam, xi)
 
 
 def test_parametrix_residual_decay_and_refinement():
@@ -339,6 +343,36 @@ def test_power_insensitive_to_admissible_cutoff():
     for xi in (-J, -5, -1, 1, 4, J):
         d = np.max(np.abs(symbol_at(B1, xi) - symbol_at(B2, xi)))
         assert d < 1e-10
+
+
+@pytest.mark.parametrize("z", [-0.5, -0.25])
+def test_contour_moments_match_node_sum(z):
+    # the contour values, contracted from scalar moments, equal the weighted
+    # sum of the per-node layer values; at xi = 0 the circle |lambda| = 0.5 lies
+    # in chi's transition window (1/3, 2/3), so the moments of chi's
+    # derivatives take part (d_xi^2 chi = 2 chi'(t) there)
+    ell = EllipticSymbol.xi2_plus_q(J, QC)
+    window = ContourSpec(rho=0.5, R=0.5 * math.exp(170), n_quad=280)
+    for xi, cont in ((0, window), (1, CONT), (7, CONT), (J, CONT)):
+        got = _contour_integral(ell, z, cont, 4, 2, DEFAULT_CUTOFF)
+        want = contour_sum_by_nodes(ell, z, cont, 4, xi, 2)
+        power = complex_power(ell, z, cont, N=4, deriv_depth=2, compose_N=2)
+        for beta in range(3):
+            value = symbol_at(got, xi, beta)
+            assert np.max(np.abs(value - want[beta])) <= 1e-13 * np.max(np.abs(want[beta]))
+            if xi:      # chi(xi) = 1 with vanishing derivatives at integer xi != 0
+                assert np.array_equal(symbol_at(power, xi, beta), value)
+
+
+def test_parametrix_rejects_x_dependent_principal_layer():
+    # the r-polynomials need a_m(xi) free of x; xi^2 + q(x) as one principal
+    # layer is refused, not integrated as if q were constant
+    ell = EllipticSymbol(J, [(0, Symbol.xi_poly(J, [0.0, 0.0, 1.0])
+                              + Symbol.x_multiplication(J, QC))])
+    with pytest.raises(ValueError, match="principal layer depends on x"):
+        complex_power(ell, -0.5, CONT, N=3, deriv_depth=0, compose_N=2)
+    with pytest.raises(ValueError, match="principal layer depends on x"):
+        parametrix_layers_batch(ell, [-1.0], 3, N=3, n_beta=0, cutoff=DEFAULT_CUTOFF)
 
 
 def test_power_contour_guard():
