@@ -108,6 +108,9 @@ def build_q(cfg: dict, J: int) -> np.ndarray:
         with open(spec["path"]) as fh:
             data = json.load(fh)
         arr = np.asarray([complex(re, im) for re, im in data["coeffs"]])
+        if len(arr) % 2 == 0:
+            raise ConfigError(f"q file {spec['path']} has {len(arr)} coefficients; a "
+                              "centred list j = -K..K has an odd number 2K + 1")
         lo = min(J, (len(arr) - 1) // 2)
         c[J - lo:J + lo + 1] = arr[(len(arr) - 1) // 2 - lo:(len(arr) - 1) // 2 + lo + 1]
     else:
@@ -241,7 +244,7 @@ def stage_psdo_audit(ctx: dict) -> dict:
     expo, _ = entry_decay_exponent(R)
     out["parametrix_N3_exponent"] = expo
     # spectral agreement of the symbol sqrt on mid frequencies
-    B = complex_power(ell, 0.5, N=4, contour=cont, deriv_depth=0, compose_N=4)
+    B = complex_power(ell, 0.5, N=4, contour=cont, compose_N=4)
     E = np.abs(quantize(B) - spectral_power(sd, 0.5))
     window = [max(np.max(E[:, J + j]), np.max(E[:, J - j]))
               for j in range(J // 4, J // 2 + 1)]

@@ -92,8 +92,7 @@ class TorusFunction:
         """Build from {(l_1..l_nu, j): amplitude} entries."""
         c = np.zeros(lattice.shape, dtype=complex)
         for idx, amp in modes.items():
-            *ell, j = idx
-            c[lattice.ell_to_index(ell) + (int(j) + lattice.J,)] = amp
+            c[_mode_index(lattice, idx)] = amp
         return cls(lattice, c)
 
     # -- basic structure ----------------------------------------------
@@ -125,9 +124,25 @@ class TorusFunction:
         lat = Lattice(d["nu"], d["L"], d["J"])
         c = np.zeros(lat.shape, dtype=complex)
         for row in d["coeffs"]:
-            *ell, j, re, im = row
-            c[lat.ell_to_index(ell) + (int(j) + lat.J,)] = re + 1j * im
+            try:
+                idx = _mode_index(lat, row[:-2])
+            except ValueError as exc:
+                raise ValueError(f"coefficient row {row}: {exc}") from None
+            c[idx] = row[-2] + 1j * row[-1]
         return cls(lat, c)
+
+
+def _mode_index(lattice: Lattice, mode) -> tuple:
+    """Array index of the mode (l_1..l_nu, j).  A mode with another number of
+    entries or outside the box is refused: as an index it would address a
+    whole slice or wrap around to another mode."""
+    if len(mode) != lattice.nu + 1:
+        raise ValueError(f"mode {tuple(mode)} needs nu + 1 = {lattice.nu + 1} entries")
+    *ell, j = (int(m) for m in mode)
+    if max(abs(m) for m in ell) > lattice.L or abs(j) > lattice.J:
+        raise ValueError(f"mode {tuple(mode)} lies outside the box |l_i| <= {lattice.L}, "
+                         f"|j| <= {lattice.J}")
+    return lattice.ell_to_index(ell) + (j + lattice.J,)
 
 
 # -- structural operations ----------------------------------------------

@@ -93,8 +93,6 @@ class MagnusOutput:
     W_mat: BlockOperator
     omega: np.ndarray
     M: float
-    gamma0: float
-    tau0: float
 
     def structure_defects(self) -> dict:
         Y, (Vd, Vo) = self.Y_mat, self.V
@@ -135,7 +133,7 @@ def magnus_transform(q_xcoeffs, v: TorusFunction, omega, M: float,
     V = np.stack([1j * (YB - BY).mats, -1j * (YB + BY).mats]) + 2.0 * YBY.mats
     return MagnusOutput(Y_mat=Ym, V=BlockOperator(lat, V, Ym.K), B_mat=B, W_mat=W,
                         omega=np.atleast_1d(np.asarray(omega, float)),
-                        M=M, gamma0=gamma0, tau0=tau0)
+                        M=M)
 
 
 def homological_residual(out: MagnusOutput) -> float:

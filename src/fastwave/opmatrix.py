@@ -377,24 +377,23 @@ def _pair_norm_terms(alpha: float, beta: float):
     return terms
 
 
-def _pair_term_norms(P: BlockOperator, s: float, alpha: float, beta: float) -> dict:
-    """{label: |<D>^left A <D>^right|_s} over _pair_norm_terms, in term order."""
+def _pair_term_norms(P: BlockOperator, s: float, alpha: float, beta: float) -> list:
+    """[|<D>^left A <D>^right|_s] over _pair_norm_terms, in term order."""
     lat = P.lattice
     J = lat.J
     ln = lat.ell_norms()
     hs2 = {"d": _hs_block_tensor(P.mats[0], J), "o": _hs_block_tensor(P.mats[1], J)}
     wn = np.maximum(1.0, np.arange(J + 1.0))
-    out = {}
-    for i, (left, right, comp) in enumerate(_pair_norm_terms(alpha, beta)):
+    out = []
+    for left, right, comp in _pair_norm_terms(alpha, beta):
         weighted = hs2[comp] * np.outer(wn ** (2.0 * left), wn ** (2.0 * right))
-        out[f"term{i}:{comp}:D^{left:g}.A.D^{right:g}"] = math.sqrt(
-            _s_decay_sq(weighted, ln, s))
+        out.append(math.sqrt(_s_decay_sq(weighted, ln, s)))
     return out
 
 
 def pair_norm(P: BlockOperator, s: float, alpha: float, beta: float) -> float:
     """The M_s(alpha, beta) norm of the pair P: 4 one-sided terms + one per distinct sigma."""
-    return sum(_pair_term_norms(P, s, alpha, beta).values())
+    return sum(_pair_term_norms(P, s, alpha, beta))
 
 
 # -- operator pairs ----------------------------------------------------------

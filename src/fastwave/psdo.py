@@ -1,8 +1,9 @@
 r"""Pseudodifferential symbol calculus and contour-integral functional calculus.
 
-A symbol a(x, xi) of order m is stored as a rule giving, for each xi and each
-xi-derivative order beta up to `deriv_depth`, the Fourier coefficients of
-a(., xi) as a function of x.  Quantization gives the (2J+1)^2 matrix
+A symbol a(x, xi) is its rule: for each xi and each xi-derivative order beta
+it gives the Fourier coefficients of d_xi^beta a(., xi) as a function of x,
+computed on demand, so a symbol declares neither its order nor how many
+xi-derivatives it has.  Quantization gives the (2J+1)^2 matrix
 
     [Op(a) u]^(j_out) = sum_{j_in} a_hat(j_out - j_in; xi = j_in) u^(j_in).
 
@@ -18,18 +19,18 @@ zero (a vanishing derivative of xi^2, of an x-only symbol or of the cutoff): a
 product with it is that zero, a sum with it the other operand.
 
 Composition uses the asymptotic expansion a#b = sum_{beta<N} (i^beta beta!)^-1
-d_xi^beta a . d_x^beta b.  Real powers of an elliptic operator are built
-from the resolvent parametrix layers b_n(lambda; x, xi), each multiplied by a
-smooth cutoff chi that removes the (xi, lambda) = 0 singularity.  The
-principal layer a_m(xi) must not depend on x; then every layer and each of its
-xi-derivatives is exactly an r-polynomial with lambda-free coefficients, built
-at each xi by one recursion, only to the xi-derivative order asked for.  The
-clockwise contour integral -(2 pi i)^-1 \oint lambda^z chi b_n dlambda around
-the branch cut is then the layers' coefficients, summed over n, contracted with
-the scalar moments M[g, k] = sum_i w_i d_xi^g chi(t_i) r_i^k of the quadrature
-nodes lambda_i; the contractions run in einsum's own loop, not in BLAS, so
-their bits do not depend on the BLAS thread count.  z >= 0 reduces to
-A^k A_{z-k}.
+d_xi^beta a . d_x^beta b.  Real powers of a second-order elliptic operator
+are built from the resolvent parametrix layers b_n(lambda; x, xi), each
+multiplied by a smooth cutoff chi that removes the (xi, lambda) = 0
+singularity.  The principal layer a_m(xi), m = 2, must not depend on x; then
+every layer and each of its xi-derivatives is exactly an r-polynomial with
+lambda-free coefficients, built at each xi by one recursion, only to the
+xi-derivative order asked for.  The clockwise contour integral
+-(2 pi i)^-1 \oint lambda^z chi b_n dlambda around the branch cut is then the
+layers' coefficients, summed over n, contracted with the scalar moments
+M[g, k] = sum_i w_i d_xi^g chi(t_i) r_i^k of the quadrature nodes lambda_i;
+the contractions run in einsum's own loop, not in BLAS, so their bits do not
+depend on the BLAS thread count.  z >= 0 reduces to A^k A_{z-k}.
 """
 
 from __future__ import annotations
@@ -200,26 +201,23 @@ def _dx(v: np.ndarray, order: int = 1) -> np.ndarray:
 
 
 class Symbol:
-    """Pseudodifferential symbol with xi-derivative access.
+    """Pseudodifferential symbol: its rule, with any xi-derivative on demand.
 
     `rule(xi, beta)` gives d_xi^beta a(., xi) as a scalar (constant in x) or
-    a (2J+1,) x-coefficient array.  `raw` returns it in the one value form of
-    this module: an array whose last axis, x, has length 1 (the zero mode
-    only) or 2J+1.  Inside the parametrix a value carries the power axis of r
-    in front of it.  J is the truncation |j| <= J of the quantized matrix.
+    a (2J+1,) x-coefficient array, for every beta >= 0.  `raw` returns it in
+    the one value form of this module: an array whose last axis, x, has
+    length 1 (the zero mode only) or 2J+1.  Inside the parametrix a value
+    carries the power axis of r in front of it.  J is the truncation |j| <= J
+    of the quantized matrix.
     """
 
-    def __init__(self, J: int, order: float, rule, deriv_depth: int):
+    def __init__(self, J: int, rule):
         self.J = int(J)
-        self.order = float(order)
         self._rule = rule
-        self.deriv_depth = int(deriv_depth)
         self._cache = {}
 
     # raw evaluation with caching
     def raw(self, xi: float, beta: int) -> np.ndarray:
-        if beta > self.deriv_depth:
-            raise ValueError(f"derivative depth {self.deriv_depth} exceeded (beta={beta})")
         key = (float(xi), int(beta))
         if key not in self._cache:
             self._cache[key] = _lift(self._rule(float(xi), int(beta)))
@@ -228,39 +226,33 @@ class Symbol:
     # -- algebra (closures propagate derivative rules) ----------------------
 
     def dxi(self) -> "Symbol":
-        return Symbol(self.J, self.order - 1,
-                      lambda xi, b: self.raw(xi, b + 1), self.deriv_depth - 1)
+        return Symbol(self.J, lambda xi, b: self.raw(xi, b + 1))
 
     def dx(self, order: int) -> "Symbol":
-        return Symbol(self.J, self.order,
-                      lambda xi, b: _dx(self.raw(xi, b), order), self.deriv_depth)
+        return Symbol(self.J, lambda xi, b: _dx(self.raw(xi, b), order))
 
     def __add__(self, other: "Symbol") -> "Symbol":
-        return Symbol(self.J, max(self.order, other.order),
-                      lambda xi, b: _add(self.raw(xi, b), other.raw(xi, b)),
-                      min(self.deriv_depth, other.deriv_depth))
+        return Symbol(self.J, lambda xi, b: _add(self.raw(xi, b), other.raw(xi, b)))
 
     def __sub__(self, other: "Symbol") -> "Symbol":
         return self + (other * (-1.0))
 
     def __mul__(self, scalar) -> "Symbol":
-        return Symbol(self.J, self.order,
-                      lambda xi, b: self.raw(xi, b) * scalar, self.deriv_depth)
+        return Symbol(self.J, lambda xi, b: self.raw(xi, b) * scalar)
 
     __rmul__ = __mul__
 
-    def mul(self, other: "Symbol", order: float) -> "Symbol":
-        """Pointwise product of the given order; Leibniz propagates xi-derivatives."""
+    def mul(self, other: "Symbol") -> "Symbol":
+        """Pointwise product; Leibniz propagates xi-derivatives."""
         def rule(xi, b):
             return _leibniz(lambda g: self.raw(xi, g), lambda g: other.raw(xi, g), b)
-        return Symbol(self.J, order, rule, min(self.deriv_depth, other.deriv_depth))
+        return Symbol(self.J, rule)
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def constant(cls, J: int, value: complex) -> "Symbol":
-        return cls(J, 0.0, lambda xi, b: complex(value) if b == 0 else 0.0,
-                   deriv_depth=64)
+        return cls(J, lambda xi, b: complex(value) if b == 0 else 0.0)
 
     @classmethod
     def xi_poly(cls, J: int, coeffs) -> "Symbol":
@@ -273,23 +265,12 @@ class Symbol:
                 if k >= b:
                     tot += c * math.perm(k, b) * xi ** (k - b)
             return tot
-        return cls(J, len(coeffs) - 1, rule, deriv_depth=64)
+        return cls(J, rule)
 
     @classmethod
     def x_multiplication(cls, J: int, xcoeffs: np.ndarray) -> "Symbol":
         xc = np.asarray(xcoeffs, dtype=complex)
-        return cls(J, 0.0, lambda xi, b: xc if b == 0 else 0.0, deriv_depth=64)
-
-    def scaled_by_cutoff(self, cutoff: Cutoff) -> "Symbol":
-        """chi(xi) a(x, xi): kills the xi = 0 mode, identity for |xi| >= 1."""
-        def rule(xi, b):
-            acc = 0.0 * self.raw(xi, b)
-            for g in range(b + 1):
-                c = math.comb(b, g) * cutoff(xi, g)
-                if c != 0.0:
-                    acc = _add(acc, c * self.raw(xi, b - g))
-            return acc
-        return Symbol(self.J, self.order, rule, self.deriv_depth)
+        return cls(J, lambda xi, b: xc if b == 0 else 0.0)
 
 
 # -- quantization -------------------------------------------------------------
@@ -315,9 +296,7 @@ def quantize(a: Symbol) -> np.ndarray:
 
 
 def compose(a: Symbol, b: Symbol, N: int) -> Symbol:
-    """Asymptotic composition a#b truncated at N terms, of order a.order + b.order."""
-    if a.deriv_depth < N or b.deriv_depth < N:
-        raise ValueError("composition needs deriv_depth >= N on both factors")
+    """Asymptotic composition a#b truncated at N terms."""
     terms = []
     for beta in range(N):
         coeff = 1.0 / ((1j) ** beta * math.factorial(beta))
@@ -325,7 +304,7 @@ def compose(a: Symbol, b: Symbol, N: int) -> Symbol:
         for _ in range(beta):
             da = da.dxi()
         db = b.dx(beta) if beta else b
-        terms.append(coeff * da.mul(db, order=a.order + b.order))
+        terms.append(coeff * da.mul(db))
     approx = terms[0]
     for t in terms[1:]:
         approx = approx + t
@@ -355,7 +334,7 @@ def entry_decay_exponent(R: np.ndarray, j_lo: int | None = None,
 
 
 class EllipticSymbol:
-    """Declared layer decomposition a ~ sum_k a_{m-k} of an elliptic symbol."""
+    """Declared layer decomposition a ~ sum_k a_{2-k} of a second-order elliptic symbol."""
 
     def __init__(self, J: int, layers: list):
         """layers: list of (order_drop k, Symbol); k = 0 is the principal layer."""
@@ -363,7 +342,6 @@ class EllipticSymbol:
         self.layers = dict()
         for k, sym in layers:
             self.layers[int(k)] = sym
-        self.order = self.layers[0].order
 
     @classmethod
     def xi2_plus_q(cls, J: int, qcoeffs) -> "EllipticSymbol":
@@ -372,7 +350,7 @@ class EllipticSymbol:
                        (2, Symbol.x_multiplication(J, qcoeffs))])
 
     def full_symbol(self) -> Symbol:
-        """The sum of the layers, of the principal layer's order."""
+        """The sum of the layers."""
         syms = list(self.layers.values())
         out = syms[0]
         for s in syms[1:]:
@@ -448,15 +426,16 @@ def _parametrix_coeffs(a: EllipticSymbol, xi: float, N: int, max_beta: int) -> d
 
 def _cutoff_moments(a: EllipticSymbol, lam: np.ndarray, xi: float, K: int, n_beta: int,
                     cutoff: Cutoff) -> list:
-    """[d_xi^g chi(t) r^k for k < K at each lam, g <= n_beta], t = xi^2 + |lam|^(2/m);
-    a d_xi^g chi that vanishes at every lam is the structural zero."""
+    """[d_xi^g chi(t) r^k for k < K at each lam, g <= n_beta], t = xi^2 + |lam|
+    (|lam|^(2/m) with m = 2); a d_xi^g chi that vanishes at every lam is the
+    structural zero."""
     u = _principal(a, xi, 0) - lam
     if np.min(np.abs(u)) < 1e-14:
         raise EllipticityError("principal symbol hits lambda on the grid")
     rk = np.ones(lam.shape + (K,), dtype=complex)
     for k in range(1, K):
         rk[..., k] = rk[..., k - 1] / u
-    t = abs(xi) ** 2 + np.abs(lam) ** (2.0 / a.order)
+    t = abs(xi) ** 2 + np.abs(lam)
     chi = _chain_quadratic_batch(cutoff, t, 2.0 * xi, 2.0, n_beta)
     return [c if _zero(c) else c[..., None] * rk for c in chi]
 
@@ -481,7 +460,7 @@ def parametrix_layers_batch(a: EllipticSymbol, lam: np.ndarray, xi: float, N: in
     each a raw value whose leading axes run over lam (a layer that vanishes
     identically, such as b_1 of xi^2 + q, is the structural zero broadcast to
     them): the r-polynomials of `_parametrix_coeffs` evaluated at each lam,
-    with chi = chi(|xi|^2 + |lam|^{2/m}).
+    with chi = chi(|xi|^2 + |lam|).
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     b = _parametrix_coeffs(a, xi, N, n_beta + N - 1)
@@ -516,20 +495,16 @@ def _chain_quadratic_batch(cutoff: Cutoff, t: np.ndarray, t1: float, t2: float,
 
 
 def resolvent_parametrix(a: EllipticSymbol, lam: complex, N: int) -> Symbol:
-    """The truncated parametrix symbol b_(N)(lam) = sum_{n<N} b_{-m-n}(lam).
-
-    It carries no xi-derivatives (deriv_depth 0), so it can be quantized but
-    not composed.
-    """
+    """The truncated parametrix symbol b_(N)(lam) = sum_{n<N} b_{-2-n}(lam)."""
     xi_vals = range(-a.J, a.J + 1)
     if a.principal_min_abs(lam, xi_vals) == 0.0:
         raise EllipticityError("lambda touches the principal symbol range")
 
     def rule(xi, beta):
         # a vanishing layer (one zero entry at lam) drops out of the sum
-        layers = parametrix_layers_batch(a, [lam], xi, N, 0, DEFAULT_CUTOFF)
-        return reduce(_add, [layers[(n, 0)][0] for n in range(N)])
-    return Symbol(a.J, -a.order, rule, 0)
+        layers = parametrix_layers_batch(a, [lam], xi, N, beta, DEFAULT_CUTOFF)
+        return reduce(_add, [layers[(n, beta)][0] for n in range(N)])
+    return Symbol(a.J, rule)
 
 
 @dataclass
@@ -566,27 +541,27 @@ class ContourSpec:
 
 
 def complex_power(a: EllipticSymbol, z: float, contour: ContourSpec, N: int,
-                  deriv_depth: int, compose_N: int, cutoff: Cutoff = DEFAULT_CUTOFF) -> Symbol:
+                  compose_N: int, cutoff: Cutoff = DEFAULT_CUTOFF) -> Symbol:
     """Symbol of A^z by contour integration of the parametrix layers.
 
     For z < 0 the layers are integrated directly and the result is multiplied
-    by chi(xi); z >= 0 uses the reduction A^z = A^k A_{z-k} with
-    k = floor(z) + 1, composing with the full symbol.
+    by chi(xi), which kills the xi = 0 mode and is 1 for |xi| >= 1; z >= 0 uses
+    the reduction A^z = A^k A_{z-k} with k = floor(z) + 1, composing with the
+    full symbol.
     """
     if z >= 0.0:
         k = int(math.floor(z)) + 1
-        low = complex_power(a, z - k, contour, N, deriv_depth + compose_N, compose_N,
-                            cutoff)
-        out = low
+        out = complex_power(a, z - k, contour, N, compose_N, cutoff)
         full = a.full_symbol()
         for _ in range(k):
             out = compose(full, out, compose_N)
-        return Symbol(out.J, a.order * z, out._rule, out.deriv_depth)
-    return _contour_integral(a, z, contour, N, deriv_depth, cutoff).scaled_by_cutoff(cutoff)
+        return out
+    chi = Symbol(a.J, lambda xi, b: cutoff(xi, b))
+    return _contour_integral(a, z, contour, N, cutoff).mul(chi)
 
 
 def _contour_integral(a: EllipticSymbol, z: float, contour: ContourSpec, N: int,
-                      deriv_depth: int, cutoff: Cutoff) -> Symbol:
+                      cutoff: Cutoff) -> Symbol:
     r"""-(2 pi i)^-1 \oint lambda^z sum_{n<N} chi b_n dlambda by the quadrature of `contour`:
     the layers summed over n on their r-coefficients, contracted with the contour
     moments sum_i w_i d_xi^g chi(t_i) r_i^k."""
@@ -613,4 +588,4 @@ def _contour_integral(a: EllipticSymbol, z: float, contour: ContourSpec, N: int,
                    _cutoff_moments(a, lam_nodes, xi, K, beta, cutoff)]
         return _with_cutoff(moments, summed, beta)
 
-    return Symbol(a.J, a.order * z, rule, deriv_depth)
+    return Symbol(a.J, rule)

@@ -536,17 +536,17 @@ def pointwise(v: np.ndarray, f, oversample: int = 8) -> np.ndarray:
     return x_from_grid(f(x_to_grid(v, n)), (v.shape[-1] - 1) // 2)
 
 
-def contour_sum_by_nodes(a, z: float, contour, N: int, xi: float, deriv_depth: int,
+def contour_sum_by_nodes(a, z: float, contour, N: int, xi: float, n_beta: int,
                          cutoff=DEFAULT_CUTOFF) -> list:
-    """[sum_i w_i sum_{n<N} d_xi^beta (chi b_n)(lam_i; ., xi) for beta <= deriv_depth]:
+    """[sum_i w_i sum_{n<N} d_xi^beta (chi b_n)(lam_i; ., xi) for beta <= n_beta]:
     the contour integral of `complex_power`, before its outer chi(xi), as the
     weighted sum, node by node, of `parametrix_layers_batch`'s values at each
     node, each a (2J+1,) array of x coefficients."""
     lam, w = contour.nodes(z)
-    layers = parametrix_layers_batch(a, lam, xi, N, deriv_depth, cutoff)
+    layers = parametrix_layers_batch(a, lam, xi, N, n_beta, cutoff)
     D = 2 * a.J + 1
     out = []
-    for beta in range(deriv_depth + 1):
+    for beta in range(n_beta + 1):
         per_node = sum(_widen(layers[(n, beta)], D) for n in range(N))
         out.append(sum(w_i * v_i for w_i, v_i in zip(w, per_node)))
     return out
@@ -570,4 +570,4 @@ def symbol_sqrt(a: Symbol, grid_oversample: int = 8) -> Symbol:
                 out = _mul(half_inv, rhs)
             cache[(xi, b)] = out
         return cache[(xi, b)]
-    return Symbol(a.J, a.order / 2.0, rule, a.deriv_depth)
+    return Symbol(a.J, rule)

@@ -94,15 +94,15 @@ def _criterion3_data():
         rho = 0.45 * float(np.min(sd.mu_sq))
         cont = ContourSpec(rho=rho, R=rho * math.exp(200.0), n_quad=320)
         ell = EllipticSymbol.xi2_plus_q(J, qc)
-        B = complex_power(ell, 0.5, N=5, contour=cont, deriv_depth=0, compose_N=6)
+        B = complex_power(ell, 0.5, N=5, contour=cont, compose_N=6)
         OpB = quantize(B)
         E = np.abs(OpB - spectral_power(sd, 0.5))
-        Q = complex_power(ell, 0.25, N=4, contour=cont, deriv_depth=0, compose_N=4)
+        Q = complex_power(ell, 0.25, N=4, contour=cont, compose_N=4)
         OpQ = quantize(Q)
         R = OpQ @ OpQ - OpB
         group_expo, _ = entry_decay_exponent(R, j_lo=8, j_hi=48)
         naive = Symbol.xi_poly(J, [0, 0, 1.0]) + Symbol.x_multiplication(J, qc)
-        bsym = symbol_sqrt(Symbol(J, 2.0, naive._rule, 64))
+        bsym = symbol_sqrt(naive)
         OpN = quantize(bsym)
         defect = OpN @ OpN - assemble_lq(qc, J)
         colmax = np.max(np.abs(defect), axis=0)

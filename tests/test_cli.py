@@ -109,6 +109,29 @@ def test_v_file_on_another_lattice_is_refused(tmp_path):
     assert coeff(build_v(cfg, Lattice(1, 2, 3)), (1,), 1) == 0.25
 
 
+def test_v_file_rows_outside_the_box_are_refused(tmp_path):
+    # on a (nu, L, J) = (1, 2, 3) v-file the mode (l, j) = (-3, 0) would wrap
+    # to l = +2 and (0, -4) to j = +3, and a row of fewer than nu + 3 entries
+    # would write a whole slice; build_v names the row instead
+    vpath = tmp_path / "v.json"
+    cfg = {"v": {"family": "file", "path": str(vpath)}}
+    for row in ([-3, 0, 0.25, 0.0], [0, -4, 0.25, 0.0], [1, 0.25, 0.0], [0.25, 0.0],
+                [1, 1, 1, 0.25, 0.0]):
+        vpath.write_text(json.dumps({"nu": 1, "L": 2, "J": 3,
+                                     "coeffs": [[1, 1, 0.25, 0.0], row]}))
+        with pytest.raises(ValueError, match=re.escape(f"coefficient row {row}")):
+            build_v(cfg, Lattice(1, 2, 3))
+
+
+def test_q_file_of_even_length_is_refused(tmp_path):
+    # a centred list j = -K..K has 2K + 1 entries; an even list would lose
+    # its last coefficient without a word
+    qpath = tmp_path / "q.json"
+    qpath.write_text(json.dumps({"coeffs": [[0.5, 0.0], [1.0, 0.0], [0.5, 0.0], [0.1, 0.0]]}))
+    with pytest.raises(ConfigError, match="4 coefficients"):
+        build_q({"q": {"family": "file", "path": str(qpath)}}, 3)
+
+
 def test_run_experiment_spectrum_only(tmp_path):
     manifest = run_experiment(small_cfg(), stages=["spectrum"])
     assert manifest["stages"]["spectrum"]["pass"]

@@ -217,8 +217,8 @@ def test_symbol_route_and_matrix_route_agree_midband():
     a = EllipticSymbol.xi2_plus_q(J, QC)
     rho = 0.45 * float(np.min(SD.mu_sq))
     cont = ContourSpec(rho=rho, R=rho * math.exp(200.0), n_quad=240)
-    B = complex_power(a, 0.5, cont, N=3, deriv_depth=2, compose_N=2)
-    Bmh = complex_power(a, -0.25, cont, N=3, deriv_depth=8, compose_N=3)
+    B = complex_power(a, 0.5, cont, N=3, compose_N=2)
+    Bmh = complex_power(a, -0.25, cont, N=3, compose_N=3)
     # chi(omega.l / rho_l)/(i omega.l) of each angle mode, read off apply_divisors
     probe = np.ones((len(LAT.ell_range()), 2 * J + 1, 2 * J + 1))
     probe[len(probe) // 2] = 0.0

@@ -43,7 +43,7 @@ def bracket_power(J, m):
         for i in range(b):
             fall *= (m - i)
         return complex(fall * abs(xi) ** (m - b) * np.sign(xi) ** b)
-    return Symbol(J, m, rule, deriv_depth=64)
+    return Symbol(J, rule)
 
 
 def symbol_at(a, xi, beta=0):
@@ -98,7 +98,7 @@ def test_quantize_multiplication_matches_assemble():
 
 
 def test_compose_with_one():
-    a = Symbol.x_multiplication(J, QC).mul(bracket_power(J, -1.0), order=-1.0)
+    a = Symbol.x_multiplication(J, QC).mul(bracket_power(J, -1.0))
     one = Symbol.constant(J, 1.0)
     approx = compose(a, one, N=3)
     for xi in (-3, 0, 5):
@@ -126,7 +126,7 @@ def test_compose_sqrt_square_defect():
     # Op(a#b) with a = b = sqrt(xi^2+q): order-0 residual vs L_q, and the
     # naive square Op(b)^2 differs from L_q by bounded entries
     naive = Symbol.xi_poly(J, [0.0, 0.0, 1.0]) + Symbol.x_multiplication(J, QC)
-    b = symbol_sqrt(Symbol(J, 2.0, naive._rule, 12))
+    b = symbol_sqrt(naive)
     approx = compose(b, b, N=2)
     Lq = assemble_lq(QC, J)
     R2 = quantize(approx) - Lq
@@ -140,12 +140,6 @@ def test_compose_sqrt_square_defect():
     lo = max(colmax2[J + j] for j in range(6, 10))
     hi = max(colmax2[J + j] for j in range(12, 16))
     assert hi <= 2.0 * lo
-
-
-def test_compose_requires_depth():
-    a = Symbol(J, 0.0, lambda xi, b: 1.0 + 0j, deriv_depth=1)
-    with pytest.raises(ValueError):
-        compose(a, a, N=3)
 
 
 # -- parametrix ------------------------------------------------------------------
@@ -246,27 +240,44 @@ def test_cutoff_derivatives_outside_window_are_structural_zeros():
 
 
 def test_resolvent_parametrix_sums_every_layer():
-    # the parametrix symbol equals the sum over every layer with each zero
-    # layer materialised (b_1 of xi^2 + q vanishes); at xi = 0 and
-    # lambda = 0.4i the cutoff's transition is hit, at xi = 3 it is not
+    # the parametrix symbol and its xi-derivatives equal the sums over every
+    # layer with each zero layer materialised (b_1 of xi^2 + q vanishes); at
+    # xi = 0 and lambda = 0.4i the cutoff's transition is hit, at xi = 3 it is
+    # not.  Each derivative is the central difference of the one below it.
     ell = EllipticSymbol.xi2_plus_q(J, QC)
+    h = 1e-5
     for lam in (-1.0, 0.4j, 2.0 + 3.0j):
         bN = resolvent_parametrix(ell, lam, N=5)
         for xi in (0, 3):
-            layers = parametrix_layers_batch(ell, [lam], xi, N=5, n_beta=0,
+            layers = parametrix_layers_batch(ell, [lam], xi, N=5, n_beta=2,
                                              cutoff=DEFAULT_CUTOFF)
-            want = _widen(layers[(0, 0)][0], D)
-            for n in range(1, 5):
-                want = _add(want, _widen(layers[(n, 0)][0], D))
-            got = bN.raw(xi, 0)
-            assert got.shape == want.shape
-            assert np.array_equal(got, want), (lam, xi)
+            for beta in range(3):
+                want = _widen(layers[(0, beta)][0], D)
+                for n in range(1, 5):
+                    want = _add(want, _widen(layers[(n, beta)][0], D))
+                got = symbol_at(bN, xi, beta)
+                assert np.array_equal(got, want), (lam, xi, beta)
+                if beta:
+                    fd = (symbol_at(bN, xi + h, beta - 1)
+                          - symbol_at(bN, xi - h, beta - 1)) / (2 * h)
+                    scale = max(np.max(np.abs(got)), np.max(np.abs(symbol_at(bN, xi))))
+                    assert np.max(np.abs(fd - got)) <= 1e-6 * scale, (lam, xi, beta)
+
+
+def test_compose_with_parametrix():
+    # compose takes the parametrix's xi-derivatives on demand:
+    # (a + 1) # b_(3)(-1) is the identity up to a residual of order -3
+    ell = EllipticSymbol.xi2_plus_q(J, QC)
+    shifted = ell.full_symbol() + Symbol.constant(J, 1.0)   # a - (-1)
+    R = quantize(compose(shifted, resolvent_parametrix(ell, -1.0, N=3), 2)) - np.eye(D)
+    expo, _ = entry_decay_exponent(R)
+    assert abs(expo - (-3.0)) < 0.9
 
 
 def test_parametrix_residual_decay_and_refinement():
     ell = EllipticSymbol.xi2_plus_q(J, cos_coeffs(J, amp=1.0))
     shifted = ell.full_symbol() + Symbol.constant(J, 1.0)   # a - (-1)
-    OpA = quantize(Symbol(J, 2.0, shifted._rule, 12))
+    OpA = quantize(shifted)
     colmaxes = {}
     for N in (1, 3):
         bN = resolvent_parametrix(ell, -1.0, N=N)
@@ -293,7 +304,7 @@ def test_parametrix_ellipticity_guard():
 def test_power_constant_coefficient_exact():
     ell = EllipticSymbol(J, [(0, Symbol.xi_poly(J, [1.0, 0.0, 1.0]))])
     B = complex_power(ell, 0.5, N=3, contour=ContourSpec(0.4, 0.4 * math.exp(170), 280),
-                      deriv_depth=3, compose_N=3)
+                      compose_N=3)
     for xi in range(-J, J + 1):
         v = B.raw(xi, 0)
         v0 = v[..., v.shape[-1] // 2].item()
@@ -305,7 +316,7 @@ def test_power_inverse_check():
     # residual decays like |j|^{-N-ish}: at this desk scale check the decay
     # and a mid-frequency bound; the 1e-6 level is reached at larger |j|
     ell = EllipticSymbol.xi2_plus_q(J, QC)
-    inv = complex_power(ell, -1.0, N=4, contour=CONT, deriv_depth=0, compose_N=3)
+    inv = complex_power(ell, -1.0, N=4, contour=CONT, compose_N=3)
     R = quantize(inv) @ assemble_lq(QC, J) - np.eye(D)
     colmax = np.max(np.abs(R), axis=0)
     mid = [max(colmax[J + j], colmax[J - j]) for j in range(10, 17)]
@@ -317,7 +328,7 @@ def test_power_inverse_check():
 
 def test_power_matches_spectral_sqrt_midrange():
     ell = EllipticSymbol.xi2_plus_q(J, QC)
-    B = complex_power(ell, 0.5, N=4, contour=CONT, deriv_depth=0, compose_N=4)
+    B = complex_power(ell, 0.5, N=4, contour=CONT, compose_N=4)
     ref = spectral_power(SD, 0.5)
     E = np.abs(quantize(B) - ref)
     worst = max(np.max(E[:, J + j]) for jj in range(8, J // 2 + 3) for j in (jj, -jj))
@@ -326,8 +337,8 @@ def test_power_matches_spectral_sqrt_midrange():
 
 def test_power_group_property_smoothing():
     ell = EllipticSymbol.xi2_plus_q(J, QC)
-    Q = complex_power(ell, 0.25, N=3, contour=CONT, deriv_depth=0, compose_N=3)
-    B = complex_power(ell, 0.5, N=3, contour=CONT, deriv_depth=0, compose_N=3)
+    Q = complex_power(ell, 0.25, N=3, contour=CONT, compose_N=3)
+    B = complex_power(ell, 0.5, N=3, contour=CONT, compose_N=3)
     R = quantize(Q) @ quantize(Q) - quantize(B)
     expo, _ = entry_decay_exponent(R, j_lo=5, j_hi=14)
     assert expo <= -0.7    # smoothing: steeper than the factors' order sum - 1
@@ -335,9 +346,9 @@ def test_power_group_property_smoothing():
 
 def test_power_insensitive_to_admissible_cutoff():
     ell = EllipticSymbol.xi2_plus_q(J, QC)
-    B1 = complex_power(ell, -0.5, N=3, contour=CONT, deriv_depth=0, compose_N=3,
+    B1 = complex_power(ell, -0.5, N=3, contour=CONT, compose_N=3,
                        cutoff=Cutoff(1.0))
-    B2 = complex_power(ell, -0.5, N=3, contour=CONT, deriv_depth=0, compose_N=3,
+    B2 = complex_power(ell, -0.5, N=3, contour=CONT, compose_N=3,
                        cutoff=Cutoff(2.0))
     # at integer xi != 0 all admissible cutoffs act identically
     for xi in (-J, -5, -1, 1, 4, J):
@@ -354,9 +365,9 @@ def test_contour_moments_match_node_sum(z):
     ell = EllipticSymbol.xi2_plus_q(J, QC)
     window = ContourSpec(rho=0.5, R=0.5 * math.exp(170), n_quad=280)
     for xi, cont in ((0, window), (1, CONT), (7, CONT), (J, CONT)):
-        got = _contour_integral(ell, z, cont, 4, 2, DEFAULT_CUTOFF)
+        got = _contour_integral(ell, z, cont, 4, DEFAULT_CUTOFF)
         want = contour_sum_by_nodes(ell, z, cont, 4, xi, 2)
-        power = complex_power(ell, z, cont, N=4, deriv_depth=2, compose_N=2)
+        power = complex_power(ell, z, cont, N=4, compose_N=2)
         for beta in range(3):
             value = symbol_at(got, xi, beta)
             assert np.max(np.abs(value - want[beta])) <= 1e-13 * np.max(np.abs(want[beta]))
@@ -370,7 +381,7 @@ def test_parametrix_rejects_x_dependent_principal_layer():
     ell = EllipticSymbol(J, [(0, Symbol.xi_poly(J, [0.0, 0.0, 1.0])
                               + Symbol.x_multiplication(J, QC))])
     with pytest.raises(ValueError, match="principal layer depends on x"):
-        complex_power(ell, -0.5, CONT, N=3, deriv_depth=0, compose_N=2)
+        complex_power(ell, -0.5, CONT, N=3, compose_N=2)
     with pytest.raises(ValueError, match="principal layer depends on x"):
         parametrix_layers_batch(ell, [-1.0], 3, N=3, n_beta=0, cutoff=DEFAULT_CUTOFF)
 
@@ -380,7 +391,7 @@ def test_power_contour_guard():
     with pytest.raises(EllipticityError):
         # rho far above the bottom of the symbol range: circle crosses it
         complex_power(ell, -0.5, N=2, contour=ContourSpec(2.0, 2.0 * math.exp(80), 64),
-                      deriv_depth=3, compose_N=3)
+                      compose_N=3)
 
 
 # the psdo-audit's square root at J = 16, its matrix written raw to stdout
@@ -395,8 +406,7 @@ qc[J], qc[J + 1], qc[J - 1] = 1.0, 0.5, 0.5
 sd = eigensolve_blocks(assemble_lq(qc, J), q=qc)
 rho = 0.45 * float(np.min(sd.mu_sq))
 cont = ContourSpec(rho=rho, R=rho * math.exp(170.0), n_quad=280)
-B = complex_power(EllipticSymbol.xi2_plus_q(J, qc), 0.5, N=4, contour=cont,
-                  deriv_depth=0, compose_N=4)
+B = complex_power(EllipticSymbol.xi2_plus_q(J, qc), 0.5, N=4, contour=cont, compose_N=4)
 sys.stdout.buffer.write(quantize(B).tobytes())
 """
 
