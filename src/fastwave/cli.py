@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .harmonics import Lattice, TorusFunction
+from .opmatrix import blas_threads
 
 
 class ConfigError(ValueError):
@@ -453,6 +454,8 @@ def run_experiment(cfg: dict, stages) -> dict:
     manifest = {"version": __version__, "config": cfg,
                 "constants": {"kam_smallness_C_s0": {"value": SMALLNESS_C_S0,
                                                      "kind": "fitted"}},
+                # the thread count of each OpenBLAS copy; empty where none is known
+                "blas_threads": blas_threads(),
                 "stages": {}}
     ctx = {"config": cfg}
     failed = set()

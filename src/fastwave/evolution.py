@@ -4,9 +4,13 @@ The first-order form i phi_t = H(t) phi with H = B sigma3 + W(omega t) sigma4
 is integrated in the eigenbasis of B by Strang splitting: the free rotation
 e^{-i dt B sigma3} is exact (diagonal), and the kick e^{-i dt W sigma4} is
 exact as well because W sigma4 is nilpotent (sigma4^2 = 0), so the only error
-is the order-2 splitting error in dt.  W is `magnus_transform`'s W_mat moved
-to the eigenbasis by `change_basis`; the caller builds it once and passes it
-to `integrate` and `floquet_residual`.
+is the order-2 splitting error in dt.  The kick is complex-linear in the
+state, so each step applies it as one matrix-vector product with the
+(2D x D) matrix i dt [-W(phi); conj-family W(phi)]; these matrices are
+built a chunk of steps at a time, by one product of the steps' phases with
+W's live angle modes.  W is `magnus_transform`'s W_mat moved to the
+eigenbasis by `change_basis`; the caller builds it once and passes it to
+`integrate` and `floquet_residual`.
 
 The Floquet factorization U(t, tau) = T(omega t)^{-1} e^{-i(t-tau)H_inf}
 T(omega tau) is assembled from the Magnus generator (e^{iY sigma4} = 1 + iY
@@ -56,59 +60,61 @@ def pair_state(phi_exp: np.ndarray, sd: SpectralData) -> np.ndarray:
     return np.stack([coords @ phi_exp, coords @ phibar])
 
 
+# steps per kick table: the (64, 2D, D) complex table of a chunk is about
+# 2.2 MB at D = 33, whatever the number of steps
+_KICK_CHUNK = 64
+
+
 def integrate(sd: SpectralData, W: BlockOperator, omega, state0: np.ndarray, T: float,
               dt: float, store_every: int, t0: float = 0.0) -> Trajectory:
     """Strang splitting: half rotation, exact kick at the midpoint, half rotation.
 
     The kick is W(phi) sigma4, with W = (1/2) B^{-1/2} V(phi) B^{-1/2} in
-    eigen coordinates (`magnus_transform`'s W_mat moved by `change_basis`),
-    summed over W's live angle modes (those whose block is not identically
-    zero); W = 0 gives the free flow.  state0: (2, D) eigen coordinates,
-    held as one flat vector during the run.  dt must resolve the driving and
-    the spectral radius: dt <= 0.1 / max(|omega|, lambda_max).
+    eigen coordinates (`magnus_transform`'s W_mat moved by `change_basis`).
+    It is complex-linear in the flat state (top, bot) = (phi, phibar-slot):
+    with s = top + bot, top -= i dt W(phi) s and bot += i dt W~(phi) s, where
+    W~ = K conj(W) conj(K) is the conjugate family (`W.conj_op()`).  So a step
+    is a rotation, one (2D x D) matrix-vector product with the kick matrix
+    i dt [-W(phi_k); W~(phi_k)] and a rotation.  The kick matrices of
+    `_KICK_CHUNK` steps at a time are one product of the steps' phases with
+    the live angle modes of W and W~ (those whose block is not identically
+    zero); W = 0 has none, and its kick matrices are zero.  The step times are the running sums
+    t0 + dt + ... + dt, the floats of `t += dt`.  state0: (2, D) eigen
+    coordinates.  dt must resolve the driving and the spectral radius:
+    dt <= 0.1 / max(|omega|, lambda_max).
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     lam = sd.lam
+    D = len(lam)
     lam_max = float(np.nanmax(lam))
     if dt > 0.1 / max(float(np.linalg.norm(omega)), lam_max):
         raise ValueError("dt too coarse for the driving/spectral scales")
     n_steps = int(round(T / dt))
-    # only the modes whose block is not identically zero enter W(phi)
+    # W~(l) is K conj(W(-l)) conj(K): the live modes are those of W and their
+    # reversal
     live = np.any(W.mats != 0, axis=(1, 2))
-    kick = ((W.lattice.ell_range()[live], W.mats[live].reshape(-1, len(lam) ** 2), W.K)
-            if live.any() else None)
+    live |= live[::-1]
+    ells = W.lattice.ell_range()[live]
+    modes = (1j * dt) * np.concatenate([-W.mats[live], W.conj_op().mats[live]],
+                                       axis=1).reshape(len(ells), 2 * D * D)
+    times = np.add.accumulate(np.concatenate([[t0], np.full(n_steps, dt)]))
     half = np.exp(-0.5j * dt * lam)
     rot = np.concatenate([half, np.conj(half)])
     state = np.array(state0, dtype=complex).reshape(-1)
-    times = [t0]
+    stored = [0]
     states = [state.reshape(2, -1).copy()]
-    t = t0
-    for k in range(n_steps):
-        state *= rot
-        if kick is not None:
-            _apply_kick(kick, state, omega * (t + 0.5 * dt), dt)
-        state *= rot
-        t += dt
-        if (k + 1) % store_every == 0 or k == n_steps - 1:
-            times.append(t)
-            states.append(state.reshape(2, -1).copy())
-    return Trajectory(times=np.asarray(times), states=np.asarray(states),
-                      sd=sd, dt=dt)
-
-
-def _apply_kick(kick, state, phi_angle, dt):
-    """The kick, in place, on the flat state (phi, phibar-slot).
-
-    kick = (ells, modes, K): W's live angle modes, their flattened blocks and
-    the conjugation matrix.  W(phi) is one contraction of the modes with their
-    phases; the conjugate family acts as conj(W)(phi) s = K conj(W(phi) K conj(s)).
-    """
-    ells, modes, K = kick
-    D = len(K)
-    Wp = (np.exp(1j * (ells @ phi_angle)) @ modes).reshape(D, D)
-    s = state[:D] + state[D:]
-    state[:D] -= 1j * dt * (Wp @ s)
-    state[D:] += 1j * dt * (K @ np.conj(Wp @ (K @ np.conj(s))))
+    for c0 in range(0, n_steps, _KICK_CHUNK):
+        mid = times[c0:min(c0 + _KICK_CHUNK, n_steps)] + 0.5 * dt
+        kicks = (np.exp(1j * (np.multiply.outer(mid, omega) @ ells.T)) @ modes
+                 ).reshape(len(mid), 2 * D, D)
+        for k in range(c0, c0 + len(mid)):
+            state *= rot
+            state += kicks[k - c0] @ (state[:D] + state[D:])
+            state *= rot
+            if (k + 1) % store_every == 0 or k == n_steps - 1:
+                stored.append(k + 1)
+                states.append(state.reshape(2, -1).copy())
+    return Trajectory(times=times[stored], states=np.asarray(states), sd=sd, dt=dt)
 
 
 def sobolev_trace(traj: Trajectory, r: float):

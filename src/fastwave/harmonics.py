@@ -134,10 +134,13 @@ class TorusFunction:
 
 def _mode_index(lattice: Lattice, mode) -> tuple:
     """Array index of the mode (l_1..l_nu, j).  A mode with another number of
-    entries or outside the box is refused: as an index it would address a
-    whole slice or wrap around to another mode."""
+    entries, an entry that is not an integer or outside the box is refused: as
+    an index it would address a whole slice, be truncated or wrap around to
+    another mode."""
     if len(mode) != lattice.nu + 1:
         raise ValueError(f"mode {tuple(mode)} needs nu + 1 = {lattice.nu + 1} entries")
+    if not all(float(m).is_integer() for m in mode):
+        raise ValueError(f"mode {tuple(mode)} has an entry that is not an integer")
     *ell, j = (int(m) for m in mode)
     if max(abs(m) for m in ell) > lattice.L or abs(j) > lattice.J:
         raise ValueError(f"mode {tuple(mode)} lies outside the box |l_i| <= {lattice.L}, "

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -526,7 +526,7 @@ class ContourSpec:
         r"""(lambda_i, w_i) with sum_i w_i f(lambda_i) ~ -(2 pi i)^-1 \oint lambda^z f."""
         # legs: -(sin(pi z)/pi) int_rho^R r^z f(-r) dr, r = rho e^u
         U = math.log(self.R / self.rho)
-        x, w = np.polynomial.legendre.leggauss(self.n_quad)
+        x, w = _gauss_legendre(self.n_quad)
         u = 0.5 * U * (x + 1.0)
         wu = 0.5 * U * w
         r = self.rho * np.exp(u)
@@ -538,6 +538,14 @@ class ContourSpec:
         lam_circ = self.rho * np.exp(1j * phi)
         w_circ = (1.0 / (2 * math.pi)) * self.rho ** (1 + z) * np.exp(1j * (1 + z) * phi) * wphi
         return np.concatenate([lam_legs, lam_circ]), np.concatenate([w_legs, w_circ])
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple:
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def complex_power(a: EllipticSymbol, z: float, contour: ContourSpec, N: int,

@@ -14,6 +14,7 @@ from fastwave.cli import (
     run_experiment, emit_report, validate_config,
 )
 from fastwave.harmonics import Lattice
+from fastwave.opmatrix import blas_threads
 from oracles import check_reality, coeff, time_limit
 
 
@@ -111,12 +112,13 @@ def test_v_file_on_another_lattice_is_refused(tmp_path):
 
 def test_v_file_rows_outside_the_box_are_refused(tmp_path):
     # on a (nu, L, J) = (1, 2, 3) v-file the mode (l, j) = (-3, 0) would wrap
-    # to l = +2 and (0, -4) to j = +3, and a row of fewer than nu + 3 entries
-    # would write a whole slice; build_v names the row instead
+    # to l = +2 and (0, -4) to j = +3, a row of fewer than nu + 3 entries
+    # would write a whole slice, and (1.5, 0.7) would be truncated to (1, 0);
+    # build_v names the row instead
     vpath = tmp_path / "v.json"
     cfg = {"v": {"family": "file", "path": str(vpath)}}
     for row in ([-3, 0, 0.25, 0.0], [0, -4, 0.25, 0.0], [1, 0.25, 0.0], [0.25, 0.0],
-                [1, 1, 1, 0.25, 0.0]):
+                [1, 1, 1, 0.25, 0.0], [1.5, 0.7, 0.25, 0.0]):
         vpath.write_text(json.dumps({"nu": 1, "L": 2, "J": 3,
                                      "coeffs": [[1, 1, 0.25, 0.0], row]}))
         with pytest.raises(ValueError, match=re.escape(f"coefficient row {row}")):
@@ -142,6 +144,9 @@ def test_run_experiment_spectrum_only(tmp_path):
     assert doc["all_pass"]
     # the one constant a run reads, marked as fitted
     assert doc["constants"] == {"kam_smallness_C_s0": {"value": 4.2e-24, "kind": "fitted"}}
+    # every OpenBLAS copy by its basename, on the one thread the import set
+    assert doc["blas_threads"] == blas_threads()
+    assert set(doc["blas_threads"].values()) <= {1}
 
 
 def test_run_experiment_dependencies_pulled():

@@ -3,7 +3,7 @@ import pytest
 
 from fastwave.craig_wayne import build_basis_matrix, change_basis
 from fastwave.evolution import (
-    FloquetFrame, band_width, floquet_residual, integrate,
+    _KICK_CHUNK, FloquetFrame, band_width, floquet_residual, integrate,
     pair_at_angle, pair_state, sobolev_trace,
 )
 from fastwave.harmonics import Lattice, TorusFunction
@@ -48,22 +48,41 @@ def test_free_evolution_exact_rotation():
 # a v whose angle modes l = 1, 3 are live and l = 2 between them is a zero block
 VGAP = TorusFunction.from_modes(LAT, {(1, 1): 0.2, (-1, -1): 0.2, (3, 2): 0.1j,
                                       (-3, -2): -0.1j})
+# a v with the one angle mode l = 1: W is live at l = 1 only, its conjugate
+# family at l = -1 only
+VONE = TorusFunction.from_modes(LAT, {(1, 1): 0.25})
+# a quasi-periodic drive, two frequencies
+LAT2 = Lattice(2, 2, J)
+VNU2 = TorusFunction.from_modes(LAT2, {(1, 0, 1): 0.2, (-1, 0, -1): 0.2,
+                                       (1, -2, 2): 0.1, (-1, 2, -2): 0.1})
 
 
-@pytest.mark.parametrize("v", [VTOY, VGAP, VZERO], ids=["toy", "gap", "zero"])
-def test_kick_matches_dense_oracle(v):
+@pytest.mark.parametrize("v, omega", [(VTOY, [40.0]), (VGAP, [40.0]), (VONE, [40.0]),
+                                      (VZERO, [40.0]), (VNU2, [40.0, 40.0 * 0.618034])],
+                         ids=["toy", "gap", "one-sided", "zero", "nu2"])
+def test_kick_matches_dense_oracle(v, omega):
     W = eigen_W(QC, v, SD)
-    # the live-mode kick on the flat state agrees with W(phi) built from every
-    # angle mode and the matrix of the conjugate family, at every stored state
+    # the one-product kick on the flat state agrees with W(phi) built from every
+    # angle mode and the matrix of the conjugate family, at every stored state.
+    # The run is two kick tables and part of a third, stores fall inside them
     rng = np.random.default_rng(7)
     pe = rng.standard_normal(2 * J + 1) + 1j * rng.standard_normal(2 * J + 1)
     state = pair_state(pe, SD)
-    omega, T, dt = np.array([40.0]), 0.2, 2e-3
-    traj = integrate(SD, W, omega, state, T, dt, store_every=7)
-    want = dense_strang(SD, W, omega, state, T, dt, store_every=7)
-    assert traj.states.shape == want.shape
+    dt = 2e-3
+    n_steps = 2 * _KICK_CHUNK + 9
+    T = n_steps * dt
+    traj = integrate(SD, W, np.array(omega), state, T, dt, store_every=7)
+    want = dense_strang(SD, W, np.array(omega), state, T, dt, store_every=7)
+    assert traj.states.shape == want.shape == (1 + n_steps // 7 + 1, 2, 2 * J + 1)
     for got, ref in zip(traj.states, want):
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+    # the stored times are the floats of t += dt, bit for bit
+    t, times = 0.0, [0.0]
+    for k in range(n_steps):
+        t += dt
+        if (k + 1) % 7 == 0 or k == n_steps - 1:
+            times.append(t)
+    assert traj.times.tobytes() == np.array(times).tobytes()
 
 
 def test_dt_guard():

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import os
 import sys
@@ -11,7 +12,7 @@ import scipy.linalg
 from fastwave.harmonics import Lattice, TorusFunction
 from fastwave.opmatrix import (
     BlockOperator, LieSeriesDiverged, _conj_grid, _from_phi_grid,
-    _pair_norm_terms, _pair_term_norms, _phi_grid, ad,
+    _pair_norm_terms, _pair_term_norms, _phi_grid, ad, blas_threads,
     lie_series, pair_norm, s_decay_norm,
 )
 from oracles import (apply, block, block_slice, bracket_sum, in_forked_child,
@@ -446,6 +447,36 @@ def test_ad_and_grids_same_bits_without_the_helper_thread(lat):
     assert (opmatrix._helper() is None) == (len(os.sched_getaffinity(0)) == 1)
     there, alone = in_forked_child(run)
     assert alone
+    assert there == here
+
+
+def _openblas_thread_counts() -> dict:
+    """{basename: thread count} of every OpenBLAS library mapped into this
+    process, each read through its own get_num_threads call."""
+    with open("/proc/self/maps") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line}
+    counts = {}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        calls = [name for name in ("scipy_openblas_get_num_threads64_",
+                                   "scipy_openblas_get_num_threads",
+                                   "openblas_get_num_threads64_", "openblas_get_num_threads")
+                 if hasattr(lib, name)]
+        assert calls, f"{path} exports no get_num_threads call"
+        counts[os.path.basename(path)] = getattr(lib, calls[0])()
+    return counts
+
+
+def test_blas_runs_on_one_thread_after_import():
+    # importing fastwave sets every OpenBLAS copy that numpy and scipy loaded
+    # to one thread, whatever the environment asked for, and a forked child
+    # (a measure worker) inherits that; the manifest's record reads the same
+    here = _openblas_thread_counts()
+    if not here:
+        pytest.skip("no OpenBLAS library is loaded in this process")
+    assert set(here.values()) == {1}
+    assert blas_threads() == here
+    there, _ = in_forked_child(_openblas_thread_counts)
     assert there == here
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import pathlib
@@ -394,12 +395,16 @@ def test_power_contour_guard():
                       compose_N=3)
 
 
-# the psdo-audit's square root at J = 16, its matrix written raw to stdout
+# the psdo-audit's square root at J = 16, its matrix written raw to stdout,
+# on the BLAS thread count given on the command line: set after the import,
+# which sets one thread, and read back to stderr
 _SQRT_MATRIX = """
-import math, sys
+import json, math, sys
 import numpy as np
+from fastwave.opmatrix import blas_threads, set_blas_threads
 from fastwave.psdo import ContourSpec, EllipticSymbol, complex_power, quantize
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks
+set_blas_threads(int(sys.argv[1]))
 J = 16
 qc = np.zeros(2 * J + 1, dtype=complex)
 qc[J], qc[J + 1], qc[J - 1] = 1.0, 0.5, 0.5
@@ -408,20 +413,26 @@ rho = 0.45 * float(np.min(sd.mu_sq))
 cont = ContourSpec(rho=rho, R=rho * math.exp(170.0), n_quad=280)
 B = complex_power(EllipticSymbol.xi2_plus_q(J, qc), 0.5, N=4, contour=cont, compose_N=4)
 sys.stdout.buffer.write(quantize(B).tobytes())
+sys.stderr.write(json.dumps(blas_threads()))
 """
 
 
 def test_power_independent_of_blas_threads():
     # the contour sum over 560 nodes gives the same bits with 1 and 2 BLAS
-    # threads, so a manifest does not depend on the host's thread count
+    # threads, so a manifest does not depend on the thread count.  The import
+    # sets one thread whatever the environment says, so each child sets its
+    # count through the same call after the import and reports it back
     src = str(pathlib.Path(fastwave.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = []
-    for n in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
-                   MKL_NUM_THREADS=n,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", _SQRT_MATRIX], env=env,
+    for n in (1, 2):
+        run = subprocess.run([sys.executable, "-c", _SQRT_MATRIX, str(n)], env=env,
                              capture_output=True, check=True, timeout=300)
+        counts = json.loads(run.stderr.splitlines()[-1])
+        if not counts:
+            pytest.skip("no OpenBLAS library is loaded: the thread count is not set")
+        assert set(counts.values()) == {n}
         out.append(run.stdout)
     assert len(out[0]) == 16 * (2 * 16 + 1) ** 2
     assert out[0] == out[1]
