@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .harmonics import Lattice, TorusFunction
+from .harmonics import Lattice, TorusFunction, recentre
 from .opmatrix import blas_threads
 
 
@@ -95,6 +95,8 @@ def build_q(cfg: dict, J: int) -> np.ndarray:
         c[J] = spec["value"]
     elif fam == "cosine":
         k = int(spec.get("wavenumber", 1))
+        if not 1 <= k <= J:
+            raise ConfigError(f"q wavenumber {k} lies outside 1..J = 1..{J}")
         c[J] = spec.get("mean", 0.0)
         c[J + k] = c[J - k] = spec.get("amplitude", 1.0) / 2.0
     elif fam == "smooth-random":
@@ -112,8 +114,7 @@ def build_q(cfg: dict, J: int) -> np.ndarray:
         if len(arr) % 2 == 0:
             raise ConfigError(f"q file {spec['path']} has {len(arr)} coefficients; a "
                               "centred list j = -K..K has an odd number 2K + 1")
-        lo = min(J, (len(arr) - 1) // 2)
-        c[J - lo:J + lo + 1] = arr[(len(arr) - 1) // 2 - lo:(len(arr) - 1) // 2 + lo + 1]
+        c = recentre(arr, c.shape)
     else:
         raise ConfigError(f"unknown q family {fam!r}")
     return c
@@ -340,19 +341,13 @@ def stage_kam(ctx: dict) -> dict:
 
 
 def stage_measure(ctx: dict) -> dict:
-    from .craig_wayne import build_basis_matrix
-    from .kam import KamParameters, init_state, kam_iterate
-    from .magnus import magnus_transform
-    from .melnikov import eigen_table_from_state, estimate_measure, fitted_gamma_exponent
-    from .schrodinger import assemble_lq, eigensolve_blocks
+    from .kam import KamParameters
+    from .melnikov import estimate_measure, fitted_gamma_exponent, measure_pipeline
     cfg = ctx["config"]
-    nu = int(cfg["nu"])
-    J_m, L_m = min(int(cfg["J"]), 12), min(int(cfg["L"]), 4)
-    lat = Lattice(nu, L_m, J_m)
-    qc = build_q(cfg, J_m)
-    sd = eigensolve_blocks(assemble_lq(qc, J_m), q=qc)
-    basis = build_basis_matrix(sd)
-    v = build_v({**cfg, "v": {"family": "cosine-product", "amplitude": 1.0}}, lat)
+    nu, L, J = int(cfg["nu"]), int(cfg["L"]), int(cfg["J"])
+    lat = Lattice(nu, min(L, 4), min(J, 12))       # the run's q and v, cut to this box
+    qc = recentre(build_q(cfg, J), (2 * lat.J + 1,))
+    v = TorusFunction(lat, recentre(build_v(cfg, Lattice(nu, L, J)).coeffs, lat.shape))
     M = float(cfg["M"])
     rows = [("gamma", "m_r", "ci_lo", "ci_hi", "rejected", "indeterminate", "rejected_omega0")]
     mrs, indeterminate, rejected_omega0 = [], {}, {}
@@ -360,16 +355,9 @@ def stage_measure(ctx: dict) -> dict:
         params = KamParameters(tau=cfg["tau"], gamma=gamma, alpha=cfg["alpha"],
                                N0=cfg["N0"], tau0=cfg["tau0"],
                                gamma0=gamma ** (cfg["alpha"] / 4.0))
-
-        def pipeline(omega):
-            out = magnus_transform(qc, v, omega, M, params.gamma0,
-                                   params.tau0, sd)
-            st = init_state(out, sd, basis, params, lat, track_norms=False)
-            fin, _ = kam_iterate(st, p_max=2, track_norms=False)
-            return eigen_table_from_state(fin, sd.q_bar)
-
+        pipeline = measure_pipeline(qc, v, params, M)
         rep = estimate_measure(pipeline, params, M, int(cfg["samples"]),
-                               rng_seed=int(cfg["seed"]), nu=nu, L_check=L_m)
+                               rng_seed=int(cfg["seed"]), nu=nu, L_check=lat.L)
         lo, hi = rep.confidence_interval()
         rows.append((gamma, rep.m_r, lo, hi, rep.rejected_infty,
                      rep.indeterminate, rep.rejected_omega0))
@@ -383,8 +371,8 @@ def stage_measure(ctx: dict) -> dict:
     ok = monotone and (math.isnan(expo) or expo >= 0.4)
     return {"pass": bool(ok), "m_r_by_gamma": dict(zip(map(str, cfg["sweep_gamma"]), mrs)),
             "rejected_omega0_by_gamma": rejected_omega0,
-            "indeterminate_by_type": indeterminate,
-            "fitted_exponent": expo,
+            "indeterminate_by_type": indeterminate, "v_family": cfg["v"]["family"],
+            "fitted_exponent": expo, "measure_box": {"L": lat.L, "J": lat.J},
             "csv": {"measure_sweep.csv": buf.getvalue()}}
 
 

@@ -151,6 +151,15 @@ def _mode_index(lattice: Lattice, mode) -> tuple:
 # -- structural operations ----------------------------------------------
 
 
+def recentre(c: np.ndarray, shape: tuple) -> np.ndarray:
+    """Centred coefficients c (odd lengths) cut or zero-padded to `shape`, axis by axis."""
+    out = np.zeros(shape, dtype=complex)
+    keep = [min(n, m) // 2 for n, m in zip(c.shape, shape)]
+    out[tuple(slice(m // 2 - k, m // 2 + k + 1) for m, k in zip(shape, keep))] = \
+        c[tuple(slice(n // 2 - k, n // 2 + k + 1) for n, k in zip(c.shape, keep))]
+    return out
+
+
 @lru_cache(maxsize=None)
 def _toeplitz_index(J: int) -> np.ndarray:
     # T[k, j] = b_{k-j}: index k - j + J into b, out-of-range -> the zero slot 2J+1

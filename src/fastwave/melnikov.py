@@ -28,9 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .kam import SmallnessError, balanced_threshold
-from .magnus import diophantine_test, sample_annulus
+from .craig_wayne import build_basis_matrix
+from .kam import SmallnessError, balanced_threshold, init_state, kam_iterate
+from .magnus import diophantine_test, magnus_transform, nonzero_ell_box, sample_annulus
 from .opmatrix import LieSeriesDiverged
+from .schrodinger import assemble_lq, eigensolve_blocks
 
 # pipeline errors that make a sample indeterminate; any other error propagates
 INDETERMINATE_ERRORS = (SmallnessError, LieSeriesDiverged, np.linalg.LinAlgError)
@@ -124,6 +126,21 @@ def eigen_table_from_state(state, q_bar: float) -> EigenTable:
     return EigenTable(q_bar=float(q_bar), mu=state.block_eigs()[0])
 
 
+def measure_pipeline(qc, v, params, M: float):
+    """`pipeline(omega) -> EigenTable` of one measure sample on q (x coefficients
+    qc) and v: a Magnus step and a KAM run on q's spectrum and basis, built here."""
+    sd = eigensolve_blocks(assemble_lq(qc, len(qc) // 2), q=qc)
+    basis = build_basis_matrix(sd)
+
+    def pipeline(omega):
+        out = magnus_transform(qc, v, omega, M, params.gamma0, params.tau0, sd)
+        st = init_state(out, sd, basis, params, v.lattice, track_norms=False)
+        # depth 2 takes the cosine driving's remainder to 7e-19; the census reads no norm
+        fin, _ = kam_iterate(st, p_max=2, track_norms=False)
+        return eigen_table_from_state(fin, sd.q_bar)
+    return pipeline
+
+
 def omega_infty_test(omega, table: EigenTable, params, M: float, L_check: int,
                      n_max_cap: int | None = None, collect_census: bool = False):
     """(passes, offender census) of the balanced conditions at this omega.
@@ -142,7 +159,6 @@ def omega_infty_test(omega, table: EigenTable, params, M: float, L_check: int,
     # pruned_unreachable stays 0: _measure_sample forwards it and perfbench's reference pins it
     census = {"explicit": 0, "pruned_unreachable": 0, "offenders": []}
 
-    from .magnus import nonzero_ell_box
     ells = [np.zeros(nu, dtype=int)] + list(nonzero_ell_box(nu, L_check))
     ok = True
     slack = 2.0 * table.max_correction(10 * table.J) + 2.0
@@ -259,17 +275,17 @@ def estimate_measure(pipeline, params, M: float, n_samples: int,
     """Monte-Carlo m_r(Omega_0 \\ Omega_infty) at one gamma.
 
     `pipeline(omega) -> EigenTable` produces the final blocks for a sample
-    (a reduced-depth KAM run).  Each sample runs `_measure_sample` in a pool
-    of forked workers, one per CPU of `os.sched_getaffinity(0)`, made and
-    joined inside this call.  The pool needs the fork start method (Linux):
-    `pipeline` may be a closure, which the workers inherit instead of
-    unpickling; only the omegas and the per-sample outcomes cross the pipe.
-    The outcomes are folded in sample order, so the counts are identical to
-    a serial run.  A SmallnessError, LieSeriesDiverged or LinAlgError makes
-    the sample indeterminate and is counted by type, in the worker; any
-    other error propagates with its own type.  The tau constraint
-    tau > nu - 1 + alpha + tau0/alpha is enforced.  The Diophantine test of
-    Omega_0 scans 0 < |l| <= max(8, L_check).
+    (the measure stage's is `measure_pipeline`).  Each sample runs
+    `_measure_sample` in a pool of forked workers, one per CPU of
+    `os.sched_getaffinity(0)`, made and joined inside this call.  The pool
+    needs the fork start method (Linux): `pipeline` may be a closure, which
+    the workers inherit instead of unpickling; only the omegas and the
+    per-sample outcomes cross the pipe.  The outcomes are folded in sample
+    order, so the counts are identical to a serial run.  A SmallnessError,
+    LieSeriesDiverged or LinAlgError makes the sample indeterminate and is
+    counted by type, in the worker; any other error propagates with its own
+    type.  The tau constraint tau > nu - 1 + alpha + tau0/alpha is enforced.
+    The Diophantine test of Omega_0 scans 0 < |l| <= max(8, L_check).
     """
     if n_samples < 100:
         raise ValueError("need at least 100 samples for a meaningful estimate")

@@ -234,9 +234,6 @@ class Symbol:
     def __add__(self, other: "Symbol") -> "Symbol":
         return Symbol(self.J, lambda xi, b: _add(self.raw(xi, b), other.raw(xi, b)))
 
-    def __sub__(self, other: "Symbol") -> "Symbol":
-        return self + (other * (-1.0))
-
     def __mul__(self, scalar) -> "Symbol":
         return Symbol(self.J, lambda xi, b: self.raw(xi, b) * scalar)
 

@@ -15,7 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from fastwave.cli import build_q, build_v, golden_omega, named_config, validate_config
+from fastwave.cli import (build_q, build_v, golden_omega, named_config, run_experiment,
+                          validate_config)
 from fastwave.craig_wayne import (build_basis_matrix, eigen_residual,
                                   ls_block_eigenpairs, tilde_C,
                                   verify_localization, x_sobolev_norm)
@@ -270,36 +271,16 @@ def test_criterion_6_literal_slope():
 
 
 def test_criterion_7_measure_sweep():
-    from fastwave.craig_wayne import build_basis_matrix as bb
-    from fastwave.melnikov import (eigen_table_from_state, estimate_measure,
-                                   fitted_gamma_exponent)
+    # the measure stage itself, on the measure preset: q = 1 + cos x,
+    # v = cos(phi) cos(x) on (L, J) = (4, 12), M = 1e3, 2000 samples at seed 7
     from oracles import single_set_measure_exact
     t0 = time.time()
-    M, n_samples = 1e3, 2000
-    J_m, L_m = 12, 4
-    lat = Lattice(1, L_m, J_m)
-    qc = xcoeffs(J_m, {0: 1.0, 1: 0.5, -1: 0.5})
-    sd = eigensolve_blocks(assemble_lq(qc, J_m), q=qc)
-    basis = bb(sd)
-    v = TorusFunction.from_modes(lat, {(1, 1): 0.25, (1, -1): 0.25,
-                                       (-1, 1): 0.25, (-1, -1): 0.25})
-    gammas = (1e-2, 1e-3, 1e-4)
-    mrs = []
-    for gamma in gammas:
-        params = KamParameters(tau=2.6, gamma=gamma, alpha=0.5, N0=2.1,
-                               tau0=1.0, gamma0=gamma ** 0.125)
-
-        def pipeline(omega):
-            out = magnus_transform(qc, v, omega, M, params.gamma0,
-                                   params.tau0, sd)
-            st = init_state(out, sd, basis, params, lat, track_norms=False)
-            fin, _ = kam_iterate(st, p_max=2, track_norms=False)
-            return eigen_table_from_state(fin, sd.q_bar)
-
-        rep = estimate_measure(pipeline, params, M, n_samples, rng_seed=7,
-                               nu=1, L_check=L_m)
-        mrs.append(rep.m_r)
-    expo = fitted_gamma_exponent(gammas, mrs)
+    stage = run_experiment(named_config("measure"), ["measure"])["stages"]["measure"]
+    assert "error" not in stage and stage["measure_box"] == {"L": 4, "J": 12}
+    assert list(stage["m_r_by_gamma"]) == ["0.01", "0.001", "0.0001"]
+    M = 1e3
+    mrs = list(stage["m_r_by_gamma"].values())
+    expo = stage["fitted_exponent"]
     monotone = mrs[0] > mrs[1] > mrs[2]
     exact_ok = True
     for ellv, c, delta in ((1, 1234.5, 0.05), (2, -1511.0, 0.3), (5, 0.0, 1.0)):

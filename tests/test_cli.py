@@ -60,6 +60,13 @@ def test_build_q_families():
         build_q({"q": {"family": "nope"}}, J)
 
 
+@pytest.mark.parametrize("k", [0, 9])
+def test_build_q_cosine_wavenumber_outside_1_to_J_is_refused(k):
+    # k = J + 1 would index past the box, k = 0 would overwrite the mean
+    with pytest.raises(ConfigError, match="wavenumber"):
+        build_q({"q": {"family": "cosine", "mean": 1.0, "wavenumber": k}}, 8)
+
+
 def test_build_v_families():
     lat = Lattice(1, 4, 6)
     v = build_v({"v": {"family": "cosine-product", "amplitude": 1.0}}, lat)
@@ -196,6 +203,34 @@ def test_measure_stage_reports_omega0_rejections_after_kam():
     assert [int(r["rejected_omega0"]) for r in rows] == list(by_gamma.values())
     for row, n in zip(rows, by_gamma.values()):
         assert 0 <= n and int(row["rejected"]) + int(row["indeterminate"]) + n <= 100
+
+
+def test_measure_stage_measures_the_runs_v_cut_to_its_box(monkeypatch):
+    # paper-toy's smooth-random v on a run box (6, 14) beyond the measure box
+    # (4, 12): the pipeline receives the run's own q and v, cut
+    from fastwave import melnikov
+    cfg = named_config("paper-toy")
+    cfg.update({"L": 6, "J": 14, "samples": 100, "sweep_gamma": [1e-2]})
+    seen, real = [], melnikov.measure_pipeline
+
+    def spy(qc, v, params, M):
+        seen.append((qc, v))
+        return real(qc, v, params, M)
+
+    monkeypatch.setattr(melnikov, "measure_pipeline", spy)
+    with time_limit(120):
+        stage = run_experiment(cfg, stages=["measure"])["stages"]["measure"]
+    assert "error" not in stage
+    assert stage["v_family"] == "smooth-random"
+    assert stage["measure_box"] == {"L": 4, "J": 12}
+    [(qc, v)] = seen
+    run_v = build_v(cfg, Lattice(1, 6, 14))
+    assert v.lattice == Lattice(1, 4, 12)
+    assert np.max(np.abs(run_v.coeffs)) > 0.0
+    for ell in range(-4, 5):
+        for j in range(-12, 13):
+            assert coeff(v, (ell,), j) == coeff(run_v, (ell,), j)
+    assert np.array_equal(qc, build_q(cfg, 14)[2:-2])
 
 
 def test_kam_stage_fails_without_smallness(monkeypatch):

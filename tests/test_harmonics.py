@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fastwave.harmonics import Lattice, TorusFunction, xconv
+from fastwave.harmonics import Lattice, TorusFunction, recentre, xconv
 from oracles import (algebra_ratio, algebra_tame_constant, bracket_sum, check_reality, coeff,
                      random_function, single_modes, sobolev_norm, torus_product, x_from_grid,
                      x_to_grid)
@@ -222,3 +222,40 @@ def test_reality_scan():
     assert check_reality(u)
     v = TorusFunction.from_modes(lat, {(1, 1): 1.0})
     assert not check_reality(v)
+
+
+def test_recentre_is_the_identity_on_its_own_box():
+    rng = np.random.default_rng(11)
+    for lat in (Lattice(1, 3, 5), Lattice(2, 2, 3)):
+        c = random_function(lat, rng).coeffs
+        assert np.array_equal(recentre(c, lat.shape), c)
+    xc = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    assert np.array_equal(recentre(xc, (9,)), xc)
+
+
+def test_recentre_cut_twice_is_cut_once():
+    u = random_function(Lattice(1, 6, 9), np.random.default_rng(12))
+    mid, small = Lattice(1, 4, 7).shape, Lattice(1, 2, 3).shape
+    assert np.array_equal(recentre(recentre(u.coeffs, mid), small),
+                          recentre(u.coeffs, small))
+
+
+def test_recentre_keeps_reality_and_zero_angle_average():
+    big, small = Lattice(2, 4, 6), Lattice(2, 2, 3)
+    c = np.array(random_function(big, np.random.default_rng(13)).coeffs)
+    c[(big.L,) * big.nu] = 0.0
+    cut = TorusFunction(small, recentre(c, small.shape))
+    assert check_reality(cut, tol=0.0)
+    assert np.max(np.abs(cut.x_slice())) == 0.0
+    # every mode the boxes share keeps its coefficient
+    for l1, l2 in itertools.product(range(-2, 3), repeat=2):
+        for j in range(-3, 4):
+            assert coeff(cut, (l1, l2), j) == c[l1 + 4, l2 + 4, j + 6]
+
+
+def test_recentre_pad_then_cut_restores():
+    lat, big = Lattice(1, 2, 3), Lattice(1, 5, 8)
+    u = random_function(lat, np.random.default_rng(14))
+    padded = recentre(u.coeffs, big.shape)
+    assert np.sum(padded != 0) == np.sum(u.coeffs != 0)
+    assert np.array_equal(recentre(padded, lat.shape), u.coeffs)

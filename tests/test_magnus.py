@@ -236,7 +236,7 @@ def test_symbol_route_and_matrix_route_agree_midband():
             wscale = np.max(np.abs(w.raw(xi, 0)))
             assert wscale > 0.0
             assert np.max(np.abs(1j * dot * Y.raw(xi, 0) - w.raw(xi, 0))) < 1e-12 * wscale
-        Vd = 1j * (compose(Y, B, 2) - compose(B, Y, 2))
+        Vd = 1j * (compose(Y, B, 2) + compose(B, Y, 2) * -1.0)
         E = np.abs(quantize(Vd) - out.V[0].mat(ell))
         # compare away from the smallest and edge modes
         sel = np.ix_(range(J - 10, J + 11), range(J - 10, J + 11))

@@ -12,7 +12,7 @@ from fastwave.kam import (KamParameters, SmallnessError, balanced_threshold, ini
 from fastwave.magnus import diophantine_test, magnus_transform, sample_annulus
 from fastwave.melnikov import (
     EigenTable, MeasureReport, _measure_sample, eigen_table_from_state,
-    estimate_measure, fitted_gamma_exponent, omega_infty_test,
+    estimate_measure, fitted_gamma_exponent, measure_pipeline, omega_infty_test,
 )
 from fastwave import opmatrix
 from fastwave.opmatrix import LieSeriesDiverged
@@ -454,20 +454,9 @@ def test_estimate_measure_classifies_errors():
 
 def toy_kam_pipeline(params, M):
     """The measure stage's per-omega pipeline at J=4, L=1 (perfbench's toy size)."""
-    J, L = 4, 1
-    lat = Lattice(1, L, J)
-    qc = xcoeffs(J, {0: 1.0, 1: 0.5, -1: 0.5})
-    sd = eigensolve_blocks(assemble_lq(qc, J), q=qc)
-    basis = build_basis_matrix(sd)
-    v = TorusFunction.from_modes(lat, {(1, 1): 0.25, (1, -1): 0.25,
-                                       (-1, 1): 0.25, (-1, -1): 0.25})
-
-    def pipeline(omega):
-        out = magnus_transform(qc, v, omega, M, params.gamma0, params.tau0, sd)
-        st = init_state(out, sd, basis, params, lat, track_norms=False)
-        fin, _ = kam_iterate(st, p_max=2, track_norms=False)
-        return eigen_table_from_state(fin, sd.q_bar)
-    return pipeline
+    v = TorusFunction.from_modes(Lattice(1, 1, 4), {(1, 1): 0.25, (1, -1): 0.25,
+                                                    (-1, 1): 0.25, (-1, -1): 0.25})
+    return measure_pipeline(xcoeffs(4, {0: 1.0, 1: 0.5, -1: 0.5}), v, params, M)
 
 
 def fold_in_process(pipeline, params, M, n, seed, L_check) -> MeasureReport:
