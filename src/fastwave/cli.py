@@ -190,8 +190,7 @@ def stage_spectrum(ctx: dict) -> dict:
 
 
 def stage_craigwayne(ctx: dict) -> dict:
-    from .craig_wayne import (build_basis_matrix, eigen_residual,
-                              ls_block_eigenpairs, tilde_C, verify_localization,
+    from .craig_wayne import (build_basis_matrix, ls_certificates, tilde_C,
                               x_sobolev_norm)
     sd, qc = ctx["sd"], ctx["qc"]
     J = sd.J
@@ -201,21 +200,14 @@ def stage_craigwayne(ctx: dict) -> dict:
     unit = basis.unitarity_defect()
     qn = x_sobolev_norm(qc, s)
     n_min = int(math.ceil(2.0 * tilde_C(s) * qn))
-    rows = [("n", "s", "worst_ratio", "pass")]
-    all_ok = unit <= 1e-10
-    ls_agree = True
     # the blocks n >= n_min of the admissible regime, up to J/2; none when
     # n_min > J/2, and the stage then passes on unitarity alone
     blocks = range(max(1, n_min), J // 2 + 1)
-    for n in blocks:
-        pairs = ls_block_eigenpairs(n, qc, s)
-        for lam, f in pairs:
-            ratio, ok = verify_localization(f, n, s)
-            rows.append((n, s, f"{ratio:.6f}", "PASS" if ok else "FAIL"))
-            all_ok &= ok
-            dense = sorted([sd.value(-n), sd.value(n)])
-            ls_agree &= min(abs(lam - dv) for dv in dense) <= 1e-8
-            ls_agree &= eigen_residual(lam, f, qc) <= 1e-8
+    certs = ls_certificates(blocks, qc, s, sd)
+    rows = [("n", "s", "worst_ratio", "pass")] + [
+        (n, s, f"{ratio:.6f}", "PASS" if ok else "FAIL") for n, ratio, ok, _, _ in certs]
+    all_ok = unit <= 1e-10 and all(ok for _, _, ok, _, _ in certs)
+    ls_agree = all(gap <= 1e-8 and res <= 1e-8 for *_, gap, res in certs)
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     return {"pass": bool(all_ok and ls_agree), "unitarity_defect": unit,
@@ -228,11 +220,10 @@ def stage_craigwayne(ctx: dict) -> dict:
 def stage_psdo_audit(ctx: dict) -> dict:
     from .psdo import (ContourSpec, EllipticSymbol, Symbol, complex_power,
                        entry_decay_exponent, quantize, resolvent_parametrix)
-    from .schrodinger import assemble_lq, spectral_power
+    from .schrodinger import assemble_lq, eigensolve_blocks, spectral_power
     cfg = ctx["config"]
     J = 16                                    # fixed audit scale
     qc = build_q(cfg, J)
-    from .schrodinger import eigensolve_blocks
     sd = eigensolve_blocks(assemble_lq(qc, J), q=qc)
     rho = 0.45 * float(np.min(sd.mu_sq))
     cont = ContourSpec(rho=rho, R=rho * math.exp(170.0), n_quad=280)
@@ -489,17 +480,22 @@ def emit_report(manifest: dict, outdir: str) -> list:
     doc["stages"] = clean
     path = os.path.join(outdir, "manifest.json")
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_strict_json(doc), fh, indent=2, sort_keys=True, allow_nan=False)
     written.append(path)
     return written
 
 
-def _json_default(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return float(x)
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    raise TypeError(f"cannot serialize {type(x)}")
+def _strict_json(x):
+    """x with numpy values as Python ones and non-finite floats as None (null)."""
+    if isinstance(x, dict):
+        return {k: _strict_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return [_strict_json(v) for v in x]
+    if isinstance(x, np.integer):
+        return int(x)
+    if isinstance(x, (float, np.floating)):
+        return float(x) if math.isfinite(x) else None
+    return x
 
 
 def main(argv=None) -> int:
@@ -527,12 +523,10 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             cfg.update(json.load(fh))
     for key in ("nu", "L", "J", "M", "gamma", "gamma0", "tau", "tau0", "alpha",
-                "N0", "seed", "samples"):
-        val = getattr(args, key.replace("-", "_"))
+                "N0", "seed", "samples", "p_max"):
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
-    if args.p_max is not None:
-        cfg["p_max"] = args.p_max
     if args.sweep_M:
         cfg["sweep_M"] = [float(x) for x in args.sweep_M.split(",")]
     if args.sweep_gamma:

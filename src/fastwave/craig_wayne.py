@@ -265,6 +265,24 @@ def verify_localization(f, n: int, s: float):
     return ratio, ratio <= 2.0 + 1e-8
 
 
+def ls_certificates(blocks, q, s: float, sd: SpectralData) -> list:
+    """The certificates of the Lyapunov-Schmidt eigenpairs of the blocks n.
+
+    One (n, ratio, localized, gap, residual) per pair, in block order and
+    ascending lambda: the `verify_localization` verdict, the distance
+    |lambda_LS - lambda_dense| to the nearer of sd's two eigenvalues of block
+    [n], and the `eigen_residual` of the pair.
+    """
+    out = []
+    for n in blocks:
+        dense = (sd.value(-n), sd.value(n))
+        for lam, f in ls_block_eigenpairs(n, q, s):
+            ratio, localized = verify_localization(f, n, s)
+            out.append((n, ratio, localized, min(abs(lam - d) for d in dense),
+                        eigen_residual(lam, f, q)))
+    return out
+
+
 # -- basis change ---------------------------------------------------------------
 
 

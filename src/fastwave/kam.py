@@ -196,20 +196,6 @@ def smallness_check(state: KamState):
     return lhs <= 1.0, 1.0 / lhs
 
 
-# Unsourced: the bound m^2 on the eigenvalue corrections c_j and the drift
-# constant C_{s0,beta} of the block-drift bounds state no derivation and no
-# measurement.
-M_SQ_BOUND = 3.0
-DRIFT_C = 2.0
-
-
-def prune_C1(state: KamState) -> float:
-    """C1 of the emptiness pruning: blocks with |n +- n'| > C1 M <l> auto-pass."""
-    drift = DRIFT_C / (state.params.gamma0 * state.M)
-    return (2.0 * math.sqrt(state.lattice.nu)
-            + (2.0 * M_SQ_BOUND + 2.0 * drift + 1.0) / state.M)
-
-
 def balanced_threshold(gamma, tau, alpha, M, ell_norm, combo):
     """The balanced Melnikov threshold gamma <n +- n'>^alpha / (<l>^tau M^alpha).
 
@@ -250,18 +236,18 @@ def melnikov_step_test(state: KamState, Nval: float | None = None):
     """Scan all (l, n, n') with |l| <= N_{p-1}: is every divisor large enough?
 
     Reads `_divisor_table` against `balanced_threshold(gamma/2, .., N_{p-1},
-    |n +- n'|)`.  Each triple has a twin with the same |divisor|, threshold
-    and pruning: (-l, n', n) on the minus lines, (l, n', n) on the plus lines.
-    Only the canonical twin is scanned: l after l = 0 in the box order, or
-    l = 0 and n < n', on the minus lines, and n <= n' on the plus lines.
-    Returns (ok, worst offender dict): the smallest margin, the first in
-    (l, sign +1 then -1, n, n') order.  The Lemma-5.15 pruning
-    |n +- n'| > C1 M <l> is applied first (auto-pass) and its savings counted.
+    |n +- n'|)`, every triple of the truncation.  Each triple has a twin with
+    the same |divisor| and threshold: (-l, n', n) on the minus lines,
+    (l, n', n) on the plus lines.  Only the canonical twin is scanned: l after
+    l = 0 in the box order, or l = 0 and n < n', on the minus lines, and
+    n <= n' on the plus lines.  Returns (ok, worst offender dict): the
+    smallest margin, the first in (l, sign +1 then -1, n, n') order, and the
+    count of triples checked.
     """
     pr = state.params
     Nval = pr.N(state.p - 1) if Nval is None else Nval
     mu, _ = state.block_eigs()
-    _, ells, ln, _, mingap, combo, excluded = _divisor_table(state, mu, Nval)
+    _, ells, _, _, mingap, combo, excluded = _divisor_table(state, mu, Nval)
     # the twins left out: on the minus lines the rows before l = 0 (the middle
     # row) and n > n' at l = 0, on the plus lines n > n'
     mid = len(ells) // 2
@@ -269,10 +255,8 @@ def melnikov_step_test(state: KamState, Nval: float | None = None):
     skip = np.zeros(mingap.shape, dtype=bool)
     skip[0, :mid], skip[0, mid], skip[1] = True, n_gt, n_gt
     skip |= excluded
-    pruned = ~skip & (combo > prune_C1(state) * state.M
-                      * np.maximum(1.0, ln)[:, None, None])
     thr = balanced_threshold(0.5 * pr.gamma, pr.tau, pr.alpha, state.M, Nval, combo)
-    margin = np.where(skip | pruned, np.inf, mingap / thr)
+    margin = np.where(skip, np.inf, mingap / thr)
     # scan (l, sign +1 then -1, n, n')
     i_ell, i_sign, n, n_in = np.unravel_index(np.argmin(margin[::-1].swapaxes(0, 1)),
                                               margin.shape[1::-1] + margin.shape[2:])
@@ -282,8 +266,7 @@ def melnikov_step_test(state: KamState, Nval: float | None = None):
         worst.update(ell=tuple(int(c) for c in ells[i_ell]), n=int(n), n_in=int(n_in),
                      sign=1 - 2 * int(i_sign), gap=float(mingap[at]),
                      threshold=float(np.broadcast_to(thr, margin.shape)[at]))
-    worst["pruned"] = int(np.count_nonzero(pruned))
-    worst["checked"] = int(margin.size - np.count_nonzero(skip | pruned))
+    worst["checked"] = int(margin.size - np.count_nonzero(skip))
     return worst["margin"] >= 1.0, worst
 
 
@@ -356,31 +339,6 @@ def kam_step(state: KamState, track_norms: bool = True) -> tuple:
                    history=list(state.history), lam_ref=state.lam_ref)
     new.history.append(_history_row(new, X, track_norms))
     return new, X
-
-
-# Unsourced: the constants of the two Nash-Moser inequalities state no
-# derivation and no measurement.
-NASH_MOSER_C1 = 12.0
-NASH_MOSER_C2 = 12.0
-
-
-def nash_moser_check(state_prev: KamState, state_next: KamState) -> dict:
-    """The two iterative inequalities with the constants NASH_MOSER_C1, _C2.
-
-    delta_s0 and delta_s0_beta of both states are read off their last history
-    rows; an untracked row (NaN delta_s0_beta) raises ValueError.
-    """
-    pr = state_prev.params
-    rows = state_prev.history[-1], state_next.history[-1]
-    if any(math.isnan(row["delta_s0_beta"]) for row in rows):
-        raise ValueError("nash_moser_check needs history rows recorded with track_norms")
-    (d_s, d_sb), (lhs1, lhs2) = ((row["delta_s0"], row["delta_s0_beta"]) for row in rows)
-    Np = pr.N(state_prev.p)
-    fac = Np ** (2 * pr.tau + 1) * state_prev.M ** pr.alpha / pr.gamma
-    rhs1 = NASH_MOSER_C1 * (Np ** (-pr.beta) * d_sb + fac * d_s * d_s)
-    rhs2 = NASH_MOSER_C2 * (d_sb + fac * (d_sb * d_s + d_s * d_s))
-    return {"low_ok": lhs1 <= rhs1, "high_ok": lhs2 <= rhs2,
-            "lhs_low": lhs1, "rhs_low": rhs1, "lhs_high": lhs2, "rhs_high": rhs2}
 
 
 def kam_iterate(state: KamState, p_max: int, collect_generators: bool = False,

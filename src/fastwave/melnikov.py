@@ -3,9 +3,11 @@
 The final frequency set keeps every omega whose divisors satisfy the balanced
 conditions |omega.l + mu_n +- mu_n'| >= (gamma/<l>^tau) <n +- n'>^alpha / M^alpha
 for the eigenvalues of the final KAM blocks.  The census runs over all block
-pairs up to n_max(l) ~ C1 M <l> (beyond which the sets are empty), using the
-spectral asymptotics lambda_n = sqrt(n^2 + q_bar + d(n)) outside the truncation
-and the KAM-corrected blocks inside it.  Only the triples whose block
+pairs n, n' <= n_max(l) = 2.2 M <l> + 4J, using the spectral asymptotics
+lambda_n = sqrt(n^2 + q_bar + d(n)) outside the truncation and the
+KAM-corrected blocks inside it.  That cap is unsourced: it has no derivation,
+and it sits above |omega.l| <= 2 M <l>, the block distance that a divisor on
+the annulus can cancel, by 0.2 M <l> + 4J.  Only the triples whose block
 distance n +- n' is within reach of |omega.l| are scanned; the emptiness
 lemmas dispose of the rest.
 

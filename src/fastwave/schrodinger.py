@@ -23,6 +23,10 @@ import scipy.linalg
 
 from .harmonics import toeplitz
 
+# two eigenvalues of one block closer than DEGENERACY_RTOL times their size
+# are one double eigenvalue to eigh's accuracy, whose rounding is about
+# D * eps = 6e-14 relative at D = 257; eigh then returns an arbitrary basis of
+# the eigenspace, and the labelled pair is built from the conjugation symmetry
 DEGENERACY_RTOL = 1e-12
 
 

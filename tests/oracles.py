@@ -18,7 +18,7 @@ import scipy.special
 from fastwave.craig_wayne import build_basis_matrix, change_basis
 from fastwave.harmonics import TorusFunction
 from fastwave.magnus import magnus_transform
-from fastwave.kam import LIE_N_MAX, LIE_TOL, prune_C1, solve_homological
+from fastwave.kam import LIE_N_MAX, LIE_TOL, solve_homological
 from fastwave import opmatrix
 from fastwave.opmatrix import BlockOperator, _conj_grid, _phi_grid, ad, lie_series
 from fastwave.psdo import DEFAULT_CUTOFF, Symbol, _add, _mul, _widen, parametrix_layers_batch
@@ -136,9 +136,8 @@ def melnikov_step_oracle(state, Nval=None):
     mu, _ = state.block_eigs()
     J = state.lattice.J
     mus = [mu[block_slice(J, n)] for n in range(J + 1)]
-    C1M = prune_C1(state) * state.M
     worst = {"margin": float("inf")}
-    pruned = checked = 0
+    checked = 0
     for row in state.lattice.ell_range():
         ln = float(np.linalg.norm(row))
         if ln > Nval:
@@ -155,9 +154,6 @@ def melnikov_step_oracle(state, Nval=None):
                     if sign < 0 and centre and n == n_in:
                         continue          # excluded from the minus index set
                     combo = abs(n + n_in) if sign > 0 else abs(n - n_in)
-                    if combo > C1M * max(1.0, ln):
-                        pruned += 1
-                        continue
                     checked += 1
                     gaps = np.abs(dot + mus[n][:, None] + sign * mus[n_in][None, :])
                     thr = ((pr.gamma / (2.0 * Nval ** pr.tau)) * max(1, combo) ** pr.alpha
@@ -167,7 +163,6 @@ def melnikov_step_oracle(state, Nval=None):
                         worst = {"margin": margin, "ell": tuple(int(c) for c in row),
                                  "n": n, "n_in": n_in, "sign": sign,
                                  "gap": float(np.min(gaps)), "threshold": thr}
-    worst["pruned"] = pruned
     worst["checked"] = checked
     return worst["margin"] >= 1.0, worst
 

@@ -17,9 +17,8 @@ import pytest
 
 from fastwave.cli import (build_q, build_v, golden_omega, named_config, run_experiment,
                           validate_config)
-from fastwave.craig_wayne import (build_basis_matrix, eigen_residual,
-                                  ls_block_eigenpairs, tilde_C,
-                                  verify_localization, x_sobolev_norm)
+from fastwave.craig_wayne import (build_basis_matrix, ls_certificates, tilde_C,
+                                  x_sobolev_norm)
 from fastwave.harmonics import Lattice, TorusFunction
 from fastwave.kam import (KamParameters, final_spectrum, init_state,
                           kam_iterate, measured_chi)
@@ -43,18 +42,22 @@ def report(criterion, ok, detail=""):
 # -- criterion 1: Craig-Wayne decay ------------------------------------------------
 
 
+def _cos_certificates(J, s):
+    """(n_min, the LS certificates of q = cos x on the admissible blocks n <= J/2)."""
+    q = xcoeffs(J, {1: 0.5, -1: 0.5})
+    n_min = int(math.ceil(2.0 * tilde_C(s) * x_sobolev_norm(q, s)))
+    assert n_min <= J // 2, "admissible range must be nonempty"
+    sd = eigensolve_blocks(assemble_lq(q, J), q=q, require_positive=False)
+    return n_min, ls_certificates(range(n_min, J // 2 + 1), q, s, sd)
+
+
 def test_criterion_1_craig_wayne_decay():
     t0 = time.time()
     J, s = 128, 4.0
-    q = xcoeffs(J, {1: 0.5, -1: 0.5})          # q = cos x
-    n_min = int(math.ceil(2.0 * tilde_C(s) * x_sobolev_norm(q, s)))
-    assert n_min <= J // 2, "admissible range must be nonempty"
-    worst = 0.0
-    for n in range(n_min, J // 2 + 1):
-        for lam, f in ls_block_eigenpairs(n, q, s):
-            ratio, ok = verify_localization(f, n, s)
-            worst = max(worst, ratio)
-            assert ok, (n, ratio)
+    n_min, certs = _cos_certificates(J, s)
+    for n, ratio, localized, _, _ in certs:
+        assert localized, (n, ratio)
+    worst = max(ratio for _, ratio, _, _, _ in certs)
     elapsed = time.time() - t0
     assert elapsed <= 60.0
     assert report(1, worst <= 2.0 + 1e-8,
@@ -66,16 +69,9 @@ def test_criterion_1_craig_wayne_decay():
 
 
 def test_criterion_2_ls_dense_agreement():
-    J, s = 128, 4.0
-    q = xcoeffs(J, {1: 0.5, -1: 0.5})
-    sd = eigensolve_blocks(assemble_lq(q, J), q=q, require_positive=False)
-    n_min = int(math.ceil(2.0 * tilde_C(s) * x_sobolev_norm(q, s)))
-    worst_gap = worst_res = 0.0
-    for n in range(n_min, J // 2 + 1):
-        dense = sorted([sd.value(-n), sd.value(n)])
-        for lam, f in ls_block_eigenpairs(n, q, s):
-            worst_gap = max(worst_gap, min(abs(lam - d) for d in dense))
-            worst_res = max(worst_res, eigen_residual(lam, f, q))
+    _, certs = _cos_certificates(128, 4.0)
+    worst_gap = max(gap for *_, gap, _ in certs)
+    worst_res = max(res for *_, res in certs)
     ok = worst_gap <= 1e-8 and worst_res <= 1e-8
     assert report(2, ok, f"max |lambda_LS - lambda_dense| = {worst_gap:.2e}, "
                          f"max residual = {worst_res:.2e}")

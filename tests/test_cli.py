@@ -170,6 +170,18 @@ def test_run_experiment_v_zero_trivial():
     assert manifest["stages"]["magnus"]["pass"]
 
 
+def test_craigwayne_stage_certifies_blocks_when_n_min_fits():
+    # the demo's q has n_min = 95; at J = 196 the blocks 95..98 are admissible
+    # and each of their LS eigenpairs is one certificate row
+    manifest = run_experiment(dict(named_config("demo"), J=196), stages=["craigwayne"])
+    st = manifest["stages"]["craigwayne"]
+    assert st["pass"] and st["ls_dense_agreement"]
+    assert (st["admissible_n_min"], st["certified_blocks"]) == (95, 4)
+    rows = list(csv.reader(io.StringIO(st["csv"]["decay_certificates.csv"])))
+    assert [(int(n), verdict) for n, _, _, verdict in rows[1:]] == [
+        (n, "PASS") for n in (95, 95, 96, 96, 97, 97, 98, 98)]
+
+
 def test_determinism(tmp_path):
     cfg = small_cfg()
     m1 = run_experiment(cfg, stages=["magnus"])
@@ -251,11 +263,33 @@ def test_stage_failure_skips_dependents(monkeypatch):
 
 
 def test_cli_main_spectrum(tmp_path, capsys):
-    rc = main(["spectrum", "--J", "8", "--L", "2", "--outdir", str(tmp_path)])
+    rc = main(["spectrum", "--J", "8", "--L", "2", "--p-max", "2",
+               "--outdir", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == 0
     assert "[PASS] spectrum" in out
-    assert (tmp_path / "manifest.json").exists()
+    assert json.loads((tmp_path / "manifest.json").read_text())["config"]["p_max"] == 2
+
+
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_manifest_is_strict_json(tmp_path):
+    # the demo's kam run reaches the delta floor after two steps, so its chi
+    # is NaN: the manifest writes null and keeps the reason
+    main(["kam", "--preset", "demo", "--outdir", str(tmp_path / "demo")])
+    text = (tmp_path / "demo" / "manifest.json").read_text()
+    kam = json.loads(text, parse_constant=_not_json)["stages"]["kam"]
+    assert kam["measured_chi"] is None and "log-decrement" in kam["chi_reason"]
+    # an infinite margin is null too, and numpy integers stay integers
+    manifest = {"stages": {"kam": {"smallness_margin": float("inf"),
+                                   "count": np.int64(3), "eps": np.array([0.5, np.nan])}}}
+    emit_report(manifest, str(tmp_path / "synthetic"))
+    text = (tmp_path / "synthetic" / "manifest.json").read_text()
+    assert json.loads(text, parse_constant=_not_json)["stages"]["kam"] == {
+        "smallness_margin": None, "count": 3, "eps": [0.5, None]}
+    assert '"count": 3,' in text
 
 
 def test_cli_rejects_alpha_one(tmp_path):

@@ -22,6 +22,42 @@ def test_modules_compile_without_warnings():
             compile(path.read_text(), str(path), "exec")
 
 
+def _numeric(node: ast.AST) -> bool:
+    """Is the expression built of number literals and arithmetic alone?"""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (int, float)) and not isinstance(node.value, bool)
+    if isinstance(node, ast.UnaryOp):
+        return _numeric(node.operand)
+    if isinstance(node, ast.BinOp):
+        return _numeric(node.left) and _numeric(node.right)
+    return False
+
+
+def test_every_numeric_constant_states_its_reason():
+    # each module-level numeric constant of the package, or each run of them
+    # on consecutive lines, sits right under a comment that gives its reason;
+    # a constant whose comment calls it unsourced has none and must go
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        lines, prev_end = text.splitlines(), None
+        for node in ast.parse(text).body:
+            value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+            if value is None or not _numeric(value):
+                prev_end = None
+                continue
+            if prev_end != node.lineno - 1:
+                # the first constant of a run: read the comment lines above it
+                i, comment = node.lineno - 2, []
+                while i >= 0 and lines[i].lstrip().startswith("#"):
+                    comment.append(lines[i])
+                    i -= 1
+                if not comment or any("unsourced" in c.lower() for c in comment):
+                    missing.append(f"{path.stem}:{node.lineno}")
+            prev_end = node.end_lineno
+    assert missing == []
+
+
 def test_every_import_is_used():
     # every name an import binds in a package module (at any depth) is read
     # somewhere in that module; `from __future__` imports bind nothing
@@ -41,11 +77,11 @@ def test_every_import_is_used():
     assert unused == []
 
 
-# Kept without a caller: ROADMAP direction 5 wires both into `kam_iterate`.
-# The step scan is an array read of the homological solve's divisor table,
-# about 0.2 ms per call on the J=12, L=4 toy state against 10 ms for the loop
-# it replaced, and nash_moser_check reads the history's norms.
-UNCALLED_OK = {"kam.melnikov_step_test", "kam.nash_moser_check"}
+# Kept without a caller: ROADMAP direction 5 wires the step scan into
+# `kam_iterate`.  It is an array read of the homological solve's divisor
+# table, about 0.2 ms per call on the J=12, L=4 toy state against 10 ms for
+# the loop it replaced.
+UNCALLED_OK = {"kam.melnikov_step_test"}
 
 
 def _package_module(node: ast.ImportFrom, in_package: bool):
