@@ -172,6 +172,13 @@ def golden_omega(M: float, nu: int) -> np.ndarray:
 # -- stages -----------------------------------------------------------------------
 
 
+def _csv(rows) -> str:
+    """The rows as the text of a CSV file."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 def stage_spectrum(ctx: dict) -> dict:
     from .schrodinger import assemble_lq, decompose_eigenvalues, eigensolve_blocks
     cfg = ctx["config"]
@@ -180,7 +187,7 @@ def stage_spectrum(ctx: dict) -> dict:
     Mq = assemble_lq(qc, J)
     sd = eigensolve_blocks(Mq, q=qc)
     ortho = float(np.max(np.abs(sd.psi.conj().T @ sd.psi - np.eye(2 * J + 1))))
-    q_bar, d, tail = decompose_eigenvalues(sd)
+    q_bar, _, tail = decompose_eigenvalues(sd)
     ctx["qc"], ctx["sd"] = qc, sd
     ok = ortho <= 1e-10 and sd.positive and np.nanmax(np.abs(sd.c)) <= sd.m_sq + 1e-12
     return {"pass": bool(ok), "orthonormality_defect": ortho,
@@ -208,13 +215,11 @@ def stage_craigwayne(ctx: dict) -> dict:
         (n, s, f"{ratio:.6f}", "PASS" if ok else "FAIL") for n, ratio, ok, _, _ in certs]
     all_ok = unit <= 1e-10 and all(ok for _, _, ok, _, _ in certs)
     ls_agree = all(gap <= 1e-8 and res <= 1e-8 for *_, gap, res in certs)
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
     return {"pass": bool(all_ok and ls_agree), "unitarity_defect": unit,
             "admissible_n_min": n_min, "certified_blocks": len(blocks),
             "ls_dense_agreement": bool(ls_agree),
             "M_norm_table": basis.norm_table([2.0, 4.0]),
-            "csv": {"decay_certificates.csv": buf.getvalue()}}
+            "csv": {"decay_certificates.csv": _csv(rows)}}
 
 
 def stage_psdo_audit(ctx: dict) -> dict:
@@ -277,8 +282,6 @@ def stage_magnus(ctx: dict) -> dict:
     chain = adjoint_chain_check(out)
     slope_d = float(np.polyfit(np.log(cfg["sweep_M"]), np.log(norms_d), 1)[0]) \
         if min(norms_d) > 0 else float("nan")
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
     scale = max(out.Y_mat.norm_max(), 1e-300)
     ok = (max(defects.values()) <= 1e-10 * max(1.0, scale)
           and res <= 1e-8 * max(1.0, scale)
@@ -287,7 +290,7 @@ def stage_magnus(ctx: dict) -> dict:
     return {"pass": bool(ok), "structure_defects": defects,
             "homological_residual": res, "sigma4_ad3": chain["ad3"],
             "M_sweep_slope_Vd": slope_d,
-            "csv": {"magnus_sweep.csv": buf.getvalue()}}
+            "csv": {"magnus_sweep.csv": _csv(rows)}}
 
 
 def stage_kam(ctx: dict) -> dict:
@@ -315,9 +318,6 @@ def stage_kam(ctx: dict) -> dict:
     ds = [r["delta_s0"] for r in final.history]
     decreasing = all(b < a for a, b in zip(ds, ds[1:]) if a > 1e-15)
     sa_ok = all(r["H0_selfadjoint_defect"] <= 1e-12 for r in final.history)
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    csv.writer(buf1).writerows(rows)
-    csv.writer(buf2).writerows(srows)
     # the rate fit needs two positive log-decrements; a run that reaches the
     # delta floor early has fewer, and chi is NaN with the count as its reason
     chi = measured_chi(final.history)
@@ -327,8 +327,8 @@ def stage_kam(ctx: dict) -> dict:
     return {"pass": bool(decreasing and sa_ok and ok_small), "smallness_ok": bool(ok_small),
             "smallness_margin": margin, "measured_chi": chi, "chi_reason": chi_reason,
             "weighted_eps_sup": weighted_sup,
-            "csv": {"kam_history.csv": buf1.getvalue(),
-                    "final_spectrum.csv": buf2.getvalue()}}
+            "csv": {"kam_history.csv": _csv(rows),
+                    "final_spectrum.csv": _csv(srows)}}
 
 
 def stage_measure(ctx: dict) -> dict:
@@ -357,14 +357,12 @@ def stage_measure(ctx: dict) -> dict:
         rejected_omega0[str(gamma)] = rep.rejected_omega0
     expo = fitted_gamma_exponent(cfg["sweep_gamma"], mrs)
     monotone = all(a >= b for a, b in zip(mrs, mrs[1:]))
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
     ok = monotone and (math.isnan(expo) or expo >= 0.4)
     return {"pass": bool(ok), "m_r_by_gamma": dict(zip(map(str, cfg["sweep_gamma"]), mrs)),
             "rejected_omega0_by_gamma": rejected_omega0,
             "indeterminate_by_type": indeterminate, "v_family": cfg["v"]["family"],
             "fitted_exponent": expo, "measure_box": {"L": lat.L, "J": lat.J},
-            "csv": {"measure_sweep.csv": buf.getvalue()}}
+            "csv": {"measure_sweep.csv": _csv(rows)}}
 
 
 def stage_evolve(ctx: dict) -> dict:
@@ -393,15 +391,13 @@ def stage_evolve(ctx: dict) -> dict:
     delta_final = final.history[-1]["delta_s0"]
     budget = 10.0 * (delta_final + dt ** 2 * min(0.2, T))
     rows = [("t", "ratio_H%g" % r)] + list(zip(traj.times, ratios))
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
     plot = "\n".join(f"{t} {x}" for t, x in zip(traj.times, ratios))
     # the verdict takes max(budget, 1e-6): below the floor the floor decides,
     # and the reported budget is not what the residual is judged against
     ok = res <= max(budget, 1e-6) and width < 0.5
     return {"pass": bool(ok), "floquet_residual": res, "floquet_budget": budget,
             "band_width": width, "sup_ratio": sup,
-            "csv": {"sobolev_trace.csv": buf.getvalue()},
+            "csv": {"sobolev_trace.csv": _csv(rows)},
             "plot": {"sobolev_trace.dat": plot}}
 
 

@@ -21,16 +21,19 @@ product with it is that zero, a sum with it the other operand.
 Composition uses the asymptotic expansion a#b = sum_{beta<N} (i^beta beta!)^-1
 d_xi^beta a . d_x^beta b.  Real powers of a second-order elliptic operator
 are built from the resolvent parametrix layers b_n(lambda; x, xi), each
-multiplied by a smooth cutoff chi that removes the (xi, lambda) = 0
-singularity.  The principal layer a_m(xi), m = 2, must not depend on x; then
-every layer and each of its xi-derivatives is exactly an r-polynomial with
-lambda-free coefficients, built at each xi by one recursion, only to the
-xi-derivative order asked for.  The clockwise contour integral
--(2 pi i)^-1 \oint lambda^z chi b_n dlambda around the branch cut is then the
-layers' coefficients, summed over n, contracted with the scalar moments
-M[g, k] = sum_i w_i d_xi^g chi(t_i) r_i^k of the quadrature nodes lambda_i;
-the contractions run in einsum's own loop, not in BLAS, so their bits do not
-depend on the BLAS thread count.  z >= 0 reduces to A^k A_{z-k}.
+multiplied by the module's smooth cutoff DEFAULT_CUTOFF, chi, which removes
+the (xi, lambda) = 0 singularity.  The principal layer a_m(xi), m = 2, must
+not depend on x; then every layer and each of its xi-derivatives is exactly
+an r-polynomial with lambda-free coefficients, built at each xi by one
+recursion, only to the xi-derivative order asked for.  One node sum
+sum_i w_i sum_{n<N} chi b_n(lambda_i) serves both uses: the layers'
+coefficients, summed over n, contracted with the scalar moments
+M[g, k] = sum_i w_i d_xi^g chi(t_i) r_i^k of the nodes lambda_i.  The
+resolvent parametrix is its one node lambda with weight 1; the clockwise
+contour integral -(2 pi i)^-1 \oint lambda^z chi b_n dlambda around the branch
+cut is its sum over the quadrature nodes.  The contractions run in einsum's
+own loop, not in BLAS, so their bits do not depend on the BLAS thread count.
+z >= 0 reduces to A^k A_{z-k}.
 """
 
 from __future__ import annotations
@@ -354,10 +357,6 @@ class EllipticSymbol:
             out = out + s
         return out
 
-    def principal_min_abs(self, lam: complex, xi_vals) -> float:
-        """min |a_m(xi) - lam| over xi_vals (ellipticity check)."""
-        return float(min(abs(_principal(self, xi, 0) - lam) for xi in xi_vals))
-
 
 def _principal(a: EllipticSymbol, xi: float, beta: int) -> complex:
     """d_xi^beta a_m(xi): the parametrix's r-polynomials need a principal
@@ -421,8 +420,8 @@ def _parametrix_coeffs(a: EllipticSymbol, xi: float, N: int, max_beta: int) -> d
     return b
 
 
-def _cutoff_moments(a: EllipticSymbol, lam: np.ndarray, xi: float, K: int, n_beta: int,
-                    cutoff: Cutoff) -> list:
+def _cutoff_moments(a: EllipticSymbol, lam: np.ndarray, xi: float, K: int,
+                    n_beta: int) -> list:
     """[d_xi^g chi(t) r^k for k < K at each lam, g <= n_beta], t = xi^2 + |lam|
     (|lam|^(2/m) with m = 2); a d_xi^g chi that vanishes at every lam is the
     structural zero."""
@@ -433,7 +432,7 @@ def _cutoff_moments(a: EllipticSymbol, lam: np.ndarray, xi: float, K: int, n_bet
     for k in range(1, K):
         rk[..., k] = rk[..., k - 1] / u
     t = abs(xi) ** 2 + np.abs(lam)
-    chi = _chain_quadratic_batch(cutoff, t, 2.0 * xi, 2.0, n_beta)
+    chi = _chain_quadratic_batch(DEFAULT_CUTOFF, t, 2.0 * xi, 2.0, n_beta)
     return [c if _zero(c) else c[..., None] * rk for c in chi]
 
 
@@ -447,27 +446,6 @@ def _with_cutoff(moments: list, coeffs, beta: int) -> np.ndarray:
             term = np.einsum("...k,kx->...x", moments[g][..., :len(c)], c)
             acc = _add(acc, math.comb(beta, g) * term)
     return acc
-
-
-def parametrix_layers_batch(a: EllipticSymbol, lam: np.ndarray, xi: float, N: int,
-                            n_beta: int, cutoff: Cutoff):
-    """Parametrix layers chi b_n(lam; ., xi) for a whole batch of lambda values.
-
-    Returns {(n, beta): d_xi^beta (chi b_n)} for 0 <= n < N, 0 <= beta <= n_beta,
-    each a raw value whose leading axes run over lam (a layer that vanishes
-    identically, such as b_1 of xi^2 + q, is the structural zero broadcast to
-    them): the r-polynomials of `_parametrix_coeffs` evaluated at each lam,
-    with chi = chi(|xi|^2 + |lam|).
-    """
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    b = _parametrix_coeffs(a, xi, N, n_beta + N - 1)
-    K = max(len(b[n][beta]) for n in range(N) for beta in range(n_beta + 1))
-    moments = _cutoff_moments(a, lam, xi, K, n_beta, cutoff)
-    layers = {(n, beta): _with_cutoff(moments, b[n], beta)
-              for n in range(N) for beta in range(n_beta + 1)}
-    # a structural zero has no lam axes: it gets them by broadcasting
-    return {key: np.broadcast_to(v, lam.shape + (1,)) if _zero(v) else v
-            for key, v in layers.items()}
 
 
 def _chain_quadratic_batch(cutoff: Cutoff, t: np.ndarray, t1: float, t2: float,
@@ -491,17 +469,36 @@ def _chain_quadratic_batch(cutoff: Cutoff, t: np.ndarray, t1: float, t2: float,
     return d
 
 
-def resolvent_parametrix(a: EllipticSymbol, lam: complex, N: int) -> Symbol:
-    """The truncated parametrix symbol b_(N)(lam) = sum_{n<N} b_{-2-n}(lam)."""
-    xi_vals = range(-a.J, a.J + 1)
-    if a.principal_min_abs(lam, xi_vals) == 0.0:
-        raise EllipticityError("lambda touches the principal symbol range")
+def _node_sum(a: EllipticSymbol, lam_nodes, w_nodes, N: int) -> Symbol:
+    """sum_i w_i sum_{n<N} chi b_n(lam_i): the layers summed over n on their
+    r-coefficients, contracted with the node moments sum_i w_i d_xi^g chi(t_i) r_i^k.
 
+    No node may touch the principal symbol a_m(xi) at an integer |xi| <= J.
+    """
+    lam_nodes = np.asarray(lam_nodes, dtype=complex)
+    a_m = np.array([_principal(a, xi, 0) for xi in range(-a.J, a.J + 1)])
+    if np.min(np.abs(a_m[:, None] - lam_nodes)) == 0.0:
+        raise EllipticityError("a node touches the principal symbol range")
+
+    # d_xi^beta needs the layers only to that order, so each (xi, beta) that is
+    # asked for (Symbol.raw caches it) runs its own recursion; einsum's own
+    # loop sums the nodes in one fixed order, where BLAS (tensordot) would split
+    # the sum by its thread count and the last bits would follow it
     def rule(xi, beta):
-        # a vanishing layer (one zero entry at lam) drops out of the sum
-        layers = parametrix_layers_batch(a, [lam], xi, N, beta, DEFAULT_CUTOFF)
-        return reduce(_add, [layers[(n, beta)][0] for n in range(N)])
+        b = _parametrix_coeffs(a, xi, N, beta + N - 1)
+        summed = [reduce(_add, [b[n][bb] for n in range(N)]) for bb in range(beta + 1)]
+        K = max(len(c) for c in summed)
+        moments = [m if _zero(m) else np.einsum("i,ik->k", w_nodes, m) for m in
+                   _cutoff_moments(a, lam_nodes, xi, K, beta)]
+        return _with_cutoff(moments, summed, beta)
+
     return Symbol(a.J, rule)
+
+
+def resolvent_parametrix(a: EllipticSymbol, lam: complex, N: int) -> Symbol:
+    """The truncated parametrix symbol b_(N)(lam) = sum_{n<N} chi b_{-2-n}(lam):
+    the node sum of the one node lam with weight 1."""
+    return _node_sum(a, [lam], [1.0], N)
 
 
 @dataclass
@@ -546,7 +543,7 @@ def _gauss_legendre(n: int) -> tuple:
 
 
 def complex_power(a: EllipticSymbol, z: float, contour: ContourSpec, N: int,
-                  compose_N: int, cutoff: Cutoff = DEFAULT_CUTOFF) -> Symbol:
+                  compose_N: int) -> Symbol:
     """Symbol of A^z by contour integration of the parametrix layers.
 
     For z < 0 the layers are integrated directly and the result is multiplied
@@ -556,41 +553,22 @@ def complex_power(a: EllipticSymbol, z: float, contour: ContourSpec, N: int,
     """
     if z >= 0.0:
         k = int(math.floor(z)) + 1
-        out = complex_power(a, z - k, contour, N, compose_N, cutoff)
+        out = complex_power(a, z - k, contour, N, compose_N)
         full = a.full_symbol()
         for _ in range(k):
             out = compose(full, out, compose_N)
         return out
-    chi = Symbol(a.J, lambda xi, b: cutoff(xi, b))
-    return _contour_integral(a, z, contour, N, cutoff).mul(chi)
+    chi = Symbol(a.J, lambda xi, b: DEFAULT_CUTOFF(xi, b))
+    return _contour_integral(a, z, contour, N).mul(chi)
 
 
-def _contour_integral(a: EllipticSymbol, z: float, contour: ContourSpec, N: int,
-                      cutoff: Cutoff) -> Symbol:
-    r"""-(2 pi i)^-1 \oint lambda^z sum_{n<N} chi b_n dlambda by the quadrature of `contour`:
-    the layers summed over n on their r-coefficients, contracted with the contour
-    moments sum_i w_i d_xi^g chi(t_i) r_i^k."""
-    lam_nodes, w_nodes = contour.nodes(z)
+def _contour_integral(a: EllipticSymbol, z: float, contour: ContourSpec, N: int) -> Symbol:
+    r"""-(2 pi i)^-1 \oint lambda^z sum_{n<N} chi b_n dlambda: the node sum over the
+    quadrature nodes of `contour`."""
     # the circle must stay below the operator spectrum
     m0 = quantize(a.full_symbol())
     smin = float(np.linalg.eigvalsh(0.5 * (m0 + m0.conj().T))[0])
     if smin <= contour.rho:
         raise EllipticityError(
             f"contour intersects the spectrum (min eig {smin:.4g} <= rho {contour.rho:.4g})")
-    for lam in (lam_nodes[0], lam_nodes[len(lam_nodes) // 2], lam_nodes[-1]):
-        if a.principal_min_abs(lam, range(-a.J, a.J + 1)) == 0.0:
-            raise EllipticityError("contour intersects the symbol spectrum range")
-
-    # d_xi^beta needs the layers only to that order, so each (xi, beta) that is
-    # asked for (Symbol.raw caches it) runs its own recursion; einsum's own
-    # loop sums the nodes in one fixed order, where BLAS (tensordot) would split
-    # the sum by its thread count and the last bits would follow it
-    def rule(xi, beta):
-        b = _parametrix_coeffs(a, xi, N, beta + N - 1)
-        summed = [reduce(_add, [b[n][bb] for n in range(N)]) for bb in range(beta + 1)]
-        K = max(len(c) for c in summed)
-        moments = [m if _zero(m) else np.einsum("i,ik->k", w_nodes, m) for m in
-                   _cutoff_moments(a, lam_nodes, xi, K, beta, cutoff)]
-        return _with_cutoff(moments, summed, beta)
-
-    return Symbol(a.J, rule)
+    return _node_sum(a, *contour.nodes(z), N)

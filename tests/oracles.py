@@ -21,7 +21,7 @@ from fastwave.magnus import magnus_transform
 from fastwave.kam import LIE_N_MAX, LIE_TOL, solve_homological
 from fastwave import opmatrix
 from fastwave.opmatrix import BlockOperator, _conj_grid, _phi_grid, ad, lie_series
-from fastwave.psdo import DEFAULT_CUTOFF, Symbol, _add, _mul, _widen, parametrix_layers_batch
+from fastwave.psdo import Symbol, _add, _mul, _widen, resolvent_parametrix
 
 
 def lie_conjugate(X: BlockOperator, V: BlockOperator, tol: float = 1e-14,
@@ -531,19 +531,18 @@ def pointwise(v: np.ndarray, f, oversample: int = 8) -> np.ndarray:
     return x_from_grid(f(x_to_grid(v, n)), (v.shape[-1] - 1) // 2)
 
 
-def contour_sum_by_nodes(a, z: float, contour, N: int, xi: float, n_beta: int,
-                         cutoff=DEFAULT_CUTOFF) -> list:
+def contour_sum_by_nodes(a, z: float, contour, N: int, xi: float, n_beta: int) -> list:
     """[sum_i w_i sum_{n<N} d_xi^beta (chi b_n)(lam_i; ., xi) for beta <= n_beta]:
     the contour integral of `complex_power`, before its outer chi(xi), as the
-    weighted sum, node by node, of `parametrix_layers_batch`'s values at each
-    node, each a (2J+1,) array of x coefficients."""
+    weighted sum, node by node, of the one-node `resolvent_parametrix` values,
+    each a (2J+1,) array of x coefficients."""
     lam, w = contour.nodes(z)
-    layers = parametrix_layers_batch(a, lam, xi, N, n_beta, cutoff)
     D = 2 * a.J + 1
-    out = []
-    for beta in range(n_beta + 1):
-        per_node = sum(_widen(layers[(n, beta)], D) for n in range(N))
-        out.append(sum(w_i * v_i for w_i, v_i in zip(w, per_node)))
+    out = [np.zeros(D, dtype=complex) for _ in range(n_beta + 1)]
+    for lam_i, w_i in zip(lam, w):
+        b = resolvent_parametrix(a, lam_i, N)
+        for beta in range(n_beta + 1):
+            out[beta] += w_i * _widen(b.raw(xi, beta), D)
     return out
 
 

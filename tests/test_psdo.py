@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import fastwave
+from fastwave import psdo
 from fastwave.psdo import (
     DEFAULT_CUTOFF, ContourSpec, Cutoff, EllipticityError, EllipticSymbol, Symbol, _add,
-    _chain_quadratic_batch, _contour_integral, _mul, _widen, _zero,
-    complex_power, compose, entry_decay_exponent, parametrix_layers_batch, quantize,
+    _chain_quadratic_batch, _contour_integral, _cutoff_moments, _mul, _parametrix_coeffs,
+    _widen, _with_cutoff, _zero, complex_power, compose, entry_decay_exponent, quantize,
     resolvent_parametrix,
 )
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks, spectral_power
@@ -160,7 +161,7 @@ def test_parametrix_layers_closed_form():
     # a = xi^2 + q: with u = xi^2 - lambda the recursion has the closed form
     # b0 = 1/u, b1 = 0, b2 = -q/u^2, b3 = -2i xi q'/u^3,
     # b4 = q*q/u^3 + (-1/u^3 + 4 xi^2/u^4) q'', and d_xi b2 = 4 xi q/u^3;
-    # at xi = 3, 7 the cutoff chi(xi^2 + |lam|) is identically 1
+    # each layer's r-polynomial is evaluated at r = 1/u
     ell = EllipticSymbol.xi2_plus_q(J, QC)
     lam = np.array([-1.0, -7.5, 2.0 + 3.0j])
     ks = 1j * np.arange(-J, J + 1)
@@ -169,40 +170,39 @@ def test_parametrix_layers_closed_form():
     delta = np.zeros(2 * J + 1)
     delta[J] = 1.0
 
-    def xcoeffs(v):
-        # (lambda, 2J+1) x coefficients of a batched value
-        return np.pad(v, ((0, 0), ((D - v.shape[1]) // 2,) * 2))
+    def at_r(c, r):
+        # (lambda, 2J+1) x coefficients of the r-polynomial c[k, x] at each r
+        c = _widen(np.atleast_2d(c), D)
+        return (r[:, None] ** np.arange(len(c))) @ c
 
     for xi in (3, 7):
         u = (xi ** 2 - lam)[:, None]
-        layers = parametrix_layers_batch(ell, lam, xi, N=5, n_beta=1, cutoff=DEFAULT_CUTOFF)
+        b = _parametrix_coeffs(ell, xi, N=5, max_beta=5)
         want = {(0, 0): delta / u, (1, 0): 0.0 * delta / u, (2, 0): -QC / u ** 2,
                 (3, 0): -2j * xi * dq / u ** 3,
                 (4, 0): qq / u ** 3 + (-1.0 / u ** 3 + 4.0 * xi ** 2 / u ** 4) * ddq,
                 (2, 1): 4.0 * xi * QC / u ** 3}
         for key, w in want.items():
             scale = np.max(np.abs(w)) if key != (1, 0) else np.max(np.abs(want[(0, 0)]))
-            assert np.max(np.abs(xcoeffs(layers[key]) - w)) <= 1e-13 * scale, key
+            got = at_r(b[key[0]][key[1]], 1.0 / u[:, 0])
+            assert np.max(np.abs(got - w)) <= 1e-13 * scale, key
 
 
-def test_parametrix_order_trim_and_lam_axis():
-    # a layer does not depend on how many xi-derivatives are asked for, and
-    # every value, the identically vanishing b_1 included, has the lam axis
-    # first; at xi = 0 and lambda = 0.4i the cutoff's transition is hit
+def test_parametrix_order_trim():
+    # a layer's r-coefficients do not depend on how many xi-derivatives are
+    # asked for, and b_1 of xi^2 + q vanishes identically
     ell = EllipticSymbol.xi2_plus_q(J, QC)
-    lam = np.array([-1.0, 0.4j, 2.0 + 3.0j])
     for xi in (0, 3):
         for n_beta in (0, 2):
-            lo = parametrix_layers_batch(ell, lam, xi, N=5, n_beta=n_beta,
-                                         cutoff=DEFAULT_CUTOFF)
-            hi = parametrix_layers_batch(ell, lam, xi, N=5, n_beta=n_beta + 1,
-                                         cutoff=DEFAULT_CUTOFF)
-            assert set(lo) < set(hi)
-            for key, v in lo.items():
-                assert v.shape == hi[key].shape and v.tobytes() == hi[key].tobytes(), key
-            for key, v in hi.items():
-                assert v.ndim == 2 and v.shape[0] == len(lam), key
-            assert not np.any(hi[(1, 0)])
+            lo = _parametrix_coeffs(ell, xi, N=5, max_beta=n_beta + 4)
+            hi = _parametrix_coeffs(ell, xi, N=5, max_beta=n_beta + 5)
+            assert set(lo) == set(hi)
+            for n in lo:
+                assert set(lo[n]) < set(hi[n])
+                for bb, v in lo[n].items():
+                    w = hi[n][bb]
+                    assert v.shape == w.shape and v.tobytes() == w.tobytes(), (n, bb)
+            assert not np.any(hi[1][0])
 
 
 def test_zero_operand_matches_widened_path():
@@ -241,21 +241,26 @@ def test_cutoff_derivatives_outside_window_are_structural_zeros():
 
 
 def test_resolvent_parametrix_sums_every_layer():
-    # the parametrix symbol and its xi-derivatives equal the sums over every
-    # layer with each zero layer materialised (b_1 of xi^2 + q vanishes); at
-    # xi = 0 and lambda = 0.4i the cutoff's transition is hit, at xi = 3 it is
-    # not.  Each derivative is the central difference of the one below it.
+    # the parametrix symbol and its xi-derivatives equal the layers'
+    # r-coefficients summed with each zero layer materialised (b_1 of xi^2 + q
+    # vanishes), contracted with the one node's moments; at xi = 0 and
+    # lambda = 0.4i the cutoff's transition is hit, at xi = 3 it is not.  Each
+    # derivative is the central difference of the one below it.
     ell = EllipticSymbol.xi2_plus_q(J, QC)
     h = 1e-5
     for lam in (-1.0, 0.4j, 2.0 + 3.0j):
         bN = resolvent_parametrix(ell, lam, N=5)
         for xi in (0, 3):
-            layers = parametrix_layers_batch(ell, [lam], xi, N=5, n_beta=2,
-                                             cutoff=DEFAULT_CUTOFF)
+            b = _parametrix_coeffs(ell, xi, N=5, max_beta=6)
             for beta in range(3):
-                want = _widen(layers[(0, beta)][0], D)
+                summed = [_widen(np.atleast_2d(b[0][bb]), D) for bb in range(beta + 1)]
                 for n in range(1, 5):
-                    want = _add(want, _widen(layers[(n, beta)][0], D))
+                    summed = [_add(s, _widen(np.atleast_2d(b[n][bb]), D))
+                              for bb, s in enumerate(summed)]
+                K = max(len(c) for c in summed)
+                moments = [m if _zero(m) else np.einsum("i,ik->k", [1.0], m) for m in
+                           _cutoff_moments(ell, np.array([lam], dtype=complex), xi, K, beta)]
+                want = _widen(_with_cutoff(moments, summed, beta), D)
                 got = symbol_at(bN, xi, beta)
                 assert np.array_equal(got, want), (lam, xi, beta)
                 if beta:
@@ -345,16 +350,18 @@ def test_power_group_property_smoothing():
     assert expo <= -0.7    # smoothing: steeper than the factors' order sum - 1
 
 
-def test_power_insensitive_to_admissible_cutoff():
+def test_power_insensitive_to_admissible_cutoff(monkeypatch):
+    # symbols are evaluated lazily, so each power is read while its cutoff is set
     ell = EllipticSymbol.xi2_plus_q(J, QC)
-    B1 = complex_power(ell, -0.5, N=3, contour=CONT, compose_N=3,
-                       cutoff=Cutoff(1.0))
-    B2 = complex_power(ell, -0.5, N=3, contour=CONT, compose_N=3,
-                       cutoff=Cutoff(2.0))
+    xis = (-J, -5, -1, 1, 4, J)
+    values = []
+    for sharpness in (1.0, 2.0):
+        monkeypatch.setattr(psdo, "DEFAULT_CUTOFF", Cutoff(sharpness))
+        B = complex_power(ell, -0.5, N=3, contour=CONT, compose_N=3)
+        values.append([symbol_at(B, xi) for xi in xis])
     # at integer xi != 0 all admissible cutoffs act identically
-    for xi in (-J, -5, -1, 1, 4, J):
-        d = np.max(np.abs(symbol_at(B1, xi) - symbol_at(B2, xi)))
-        assert d < 1e-10
+    for v1, v2 in zip(*values):
+        assert np.max(np.abs(v1 - v2)) < 1e-10
 
 
 @pytest.mark.parametrize("z", [-0.5, -0.25])
@@ -366,7 +373,7 @@ def test_contour_moments_match_node_sum(z):
     ell = EllipticSymbol.xi2_plus_q(J, QC)
     window = ContourSpec(rho=0.5, R=0.5 * math.exp(170), n_quad=280)
     for xi, cont in ((0, window), (1, CONT), (7, CONT), (J, CONT)):
-        got = _contour_integral(ell, z, cont, 4, DEFAULT_CUTOFF)
+        got = _contour_integral(ell, z, cont, 4)
         want = contour_sum_by_nodes(ell, z, cont, 4, xi, 2)
         power = complex_power(ell, z, cont, N=4, compose_N=2)
         for beta in range(3):
@@ -384,7 +391,19 @@ def test_parametrix_rejects_x_dependent_principal_layer():
     with pytest.raises(ValueError, match="principal layer depends on x"):
         complex_power(ell, -0.5, CONT, N=3, compose_N=2)
     with pytest.raises(ValueError, match="principal layer depends on x"):
-        parametrix_layers_batch(ell, [-1.0], 3, N=3, n_beta=0, cutoff=DEFAULT_CUTOFF)
+        resolvent_parametrix(ell, -1.0, N=3).raw(3, 0)
+
+
+def test_contour_ellipticity_check_covers_every_node():
+    # odd n_quad puts phi = 0 on the circle, so lambda = rho = 1 is a node; it
+    # touches xi^2 at xi = +-1, while the spectrum of -d^2 + 2 stays above rho.
+    # The power is refused when it is built, before any value is asked for
+    ell = EllipticSymbol(J, [(0, Symbol.xi_poly(J, [0.0, 0.0, 1.0])),
+                             (2, Symbol.constant(J, 2.0))])
+    cont = ContourSpec(rho=1.0, R=math.exp(80.0), n_quad=63)
+    assert 1.0 in cont.nodes(-0.5)[0]
+    with pytest.raises(EllipticityError):
+        complex_power(ell, -0.5, cont, N=3, compose_N=2)
 
 
 def test_power_contour_guard():

@@ -217,9 +217,10 @@ def test_every_public_name_has_a_caller():
 
 # -- options ---------------------------------------------------------------------
 
-# Defaulted parameters that no call in src/ or perfbench/ sets, kept because a
-# test varies them as a reference or an input check, or because they are the
-# entry point's own.
+# Defaulted parameters that no call in src/ or perfbench/ sets to another value
+# than the default, kept because a test varies them as a reference or an input
+# check, because they are the entry point's own, or because the benchmark
+# passes them.
 OPTION_OK = {
     "cli.main.argv": "the entry point's argument list; None reads sys.argv",
     "craig_wayne.tilde_C.a_max": "test_tilde_C_stable checks that a longer "
@@ -231,14 +232,14 @@ OPTION_OK = {
     "kam.melnikov_step_test.Nval": "tests scan at a chosen mode radius; the "
                                    "array scan (about 0.2 ms on the J=12, L=4 "
                                    "toy state) waits for its wiring into kam_iterate",
+    "magnus.magnus_transform.with_symbols": "perfbench passes it; goes with "
+                                            "direction 1b",
     "melnikov.omega_infty_test.n_max_cap": "tests cap the block range to compare "
                                            "the pruned scan with a brute-force one",
     "melnikov.omega_infty_test.collect_census": "tests compare the full offender "
                                                 "census with a brute-force scan",
     "psdo.Cutoff.sharpness": "tests check that every admissible cutoff gives the "
                              "same calculus",
-    "psdo.complex_power.cutoff": "test_power_insensitive_to_admissible_cutoff "
-                                 "compares two admissible cutoffs",
     "psdo.entry_decay_exponent.j_lo": "tests fit the decay on a chosen mode window",
     "psdo.entry_decay_exponent.j_hi": "tests fit the decay on a chosen mode window",
     "schrodinger.eigensolve_blocks.require_positive": "tests solve spectra that "
@@ -252,7 +253,8 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 
 def _defaulted(node, bound: bool) -> list:
-    """(name, positional index or None) of each defaulted parameter of a def.
+    """(name, positional index or None, default expression) of each defaulted
+    parameter of a def.
 
     A bound method's first parameter takes no positional index; a dataclass's
     parameters are its init fields, in order.
@@ -266,25 +268,40 @@ def _defaulted(node, bound: bool) -> list:
             if isinstance(v, ast.Call) and any(k.arg == "init" for k in v.keywords):
                 continue                  # field(init=False) is not a parameter
             if v is not None:
-                out.append((st.target.id, i))
+                out.append((st.target.id, i, v))
             i += 1
         return out
     a = node.args
     pos = a.posonlyargs + a.args
     shift = 1 if bound else 0
-    out = [(p.arg, i - shift) for i, p in enumerate(pos) if i >= len(pos) - len(a.defaults)]
-    return out + [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+    first = len(pos) - len(a.defaults)
+    out = [(p.arg, i - shift, a.defaults[i - first])
+           for i, p in enumerate(pos) if i >= first]
+    return out + [(p.arg, None, d) for p, d in zip(a.kwonlyargs, a.kw_defaults)
                   if d is not None]
 
 
-def _sets(call: ast.Call, name: str, index) -> bool:
-    """Does the call pass the parameter (or may it, through * or ** arguments)?"""
-    if any(k.arg in (name, None) for k in call.keywords):
-        return True
+def _is_default(arg: ast.AST, default: ast.AST) -> bool:
+    """Is the argument a literal equal to the literal default?"""
+    try:
+        return ast.literal_eval(arg) == ast.literal_eval(default)
+    except (ValueError, TypeError):
+        return False
+
+
+def _sets(call: ast.Call, name: str, index, default) -> bool:
+    """Does the call pass the parameter a value other than a literal equal to its
+    default (or may it, through * or ** arguments)?"""
+    for k in call.keywords:
+        if k.arg is None:
+            return True
+        if k.arg == name:
+            return not _is_default(k.value, default)
     if index is None:
         return False
-    return (any(isinstance(x, ast.Starred) for x in call.args)
-            or len(call.args) > index)
+    if any(isinstance(x, ast.Starred) for x in call.args):
+        return True
+    return len(call.args) > index and not _is_default(call.args[index], default)
 
 
 def _overrides(call: ast.Call, name: str, index) -> bool:
@@ -340,7 +357,7 @@ def _unset_options() -> tuple:
                     callees[meth.name].append(entry)
                     callees[(stem, node.name, meth.name)].append(entry)
     options = {f"{prefix}.{name}": False for targets in callees.values()
-               for prefix, params, _ in targets for name, _ in params}
+               for prefix, params, _ in targets for name, *_ in params}
     # the options some call leaves at their default, and those called at all
     kept, called = set(), set()
 
@@ -369,9 +386,9 @@ def _unset_options() -> tuple:
         if isinstance(node, ast.Call):
             for prefix, params, callee in callees.get(key(scan, node.func, cls), []):
                 if callee not in enclosing:
-                    for name, index in params:
+                    for name, index, default in params:
                         option = f"{prefix}.{name}"
-                        options[option] |= _sets(node, name, index)
+                        options[option] |= _sets(node, name, index, default)
                         called.add(option)
                         if not _overrides(node, name, index):
                             kept.add(option)
@@ -390,9 +407,9 @@ def _unset_options() -> tuple:
 
 def test_every_option_is_set_by_a_caller():
     # every defaulted parameter of a public function, method or constructor of
-    # the package must be set by some call in the package or in perfbench/;
-    # tests do not count, and a default that every caller keeps belongs in
-    # the function body
+    # the package must be set by some call in the package or in perfbench/ to
+    # something other than a literal equal to its default; tests do not
+    # count, and a default that every caller keeps belongs in the function body
     unset, _, options = _unset_options()
     assert [o for o in unset if o not in OPTION_OK] == []
     # an exemption goes stale when its parameter is gone or has gained a caller
