@@ -64,6 +64,7 @@ def named_config(name: str) -> dict:
 
 
 def validate_config(cfg: dict) -> dict:
+    from .kam import tau_floor
     out = dict(DEFAULTS)
     out.update(cfg)
     if not (0.0 < out["alpha"] < 1.0):
@@ -71,7 +72,7 @@ def validate_config(cfg: dict) -> dict:
     nu = int(out["nu"])
     if not out["tau0"] > nu - 1:
         raise ConfigError(f"tau0 must exceed nu-1 = {nu - 1} for Omega_0 to have large measure")
-    need = nu - 1 + out["alpha"] + out["tau0"] / out["alpha"]
+    need = tau_floor(nu, out["alpha"], out["tau0"])
     if not out["tau"] > need:
         raise ConfigError(f"tau must exceed nu-1+alpha+tau0/alpha = {need:.3f}")
     if out["gamma0"] is None:

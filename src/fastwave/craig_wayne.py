@@ -1,12 +1,15 @@
 """Lyapunov-Schmidt localization of Schroedinger eigenfunctions.
 
-For the eigenvalue problem (-d_xx + q) f = lambda f with lambda near n^2, the
-space splits into span{e_{-n}, e_n} and its complement; the complement
-equation is solved by the Neumann series of T_n = A_lambda^{-1} Q_n V
-(divisors lambda - m^2, |m| != n), leaving an explicit 2x2 system S_n(lambda)
-whose two roots are the block eigenvalues.  The resulting eigenfunctions are
-localized near e_{+-n} with polynomial decay <|m|-n>^{-s}; `change_basis`
-moves block operators from the exponential to the eigenfunction basis.
+For (-d_xx + q) f = lambda f with lambda near n^2, the space splits into
+span{e_{-n}, e_n} and its complement Q_n.  One stacked Neumann series of
+T_n = A_lambda^{-1} Q_n V (divisors lambda - m^2, |m| != n) resolves e_{-n}
+and e_n, leaving the 2x2 system S_n(lambda) with entries a_n and c_n.  As in
+the Craig-Wayne reduction, the two block eigenvalues are the fixed points of
+lambda -> n^2 + a_n(lambda) +- |c_n(lambda)| on D_n, iterated from n^2; each
+eigenfunction, the last step's resolved pair combined with the 2x2
+eigenvector, is localized near e_{+-n} with decay <|m|-n>^{-s}.
+`change_basis` moves block operators from the exponential to the
+eigenfunction basis.
 
 The constant tilde_C(s) driving the admissibility threshold
 ||q||_s <= n / (2 tilde_C_s) is evaluated numerically from its defining sum
@@ -29,6 +32,15 @@ from .schrodinger import SpectralData
 
 class AdmissibilityError(RuntimeError):
     pass
+
+
+# the Neumann series ends once every increment's l2 norm is below NEUMANN_TOL
+NEUMANN_TOL = 1e-13
+# the fixed point is reached at a relative step below LS_RTOL, some 50 ulps of
+# lambda ~ n^2; the map's slope is of order ||q||^2/n^2 on the admissible
+# blocks, so LS_MAX_STEPS only stops a map that does not contract
+LS_RTOL = 1e-14
+LS_MAX_STEPS = 60
 
 
 def shifted_norm(u, s: float, j: int) -> float:
@@ -91,150 +103,123 @@ class LsContext:
         """The paper-style admissibility inequality ||q||_s <= n/(2 tilde_C_s)."""
         return self.q_norm <= self.n / (2.0 * self.C_tilde)
 
-    def with_lam(self, lam: float) -> "LsContext":
-        return LsContext(self.n, self.s, self.q, lam)
-
 
 def _Tn(w: np.ndarray, ctx: LsContext) -> np.ndarray:
-    """(lam - m^2)^{-1} (q w)(m) for |m| != n, zero at +-n; w may have +-n modes."""
+    """(lam - m^2)^{-1} (q w)(m) for |m| != n, zero at +-n; w may have +-n modes
+    and may stack vectors along leading axes."""
     qw = xconv(ctx.q, w)
     ms = np.arange(-ctx.J, ctx.J + 1)
     div = ctx.lam - ms.astype(float) ** 2
     out = np.zeros_like(qw)
     keep = np.abs(ms) != ctx.n
-    out[keep] = qw[keep] / div[keep]
+    out[..., keep] = qw[..., keep] / div[keep]
     return out
 
 
 def apply_Tn(w, ctx: LsContext) -> np.ndarray:
     """(T_n w)(m) = (lam - m^2)^{-1} (q w)(m) for |m| != n, zero at +-n."""
     wc = np.asarray(w, dtype=complex)
-    if abs(wc[ctx.J + ctx.n]) > 1e-13 or abs(wc[ctx.J - ctx.n]) > 1e-13:
+    if np.max(np.abs(wc[..., [ctx.J - ctx.n, ctx.J + ctx.n]])) > 1e-13:
         raise ValueError("input must lie in the complement Q_n (w_hat(+-n) = 0)")
     return _Tn(wc, ctx)
 
 
-def solve_q_equation(u, ctx: LsContext, tol: float = 1e-13):
-    """v = sum_{k>=1} T_n^k u, truncated at increment < tol (at most 200 terms).
+def solve_q_equation(u, ctx: LsContext):
+    """v = sum_{k>=1} T_n^k u, truncated once every increment is below NEUMANN_TOL
+    (at most 200 terms).  u may stack vectors along leading axes; the series
+    runs on all of them at once, and each is checked on its own.
 
-    Returns (v, info) with the residual of (Id - T_n) v = T_n u checked to
-    10*tol, and whether the paper's admissibility inequality holds.
+    Returns (v, info): info holds the worst residual of (Id - T_n) v = T_n u,
+    checked to 10 * NEUMANN_TOL per vector, and whether the paper's
+    admissibility inequality holds.
     """
+    u = np.asarray(u, dtype=complex)
     # first term: T_n applied to u, the +-n modes allowed in the input
-    first = _Tn(np.asarray(u, dtype=complex), ctx)
+    first = _Tn(u.reshape(-1, u.shape[-1]), ctx)
 
     v = np.array(first)
     term = first
-    prev = np.linalg.norm(term)
-    for k in range(2, 201):
+    prev = np.linalg.norm(term, axis=-1)
+    for _ in range(199):
         term = apply_Tn(term, ctx)
-        inc = np.linalg.norm(term)
-        if prev > 0 and inc / prev >= 1.0:
-            raise AdmissibilityError(
-                f"Neumann series not contracting at n={ctx.n} (ratio {inc/prev:.3f})")
+        inc = np.linalg.norm(term, axis=-1)
+        grows = (prev > 0) & (inc >= prev)
+        if np.any(grows):
+            raise AdmissibilityError(f"Neumann series not contracting at n={ctx.n} "
+                                     f"(ratio {np.max(inc[grows] / prev[grows]):.3f})")
         v += term
-        if inc < tol:
+        if np.all(inc < NEUMANN_TOL):
             break
         prev = inc
     # residual check: (Id - T_n) v - T_n u = 0
-    residual = v - apply_Tn(v, ctx) - first
-    res = float(np.linalg.norm(residual))
-    if res > 10 * tol * max(1.0, np.linalg.norm(v)):
-        raise AdmissibilityError(f"Neumann residual {res:.2e} exceeds 10*tol")
-    return v, {"residual": res, "certified": ctx.certified}
+    res = np.linalg.norm(v - apply_Tn(v, ctx) - first, axis=-1)
+    if np.any(res > 10 * NEUMANN_TOL * np.maximum(1.0, np.linalg.norm(v, axis=-1))):
+        raise AdmissibilityError(
+            f"Neumann residual {np.max(res):.2e} exceeds 10*NEUMANN_TOL")
+    return v.reshape(u.shape), {"residual": float(np.max(res)), "certified": ctx.certified}
 
 
 def assemble_Sn(ctx: LsContext):
     """The 2x2 system S_n(lambda) with entries from a_{+-n}, c_{+-n}.
 
-    a_n = (V (Id-T_n)^{-1} e_n, e_n),  c_n = (V (Id-T_n)^{-1} e_{-n}, e_n).
-    Returns (S, a_n, c_n) and asserts the symmetries a_n = a_{-n},
+    e_{-n} and e_n are resolved as one stack R = (Id-T_n)^{-1} (e_{-n}, e_n), and
+    a_n = (V R[1], e_n),  c_n = (V R[0], e_n).
+    Returns (S, a_n, c_n, R) and asserts the symmetries a_n = a_{-n},
     c_{-n} = conj(c_n).
     """
     J, n = ctx.J, ctx.n
     lam = ctx.lam
-
-    def resolve(sign):
-        e = np.zeros(2 * J + 1, dtype=complex)
-        e[J + sign * n] = 1.0
-        v, _ = solve_q_equation(e, ctx)
-        return e + v
-
-    rp, rm = resolve(+1), resolve(-1)
-    qrp, qrm = xconv(ctx.q, rp), xconv(ctx.q, rm)
-    a_n = qrp[J + n]
-    a_mn = qrm[J - n]
-    c_n = qrm[J + n]
-    c_mn = qrp[J - n]
+    E = np.zeros((2, 2 * J + 1), dtype=complex)
+    E[0, J - n] = E[1, J + n] = 1.0
+    v, _ = solve_q_equation(E, ctx)
+    R = E + v
+    qR = xconv(ctx.q, R)
+    a_mn, c_n = qR[0, J - n], qR[0, J + n]
+    c_mn, a_n = qR[1, J - n], qR[1, J + n]
     scale = max(1.0, abs(a_n))
     if abs(a_n - a_mn) > 1e-10 * scale or abs(c_mn - np.conj(c_n)) > 1e-10 * scale:
         raise AdmissibilityError("S_n symmetry identities violated")
     S = np.array([[lam - n ** 2 - a_mn, -c_mn],
                   [-c_n, lam - n ** 2 - a_n]], dtype=complex)
-    return S, complex(a_n), complex(c_n)
+    return S, complex(a_n), complex(c_n), R
 
 
 def ls_block_eigenpairs(n: int, q, s: float):
     """Both roots of det S_n(lambda) in the disc D_n, with eigenfunctions.
 
-    Returns a list [(lam, f)] sorted ascending; each f has unit projection
-    onto span{e_{-n}, e_n}.  At most 60 Newton steps from lam = n^2 + a_n(n^2)
-    solve to relative tolerance 1e-12, with bisection fallback; roots
-    escaping D_n raise with diagnostics.
+    Each root is the fixed point of lambda -> n^2 + a_n(lambda) +- |c_n(lambda)|,
+    iterated from lambda = n^2, whose evaluation both roots share, until the
+    relative step is below LS_RTOL.  No fixed point after LS_MAX_STEPS steps,
+    an iterate outside U_n, or a root escaping D_n raises AdmissibilityError.
+    Each eigenfunction is the last step's resolved pair R combined with the
+    unit eigenvector (conj(c_n), +-|c_n|) / (sqrt(2) |c_n|) of the 2x2 system,
+    so its projection onto span{e_{-n}, e_n} is a unit vector.  Returns
+    [(lam, f)] sorted ascending.
     """
-    tol = 1e-12
-    qc = np.asarray(q, dtype=complex)
-    ctx0 = LsContext(n, s, qc, float(n ** 2))
+    ctx0 = LsContext(n, s, np.asarray(q, dtype=complex), float(n ** 2))
     radius = (2.0 * ctx0.C_tilde / 3.0) * ctx0.q_norm
-
-    def entries(lam):
-        _, a, c = assemble_Sn(ctx0.with_lam(lam))
-        return float(np.real(a)), c
-
+    first = assemble_Sn(ctx0)
     out = []
-    a0, c0 = entries(float(n ** 2))
     for sign in (+1.0, -1.0):
-        def h(lam):
-            a, c = entries(lam)
-            return lam - n ** 2 - a - sign * abs(c)
-
-        lam = n ** 2 + a0 + sign * abs(c0)
-        converged = False
-        for _ in range(60):
-            val = h(lam)
-            if abs(val) < tol * max(1.0, abs(lam)):
-                converged = True
+        lam, (_, a, c, R) = ctx0.lam, first
+        for _ in range(LS_MAX_STEPS):
+            image = n ** 2 + a.real + sign * abs(c)
+            step, lam = image - lam, image
+            if abs(step) < LS_RTOL * lam:
                 break
-            dh = (h(lam + 1e-6) - h(lam - 1e-6)) / 2e-6
-            if abs(dh) < 0.1:
-                break
-            lam = lam - val / dh
-        if not converged:
-            lo, hi = n ** 2 - n / 2 + 1e-9, n ** 2 + n / 2 - 1e-9
-            if h(lo) * h(hi) > 0:
-                raise AdmissibilityError(f"no sign change for root {sign} at n={n}")
-            for _ in range(200):
-                lam = 0.5 * (lo + hi)
-                if h(lo) * h(lam) <= 0:
-                    hi = lam
-                else:
-                    lo = lam
-                if hi - lo < tol:
-                    break
+            _, a, c, R = assemble_Sn(LsContext(n, s, ctx0.q, lam))
+        else:
+            raise AdmissibilityError(
+                f"no fixed point for root {sign:+.0f} at n={n} in {LS_MAX_STEPS} steps")
         if abs(lam - n ** 2) > radius + 1e-9 and ctx0.certified:
             raise AdmissibilityError(
                 f"root {lam:.6f} escaped D_n (radius {radius:.3f}); "
                 "the computed tilde_C_s underestimates the constant")
-        a, c = entries(lam)
         if abs(c) > 1e-14:
             u_pm = np.array([np.conj(c), sign * abs(c)]) / (np.sqrt(2.0) * abs(c))
         else:
             u_pm = np.array([0.0, 1.0]) if sign > 0 else np.array([1.0, 0.0])
-        J = ctx0.J
-        u_vec = np.zeros(2 * J + 1, dtype=complex)
-        u_vec[J - n], u_vec[J + n] = u_pm[0], u_pm[1]
-        v, _ = solve_q_equation(u_vec, ctx0.with_lam(lam), tol=1e-14)
-        out.append((float(lam), u_vec + v))
+        out.append((float(lam), u_pm @ R))
     out.sort(key=lambda t: t[0])
     return out
 

@@ -62,6 +62,11 @@ class SmallnessError(RuntimeError):
     pass
 
 
+def tau_floor(nu: int, alpha: float, tau0: float) -> float:
+    """nu - 1 + alpha + tau0/alpha, which the exponent tau must exceed."""
+    return nu - 1 + alpha + tau0 / alpha
+
+
 @dataclass
 class KamParameters:
     """Schedule and size constants of the iteration."""
@@ -99,7 +104,7 @@ class KamParameters:
         return float(self.N0) ** (1.5 ** p)
 
     def tau_constraint_ok(self, nu: int) -> bool:
-        return self.tau > nu - 1 + self.alpha + self.tau0 / self.alpha
+        return self.tau > tau_floor(nu, self.alpha, self.tau0)
 
 
 @dataclass

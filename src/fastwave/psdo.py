@@ -51,6 +51,12 @@ class EllipticityError(RuntimeError):
     pass
 
 
+# the least distance |a_m(xi) - lambda| at which the resolvent r = 1/(a_m(xi) -
+# lambda) is formed; closer, within some 45 ulps of a_m(xi) = 1, r is round-off,
+# so both the node sum and the moments refuse such a lambda
+NODE_GAP_MIN = 1e-14
+
+
 # -- smooth cutoff -----------------------------------------------------------
 
 
@@ -426,7 +432,7 @@ def _cutoff_moments(a: EllipticSymbol, lam: np.ndarray, xi: float, K: int,
     (|lam|^(2/m) with m = 2); a d_xi^g chi that vanishes at every lam is the
     structural zero."""
     u = _principal(a, xi, 0) - lam
-    if np.min(np.abs(u)) < 1e-14:
+    if np.min(np.abs(u)) < NODE_GAP_MIN:
         raise EllipticityError("principal symbol hits lambda on the grid")
     rk = np.ones(lam.shape + (K,), dtype=complex)
     for k in range(1, K):
@@ -473,11 +479,12 @@ def _node_sum(a: EllipticSymbol, lam_nodes, w_nodes, N: int) -> Symbol:
     """sum_i w_i sum_{n<N} chi b_n(lam_i): the layers summed over n on their
     r-coefficients, contracted with the node moments sum_i w_i d_xi^g chi(t_i) r_i^k.
 
-    No node may touch the principal symbol a_m(xi) at an integer |xi| <= J.
+    No node may lie within NODE_GAP_MIN of the principal symbol a_m(xi) at an
+    integer |xi| <= J.
     """
     lam_nodes = np.asarray(lam_nodes, dtype=complex)
     a_m = np.array([_principal(a, xi, 0) for xi in range(-a.J, a.J + 1)])
-    if np.min(np.abs(a_m[:, None] - lam_nodes)) == 0.0:
+    if np.min(np.abs(a_m[:, None] - lam_nodes)) < NODE_GAP_MIN:
         raise EllipticityError("a node touches the principal symbol range")
 
     # d_xi^beta needs the layers only to that order, so each (xi, beta) that is

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fastwave import craig_wayne
 from fastwave.craig_wayne import (
     AdmissibilityError, LsContext, apply_Tn, assemble_Sn, build_basis_matrix,
     change_basis, eigen_residual, ls_block_eigenpairs, shifted_norm, solve_q_equation,
@@ -159,8 +160,9 @@ def test_solve_q_equation_dense_oracle():
     lam = float(n ** 2 + 0.2)
     ctx = LsContext(n, s, q, lam)
     rng = np.random.default_rng(4)
-    u = rng.standard_normal(2 * J + 1) + 1j * rng.standard_normal(2 * J + 1)
-    v, _ = solve_q_equation(u, ctx)
+    u = rng.standard_normal((2, 2 * J + 1)) + 1j * rng.standard_normal((2, 2 * J + 1))
+    v, _ = solve_q_equation(u[0], ctx)
+    stacked, _ = solve_q_equation(u, ctx)
     # dense: build T_n matrix columnwise
     D = 2 * J + 1
     T = np.zeros((D, D), dtype=complex)
@@ -176,9 +178,11 @@ def test_solve_q_equation_dense_oracle():
         keep = np.abs(ms) != n
         col[keep] = qe[keep] / (lam - ms[keep].astype(float) ** 2)
         T[:, k] = col
-    rhs = T @ u
-    v_dense = np.linalg.solve(np.eye(D) - T, rhs)
-    assert np.max(np.abs(v - v_dense)) < 1e-10
+    v_dense = np.linalg.solve(np.eye(D) - T, T @ u.T).T
+    assert np.max(np.abs(v - v_dense[0])) < 1e-10
+    # a (2, 2J+1) stack is resolved row by row
+    assert stacked.shape == u.shape
+    assert np.max(np.abs(stacked - v_dense)) < 1e-10
 
 
 def test_solve_q_equation_divergence_guard():
@@ -196,7 +200,7 @@ def test_assemble_Sn_constant_potential():
     J, n = 16, 5
     c = 0.7
     ctx = LsContext(n, 4.0, xcoeffs(J, {0: c}), float(n ** 2))
-    S, a_n, c_n = assemble_Sn(ctx)
+    S, a_n, c_n, _ = assemble_Sn(ctx)
     assert a_n == pytest.approx(c)
     assert abs(c_n) < 1e-14
 
@@ -206,7 +210,7 @@ def test_assemble_Sn_resonant_mode():
     J, n = 36, 6
     q = xcoeffs(J, {2 * n: 1.0, -2 * n: 1.0})
     ctx = LsContext(n, 4.0, q, float(n ** 2))
-    S, a_n, c_n = assemble_Sn(ctx)
+    S, a_n, c_n, _ = assemble_Sn(ctx)
     assert abs(c_n - 1.0) < 2.0 / n
 
 
@@ -218,7 +222,7 @@ def test_assemble_Sn_symmetries_random_q():
     q = np.zeros(2 * J + 1, dtype=complex)
     q[J - 3:J + 4] = raw
     ctx = LsContext(n, 4.0, q, float(n ** 2 + 0.1))
-    S, a_n, c_n = assemble_Sn(ctx)   # symmetry asserted inside to 1e-10
+    S, a_n, c_n, _ = assemble_Sn(ctx)   # symmetry asserted inside to 1e-10
     assert abs(np.imag(a_n)) < 1e-12
 
 
@@ -237,14 +241,24 @@ def test_ls_constant_potential_exact():
 
 
 def test_ls_matches_dense_eigensolver():
-    J, n = 32, 8
-    q = cosx(J, amp=2.0)
-    pairs = ls_block_eigenpairs(n, q, 4.0)
-    sd = eigensolve_blocks(assemble_lq(q, J), q=q, require_positive=False)
-    dense = sorted([sd.value(-n), sd.value(n)])
-    for (lam, f), ref in zip(pairs, dense):
-        assert abs(lam - ref) < 1e-8
-        assert eigen_residual(lam, f, q) < 1e-8
+    # the second case is the demo scale of the craigwayne stage's first
+    # admissible block (n_min = 55 for cos x at s = 4)
+    for J, n, amp, tol in ((32, 8, 2.0, 1e-8), (110, 55, 1.0, 1e-10)):
+        q = cosx(J, amp=amp)
+        pairs = ls_block_eigenpairs(n, q, 4.0)
+        sd = eigensolve_blocks(assemble_lq(q, J), q=q, require_positive=False)
+        dense = sorted([sd.value(-n), sd.value(n)])
+        for (lam, f), ref in zip(pairs, dense):
+            assert abs(lam - ref) <= tol
+            assert eigen_residual(lam, f, q) <= tol
+
+
+def test_ls_without_fixed_point_raises(monkeypatch):
+    # the J=32, n=8 block of 2 cos x needs several steps (the map's slope is
+    # 8e-3), so one step leaves the iteration short of its fixed point
+    monkeypatch.setattr(craig_wayne, "LS_MAX_STEPS", 1)
+    with pytest.raises(AdmissibilityError, match="no fixed point"):
+        ls_block_eigenpairs(8, cosx(32, amp=2.0), 4.0)
 
 
 def test_ls_residuals_across_n():

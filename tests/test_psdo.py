@@ -395,15 +395,17 @@ def test_parametrix_rejects_x_dependent_principal_layer():
 
 
 def test_contour_ellipticity_check_covers_every_node():
-    # odd n_quad puts phi = 0 on the circle, so lambda = rho = 1 is a node; it
-    # touches xi^2 at xi = +-1, while the spectrum of -d^2 + 2 stays above rho.
-    # The power is refused when it is built, before any value is asked for
+    # odd n_quad puts phi = 0 on the circle, so lambda = rho is a node; at
+    # rho = 1 it touches xi^2 at xi = +-1, and at rho = 1 + 2^-52 it lies within
+    # round-off of it, while the spectrum of -d^2 + 2 stays above rho.  The
+    # power is refused when it is built, before any value is asked for
     ell = EllipticSymbol(J, [(0, Symbol.xi_poly(J, [0.0, 0.0, 1.0])),
                              (2, Symbol.constant(J, 2.0))])
-    cont = ContourSpec(rho=1.0, R=math.exp(80.0), n_quad=63)
-    assert 1.0 in cont.nodes(-0.5)[0]
-    with pytest.raises(EllipticityError):
-        complex_power(ell, -0.5, cont, N=3, compose_N=2)
+    for rho, R, n_quad in ((1.0, math.exp(80.0), 63), (1.0 + 2.0 ** -52, 1e3, 21)):
+        cont = ContourSpec(rho=rho, R=R, n_quad=n_quad)
+        assert rho in cont.nodes(-0.5)[0]
+        with pytest.raises(EllipticityError):
+            complex_power(ell, -0.5, cont, N=3, compose_N=2)
 
 
 def test_power_contour_guard():
