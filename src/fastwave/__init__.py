@@ -2,7 +2,7 @@
 
 import importlib
 
-from .opmatrix import set_blas_threads
+from .opmatrix import keep_freed_pages, set_blas_threads
 
 __version__ = "0.1.0"
 
@@ -11,3 +11,7 @@ __version__ = "0.1.0"
 # copy on import: load it first, so that the pin reaches it too.
 importlib.import_module("scipy.linalg")
 set_blas_threads(1)
+# freed grids keep their heap pages for the next product (otherwise an `ad`
+# in a measure worker's KAM step takes about 90 minor page faults); forked
+# workers inherit this too
+keep_freed_pages()

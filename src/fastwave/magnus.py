@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonics import TorusFunction, toeplitz
-from .opmatrix import BlockOperator
+from .opmatrix import BlockOperator, _from_phi_grid, _phi_grid
 from .psdo import DEFAULT_CUTOFF
 from .schrodinger import SpectralData, spectral_power
 
@@ -126,11 +126,12 @@ def magnus_transform(q_xcoeffs, v: TorusFunction, omega, M: float,
     Vmult = multiplication_operator(v)
     W = BlockOperator(lat, 0.5 * (Bmh @ Vmult.mats @ Bmh))
     Ym = apply_divisors(W, omega, M, gamma0, tau0)
-    Bop = BlockOperator.time_independent(lat, B)
-    YB = Ym @ Bop
-    BY = Bop @ Ym
-    YBY = YB @ Ym
-    V = np.stack([1j * (YB - BY).mats, -1j * (YB + BY).mats]) + 2.0 * YBY.mats
+    # the products on the phi-grid, each grid built once: Y's and B's give YB
+    # and BY, YB's and Y's give YBY
+    G = _phi_grid(lat, np.stack((Ym.mats, BlockOperator.time_independent(lat, B).mats)))
+    YB, BY = _from_phi_grid(lat, np.matmul(G, G[::-1]), Ym.K).mats
+    YBY = _from_phi_grid(lat, _phi_grid(lat, YB) @ G[0], Ym.K).mats
+    V = np.stack([1j * (YB - BY), -1j * (YB + BY)]) + 2.0 * YBY
     return MagnusOutput(Y_mat=Ym, V=BlockOperator(lat, V, Ym.K), B_mat=B, W_mat=W,
                         omega=np.atleast_1d(np.asarray(omega, float)),
                         M=M)

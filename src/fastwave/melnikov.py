@@ -16,8 +16,17 @@ one per CPU of the affinity mask (`os.sched_getaffinity(0)`).  The fork start
 method lets the per-omega pipeline be a closure and limits the pool to Linux.
 Each worker classifies its samples' indeterminate errors itself; the parent
 folds the outcomes in sample order, so the counts are identical to a serial
-run.  Within a sample, `omega_infty_test` checks all k-lines of one (l, sign)
-in one array pass.
+run.
+
+Within a sample, `omega_infty_test` lays out every k-line n -+ n' = k of
+every (l, sign) and checks the triples near the truncation (n or n' <= J) of
+all of them in one array pass.  Beyond the truncation the gaps of a line
+|omega.l + lambda_n +- lambda_n'| need no scan: lambda_n = sqrt(n^2 + q_bar)
+makes lambda_n - lambda_{n-k} monotone and lambda_n + lambda_{k-n} convex or
+concave, so the line's gaps at its end points, and at n = k/2 on a plus line,
+bound all of them.  Only a line whose bound comes within round-off of its
+threshold is scanned triple by triple.  Counts and offenders are those of a
+triple-by-triple scan.
 """
 
 from __future__ import annotations
@@ -28,7 +37,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .craig_wayne import build_basis_matrix
 from .kam import SmallnessError, balanced_threshold, init_state, kam_iterate
@@ -101,23 +109,22 @@ class EigenTable:
 
     def __post_init__(self):
         self.J = (len(self.mu) - 1) // 2
-        # (J+1, 2) eigenvalue pairs of the explicit blocks, [0]'s value twice
-        self._inner = np.stack([self.mu[self.J::-1], self.mu[self.J:]], axis=1)
+        # (2, J+1) eigenvalues of the explicit blocks at the indices -n and n,
+        # [0]'s value twice
+        self._inner = np.stack([self.mu[self.J::-1], self.mu[self.J:]])
 
     def pairs(self, ns) -> np.ndarray:
-        """(len(ns), 2) eigenvalues of the blocks ns (nonnegative ints)."""
+        """(2, ...) eigenvalues of the blocks ns (an array of nonnegative ints):
+        the values at the indices -n and n on the leading axis."""
         ns = np.asarray(ns, dtype=int)
-        out = np.empty((len(ns), 2))
-        inner = ns <= self.J
-        out[inner] = self._inner[ns[inner]]
-        far = ns[~inner]
-        out[~inner] = np.sqrt(far * far + self.q_bar)[:, None]
-        return out
+        far = np.maximum(ns, self.J + 1)      # lambda_n only where n > J is read
+        return np.where(ns <= self.J, np.take(self._inner, np.minimum(ns, self.J), axis=1),
+                        np.sqrt(far * far + self.q_bar))
 
     def max_correction(self, n_max: int) -> float:
         """sup over n of |mu_n - n| (enters the reachable-window slack)."""
         m = min(self.J, n_max)
-        worst = float(np.max(np.abs(self._inner[:m + 1] - np.arange(m + 1)[:, None])))
+        worst = float(np.max(np.abs(self._inner[:, :m + 1] - np.arange(m + 1))))
         if n_max > self.J:
             lam = math.sqrt((self.J + 1.0) ** 2 + abs(self.q_bar))
             worst = max(worst, abs(lam - (self.J + 1.0)))
@@ -151,82 +158,98 @@ def omega_infty_test(omega, table: EigenTable, params, M: float, L_check: int,
     (l, n, n') with |l| <= L_check and n, n' inside the reachable window
     |n +- n'| within slack of |omega.l| (everything else is empty by the
     pruning lemmas; the census records the classification counts).  The
-    k-lines n -+ n' = k of one (l, sign) are checked in one array pass
-    (`_scan_lines`); lines go in (l, sign, k) order, one offender is recorded
-    per failing line, and without `collect_census` the scan stops at the
+    k-lines n -+ n' = k of every (l, sign) are checked together by
+    `_scan_lines`: the triples near the truncation in one array pass, the
+    asymptotic ones through a bound at their end points, so that only a line
+    whose bound comes within round-off of its threshold is scanned.  Lines
+    go in (l, sign +1 then -1, k) order, one offender is recorded per
+    failing line, and without `collect_census` the census stops at the
     first failing line.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    nu = len(omega)
+    J = table.J
+    ells = np.concatenate([np.zeros((1, len(omega)), dtype=int),
+                           nonzero_ell_box(len(omega), L_check)])
+    ln = np.linalg.norm(ells, axis=1)       # exact: square roots of integer sums
+    dot = np.array([float(row @ omega) for row in ells])
+    n_cap = (np.full(len(ells), n_max_cap) if n_max_cap is not None
+             else (2.2 * M * np.maximum(1.0, ln) + 4 * J).astype(int))
+    # the (l, sign) groups of lines, sign +1 then -1 on the last axis: the
+    # reachable combos k = n (+-) n', those with |omega.l + k +- corrections|
+    # small; mu_n + mu_n' >= 0, so a plus line needs -omega.l ~ positive
+    slack = 2.0 * table.max_correction(10 * J) + 2.0
+    t = -dot[:, None]
+    k_lo = np.maximum([0, -10 * J], np.floor(t - slack)).astype(int)
+    size = np.maximum(0, np.ceil(t + slack).astype(int) - k_lo + 1)
+    size[:, 0] *= t[:, 0] >= -slack
+    # one entry per line, in (l, sign, k) order; k counts up from k_lo in a group
+    size, k_lo = size.ravel(), k_lo.ravel()
+    group = np.repeat(np.arange(len(size)), size)
+    row, sign = group // 2, 1 - 2 * (group % 2)
+    ks = k_lo[group] + np.arange(len(group)) - (np.cumsum(size) - size)[group]
+    thr = np.concatenate([balanced_threshold(params.gamma, params.tau, params.alpha, M,
+                                             float(ln[i]), np.abs(ks[row == i]))
+                          for i in np.unique(row)])
+    checked, found = _scan_lines(table, dot[row], sign, ks, n_cap[row], thr,
+                                 (ln[row] == 0.0) & (sign < 0), collect_census)
+    if found and not collect_census:
+        line = min(found)
+        checked, found = checked[:line + 1], {line: found[line]}
     # pruned_unreachable stays 0: _measure_sample forwards it and perfbench's reference pins it
-    census = {"explicit": 0, "pruned_unreachable": 0, "offenders": []}
-
-    ells = [np.zeros(nu, dtype=int)] + list(nonzero_ell_box(nu, L_check))
-    ok = True
-    slack = 2.0 * table.max_correction(10 * table.J) + 2.0
-    for row in ells:
-        ln = float(np.linalg.norm(row))
-        dot = float(row @ omega)
-        n_cap = n_max_cap if n_max_cap is not None else int(
-            2.2 * M * max(1.0, ln) + 4 * table.J)
-        for sign in (+1, -1):
-            # reachable combos k = n (+-) n': |dot + k +- corrections| small
-            t = -dot
-            if sign > 0 and t < -slack:
-                continue                      # mu_n + mu_n' >= 0: t must be ~ positive
-            k_lo = max(0 if sign > 0 else -10 * table.J, int(math.floor(t - slack)))
-            k_hi = int(math.ceil(t + slack))
-            if k_hi < k_lo:
-                continue
-            ks = np.arange(k_lo, k_hi + 1)
-            thr = balanced_threshold(params.gamma, params.tau, params.alpha, M, ln,
-                                     np.abs(ks))
-            checked, offenders = _scan_lines(table, dot, sign, ks, n_cap, thr,
-                                             ln == 0.0 and sign < 0)
-            ell = tuple(int(c) for c in row)
-            if offenders and not collect_census:
-                line, rec = offenders[0]
-                census["explicit"] += int(checked[:line + 1].sum())
-                census["offenders"].append({"ell": ell, "sign": sign, **rec})
-                return False, census
-            census["explicit"] += int(checked.sum())
-            census["offenders"] += [{"ell": ell, "sign": sign, **rec}
-                                    for _, rec in offenders]
-            ok = ok and not offenders
-    return ok, census
+    return not found, {
+        "explicit": int(checked.sum()), "pruned_unreachable": 0,
+        "offenders": [{"ell": tuple(int(c) for c in ells[row[i]]), "sign": int(sign[i]),
+                       **found[i]} for i in sorted(found)]}
 
 
-def _scan_lines(table, dot, sign, ks, n_cap, thr, no_diagonal):
-    """Check the k-lines n - n' = k (sign -1) or n + n' = k (sign +1) of one l.
+# round-off margin of the far bound, in eps of S = |omega.l| + 2 lambda_{n_cap}:
+# a far gap (omega.l + lambda_n) +- lambda_n' is computed to within 2 eps S (two
+# sums, each rounded by eps/2 of S, and two square roots of rounded arguments,
+# each off by 3/4 eps of its value); the bound's points and a scanned gap may
+# err to opposite sides, 4 eps S, and 16 leaves a factor 4 to spare
+FAR_BOUND_ULPS = 16
 
-    Line k holds the (n, n') with n, n' in [0, n_cap], less the excluded
-    diagonal n = n' when `no_diagonal`; thr[i] is the threshold of line ks[i].
-    Its window triples (n or n' <= J: explicit 2x2 eigenvalues) count up to
-    and including the first offender in ascending n; if none offends, its
-    asymptotic triples (both > J: lambda = sqrt(n^2 + q_bar)) all count.
-    Returns (triples counted per line, [(line, first offender)] of the failing
-    lines in line order).
+
+def _scan_lines(table, dot, sign, ks, n_cap, thr, no_diagonal, every_line):
+    """Check the k-lines n - n' = k (sign -1) or n + n' = k (sign +1).
+
+    Line i holds the (n, n') with n, n' in [0, n_cap[i]] and n -+ n' = ks[i],
+    less the excluded diagonal n = n' when no_diagonal[i]; its gaps are
+    |dot[i] + mu_n +- mu_n'| and thr[i] is its threshold.  Its window triples
+    (n or n' <= J: explicit 2x2 eigenvalues) count up to and including the
+    first offender in ascending n; if none offends, its asymptotic triples
+    (both > J: lambda = sqrt(n^2 + q_bar)) all count.  Returns (triples
+    counted per line, {line: first offender} of the failing lines); without
+    `every_line` the search stops at the first failing line.
+
+    The far bound (module docstring): n / lambda_n is monotone with the sign
+    of q_bar, so lambda_n - lambda_{n-k} is monotone in n, and
+    lambda_n + lambda_{k-n} is convex or concave and symmetric about n = k/2,
+    as the range of n on a plus line is.  A line whose gaps at those points
+    stay on one side of 0, beyond the threshold plus `FAR_BOUND_ULPS`, has no
+    offender there.
     """
     J = table.J
-    n_lo = np.maximum(0, ks) if sign < 0 else np.zeros_like(ks)
-    n_hi = np.minimum(n_cap, n_cap + ks) if sign < 0 else np.minimum(ks, n_cap)
-
-    def partner(ns, k):
-        return ns - k if sign < 0 else k - ns
+    minus = sign < 0
+    n_lo = np.where(minus, np.maximum(0, ks), 0)
+    n_hi = np.where(minus, np.minimum(n_cap, n_cap + ks), np.minimum(ks, n_cap))
 
     # window, ascending n along each line: n = 0..J, then the n > J whose
     # partner is n' = 0..J (n = k + n' on minus lines, k - n' on plus lines)
     low = np.arange(J + 1)
     ns = np.concatenate([np.broadcast_to(low, (len(ks), J + 1)),
-                         ks[:, None] + (low if sign < 0 else -low[::-1])], axis=1)
-    ms = partner(ns, ks[:, None])
-    valid = ((ns >= n_lo[:, None]) & (ns <= n_hi[:, None]) & (ms >= 0) & (ms <= n_cap))
+                         ks[:, None] + np.where(minus[:, None], low, -low[::-1])], axis=1)
+    ms = np.where(minus[:, None], ns - ks[:, None], ks[:, None] - ns)
+    valid = ((ns >= n_lo[:, None]) & (ns <= n_hi[:, None]) & (ms >= 0)
+             & (ms <= n_cap[:, None]))
     valid[:, J + 1:] &= ns[:, J + 1:] > J
-    if no_diagonal:
-        valid &= ns != ms
-    pn = table.pairs(np.maximum(ns, 0).ravel()).reshape(ns.shape + (2,))
-    pm = table.pairs(np.maximum(ms, 0).ravel()).reshape(ms.shape + (2,))
-    gaps = np.min(np.abs(dot + (pn[..., :, None] + sign * pm[..., None, :])), axis=(2, 3))
+    valid &= ~(no_diagonal[:, None] & (ns == ms))
+    mu = table.pairs(np.maximum(np.stack((ns, ms)), 0))
+    # the smallest of the four |dot + mu_n +- mu_n'| of each pair of blocks
+    gaps = np.full(ns.shape, np.inf)
+    for a in mu[:, 0]:
+        for b in mu[:, 1]:
+            np.minimum(gaps, np.abs(dot[:, None] + (a + sign[:, None] * b)), out=gaps)
     bad = valid & (gaps < thr[:, None])
     window_bad = bad.any(axis=1)
     first = bad.argmax(axis=1)
@@ -237,39 +260,57 @@ def _scan_lines(table, dot, sign, ks, n_cap, thr, no_diagonal):
                       "gap": float(gaps[i, first[i]]), "threshold": float(thr[i])}
              for i in np.flatnonzero(window_bad)}
 
-    # asymptotic region: n, n' > J, on the lines whose window passed.  The
-    # lines share one n axis n0..n1; lambda_n' along line k is a shifted
-    # (sign -1) or reversed (sign +1) window of one row of lambda values.
-    if sign < 0:
-        a_lo, a_hi = np.maximum(n_lo, J + 1 + np.maximum(0, ks)), n_hi
-    else:
-        a_lo, a_hi = np.maximum(J + 1, ks - n_cap), np.minimum(n_hi, ks - (J + 1))
+    # asymptotic region: n, n' > J, on the lines whose window passed
+    a_lo = np.where(minus, np.maximum(n_lo, J + 1 + np.maximum(0, ks)),
+                    np.maximum(J + 1, ks - n_cap))
+    a_hi = np.where(minus, n_hi, np.minimum(n_hi, ks - (J + 1)))
     a_hi = np.where(window_bad | (no_diagonal & (ks == 0)), -1, a_hi)
     counts = np.maximum(0, a_hi - a_lo + 1)
-    if counts.any():
-        live = counts > 0
-        n0, n1 = int(a_lo[live].min()), int(a_hi[live].max())
-        width = n1 - n0 + 1
-        m0 = partner(n0, ks)                  # n' at n = n0 on each line
-        # lam covers n0..n1 and every n' the lines reach
-        lo = min(n0, int(m0.min()) - (width - 1 if sign > 0 else 0))
-        hi = max(n1, int(m0.max()) + (width - 1 if sign < 0 else 0))
-        lam = np.sqrt(np.arange(lo, hi + 1, dtype=float) ** 2 + table.q_bar)
-        start = m0 - lo if sign < 0 else hi - m0      # falls by one per line
-        lam_in = sliding_window_view(lam if sign < 0 else lam[::-1],
-                                     width)[start[-1]:start[0] + 1][::-1]
-        # |(dot + lambda_n) + sign * lambda_n'| in this order keeps gaps bit-exact
-        row = dot + lam[n0 - lo:n1 - lo + 1]
-        gaps = row - lam_in if sign < 0 else row + lam_in
-        np.abs(gaps, out=gaps)
-        bad = gaps < thr[:, None]
-        for i in np.flatnonzero(bad.any(axis=1) & live):
-            cols = np.flatnonzero(bad[i, a_lo[i] - n0:a_hi[i] - n0 + 1]) + (a_lo[i] - n0)
-            if len(cols):
-                n = n0 + int(cols[0])
-                found[int(i)] = {"n": n, "n_in": int(partner(n, ks[i])),
-                                 "gap": float(gaps[i, cols[0]]), "threshold": float(thr[i])}
-    return checked + counts, sorted(found.items())
+
+    live = counts > 0
+    if found and not every_line:
+        live &= lines < min(found)
+    q_bar, d, s, k = table.q_bar, dot[live], sign[live], ks[live]
+    first_end, last_end = (_far_gaps(q_bar, d, s, k, a[live]) for a in (a_lo, a_hi))
+    # n = k/2 (> J) on a plus line; a minus line's first end point stands in for it
+    half = _lam(q_bar, np.where(s < 0, J + 1, k / 2))
+    mid = np.where(s < 0, first_end, (d + half) + half)
+    ends = np.stack((first_end, last_end, mid))
+    far = thr[live] + FAR_BOUND_ULPS * np.finfo(float).eps * (
+        np.abs(d) + 2.0 * _lam(q_bar, n_cap[live]))
+    # a NaN end point (q_bar < -(J+1)^2) clears nothing
+    for i in np.flatnonzero(live)[~((ends.min(axis=0) > far) | (ends.max(axis=0) < -far))]:
+        offender = _scan_far(q_bar, dot[i], sign[i], ks[i], a_lo[i], a_hi[i], thr[i])
+        if offender is not None:
+            found[int(i)] = offender
+            if not every_line:
+                break
+    return checked + counts, found
+
+
+def _lam(q_bar, n):
+    """lambda_n = sqrt(n^2 + q_bar), the eigenvalues beyond the truncation."""
+    return np.sqrt(np.asarray(n, dtype=float) ** 2 + q_bar)
+
+
+def _far_gaps(q_bar, dot, sign, k, n):
+    """dot + lambda_n +- lambda_n' of the asymptotic triple n of line k
+    (n' = n - k on a minus line, k - n on a plus line), summed in this order
+    as the window sums mu_n +- mu_n' onto dot."""
+    return (dot + _lam(q_bar, n)) + sign * _lam(q_bar, np.where(sign < 0, n - k, k - n))
+
+
+def _scan_far(q_bar, dot, sign, k, n_lo, n_hi, thr):
+    """The first offender in ascending n among the asymptotic triples
+    n = n_lo..n_hi of one line, or None."""
+    n = np.arange(n_lo, n_hi + 1)
+    gaps = np.abs(_far_gaps(q_bar, dot, sign, k, n))
+    bad = np.flatnonzero(gaps < thr)
+    if not len(bad):
+        return None
+    n, gap = int(n[bad[0]]), float(gaps[bad[0]])
+    return {"n": n, "n_in": n - int(k) if sign < 0 else int(k) - n, "gap": gap,
+            "threshold": float(thr)}
 
 
 def estimate_measure(pipeline, params, M: float, n_samples: int,

@@ -1,10 +1,16 @@
+import ctypes
 import dataclasses
+import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import fastwave
 from fastwave.harmonics import Lattice, TorusFunction
 from fastwave.craig_wayne import build_basis_matrix
 from fastwave.kam import (
@@ -427,6 +433,48 @@ def test_kam_step_two_series_match_three(monkeypatch, M):
     tol = 1e-13 * max(want.norm_max(), 1e-300)
     assert (new.V - want).norm_max() <= tol
     assert 0 < len(calls) < n_oracle
+
+
+# A fresh interpreter that forks, as a benchmark or CLI run forks its measure
+# workers: there glibc's dynamic mmap threshold has not been raised by the
+# large arrays of the tests that ran before, so its default settings show.
+_KAM_STEP_FAULTS = """
+import json, resource
+from fastwave import kam, opmatrix
+from oracles import in_forked_child
+from test_kam import toy_setup
+
+state = toy_setup()[0]
+
+
+def faults_per_ad():
+    calls, real_ad = [], opmatrix.ad
+    kam.ad = opmatrix.ad = lambda *a: calls.append(1) or real_ad(*a)
+    kam.kam_step(state)                # copies the pages shared with the parent
+    calls.clear()
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    while len(calls) < 50:
+        kam.kam_step(state)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / len(calls)
+
+
+print(json.dumps(in_forked_child(faults_per_ad)[0]))
+"""
+
+
+def test_kam_steps_in_a_measure_worker_take_no_page_faults():
+    # repeated kam_step on one L=4, J=12 input in a forked child: the freed
+    # grids keep their heap pages, so its `ad` calls take almost no minor page
+    # faults (with glibc's default thresholds the heap is trimmed after each
+    # step, and each `ad` takes about 90)
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("this libc has no mallopt")
+    src = str(pathlib.Path(fastwave.__file__).parents[1])
+    path = [src, str(pathlib.Path(__file__).parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-c", _KAM_STEP_FAULTS], env=env,
+                         capture_output=True, check=True, timeout=120)
+    assert json.loads(run.stdout.splitlines()[-1]) < 5
 
 
 def test_kam_step_absorbs_diagonal():

@@ -12,7 +12,7 @@ from fastwave.opmatrix import BlockOperator
 from fastwave.psdo import (DEFAULT_CUTOFF, ContourSpec, EllipticSymbol, Symbol,
                            complex_power, compose, quantize)
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks
-from oracles import apply, random_function, torus_product, zero_op
+from oracles import apply, in_forked_child, random_function, torus_product, zero_op
 
 
 def xcoeffs(J, entries):
@@ -156,6 +156,30 @@ def test_transform_structure_identities():
     for name, d in defects.items():
         assert d < 1e-12 * max(1.0, scale), (name, d)
     assert homological_residual(out) < 1e-10
+
+
+@pytest.mark.parametrize("lat", [LAT, Lattice(2, 2, 6)], ids=["nu1", "nu2"])
+def test_transform_products_match_operator_products(lat):
+    # the grids of Y and B built once give V bit for bit as the three
+    # products Y @ B, B @ Y and (Y @ B) @ Y do, on this thread and on one
+    # (a forked child, as in a measure worker)
+    M = 1000.0
+    qc = xcoeffs(lat.J, {0: 1.0, 1: 0.5, -1: 0.5})
+    sd = eigensolve_blocks(assemble_lq(qc, lat.J), q=qc)
+    rng = np.random.default_rng(31)
+    c = rng.standard_normal(lat.shape) + 1j * rng.standard_normal(lat.shape)
+    c[(lat.L,) * lat.nu] = 0.0                  # zero angle average
+    v = TorusFunction(lat, c).symmetrized()
+
+    def both():
+        out = magnus_transform(qc, v, golden_omega(M, lat.nu), M, 0.1, 1.0, sd)
+        Y, B = out.Y_mat, BlockOperator.time_independent(lat, out.B_mat)
+        YB, BY = Y @ B, B @ Y
+        want = np.stack([1j * (YB - BY).mats, -1j * (YB + BY).mats]) + 2.0 * (YB @ Y).mats
+        return out.V.mats.tobytes(), want.tobytes()
+    got, want = both()
+    assert got == want
+    assert in_forked_child(both)[0] == (got, want)
 
 
 def test_transform_sigma4_consequences():

@@ -14,7 +14,7 @@ from fastwave.melnikov import (
     EigenTable, MeasureReport, _measure_sample, eigen_table_from_state,
     estimate_measure, fitted_gamma_exponent, measure_pipeline, omega_infty_test,
 )
-from fastwave import opmatrix
+from fastwave import melnikov, opmatrix
 from fastwave.opmatrix import LieSeriesDiverged
 from fastwave.schrodinger import assemble_lq, eigensolve_blocks
 from oracles import single_set_measure_exact, time_limit
@@ -179,7 +179,7 @@ def _scan_k_line(table, dot, sign, k, n_cap, gamma, tau, alpha, M, ln, ell,
     if ln == 0.0 and sign < 0:
         keep &= ns != ms          # excluded diagonal triples
     ns, ms = ns[keep], ms[keep]
-    vals = dot + (table.pairs(ns)[:, :, None] + sign * table.pairs(ms)[:, None, :])
+    vals = dot + (table.pairs(ns).T[:, :, None] + sign * table.pairs(ms).T[:, None, :])
     i = first_offender(ns, ms, np.min(np.abs(vals), axis=(1, 2)))
     if i is not None:
         return False, i + 1
@@ -206,35 +206,65 @@ def _scan_k_line(table, dot, sign, k, n_cap, gamma, tau, alpha, M, ln, ell,
     return True, checked
 
 
-def random_table(rng, J):
+def random_table(rng, J, q_bar_range=(0.5, 3.0)):
     """Split 2x2 blocks around sqrt(n^2 + q_bar), q_bar and splits random."""
-    c = rng.uniform(0.5, 3.0)
+    c = rng.uniform(*q_bar_range)
     mu = np.empty(2 * J + 1)
-    mu[J] = math.sqrt(c) + rng.uniform(-0.2, 0.2)
+    mu[J] = math.sqrt(abs(c)) + rng.uniform(-0.2, 0.2)
     for n in range(1, J + 1):
         mu[[J - n, J + n]] = np.sort(math.sqrt(n * n + c) + rng.uniform(-0.3, 0.3, size=2))
     return EigenTable(q_bar=c, mu=mu)
 
 
+def near_threshold_omegas(table, params, M, nu):
+    """omegas whose minus line n - n' = k0 at l = (-1, 0, ..) ends, at n = n_cap,
+    with a gap a hair (1e-12) above or below +-threshold.
+
+    The gaps of the line's far triples are monotone in n, so its end-point
+    bound comes within round-off of the threshold and the census has to
+    scan the line: with an offender, or with none.
+    """
+    n_cap = int(2.2 * M + 4 * table.J)
+    k0 = n_cap // 2
+    thr = balanced_threshold(params.gamma, params.tau, params.alpha, M, 1.0, k0)
+    lam = lambda n: math.sqrt(n * n + table.q_bar)
+    omegas = []
+    for gap in (thr + 1e-12, thr - 1e-12, -thr + 1e-12, -thr - 1e-12):
+        omega = np.full(nu, 1.3 * M)
+        omega[0] = lam(n_cap) - lam(n_cap - k0) - gap     # omega.l = gap - lam_n + lam_n'
+        omegas.append(omega)
+    return omegas
+
+
 @pytest.mark.parametrize("nu, M, L_check", [(1, 150.0, 3), (2, 30.0, 2)])
-def test_omega_infty_matches_k_line_oracle(nu, M, L_check):
-    # random split tables and gammas from loose to strict: passing samples,
-    # single offenders and many-offender censuses, at both census settings
+def test_omega_infty_matches_k_line_oracle(nu, M, L_check, monkeypatch):
+    # random split tables, with q_bar > 0 and with q_bar < 0, and gammas from
+    # loose to strict: passing samples, single offenders and many-offender
+    # censuses, at both census settings.  Each table also meets omegas whose
+    # far line ends within round-off of its threshold, so the census scans
+    # that line instead of clearing it by its end-point bound
+    scans = []
+    scan_far = melnikov._scan_far
+    monkeypatch.setattr(melnikov, "_scan_far", lambda *a: scans.append(a) or scan_far(*a))
     rng = np.random.default_rng(10 + nu)
-    failing = with_offenders = 0
-    for trial in range(12):
-        table = random_table(rng, int(rng.integers(3, 9)))
-        params = make_params(gamma=(1e-3, 3e-2, 0.5)[trial % 3])
-        for omega in sample_annulus(rng, M, nu, 4):
-            for collect in (False, True):
-                got = omega_infty_test(omega, table, params, M, L_check,
-                                       collect_census=collect)
-                want = omega_infty_oracle(omega, table, params, M, L_check,
-                                          collect_census=collect)
-                assert got == want
-                failing += not got[0]
-                with_offenders += len(got[1]["offenders"]) > 1
-    assert failing > 0 and with_offenders > 0
+    failing = with_offenders = near_scans = 0
+    for q_bar_range in ((0.5, 3.0), (-0.9, -0.2)):
+        for trial in range(12):
+            table = random_table(rng, int(rng.integers(3, 9)), q_bar_range)
+            params = make_params(gamma=(1e-3, 3e-2, 0.5)[trial % 3])
+            near = near_threshold_omegas(table, params, M, nu)
+            for omega in list(sample_annulus(rng, M, nu, 4)) + near:
+                for collect in (False, True):
+                    scans.clear()
+                    got = omega_infty_test(omega, table, params, M, L_check,
+                                           collect_census=collect)
+                    want = omega_infty_oracle(omega, table, params, M, L_check,
+                                              collect_census=collect)
+                    assert got == want
+                    failing += not got[0]
+                    with_offenders += len(got[1]["offenders"]) > 1
+                    near_scans += any(omega is w for w in near) and len(scans) > 0
+    assert failing > 0 and with_offenders > 0 and near_scans > 0
 
 
 def test_omega_infty_oracle_excluded_diagonal_and_caps():
