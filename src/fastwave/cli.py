@@ -503,10 +503,11 @@ def main(argv=None) -> int:
     parser.add_argument("--preset", default=None,
                         choices=["demo", "paper-toy", "measure"])
     parser.add_argument("--outdir", default=None)
-    for flag, typ in (("--nu", int), ("--L", int), ("--J", int), ("--M", float),
-                      ("--gamma", float), ("--gamma0", float), ("--tau", float),
-                      ("--tau0", float), ("--alpha", float), ("--N0", float),
-                      ("--seed", int), ("--samples", int), ("--p-max", int)):
+    scalar_flags = (("--nu", int), ("--L", int), ("--J", int), ("--M", float),
+                    ("--gamma", float), ("--gamma0", float), ("--tau", float),
+                    ("--tau0", float), ("--alpha", float), ("--N0", float),
+                    ("--seed", int), ("--samples", int), ("--p-max", int))
+    for flag, typ in scalar_flags:
         parser.add_argument(flag, type=typ, default=None)
     parser.add_argument("--sweep-M", default=None,
                         help="comma-separated M values, e.g. 1e2,1e3,1e4")
@@ -519,8 +520,9 @@ def main(argv=None) -> int:
     if args.config:
         with open(args.config) as fh:
             cfg.update(json.load(fh))
-    for key in ("nu", "L", "J", "M", "gamma", "gamma0", "tau", "tau0", "alpha",
-                "N0", "seed", "samples", "p_max"):
+    for flag, _ in scalar_flags:
+        # the config key is argparse's destination: --p-max -> p_max
+        key = flag[2:].replace("-", "_")
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val

@@ -13,8 +13,9 @@ eigenfunction basis.
 
 The constant tilde_C(s) driving the admissibility threshold
 ||q||_s <= n / (2 tilde_C_s) is evaluated numerically from its defining sum
-and inflated by a 1.2 safety factor; the Neumann solver itself only requires
-empirical contraction, and reports whether the certified threshold held.
+and inflated by a 1.2 safety factor; the Neumann solver raises on
+non-contraction or a residual above 10 NEUMANN_TOL, and the D_n check of
+the roots applies only where the admissibility inequality holds.
 """
 
 from __future__ import annotations
@@ -69,119 +70,74 @@ def tilde_C(s: float, a_max: int = 400, k_max: int = 1600) -> float:
     return 1.2 * math.sqrt(4.0 * sup)
 
 
-@dataclass
-class LsContext:
-    """State for one Lyapunov-Schmidt block: divisors, potential, thresholds."""
-
-    n: int
-    s: float
-    q: np.ndarray                      # x coefficients, length 2J+1
-    lam: float
-
-    def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=complex)
-        if self.n < 1:
-            raise ValueError("the Lyapunov-Schmidt path needs n >= 1")
-        if abs(self.lam - self.n ** 2) > self.n / 2 + 1e-12:
-            raise AdmissibilityError(
-                f"lambda is outside U_n = {{|lam - n^2| <= n/2}} (n = {self.n})")
-
-    @property
-    def C_tilde(self) -> float:
-        return tilde_C(self.s)
-
-    @property
-    def J(self) -> int:
-        return (len(self.q) - 1) // 2
-
-    @property
-    def q_norm(self) -> float:
-        return x_sobolev_norm(self.q, self.s)
-
-    @property
-    def certified(self) -> bool:
-        """The paper-style admissibility inequality ||q||_s <= n/(2 tilde_C_s)."""
-        return self.q_norm <= self.n / (2.0 * self.C_tilde)
-
-
-def _Tn(w: np.ndarray, ctx: LsContext) -> np.ndarray:
-    """(lam - m^2)^{-1} (q w)(m) for |m| != n, zero at +-n; w may have +-n modes
-    and may stack vectors along leading axes."""
-    qw = xconv(ctx.q, w)
-    ms = np.arange(-ctx.J, ctx.J + 1)
-    div = ctx.lam - ms.astype(float) ** 2
+def apply_Tn(w, q, n: int, lam: float) -> np.ndarray:
+    """(T_n w)(m) = (lam - m^2)^{-1} (q w)(m) for |m| != n, zero at +-n; w may
+    have +-n modes and may stack vectors along leading axes."""
+    qw = xconv(q, w)
+    J = (len(q) - 1) // 2
+    ms = np.arange(-J, J + 1)
+    div = lam - ms.astype(float) ** 2
     out = np.zeros_like(qw)
-    keep = np.abs(ms) != ctx.n
+    keep = np.abs(ms) != n
     out[..., keep] = qw[..., keep] / div[keep]
     return out
 
 
-def apply_Tn(w, ctx: LsContext) -> np.ndarray:
-    """(T_n w)(m) = (lam - m^2)^{-1} (q w)(m) for |m| != n, zero at +-n."""
-    wc = np.asarray(w, dtype=complex)
-    if np.max(np.abs(wc[..., [ctx.J - ctx.n, ctx.J + ctx.n]])) > 1e-13:
-        raise ValueError("input must lie in the complement Q_n (w_hat(+-n) = 0)")
-    return _Tn(wc, ctx)
-
-
-def solve_q_equation(u, ctx: LsContext):
+def solve_q_equation(u, q, n: int, lam: float) -> np.ndarray:
     """v = sum_{k>=1} T_n^k u, truncated once every increment is below NEUMANN_TOL
     (at most 200 terms).  u may stack vectors along leading axes; the series
     runs on all of them at once, and each is checked on its own.
 
-    Returns (v, info): info holds the worst residual of (Id - T_n) v = T_n u,
-    checked to 10 * NEUMANN_TOL per vector, and whether the paper's
-    admissibility inequality holds.
+    Raises AdmissibilityError when an increment does not shrink, or when the
+    residual of (Id - T_n) v = T_n u exceeds 10 * NEUMANN_TOL for some vector.
     """
     u = np.asarray(u, dtype=complex)
-    # first term: T_n applied to u, the +-n modes allowed in the input
-    first = _Tn(u.reshape(-1, u.shape[-1]), ctx)
+    first = apply_Tn(u.reshape(-1, u.shape[-1]), q, n, lam)
 
     v = np.array(first)
     term = first
     prev = np.linalg.norm(term, axis=-1)
     for _ in range(199):
-        term = apply_Tn(term, ctx)
+        term = apply_Tn(term, q, n, lam)
         inc = np.linalg.norm(term, axis=-1)
         grows = (prev > 0) & (inc >= prev)
         if np.any(grows):
-            raise AdmissibilityError(f"Neumann series not contracting at n={ctx.n} "
+            raise AdmissibilityError(f"Neumann series not contracting at n={n} "
                                      f"(ratio {np.max(inc[grows] / prev[grows]):.3f})")
         v += term
         if np.all(inc < NEUMANN_TOL):
             break
         prev = inc
     # residual check: (Id - T_n) v - T_n u = 0
-    res = np.linalg.norm(v - apply_Tn(v, ctx) - first, axis=-1)
+    res = np.linalg.norm(v - apply_Tn(v, q, n, lam) - first, axis=-1)
     if np.any(res > 10 * NEUMANN_TOL * np.maximum(1.0, np.linalg.norm(v, axis=-1))):
         raise AdmissibilityError(
             f"Neumann residual {np.max(res):.2e} exceeds 10*NEUMANN_TOL")
-    return v.reshape(u.shape), {"residual": float(np.max(res)), "certified": ctx.certified}
+    return v.reshape(u.shape)
 
 
-def assemble_Sn(ctx: LsContext):
-    """The 2x2 system S_n(lambda) with entries from a_{+-n}, c_{+-n}.
+def assemble_Sn(q, n: int, lam: float):
+    """The entries a_n, c_n of the 2x2 system S_n(lambda), lambda in U_n.
 
     e_{-n} and e_n are resolved as one stack R = (Id-T_n)^{-1} (e_{-n}, e_n), and
     a_n = (V R[1], e_n),  c_n = (V R[0], e_n).
-    Returns (S, a_n, c_n, R) and asserts the symmetries a_n = a_{-n},
+    Returns (a_n, c_n, R) and asserts the symmetries a_n = a_{-n},
     c_{-n} = conj(c_n).
     """
-    J, n = ctx.J, ctx.n
-    lam = ctx.lam
+    if abs(lam - n ** 2) > n / 2 + 1e-12:
+        raise AdmissibilityError(
+            f"lambda is outside U_n = {{|lam - n^2| <= n/2}} (n = {n})")
+    J = (len(q) - 1) // 2
     E = np.zeros((2, 2 * J + 1), dtype=complex)
     E[0, J - n] = E[1, J + n] = 1.0
-    v, _ = solve_q_equation(E, ctx)
-    R = E + v
-    qR = xconv(ctx.q, R)
+    R = E + solve_q_equation(E, q, n, lam)
+    qR = xconv(q, R)
     a_mn, c_n = qR[0, J - n], qR[0, J + n]
     c_mn, a_n = qR[1, J - n], qR[1, J + n]
     scale = max(1.0, abs(a_n))
     if abs(a_n - a_mn) > 1e-10 * scale or abs(c_mn - np.conj(c_n)) > 1e-10 * scale:
         raise AdmissibilityError("S_n symmetry identities violated")
-    S = np.array([[lam - n ** 2 - a_mn, -c_mn],
-                  [-c_n, lam - n ** 2 - a_n]], dtype=complex)
-    return S, complex(a_n), complex(c_n), R
+    return complex(a_n), complex(c_n), R
 
 
 def ls_block_eigenpairs(n: int, q, s: float):
@@ -190,28 +146,33 @@ def ls_block_eigenpairs(n: int, q, s: float):
     Each root is the fixed point of lambda -> n^2 + a_n(lambda) +- |c_n(lambda)|,
     iterated from lambda = n^2, whose evaluation both roots share, until the
     relative step is below LS_RTOL.  No fixed point after LS_MAX_STEPS steps,
-    an iterate outside U_n, or a root escaping D_n raises AdmissibilityError.
+    an iterate outside U_n, or, where ||q||_s <= n / (2 tilde_C_s), a root
+    escaping D_n raises AdmissibilityError.
     Each eigenfunction is the last step's resolved pair R combined with the
     unit eigenvector (conj(c_n), +-|c_n|) / (sqrt(2) |c_n|) of the 2x2 system,
     so its projection onto span{e_{-n}, e_n} is a unit vector.  Returns
     [(lam, f)] sorted ascending.
     """
-    ctx0 = LsContext(n, s, np.asarray(q, dtype=complex), float(n ** 2))
-    radius = (2.0 * ctx0.C_tilde / 3.0) * ctx0.q_norm
-    first = assemble_Sn(ctx0)
+    if n < 1:
+        raise ValueError("the Lyapunov-Schmidt path needs n >= 1")
+    q = np.asarray(q, dtype=complex)
+    q_norm, C = x_sobolev_norm(q, s), tilde_C(s)
+    radius = (2.0 * C / 3.0) * q_norm
+    admissible = q_norm <= n / (2.0 * C)
+    first = assemble_Sn(q, n, float(n ** 2))
     out = []
     for sign in (+1.0, -1.0):
-        lam, (_, a, c, R) = ctx0.lam, first
+        lam, (a, c, R) = float(n ** 2), first
         for _ in range(LS_MAX_STEPS):
             image = n ** 2 + a.real + sign * abs(c)
             step, lam = image - lam, image
             if abs(step) < LS_RTOL * lam:
                 break
-            _, a, c, R = assemble_Sn(LsContext(n, s, ctx0.q, lam))
+            a, c, R = assemble_Sn(q, n, lam)
         else:
             raise AdmissibilityError(
                 f"no fixed point for root {sign:+.0f} at n={n} in {LS_MAX_STEPS} steps")
-        if abs(lam - n ** 2) > radius + 1e-9 and ctx0.certified:
+        if abs(lam - n ** 2) > radius + 1e-9 and admissible:
             raise AdmissibilityError(
                 f"root {lam:.6f} escaped D_n (radius {radius:.3f}); "
                 "the computed tilde_C_s underestimates the constant")

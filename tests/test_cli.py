@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fastwave.cli import (
-    ConfigError, build_q, build_v, golden_omega, main, named_config,
+    DEFAULTS, ConfigError, build_q, build_v, golden_omega, main, named_config,
     run_experiment, emit_report, validate_config,
 )
 from fastwave.harmonics import Lattice
@@ -269,6 +269,21 @@ def test_cli_main_spectrum(tmp_path, capsys):
     assert rc == 0
     assert "[PASS] spectrum" in out
     assert json.loads((tmp_path / "manifest.json").read_text())["config"]["p_max"] == 2
+
+
+def test_cli_main_sets_every_scalar_flag(tmp_path):
+    # a valid value other than the default for each flag; nu = 2 needs
+    # tau > nu - 1 + alpha + tau0 / alpha = 4.1
+    values = {"nu": 2, "L": 2, "J": 6, "M": 500.0, "gamma": 0.2, "gamma0": 0.3,
+              "tau": 4.5, "tau0": 1.5, "alpha": 0.6, "N0": 3.0, "seed": 3,
+              "samples": 50, "p_max": 2}
+    assert all(DEFAULTS[key] != val for key, val in values.items())
+    argv = ["spectrum", "--outdir", str(tmp_path)]
+    for key, val in values.items():
+        argv += ["--" + key.replace("_", "-"), str(val)]
+    assert main(argv) == 0
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert {key: config[key] for key in values} == values
 
 
 def _not_json(name):

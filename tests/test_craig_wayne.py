@@ -3,9 +3,9 @@ import pytest
 
 from fastwave import craig_wayne
 from fastwave.craig_wayne import (
-    AdmissibilityError, LsContext, apply_Tn, assemble_Sn, build_basis_matrix,
-    change_basis, eigen_residual, ls_block_eigenpairs, shifted_norm, solve_q_equation,
-    tilde_C, verify_localization, x_sobolev_norm,
+    AdmissibilityError, apply_Tn, assemble_Sn, build_basis_matrix, change_basis,
+    eigen_residual, ls_block_eigenpairs, ls_certificates, shifted_norm,
+    solve_q_equation, tilde_C, verify_localization, x_sobolev_norm,
 )
 from fastwave.harmonics import Lattice
 from fastwave.opmatrix import BlockOperator, s_decay_norm
@@ -87,18 +87,16 @@ def test_tilde_C_stable():
 
 def test_apply_Tn_zero_potential():
     J, n = 16, 4
-    ctx = LsContext(n, 4.0, xcoeffs(J, {}), float(n ** 2))
     w = xcoeffs(J, {6: 1.0})
-    assert np.max(np.abs(apply_Tn(w, ctx))) == 0.0
+    assert np.max(np.abs(apply_Tn(w, xcoeffs(J, {}), n, float(n ** 2)))) == 0.0
 
 
 def test_apply_Tn_two_term_convolution():
     # q = e_1 + e_-1, w = e_{n+2}, lam = n^2
     J, n = 24, 5
     q = xcoeffs(J, {1: 1.0, -1: 1.0})
-    ctx = LsContext(n, 4.0, q, float(n ** 2))
     w = xcoeffs(J, {n + 2: 1.0})
-    out = apply_Tn(w, ctx)
+    out = apply_Tn(w, q, n, float(n ** 2))
     assert out[J + n + 1] == pytest.approx(1.0 / (n ** 2 - (n + 1) ** 2))
     assert out[J + n + 3] == pytest.approx(1.0 / (n ** 2 - (n + 3) ** 2))
     assert np.sum(np.abs(out)) == pytest.approx(
@@ -110,34 +108,35 @@ def test_apply_Tn_operator_bound():
     J, n, s = 24, 8, 4.0
     rng = np.random.default_rng(3)
     q = cosx(J, amp=1.0)
-    ctx = LsContext(n, s, q, float(n ** 2))
-    bound = ctx.C_tilde / n * ctx.q_norm
+    bound = tilde_C(s) / n * x_sobolev_norm(q, s)
     for _ in range(100):
         w = rng.standard_normal(2 * J + 1) + 1j * rng.standard_normal(2 * J + 1)
         w[J + n] = w[J - n] = 0.0
         for j in (0, n, -n):
-            assert shifted_norm(apply_Tn(w, ctx), s, j) <= bound * shifted_norm(w, s, j)
+            assert (shifted_norm(apply_Tn(w, q, n, float(n ** 2)), s, j)
+                    <= bound * shifted_norm(w, s, j))
 
 
 def test_apply_Tn_rejects_lambda_outside_Un():
     J, n = 16, 4
-    with pytest.raises(AdmissibilityError):
-        LsContext(n, 4.0, xcoeffs(J, {}), n ** 2 + n)
+    with pytest.raises(AdmissibilityError, match="outside U_n"):
+        assemble_Sn(xcoeffs(J, {}), n, n ** 2 + n)
+    # q = 3 moves the first iterate to n^2 + 3 = 19, outside U_4 = [14, 18]
+    with pytest.raises(AdmissibilityError, match="outside U_n"):
+        ls_block_eigenpairs(n, xcoeffs(J, {0: 3.0}), 4.0)
 
 
 def test_solve_q_equation_zero_potential():
     J, n = 16, 4
-    ctx = LsContext(n, 4.0, xcoeffs(J, {}), float(n ** 2))
-    v, info = solve_q_equation(xcoeffs(J, {n: 1.0}), ctx)
+    v = solve_q_equation(xcoeffs(J, {n: 1.0}), xcoeffs(J, {}), n, float(n ** 2))
     assert np.max(np.abs(v)) == 0.0
 
 
 def test_solve_q_equation_small_q_first_order():
-    J, n = 32, 10
+    J, n, s = 32, 10, 4.0
     q = cosx(J, amp=0.01)
-    ctx = LsContext(n, 4.0, q, float(n ** 2))
     u = xcoeffs(J, {n: 1.0})
-    v, info = solve_q_equation(u, ctx)
+    v = solve_q_equation(u, q, n, float(n ** 2))
     # first order: v ~ T_n u; correction is O(||T_n||^2)
     qw = np.convolve(q, u)[J:3 * J + 1]
     ms = np.arange(-J, J + 1)
@@ -145,12 +144,12 @@ def test_solve_q_equation_small_q_first_order():
     keep = np.abs(ms) != n
     first[keep] = qw[keep] / (n ** 2 - ms[keep].astype(float) ** 2)
     rel = np.linalg.norm(v - first) / np.linalg.norm(first)
-    assert rel < (ctx.C_tilde / n * ctx.q_norm) ** 1.0  # correction < ||T_n|| relative
-    assert info["certified"]
+    assert rel < (tilde_C(s) / n * x_sobolev_norm(q, s)) ** 1.0  # correction < ||T_n|| relative
+    assert x_sobolev_norm(q, s) <= n / (2 * tilde_C(s))
     # the certified regime's shifted-norm bound |v|_{s,j} <= (2 C_s/n) |q|_s |u|_{s,j}
-    bound = 2 * ctx.C_tilde / n * ctx.q_norm
+    bound = 2 * tilde_C(s) / n * x_sobolev_norm(q, s)
     for j in (0, n, -n):
-        assert shifted_norm(v, ctx.s, j) <= bound * shifted_norm(u, ctx.s, j) + 1e-12
+        assert shifted_norm(v, s, j) <= bound * shifted_norm(u, s, j) + 1e-12
 
 
 def test_solve_q_equation_dense_oracle():
@@ -158,11 +157,10 @@ def test_solve_q_equation_dense_oracle():
     J, n, s = 24, 6, 4.0
     q = cosx(J, mean=0.3, amp=1.2)
     lam = float(n ** 2 + 0.2)
-    ctx = LsContext(n, s, q, lam)
     rng = np.random.default_rng(4)
     u = rng.standard_normal((2, 2 * J + 1)) + 1j * rng.standard_normal((2, 2 * J + 1))
-    v, _ = solve_q_equation(u[0], ctx)
-    stacked, _ = solve_q_equation(u, ctx)
+    v = solve_q_equation(u[0], q, n, lam)
+    stacked = solve_q_equation(u, q, n, lam)
     # dense: build T_n matrix columnwise
     D = 2 * J + 1
     T = np.zeros((D, D), dtype=complex)
@@ -188,9 +186,8 @@ def test_solve_q_equation_dense_oracle():
 def test_solve_q_equation_divergence_guard():
     J, n = 24, 2
     q = cosx(J, amp=30.0)
-    ctx = LsContext(n, 4.0, q, float(n ** 2))
     with pytest.raises(AdmissibilityError):
-        solve_q_equation(xcoeffs(J, {n: 1.0}), ctx)
+        solve_q_equation(xcoeffs(J, {n: 1.0}), q, n, float(n ** 2))
 
 
 # -- the 2x2 system ---------------------------------------------------------------
@@ -199,8 +196,7 @@ def test_solve_q_equation_divergence_guard():
 def test_assemble_Sn_constant_potential():
     J, n = 16, 5
     c = 0.7
-    ctx = LsContext(n, 4.0, xcoeffs(J, {0: c}), float(n ** 2))
-    S, a_n, c_n, _ = assemble_Sn(ctx)
+    a_n, c_n, _ = assemble_Sn(xcoeffs(J, {0: c}), n, float(n ** 2))
     assert a_n == pytest.approx(c)
     assert abs(c_n) < 1e-14
 
@@ -209,8 +205,7 @@ def test_assemble_Sn_resonant_mode():
     # q = 2 cos(2n x): c_n = q_hat(2n) = 1 at first order
     J, n = 36, 6
     q = xcoeffs(J, {2 * n: 1.0, -2 * n: 1.0})
-    ctx = LsContext(n, 4.0, q, float(n ** 2))
-    S, a_n, c_n, _ = assemble_Sn(ctx)
+    a_n, c_n, _ = assemble_Sn(q, n, float(n ** 2))
     assert abs(c_n - 1.0) < 2.0 / n
 
 
@@ -221,8 +216,7 @@ def test_assemble_Sn_symmetries_random_q():
     raw = 0.25 * (raw + np.conj(raw[::-1]))
     q = np.zeros(2 * J + 1, dtype=complex)
     q[J - 3:J + 4] = raw
-    ctx = LsContext(n, 4.0, q, float(n ** 2 + 0.1))
-    S, a_n, c_n, _ = assemble_Sn(ctx)   # symmetry asserted inside to 1e-10
+    a_n, c_n, _ = assemble_Sn(q, n, float(n ** 2 + 0.1))   # symmetry asserted inside to 1e-10
     assert abs(np.imag(a_n)) < 1e-12
 
 
@@ -267,6 +261,25 @@ def test_ls_residuals_across_n():
     for n in (6, 10, 16):
         for lam, f in ls_block_eigenpairs(n, q, s):
             assert eigen_residual(lam, f, q) < 1e-8
+
+
+def test_ls_certificates_one_series_per_step(monkeypatch):
+    # criterion 1's blocks: each step resolves e_{-n} and e_n by one stacked
+    # series, and both roots share the first step, so ten blocks take 50
+    # series; one series per root or per vector would take more
+    J = 128
+    q = cosx(J, amp=1.0)
+    sd = eigensolve_blocks(assemble_lq(q, J), q=q, require_positive=False)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_q_equation(*args)
+
+    monkeypatch.setattr(craig_wayne, "solve_q_equation", counted)
+    certs = ls_certificates(range(55, 65), q, 4.0, sd)
+    assert len(certs) == 20
+    assert len(calls) == 50
 
 
 # -- localization ----------------------------------------------------------------
